@@ -273,18 +273,13 @@ def cond_ii_prime(v: OrdersLike, basis: HilbertBasis) -> tuple[bool, tuple[int, 
     return (ok, failing)
 
 
-def check_instance(inst: Instance) -> ConditionReport:
-    """Full pipeline: admissibility, basis via both engines, all conditions.
+def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
+    """Hilbert basis of Hol(v), computed by both engines and compared.
 
     The two engines must return identical element sets; disagreement is an
-    internal bug and raises EngineMismatchError.  The equivalence verdict
-    i == ii == iii == ii' is only asserted for admissible instances with
-    r >= 2; otherwise it is None.
+    internal bug and raises EngineMismatchError.  Returns the oracle's basis.
     """
-    ov = inst.orders
-    r = inst.rank
-    admissible, reasons = is_admissible(inst)
-
+    ov = as_order_vector(v)
     b_oracle = hilbert_basis_oracle(ov)
     b_frontier = hilbert_basis_frontier(ov)
     if b_oracle.elements != b_frontier.elements:
@@ -292,7 +287,22 @@ def check_instance(inst: Instance) -> ConditionReport:
             f"engines disagree for v={ov.entries}: "
             f"{b_oracle.elements} vs {b_frontier.elements}"
         )
-    basis = b_oracle
+    return b_oracle
+
+
+def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> ConditionReport:
+    """Full pipeline: admissibility, Hilbert basis, all conditions.
+
+    `basis` is the instance's already cross-checked Hilbert basis; when it
+    is omitted, it is computed here by cross_checked_basis.  The
+    equivalence verdict i == ii == iii == ii' is only asserted for
+    admissible instances with r >= 2; otherwise it is None.
+    """
+    ov = inst.orders
+    r = inst.rank
+    admissible, reasons = is_admissible(inst)
+    if basis is None:
+        basis = cross_checked_basis(ov)
 
     factorial = is_factorial(basis, r)
     ci = cond_i(ov)

@@ -195,6 +195,10 @@ def _dominates(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
 def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     """Second engine: completion-style search over the slack equation.
 
+    This is the completion procedure of E. Contejean and H. Devie, "An
+    efficient incremental algorithm for solving systems of linear
+    Diophantine equations", Information and Computation 113 (1994).
+
     Coordinates with v_j = 0 contribute exactly their unit vectors and are
     excluded up front.  Over the remaining coordinates plus the slack, the
     search starts from the unit vectors and repeatedly bumps a candidate x

@@ -28,6 +28,7 @@ from artinhol import (
     cond_iii_subset,
     cond_iii_subset_search,
     count_factorizations,
+    enumerate_order_vectors,
     hilbert_basis_frontier,
     hilbert_basis_oracle,
     is_member_hol,
@@ -36,7 +37,7 @@ from artinhol import (
     run_sweep,
     sweep_reports,
 )
-from artinhol.serialize import exit_code_for_report
+from artinhol.serialize import exit_code_for_report, sweep_record_line
 from conftest import dot
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -293,3 +294,17 @@ def test_criterion_9_determinism_and_interfaces(tmp_path):
     rep = check_instance(Instance.of((1, 1), (1, -1)))
     assert exit_code_for_report(dataclasses.replace(rep, equivalence_ok=False)) == 1
     _passed(9, "determinism, golden bytes, exit codes")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("degrees, bound", [((1, 1, 2), 3), ((1, 1, 1, 3), 2)])
+def test_cached_sweep_matches_uncached_reports(tmp_path, degrees, bound, workers):
+    # run_sweep computes one basis per canonical vector; the reference runs
+    # check_instance, and with it both engines, on every vector of the box
+    out = tmp_path / "cached.jsonl"
+    run_sweep(SweepPlan(DegreeVector(degrees), bound, worker_count=workers, out_path=out))
+    expected = "".join(
+        sweep_record_line(check_instance(Instance.of(degrees, v)))
+        for v in enumerate_order_vectors(len(degrees), bound)
+    )
+    assert out.read_bytes() == expected.encode("utf-8")

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinhol import (
     DegreeVector,
@@ -14,7 +18,10 @@ from artinhol import (
     summarize,
     sweep_reports,
 )
-from artinhol.errors import CapExceededError, MixedPlansError
+from artinhol import conditions, sweep
+from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
+from artinhol.hilbert import HilbertBasis, hilbert_basis_oracle
+from artinhol.sweep import basis_from_canonical, canonical_order
 
 
 class TestEnumerate:
@@ -83,6 +90,136 @@ class TestRunSweep:
         s2 = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, worker_count=2, out_path=out2))
         assert out1.read_bytes() == out2.read_bytes()
         assert s1 == s2  # wall time excluded from equality
+
+
+@st.composite
+def order_vectors(draw):
+    """Rank 1-5, entries in [-6, 6], with all-zero, tied and scaled cases forced."""
+    r = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["any", "zero", "ties", "scaled"]))
+    if kind == "zero":
+        return (0,) * r
+    if kind == "ties":
+        values = st.sampled_from(draw(st.lists(st.integers(-6, 6), min_size=1, max_size=2)))
+        return tuple(draw(values) for _ in range(r))
+    if kind == "scaled":
+        factor = draw(st.integers(2, 3))
+        return tuple(factor * draw(st.integers(-2, 2)) for _ in range(r))
+    return tuple(draw(st.integers(-6, 6)) for _ in range(r))
+
+
+class TestCanonicalOrder:
+    def test_examples(self):
+        assert canonical_order((4, -2, 0)) == ((-1, 0, 2), (1, 2, 0))
+        assert canonical_order((0, 0)) == ((0, 0), (0, 1))
+        assert canonical_order((3, 3, -3)) == ((-1, 1, 1), (2, 0, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(order_vectors())
+    def test_basis_carried_back_from_canonical_form(self, v):
+        canon, perm = canonical_order(v)
+        assert sorted(perm) == list(range(len(v)))
+        assert list(canon) == sorted(canon)
+        carried = basis_from_canonical(hilbert_basis_oracle(canon), perm)
+        assert carried.elements == hilbert_basis_oracle(v).elements
+
+
+def _log_engine_calls(log_path):
+    """Make both engines append one line per call to log_path."""
+
+    def logged(name, fn):
+        def call(v):
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {v.entries}\n")
+            return fn(v)
+
+        return call
+
+    for name in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
+        setattr(conditions, name, logged(name, getattr(conditions, name)))
+
+
+class TestBasisCache:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_engine_runs_once_per_canonical_vector(self, tmp_path, monkeypatch, workers):
+        log = tmp_path / "calls.log"
+        if workers == 1:
+            for name in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
+                monkeypatch.setattr(conditions, name, getattr(conditions, name))
+            _log_engine_calls(log)
+        else:
+            ctx = multiprocessing.get_context()
+            monkeypatch.setattr(
+                sweep,
+                "Pool",
+                lambda n: ctx.Pool(n, initializer=_log_engine_calls, initargs=(log,)),
+            )
+        reports = sweep_reports(SweepPlan(DegreeVector((1, 1, 2)), 2, worker_count=workers))
+        assert len(reports) == 125
+        canon = {canonical_order(r.instance.orders.entries)[0] for r in reports}
+        calls = sorted(log.read_text().splitlines())
+        engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
+        expect = sorted(f"{name} {c}" for c in canon for name in engines)
+        assert calls == expect
+        assert len(canon) < 125
+
+    def test_explicit_basis_matches_uncached_report(self):
+        inst = Instance.of((1, 2, 1), (2, -1, -2))
+        canon, perm = canonical_order(inst.orders.entries)
+        basis = basis_from_canonical(conditions.cross_checked_basis(canon), perm)
+        assert check_instance(inst, basis) == check_instance(inst)
+
+    def test_basis_failure_names_the_swept_vector(self, monkeypatch):
+        frontier = conditions.hilbert_basis_frontier
+
+        def wrong_for_minus_one_one(v):
+            basis = frontier(v)
+            if v.entries == (-1, 1):
+                return HilbertBasis(basis.elements[:-1], "frontier")
+            return basis
+
+        monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong_for_minus_one_one)
+        with pytest.raises(EngineMismatchError) as err:
+            run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
+        # (-2, 2) is the first vector of the box whose canonical form is (-1, 1)
+        assert "canonical order vector (-1, 1) of swept order vector (-2, 2)" in str(err.value)
+
+
+class TestAtomicOutput:
+    def _fail_at(self, monkeypatch, k):
+        real = sweep.check_instance
+        calls = []
+
+        def failing(inst, basis=None):
+            calls.append(inst)
+            if len(calls) == k:
+                raise RuntimeError(f"instance {k} failed")
+            return real(inst, basis)
+
+        monkeypatch.setattr(sweep, "check_instance", failing)
+
+    def test_failed_sweep_keeps_the_existing_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "records.jsonl"
+        out.write_text("previous sweep\n")
+        self._fail_at(monkeypatch, 5)
+        with pytest.raises(RuntimeError, match="instance 5 failed"):
+            run_sweep(SweepPlan(DegreeVector((1, 1)), 1, out_path=out))
+        assert out.read_text() == "previous sweep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_failed_sweep_creates_no_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "records.jsonl"
+        self._fail_at(monkeypatch, 5)
+        with pytest.raises(RuntimeError):
+            run_sweep(SweepPlan(DegreeVector((1, 1)), 1, out_path=out))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_successful_sweep_replaces_the_file(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        out.write_text("previous sweep\n")
+        run_sweep(SweepPlan(DegreeVector((1, 1)), 1, out_path=out))
+        assert out.read_text().count("\n") == 9
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
 
 class TestSummarize:

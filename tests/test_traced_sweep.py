@@ -1,0 +1,53 @@
+"""Smoke test for the benchmark's traced sweep run.
+
+bench/traced_sweep.py replaces package functions by name with span-recording
+wrappers (sweep.check_instance, sweep.enumerate_order_vectors, sweep.Pool
+called with one positional argument, and the engines looked up as globals
+of artinhol.conditions).  This guards those names: renaming one breaks the
+traced run or silently drops its spans.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    out = tmp_path / "records.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    res = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "bench" / "traced_sweep.py"),
+            str(trace_dir),
+            "sweep",
+            "--degrees", "1,1,2",
+            "--order-bound", "1",
+            "--workers", "2",
+            "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert out.read_text().count("\n") == 27
+    names = [
+        json.loads(line)["name"]
+        for path in trace_dir.glob("spans-*.jsonl")
+        for line in path.read_text().splitlines()
+    ]
+    assert names.count("hilbert.oracle") >= 1
+    assert names.count("conditions.check") >= 1
