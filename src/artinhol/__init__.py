@@ -16,11 +16,10 @@ from .conditions import (
     cond_i,
     cond_ii,
     cond_ii_pair,
-    cond_ii_pair_search,
     cond_ii_prime,
     cond_iii,
     cond_iii_subset,
-    cond_iii_subset_search,
+    factorial_closed_form,
 )
 from .core import (
     DegreeVector,
@@ -74,15 +73,14 @@ __all__ = [
     "cond_i",
     "cond_ii",
     "cond_ii_pair",
-    "cond_ii_pair_search",
     "cond_ii_prime",
     "cond_iii",
     "cond_iii_subset",
-    "cond_iii_subset_search",
     "count_factorizations",
     "divides_ar",
     "divides_hol",
     "enumerate_order_vectors",
+    "factorial_closed_form",
     "get_group",
     "hilbert_basis_frontier",
     "hilbert_basis_oracle",

@@ -1,7 +1,8 @@
 """Command-line surface: check, hilbert, factorize, sweep, catalog.
 
 Exit codes: 0 when all checked assertions hold, 1 when an equivalence
-failure or counterexample is found, 2 on invalid input.
+failure or counterexample is found, 2 on invalid input or an output file
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .catalog import catalog_groups, get_group
 from .conditions import check_instance
@@ -29,7 +29,7 @@ from .serialize import (
     render_summary_human,
     render_summary_json,
 )
-from .sweep import SweepPlan, run_sweep
+from .sweep import SweepPlan, _replacing, run_sweep
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -196,14 +196,16 @@ def _cmd_sweep(args, parser) -> int:
         out_path=args.out,
         group=group,
     )
-    summary = run_sweep(plan)
+    # The summary files are opened before the sweep runs, so an unwritable
+    # path fails fast; like --out, each replaces its target only on success.
+    json_path, csv_path = args.summary_json or None, args.csv or None
+    with _replacing(json_path) as json_fh, _replacing(csv_path) as csv_fh:
+        summary = run_sweep(plan)
+        if json_fh is not None:
+            json_fh.write(render_summary_json(summary) + "\n")
+        if csv_fh is not None:
+            csv_fh.write(render_summary_csv(summary))
     print(render_summary_human(summary), end="")
-    if args.summary_json:
-        Path(args.summary_json).write_text(
-            render_summary_json(summary) + "\n", encoding="utf-8"
-        )
-    if args.csv:
-        Path(args.csv).write_text(render_summary_csv(summary), encoding="utf-8")
     return 1 if summary.counterexamples else 0
 
 
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
     except ArtinHolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -8,10 +8,12 @@ every m-subset supports a holomorphic positive-power product.  Condition
 ii' phrases the question directly on order sums: factoriality plus
 holomorphy of the product over every (r-1)-subset.
 
-Each quantified condition ships in two forms: a closed-form decision used
-as the fast path, and a bounded brute-force search used as its independent
-oracle.  The closed forms are derived here, not given, so the test suite
-validates them against the searches exhaustively on small ranks.
+Every verdict is decided from the order vector alone, by closed forms
+derived here: factoriality by factorial_closed_form, the quantified parts
+by cond_ii_pair and cond_iii_subset.  The bounded brute-force searches
+that validate the quantified closed forms live next to the tests that use
+them, in tests/conftest.py; factoriality is checked against the Hilbert
+basis size on every cross_checked_basis call.
 
 Generator indices are 1-based everywhere in this module, matching the
 subscripts f_1 .. f_r used throughout the domain.
@@ -100,6 +102,35 @@ def cond_i(v: OrdersLike) -> bool:
     return all(x >= 0 for x in as_order_vector(v).entries)
 
 
+def factorial_closed_form(v: OrdersLike) -> bool:
+    """Is Hol(v) factorial (a free monoid, |Hilbert basis| = r)?
+
+    Closed form: v is factorial iff it has no negative order, or it has
+    exactly one positive order v_p and v_p divides every negative order.
+
+    Proof sketch.  Each unit e_j with v_j >= 0 is irreducible, and for
+    every negative n and positive p the element ceil(-v_n / v_p) e_p + e_n
+    is irreducible.  With no negative order the units are the whole basis.
+    With a negative order and no positive one, no element involving e_n is
+    holomorphic, so the basis spans no full lattice.  Two positive orders
+    p != q give each negative n two distinct adjoined irreducibles, one
+    supported on {p, n} and one on {q, n}, so the basis exceeds r.  With
+    exactly one positive order p the basis is the units plus
+    m_n e_p + e_n (m_n = -v_n / v_p) exactly when v_p divides every
+    negative v_n: then every k in Hol peels off k_n copies of each, leaving
+    a multiple of e_p.  Otherwise, with g = gcd(v_p, v_n), the order-zero
+    element (-v_n / g) e_p + (v_p / g) e_n is a further irreducible.
+    Validated against the Hilbert engines by the test suite and rechecked
+    on every cross_checked_basis call.
+    """
+    ent = as_order_vector(v).entries
+    negative = [x for x in ent if x < 0]
+    if not negative:
+        return True
+    positive = [x for x in ent if x > 0]
+    return len(positive) == 1 and all(x % positive[0] == 0 for x in negative)
+
+
 def _ceil_div(a: int, b: int) -> int:
     # b > 0
     return -((-a) // b)
@@ -117,7 +148,7 @@ def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
 
     A witness exists iff v_k >= 0 (take e_k) or some p != l has v_p > 0
     (take e_k plus enough copies of e_p to lift the order back to zero).
-    The test suite validates this against cond_ii_pair_search.
+    The test suite validates this against a brute-force pair search.
     """
     ov = as_order_vector(v)
     ent = ov.entries
@@ -138,42 +169,22 @@ def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
     return None
 
 
-def cond_ii_pair_search(
-    v: OrdersLike, k: int, l: int, bound: int | None = None
-) -> tuple[int, ...] | None:
-    """Brute-force pair witness over the box [0, bound]^r, lex-first.
+def cond_ii(v: OrdersLike) -> tuple[bool, tuple[PairWitness, ...]]:
+    """Factorial, and every ordered pair k != l has a witness.
 
-    With the default bound r * max(1, max|v|) + 1 the search box contains
-    the closed-form witness whenever one exists, so an empty result is a
-    genuine nonexistence verdict.
+    Returns the verdict and the complete ordered-pair table, (k, l) in
+    lexicographic order, whether or not v is factorial.
     """
     ov = as_order_vector(v)
-    ent = ov.entries
     r = ov.rank
-    _check_pair_indices(r, k, l)
-    if bound is None:
-        bound = r * max(1, max(abs(x) for x in ent)) + 1
-    for a in itertools.product(range(bound + 1), repeat=r):
-        if a[k - 1] < 1 or a[l - 1] != 0:
-            continue
-        s = sum(x * w for x, w in zip(a, ent))
-        if s >= 0:
-            return a
-    return None
-
-
-def cond_ii(v: OrdersLike, basis: HilbertBasis) -> bool:
-    """Factorial, and every ordered pair k != l has a witness."""
-    ov = as_order_vector(v)
-    r = ov.rank
-    if not is_factorial(basis, r):
-        return False
-    return all(
-        cond_ii_pair(ov, k, l) is not None
+    pairs = tuple(
+        PairWitness(k, l, cond_ii_pair(ov, k, l))
         for k in range(1, r + 1)
         for l in range(1, r + 1)
         if k != l
     )
+    ok = factorial_closed_form(ov) and all(p.witness is not None for p in pairs)
+    return (ok, pairs)
 
 
 def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
@@ -183,7 +194,7 @@ def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
     consists entirely of zero orders.  The constructive witness puts 1 on
     every index except the first positive pivot p, which absorbs the
     deficit: k_p = max(1, ceil(sum of deficits / v_p)).  Validated against
-    cond_iii_subset_search by the test suite.
+    a brute-force subset search by the test suite.
     """
     ov = as_order_vector(v)
     ent = ov.entries
@@ -199,23 +210,6 @@ def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
     deficit = sum(max(0, -x) for i, x in enumerate(vals) if i != p)
     kp = max(1, _ceil_div(deficit, vals[p]))
     return tuple(kp if i == p else 1 for i in range(len(vals)))
-
-
-def cond_iii_subset_search(
-    v: OrdersLike, subset, bound: int | None = None
-) -> tuple[int, ...] | None:
-    """Brute-force subset witness over [1, bound]^|M|, lex-first."""
-    ov = as_order_vector(v)
-    ent = ov.entries
-    sel = subset if isinstance(subset, SubsetSelector) else SubsetSelector(tuple(subset))
-    sel.validate_rank(ov.rank)
-    if bound is None:
-        bound = ov.rank * max(1, max(abs(x) for x in ent)) + 1
-    vals = [ent[j - 1] for j in sel.indices]
-    for ks in itertools.product(range(1, bound + 1), repeat=len(vals)):
-        if sum(c * x for c, x in zip(ks, vals)) >= 0:
-            return ks
-    return None
 
 
 def _smallest_universal_m(ent: Sequence[int]) -> int | None:
@@ -237,15 +231,14 @@ def _smallest_universal_m(ent: Sequence[int]) -> int | None:
     return m if m <= r - 1 else None
 
 
-def cond_iii(v: OrdersLike, basis: HilbertBasis) -> tuple[bool, int | None]:
+def cond_iii(v: OrdersLike) -> tuple[bool, int | None]:
     """Factorial plus the universal subset condition; smallest witness m.
 
     Returns (False, None) when either part fails; for r = 1 the range
     1 <= m < r is empty and the verdict is False by convention.
     """
     ov = as_order_vector(v)
-    r = ov.rank
-    if not is_factorial(basis, r):
+    if not factorial_closed_form(ov):
         return (False, None)
     m = _smallest_universal_m(ov.entries)
     if m is None:
@@ -253,7 +246,7 @@ def cond_iii(v: OrdersLike, basis: HilbertBasis) -> tuple[bool, int | None]:
     return (True, m)
 
 
-def cond_ii_prime(v: OrdersLike, basis: HilbertBasis) -> tuple[bool, tuple[int, ...] | None]:
+def cond_ii_prime(v: OrdersLike) -> tuple[bool, tuple[int, ...] | None]:
     """Factorial plus nonnegative order sums over all (r-1)-subsets.
 
     Returns the verdict and the lex-first failing subset (1-based), or
@@ -269,15 +262,17 @@ def cond_ii_prime(v: OrdersLike, basis: HilbertBasis) -> tuple[bool, tuple[int, 
         if sum(ent[i - 1] for i in combo) < 0:
             failing = combo
             break
-    ok = is_factorial(basis, r) and failing is None
+    ok = factorial_closed_form(ov) and failing is None
     return (ok, failing)
 
 
 def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     """Hilbert basis of Hol(v), computed by both engines and compared.
 
-    The two engines must return identical element sets; disagreement is an
-    internal bug and raises EngineMismatchError.  Returns the oracle's basis.
+    The two engines must return identical element sets, and the basis size
+    must agree with factorial_closed_form (both are invariant under scaling
+    and permuting v); any disagreement is an internal bug and raises
+    EngineMismatchError.  Returns the oracle's basis.
     """
     ov = as_order_vector(v)
     b_oracle = hilbert_basis_oracle(ov)
@@ -286,6 +281,11 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
         raise EngineMismatchError(
             f"engines disagree for v={ov.entries}: "
             f"{b_oracle.elements} vs {b_frontier.elements}"
+        )
+    if is_factorial(b_oracle, ov.rank) != factorial_closed_form(ov):
+        raise EngineMismatchError(
+            f"closed-form factoriality disagrees with the basis for v={ov.entries}: "
+            f"{len(b_oracle.elements)} irreducibles at rank {ov.rank}"
         )
     return b_oracle
 
@@ -304,21 +304,11 @@ def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> Conditi
     if basis is None:
         basis = cross_checked_basis(ov)
 
-    factorial = is_factorial(basis, r)
     ci = cond_i(ov)
-
-    pairs = tuple(
-        PairWitness(k, l, cond_ii_pair(ov, k, l))
-        for k in range(1, r + 1)
-        for l in range(1, r + 1)
-        if k != l
-    )
-    cii = factorial and all(p.witness is not None for p in pairs)
-
-    ciii, m = cond_iii(ov, basis)
-
+    cii, pairs = cond_ii(ov)
+    ciii, m = cond_iii(ov)
     if r >= 2:
-        cii_prime, failing = cond_ii_prime(ov, basis)
+        cii_prime, failing = cond_ii_prime(ov)
     else:
         cii_prime, failing = None, None
 
@@ -334,7 +324,7 @@ def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> Conditi
         hilbert_size=len(basis.elements),
         hilbert_elements=basis.elements,
         engine_agreement=True,
-        factorial=factorial,
+        factorial=factorial_closed_form(ov),
         cond_i=ci,
         cond_ii=cii,
         cond_ii_pairs=pairs,

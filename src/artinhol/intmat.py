@@ -82,9 +82,3 @@ def row_lattice_is_unimodular(rows: Sequence[Sequence[int]], n: int) -> bool:
     if len(pivots) != n:
         return False
     return all(H[i][pivots[i]] == 1 for i in range(n))
-
-
-def left_kernel_basis(rows: Sequence[Sequence[int]]):
-    """Integer basis of {x : x @ A = 0}, as rows of a unimodular transform."""
-    _, U, pivots = hnf_with_transform(rows)
-    return [list(r) for r in U[len(pivots):]]

@@ -46,7 +46,6 @@ class SweepPlan:
     worker_count: int = 1
     out_path: str | Path | None = None
     group: str | None = None
-    instance_cap: int = DEFAULT_INSTANCE_CAP
 
     def __post_init__(self):
         if self.order_bound < 1:
@@ -129,7 +128,7 @@ def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> HilbertBa
 def _reports(plan: SweepPlan) -> Iterator[ConditionReport]:
     """Yield the plan's reports in enumeration order, one basis per orbit."""
     r = plan.degrees.rank
-    vectors = list(enumerate_order_vectors(r, plan.order_bound, plan.instance_cap))
+    vectors = list(enumerate_order_vectors(r, plan.order_bound))
     keys = [canonical_order(v.entries) for v in vectors]
     first_swept: dict[tuple[int, ...], tuple[int, ...]] = {}
     for v, (canon, _) in zip(vectors, keys):
@@ -220,10 +219,11 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
 def _replacing(path: str | Path | None):
     """Text file for `path` that replaces it only once the block succeeds.
 
-    Records go to a temp file in the same directory, renamed over `path`
+    Text goes to a temp file in the same directory, renamed over `path`
     at the end; on any exception the temp file is removed and an existing
     file at `path` is left untouched, so a failed sweep never leaves a
-    truncated record file.  Yields None when `path` is None.
+    truncated output file.  Parent directories are created.  Yields None
+    when `path` is None.
     """
     if path is None:
         yield None

@@ -58,3 +58,39 @@ def brute_count_factorizations(k, elements) -> int:
         if tuple(total) == tuple(k):
             n += 1
     return n
+
+
+def _default_search_bound(v) -> int:
+    return len(v) * max(1, max(abs(x) for x in v)) + 1
+
+
+def cond_ii_pair_search(v, k: int, l: int, bound: int | None = None):
+    """Brute-force condition-ii pair witness over the box [0, bound]^r, lex-first.
+
+    Looks for a in Hol(v) with a_k >= 1 and a_l = 0 (k, l 1-based).  With
+    the default bound r * max(1, max|v|) + 1 the box contains a witness
+    whenever one exists, so None is a genuine nonexistence verdict.
+    """
+    v = tuple(v)
+    if bound is None:
+        bound = _default_search_bound(v)
+    for a in itertools.product(range(bound + 1), repeat=len(v)):
+        if a[k - 1] >= 1 and a[l - 1] == 0 and dot(a, v) >= 0:
+            return a
+    return None
+
+
+def cond_iii_subset_search(v, subset, bound: int | None = None):
+    """Brute-force condition-iii subset witness over [1, bound]^|M|, lex-first.
+
+    Looks for positive exponents (k_j), j in the 1-based subset M, with
+    sum k_j v_j >= 0.
+    """
+    v = tuple(v)
+    if bound is None:
+        bound = _default_search_bound(v)
+    vals = [v[j - 1] for j in subset]
+    for ks in itertools.product(range(1, bound + 1), repeat=len(vals)):
+        if dot(ks, vals) >= 0:
+            return ks
+    return None

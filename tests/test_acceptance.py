@@ -24,9 +24,7 @@ from artinhol import (
     catalog_groups,
     check_instance,
     cond_ii_pair,
-    cond_ii_pair_search,
     cond_iii_subset,
-    cond_iii_subset_search,
     count_factorizations,
     enumerate_order_vectors,
     hilbert_basis_frontier,
@@ -38,7 +36,7 @@ from artinhol import (
     sweep_reports,
 )
 from artinhol.serialize import exit_code_for_report, sweep_record_line
-from conftest import dot
+from conftest import cond_ii_pair_search, cond_iii_subset_search, dot
 
 GOLDEN = Path(__file__).parent / "golden"
 

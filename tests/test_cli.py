@@ -143,3 +143,38 @@ class TestCommands:
         assert res.returncode == 0
         first = json.loads(out.read_text().splitlines()[0])
         assert first["instance"]["labels"]["group"] is None
+
+
+class TestUnwritableOutput:
+    def test_csv_under_a_regular_file(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        summary = tmp_path / "summary.json"
+        blocker = tmp_path / "not-a-dir"
+        out.write_text("previous records\n")
+        summary.write_text("previous summary\n")
+        blocker.write_text("")
+        res = run_cli(
+            "sweep", "--degrees", "1", "--order-bound", "1", "--out", str(out),
+            "--summary-json", str(summary), "--csv", str(blocker / "x.csv"),
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+        assert summary.read_text() == "previous summary\n"
+        assert out.read_text() == "previous records\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "not-a-dir",
+            "records.jsonl",
+            "summary.json",
+        ]
+
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        sj = tmp_path / "a" / "summary.json"
+        csvp = tmp_path / "b" / "summary.csv"
+        res = run_cli(
+            "sweep", "--degrees", "1", "--order-bound", "1",
+            "--summary-json", str(sj), "--csv", str(csvp),
+        )
+        assert res.returncode == 0
+        assert json.loads(sj.read_text())["total"] == 3
+        assert csvp.read_text().startswith("hilbert_size,count\n")

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinhol import (
     Instance,
@@ -14,11 +16,11 @@ from artinhol import (
     cond_i,
     cond_ii,
     cond_ii_pair,
-    cond_ii_pair_search,
     cond_ii_prime,
     cond_iii,
     cond_iii_subset,
-    cond_iii_subset_search,
+    factorial_closed_form,
+    hilbert_basis_frontier,
     hilbert_basis_oracle,
     is_member_hol,
 )
@@ -28,6 +30,7 @@ from artinhol.errors import (
     InvalidSubsetError,
     RankTooSmallError,
 )
+from conftest import cond_ii_pair_search, cond_iii_subset_search
 
 
 class TestCondI:
@@ -35,6 +38,25 @@ class TestCondI:
         assert cond_i((0, 2, 1)) is True
         assert cond_i((1, -1)) is False
         assert cond_i((0, 0)) is True
+
+
+class TestFactorialClosedForm:
+    def test_matches_oracle_basis_size(self):
+        boxes = [(2, 3), (3, 2), (4, 2)]
+        for r, bound in boxes:
+            for v in itertools.product(range(-bound, bound + 1), repeat=r):
+                factorial = len(hilbert_basis_oracle(v).elements) == r
+                assert factorial_closed_form(v) is factorial, v
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.lists(st.integers(-6, 6), min_size=r, max_size=r)
+        )
+    )
+    def test_matches_frontier_basis_size(self, v):
+        factorial = len(hilbert_basis_frontier(v).elements) == len(v)
+        assert factorial_closed_form(v) is factorial
 
 
 class TestCondIIPair:
@@ -71,9 +93,15 @@ class TestCondIIPair:
 
 class TestCondII:
     def test_examples(self):
-        assert cond_ii((0, 0), hilbert_basis_oracle((0, 0))) is True
-        assert cond_ii((1, -1), hilbert_basis_oracle((1, -1))) is False
-        assert cond_ii((2, -3), hilbert_basis_oracle((2, -3))) is False
+        assert cond_ii((0, 0))[0] is True
+        assert cond_ii((1, -1))[0] is False
+        assert cond_ii((2, -3))[0] is False
+
+    def test_pair_table_matches_report(self):
+        for v in itertools.product(range(-2, 3), repeat=3):
+            ok, pairs = cond_ii(v)
+            rep = check_instance(Instance.of((1, 1, 2), v))
+            assert (ok, pairs) == (rep.cond_ii, rep.cond_ii_pairs), v
 
 
 class TestCondIIISubset:
@@ -119,17 +147,17 @@ class TestCondIIISubset:
 
 class TestCondIII:
     def test_examples(self):
-        assert cond_iii((0, 1, 0), hilbert_basis_oracle((0, 1, 0))) == (True, 1)
-        assert cond_iii((1, -1), hilbert_basis_oracle((1, -1))) == (False, None)
+        assert cond_iii((0, 1, 0)) == (True, 1)
+        assert cond_iii((1, -1)) == (False, None)
         # quantifier part holds at m=2 but the basis is not factorial
-        assert cond_iii((2, 3, -1), hilbert_basis_oracle((2, 3, -1))) == (False, None)
+        assert cond_iii((2, 3, -1)) == (False, None)
 
     def test_smallest_m_matches_enumeration(self):
         # recompute the least universal m by enumerating subsets with the
         # (already search-validated) subset decision
         for v in itertools.product(range(-2, 3), repeat=3):
             basis = hilbert_basis_oracle(v)
-            got_ok, got_m = cond_iii(v, basis)
+            got_ok, got_m = cond_iii(v)
             best = None
             for m in range(1, 3):
                 if all(
@@ -143,21 +171,21 @@ class TestCondIII:
             assert got_m == (best if expected_ok else None)
 
     def test_rank_one_convention(self):
-        assert cond_iii((3,), hilbert_basis_oracle((3,))) == (False, None)
+        assert cond_iii((3,)) == (False, None)
 
 
 class TestCondIIPrime:
     def test_examples(self):
-        assert cond_ii_prime((1, -1), hilbert_basis_oracle((1, -1))) == (False, (2,))
-        assert cond_ii_prime((0, 0, 0), hilbert_basis_oracle((0, 0, 0))) == (True, None)
-        assert cond_ii_prime((1, -1, 0), hilbert_basis_oracle((1, -1, 0))) == (
+        assert cond_ii_prime((1, -1)) == (False, (2,))
+        assert cond_ii_prime((0, 0, 0)) == (True, None)
+        assert cond_ii_prime((1, -1, 0)) == (
             False,
             (2, 3),
         )
 
     def test_rank_too_small(self):
         with pytest.raises(RankTooSmallError):
-            cond_ii_prime((1,), hilbert_basis_oracle((1,)))
+            cond_ii_prime((1,))
 
 
 class TestCheckInstance:

@@ -184,6 +184,18 @@ class TestBasisCache:
         # (-2, 2) is the first vector of the box whose canonical form is (-1, 1)
         assert "canonical order vector (-1, 1) of swept order vector (-2, 2)" in str(err.value)
 
+    def test_wrong_closed_form_factoriality_is_caught(self, monkeypatch):
+        closed_form = conditions.factorial_closed_form
+        monkeypatch.setattr(
+            conditions, "factorial_closed_form", lambda v: not closed_form(v)
+        )
+        with pytest.raises(EngineMismatchError, match="closed-form factoriality"):
+            conditions.cross_checked_basis((2, -3))
+        with pytest.raises(EngineMismatchError) as err:
+            run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
+        # (-2, -2) is the first vector of the box; its canonical form is (-1, -1)
+        assert "canonical order vector (-1, -1) of swept order vector (-2, -2)" in str(err.value)
+
 
 class TestAtomicOutput:
     def _fail_at(self, monkeypatch, k):
