@@ -1,8 +1,12 @@
 """Command-line surface: check, hilbert, factorize, sweep, catalog.
 
+Every command that prints or uses a Hilbert basis gets it from
+conditions.cross_checked_basis, so both engines and the closed-form
+factoriality are checked against each other on every call.
+
 Exit codes: 0 when all checked assertions hold, 1 when an equivalence
-failure or counterexample is found, 2 on invalid input or an output file
-that cannot be written.
+failure or counterexample is found, 2 on invalid input, an output file
+that cannot be written, or an engine disagreement (EngineMismatchError).
 """
 
 from __future__ import annotations
@@ -10,16 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .catalog import catalog_groups, get_group
-from .conditions import check_instance
+from .conditions import check_instance, cross_checked_basis
 from .core import DegreeVector, Instance, OrderVector
 from .errors import ArtinHolError
-from .hilbert import (
-    count_factorizations,
-    hilbert_basis_frontier,
-    hilbert_basis_oracle,
-)
+from .hilbert import count_factorizations
 from .serialize import (
     SCHEMA_VERSION,
     exit_code_for_report,
@@ -57,17 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert basis of Hol for one order vector")
     p_hilbert.add_argument("--orders", type=_int_vector, required=True)
-    p_hilbert.add_argument(
-        "--engine",
-        choices=["oracle", "enum", "frontier"],
-        default="oracle",
-        help="enum is an alias for the box-enumeration oracle",
-    )
-    p_hilbert.add_argument(
-        "--oracle-verify",
-        action="store_true",
-        help="run both engines and require identical bases",
-    )
     p_hilbert.add_argument("--json", action="store_true")
 
     p_fact = sub.add_parser("factorize", help="count basis factorizations of an element")
@@ -119,34 +109,22 @@ def _cmd_check(args, parser) -> int:
 
 def _cmd_hilbert(args) -> int:
     v = OrderVector(args.orders)
-    engine = "oracle" if args.engine in ("oracle", "enum") else "frontier"
-    basis = hilbert_basis_oracle(v) if engine == "oracle" else hilbert_basis_frontier(v)
-    agree = None
-    if args.oracle_verify:
-        other = hilbert_basis_frontier(v) if engine == "oracle" else hilbert_basis_oracle(v)
-        agree = basis.elements == other.elements
+    basis = cross_checked_basis(v)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "orders": list(v.entries),
-        "engine": engine,
         "hilbert": {
             "size": len(basis.elements),
             "elements": [list(e) for e in basis.elements],
         },
-        "engines_agree": agree,
     }
     if args.json:
         print(json.dumps(doc, separators=(",", ":"), ensure_ascii=True))
     else:
         print(f"orders: {list(v.entries)}")
-        print(f"engine: {engine}")
         print(f"hilbert basis ({len(basis.elements)} elements):")
         for e in basis.elements:
             print(f"  {list(e)}")
-        if agree is not None:
-            print(f"engines agree: {agree}")
-    if agree is False:
-        return 1
     return 0
 
 
@@ -154,7 +132,7 @@ def _cmd_factorize(args, parser) -> int:
     if len(args.orders) != len(args.element):
         parser.error("orders and element must have the same length")
     v = OrderVector(args.orders)
-    basis = hilbert_basis_oracle(v)
+    basis = cross_checked_basis(v)
     fc = count_factorizations(args.element, basis, cap=args.cap)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -178,6 +156,18 @@ def _cmd_factorize(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
+    # Two outputs on one file would share a temp name and overwrite each other.
+    seen: dict[Path, str] = {}
+    for flag, path in (
+        ("--out", args.out),
+        ("--summary-json", args.summary_json),
+        ("--csv", args.csv),
+    ):
+        if path:
+            key = Path(path).resolve()
+            if key in seen:
+                parser.error(f"{seen[key]} and {flag} name the same file: {path}")
+            seen[key] = flag
     if args.group is not None:
         try:
             degrees = get_group(args.group).degrees
@@ -249,10 +239,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(args, parser)
         if args.command == "catalog":
             return _cmd_catalog(args, parser)
-    except ArtinHolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ArtinHolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -85,7 +85,6 @@ class ConditionReport:
     admissible_reasons: tuple[str, ...]
     hilbert_size: int
     hilbert_elements: tuple[tuple[int, ...], ...]
-    engine_agreement: bool
     factorial: bool
     cond_i: bool
     cond_ii: bool
@@ -323,7 +322,6 @@ def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> Conditi
         admissible_reasons=reasons,
         hilbert_size=len(basis.elements),
         hilbert_elements=basis.elements,
-        engine_agreement=True,
         factorial=factorial_closed_form(ov),
         cond_i=ci,
         cond_ii=cii,

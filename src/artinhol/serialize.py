@@ -2,7 +2,7 @@
 
 Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
-produces the same bytes on every platform.  Schema version "1".
+produces the same bytes on every platform.  Schema version "2".
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .conditions import ConditionReport, PairWitness
 from .core import DegreeVector, Instance, OrderVector
 from .sweep import SweepSummary
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def report_document(rep: ConditionReport) -> dict[str, Any]:
@@ -36,7 +36,6 @@ def report_document(rep: ConditionReport) -> dict[str, Any]:
         "hilbert": {
             "size": rep.hilbert_size,
             "elements": [list(e) for e in rep.hilbert_elements],
-            "engine_agreement": rep.engine_agreement,
         },
         "conditions": {
             "i": rep.cond_i,
@@ -94,7 +93,6 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
         admissible_reasons=tuple(doc["admissible"]["reasons"]),
         hilbert_size=dh["size"],
         hilbert_elements=tuple(tuple(e) for e in dh["elements"]),
-        engine_agreement=dh["engine_agreement"],
         factorial=doc["factorial"],
         cond_i=dc["i"],
         cond_ii=dc["ii"]["ok"],

@@ -32,7 +32,7 @@ from .core import DegreeVector, Instance, OrderVector
 from .errors import ArtinHolError, CapExceededError, MixedPlansError
 from .hilbert import HilbertBasis
 
-DEFAULT_INSTANCE_CAP = 10_000_000
+INSTANCE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,16 @@ class SweepSummary:
     wall_time_s: float = field(default=0.0, compare=False)
 
 
-def enumerate_order_vectors(
-    r: int, bound: int, cap: int = DEFAULT_INSTANCE_CAP
-) -> Iterator[OrderVector]:
+def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
     """Yield all (2B+1)^r order vectors in the box, lexicographically.
 
-    Raises CapExceededError up front if r * (2B+1)^r exceeds the cap.
+    Raises CapExceededError up front if r * (2B+1)^r exceeds INSTANCE_CAP.
     """
     if r < 1 or bound < 1:
         raise ValueError("need r >= 1 and bound >= 1")
     size = (2 * bound + 1) ** r
-    if r * size > cap:
-        raise CapExceededError(f"sweep of r*{size} entries exceeds cap {cap}")
+    if r * size > INSTANCE_CAP:
+        raise CapExceededError(f"sweep of r*{size} entries exceeds cap {INSTANCE_CAP}")
     for entries in itertools.product(range(-bound, bound + 1), repeat=r):
         yield OrderVector(entries)
 
@@ -134,10 +132,11 @@ def _reports(plan: SweepPlan) -> Iterator[ConditionReport]:
     for v, (canon, _) in zip(vectors, keys):
         first_swept.setdefault(canon, v.entries)
     todo = list(first_swept.items())
-    if plan.worker_count == 1:
+    n = min(plan.worker_count, len(todo))
+    if n == 1:
         computed = [_canonical_basis(item) for item in todo]
     else:
-        with Pool(plan.worker_count) as pool:
+        with Pool(n) as pool:
             computed = pool.map(_canonical_basis, todo, chunksize=1)
     bases = dict(zip(first_swept, computed))
     for v, (canon, perm) in zip(vectors, keys):

@@ -1,13 +1,21 @@
-"""CLI surface via subprocess: commands, exit codes, golden bytes."""
+"""CLI surface: commands, exit codes, golden bytes, the README's examples."""
 
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from artinhol import cli, conditions
+from artinhol.hilbert import HilbertBasis
+
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*args, check=False):
@@ -70,22 +78,20 @@ class TestCommands:
         assert "factorial: True" in res.stdout
         assert "equivalence" in res.stdout
 
-    def test_hilbert_oracle_verify(self):
-        res = run_cli("hilbert", "--orders", "2,-3", "--oracle-verify", "--json")
-        doc = json.loads(res.stdout)
-        assert doc["engines_agree"] is True
-        assert doc["hilbert"]["elements"] == [[1, 0], [2, 1], [3, 2]]
-
-    def test_hilbert_engine_alias(self):
-        a = run_cli("hilbert", "--orders", "1,-1", "--engine", "enum", "--json")
-        b = run_cli("hilbert", "--orders", "1,-1", "--engine", "oracle", "--json")
-        c = run_cli("hilbert", "--orders", "1,-1", "--engine", "frontier", "--json")
-        assert json.loads(a.stdout)["engine"] == "oracle"
-        assert a.stdout == b.stdout
-        assert (
-            json.loads(c.stdout)["hilbert"]["elements"]
-            == json.loads(a.stdout)["hilbert"]["elements"]
+    def test_hilbert_cross_checked(self):
+        res = run_cli("hilbert", "--orders", "2,-3")
+        assert res.returncode == 0
+        assert res.stdout == (
+            "orders: [2, -3]\n"
+            "hilbert basis (3 elements):\n"
+            "  [1, 0]\n"
+            "  [2, 1]\n"
+            "  [3, 2]\n"
         )
+        for removed in (["--engine", "frontier"], ["--oracle-verify"]):
+            res = run_cli("hilbert", "--orders", "2,-3", *removed)
+            assert res.returncode == 2
+            assert "unrecognized arguments" in res.stderr
 
     def test_factorize(self):
         res = run_cli(
@@ -143,6 +149,67 @@ class TestCommands:
         assert res.returncode == 0
         first = json.loads(out.read_text().splitlines()[0])
         assert first["instance"]["labels"]["group"] is None
+
+
+class TestEnginesCrossChecked:
+    """hilbert and factorize get their basis the way check and sweep do."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "--orders", "2,-3"],
+            ["factorize", "--orders", "2,-3", "--element", "4,2"],
+        ],
+    )
+    def test_engine_disagreement_exits_two(self, argv, monkeypatch, capsys):
+        frontier = conditions.hilbert_basis_frontier
+
+        def wrong(v):
+            return HilbertBasis(frontier(v).elements[:-1], "frontier")
+
+        monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: engines disagree")
+
+
+class TestDuplicateOutputs:
+    @pytest.mark.parametrize(
+        "first, second, name, spelling",
+        [
+            ("--out", "--summary-json", "x.jsonl", "x.jsonl"),
+            ("--summary-json", "--csv", "y", "y"),
+            ("--out", "--csv", "x", "./x"),
+        ],
+    )
+    def test_two_outputs_on_one_file_exit_two(self, tmp_path, first, second, name, spelling):
+        target = tmp_path / name
+        target.write_text("previous\n")
+        res = run_cli(
+            "sweep", "--degrees", "1,1", "--order-bound", "1",
+            first, str(target), second, f"{tmp_path}/{spelling}",
+        )
+        assert res.returncode == 2
+        assert "name the same file" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert target.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every `artinhol ...` line of the README's sh blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("artinhol "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_example_runs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
 
 
 class TestUnwritableOutput:

@@ -98,10 +98,11 @@ def test_exit_code_contract():
 
 def test_schema_version_checked():
     rep = check_instance(Instance.of((1, 1), (0, 0)))
-    doc = report_document(rep)
-    doc["schema_version"] = "99"
-    with pytest.raises(ValueError, match="schema"):
-        parse_report_document(doc)
+    for version in ("1", "99"):
+        doc = report_document(rep)
+        doc["schema_version"] = version
+        with pytest.raises(ValueError, match="schema"):
+            parse_report_document(doc)
 
 
 def test_summary_csv_shape():

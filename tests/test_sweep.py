@@ -42,7 +42,7 @@ class TestEnumerate:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            list(enumerate_order_vectors(10, 3, cap=1000))
+            list(enumerate_order_vectors(10, 3))
 
 
 class TestRunSweep:
@@ -90,6 +90,24 @@ class TestRunSweep:
         s2 = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, worker_count=2, out_path=out2))
         assert out1.read_bytes() == out2.read_bytes()
         assert s1 == s2  # wall time excluded from equality
+
+    def test_no_more_workers_than_bases(self, tmp_path, monkeypatch):
+        ctx = multiprocessing.get_context()
+        started = []
+
+        def pool(n):
+            started.append(n)
+            return ctx.Pool(n)
+
+        monkeypatch.setattr(sweep, "Pool", pool)
+        out1 = tmp_path / "w1.jsonl"
+        out8 = tmp_path / "w8.jsonl"
+        run_sweep(SweepPlan(DegreeVector((1,)), 1, worker_count=1, out_path=out1))
+        assert started == []
+        # (-1,), (0,) and (1,) are the only canonical vectors
+        run_sweep(SweepPlan(DegreeVector((1,)), 1, worker_count=8, out_path=out8))
+        assert started == [3]
+        assert out8.read_bytes() == out1.read_bytes()
 
 
 @st.composite
