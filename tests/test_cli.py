@@ -88,10 +88,34 @@ class TestCommands:
             "  [2, 1]\n"
             "  [3, 2]\n"
         )
-        for removed in (["--engine", "frontier"], ["--oracle-verify"]):
-            res = run_cli("hilbert", "--orders", "2,-3", *removed)
+
+    def test_hilbert_oracle_verify(self):
+        # the cross-check is always on: the option is gone, and the JSON
+        # carries the checked basis with no engines_agree key
+        res = run_cli("hilbert", "--orders", "2,-3", "--oracle-verify", "--json")
+        assert res.returncode == 2
+        assert "unrecognized arguments" in res.stderr
+        res = run_cli("hilbert", "--orders", "2,-3", "--json")
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert "engines_agree" not in doc
+        assert doc["hilbert"]["elements"] == [[1, 0], [2, 1], [3, 2]]
+
+    def test_hilbert_engine_alias(self):
+        # no engine is selectable any more, the enum alias included; the one
+        # basis printed is the one both engines compute
+        for engine in ("enum", "oracle", "frontier"):
+            res = run_cli("hilbert", "--orders", "1,-1", "--engine", engine, "--json")
             assert res.returncode == 2
             assert "unrecognized arguments" in res.stderr
+        res = run_cli("hilbert", "--orders", "1,-1", "--json")
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert "engine" not in doc
+        elements = [list(e) for e in conditions.hilbert_basis_oracle((1, -1)).elements]
+        assert doc["hilbert"]["elements"] == elements
+        frontier = conditions.hilbert_basis_frontier((1, -1)).elements
+        assert doc["hilbert"]["elements"] == [list(e) for e in frontier]
 
     def test_factorize(self):
         res = run_cli(
