@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .catalog import catalog_groups, get_group
 from .conditions import check_instance, cross_checked_basis
-from .core import DegreeVector, Instance, OrderVector
-from .errors import ArtinHolError
+from .core import DegreeVector, Instance, OrderVector, order_of
+from .errors import ArtinHolError, NotInHolError
 from .hilbert import count_factorizations
 from .serialize import (
     SCHEMA_VERSION,
@@ -132,6 +132,10 @@ def _cmd_factorize(args, parser) -> int:
     if len(args.orders) != len(args.element):
         parser.error("orders and element must have the same length")
     v = OrderVector(args.orders)
+    # One dot product rejects an element outside Hol before any basis is built.
+    s = order_of(args.element, v)
+    if s < 0:
+        raise NotInHolError(f"{args.element} is not in Hol (order {s})")
     basis = cross_checked_basis(v)
     fc = count_factorizations(args.element, basis, cap=args.cap)
     doc = {
@@ -163,7 +167,9 @@ def _cmd_sweep(args, parser) -> int:
         ("--summary-json", args.summary_json),
         ("--csv", args.csv),
     ):
-        if path:
+        if path == "":
+            parser.error(f"{flag} needs a file name, got an empty path")
+        if path is not None:
             key = Path(path).resolve()
             if key in seen:
                 parser.error(f"{seen[key]} and {flag} name the same file: {path}")
@@ -188,8 +194,7 @@ def _cmd_sweep(args, parser) -> int:
     )
     # The summary files are opened before the sweep runs, so an unwritable
     # path fails fast; like --out, each replaces its target only on success.
-    json_path, csv_path = args.summary_json or None, args.csv or None
-    with _replacing(json_path) as json_fh, _replacing(csv_path) as csv_fh:
+    with _replacing(args.summary_json) as json_fh, _replacing(args.csv) as csv_fh:
         summary = run_sweep(plan)
         if json_fh is not None:
             json_fh.write(render_summary_json(summary) + "\n")

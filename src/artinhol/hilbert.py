@@ -9,19 +9,21 @@ coordinate by the largest coefficient on the opposite side.  Hence every
 Hilbert-basis coordinate is at most B = max(1, max_j |v_j|), which turns
 the computation into a finite problem.
 
-Two engines exploit this independently: the oracle enumerates the whole
-box [0, B]^r and keeps the members of Hol that admit no proper split, and
-the frontier engine grows candidate solutions of the slack equation one
-unit step at a time, pruning anything that dominates a known minimal
-solution.  They must agree; the test suite cross-validates them
-exhaustively on small ranks.
+Two engines exploit this independently: the oracle walks the whole box
+[0, B]^r in lex order and keeps each member of Hol that no irreducible
+found before it divides inside Hol, and the frontier engine grows
+candidate solutions of the slack equation one unit step at a time,
+pruning anything that dominates a known minimal solution.  They must
+agree; every cross-checked basis compares them, and the test suite also
+checks the oracle against a brute-force split search on small ranks.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (
@@ -54,6 +56,8 @@ class HilbertBasis:
 
     elements: tuple[tuple[int, ...], ...]
     source_engine: str
+    # count_factorizations' memo: cap -> {(i, remainder): (count, witnesses)}.
+    _factor_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(tuple(e) for e in self.elements)
@@ -139,12 +143,20 @@ def is_irreducible(k: Sequence[int], v: OrdersLike) -> bool:
 
 
 def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
-    """Reference engine: enumerate the completeness box, keep the unsplittable.
+    """Reference engine: walk the completeness box in lex order, keep the
+    members no earlier irreducible divides.
 
-    Also verifies on the way out that every Hol member of the box is
-    divisible (in the slack-augmented order) by some basis element, which
-    by induction on the component sum proves the returned set generates
-    every Hol element of the box.
+    A nonzero member k of Hol is reducible iff some irreducible h != k
+    with h <= k (componentwise) has <h, v> <= <k, v>.  If such an h
+    exists, k = h + (k - h) with k - h nonzero and <k - h, v> >= 0, so
+    k splits.  Conversely, every nonzero member of Hol is a sum of
+    irreducibles (induct on the component sum); if k is reducible, write
+    k = h + rest with h irreducible and rest a nonzero member of Hol:
+    then h <= k, h != k and <h, v> = <k, v> - <rest, v> <= <k, v>.
+    Componentwise h <= k with h != k implies h precedes k in lex order,
+    and h lies in the box because k does, so when the walk reaches k
+    every such h has already been kept.  The kept list is therefore
+    exactly the irreducibles of the box, in lex order.
     """
     ov = as_order_vector(v)
     ent = ov.entries
@@ -152,36 +164,27 @@ def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
     bound = _completeness_bound(ent)
     _guard_enumeration(r, bound, ent)
 
-    members: list[tuple[tuple[int, ...], int]] = []
-    for k in itertools.product(range(bound + 1), repeat=r):
+    basis: list[tuple[tuple[int, ...], int]] = []
+    box = itertools.product(range(bound + 1), repeat=r)
+    next(box)  # skip the identity
+    for k in box:
         s = 0
         for x, w in zip(k, ent):
             s += x * w
-        if s >= 0:
-            members.append((k, s))
-
-    zero = (0,) * r
-    basis: list[tuple[tuple[int, ...], int]] = []
-    for k, s in members:
-        if k == zero:
+        if s < 0:
             continue
-        if not _splits(k, s, ent):
+        for h, hs in basis:
+            if hs <= s and all(map(operator.le, h, k)):
+                break
+        else:
             basis.append((k, s))
-
-    for k, s in members:
-        if k == zero:
-            continue
-        if not any(
-            hs <= s and all(x <= y for x, y in zip(h, k)) for h, hs in basis
-        ):
-            raise AssertionError(f"oracle generation check failed at {k} for v={ent}")
 
     if any(max(h) == bound for h, _ in basis):
         # The bound is tight (e.g. v=(2,-3) has the element (3,2)), so hits
         # are routine; logged for audit per the completeness-bound caveat.
         _log.debug("basis for v=%s touches the completeness bound B=%d", ent, bound)
 
-    return HilbertBasis(tuple(sorted(h for h, _ in basis)), "oracle")
+    return HilbertBasis(tuple(h for h, _ in basis), "oracle")
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -264,6 +267,16 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     largest first, stopping once `cap` factorizations are found.  A
     complete basis generates Hol, so a zero count means k is outside Hol
     and raises NotInHolError.  The identity factors once, emptily.
+
+    Each search state (position i, remainder) is memoized on the basis,
+    per cap, and shared by every call on that basis.  A state stores its
+    count capped at `cap` and the first two of its suffix factorizations
+    in depth-first order, never more, so the memo does not grow with
+    `cap`.  This is exact: a state's capped count is the capped sum of
+    its children's capped counts, and its first two factorizations are
+    the first two of its children's, taken in the order the search visits
+    them.  The memo is a field of the basis, excluded from comparison,
+    hashing and repr, so it is freed with the basis.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
@@ -272,43 +285,51 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     kk = validate_exponent_vector(k, rank=len(elems[0]) if m else None)
     r = len(kk)
 
-    # cover[i][j]: some element from position i on has a positive j-entry.
-    cover = [[False] * r for _ in range(m + 1)]
+    supports = [[j for j, x in enumerate(h) if x] for h in elems]
+    # uncovered[i]: coordinates no element from position i on can reduce.
+    uncovered = [tuple(range(r))] * (m + 1)
     for i in range(m - 1, -1, -1):
-        cover[i] = [cover[i + 1][j] or elems[i][j] > 0 for j in range(r)]
+        uncovered[i] = tuple(j for j in uncovered[i + 1] if not elems[i][j])
 
-    count = 0
-    witnesses: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def rec(i: int, rem: tuple[int, ...]) -> bool:
-        nonlocal count
-        if not any(rem):
-            count += 1
-            if len(witnesses) < 2:
-                witnesses.append(tuple(stack) + (0,) * (m - i))
-            return count >= cap
-        if i == m:
-            return False
-        cov = cover[i]
-        for j in range(r):
-            if rem[j] and not cov[j]:
-                return False
-        h = elems[i]
-        cmax = min(rem[j] // h[j] for j in range(r) if h[j])
-        for c in range(cmax, -1, -1):
-            stack.append(c)
-            nr = tuple(rem[j] - c * h[j] for j in range(r))
-            hit = rec(i + 1, nr)
-            stack.pop()
-            if hit:
-                return True
-        return False
-
-    rec(0, kk)
+    memo = basis._factor_memo.setdefault(cap, {})
+    count, witnesses = _factorizations_from(0, kk, elems, supports, uncovered, memo, cap)
     if count == 0:
         raise NotInHolError(f"{kk} is not generated by the basis (not in Hol)")
-    return FactorizationCount(kk, min(count, cap), tuple(witnesses))
+    return FactorizationCount(kk, count, witnesses)
+
+
+def _factorizations_from(i, rem, elems, supports, uncovered, memo, cap):
+    """(count capped at `cap`, first two witnesses) of `rem` over elems[i:].
+
+    A module-level function rather than a closure: a self-referencing
+    closure leaves a reference cycle behind each call, and a memo reachable
+    from one would outlive its basis until the cyclic collector runs.
+    """
+    if not any(rem):
+        return 1, ((0,) * (len(elems) - i),)
+    for j in uncovered[i]:
+        if rem[j]:
+            return 0, ()
+    key = (i, rem)
+    state = memo.get(key)
+    if state is not None:
+        return state
+    h = elems[i]
+    cmax = min(rem[j] // h[j] for j in supports[i])
+    count = 0
+    witnesses: list[tuple[int, ...]] = []
+    for c in range(cmax, -1, -1):
+        nr = tuple([x - c * y for x, y in zip(rem, h)]) if c else rem
+        n, ws = _factorizations_from(i + 1, nr, elems, supports, uncovered, memo, cap)
+        if n:
+            count += n
+            for w in ws[: 2 - len(witnesses)]:
+                witnesses.append((c,) + w)
+            if count >= cap:
+                count = cap
+                break
+    state = memo[key] = (count, tuple(witnesses))
+    return state
 
 
 def lattice_is_full(basis: HilbertBasis, r: int) -> bool:

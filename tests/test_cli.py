@@ -70,6 +70,26 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    def test_factorize_outside_hol_builds_no_basis(self, monkeypatch, capsys):
+        def fail(v):
+            raise AssertionError(f"a basis was built for {v}")
+
+        # cli calls the name it imported from conditions; patch both bindings.
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        monkeypatch.setattr(cli, "cross_checked_basis", fail)
+        assert cli.main(["factorize", "--orders=200,-301", "--element", "0,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not in Hol" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
+    def test_empty_output_path_is_two(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--degrees", "1", "--order-bound", "1", flag, ""])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCommands:
     def test_check_human_output(self):

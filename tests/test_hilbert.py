@@ -3,8 +3,11 @@ counting, lattice checks, and the adjoined-irreducibles construction."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -70,7 +73,10 @@ class TestOracleEngine:
         assert hilbert_basis_oracle((0, -1)).elements == ((1, 0),)
 
     def test_matches_brute_force(self):
-        for v in itertools.product(range(-3, 4), repeat=2):
+        for v in itertools.chain(
+            itertools.product(range(-3, 4), repeat=2),
+            itertools.product(range(-2, 3), repeat=3),
+        ):
             expect = brute_hilbert_basis(v, max(1, max(abs(x) for x in v)))
             assert list(hilbert_basis_oracle(v).elements) == expect
 
@@ -115,8 +121,8 @@ class TestFrontierEngine:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(1, 4).flatmap(
-            lambda r: st.lists(st.integers(-4, 4), min_size=r, max_size=r)
+        st.integers(1, 5).flatmap(
+            lambda r: st.lists(st.integers(-6, 6), min_size=r, max_size=r)
         )
     )
     def test_engines_agree(self, v):
@@ -232,6 +238,78 @@ class TestCountFactorizations:
         assert fc.count == 2
         assert brute_count_factorizations((2, 2), rich.elements) >= 2
         assert count_factorizations((2, 2), basis).count == 1
+
+
+class TestFactorizationMemo:
+    """count_factorizations memoizes its search states on the basis."""
+
+    @staticmethod
+    def _outcome(k, basis, cap):
+        try:
+            fc = count_factorizations(k, basis, cap=cap)
+        except NotInHolError:
+            return None
+        return fc.element, fc.count, fc.witnesses
+
+    def test_shared_memo_matches_cold_bases(self):
+        rng, order = random.Random(11), random.Random(12)
+        # Bounds keep the brute-force count, which tries every coefficient
+        # vector, to a fraction of a second per basis.
+        for r, bound in ((2, 5), (3, 3), (4, 2)):
+            drawn = 0
+            while drawn < 5:
+                v = tuple(rng.randint(-bound, bound) for _ in range(r))
+                if min(v) >= 0 or max(v) <= 0:
+                    continue  # one-signed bases are units or empty
+                drawn += 1
+                warm = hilbert_basis_oracle(v)
+                box = list(itertools.product(range(4), repeat=r))
+                brute = {k: brute_count_factorizations(k, warm.elements) for k in box}
+                calls = [(k, cap) for k in box for cap in (2, 3, 5)]
+                order.shuffle(calls)
+                for k, cap in calls:
+                    cold = HilbertBasis(warm.elements, warm.source_engine)
+                    got = self._outcome(k, warm, cap)
+                    assert got == self._outcome(k, cold, cap), (v, k, cap)
+                    assert (got[1] if got else 0) == min(brute[k], cap), (v, k, cap)
+                    assert not got or len(got[2]) == min(got[1], 2)
+
+    def test_huge_cap_keeps_two_witnesses(self):
+        rich = HilbertBasis(((0, 1), (1, 0), (1, 1)), "oracle")
+        fc = count_factorizations((20, 20), rich, cap=10**6)
+        assert fc.count == brute_count_factorizations((20, 20), rich.elements) == 21
+        assert fc.witnesses == ((20, 20, 0), (19, 19, 1))  # largest multiplicities first
+        states = rich._factor_memo[10**6].values()
+        assert max(len(ws) for _, ws in states) == 2
+
+    def test_memo_dies_with_its_basis(self):
+        gc.collect()
+        gc.disable()
+        try:
+            basis = hilbert_basis_oracle((3, -2, 2))
+            for k in itertools.product(range(4), repeat=3):
+                if dot(k, (3, -2, 2)) >= 0:
+                    count_factorizations(k, basis, cap=3)
+            assert basis._factor_memo[3]
+            ref = weakref.ref(basis)
+            del basis
+            assert ref() is None
+            assert gc.collect() == 0  # the searches left no reference cycles
+        finally:
+            gc.enable()
+
+    def test_warm_basis_equals_a_fresh_one(self):
+        warm = hilbert_basis_oracle((2, -3, 1))
+        for k in itertools.product(range(4), repeat=3):
+            if dot(k, (2, -3, 1)) >= 0:
+                count_factorizations(k, warm)
+        fresh = hilbert_basis_oracle((2, -3, 1))
+        assert warm._factor_memo and not fresh._factor_memo
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert self._outcome((3, 2, 1), back, 2) == self._outcome((3, 2, 1), fresh, 2)
 
 
 class TestLattice:
