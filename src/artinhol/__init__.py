@@ -35,13 +35,9 @@ from .core import (
 from .hilbert import (
     FactorizationCount,
     HilbertBasis,
-    adjoined_irreducibles,
     count_factorizations,
     hilbert_basis_frontier,
     hilbert_basis_oracle,
-    is_factorial,
-    is_irreducible,
-    lattice_is_full,
     nonuniqueness_witness,
 )
 from .sweep import (
@@ -67,7 +63,6 @@ __all__ = [
     "SubsetSelector",
     "SweepPlan",
     "SweepSummary",
-    "adjoined_irreducibles",
     "catalog_groups",
     "check_instance",
     "cond_i",
@@ -85,10 +80,7 @@ __all__ = [
     "hilbert_basis_frontier",
     "hilbert_basis_oracle",
     "is_admissible",
-    "is_factorial",
-    "is_irreducible",
     "is_member_hol",
-    "lattice_is_full",
     "nonuniqueness_witness",
     "order_of",
     "run_sweep",

@@ -16,12 +16,16 @@ from .core import DegreeVector
 
 @dataclass(frozen=True)
 class GroupEntry:
-    """One catalog row: group name, order, degree vector, class count."""
+    """One catalog row: group name, order, degree vector."""
 
     name: str
     order: int
     degrees: DegreeVector
-    class_count: int
+
+    @property
+    def class_count(self) -> int:
+        """Number of conjugacy classes: one irreducible character per class."""
+        return len(self.degrees.entries)
 
 
 _TABLE = (
@@ -43,7 +47,7 @@ _TABLE = (
 def catalog_groups() -> tuple[GroupEntry, ...]:
     """All shipped entries, in catalog order."""
     return tuple(
-        GroupEntry(name, order, DegreeVector(degrees), len(degrees))
+        GroupEntry(name, order, DegreeVector(degrees))
         for name, order, degrees in _TABLE
     )
 
@@ -60,10 +64,6 @@ def validate_catalog_entry(entry: GroupEntry) -> tuple[bool, tuple[str, ...]]:
     """Check all entry invariants; returns (ok, reasons)."""
     reasons = []
     degrees = entry.degrees.entries
-    if len(degrees) != entry.class_count:
-        reasons.append(
-            f"degree count {len(degrees)} != class count {entry.class_count}"
-        )
     if any(a > b for a, b in zip(degrees, degrees[1:])):
         reasons.append("degrees not sorted nondecreasing")
     sq = sum(d * d for d in degrees)

@@ -6,13 +6,16 @@ factoriality are checked against each other on every call.
 
 Exit codes: 0 when all checked assertions hold, 1 when an equivalence
 failure or counterexample is found, 2 on invalid input, an output file
-that cannot be written, or an engine disagreement (EngineMismatchError).
+that cannot be written, or an engine disagreement (EngineMismatchError),
+and 141 (128 + SIGPIPE, as a shell reports a pipe writer killed by that
+signal) when the reader of stdout goes away early; that case prints
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from .errors import ArtinHolError, NotInHolError
 from .hilbert import count_factorizations
 from .serialize import (
     SCHEMA_VERSION,
+    canonical_json,
     exit_code_for_report,
     render_report_human,
     render_report_json,
@@ -45,9 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="artinhol",
         description="Hilbert bases and holomorphy criteria for Artin L-function semigroups",
     )
+    # Each subcommand names its handler, called as handler(args, subparser),
+    # so that parser.error prints the subcommand's own usage line.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="full condition report for one instance")
+    p_check.set_defaults(handler=_cmd_check, subparser=p_check)
     p_check.add_argument("--degrees", type=_int_vector, required=True)
     p_check.add_argument("--orders", type=_int_vector, required=True)
     p_check.add_argument("--group", default=None, help="group label (informational)")
@@ -57,16 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true")
 
     p_hilbert = sub.add_parser("hilbert", help="Hilbert basis of Hol for one order vector")
+    p_hilbert.set_defaults(handler=_cmd_hilbert, subparser=p_hilbert)
     p_hilbert.add_argument("--orders", type=_int_vector, required=True)
     p_hilbert.add_argument("--json", action="store_true")
 
     p_fact = sub.add_parser("factorize", help="count basis factorizations of an element")
+    p_fact.set_defaults(handler=_cmd_factorize, subparser=p_fact)
     p_fact.add_argument("--orders", type=_int_vector, required=True)
     p_fact.add_argument("--element", type=_int_vector, required=True)
     p_fact.add_argument("--cap", type=int, default=2)
     p_fact.add_argument("--json", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="exhaustive sweep over an order-vector box")
+    p_sweep.set_defaults(handler=_cmd_sweep, subparser=p_sweep)
     src = p_sweep.add_mutually_exclusive_group(required=True)
     src.add_argument("--degrees", type=_int_vector, default=None)
     src.add_argument("--group", default=None, help="catalog group supplying the degrees")
@@ -79,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--require-trivial-nonneg", action="store_true")
 
     p_cat = sub.add_parser("catalog", help="list or show built-in group degree data")
+    p_cat.set_defaults(handler=_cmd_catalog, subparser=p_cat)
     p_cat.add_argument("action", choices=["list", "show"])
     p_cat.add_argument("name", nargs="?", default=None)
 
@@ -107,7 +118,7 @@ def _cmd_check(args, parser) -> int:
     return exit_code_for_report(rep)
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args, parser) -> int:
     v = OrderVector(args.orders)
     basis = cross_checked_basis(v)
     doc = {
@@ -119,7 +130,7 @@ def _cmd_hilbert(args) -> int:
         },
     }
     if args.json:
-        print(json.dumps(doc, separators=(",", ":"), ensure_ascii=True))
+        print(canonical_json(doc))
     else:
         print(f"orders: {list(v.entries)}")
         print(f"hilbert basis ({len(basis.elements)} elements):")
@@ -148,7 +159,7 @@ def _cmd_factorize(args, parser) -> int:
         "witnesses": [list(w) for w in fc.witnesses],
     }
     if args.json:
-        print(json.dumps(doc, separators=(",", ":"), ensure_ascii=True))
+        print(canonical_json(doc))
     else:
         print(f"element {list(fc.element)} factors {fc.count} way(s) (cap {args.cap})")
         for w in fc.witnesses:
@@ -226,28 +237,25 @@ def _cmd_catalog(args, parser) -> int:
             for e in entries
         ],
     }
-    print(json.dumps(doc, separators=(",", ":"), ensure_ascii=True))
+    print(canonical_json(doc))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args, parser)
-        if args.command == "hilbert":
-            return _cmd_hilbert(args)
-        if args.command == "factorize":
-            return _cmd_factorize(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "catalog":
-            return _cmd_catalog(args, parser)
+        code = args.handler(args, args.subparser)
+        # Flushed here, so a reader that went away is seen before exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to /dev/null, so that the
+        # interpreter's final flush of stdout stays silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ArtinHolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

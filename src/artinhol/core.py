@@ -86,13 +86,11 @@ class DegreeVector:
 
     Also the exponent vector of the Dedekind zeta function of the field,
     since zeta_K factors as the product of the generators to their degrees.
-    When a group order is attached, the sum-of-squares law and degree
-    divisibility are enforced at construction.
+    The laws tying degrees to a group order are checked on catalog entries
+    by catalog.validate_catalog_entry.
     """
 
     entries: tuple[int, ...]
-    group: str | None = None
-    group_order: int | None = None
 
     def __post_init__(self):
         ent = _int_entries(self.entries, "degree vector")
@@ -102,14 +100,6 @@ class DegreeVector:
         for d in ent:
             if d < 1:
                 raise ValueError(f"degrees must be >= 1, got {d}")
-        if self.group_order is not None:
-            n = self.group_order
-            sq = sum(d * d for d in ent)
-            if sq != n:
-                raise ValueError(f"sum of squared degrees {sq} != group order {n}")
-            for d in ent:
-                if n % d != 0:
-                    raise ValueError(f"degree {d} does not divide group order {n}")
 
     @property
     def rank(self) -> int:
@@ -118,7 +108,7 @@ class DegreeVector:
 
 @dataclass(frozen=True)
 class Instance:
-    """One hypothetical situation: rank, degrees, order profile, flags.
+    """One hypothetical situation: degrees, order profile, flags.
 
     The field and the point s0 are carried only as opaque labels; no
     analytic content is attached to them.  Admissibility is a verdict of
@@ -126,7 +116,6 @@ class Instance:
     be built, swept, and recorded.
     """
 
-    rank: int
     degrees: DegreeVector
     orders: OrderVector
     require_dedekind: bool = True
@@ -135,18 +124,20 @@ class Instance:
     s0_label: str | None = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.degrees.rank != self.rank or self.orders.rank != self.rank:
+        if self.degrees.rank != self.orders.rank:
             raise LengthMismatchError(
-                f"rank {self.rank} vs degrees {self.degrees.rank}, orders {self.orders.rank}"
+                f"degrees {self.degrees.rank} vs orders {self.orders.rank}"
             )
+
+    @property
+    def rank(self) -> int:
+        return self.degrees.rank
 
     @classmethod
     def of(cls, degrees, orders, **kwargs) -> "Instance":
         d = degrees if isinstance(degrees, DegreeVector) else DegreeVector(tuple(degrees))
         v = as_order_vector(orders)
-        return cls(rank=d.rank, degrees=d, orders=v, **kwargs)
+        return cls(degrees=d, orders=v, **kwargs)
 
 
 def order_of(k: Sequence[int], v: OrdersLike) -> int:

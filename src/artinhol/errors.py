@@ -19,14 +19,6 @@ class NotInHolError(ArtinHolError):
     """An element required to be holomorphic has negative order."""
 
 
-class ZeroElementError(ArtinHolError):
-    """The identity was passed where a nonzero element is required."""
-
-
-class NonpositivePivotError(ArtinHolError):
-    """The pivot generator must have strictly positive order."""
-
-
 class NoRelationError(ArtinHolError):
     """No integer relation found among basis elements (internal bug)."""
 

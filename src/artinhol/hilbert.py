@@ -14,8 +14,10 @@ Two engines exploit this independently: the oracle walks the whole box
 found before it divides inside Hol, and the frontier engine grows
 candidate solutions of the slack equation one unit step at a time,
 pruning anything that dominates a known minimal solution.  They must
-agree; every cross-checked basis compares them, and the test suite also
-checks the oracle against a brute-force split search on small ranks.
+agree; every cross-checked basis compares them.  The brute-force checks
+the test suite runs against them (a split search deciding irreducibility,
+the lattice rank of a basis, the adjoined irreducibles of a positive
+pivot) live next to those tests, in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -30,19 +32,15 @@ from .core import (
     INT64_MAX,
     OrdersLike,
     as_order_vector,
-    order_of,
     validate_exponent_vector,
 )
 from .errors import (
     ArithmeticOverflowError,
     CapExceededError,
-    IndexOutOfRangeError,
     NoRelationError,
-    NonpositivePivotError,
     NotInHolError,
-    ZeroElementError,
 )
-from .intmat import hnf_with_transform, row_lattice_is_unimodular
+from .intmat import hnf_with_transform
 
 #: Hard cap on box enumeration size; keeps interactive misuse from hanging.
 ENUMERATION_CAP = 10_000_000
@@ -102,44 +100,6 @@ def _guard_enumeration(r: int, bound: int, ent: Sequence[int]) -> None:
     # r * bound * max|v|; refuse anything that could leave 64 bits.
     if r * bound * max(1, max(abs(x) for x in ent)) > INT64_MAX:
         raise ArithmeticOverflowError("box enumeration could overflow 64-bit sums")
-
-
-def _splits(k: tuple[int, ...], s: int, ent: tuple[int, ...]) -> bool:
-    """True iff k = a + b with a, b nonzero members of Hol.
-
-    Enumerates every proper part a <= k; the complement is in Hol exactly
-    when 0 <= <a, v> <= <k, v>, by additivity of the order.
-    """
-    it = itertools.product(*[range(x + 1) for x in k])
-    next(it)  # skip the zero part
-    for a in it:
-        if a == k:
-            continue
-        t = 0
-        for x, w in zip(a, ent):
-            t += x * w
-        if 0 <= t <= s:
-            return True
-    return False
-
-
-def is_irreducible(k: Sequence[int], v: OrdersLike) -> bool:
-    """Decide irreducibility of a nonzero member of Hol by full enumeration."""
-    ov = as_order_vector(v)
-    kk = validate_exponent_vector(k, rank=ov.rank)
-    s = order_of(kk, ov)
-    if s < 0:
-        raise NotInHolError(f"{kk} is not in Hol (order {s})")
-    if not any(kk):
-        raise ZeroElementError("the identity is neither reducible nor irreducible")
-    size = 1
-    for x in kk:
-        size *= x + 1
-        if size > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"split enumeration below {kk} exceeds {ENUMERATION_CAP} points"
-            )
-    return not _splits(kk, s, ov.entries)
 
 
 def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
@@ -332,22 +292,6 @@ def _factorizations_from(i, rem, elems, supports, uncovered, memo, cap):
     return state
 
 
-def lattice_is_full(basis: HilbertBasis, r: int) -> bool:
-    """True iff the basis spans Z^r as a lattice.
-
-    Decided by exact integer Hermite reduction: the row HNF must have r
-    pivots, all equal to 1.
-    """
-    if not basis.elements:
-        return False
-    return row_lattice_is_unimodular([list(e) for e in basis.elements], r)
-
-
-def is_factorial(basis: HilbertBasis, r: int) -> bool:
-    """Factoriality criterion: exactly r irreducibles."""
-    return len(basis.elements) == r
-
-
 def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None:
     """Element with two distinct basis factorizations, when |basis| > r.
 
@@ -379,31 +323,3 @@ def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None
         raise NoRelationError("kernel witness failed the two-factorization check")
     return witness
 
-
-def adjoined_irreducibles(v: OrdersLike, pivot: int) -> tuple[tuple[int, ...], ...]:
-    """The r elements m_j * e_pivot + e_j, with m_j minimal for membership.
-
-    `pivot` is 1-based and must name a generator of strictly positive
-    order; m_j = max(0, ceil(-v_j / v_pivot)) is the least power of the
-    pivot that drags the j-th generator into Hol.  Every returned element
-    is in Hol and irreducible by construction (asserted).
-    """
-    ov = as_order_vector(v)
-    ent = ov.entries
-    r = ov.rank
-    if not 1 <= pivot <= r:
-        raise IndexOutOfRangeError(f"pivot {pivot} outside 1..{r}")
-    p = pivot - 1
-    vp = ent[p]
-    if vp <= 0:
-        raise NonpositivePivotError(f"pivot order must be > 0, got {vp}")
-    out = []
-    for j in range(r):
-        mj = max(0, -(ent[j] // vp))
-        vec = [0] * r
-        vec[p] += mj
-        vec[j] += 1
-        elem = tuple(vec)
-        assert is_irreducible(elem, ov), elem
-        out.append(elem)
-    return tuple(out)

@@ -1,7 +1,7 @@
-"""Exact integer row reduction: Hermite normal form, rank, left kernel.
+"""Exact integer row reduction: Hermite normal form with its transform.
 
-Plain Euclidean elimination on Python ints.  No rationals and no floats
-anywhere: unimodularity questions are decided exactly or not at all.
+Plain Euclidean elimination on Python ints, with no rationals and no
+floats, so the transform is exactly unimodular.
 """
 
 from __future__ import annotations
@@ -67,18 +67,3 @@ def hnf_with_transform(rows: Sequence[Sequence[int]]):
         piv += 1
     return H, U, pivots
 
-
-def hermite_normal_form(rows: Sequence[Sequence[int]]):
-    """Canonical row HNF and its pivot columns: (H, pivots)."""
-    H, _, pivots = hnf_with_transform(rows)
-    return H, pivots
-
-
-def row_lattice_is_unimodular(rows: Sequence[Sequence[int]], n: int) -> bool:
-    """True iff the rows span all of Z^n, i.e. the HNF is the identity block."""
-    if not rows:
-        return False
-    H, pivots = hermite_normal_form(rows)
-    if len(pivots) != n:
-        return False
-    return all(H[i][pivots[i]] == 1 for i in range(n))

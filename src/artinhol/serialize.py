@@ -12,9 +12,15 @@ from typing import Any
 
 from .conditions import ConditionReport, PairWitness
 from .core import DegreeVector, Instance, OrderVector
+from .errors import LengthMismatchError
 from .sweep import SweepSummary
 
 SCHEMA_VERSION = "2"
+
+
+def canonical_json(doc: Any) -> str:
+    """The one JSON encoding of every artifact: compact separators, ASCII."""
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
 
 
 def report_document(rep: ConditionReport) -> dict[str, Any]:
@@ -66,7 +72,7 @@ def report_document(rep: ConditionReport) -> dict[str, Any]:
 
 
 def render_report_json(rep: ConditionReport) -> str:
-    return json.dumps(report_document(rep), separators=(",", ":"), ensure_ascii=True)
+    return canonical_json(report_document(rep))
 
 
 def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
@@ -75,9 +81,11 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
     di = doc["instance"]
+    degrees = DegreeVector(tuple(di["degrees"]))
+    if di["r"] != degrees.rank:
+        raise LengthMismatchError(f"r {di['r']} vs degrees {degrees.rank}")
     inst = Instance(
-        rank=di["r"],
-        degrees=DegreeVector(tuple(di["degrees"])),
+        degrees=degrees,
         orders=OrderVector(tuple(di["orders"])),
         require_dedekind=di["flags"]["require_dedekind"],
         require_trivial_nonneg=di["flags"]["require_trivial_nonneg"],
@@ -190,7 +198,7 @@ def summary_document(summary: SweepSummary) -> dict[str, Any]:
 
 
 def render_summary_json(summary: SweepSummary) -> str:
-    return json.dumps(summary_document(summary), separators=(",", ":"), ensure_ascii=True)
+    return canonical_json(summary_document(summary))
 
 
 def render_summary_csv(summary: SweepSummary) -> str:

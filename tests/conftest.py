@@ -2,12 +2,17 @@
 
 Everything here recomputes answers the dumbest possible way (full
 enumeration, no slack equation, no pruning) so the package's algorithms
-are checked against genuinely separate code paths.
+are checked against genuinely separate code paths.  The lattice checks
+reuse only the package's Hermite reduction, which the tests check against
+sympy.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from artinhol.errors import NotInHolError
+from artinhol.intmat import hnf_with_transform
 
 
 def dot(a, b) -> int:
@@ -94,3 +99,72 @@ def cond_iii_subset_search(v, subset, bound: int | None = None):
         if dot(ks, vals) >= 0:
             return ks
     return None
+
+
+def _splits(k, s, v) -> bool:
+    """True iff k = a + b with a, b nonzero members of Hol.
+
+    Enumerates every proper part a <= k; the complement is in Hol exactly
+    when 0 <= <a, v> <= <k, v>, by additivity of the order.
+    """
+    it = itertools.product(*[range(x + 1) for x in k])
+    next(it)  # skip the zero part
+    return any(a != k and 0 <= dot(a, v) <= s for a in it)
+
+
+def is_irreducible(k, v) -> bool:
+    """Decide irreducibility of a nonzero member of Hol by full enumeration."""
+    k = tuple(k)
+    s = dot(k, v)
+    if s < 0:
+        raise NotInHolError(f"{k} is not in Hol (order {s})")
+    if not any(k):
+        raise ValueError("the identity is neither reducible nor irreducible")
+    return not _splits(k, s, v)
+
+
+def adjoined_irreducibles(v, pivot: int) -> tuple[tuple[int, ...], ...]:
+    """The r elements m_j * e_pivot + e_j, with m_j minimal for membership.
+
+    `pivot` is 1-based and must name a generator of strictly positive
+    order; m_j = max(0, ceil(-v_j / v_pivot)) is the least power of the
+    pivot that drags the j-th generator into Hol.  Every returned element
+    is in Hol and irreducible by construction (asserted).
+    """
+    r = len(v)
+    if not 1 <= pivot <= r:
+        raise ValueError(f"pivot {pivot} outside 1..{r}")
+    p = pivot - 1
+    vp = v[p]
+    if vp <= 0:
+        raise ValueError(f"pivot order must be > 0, got {vp}")
+    out = []
+    for j in range(r):
+        vec = [0] * r
+        vec[p] += max(0, -(v[j] // vp))
+        vec[j] += 1
+        elem = tuple(vec)
+        assert is_irreducible(elem, v), elem
+        out.append(elem)
+    return tuple(out)
+
+
+def hermite_normal_form(rows):
+    """Canonical row HNF and its pivot columns: (H, pivots)."""
+    H, _, pivots = hnf_with_transform(rows)
+    return H, pivots
+
+
+def row_lattice_is_unimodular(rows, n: int) -> bool:
+    """True iff the rows span all of Z^n, i.e. the HNF is the identity block."""
+    if not rows:
+        return False
+    H, pivots = hermite_normal_form(rows)
+    if len(pivots) != n:
+        return False
+    return all(H[i][pivots[i]] == 1 for i in range(n))
+
+
+def lattice_is_full(basis, r: int) -> bool:
+    """True iff the basis elements span Z^r as a lattice."""
+    return row_lattice_is_unimodular([list(e) for e in basis.elements], r)

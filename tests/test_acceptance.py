@@ -30,13 +30,12 @@ from artinhol import (
     hilbert_basis_frontier,
     hilbert_basis_oracle,
     is_member_hol,
-    lattice_is_full,
     nonuniqueness_witness,
     run_sweep,
     sweep_reports,
 )
 from artinhol.serialize import exit_code_for_report, sweep_record_line
-from conftest import cond_ii_pair_search, cond_iii_subset_search, dot
+from conftest import cond_ii_pair_search, cond_iii_subset_search, dot, lattice_is_full
 
 GOLDEN = Path(__file__).parent / "golden"
 

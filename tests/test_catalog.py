@@ -33,6 +33,7 @@ def test_lookups():
     s3 = get_group("S3")
     assert s3.degrees.entries == (1, 1, 2)
     assert s3.order == 6
+    assert s3.class_count == 3  # one irreducible character per class
     a5 = get_group("A5")
     assert a5.degrees.entries == (1, 3, 3, 4, 5)
     assert sum(d * d for d in a5.degrees.entries) == 60
@@ -44,20 +45,15 @@ def test_lookups():
 
 
 def test_corrupted_sum_of_squares():
-    bad = GroupEntry("X", 6, DegreeVector((1, 1, 3)), 3)
+    bad = GroupEntry("X", 6, DegreeVector((1, 1, 3)))
     ok, reasons = validate_catalog_entry(bad)
     assert not ok
     assert any("sum of squares 11" in r for r in reasons)
 
 
 def test_corrupted_divisibility():
-    bad = GroupEntry("Y", 17, DegreeVector((1, 4)), 2)
+    bad = GroupEntry("Y", 17, DegreeVector((1, 4)))
     ok, reasons = validate_catalog_entry(bad)
     assert not ok
     assert any("4 does not divide 17" in r for r in reasons)
 
-
-def test_class_count_mismatch():
-    bad = GroupEntry("Z", 2, DegreeVector((1, 1)), 3)
-    ok, reasons = validate_catalog_entry(bad)
-    assert not ok

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -89,6 +90,40 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--degrees", "1", "--order-bound", "1", "--out", ""],
+            ["check", "--degrees", "1,1", "--orders", "1"],
+            ["factorize", "--orders", "1,-1", "--element", "1"],
+            ["catalog", "show"],
+        ],
+    )
+    def test_usage_names_the_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: artinhol {argv[0]} ")
+        assert f"\nartinhol {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [["hilbert", "--orders=2,-3"], ["catalog", "list"]])
+    def test_closed_stdout_is_quiet(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "artinhol", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write_end)
+        assert res.stderr == b""
+        assert res.returncode == 141
 
 
 class TestCommands:

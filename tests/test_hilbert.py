@@ -1,5 +1,6 @@
-"""Hilbert engines: irreducibility, both basis algorithms, factorization
-counting, lattice checks, and the adjoined-irreducibles construction."""
+"""Hilbert engines: both basis algorithms, factorization counting and the
+Hermite reduction, with the brute-force irreducibility, lattice and
+adjoined-irreducibles checks from conftest they are tested against."""
 
 from __future__ import annotations
 
@@ -20,27 +21,24 @@ from sympy.matrices.normalforms import (
 
 from artinhol import (
     HilbertBasis,
-    adjoined_irreducibles,
     count_factorizations,
+    factorial_closed_form,
     hilbert_basis_frontier,
     hilbert_basis_oracle,
-    is_factorial,
-    is_irreducible,
     is_member_hol,
-    lattice_is_full,
     nonuniqueness_witness,
 )
-from artinhol.errors import (
-    CapExceededError,
-    NonpositivePivotError,
-    NotInHolError,
-    ZeroElementError,
-)
-from artinhol.intmat import (
-    hnf_with_transform,
+from artinhol.errors import CapExceededError, NotInHolError
+from artinhol.intmat import hnf_with_transform
+from conftest import (
+    adjoined_irreducibles,
+    brute_count_factorizations,
+    brute_hilbert_basis,
+    dot,
+    is_irreducible,
+    lattice_is_full,
     row_lattice_is_unimodular,
 )
-from conftest import brute_count_factorizations, brute_hilbert_basis, dot
 
 
 class TestIsIrreducible:
@@ -61,7 +59,7 @@ class TestIsIrreducible:
     def test_errors(self):
         with pytest.raises(NotInHolError):
             is_irreducible((0, 1), (1, -1))
-        with pytest.raises(ZeroElementError):
+        with pytest.raises(ValueError, match="identity"):
             is_irreducible((0, 0), (1, -1))
 
 
@@ -388,9 +386,10 @@ class TestLattice:
 
 class TestFactorial:
     def test_examples(self):
-        assert is_factorial(hilbert_basis_oracle((1, -1)), 2) is True
-        assert is_factorial(hilbert_basis_oracle((2, -3)), 2) is False
-        assert is_factorial(hilbert_basis_oracle((0, 0, 0)), 3) is True
+        # factorial means exactly r irreducibles
+        for v, factorial in (((1, -1), True), ((2, -3), False), ((0, 0, 0), True)):
+            assert (len(hilbert_basis_oracle(v)) == len(v)) is factorial
+            assert factorial_closed_form(v) is factorial
 
 
 class TestNonuniquenessWitness:
@@ -422,9 +421,9 @@ class TestAdjoinedIrreducibles:
         )
 
     def test_pivot_must_be_positive(self):
-        with pytest.raises(NonpositivePivotError):
+        with pytest.raises(ValueError, match="pivot order must be > 0"):
             adjoined_irreducibles((0, -1), 1)
-        with pytest.raises(NonpositivePivotError):
+        with pytest.raises(ValueError, match="pivot order must be > 0"):
             adjoined_irreducibles((1, -1), 2)
 
     def test_adjoined_set_law(self):
@@ -436,5 +435,5 @@ class TestAdjoinedIrreducibles:
                     adjoined = adjoined_irreducibles(v, k0 + 1)
                     for h in adjoined:
                         assert is_irreducible(h, v)
-                    if is_factorial(basis, 3):
+                    if len(basis) == 3:
                         assert sorted(adjoined) == list(basis.elements)

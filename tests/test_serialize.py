@@ -8,6 +8,7 @@ import pytest
 
 from artinhol import DegreeVector, Instance, SweepPlan, check_instance, sweep_reports
 from artinhol.conditions import ConditionReport
+from artinhol.errors import LengthMismatchError
 from artinhol.serialize import (
     exit_code_for_report,
     parse_report_document,
@@ -103,6 +104,15 @@ def test_schema_version_checked():
         doc["schema_version"] = version
         with pytest.raises(ValueError, match="schema"):
             parse_report_document(doc)
+
+
+def test_rank_must_match_degrees():
+    line = sweep_record_line(check_instance(Instance.of((1, 1, 2), (1, 0, -1))))
+    assert '"r":3,' in line
+    parse_report_document(line)
+    for r in ("2", "4"):
+        with pytest.raises(LengthMismatchError, match=f"r {r} vs degrees 3"):
+            parse_report_document(line.replace('"r":3,', f'"r":{r},'))
 
 
 def test_summary_csv_shape():
