@@ -140,6 +140,8 @@ def _cmd_hilbert(args, parser) -> int:
 
 
 def _cmd_factorize(args, parser) -> int:
+    if args.cap < 2:
+        parser.error(f"--cap must be >= 2, got {args.cap}")
     if len(args.orders) != len(args.element):
         parser.error("orders and element must have the same length")
     v = OrderVector(args.orders)

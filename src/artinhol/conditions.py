@@ -13,7 +13,8 @@ derived here: factoriality by factorial_closed_form, the quantified parts
 by cond_ii_pair and cond_iii_subset.  The bounded brute-force searches
 that validate the quantified closed forms live next to the tests that use
 them, in tests/conftest.py; factoriality is checked against the Hilbert
-basis size on every cross_checked_basis call.
+basis size on every cross_checked_basis call.  check_instance is the one
+constructor of a ConditionReport; parsed records are rebuilt through it.
 
 Generator indices are 1-based everywhere in this module, matching the
 subscripts f_1 .. f_r used throughout the domain.
@@ -77,22 +78,37 @@ class PairWitness:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Per-instance verdicts for all conditions, plus the basis summary."""
+    """Per-instance verdicts and basis; the properties derive from the fields."""
 
     instance: Instance
-    admissible: bool
     admissible_reasons: tuple[str, ...]
-    hilbert_size: int
     hilbert_elements: tuple[tuple[int, ...], ...]
     factorial: bool
     cond_i: bool
     cond_ii: bool
     cond_ii_pairs: tuple[PairWitness, ...]
-    cond_iii: bool
     cond_iii_m: int | None
     cond_ii_prime: bool | None
     cond_ii_prime_failing: tuple[int, ...] | None
-    equivalence_ok: bool | None
+
+    @property
+    def admissible(self) -> bool:
+        return not self.admissible_reasons
+
+    @property
+    def hilbert_size(self) -> int:
+        return len(self.hilbert_elements)
+
+    @property
+    def cond_iii(self) -> bool:
+        return self.cond_iii_m is not None
+
+    @property
+    def equivalence_ok(self) -> bool | None:
+        """i == ii == iii == ii', asserted only when admissible with r >= 2."""
+        if not self.admissible or self.instance.rank < 2:
+            return None
+        return self.cond_i == self.cond_ii == self.cond_iii == self.cond_ii_prime
 
 
 def cond_i(v: OrdersLike) -> bool:
@@ -293,43 +309,24 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
 def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> ConditionReport:
     """Full pipeline: admissibility, Hilbert basis, all conditions.
 
-    `basis` is the instance's already cross-checked Hilbert basis; when it
-    is omitted, it is computed here by cross_checked_basis.  The
-    equivalence verdict i == ii == iii == ii' is only asserted for
-    admissible instances with r >= 2; otherwise it is None.
+    `basis` is trusted as given, recorded but not checked against the
+    orders; when it is omitted, cross_checked_basis computes it here.
+    Every verdict is decided from the orders alone.
     """
     ov = inst.orders
-    r = inst.rank
-    admissible, reasons = is_admissible(inst)
     if basis is None:
         basis = cross_checked_basis(ov)
-
-    ci = cond_i(ov)
     cii, pairs = cond_ii(ov)
-    ciii, m = cond_iii(ov)
-    if r >= 2:
-        cii_prime, failing = cond_ii_prime(ov)
-    else:
-        cii_prime, failing = None, None
-
-    if admissible and r >= 2:
-        equivalence_ok = ci == cii == ciii == cii_prime
-    else:
-        equivalence_ok = None
-
+    cii_prime, failing = cond_ii_prime(ov) if inst.rank >= 2 else (None, None)
     return ConditionReport(
         instance=inst,
-        admissible=admissible,
-        admissible_reasons=reasons,
-        hilbert_size=len(basis.elements),
+        admissible_reasons=is_admissible(inst)[1],
         hilbert_elements=basis.elements,
         factorial=factorial_closed_form(ov),
-        cond_i=ci,
+        cond_i=cond_i(ov),
         cond_ii=cii,
         cond_ii_pairs=pairs,
-        cond_iii=ciii,
-        cond_iii_m=m,
+        cond_iii_m=cond_iii(ov)[1],
         cond_ii_prime=cii_prime,
         cond_ii_prime_failing=failing,
-        equivalence_ok=equivalence_ok,
     )

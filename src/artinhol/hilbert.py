@@ -23,7 +23,6 @@ pivot) live next to those tests, in tests/conftest.py.
 from __future__ import annotations
 
 import itertools
-import logging
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,8 +43,6 @@ from .intmat import hnf_with_transform
 
 #: Hard cap on box enumeration size; keeps interactive misuse from hanging.
 ENUMERATION_CAP = 10_000_000
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -138,12 +135,6 @@ def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
                 break
         else:
             basis.append((k, s))
-
-    if any(max(h) == bound for h, _ in basis):
-        # The bound is tight (e.g. v=(2,-3) has the element (3,2)), so hits
-        # are routine; logged for audit per the completeness-bound caveat.
-        _log.debug("basis for v=%s touches the completeness bound B=%d", ent, bound)
-
     return HilbertBasis(tuple(h for h, _ in basis), "oracle")
 
 
@@ -261,34 +252,51 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
 def _factorizations_from(i, rem, elems, supports, uncovered, memo, cap):
     """(count capped at `cap`, first two witnesses) of `rem` over elems[i:].
 
-    A module-level function rather than a closure: a self-referencing
+    Recurses only on multiplicities c >= 1, which shrink `rem`, so the
+    depth does not grow with the basis; the c = 0 successors (i+1, rem),
+    (i+2, rem), ... are walked in a loop and folded back in reverse.  A
+    module-level function rather than a closure: a self-referencing
     closure leaves a reference cycle behind each call, and a memo reachable
     from one would outlive its basis until the cyclic collector runs.
     """
     if not any(rem):
         return 1, ((0,) * (len(elems) - i),)
-    for j in uncovered[i]:
-        if rem[j]:
-            return 0, ()
-    key = (i, rem)
-    state = memo.get(key)
-    if state is not None:
-        return state
-    h = elems[i]
-    cmax = min(rem[j] // h[j] for j in supports[i])
-    count = 0
-    witnesses: list[tuple[int, ...]] = []
-    for c in range(cmax, -1, -1):
-        nr = tuple([x - c * y for x, y in zip(rem, h)]) if c else rem
-        n, ws = _factorizations_from(i + 1, nr, elems, supports, uncovered, memo, cap)
+    chain = []  # (key, count, witnesses) of states awaiting their c = 0 child
+    while True:
+        for j in uncovered[i]:
+            if rem[j]:
+                state = (0, ())
+                break
+        else:
+            key = (i, rem)
+            state = memo.get(key)
+        if state is not None:
+            break
+        h = elems[i]
+        cmax = min(rem[j] // h[j] for j in supports[i])
+        count, witnesses = 0, []
+        for c in range(cmax, 0, -1):
+            nr = tuple([x - c * y for x, y in zip(rem, h)])
+            n, ws = _factorizations_from(i + 1, nr, elems, supports, uncovered, memo, cap)
+            if n:
+                count += n
+                for w in ws[: 2 - len(witnesses)]:
+                    witnesses.append((c,) + w)
+                if count >= cap:
+                    break
+        chain.append((key, count, witnesses))
+        if count >= cap:
+            state = (0, ())  # capped before c = 0: that child is never searched
+            break
+        i += 1
+    while chain:
+        key, count, witnesses = chain.pop()
+        n, ws = state
         if n:
             count += n
             for w in ws[: 2 - len(witnesses)]:
-                witnesses.append((c,) + w)
-            if count >= cap:
-                count = cap
-                break
-    state = memo[key] = (count, tuple(witnesses))
+                witnesses.append((0,) + w)
+        state = memo[key] = (count if count < cap else cap, tuple(witnesses))
     return state
 
 

@@ -3,16 +3,20 @@
 Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
+Parsing re-derives every verdict through conditions.check_instance and
+rejects a record that disagrees; the recorded basis is trusted.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
-from .conditions import ConditionReport, PairWitness
+from .conditions import ConditionReport, check_instance
 from .core import DegreeVector, Instance, OrderVector
 from .errors import LengthMismatchError
+from .hilbert import HilbertBasis
 from .sweep import SweepSummary
 
 SCHEMA_VERSION = "2"
@@ -76,7 +80,12 @@ def render_report_json(rep: ConditionReport) -> str:
 
 
 def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
-    """Rebuild a ConditionReport from its JSON text or parsed document."""
+    """Rebuild a ConditionReport from its JSON text or parsed document.
+
+    Reads the instance and the (trusted) basis and calls check_instance; a
+    document that is not exactly the rebuilt report's rendering raises
+    ValueError naming the first top-level key that differs.
+    """
     doc = json.loads(data) if isinstance(data, str) else data
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
@@ -92,32 +101,14 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
         group=di["labels"]["group"],
         s0_label=di["labels"]["s0"],
     )
-    dh = doc["hilbert"]
-    dc = doc["conditions"]
-    failing = dc["ii_prime"]["failing_subset"]
-    return ConditionReport(
-        instance=inst,
-        admissible=doc["admissible"]["ok"],
-        admissible_reasons=tuple(doc["admissible"]["reasons"]),
-        hilbert_size=dh["size"],
-        hilbert_elements=tuple(tuple(e) for e in dh["elements"]),
-        factorial=doc["factorial"],
-        cond_i=dc["i"],
-        cond_ii=dc["ii"]["ok"],
-        cond_ii_pairs=tuple(
-            PairWitness(
-                p["k"],
-                p["l"],
-                None if p["witness"] is None else tuple(p["witness"]),
-            )
-            for p in dc["ii"]["pairs"]
-        ),
-        cond_iii=dc["iii"]["ok"],
-        cond_iii_m=dc["iii"]["m"],
-        cond_ii_prime=dc["ii_prime"]["ok"],
-        cond_ii_prime_failing=None if failing is None else tuple(failing),
-        equivalence_ok=doc["equivalence_ok"],
-    )
+    rep = check_instance(inst, HilbertBasis(doc["hilbert"]["elements"], "oracle"))
+    if canonical_json(doc) != render_report_json(rep):
+        pairs = itertools.zip_longest(
+            doc.items(), report_document(rep).items(), fillvalue=(None, None)
+        )
+        key = next(g[0] or w[0] for g, w in pairs if canonical_json(g) != canonical_json(w))
+        raise ValueError(f"record key {key!r} disagrees with the report its orders give")
+    return rep
 
 
 def sweep_record_line(rep: ConditionReport) -> str:

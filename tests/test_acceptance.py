@@ -289,7 +289,9 @@ def test_criterion_9_determinism_and_interfaces(tmp_path):
     import dataclasses
 
     rep = check_instance(Instance.of((1, 1), (1, -1)))
-    assert exit_code_for_report(dataclasses.replace(rep, equivalence_ok=False)) == 1
+    broken = dataclasses.replace(rep, cond_i=True)
+    assert broken.equivalence_ok is False
+    assert exit_code_for_report(broken) == 1
     _passed(9, "determinism, golden bytes, exit codes")
 
 

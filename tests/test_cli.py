@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -44,6 +45,29 @@ class TestGolden:
         assert res.returncode == 0
         assert res.stdout == (GOLDEN / "check_d112_v000.json").read_text()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", ["a4_b2", "d112_b3"])
+    def test_sweep_artifact_digests(self, tmp_path, capsys, name, workers):
+        # sweeps.sha256 is in `sha256sum` format; any change to the bytes
+        # of the records, the summary or the CSV shows up here.
+        pinned = {}
+        for line in (GOLDEN / "sweeps.sha256").read_text().splitlines():
+            digest, file_name = line.split()
+            pinned[file_name] = digest
+        source = {
+            "a4_b2": ["--group", "A4", "--order-bound", "2"],
+            "d112_b3": ["--degrees", "1,1,2", "--order-bound", "3"],
+        }[name]
+        outputs = (("--out", "jsonl"), ("--summary-json", "json"), ("--csv", "csv"))
+        paths = {flag: tmp_path / f"{name}.{ext}" for flag, ext in outputs}
+        argv = ["sweep", *source, "--workers", workers]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        for path in paths.values():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name], path.name
+
 
 class TestExitCodes:
     def test_ok_is_zero(self):
@@ -81,6 +105,18 @@ class TestExitCodes:
         assert cli.main(["factorize", "--orders=200,-301", "--element", "0,1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not in Hol" in err
+
+    def test_factorize_bad_cap_builds_no_basis(self, monkeypatch, capsys):
+        def fail(v):
+            raise AssertionError(f"a basis was built for {v}")
+
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        monkeypatch.setattr(cli, "cross_checked_basis", fail)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["factorize", "--orders=200,-301", "--element", "2,1", "--cap", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "artinhol factorize: error: --cap must be >= 2" in err
 
     @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
     def test_empty_output_path_is_two(self, flag, tmp_path, monkeypatch, capsys):

@@ -309,6 +309,15 @@ class TestFactorizationMemo:
         assert back == fresh and hash(back) == hash(fresh)
         assert self._outcome((3, 2, 1), back, 2) == self._outcome((3, 2, 1), fresh, 2)
 
+    def test_depth_does_not_grow_with_the_basis(self):
+        # (1000, -1001) has 1001 irreducibles (1, 0), (2, 1), ..., (1001, 1000);
+        # a search that recursed once per basis position overflowed the stack.
+        basis = hilbert_basis_oracle((1000, -1001))
+        assert len(basis) == 1001
+        for k in ((1, 0), (2, 1), (5, 0), (3, 2)):
+            fc = count_factorizations(k, basis, cap=10**6)
+            assert fc.count == brute_count_factorizations(k, basis.elements), k
+
 
 class TestLattice:
     def test_examples(self):

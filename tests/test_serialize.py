@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinhol import DegreeVector, Instance, SweepPlan, check_instance, sweep_reports
 from artinhol.conditions import ConditionReport
@@ -92,8 +94,9 @@ def test_exit_code_contract():
     # provably agree), so the exit-1 branch is exercised synthetically
     import dataclasses
 
-    broken = dataclasses.replace(rep, equivalence_ok=False)
+    broken = dataclasses.replace(rep, cond_i=True)
     assert isinstance(broken, ConditionReport)
+    assert broken.equivalence_ok is False
     assert exit_code_for_report(broken) == 1
 
 
@@ -113,6 +116,54 @@ def test_rank_must_match_degrees():
     for r in ("2", "4"):
         with pytest.raises(LengthMismatchError, match=f"r {r} vs degrees 3"):
             parse_report_document(line.replace('"r":3,', f'"r":{r},'))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.tuples(
+            st.lists(st.integers(1, 3), min_size=r, max_size=r),
+            st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+        )
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.none() | st.text(max_size=6),
+    st.none() | st.text(max_size=6),
+)
+def test_round_trip_property(vectors, dedekind, trivial, group, s0):
+    degrees, orders = vectors
+    rep = check_instance(
+        Instance.of(
+            degrees,
+            orders,
+            require_dedekind=dedekind,
+            require_trivial_nonneg=trivial,
+            group=group,
+            s0_label=s0,
+        )
+    )
+    assert parse_report_document(render_report_json(rep)) == rep
+
+
+@pytest.mark.parametrize(
+    "orders, old, new, key",
+    [
+        # orders 1,0,-1 is inadmissible; 1,1,0 passes every condition, m = 1
+        ((1, 0, -1), '"size":3', '"size":7', "hilbert"),
+        ((1, 1, 0), '"factorial":true', '"factorial":false', "factorial"),
+        ((1, 1, 0), '"equivalence_ok":true', '"equivalence_ok":false', "equivalence_ok"),
+        ((1, 1, 0), '"witness":[1,0,0]', '"witness":[2,0,0]', "conditions"),
+        ((1, 1, 0), '"m":1', '"m":null', "conditions"),
+        ((1, 1, 0), '"admissible":{"ok":true', '"admissible":{"ok":1', "admissible"),
+    ],
+)
+def test_tampered_record_is_rejected(orders, old, new, key):
+    line = render_report_json(check_instance(Instance.of((1, 1, 2), orders)))
+    assert old in line
+    parse_report_document(line)
+    with pytest.raises(ValueError, match=f"record key '{key}' disagrees"):
+        parse_report_document(line.replace(old, new, 1))
 
 
 def test_summary_csv_shape():
