@@ -191,7 +191,7 @@ def _cmd_sweep(args, parser) -> int:
         try:
             degrees = get_group(args.group).degrees
         except KeyError as exc:
-            parser.error(str(exc))
+            parser.error(exc.args[0])
         group = args.group
     else:
         degrees = DegreeVector(args.degrees)
@@ -224,7 +224,7 @@ def _cmd_catalog(args, parser) -> int:
         try:
             entries = [get_group(args.name)]
         except KeyError as exc:
-            parser.error(str(exc))
+            parser.error(exc.args[0])
     else:
         entries = list(catalog_groups())
     doc = {

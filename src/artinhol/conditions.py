@@ -16,15 +16,23 @@ them, in tests/conftest.py; factoriality is checked against the Hilbert
 basis size on every cross_checked_basis call.  check_instance is the one
 constructor of a ConditionReport; parsed records are rebuilt through it.
 
-Generator indices are 1-based everywhere in this module, matching the
-subscripts f_1 .. f_r used throughout the domain.
+Each public function validates its input once and calls the private
+helpers, which take an already validated order vector: _profile reads the
+signs and decides factoriality in one pass, and _cond_ii, _cond_iii_m and
+_cond_ii_prime derive the other verdicts from it, so check_instance and
+the public functions share every line of verdict logic.  The pair table is
+built row by row, since a row has at most two distinct witnesses, and its
+rows are PairWitness named tuples.
+
+Generator indices are 1-based in every public function and report,
+matching the subscripts f_1 .. f_r used throughout the domain; the
+private helpers index the entries from 0.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 from .core import (
     Instance,
@@ -67,8 +75,7 @@ class SubsetSelector:
             raise InvalidSubsetError(f"subset {self.indices} exceeds rank {r}")
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     """One row of the condition-ii table: ordered pair and its witness."""
 
     k: int
@@ -111,9 +118,37 @@ class ConditionReport:
         return self.cond_i == self.cond_ii == self.cond_iii == self.cond_ii_prime
 
 
+class _Profile(NamedTuple):
+    """Signs of validated orders, read in one pass, and the factoriality verdict."""
+
+    ent: tuple[int, ...]
+    positive: list[int]  # 0-based indices j with v_j > 0, ascending
+    negative: list[int]  # the negative orders
+    zeros: int
+    factorial: bool
+
+
+def _profile(ent: tuple[int, ...]) -> _Profile:
+    """The one pass over the orders that every verdict starts from.
+
+    Factoriality is the closed form proved in factorial_closed_form.
+    """
+    positive = []
+    negative = []
+    for j, x in enumerate(ent):
+        if x > 0:
+            positive.append(j)
+        elif x < 0:
+            negative.append(x)
+    factorial = not negative or (
+        len(positive) == 1 and all(x % ent[positive[0]] == 0 for x in negative)
+    )
+    return _Profile(ent, positive, negative, len(ent) - len(positive) - len(negative), factorial)
+
+
 def cond_i(v: OrdersLike) -> bool:
     """Every generator holomorphic: v_j >= 0 for all j."""
-    return all(x >= 0 for x in as_order_vector(v).entries)
+    return not _profile(as_order_vector(v).entries).negative
 
 
 def factorial_closed_form(v: OrdersLike) -> bool:
@@ -139,12 +174,7 @@ def factorial_closed_form(v: OrdersLike) -> bool:
     brute-force checks of those engines (irreducibility, lattice rank,
     adjoined irreducibles) live in tests/conftest.py.
     """
-    ent = as_order_vector(v).entries
-    negative = [x for x in ent if x < 0]
-    if not negative:
-        return True
-    positive = [x for x in ent if x > 0]
-    return len(positive) == 1 and all(x % positive[0] == 0 for x in negative)
+    return _profile(as_order_vector(v).entries).factorial
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -159,6 +189,31 @@ def _check_pair_indices(r: int, k: int, l: int) -> None:
         raise EqualIndicesError(f"pair indices must differ, got k=l={k}")
 
 
+def _pair_row(pr: _Profile, k: int) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Row k (0-based) of the pair table as (p, a, b).
+
+    The pair (k, l) is witnessed by b when l = p and by a otherwise.  A
+    witness exists iff v_k >= 0 (take e_k) or some p != l has v_p > 0 (take
+    e_k plus enough copies of the first such e_p to lift the order back to
+    zero), so a row has at most two distinct witnesses: p is the first
+    positive index, a lifts with it and b with the second one.
+    """
+    ent = pr.ent
+    vk = ent[k]
+    if vk >= 0:
+        unit = [0] * len(ent)
+        unit[k] = 1
+        return (-1, tuple(unit), tuple(unit))
+    lifted: list[tuple[int, ...] | None] = []
+    for p in pr.positive[:2]:
+        vec = [0] * len(ent)
+        vec[k] = 1
+        vec[p] = _ceil_div(-vk, ent[p])
+        lifted.append(tuple(vec))
+    lifted += [None, None]
+    return (pr.positive[0] if pr.positive else -1, lifted[0], lifted[1])
+
+
 def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
     """Witness a in Hol with a_k >= 1 and a_l = 0, or None (closed form).
 
@@ -167,22 +222,20 @@ def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
     The test suite validates this against a brute-force pair search.
     """
     ov = as_order_vector(v)
-    ent = ov.entries
-    r = ov.rank
-    _check_pair_indices(r, k, l)
-    vk = ent[k - 1]
-    if vk >= 0:
-        vec = [0] * r
-        vec[k - 1] = 1
-        return tuple(vec)
-    for p in range(r):
-        if p != l - 1 and ent[p] > 0:
-            m = _ceil_div(-vk, ent[p])
-            vec = [0] * r
-            vec[k - 1] = 1
-            vec[p] += m
-            return tuple(vec)
-    return None
+    _check_pair_indices(ov.rank, k, l)
+    p, a, b = _pair_row(_profile(ov.entries), k - 1)
+    return b if l - 1 == p else a
+
+
+def _cond_ii(pr: _Profile) -> tuple[bool, tuple[PairWitness, ...]]:
+    """Verdict of ii and its ordered-pair table, built row by row."""
+    r = len(pr.ent)
+    pairs = []
+    for k in range(r):
+        p, a, b = _pair_row(pr, k)
+        pairs += [PairWitness(k + 1, l + 1, b if l == p else a) for l in range(r) if l != k]
+    ok = pr.factorial and all(w is not None for _, _, w in pairs)
+    return (ok, tuple(pairs))
 
 
 def cond_ii(v: OrdersLike) -> tuple[bool, tuple[PairWitness, ...]]:
@@ -191,16 +244,7 @@ def cond_ii(v: OrdersLike) -> tuple[bool, tuple[PairWitness, ...]]:
     Returns the verdict and the complete ordered-pair table, (k, l) in
     lexicographic order, whether or not v is factorial.
     """
-    ov = as_order_vector(v)
-    r = ov.rank
-    pairs = tuple(
-        PairWitness(k, l, cond_ii_pair(ov, k, l))
-        for k in range(1, r + 1)
-        for l in range(1, r + 1)
-        if k != l
-    )
-    ok = factorial_closed_form(ov) and all(p.witness is not None for p in pairs)
-    return (ok, pairs)
+    return _cond_ii(_profile(as_order_vector(v).entries))
 
 
 def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
@@ -228,22 +272,21 @@ def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
     return tuple(kp if i == p else 1 for i in range(len(vals)))
 
 
-def _smallest_universal_m(ent: Sequence[int]) -> int | None:
-    """Least m in [1, r-1] at which every m-subset has a witness, or None.
+def _cond_iii_m(pr: _Profile) -> int | None:
+    """Least m in [1, r-1] at which every m-subset has a witness, if factorial.
 
     A size-m subset fails exactly when it avoids all positive orders but
     touches a negative one, which is arrangeable iff m <= q_neg + q_zero
     (and q_neg >= 1).  So with no negative orders m = 1 works; otherwise
     the least valid m is q_neg + q_zero + 1, admissible only if <= r - 1.
+    None when v is not factorial or no m works (always for r = 1).
     """
-    r = len(ent)
-    if r < 2:
+    r = len(pr.ent)
+    if not pr.factorial or r < 2:
         return None
-    q_neg = sum(1 for x in ent if x < 0)
-    q_zero = sum(1 for x in ent if x == 0)
-    if q_neg == 0:
+    if not pr.negative:
         return 1
-    m = q_neg + q_zero + 1
+    m = len(pr.negative) + pr.zeros + 1
     return m if m <= r - 1 else None
 
 
@@ -253,13 +296,25 @@ def cond_iii(v: OrdersLike) -> tuple[bool, int | None]:
     Returns (False, None) when either part fails; for r = 1 the range
     1 <= m < r is empty and the verdict is False by convention.
     """
-    ov = as_order_vector(v)
-    if not factorial_closed_form(ov):
-        return (False, None)
-    m = _smallest_universal_m(ov.entries)
-    if m is None:
-        return (False, None)
-    return (True, m)
+    m = _cond_iii_m(_profile(as_order_vector(v).entries))
+    return (m is not None, m)
+
+
+def _cond_ii_prime(pr: _Profile) -> tuple[bool, tuple[int, ...] | None]:
+    """Verdict of ii' and the lex-first failing (r-1)-subset (r >= 2).
+
+    The subset leaving out j sums to sum(v) - v_j, and the (r-1)-subsets
+    come in lex order as the left-out j runs down from r; so the first
+    failing subset leaves out the last j with v_j > sum(v).
+    """
+    ent = pr.ent
+    total = sum(ent)
+    failing = None
+    for j in range(len(ent) - 1, -1, -1):
+        if ent[j] > total:
+            failing = tuple(i for i in range(1, len(ent) + 1) if i != j + 1)
+            break
+    return (pr.factorial and failing is None, failing)
 
 
 def cond_ii_prime(v: OrdersLike) -> tuple[bool, tuple[int, ...] | None]:
@@ -269,17 +324,9 @@ def cond_ii_prime(v: OrdersLike) -> tuple[bool, tuple[int, ...] | None]:
     None if every subset passes.  Requires r >= 2.
     """
     ov = as_order_vector(v)
-    ent = ov.entries
-    r = ov.rank
-    if r < 2:
+    if ov.rank < 2:
         raise RankTooSmallError("condition ii' needs rank >= 2")
-    failing = None
-    for combo in itertools.combinations(range(1, r + 1), r - 1):
-        if sum(ent[i - 1] for i in combo) < 0:
-            failing = combo
-            break
-    ok = factorial_closed_form(ov) and failing is None
-    return (ok, failing)
+    return _cond_ii_prime(_profile(ov.entries))
 
 
 def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
@@ -311,22 +358,23 @@ def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> Conditi
 
     `basis` is trusted as given, recorded but not checked against the
     orders; when it is omitted, cross_checked_basis computes it here.
-    Every verdict is decided from the orders alone.
+    Every verdict is decided from the orders alone, all of them from one
+    pass over the entries the OrderVector has already validated.
     """
-    ov = inst.orders
     if basis is None:
-        basis = cross_checked_basis(ov)
-    cii, pairs = cond_ii(ov)
-    cii_prime, failing = cond_ii_prime(ov) if inst.rank >= 2 else (None, None)
+        basis = cross_checked_basis(inst.orders)
+    pr = _profile(inst.orders.entries)
+    cii, pairs = _cond_ii(pr)
+    cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)
     return ConditionReport(
         instance=inst,
         admissible_reasons=is_admissible(inst)[1],
         hilbert_elements=basis.elements,
-        factorial=factorial_closed_form(ov),
-        cond_i=cond_i(ov),
+        factorial=pr.factorial,
+        cond_i=not pr.negative,
         cond_ii=cii,
         cond_ii_pairs=pairs,
-        cond_iii_m=cond_iii(ov)[1],
+        cond_iii_m=_cond_iii_m(pr),
         cond_ii_prime=cii_prime,
         cond_ii_prime_failing=failing,
     )

@@ -128,6 +128,12 @@ class Instance:
             raise LengthMismatchError(
                 f"degrees {self.degrees.rank} vs orders {self.orders.rank}"
             )
+        for name in ("require_dedekind", "require_trivial_nonneg"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("group", "s0_label"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise TypeError(f"{name} must be a str or None, got {getattr(self, name)!r}")
 
     @property
     def rank(self) -> int:

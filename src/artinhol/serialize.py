@@ -3,8 +3,12 @@
 Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
-Parsing re-derives every verdict through conditions.check_instance and
-rejects a record that disagrees; the recorded basis is trusted.
+render_report_json writes the fixed-key record straight to a string; the
+test suite checks it byte for byte against canonical_json of the report
+as a dict (report_document in tests/conftest.py).  Parsing type-checks
+the instance and the basis elements, re-derives every verdict through
+conditions.check_instance and rejects a record that disagrees; the
+recorded basis is otherwise trusted.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import json
 from typing import Any
 
 from .conditions import ConditionReport, check_instance
-from .core import DegreeVector, Instance, OrderVector
+from .core import DegreeVector, Instance, OrderVector, validate_exponent_vector
 from .errors import LengthMismatchError
 from .hilbert import HilbertBasis
 from .sweep import SweepSummary
@@ -27,56 +31,79 @@ def canonical_json(doc: Any) -> str:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
 
 
-def report_document(rep: ConditionReport) -> dict[str, Any]:
-    """ConditionReport as a plain dict in canonical key order."""
-    inst = rep.instance
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "instance": {
-            "r": inst.rank,
-            "degrees": list(inst.degrees.entries),
-            "orders": list(inst.orders.entries),
-            "flags": {
-                "require_dedekind": inst.require_dedekind,
-                "require_trivial_nonneg": inst.require_trivial_nonneg,
-            },
-            "labels": {"group": inst.group, "s0": inst.s0_label},
-        },
-        "admissible": {"ok": rep.admissible, "reasons": list(rep.admissible_reasons)},
-        "hilbert": {
-            "size": rep.hilbert_size,
-            "elements": [list(e) for e in rep.hilbert_elements],
-        },
-        "conditions": {
-            "i": rep.cond_i,
-            "ii": {
-                "ok": rep.cond_ii,
-                "pairs": [
-                    {
-                        "k": pw.k,
-                        "l": pw.l,
-                        "witness": None if pw.witness is None else list(pw.witness),
-                    }
-                    for pw in rep.cond_ii_pairs
-                ],
-            },
-            "iii": {"ok": rep.cond_iii, "m": rep.cond_iii_m},
-            "ii_prime": {
-                "ok": rep.cond_ii_prime,
-                "failing_subset": (
-                    None
-                    if rep.cond_ii_prime_failing is None
-                    else list(rep.cond_ii_prime_failing)
-                ),
-            },
-        },
-        "factorial": rep.factorial,
-        "equivalence_ok": rep.equivalence_ok,
-    }
+_HEAD = '{"schema_version":' + canonical_json(SCHEMA_VERSION) + ',"instance":{"r":'
+# For bools and None only: an int 1 would find True here, so Instance
+# type-checks its flags and every verdict is a bool.
+_SCALAR = {True: "true", False: "false", None: "null"}
+
+
+def _ints(e) -> str:
+    """JSON array of a vector of ints: the list's str() without its spaces."""
+    return str(list(e)).replace(" ", "")
 
 
 def render_report_json(rep: ConditionReport) -> str:
-    return canonical_json(report_document(rep))
+    """The report's canonical JSON text, written straight from its fields.
+
+    Keys come in one fixed order, with compact separators and every number
+    an integer.  Labels and reasons go through canonical_json, so strings
+    are escaped exactly as in every other artifact; each distinct pair
+    witness is rendered once.  The test suite checks the bytes against
+    canonical_json of the report as a dict.
+    """
+    inst = rep.instance
+    witnesses = {None: "null"}
+    pairs = []
+    for k, l, w in rep.cond_ii_pairs:
+        text = witnesses.get(w)
+        if text is None:
+            text = witnesses[w] = _ints(w)
+        pairs.append(f'{{"k":{k},"l":{l},"witness":{text}}}')
+    m = rep.cond_iii_m
+    failing = rep.cond_ii_prime_failing
+    return "".join(
+        (
+            _HEAD,
+            str(inst.rank),
+            ',"degrees":',
+            _ints(inst.degrees.entries),
+            ',"orders":',
+            _ints(inst.orders.entries),
+            ',"flags":{"require_dedekind":',
+            _SCALAR[inst.require_dedekind],
+            ',"require_trivial_nonneg":',
+            _SCALAR[inst.require_trivial_nonneg],
+            '},"labels":',
+            canonical_json({"group": inst.group, "s0": inst.s0_label}),
+            '},"admissible":{"ok":',
+            _SCALAR[rep.admissible],
+            ',"reasons":',
+            canonical_json(list(rep.admissible_reasons)),
+            '},"hilbert":{"size":',
+            str(rep.hilbert_size),
+            ',"elements":',
+            str([list(e) for e in rep.hilbert_elements]).replace(" ", ""),
+            '},"conditions":{"i":',
+            _SCALAR[rep.cond_i],
+            ',"ii":{"ok":',
+            _SCALAR[rep.cond_ii],
+            ',"pairs":[',
+            ",".join(pairs),
+            ']},"iii":{"ok":',
+            _SCALAR[rep.cond_iii],
+            ',"m":',
+            "null" if m is None else str(m),
+            '},"ii_prime":{"ok":',
+            _SCALAR[rep.cond_ii_prime],
+            ',"failing_subset":',
+            "null" if failing is None else _ints(failing),
+            '}},"factorial":',
+            _SCALAR[rep.factorial],
+            ',"equivalence_ok":',
+            _SCALAR[rep.equivalence_ok],
+            "}",
+        )
+    )
 
 
 def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
@@ -84,15 +111,18 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
 
     Reads the instance and the (trusted) basis and calls check_instance; a
     document that is not exactly the rebuilt report's rendering raises
-    ValueError naming the first top-level key that differs.
+    ValueError naming the first top-level key that differs.  Mistyped
+    flags, labels, orders or basis elements, and elements of the wrong
+    rank, are rejected as the Instance and the basis are rebuilt.
     """
     doc = json.loads(data) if isinstance(data, str) else data
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
     di = doc["instance"]
     degrees = DegreeVector(tuple(di["degrees"]))
-    if di["r"] != degrees.rank:
-        raise LengthMismatchError(f"r {di['r']} vs degrees {degrees.rank}")
+    r = degrees.rank
+    if di["r"] != r:
+        raise LengthMismatchError(f"r {di['r']} vs degrees {r}")
     inst = Instance(
         degrees=degrees,
         orders=OrderVector(tuple(di["orders"])),
@@ -101,10 +131,12 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
         group=di["labels"]["group"],
         s0_label=di["labels"]["s0"],
     )
-    rep = check_instance(inst, HilbertBasis(doc["hilbert"]["elements"], "oracle"))
-    if canonical_json(doc) != render_report_json(rep):
+    elements = tuple(validate_exponent_vector(e, rank=r) for e in doc["hilbert"]["elements"])
+    rep = check_instance(inst, HilbertBasis(elements, "oracle"))
+    rendered = render_report_json(rep)
+    if canonical_json(doc) != rendered:
         pairs = itertools.zip_longest(
-            doc.items(), report_document(rep).items(), fillvalue=(None, None)
+            doc.items(), json.loads(rendered).items(), fillvalue=(None, None)
         )
         key = next(g[0] or w[0] for g, w in pairs if canonical_json(g) != canonical_json(w))
         raise ValueError(f"record key {key!r} disagrees with the report its orders give")

@@ -4,15 +4,105 @@ Everything here recomputes answers the dumbest possible way (full
 enumeration, no slack equation, no pruning) so the package's algorithms
 are checked against genuinely separate code paths.  The lattice checks
 reuse only the package's Hermite reduction, which the tests check against
-sympy.
+sympy.  report_document is the reference for the package's direct record
+renderer, and swept_families is the acceptance sweep, computed once per
+session.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
+from typing import Any
 
+import pytest
+
+from artinhol import DegreeVector, SweepPlan, sweep_reports
+from artinhol.conditions import ConditionReport
 from artinhol.errors import NotInHolError
 from artinhol.intmat import hnf_with_transform
+from artinhol.serialize import SCHEMA_VERSION
+
+SWEEP_FAMILIES = [
+    ((1, 1), 2),
+    ((1, 1), 3),
+    ((1, 1, 2), 2),
+    ((1, 1, 2), 3),
+    ((1, 1, 1, 3), 2),
+    ((1, 1, 1, 1, 2), 2),
+    ((1, 1, 2, 3, 3), 2),
+]
+
+
+@pytest.fixture(scope="session")
+def swept_families():
+    """All acceptance sweep families, with their total wall time."""
+    out = []
+    t0 = time.perf_counter()
+    for degrees, bound in SWEEP_FAMILIES:
+        plan = SweepPlan(DegreeVector(degrees), bound, worker_count=2)
+        out.append((degrees, bound, sweep_reports(plan)))
+    return out, time.perf_counter() - t0
+
+
+def report_document(rep: ConditionReport) -> dict[str, Any]:
+    """ConditionReport as a plain dict in canonical key order.
+
+    canonical_json of this dict is, byte for byte, what
+    serialize.render_report_json must write.
+    """
+    inst = rep.instance
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "instance": {
+            "r": inst.rank,
+            "degrees": list(inst.degrees.entries),
+            "orders": list(inst.orders.entries),
+            "flags": {
+                "require_dedekind": inst.require_dedekind,
+                "require_trivial_nonneg": inst.require_trivial_nonneg,
+            },
+            "labels": {"group": inst.group, "s0": inst.s0_label},
+        },
+        "admissible": {"ok": rep.admissible, "reasons": list(rep.admissible_reasons)},
+        "hilbert": {
+            "size": rep.hilbert_size,
+            "elements": [list(e) for e in rep.hilbert_elements],
+        },
+        "conditions": {
+            "i": rep.cond_i,
+            "ii": {
+                "ok": rep.cond_ii,
+                "pairs": [
+                    {
+                        "k": pw.k,
+                        "l": pw.l,
+                        "witness": None if pw.witness is None else list(pw.witness),
+                    }
+                    for pw in rep.cond_ii_pairs
+                ],
+            },
+            "iii": {"ok": rep.cond_iii, "m": rep.cond_iii_m},
+            "ii_prime": {
+                "ok": rep.cond_ii_prime,
+                "failing_subset": (
+                    None
+                    if rep.cond_ii_prime_failing is None
+                    else list(rep.cond_ii_prime_failing)
+                ),
+            },
+        },
+        "factorial": rep.factorial,
+        "equivalence_ok": rep.equivalence_ok,
+    }
+
+
+def ii_prime_failing_search(v):
+    """Lex-first (r-1)-subset (1-based) with a negative order sum, or None."""
+    for combo in itertools.combinations(range(1, len(v) + 1), len(v) - 1):
+        if sum(v[i - 1] for i in combo) < 0:
+            return combo
+    return None
 
 
 def dot(a, b) -> int:

@@ -1,7 +1,8 @@
 """Acceptance gate: every shipped criterion, at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion.  The sweep families are computed once per session and shared.
+criterion.  The sweep families are computed once per session and shared
+(the `swept_families` fixture in conftest.py).
 """
 
 from __future__ import annotations
@@ -32,37 +33,14 @@ from artinhol import (
     is_member_hol,
     nonuniqueness_witness,
     run_sweep,
-    sweep_reports,
 )
 from artinhol.serialize import exit_code_for_report, sweep_record_line
 from conftest import cond_ii_pair_search, cond_iii_subset_search, dot, lattice_is_full
 
 GOLDEN = Path(__file__).parent / "golden"
 
-SWEEP_FAMILIES = [
-    ((1, 1), 2),
-    ((1, 1), 3),
-    ((1, 1, 2), 2),
-    ((1, 1, 2), 3),
-    ((1, 1, 1, 3), 2),
-    ((1, 1, 1, 1, 2), 2),
-    ((1, 1, 2, 3, 3), 2),
-]
-
-
 def _passed(n: int, name: str) -> None:
     print(f"[ACCEPTANCE] criterion {n} ({name}): PASS")
-
-
-@pytest.fixture(scope="session")
-def swept_families():
-    """All acceptance sweep families, with their total wall time."""
-    out = []
-    t0 = time.perf_counter()
-    for degrees, bound in SWEEP_FAMILIES:
-        plan = SweepPlan(DegreeVector(degrees), bound, worker_count=2)
-        out.append((degrees, bound, sweep_reports(plan)))
-    return out, time.perf_counter() - t0
 
 
 def test_criterion_1_engine_cross_validation():

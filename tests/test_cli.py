@@ -46,7 +46,7 @@ class TestGolden:
         assert res.stdout == (GOLDEN / "check_d112_v000.json").read_text()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("name", ["a4_b2", "d112_b3"])
+    @pytest.mark.parametrize("name", ["a4_b2", "d112_b3", "s5_b1", "d1_b2"])
     def test_sweep_artifact_digests(self, tmp_path, capsys, name, workers):
         # sweeps.sha256 is in `sha256sum` format; any change to the bytes
         # of the records, the summary or the CSV shows up here.
@@ -57,6 +57,8 @@ class TestGolden:
         source = {
             "a4_b2": ["--group", "A4", "--order-bound", "2"],
             "d112_b3": ["--degrees", "1,1,2", "--order-bound", "3"],
+            "s5_b1": ["--group", "S5", "--order-bound", "1"],  # rank 7: 42 pairs a record
+            "d1_b2": ["--degrees", "1", "--order-bound", "2"],  # rank 1: one-entry arrays
         }[name]
         outputs = (("--out", "jsonl"), ("--summary-json", "json"), ("--csv", "csv"))
         paths = {flag: tmp_path / f"{name}.{ext}" for flag, ext in outputs}
@@ -228,6 +230,17 @@ class TestCommands:
 
     def test_catalog_show_unknown_is_two(self):
         assert run_cli("catalog", "show", "M11").returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [(["catalog", "show", "NOPE"], "catalog"), (["sweep", "--group", "NOPE"], "sweep")],
+    )
+    def test_unknown_group_message(self, capsys, argv, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"artinhol {command}: error: no catalog group named 'NOPE'"
 
     def test_sweep_with_outputs(self, tmp_path):
         out = tmp_path / "records.jsonl"

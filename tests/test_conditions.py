@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from artinhol import (
     Instance,
+    PairWitness,
     SubsetSelector,
     check_instance,
     cond_i,
@@ -30,7 +32,7 @@ from artinhol.errors import (
     InvalidSubsetError,
     RankTooSmallError,
 )
-from conftest import cond_ii_pair_search, cond_iii_subset_search
+from conftest import cond_ii_pair_search, cond_iii_subset_search, ii_prime_failing_search
 
 
 class TestCondI:
@@ -102,6 +104,34 @@ class TestCondII:
             ok, pairs = cond_ii(v)
             rep = check_instance(Instance.of((1, 1, 2), v))
             assert (ok, pairs) == (rep.cond_ii, rep.cond_ii_pairs), v
+
+    def test_pair_table_matches_search_r3(self):
+        for v in itertools.product(range(-2, 3), repeat=3):
+            for k, l, w in cond_ii(v)[1]:
+                assert (w is None) == (cond_ii_pair_search(v, k, l) is None), (v, k, l)
+
+    def test_pair_table_rows(self):
+        # every row of a rank <= 5 table, against the single-pair closed form
+        rng = random.Random(7)
+        vectors = [tuple(rng.randint(-4, 4) for _ in range(r)) for r in (4, 5) for _ in range(60)]
+        for v in vectors:
+            pairs = cond_ii(v)[1]
+            r = len(v)
+            assert [(k, l) for k, l, _ in pairs] == [
+                (k, l) for k in range(1, r + 1) for l in range(1, r + 1) if k != l
+            ]
+            for k, l, w in pairs:
+                assert w == cond_ii_pair(v, k, l), (v, k, l)
+                if w is not None:
+                    assert w[k - 1] >= 1 and w[l - 1] == 0 and is_member_hol(w, v)
+
+    def test_pair_witness_is_a_named_tuple(self):
+        pw = PairWitness(1, 2, (1, 0))
+        assert repr(pw) == "PairWitness(k=1, l=2, witness=(1, 0))"
+        assert (pw.k, pw.l, pw.witness) == (1, 2, (1, 0))
+        assert pickle.loads(pickle.dumps(pw)) == pw
+        assert hash(pw) == hash(PairWitness(1, 2, (1, 0)))
+        assert type(cond_ii((1, -1))[1][0]) is PairWitness
 
 
 class TestCondIIISubset:
@@ -186,6 +216,11 @@ class TestCondIIPrime:
     def test_rank_too_small(self):
         with pytest.raises(RankTooSmallError):
             cond_ii_prime((1,))
+
+    def test_failing_subset_matches_search(self):
+        for r in range(2, 6):
+            for v in itertools.product(range(-2, 3), repeat=r):
+                assert cond_ii_prime(v)[1] == ii_prime_failing_search(v), v
 
 
 class TestCheckInstance:

@@ -185,6 +185,19 @@ class TestAdmissibility:
         inst = Instance.of((1, 1), (0, 0), s0_label="1/2+3i")
         assert inst.s0_label == "1/2+3i"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("require_dedekind", 1),
+            ("require_trivial_nonneg", None),
+            ("group", 5),
+            ("s0_label", b"s0"),
+        ],
+    )
+    def test_flags_are_bools_and_labels_strings(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            Instance.of((1, 1), (0, 0), **{field: value})
+
 
 class TestDegreeVector:
     def test_degrees_at_least_one(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from artinhol import DegreeVector, Instance, SweepPlan, check_instance, sweep_reports
 from artinhol.conditions import ConditionReport
+from artinhol.hilbert import HilbertBasis
 from artinhol.errors import LengthMismatchError
 from artinhol.serialize import (
     exit_code_for_report,
@@ -19,10 +21,10 @@ from artinhol.serialize import (
     render_report_json,
     render_summary_csv,
     render_summary_json,
-    report_document,
     sweep_record_line,
 )
 from artinhol.sweep import run_sweep, summarize
+from conftest import SWEEP_FAMILIES, report_document
 
 
 def _no_floats(node) -> bool:
@@ -164,6 +166,97 @@ def test_tampered_record_is_rejected(orders, old, new, key):
     parse_report_document(line)
     with pytest.raises(ValueError, match=f"record key '{key}' disagrees"):
         parse_report_document(line.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "degrees, orders, old, new, error, match",
+    [
+        # each edit re-renders to the same bytes unless the parser checks types
+        ((1, 1), (1, -1), '"require_dedekind":true', '"require_dedekind":1',
+         TypeError, "require_dedekind must be a bool"),
+        ((1, 1), (1, -1), '"elements":[[1,0],', '"elements":[[1.0,0],',
+         TypeError, "must be ints, got 1.0"),
+        ((1, 1), (1, -1), '"group":null', '"group":5', TypeError, "group must be a str"),
+        ((1, 1), (1, -1), '"elements":[[1,0],[1,1]]', '"elements":[[1,0,0],[1,1,0]]',
+         LengthMismatchError, "length 3, expected 2"),
+    ],
+)
+def test_mistyped_record_is_rejected(degrees, orders, old, new, error, match):
+    line = render_report_json(check_instance(Instance.of(degrees, orders)))
+    assert old in line
+    parse_report_document(line)
+    with pytest.raises(error, match=match):
+        parse_report_document(line.replace(old, new, 1))
+
+
+def _assert_renders_like_reference(rep):
+    assert render_report_json(rep) == json.dumps(
+        report_document(rep), separators=(",", ":"), ensure_ascii=True
+    )
+
+
+def test_renderer_matches_reference_on_acceptance_families(swept_families):
+    families, _ = swept_families
+    n = 0
+    for _, _, reports in families:
+        for rep in reports:
+            _assert_renders_like_reference(rep)
+            n += 1
+    assert n == sum((2 * bound + 1) ** len(degrees) for degrees, bound in SWEEP_FAMILIES)
+
+
+# Labels mix JSON's escaped characters, control characters and non-ASCII.
+_LABEL_TEXT = st.text(
+    st.sampled_from('"\\/\n\t\x00\x7fé€😀' + string.ascii_letters + string.digits),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda r: st.tuples(
+            st.lists(st.integers(1, 4), min_size=r, max_size=r),
+            st.lists(st.integers(-5, 5), min_size=r, max_size=r),
+        )
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.none() | _LABEL_TEXT,
+    st.none() | _LABEL_TEXT,
+)
+def test_renderer_matches_reference_property(vectors, dedekind, trivial, group, s0):
+    degrees, orders = vectors
+    inst = Instance.of(
+        degrees,
+        orders,
+        require_dedekind=dedekind,
+        require_trivial_nonneg=trivial,
+        group=group,
+        s0_label=s0,
+    )
+    # The units stand in for the true basis beyond rank 4, where the engines
+    # are slow; the renderer writes the elements as given.
+    r = len(orders)
+    units = sorted(tuple(int(i == j) for i in range(r)) for j in range(r))
+    basis = None if r <= 4 else HilbertBasis(tuple(units), "oracle")
+    _assert_renders_like_reference(check_instance(inst, basis))
+
+
+@pytest.mark.parametrize(
+    "degrees, orders, flags",
+    [
+        ((1, 1, 2), (1, -1, -1), {"require_trivial_nonneg": True}),  # dedekind reason
+        ((1, 1, 2), (-1, 2, -1), {"require_trivial_nonneg": True}),  # both reasons
+        ((1, 1, 2), (-1, 1, 0), {"require_dedekind": False, "require_trivial_nonneg": True}),
+        ((3,), (-2,), {}),  # rank 1: empty basis, no ii' verdict
+        ((3,), (2,), {"group": 'G"\\é', "s0_label": "s0=\u00bd"}),
+    ],
+)
+def test_renderer_matches_reference_on_reasons_and_flags(degrees, orders, flags):
+    rep = check_instance(Instance.of(degrees, orders, **flags))
+    _assert_renders_like_reference(rep)
+    assert parse_report_document(render_report_json(rep)) == rep
 
 
 def test_summary_csv_shape():

@@ -1,10 +1,11 @@
 """Smoke test for the benchmark's traced sweep run.
 
 bench/traced_sweep.py replaces package functions by name with span-recording
-wrappers (sweep.check_instance, sweep.enumerate_order_vectors, sweep.Pool
-called with one positional argument, and the engines looked up as globals
-of artinhol.conditions).  This guards those names: renaming one breaks the
-traced run or silently drops its spans.
+wrappers (sweep.check_instance, serialize.sweep_record_line,
+sweep.enumerate_order_vectors, sweep.Pool called with one positional
+argument, and the engines looked up as globals of artinhol.conditions).
+This guards those names: renaming one breaks the traced run or silently
+drops its spans.
 """
 
 from __future__ import annotations
@@ -50,4 +51,7 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
         for line in path.read_text().splitlines()
     ]
     assert names.count("hilbert.oracle") >= 1
-    assert names.count("conditions.check") >= 1
+    # one verdict span and at least one render span per record: the sweep
+    # must keep calling sweep.check_instance and serialize.sweep_record_line
+    assert names.count("conditions.check") == 27
+    assert names.count("serialize.render") >= 27
