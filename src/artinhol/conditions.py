@@ -353,23 +353,26 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     return b_oracle
 
 
-def check_instance(inst: Instance, basis: HilbertBasis | None = None) -> ConditionReport:
+def check_instance(
+    inst: Instance, elements: tuple[tuple[int, ...], ...] | None = None
+) -> ConditionReport:
     """Full pipeline: admissibility, Hilbert basis, all conditions.
 
-    `basis` is trusted as given, recorded but not checked against the
-    orders; when it is omitted, cross_checked_basis computes it here.
-    Every verdict is decided from the orders alone, all of them from one
-    pass over the entries the OrderVector has already validated.
+    `elements`, the elements of a validated HilbertBasis, are trusted as
+    given, recorded but not checked against the orders; when they are
+    omitted, cross_checked_basis computes the basis here.  Every verdict
+    is decided from the orders alone, all of them from one pass over the
+    entries the OrderVector has already validated.
     """
-    if basis is None:
-        basis = cross_checked_basis(inst.orders)
+    if elements is None:
+        elements = cross_checked_basis(inst.orders).elements
     pr = _profile(inst.orders.entries)
     cii, pairs = _cond_ii(pr)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)
     return ConditionReport(
         instance=inst,
         admissible_reasons=is_admissible(inst)[1],
-        hilbert_elements=basis.elements,
+        hilbert_elements=elements,
         factorial=pr.factorial,
         cond_i=not pr.negative,
         cond_ii=cii,

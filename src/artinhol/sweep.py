@@ -9,10 +9,15 @@ asserted against.
 Hol(v) is invariant under positive scaling of v and equivariant under
 permutations of its coordinates, so a sweep runs in two phases.  Phase 1
 computes one cross-checked Hilbert basis per orbit-canonical order vector
-(see canonical_order), split across processes when asked.  Phase 2 walks
-the box in enumeration order, carries each canonical basis back to its
-vector and derives the verdicts; records are written by a single writer,
-so output bytes do not depend on the worker count.
+(see canonical_order), split across processes when asked.  Phase 2 cuts
+the box's enumeration into contiguous chunks of CHUNK_SIZE records; each
+task carries one chunk's range and the canonical basis elements it needs,
+and the worker carries them back to every vector of its chunk, derives
+the verdicts, renders the records and tallies them.  The parent only
+writes each chunk's records and merges its tally, in chunk order, so the
+output bytes do not depend on the worker count.  With one worker the same
+chunk function runs in this process, and sweep_reports walks the same
+chunk reports.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ from .errors import ArtinHolError, CapExceededError, MixedPlansError
 from .hilbert import HilbertBasis
 
 INSTANCE_CAP = 10_000_000
+
+#: Records per phase-2 task, a contiguous run of the enumeration.
+CHUNK_SIZE = 256
+
+Elements = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -101,21 +111,39 @@ def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(v[i] // g for i in perm), perm
 
 
+def _box_slice(r: int, bound: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """Entries of the vectors lo .. hi-1 of enumerate_order_vectors(r, bound).
+
+    Index i written in base 2B+1, most significant digit first, is the
+    i-th vector of the box in lex order, so a slice costs O(r) per vector
+    wherever it starts; skipping into the product would cost O(lo).
+    """
+    n = 2 * bound + 1
+    places = [n ** (r - 1 - j) for j in range(r)]
+    for i in range(lo, hi):
+        yield tuple(i // p % n - bound for p in places)
+
+
+def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
+    """Carry basis elements of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v).
+
+    Coordinate i of an element of Hol(c) becomes coordinate perm[i].  The
+    map only permutes coordinates, so distinct nonzero nonnegative elements
+    stay so, and sorting them again keeps the basis lex-sorted.
+    """
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(sorted(tuple([h[i] for i in inverse]) for h in elements))
+
+
 def basis_from_canonical(basis: HilbertBasis, perm: Sequence[int]) -> HilbertBasis:
     """Carry a Hilbert basis of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v)."""
-    elems = []
-    for h in basis.elements:
-        k = [0] * len(perm)
-        for x, j in zip(h, perm):
-            k[j] = x
-        elems.append(tuple(k))
-    return HilbertBasis(tuple(sorted(elems)), basis.source_engine)
+    return HilbertBasis(_carried(basis.elements, perm), basis.source_engine)
 
 
-def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> HilbertBasis:
+def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> Elements:
     canon, swept = item
     try:
-        return cross_checked_basis(canon)
+        return cross_checked_basis(canon).elements
     except ArtinHolError as exc:
         # The canonical vector may lie outside the box; name the one swept.
         raise type(exc)(
@@ -123,23 +151,65 @@ def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> HilbertBa
         ) from exc
 
 
-def _reports(plan: SweepPlan) -> Iterator[ConditionReport]:
-    """Yield the plan's reports in enumeration order, one basis per orbit."""
-    r = plan.degrees.rank
-    vectors = list(enumerate_order_vectors(r, plan.order_bound))
-    keys = [canonical_order(v.entries) for v in vectors]
-    first_swept: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for v, (canon, _) in zip(vectors, keys):
-        first_swept.setdefault(canon, v.entries)
-    todo = list(first_swept.items())
-    n = min(plan.worker_count, len(todo))
+def _index(
+    plan: SweepPlan,
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[set[int]]]:
+    """Walk the box once, for phase 1.
+
+    Returns each canonical vector with the first vector swept to it, in
+    order of first appearance, and for each chunk the positions in that
+    list of the canonical vectors its records need.  Positions keep the
+    index small: about 28 MB for the 823,543 vectors of S5 B=3.
+    """
+    position: dict[tuple[int, ...], int] = {}
+    todo: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    needs: list[set[int]] = []
+    for i, v in enumerate(enumerate_order_vectors(plan.degrees.rank, plan.order_bound)):
+        canon = canonical_order(v.entries)[0]
+        k = position.setdefault(canon, len(todo))
+        if k == len(todo):
+            todo.append((canon, v.entries))
+        if i % CHUNK_SIZE == 0:
+            needs.append(set())
+        needs[-1].add(k)
+    return todo, needs
+
+
+@contextmanager
+def _mapper(n: int):
+    """The builtin map for one process, else the ordered imap of one Pool(n)."""
     if n == 1:
-        computed = [_canonical_basis(item) for item in todo]
+        yield map
     else:
         with Pool(n) as pool:
-            computed = pool.map(_canonical_basis, todo, chunksize=1)
-    bases = dict(zip(first_swept, computed))
-    for v, (canon, perm) in zip(vectors, keys):
+            yield pool.imap
+
+
+@contextmanager
+def _chunk_tasks(plan: SweepPlan):
+    """Compute the plan's canonical bases; yield the map and the phase-2 tasks.
+
+    The bases are computed through the map the sweep keeps for phase 2,
+    which runs in a pool when more than one worker is asked for and the
+    box has more than one canonical vector.  Each task is (plan, lo, hi,
+    bases) for one chunk, carrying only the bases its records need.
+    """
+    todo, needs = _index(plan)
+    size = (2 * plan.order_bound + 1) ** plan.degrees.rank
+    with _mapper(min(plan.worker_count, len(todo))) as mapper:
+        bases = list(mapper(_canonical_basis, todo))
+        yield mapper, (
+            (plan, lo, min(lo + CHUNK_SIZE, size), {todo[k][0]: bases[k] for k in need})
+            for lo, need in zip(range(0, size, CHUNK_SIZE), needs)
+        )
+
+
+def _chunk_reports(
+    plan: SweepPlan, lo: int, hi: int, bases: dict[tuple[int, ...], Elements]
+) -> Iterator[ConditionReport]:
+    """Reports of the vectors lo .. hi-1 of the box, in enumeration order."""
+    for v in _box_slice(plan.degrees.rank, plan.order_bound, lo, hi):
+        canon, perm = canonical_order(v)
         inst = Instance.of(
             plan.degrees,
             v,
@@ -147,16 +217,36 @@ def _reports(plan: SweepPlan) -> Iterator[ConditionReport]:
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, basis_from_canonical(bases[canon], perm))
+        yield check_instance(inst, _carried(bases[canon], perm))
+
+
+def _run_chunk(task) -> tuple[list[str] | None, _Tally]:
+    """One phase-2 task: the chunk's record lines (None without an output
+    file) and its tally."""
+    from . import serialize  # serialize imports this module
+
+    plan, lo, hi, bases = task
+    lines = None if plan.out_path is None else []
+    tally = _Tally()
+    for rep in _chunk_reports(plan, lo, hi, bases):
+        if lines is not None:
+            lines.append(serialize.sweep_record_line(rep))
+        tally.add(rep)
+    return lines, tally
 
 
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
-    """Run the plan's instances and return reports in enumeration order."""
-    return list(_reports(plan))
+    """Run the plan's instances and return reports in enumeration order.
+
+    Phase 2 runs in this process, through the same chunk reports as a sweep.
+    """
+    with _chunk_tasks(plan) as (_, tasks):
+        return [rep for task in tasks for rep in _chunk_reports(*task)]
 
 
 class _Tally:
-    """Running aggregate of one plan's reports, folded one at a time."""
+    """Running aggregate of one plan's reports, folded one at a time or
+    merged from the tallies of consecutive parts."""
 
     def __init__(self):
         self.key = None
@@ -165,18 +255,17 @@ class _Tally:
         self.histogram: dict[int, int] = {}
         self.counterexamples: list[tuple[int, ...]] = []
 
+    def _check_key(self, key) -> None:
+        if self.key is None:
+            self.key = key
+        elif self.key != key:
+            raise MixedPlansError(f"record {key} does not match plan {self.key}")
+
     def add(self, rep: ConditionReport) -> None:
         inst = rep.instance
-        this_key = (
-            inst.rank,
-            inst.degrees.entries,
-            inst.require_dedekind,
-            inst.require_trivial_nonneg,
+        self._check_key(
+            (inst.rank, inst.degrees.entries, inst.require_dedekind, inst.require_trivial_nonneg)
         )
-        if self.key is None:
-            self.key = this_key
-        elif self.key != this_key:
-            raise MixedPlansError(f"record {this_key} does not match plan {self.key}")
         self.total += 1
         if rep.admissible:
             self.admissible += 1
@@ -189,6 +278,20 @@ class _Tally:
             self.histogram[rep.hilbert_size] = self.histogram.get(rep.hilbert_size, 0) + 1
         if rep.equivalence_ok is False:
             self.counterexamples.append(inst.orders.entries)
+
+    def merge(self, part: _Tally) -> None:
+        """Fold in the tally of the records that follow the ones folded so far."""
+        if part.key is None:
+            return
+        self._check_key(part.key)
+        self.total += part.total
+        self.admissible += part.admissible
+        self.ci_true += part.ci_true
+        self.ci_false += part.ci_false
+        self.factorial_not_i += part.factorial_not_i
+        for size, n in part.histogram.items():
+            self.histogram[size] = self.histogram.get(size, 0) + n
+        self.counterexamples += part.counterexamples
 
     def summary(self) -> SweepSummary:
         return SweepSummary(
@@ -240,14 +343,12 @@ def _replacing(path: str | Path | None):
 
 
 def run_sweep(plan: SweepPlan) -> SweepSummary:
-    """Execute the plan, streaming each record to the writer and the summary."""
-    from .serialize import sweep_record_line
-
+    """Execute the plan: write each chunk's records in order and merge its tally."""
     t0 = time.perf_counter()
     tally = _Tally()
-    with _replacing(plan.out_path) as fh:
-        for rep in _reports(plan):
+    with _replacing(plan.out_path) as fh, _chunk_tasks(plan) as (mapper, tasks):
+        for lines, part in mapper(_run_chunk, tasks):
             if fh is not None:
-                fh.write(sweep_record_line(rep))
-            tally.add(rep)
+                fh.writelines(lines)
+            tally.merge(part)
     return replace(tally.summary(), wall_time_s=time.perf_counter() - t0)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,12 @@ from artinhol import (
     summarize,
     sweep_reports,
 )
-from artinhol import conditions, sweep
+from artinhol import cli, conditions, sweep
 from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
 from artinhol.hilbert import HilbertBasis, hilbert_basis_oracle
-from artinhol.sweep import basis_from_canonical, canonical_order
+from artinhol.serialize import sweep_record_line
+from artinhol.sweep import _box_slice, _Tally, basis_from_canonical, canonical_order
+from conftest import SWEEP_FAMILIES
 
 
 class TestEnumerate:
@@ -185,7 +190,7 @@ class TestBasisCache:
         inst = Instance.of((1, 2, 1), (2, -1, -2))
         canon, perm = canonical_order(inst.orders.entries)
         basis = basis_from_canonical(conditions.cross_checked_basis(canon), perm)
-        assert check_instance(inst, basis) == check_instance(inst)
+        assert check_instance(inst, basis.elements) == check_instance(inst)
 
     def test_basis_failure_names_the_swept_vector(self, monkeypatch):
         frontier = conditions.hilbert_basis_frontier
@@ -220,11 +225,11 @@ class TestAtomicOutput:
         real = sweep.check_instance
         calls = []
 
-        def failing(inst, basis=None):
+        def failing(inst, elements=None):
             calls.append(inst)
             if len(calls) == k:
                 raise RuntimeError(f"instance {k} failed")
-            return real(inst, basis)
+            return real(inst, elements)
 
         monkeypatch.setattr(sweep, "check_instance", failing)
 
@@ -250,6 +255,109 @@ class TestAtomicOutput:
         run_sweep(SweepPlan(DegreeVector((1, 1)), 1, out_path=out))
         assert out.read_text().count("\n") == 9
         assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+class TestChunkedPhaseTwo:
+    def _artifacts(self, tmp_path, capsys, degrees, bound, workers):
+        paths = [tmp_path / f"w{workers}.{ext}" for ext in ("jsonl", "json", "csv")]
+        argv = [
+            "sweep",
+            "--degrees", ",".join(map(str, degrees)),
+            "--order-bound", str(bound),
+            "--workers", str(workers),
+        ]
+        for flag, path in zip(("--out", "--summary-json", "--csv"), paths):
+            argv += [flag, str(path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        return [path.read_bytes() for path in paths]
+
+    # (1, 1, 2) at B=4 has 729 records: two full chunks and a partial one.
+    @pytest.mark.parametrize("degrees, bound", [*SWEEP_FAMILIES, ((1, 1, 2), 4)])
+    def test_artifacts_do_not_depend_on_worker_count(self, tmp_path, capsys, degrees, bound):
+        one = self._artifacts(tmp_path, capsys, degrees, bound, 1)
+        for workers in (2, 4):
+            assert self._artifacts(tmp_path, capsys, degrees, bound, workers) == one
+
+    def test_reports_render_to_the_sweep_records(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=2, out_path=out)
+        run_sweep(plan)
+        lines = "".join(sweep_record_line(rep) for rep in sweep_reports(plan))
+        assert out.read_text() == lines
+
+    @pytest.mark.parametrize("r, bound", [(1, 1), (1, 2), (3, 2), (4, 1), (3, 4)])
+    def test_box_slices_follow_the_enumeration(self, r, bound):
+        box = [v.entries for v in enumerate_order_vectors(r, bound)]
+        n = len(box)
+        for lo, hi in [(0, n), (0, 1), (n - 1, n), (n // 3, n // 2), (n, n)]:
+            assert list(_box_slice(r, bound, lo, hi)) == box[lo:hi]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_in_a_worker_propagates_and_writes_nothing(
+        self, tmp_path, monkeypatch, existing
+    ):
+        out = tmp_path / "records.jsonl"
+        if existing:
+            out.write_text("previous sweep\n")
+        real = sweep.check_instance
+
+        # Forked workers inherit the patch; (1, 0, -1) is record 444, in
+        # the second chunk.
+        def failing(inst, elements=None):
+            if inst.orders.entries == (1, 0, -1):
+                raise RuntimeError(f"check failed in process {os.getpid()}")
+            return real(inst, elements)
+
+        monkeypatch.setattr(sweep, "check_instance", failing)
+        with pytest.raises(RuntimeError, match="check failed in process") as err:
+            run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=2, out_path=out))
+        assert f"process {os.getpid()}" not in str(err.value)
+        if existing:
+            assert out.read_text() == "previous sweep\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+
+class TestTallyMerge:
+    def _reports(self):
+        reports = sweep_reports(SweepPlan(DegreeVector((1, 1, 2)), 2))
+        # Real sweeps hold no counterexamples; flipping ii makes some.
+        return [
+            replace(rep, cond_ii=not rep.cond_ii) if i % 17 == 3 and rep.admissible else rep
+            for i, rep in enumerate(reports)
+        ]
+
+    def test_merged_parts_equal_one_pass_summary(self):
+        reports = self._reports()
+        whole = summarize(reports)
+        assert len(whole.counterexamples) > 2
+        assert len(whole.hilbert_histogram) > 1
+        for cuts in [(), (0,), (1, 1, 64), (32, 100), (124,), (125,)]:
+            bounds = [0, *cuts, len(reports)]
+            tally = _Tally()
+            for lo, hi in itertools.pairwise(bounds):
+                part = _Tally()
+                for rep in reports[lo:hi]:
+                    part.add(rep)
+                tally.merge(part)
+            assert tally.summary() == whole
+
+    def test_mismatched_parts_are_rejected(self):
+        a = _Tally()
+        a.add(check_instance(Instance.of((1, 1), (0, 0))))
+        for other in [
+            Instance.of((1, 2), (0, 0)),
+            Instance.of((1, 1), (0, 0), require_dedekind=False),
+        ]:
+            b = _Tally()
+            b.add(check_instance(other))
+            with pytest.raises(MixedPlansError):
+                a.merge(b)
+        empty = _Tally()
+        empty.merge(a)
+        assert empty.summary() == a.summary()
 
 
 class TestSummarize:

@@ -5,7 +5,8 @@ wrappers (sweep.check_instance, serialize.sweep_record_line,
 sweep.enumerate_order_vectors, sweep.Pool called with one positional
 argument, and the engines looked up as globals of artinhol.conditions).
 This guards those names: renaming one breaks the traced run or silently
-drops its spans.
+drops its spans.  It also shows that the verdicts of a two-worker sweep
+are computed in the workers, not in the parent.
 """
 
 from __future__ import annotations
@@ -45,12 +46,16 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert out.read_text().count("\n") == 27
-    names = [
-        json.loads(line)["name"]
+    per_process = [
+        [json.loads(line)["name"] for line in path.read_text().splitlines()]
         for path in trace_dir.glob("spans-*.jsonl")
-        for line in path.read_text().splitlines()
     ]
+    names = [name for spans in per_process for name in spans]
     assert names.count("hilbert.oracle") >= 1
+    # phase 2 runs in the pool: the parent, which holds the sweep.run
+    # span, writes and merges but checks no instance itself
+    (parent,) = [spans for spans in per_process if "sweep.run" in spans]
+    assert "conditions.check" not in parent
     # one verdict span and at least one render span per record: the sweep
     # must keep calling sweep.check_instance and serialize.sweep_record_line
     assert names.count("conditions.check") == 27
