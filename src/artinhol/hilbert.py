@@ -2,30 +2,40 @@
 
 Hol(v) = {k in N^r : <k, v> >= 0} is an affine semigroup.  Mapping k to
 (k, <k, v>) identifies it with the solution monoid of the single slack
-equation sum_j v_j k_j - s = 0 over N^(r+1); irreducible elements of Hol
-correspond to the componentwise-minimal nonzero solutions, and minimal
-solutions of a one-equation linear Diophantine system are bounded in every
-coordinate by the largest coefficient on the opposite side.  Hence every
-Hilbert-basis coordinate is at most B = max(1, max_j |v_j|), which turns
-the computation into a finite problem.
+equation sum_{v_j > 0} v_j k_j = sum_{v_j < 0} |v_j| k_j + s over
+N^(r+1), with coordinates where v_j = 0 left free; irreducible elements
+of Hol correspond to the componentwise-minimal nonzero solutions.  For the
+minimal solutions of a.x = b.y with positive a and b, Sigma x <= max b
+and Sigma y <= max a (J.-L. Lambert, C. R. Acad. Sci. Paris Ser. I 305
+(1987) 39-40).  With a the positive orders and b the absolute negative
+orders plus the slack's 1, every irreducible h of Hol lies in the
+completeness region
 
-Two engines exploit this independently: the oracle walks the whole box
-[0, B]^r in lex order and keeps each member of Hol that no irreducible
-found before it divides inside Hol, and the frontier engine grows
-candidate solutions of the slack equation one unit step at a time,
-pruning anything that dominates a known minimal solution.  They must
-agree; every cross-checked basis compares them.  The brute-force checks
-the test suite runs against them (a split search deciding irreducibility,
-the lattice rank of a basis, the adjoined irreducibles of a positive
-pivot) live next to those tests, in tests/conftest.py.
+    Sigma_{v_j > 0} h_j <= b+ = max(1, max_{v_j < 0} |v_j|),
+    Sigma_{v_j < 0} h_j <= b- = max_{v_j > 0} v_j  (0 if no v_j > 0),
+    h_j <= 1 where v_j = 0  (an irreducible with h_j >= 1 there is e_j),
+
+which turns the computation into a finite problem.  The region is
+downward closed: lowering a coordinate of a point keeps it inside.
+
+Two engines exploit this independently: the oracle walks the region in
+lex order and keeps each member of Hol that no irreducible found before
+it divides inside Hol, and the frontier engine grows candidate solutions
+of the slack equation one unit step at a time, pruning anything that
+dominates a known minimal solution.  They must agree; every cross-checked
+basis compares them.  The brute-force checks the test suite runs against
+them (the irreducibles of the whole box [0, max(1, max |v_j|)]^r, a split
+search deciding irreducibility, the lattice rank of a basis, the adjoined
+irreducibles of a positive pivot) live next to those tests, in
+tests/conftest.py.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     INT64_MAX,
@@ -41,7 +51,8 @@ from .errors import (
 )
 from .intmat import hnf_with_transform
 
-#: Hard cap on box enumeration size; keeps interactive misuse from hanging.
+#: Hard cap on the oracle's region points and the frontier's explored
+#: nodes; keeps interactive misuse from hanging.
 ENUMERATION_CAP = 10_000_000
 
 
@@ -53,6 +64,8 @@ class HilbertBasis:
     source_engine: str
     # count_factorizations' memo: cap -> {(i, remainder): (count, witnesses)}.
     _factor_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # count_factorizations' tables, built on its first call: (supports, uncovered).
+    _factor_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(tuple(e) for e in self.elements)
@@ -84,24 +97,54 @@ class FactorizationCount:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-def _completeness_bound(ent: Sequence[int]) -> int:
-    return max(1, max(abs(x) for x in ent))
+class _Region(NamedTuple):
+    """The completeness region of Hol(v) (module docstring): the two sum
+    limits and how many coordinates have each sign of v_j."""
 
+    plus: int  # b+, the limit on the sum over v_j > 0
+    minus: int  # b-, the limit on the sum over v_j < 0
+    positive: int
+    negative: int
+    zero: int
 
-def _guard_enumeration(r: int, bound: int, ent: Sequence[int]) -> None:
-    if (bound + 1) ** r > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"box ({bound + 1})^{r} exceeds the enumeration cap {ENUMERATION_CAP}"
+    def points(self) -> int:
+        """Exact number of points in the region, the identity included."""
+        return (
+            math.comb(self.plus + self.positive, self.positive)
+            * math.comb(self.minus + self.negative, self.negative)
+            * 2**self.zero
         )
-    # Box coordinates are <= bound, so dot products stay within
-    # r * bound * max|v|; refuse anything that could leave 64 bits.
-    if r * bound * max(1, max(abs(x) for x in ent)) > INT64_MAX:
-        raise ArithmeticOverflowError("box enumeration could overflow 64-bit sums")
+
+
+def _region(ent: Sequence[int]) -> _Region:
+    pos = [x for x in ent if x > 0]
+    neg = [-x for x in ent if x < 0]
+    return _Region(
+        max(1, max(neg, default=0)),
+        max(pos, default=0),
+        len(pos),
+        len(neg),
+        len(ent) - len(pos) - len(neg),
+    )
+
+
+def _guard_oracle(region: _Region) -> None:
+    points = region.points()
+    if points > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"completeness region of {points} points exceeds the enumeration cap "
+            f"{ENUMERATION_CAP}"
+        )
+    # In the region sum_{v_j > 0} h_j v_j <= b+ * b- and
+    # sum_{v_j < 0} h_j |v_j| <= b- * b+, so |<h, v>| <= b+ * b-;
+    # refuse anything that could leave 64 bits.
+    if region.plus * region.minus > INT64_MAX:
+        raise ArithmeticOverflowError("region enumeration could overflow 64-bit sums")
 
 
 def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
-    """Reference engine: walk the completeness box in lex order, keep the
-    members no earlier irreducible divides.
+    """Reference engine: walk the completeness region in lex order, keep
+    the members no earlier irreducible divides.
 
     A nonzero member k of Hol is reducible iff some irreducible h != k
     with h <= k (componentwise) has <h, v> <= <k, v>.  If such an h
@@ -111,31 +154,62 @@ def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
     k = h + rest with h irreducible and rest a nonzero member of Hol:
     then h <= k, h != k and <h, v> = <k, v> - <rest, v> <= <k, v>.
     Componentwise h <= k with h != k implies h precedes k in lex order,
-    and h lies in the box because k does, so when the walk reaches k
-    every such h has already been kept.  The kept list is therefore
-    exactly the irreducibles of the box, in lex order.
+    and h lies in the region because k does and the region is downward
+    closed, so when the walk reaches k every such h has already been
+    kept.  The kept list is therefore exactly the irreducibles of the
+    region, in lex order, and by Lambert's bound every irreducible of Hol
+    lies in the region.
     """
     ov = as_order_vector(v)
     ent = ov.entries
-    r = ov.rank
-    bound = _completeness_bound(ent)
-    _guard_enumeration(r, bound, ent)
+    region = _region(ent)
+    _guard_oracle(region)
+    kept = _walk_region(ent, region.plus, region.minus)
+    return HilbertBasis(tuple(h for h, _ in kept), "oracle")
 
-    basis: list[tuple[tuple[int, ...], int]] = []
-    box = itertools.product(range(bound + 1), repeat=r)
-    next(box)  # skip the identity
-    for k in box:
-        s = 0
-        for x, w in zip(k, ent):
-            s += x * w
-        if s < 0:
+
+def _walk_region(ent: Sequence[int], plus: int, minus: int) -> list[tuple[tuple[int, ...], int]]:
+    """Walk the region in lex order; return the points no earlier kept
+    point divides inside Hol, each with its order.
+
+    A depth-first walk over prefixes, one coordinate per level, on an
+    explicit stack so that the rank is not limited by the recursion
+    limit.  A stack entry is a prefix with its order and what its
+    coordinates left of the two sum limits; the last coordinate is walked
+    in a loop.
+    """
+    last = len(ent) - 1
+    kept: list[tuple[tuple[int, ...], int]] = []
+    stack = [((), 0, plus, minus)]
+    while stack:
+        prefix, s, plus, minus = stack.pop()
+        j = len(prefix)
+        w = ent[j]
+        top = plus if w > 0 else minus if w < 0 else 1
+        if j < last:
+            for x in range(top, -1, -1):  # pushed in reverse, popped in lex order
+                stack.append(
+                    (
+                        prefix + (x,),
+                        s + x * w,
+                        plus - x if w > 0 else plus,
+                        minus - x if w < 0 else minus,
+                    )
+                )
             continue
-        for h, hs in basis:
-            if hs <= s and all(map(operator.le, h, k)):
-                break
-        else:
-            basis.append((k, s))
-    return HilbertBasis(tuple(h for h, _ in basis), "oracle")
+        for x in range(0 if any(prefix) else 1, top + 1):  # skip the identity
+            t = s + x * w
+            if t < 0:
+                if w < 0:
+                    break  # the order only falls from here
+                continue
+            k = prefix + (x,)
+            for h, hs in kept:
+                if hs <= t and all(map(operator.le, h, k)):
+                    break
+            else:
+                kept.append((k, t))
+    return kept
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -161,12 +235,24 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     solution).  Balanced candidates are collected; anything dominating a
     known minimal solution is pruned.  Level-by-level processing keeps the
     minimal set complete before deeper candidates are expanded.
+
+    The search ends by level b+ + b- + 1, with b+ and b- the sum limits
+    of the completeness region.  A unit vector's defect lies in
+    [-b+, b-], and a step from a positive defect subtracts at most b+
+    while one from a negative defect adds at most b-, so every defect
+    stays in [-b+, b-].  Two candidates on one chain of steps, x below y,
+    cannot share a defect: y - x would be a nonzero solution, so y would
+    dominate a minimal solution of lower level, already known, and be
+    pruned.  So the unbalanced candidates of a chain, one per level, hold
+    distinct nonzero defects, of which there are b+ + b-, and a balanced
+    one can only follow them.  Exceeding that level is an internal bug
+    and raises AssertionError.  Sums never leave [-b+, b-], so the
+    guard caps only the nodes explored, at ENUMERATION_CAP.
     """
     ov = as_order_vector(v)
     ent = ov.entries
     r = ov.rank
-    bound = _completeness_bound(ent)
-    _guard_enumeration(r, bound, ent)
+    region = _region(ent)
 
     active = [j for j in range(r) if ent[j] != 0]
     units = [_unit(r, j) for j in range(r) if ent[j] == 0]
@@ -179,13 +265,15 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
         frontier[_unit(n, i)] = coeffs[i]
 
     level = 1
-    max_level = n * (bound + 2) + 2  # minimal solutions live far below this
+    max_level = region.plus + region.minus + 1
+    explored = n
     while frontier:
         if level > max_level:
             raise AssertionError(f"frontier search exceeded level bound for v={ent}")
         for x, d in frontier.items():
             if d == 0 and not any(_dominates(m, x) for m in minimal):
                 minimal.append(x)
+        room = ENUMERATION_CAP - explored
         nxt: dict[tuple[int, ...], int] = {}
         for x, d in frontier.items():
             if d == 0:
@@ -199,6 +287,12 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
                     if any(_dominates(m, y) for m in minimal):
                         continue
                     nxt[y] = d + c
+                    if len(nxt) > room:
+                        raise CapExceededError(
+                            f"frontier search exceeds the enumeration cap of "
+                            f"{ENUMERATION_CAP} nodes"
+                        )
+        explored += len(nxt)
         frontier = nxt
         level += 1
 
@@ -226,41 +320,60 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     `cap`.  This is exact: a state's capped count is the capped sum of
     its children's capped counts, and its first two factorizations are
     the first two of its children's, taken in the order the search visits
-    them.  The memo is a field of the basis, excluded from comparison,
-    hashing and repr, so it is freed with the basis.
+    them.  The memo and the search's tables (each element's support as
+    (j, h_j) pairs, and the coordinates no later element can reduce) are
+    fields of the basis, excluded from comparison, hashing and repr, so
+    the tables are built once per basis and both are freed with it.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
     elems = basis.elements
-    m = len(elems)
-    kk = validate_exponent_vector(k, rank=len(elems[0]) if m else None)
-    r = len(kk)
-
-    supports = [[j for j, x in enumerate(h) if x] for h in elems]
-    # uncovered[i]: coordinates no element from position i on can reduce.
-    uncovered = [tuple(range(r))] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        uncovered[i] = tuple(j for j in uncovered[i + 1] if not elems[i][j])
-
-    memo = basis._factor_memo.setdefault(cap, {})
-    count, witnesses = _factorizations_from(0, kk, elems, supports, uncovered, memo, cap)
+    kk = validate_exponent_vector(k, rank=len(elems[0]) if elems else None)
+    if elems:
+        memo = basis._factor_memo.setdefault(cap, {})
+        count, witnesses = _factorizations_from(0, kk, *_factor_tables(basis), memo, cap)
+    else:  # the empty basis generates only the identity
+        count, witnesses = (0, ()) if any(kk) else (1, ((),))
     if count == 0:
         raise NotInHolError(f"{kk} is not generated by the basis (not in Hol)")
     return FactorizationCount(kk, count, witnesses)
 
 
-def _factorizations_from(i, rem, elems, supports, uncovered, memo, cap):
-    """(count capped at `cap`, first two witnesses) of `rem` over elems[i:].
+def _factor_tables(basis: HilbertBasis) -> tuple[tuple, tuple]:
+    """(supports, uncovered) of a nonempty basis, built on first use.
 
-    Recurses only on multiplicities c >= 1, which shrink `rem`, so the
-    depth does not grow with the basis; the c = 0 successors (i+1, rem),
-    (i+2, rem), ... are walked in a loop and folded back in reverse.  A
-    module-level function rather than a closure: a self-referencing
-    closure leaves a reference cycle behind each call, and a memo reachable
-    from one would outlive its basis until the cyclic collector runs.
+    supports[i] holds the nonzero coordinates of element i as (j, h_j)
+    pairs; uncovered[i] the coordinates no element from position i on can
+    reduce, all of them at i = len(basis).
+    """
+    tables = basis._factor_tables
+    if tables is None:
+        elems = basis.elements
+        m = len(elems)
+        supports = tuple(tuple((j, x) for j, x in enumerate(h) if x) for h in elems)
+        uncovered = [tuple(range(len(elems[0])))] * (m + 1)
+        for i in range(m - 1, -1, -1):
+            uncovered[i] = tuple(j for j in uncovered[i + 1] if not elems[i][j])
+        tables = (supports, tuple(uncovered))
+        object.__setattr__(basis, "_factor_tables", tables)
+    return tables
+
+
+def _factorizations_from(i, rem, supports, uncovered, memo, cap):
+    """(count capped at `cap`, first two witnesses) of `rem` over the
+    elements from position i on.
+
+    Multiplicities and remainders are computed over each element's
+    support only.  Recurses only on multiplicities c >= 1, which shrink
+    `rem`, so the depth does not grow with the basis; the c = 0 successors
+    (i+1, rem), (i+2, rem), ... are walked in a loop and folded back in
+    reverse.  A module-level function rather than a closure: a
+    self-referencing closure leaves a reference cycle behind each call,
+    and a memo reachable from one would outlive its basis until the
+    cyclic collector runs.
     """
     if not any(rem):
-        return 1, ((0,) * (len(elems) - i),)
+        return 1, ((0,) * (len(supports) - i),)
     chain = []  # (key, count, witnesses) of states awaiting their c = 0 child
     while True:
         for j in uncovered[i]:
@@ -272,12 +385,18 @@ def _factorizations_from(i, rem, elems, supports, uncovered, memo, cap):
             state = memo.get(key)
         if state is not None:
             break
-        h = elems[i]
-        cmax = min(rem[j] // h[j] for j in supports[i])
+        support = supports[i]
+        cmax = None  # a plain loop: min() over a generator costs 3x this
+        for j, x in support:
+            q = rem[j] // x
+            if cmax is None or q < cmax:
+                cmax = q
         count, witnesses = 0, []
         for c in range(cmax, 0, -1):
-            nr = tuple([x - c * y for x, y in zip(rem, h)])
-            n, ws = _factorizations_from(i + 1, nr, elems, supports, uncovered, memo, cap)
+            nr = list(rem)
+            for j, x in support:
+                nr[j] -= c * x
+            n, ws = _factorizations_from(i + 1, tuple(nr), supports, uncovered, memo, cap)
             if n:
                 count += n
                 for w in ws[: 2 - len(witnesses)]:

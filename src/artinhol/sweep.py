@@ -89,13 +89,19 @@ def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
 
     Raises CapExceededError up front if r * (2B+1)^r exceeds INSTANCE_CAP.
     """
+    for entries in _box(r, bound):
+        yield OrderVector(entries)
+
+
+def _box(r: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Entries of the vectors of enumerate_order_vectors(r, bound), with its
+    checks made up front and no OrderVector built."""
     if r < 1 or bound < 1:
         raise ValueError("need r >= 1 and bound >= 1")
     size = (2 * bound + 1) ** r
     if r * size > INSTANCE_CAP:
         raise CapExceededError(f"sweep of r*{size} entries exceeds cap {INSTANCE_CAP}")
-    for entries in itertools.product(range(-bound, bound + 1), repeat=r):
-        yield OrderVector(entries)
+    return itertools.product(range(-bound, bound + 1), repeat=r)
 
 
 def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -164,11 +170,11 @@ def _index(
     position: dict[tuple[int, ...], int] = {}
     todo: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     needs: list[set[int]] = []
-    for i, v in enumerate(enumerate_order_vectors(plan.degrees.rank, plan.order_bound)):
-        canon = canonical_order(v.entries)[0]
+    for i, v in enumerate(_box(plan.degrees.rank, plan.order_bound)):
+        canon = canonical_order(v)[0]
         k = position.setdefault(canon, len(todo))
         if k == len(todo):
-            todo.append((canon, v.entries))
+            todo.append((canon, v))
         if i % CHUNK_SIZE == 0:
             needs.append(set())
         needs[-1].add(k)

@@ -182,6 +182,21 @@ class TestCommands:
             "  [3, 2]\n"
         )
 
+    def test_hilbert_beyond_the_old_box(self):
+        # the box [0, 25]^5 is over the enumeration cap; Lambert's region
+        # of 32,760 points is not
+        res = run_cli("hilbert", "--orders=3,-25,2,-1,1")
+        assert res.returncode == 0, res.stderr
+        assert "hilbert basis (92 elements):" in res.stdout
+
+    def test_hilbert_region_over_the_cap_is_two(self):
+        res = run_cli("hilbert", "--orders=1000,-1000,999,-998")
+        assert res.returncode == 2
+        assert res.stderr == (
+            "error: completeness region of 251503253001 points exceeds the "
+            "enumeration cap 10000000\n"
+        )
+
     def test_hilbert_oracle_verify(self):
         # the cross-check is always on: the option is gone, and the JSON
         # carries the checked basis with no engines_agree key

@@ -28,6 +28,8 @@ from artinhol import (
     is_member_hol,
     nonuniqueness_witness,
 )
+from artinhol import hilbert
+from artinhol.conditions import cross_checked_basis
 from artinhol.errors import CapExceededError, NotInHolError
 from artinhol.intmat import hnf_with_transform
 from conftest import (
@@ -39,6 +41,17 @@ from conftest import (
     lattice_is_full,
     row_lattice_is_unimodular,
 )
+
+
+def _obeys_region(h, v) -> bool:
+    """Lambert's three limits on an irreducible h of Hol(v), from v alone."""
+    plus = max([1] + [-w for w in v if w < 0])
+    minus = max([0] + [w for w in v if w > 0])
+    return (
+        sum(x for x, w in zip(h, v) if w > 0) <= plus
+        and sum(x for x, w in zip(h, v) if w < 0) <= minus
+        and all(x <= 1 for x, w in zip(h, v) if w == 0)
+    )
 
 
 class TestIsIrreducible:
@@ -127,6 +140,72 @@ class TestFrontierEngine:
         a = hilbert_basis_oracle(v)
         b = hilbert_basis_frontier(v)
         assert a.elements == b.elements
+        assert all(_obeys_region(h, v) for h in b.elements)
+
+
+class TestCompletenessRegion:
+    """Both engines rely on Lambert's region; the brute-force basis does not."""
+
+    def test_brute_force_bases_obey_the_limits(self):
+        # the independent reference searches the whole box [0, B]^r
+        for v in itertools.chain(
+            itertools.product(range(-3, 4), repeat=2),
+            itertools.product(range(-2, 3), repeat=3),
+        ):
+            for h in brute_hilbert_basis(v, max(1, max(abs(x) for x in v))):
+                assert _obeys_region(h, v), (v, h)
+
+    def test_engine_bases_obey_the_limits(self):
+        for v in itertools.chain(
+            itertools.product(range(-6, 7), repeat=2),
+            itertools.product(range(-4, 5), repeat=3),
+            itertools.product(range(-2, 3), repeat=4),
+            TestBasisLaws.VECTORS,
+        ):
+            for h in hilbert_basis_frontier(v).elements:
+                assert _obeys_region(h, v), (v, h)
+
+    def test_points_count_the_region_exactly(self):
+        for v in itertools.chain(
+            itertools.product(range(-3, 4), repeat=2),
+            itertools.product(range(-2, 3), repeat=3),
+        ):
+            top = max(1, max(abs(x) for x in v))
+            inside = sum(
+                1
+                for k in itertools.product(range(top + 1), repeat=len(v))
+                if _obeys_region(k, v)
+            )
+            assert hilbert._region(v).points() == inside, v
+
+    def test_region_far_inside_the_old_box(self):
+        # the box [0, 25]^5 has 26^5 (about 11.9M) points, over the cap
+        v = (3, -25, 2, -1, 1)
+        assert 26**5 > hilbert.ENUMERATION_CAP
+        assert hilbert._region(v).points() == 32_760
+        basis = cross_checked_basis(v)
+        assert len(basis) == 92
+        assert all(_obeys_region(h, v) for h in basis.elements)
+
+    def test_rank_is_not_bound_by_the_recursion_limit(self):
+        # a two-point region at rank 1501, deeper than the recursion limit
+        v = (-1,) * 1500 + (0,)
+        unit = (0,) * 1500 + (1,)
+        assert hilbert._region(v).points() == 2
+        assert hilbert_basis_oracle(v).elements == (unit,)
+        assert hilbert_basis_frontier(v).elements == (unit,)
+
+    def test_oracle_guard_counts_the_region(self):
+        with pytest.raises(CapExceededError, match=r"region of 251503253001 points"):
+            hilbert_basis_oracle((1000, -1000, 999, -998))
+
+    def test_frontier_guard_caps_explored_nodes(self, monkeypatch):
+        # (2, -3) explores 11 nodes: 3 unit vectors, then 2, 3, 2 and 1
+        monkeypatch.setattr(hilbert, "ENUMERATION_CAP", 10)
+        with pytest.raises(CapExceededError, match="cap of 10 nodes"):
+            hilbert_basis_frontier((2, -3))
+        monkeypatch.setattr(hilbert, "ENUMERATION_CAP", 11)
+        assert hilbert_basis_frontier((2, -3)).elements == ((1, 0), (2, 1), (3, 2))
 
 
 class TestBasisLaws:
@@ -288,7 +367,7 @@ class TestFactorizationMemo:
             for k in itertools.product(range(4), repeat=3):
                 if dot(k, (3, -2, 2)) >= 0:
                     count_factorizations(k, basis, cap=3)
-            assert basis._factor_memo[3]
+            assert basis._factor_memo[3] and basis._factor_tables
             ref = weakref.ref(basis)
             del basis
             assert ref() is None
@@ -303,11 +382,39 @@ class TestFactorizationMemo:
                 count_factorizations(k, warm)
         fresh = hilbert_basis_oracle((2, -3, 1))
         assert warm._factor_memo and not fresh._factor_memo
+        assert warm._factor_tables is not None and fresh._factor_tables is None
         assert warm == fresh and hash(warm) == hash(fresh)
         assert repr(warm) == repr(fresh)
         back = pickle.loads(pickle.dumps(warm))
         assert back == fresh and hash(back) == hash(fresh)
         assert self._outcome((3, 2, 1), back, 2) == self._outcome((3, 2, 1), fresh, 2)
+
+    def test_tables_are_built_once_per_basis(self):
+        basis = hilbert_basis_oracle((2, -3))
+        assert basis._factor_tables is None
+        count_factorizations((4, 2), basis)
+        tables = basis._factor_tables
+        # supports as (j, h_j) pairs; uncovered[i]: coordinates that no
+        # element from position i on can reduce
+        assert tables == (
+            (((0, 1),), ((0, 2), (1, 1)), ((0, 3), (1, 2))),
+            ((), (), (), (0, 1)),
+        )
+        for k in itertools.product(range(5), repeat=2):
+            for cap in (2, 3):
+                if dot(k, (2, -3)) >= 0:
+                    count_factorizations(k, basis, cap=cap)
+        assert basis._factor_tables is tables
+        assert HilbertBasis(basis.elements, "oracle")._factor_tables is None
+
+    def test_empty_basis_factors_only_the_identity(self):
+        basis = hilbert_basis_oracle((-2, -1))
+        assert len(basis) == 0
+        fc = count_factorizations((0, 0), basis)
+        assert (fc.count, fc.witnesses) == (1, ((),))
+        with pytest.raises(NotInHolError):
+            count_factorizations((0, 1), basis)
+        assert basis._factor_tables is None and not basis._factor_memo
 
     def test_depth_does_not_grow_with_the_basis(self):
         # (1000, -1001) has 1001 irreducibles (1, 0), (2, 1), ..., (1001, 1000);

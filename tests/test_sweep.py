@@ -25,7 +25,14 @@ from artinhol import cli, conditions, sweep
 from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
 from artinhol.hilbert import HilbertBasis, hilbert_basis_oracle
 from artinhol.serialize import sweep_record_line
-from artinhol.sweep import _box_slice, _Tally, basis_from_canonical, canonical_order
+from artinhol.sweep import (
+    CHUNK_SIZE,
+    _box_slice,
+    _index,
+    _Tally,
+    basis_from_canonical,
+    canonical_order,
+)
 from conftest import SWEEP_FAMILIES
 
 
@@ -48,6 +55,27 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             list(enumerate_order_vectors(10, 3))
+
+    def test_sweep_refuses_an_oversized_box_up_front(self):
+        plan = SweepPlan(DegreeVector((1,) * 10), 3)
+        with pytest.raises(CapExceededError):
+            sweep_reports(plan)
+
+    def test_phase_one_index_follows_the_enumeration(self):
+        # _index walks the box without building OrderVectors; it must see
+        # the vectors enumerate_order_vectors yields, in the same order
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 2)
+        first: dict[tuple[int, ...], tuple[int, ...]] = {}
+        chunks: list[set[tuple[int, ...]]] = []
+        for i, v in enumerate(enumerate_order_vectors(3, 2)):
+            canon = canonical_order(v.entries)[0]
+            first.setdefault(canon, v.entries)
+            if i % CHUNK_SIZE == 0:
+                chunks.append(set())
+            chunks[-1].add(canon)
+        todo, needs = _index(plan)
+        assert todo == list(first.items())
+        assert [{todo[k][0] for k in need} for need in needs] == chunks
 
 
 class TestRunSweep:

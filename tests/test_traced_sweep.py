@@ -5,7 +5,9 @@ wrappers (sweep.check_instance, serialize.sweep_record_line,
 sweep.enumerate_order_vectors, sweep.Pool called with one positional
 argument, and the engines looked up as globals of artinhol.conditions).
 This guards those names: renaming one breaks the traced run or silently
-drops its spans.  It also shows that the verdicts of a two-worker sweep
+drops its spans.  A sweep walks its box without calling
+enumerate_order_vectors, so the traced run records no sweep.enumerate
+span; the name stays public and wrappable.  It also shows that the verdicts of a two-worker sweep
 are computed in the workers, not in the parent.
 """
 
