@@ -25,8 +25,6 @@ from .core import (
     DegreeVector,
     Instance,
     OrderVector,
-    divides_ar,
-    divides_hol,
     is_admissible,
     is_member_hol,
     order_of,
@@ -72,8 +70,6 @@ __all__ = [
     "cond_iii",
     "cond_iii_subset",
     "count_factorizations",
-    "divides_ar",
-    "divides_hol",
     "enumerate_order_vectors",
     "factorial_closed_form",
     "get_group",

@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import (
-    ArithmeticOverflowError,
-    LengthMismatchError,
-    NotInHolError,
-)
+from .errors import ArithmeticOverflowError, LengthMismatchError
 
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
@@ -168,30 +164,6 @@ def order_of(k: Sequence[int], v: OrdersLike) -> int:
 def is_member_hol(k: Sequence[int], v: OrdersLike) -> bool:
     """True iff the element k is holomorphic at s0, i.e. <k, v> >= 0."""
     return order_of(k, v) >= 0
-
-
-def divides_ar(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Divisibility in the ambient semigroup: b - a is componentwise >= 0."""
-    aa = validate_exponent_vector(a)
-    bb = validate_exponent_vector(b, rank=len(aa))
-    return all(x <= y for x, y in zip(aa, bb))
-
-
-def divides_hol(a: Sequence[int], b: Sequence[int], v: OrdersLike) -> bool:
-    """Divisibility with the quotient inside Hol(s0).
-
-    Both a and b must themselves be members of Hol; otherwise the question
-    is ill-posed and NotInHolError is raised.
-    """
-    ov = as_order_vector(v)
-    if not is_member_hol(a, ov):
-        raise NotInHolError(f"dividend {tuple(a)} is not in Hol")
-    if not is_member_hol(b, ov):
-        raise NotInHolError(f"divisor target {tuple(b)} is not in Hol")
-    if not divides_ar(a, b):
-        return False
-    h = tuple(y - x for x, y in zip(a, b))
-    return is_member_hol(h, ov)
 
 
 def is_admissible(inst: Instance) -> tuple[bool, tuple[str, ...]]:

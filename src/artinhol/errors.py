@@ -20,7 +20,8 @@ class NotInHolError(ArtinHolError):
 
 
 class NoRelationError(ArtinHolError):
-    """No integer relation found among basis elements (internal bug)."""
+    """No non-uniqueness witness in a basis larger than its rank: the basis
+    is not one of Hol, or the witness failed its check (internal bug)."""
 
 
 class EngineMismatchError(ArtinHolError):

@@ -23,9 +23,13 @@ lex order and keeps each member of Hol that no irreducible found before
 it divides inside Hol, and the frontier engine grows candidate solutions
 of the slack equation one unit step at a time, pruning anything that
 dominates a known minimal solution.  They must agree; every cross-checked
-basis compares them.  The brute-force checks the test suite runs against
-them (the irreducibles of the whole box [0, max(1, max |v_j|)]^r, a split
-search deciding irreducibility, the lattice rank of a basis, the adjoined
+basis compares them.  A basis of more than r elements is not factorial,
+and nonuniqueness_witness reads an element with two factorizations off
+two of its irreducibles, by the closed form of the factoriality proof in
+conditions.factorial_closed_form.  The brute-force checks the test suite
+runs against all of these (the irreducibles of the whole box
+[0, max(1, max |v_j|)]^r, a split search deciding irreducibility, the
+lattice rank of a basis through a Hermite normal form, the adjoined
 irreducibles of a positive pivot) live next to those tests, in
 tests/conftest.py.
 """
@@ -37,19 +41,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .core import (
-    INT64_MAX,
-    OrdersLike,
-    as_order_vector,
-    validate_exponent_vector,
-)
-from .errors import (
-    ArithmeticOverflowError,
-    CapExceededError,
-    NoRelationError,
-    NotInHolError,
-)
-from .intmat import hnf_with_transform
+from .core import OrdersLike, as_order_vector, validate_exponent_vector
+from .errors import CapExceededError, NoRelationError, NotInHolError
 
 #: Hard cap on the oracle's region points and the frontier's explored
 #: nodes; keeps interactive misuse from hanging.
@@ -129,17 +122,15 @@ def _region(ent: Sequence[int]) -> _Region:
 
 
 def _guard_oracle(region: _Region) -> None:
+    # Only the point count needs a guard: OrderVector caps |v_j| at
+    # 2^31 - 1, so every order in the region, |<h, v>| <= b+ * b- < 2^62,
+    # stays inside 64 bits.
     points = region.points()
     if points > ENUMERATION_CAP:
         raise CapExceededError(
             f"completeness region of {points} points exceeds the enumeration cap "
             f"{ENUMERATION_CAP}"
         )
-    # In the region sum_{v_j > 0} h_j v_j <= b+ * b- and
-    # sum_{v_j < 0} h_j |v_j| <= b- * b+, so |<h, v>| <= b+ * b-;
-    # refuse anything that could leave 64 bits.
-    if region.plus * region.minus > INT64_MAX:
-        raise ArithmeticOverflowError("region enumeration could overflow 64-bit sums")
 
 
 def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
@@ -227,6 +218,8 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     efficient incremental algorithm for solving systems of linear
     Diophantine equations", Information and Computation 113 (1994).
 
+    Hol(v) = Hol(v / g) for g = gcd(v), so the search runs on v / g, whose
+    region limits, and with them the depth, are up to g times smaller.
     Coordinates with v_j = 0 contribute exactly their unit vectors and are
     excluded up front.  Over the remaining coordinates plus the slack, the
     search starts from the unit vectors and repeatedly bumps a candidate x
@@ -250,7 +243,8 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     guard caps only the nodes explored, at ENUMERATION_CAP.
     """
     ov = as_order_vector(v)
-    ent = ov.entries
+    g = math.gcd(*ov.entries) or 1
+    ent = tuple(x // g for x in ov.entries)
     r = ov.rank
     region = _region(ent)
 
@@ -422,31 +416,42 @@ def _factorizations_from(i, rem, supports, uncovered, memo, cap):
 def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None:
     """Element with two distinct basis factorizations, when |basis| > r.
 
-    Extracts a nonzero integer relation sum_h lam_h * h = 0 from the left
-    kernel of the basis matrix and returns the positive part's combination
-    w = sum_{lam_h > 0} lam_h * h; the positive and negative parts of the
-    relation are then two different coefficient vectors for w.  Returns
-    None when |basis| <= r (no relation is forced).
+    Closed form from the proof of conditions.factorial_closed_form.  In a
+    Hilbert basis of Hol(v) the unit vectors are exactly the e_j with
+    v_j >= 0.  When the basis exceeds r, that proof gives two distinct
+    irreducibles x and y which, outside the unit coordinates, are both
+    supported on one and the same negative coordinate n:
+    ceil(-v_n / v_p) e_p + e_n and ceil(-v_n / v_q) e_q + e_n for two
+    positive orders p and q, or, with a single positive order p that
+    does not divide v_n and g = gcd(v_p, v_n), ceil(-v_n / v_p) e_p + e_n
+    and (-v_n / g) e_p + (v_p / g) e_n.  The componentwise maximum
+    w = max(y_n x, x_n y) is y_n x plus units and also x_n y plus units,
+    two different factorizations.  y is the first element in lex order
+    that shares its n with an earlier one, and x the first of those.
+    Returns None when |basis| <= r (no relation is forced), and
+    raises NoRelationError when no such pair exists, since the basis is
+    then not one of Hol.
     """
     elems = basis.elements
-    m = len(elems)
-    if m <= r:
+    if len(elems) <= r:
         return None
-    _, U, pivots = hnf_with_transform([list(e) for e in elems])
-    if len(pivots) >= m:
-        raise NoRelationError("no kernel relation despite |basis| > r (internal bug)")
-    lam = U[len(pivots)]
-    if not any(c > 0 for c in lam) or not any(c < 0 for c in lam):
-        # A one-signed relation among nonzero nonnegative vectors is impossible.
-        raise NoRelationError("degenerate kernel relation (internal bug)")
-    w = [0] * r
-    for coef, h in zip(lam, elems):
-        if coef > 0:
-            for j in range(r):
-                w[j] += coef * h[j]
-    witness = tuple(w)
-    got = count_factorizations(witness, basis, cap=2)
-    if got.count != 2:
-        raise NoRelationError("kernel witness failed the two-factorization check")
+    units = {h.index(1) for h in elems if sum(h) == 1}
+    first: dict[int, tuple[int, ...]] = {}
+    for y in elems:
+        outside = [j for j, c in enumerate(y) if c and j not in units]
+        if len(outside) != 1:
+            continue
+        n = outside[0]
+        x = first.get(n)
+        if x is None:
+            first[n] = y
+        else:
+            witness = tuple(max(y[n] * a, x[n] * b) for a, b in zip(x, y))
+            break
+    else:
+        raise NoRelationError(
+            "no two irreducibles share a single non-unit coordinate: not a Hilbert basis of Hol"
+        )
+    if count_factorizations(witness, basis, cap=2).count != 2:
+        raise NoRelationError(f"witness {witness} failed the two-factorization check")
     return witness
-

@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Sequence
 from .conditions import ConditionReport, check_instance, cross_checked_basis
 from .core import DegreeVector, Instance, OrderVector
 from .errors import ArtinHolError, CapExceededError, MixedPlansError
-from .hilbert import HilbertBasis
 
 INSTANCE_CAP = 10_000_000
 
@@ -141,17 +140,13 @@ def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
     return tuple(sorted(tuple([h[i] for i in inverse]) for h in elements))
 
 
-def basis_from_canonical(basis: HilbertBasis, perm: Sequence[int]) -> HilbertBasis:
-    """Carry a Hilbert basis of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v)."""
-    return HilbertBasis(_carried(basis.elements, perm), basis.source_engine)
-
-
 def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> Elements:
     canon, swept = item
     try:
         return cross_checked_basis(canon).elements
     except ArtinHolError as exc:
-        # The canonical vector may lie outside the box; name the one swept.
+        # The canonical vector is sorted and gcd-reduced, so it need not be
+        # the vector the user swept; name that one too.
         raise type(exc)(
             f"canonical order vector {canon} of swept order vector {swept}: {exc}"
         ) from exc

@@ -3,24 +3,29 @@
 Everything here recomputes answers the dumbest possible way (full
 enumeration, no slack equation, no pruning) so the package's algorithms
 are checked against genuinely separate code paths.  The lattice checks
-reuse only the package's Hermite reduction, which the tests check against
-sympy.  report_document is the reference for the package's direct record
-renderer, and swept_families is the acceptance sweep, computed once per
-session.
+rest on the exact Hermite reduction defined here, which the tests check
+against sympy.  report_document is the reference for the package's
+direct record renderer, and swept_families is the acceptance sweep,
+computed once per session.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Any
+from typing import Any, Sequence
 
 import pytest
 
-from artinhol import DegreeVector, SweepPlan, sweep_reports
+from artinhol import (
+    DegreeVector,
+    SweepPlan,
+    is_member_hol,
+    sweep_reports,
+    validate_exponent_vector,
+)
 from artinhol.conditions import ConditionReport
 from artinhol.errors import NotInHolError
-from artinhol.intmat import hnf_with_transform
 from artinhol.serialize import SCHEMA_VERSION
 
 SWEEP_FAMILIES = [
@@ -239,6 +244,67 @@ def adjoined_irreducibles(v, pivot: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def hnf_with_transform(rows: Sequence[Sequence[int]]):
+    """Row Hermite normal form with its transform.
+
+    Returns (H, U, pivots) where U is unimodular, U @ A = H, H is in row
+    echelon form with positive pivots and entries above each pivot reduced
+    into [0, pivot).  len(pivots) is the rank; rows of U beyond the rank
+    span the left kernel of A over the integers.  Plain Euclidean
+    elimination on Python ints, with no rationals and no floats, so the
+    transform is exactly unimodular.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    H = [[int(x) for x in row] for row in rows]
+    for row in H:
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    piv = 0
+    pivots: list[int] = []
+    for col in range(n):
+        if piv == m:
+            break
+        if not any(H[i][col] for i in range(piv, m)):
+            continue
+        # Euclidean elimination below the pivot slot: repeatedly move the
+        # smallest nonzero entry up and reduce the rest modulo it.
+        while True:
+            i0 = min(
+                (i for i in range(piv, m) if H[i][col]),
+                key=lambda i: (abs(H[i][col]), i),
+            )
+            if i0 != piv:
+                H[piv], H[i0] = H[i0], H[piv]
+                U[piv], U[i0] = U[i0], U[piv]
+            if H[piv][col] < 0:
+                H[piv] = [-x for x in H[piv]]
+                U[piv] = [-x for x in U[piv]]
+            p = H[piv][col]
+            clean = True
+            for i in range(piv + 1, m):
+                if H[i][col]:
+                    q = H[i][col] // p
+                    if q:
+                        H[i] = [a - q * b for a, b in zip(H[i], H[piv])]
+                        U[i] = [a - q * b for a, b in zip(U[i], U[piv])]
+                    if H[i][col]:
+                        clean = False
+            if clean:
+                break
+        # Canonical form: entries above the pivot reduced into [0, pivot).
+        p = H[piv][col]
+        for i in range(piv):
+            q = H[i][col] // p
+            if q:
+                H[i] = [a - q * b for a, b in zip(H[i], H[piv])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[piv])]
+        pivots.append(col)
+        piv += 1
+    return H, U, pivots
+
+
 def hermite_normal_form(rows):
     """Canonical row HNF and its pivot columns: (H, pivots)."""
     H, _, pivots = hnf_with_transform(rows)
@@ -258,3 +324,26 @@ def row_lattice_is_unimodular(rows, n: int) -> bool:
 def lattice_is_full(basis, r: int) -> bool:
     """True iff the basis elements span Z^r as a lattice."""
     return row_lattice_is_unimodular([list(e) for e in basis.elements], r)
+
+
+def divides_ar(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Divisibility in the ambient semigroup: b - a is componentwise >= 0."""
+    aa = validate_exponent_vector(a)
+    bb = validate_exponent_vector(b, rank=len(aa))
+    return all(x <= y for x, y in zip(aa, bb))
+
+
+def divides_hol(a: Sequence[int], b: Sequence[int], v: Sequence[int]) -> bool:
+    """Divisibility with the quotient inside Hol(s0).
+
+    Both a and b must themselves be members of Hol; otherwise the question
+    is ill-posed and NotInHolError is raised.
+    """
+    if not is_member_hol(a, v):
+        raise NotInHolError(f"dividend {tuple(a)} is not in Hol")
+    if not is_member_hol(b, v):
+        raise NotInHolError(f"divisor target {tuple(b)} is not in Hol")
+    if not divides_ar(a, b):
+        return False
+    h = tuple(y - x for x, y in zip(a, b))
+    return is_member_hol(h, v)

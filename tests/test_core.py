@@ -12,8 +12,6 @@ from artinhol import (
     DegreeVector,
     Instance,
     OrderVector,
-    divides_ar,
-    divides_hol,
     is_admissible,
     is_member_hol,
     order_of,
@@ -23,6 +21,7 @@ from artinhol.errors import (
     LengthMismatchError,
     NotInHolError,
 )
+from conftest import divides_ar, divides_hol
 
 BOX2 = list(itertools.product(range(-3, 4), repeat=2))
 EXP_BOX2 = list(itertools.product(range(4), repeat=2))

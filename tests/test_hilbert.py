@@ -1,6 +1,7 @@
-"""Hilbert engines: both basis algorithms, factorization counting and the
-Hermite reduction, with the brute-force irreducibility, lattice and
-adjoined-irreducibles checks from conftest they are tested against."""
+"""Hilbert engines: both basis algorithms, factorization counting and
+non-uniqueness witnesses, with the brute-force irreducibility, lattice and
+adjoined-irreducibles checks from conftest they are tested against, and
+the Hermite reduction behind the lattice check."""
 
 from __future__ import annotations
 
@@ -30,13 +31,13 @@ from artinhol import (
 )
 from artinhol import hilbert
 from artinhol.conditions import cross_checked_basis
-from artinhol.errors import CapExceededError, NotInHolError
-from artinhol.intmat import hnf_with_transform
+from artinhol.errors import CapExceededError, NoRelationError, NotInHolError
 from conftest import (
     adjoined_irreducibles,
     brute_count_factorizations,
     brute_hilbert_basis,
     dot,
+    hnf_with_transform,
     is_irreducible,
     lattice_is_full,
     row_lattice_is_unimodular,
@@ -116,6 +117,13 @@ class TestFrontierEngine:
         assert (
             hilbert_basis_frontier((3, -2)).elements
             == hilbert_basis_oracle((3, -2)).elements
+        )
+
+    def test_common_factor_is_divided_out(self):
+        # Hol(v) = Hol(v / gcd(v)); undivided, this search runs about 2e6 levels
+        assert (
+            hilbert_basis_frontier((10**6, -(10**6), 10**6)).elements
+            == hilbert_basis_oracle((1, -1, 1)).elements
         )
 
     def test_all_zero_orders(self):
@@ -524,6 +532,33 @@ class TestNonuniquenessWitness:
         w = nonuniqueness_witness(basis, 3)
         assert w is not None
         assert count_factorizations(w, basis, cap=2).count == 2
+
+    def test_every_nonfactorial_box_vector(self):
+        seen = 0
+        for r, bound in ((2, 5), (3, 3), (4, 2), (5, 1)):
+            for v in itertools.product(range(-bound, bound + 1), repeat=r):
+                if factorial_closed_form(v):
+                    continue
+                seen += 1
+                basis = hilbert_basis_oracle(v)
+                w = nonuniqueness_witness(basis, r)
+                if len(basis) < r:  # a negative order and no positive one
+                    assert w is None, v
+                    continue
+                assert is_member_hol(w, v), (v, w)
+                fc = count_factorizations(w, basis, cap=2)
+                assert fc.count == 2 and len(set(fc.witnesses)) == 2, (v, w)
+                for coeffs in fc.witnesses:
+                    product = [0] * r
+                    for c, h in zip(coeffs, basis.elements):
+                        product = [a + c * b for a, b in zip(product, h)]
+                    assert tuple(product) == w, (v, w, coeffs)
+        assert seen == 829
+
+    def test_no_shared_coordinate_is_not_a_hol_basis(self):
+        # (1,1) is no unit, yet it has no coordinate outside the units
+        with pytest.raises(NoRelationError):
+            nonuniqueness_witness(HilbertBasis(((0, 1), (1, 0), (1, 1)), "oracle"), 2)
 
 
 class TestAdjoinedIrreducibles:
