@@ -32,6 +32,11 @@ runs against all of these (the irreducibles of the whole box
 lattice rank of a basis through a Hermite normal form, the adjoined
 irreducibles of a positive pivot) live next to those tests, in
 tests/conftest.py.
+
+The orbit map: scaling v leaves Hol(v) unchanged and permuting v permutes
+Hol(v), so canonical_order reduces v to a sorted, gcd-free representative
+and _carried maps its basis back to v; sweeps and sweep-file reading use
+one basis per representative.
 """
 
 from __future__ import annotations
@@ -48,12 +53,14 @@ from .errors import CapExceededError, NoRelationError, NotInHolError
 #: nodes; keeps interactive misuse from hanging.
 ENUMERATION_CAP = 10_000_000
 
+Elements = tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True)
 class HilbertBasis:
     """Lex-sorted irreducible elements of Hol for one order profile."""
 
-    elements: tuple[tuple[int, ...], ...]
+    elements: Elements
     source_engine: str
     # count_factorizations' memo: cap -> {(i, remainder): (count, witnesses)}.
     _factor_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -75,6 +82,30 @@ class HilbertBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbit-canonical form of an order vector under scaling and permutation.
+
+    Returns (c, perm): c is v divided by the gcd of its entries (1 when all
+    are zero) and sorted ascending, with c[i] = v[perm[i]] / gcd.  The map
+    k -> (k[perm[0]], ..., k[perm[r-1]]) is then a monoid isomorphism from
+    Hol(v) onto Hol(c).
+    """
+    g = math.gcd(*v) or 1
+    perm = tuple(sorted(range(len(v)), key=v.__getitem__))
+    return tuple(v[i] // g for i in perm), perm
+
+
+def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
+    """Carry basis elements of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v).
+
+    Coordinate i of an element of Hol(c) becomes coordinate perm[i].  The
+    map only permutes coordinates, so distinct nonzero nonnegative elements
+    stay so, and sorting them again keeps the basis lex-sorted.
+    """
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(sorted(tuple([h[i] for i in inverse]) for h in elements))
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,23 @@ render_report_json writes the fixed-key record straight to a string; the
 test suite checks it byte for byte against canonical_json of the report
 as a dict (report_document in tests/conftest.py).  Parsing type-checks
 the instance and the basis elements, re-derives every verdict through
-conditions.check_instance and rejects a record that disagrees; the
-recorded basis is otherwise trusted.
+conditions.check_instance and rejects a record that disagrees; a record's
+basis is trusted as recorded, but read_sweep_records recomputes each one.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .conditions import ConditionReport, check_instance
+from .conditions import ConditionReport, check_instance, cross_checked_basis
 from .core import DegreeVector, Instance, OrderVector, validate_exponent_vector
 from .errors import LengthMismatchError
-from .hilbert import HilbertBasis
-from .sweep import SweepSummary
+from .hilbert import Elements, HilbertBasis, _carried, canonical_order
+
+if TYPE_CHECKING:
+    from .sweep import SweepSummary
 
 SCHEMA_VERSION = "2"
 
@@ -115,7 +117,8 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
     byte for byte that rendering, as every sweep line is, is accepted
     without encoding the parsed document again.  Mistyped flags, labels,
     orders or basis elements, and elements of the wrong rank, are rejected
-    as the Instance and the basis are rebuilt.
+    as the Instance and the basis are rebuilt; read_sweep_records also
+    recomputes the basis.
     """
     doc = json.loads(data) if isinstance(data, str) else data
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -153,13 +156,21 @@ def sweep_record_line(rep: ConditionReport) -> str:
 
 
 def read_sweep_records(path) -> list[ConditionReport]:
-    """Parse a JSON-lines sweep file back into reports."""
-    out = []
+    """Parse a JSON-lines sweep file back into reports, checking every basis.
+
+    Each basis must be the cross-checked basis of the record's canonical
+    vector (computed once per file) carried back to the record's orders;
+    one that is not raises ValueError naming the key 'hilbert'.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(parse_report_document(line))
+        out = [parse_report_document(line) for line in fh if line.strip()]
+    bases: dict[tuple[int, ...], Elements] = {}
+    for rep in out:
+        canon, perm = canonical_order(rep.instance.orders.entries)
+        if canon not in bases:
+            bases[canon] = cross_checked_basis(canon).elements
+        if rep.hilbert_elements != _carried(bases[canon], perm):
+            raise ValueError("record key 'hilbert' disagrees with the basis its orders give")
     return out
 
 
@@ -209,23 +220,21 @@ def render_report_human(rep: ConditionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_document(summary: SweepSummary) -> dict[str, Any]:
-    """SweepSummary as a plain dict; wall time is deliberately omitted."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "total": summary.total,
-        "admissible": summary.admissible,
-        "inadmissible": summary.inadmissible,
-        "cond_i_true": summary.cond_i_true,
-        "cond_i_false": summary.cond_i_false,
-        "factorial_not_i": summary.factorial_not_i,
-        "hilbert_histogram": {str(size): n for size, n in summary.hilbert_histogram},
-        "counterexamples": [list(v) for v in summary.counterexamples],
-    }
-
-
 def render_summary_json(summary: SweepSummary) -> str:
-    return canonical_json(summary_document(summary))
+    """The summary's JSON text; wall time is deliberately omitted."""
+    return canonical_json(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "total": summary.total,
+            "admissible": summary.admissible,
+            "inadmissible": summary.inadmissible,
+            "cond_i_true": summary.cond_i_true,
+            "cond_i_false": summary.cond_i_false,
+            "factorial_not_i": summary.factorial_not_i,
+            "hilbert_histogram": {str(size): n for size, n in summary.hilbert_histogram},
+            "counterexamples": [list(v) for v in summary.counterexamples],
+        }
+    )
 
 
 def render_summary_csv(summary: SweepSummary) -> str:

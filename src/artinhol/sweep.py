@@ -6,42 +6,43 @@ streams one JSON line per instance to the output file, and aggregates a
 summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.
 
-Hol(v) is invariant under positive scaling of v and equivariant under
-permutations of its coordinates, so a sweep runs in two phases.  Phase 1
-computes one cross-checked Hilbert basis per orbit-canonical order vector
-(see canonical_order), split across processes when asked.  Phase 2 cuts
-the box's enumeration into contiguous chunks of CHUNK_SIZE records; each
-task carries one chunk's range and the canonical basis elements it needs,
-and the worker carries them back to every vector of its chunk, derives
-the verdicts, renders the records and tallies them.  The parent only
-writes each chunk's records and merges its tally, in chunk order, so the
-output bytes do not depend on the worker count.  With one worker the same
-chunk function runs in this process, and sweep_reports walks the same
-chunk reports.
+A sweep runs in two phases, through the orbit map of the hilbert module.
+Phase 1 indexes the box, one array entry per vector naming its canonical
+vector, and computes one cross-checked Hilbert basis per canonical vector,
+split across processes when asked.  Phase 2 cuts the box's enumeration
+into contiguous chunks of CHUNK_SIZE records; each task carries one
+chunk's range and the canonical basis elements it needs, and the worker
+carries them back to every vector of its chunk, derives the verdicts,
+renders the records and tallies them.  The parent only writes each
+chunk's records and merges its tally, in chunk order, so the output bytes
+do not depend on the worker count.  With one worker the same chunk
+function runs in this process, and sweep_reports walks the same chunk
+reports.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import time
-from contextlib import contextmanager
+from array import array
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
+from . import serialize
 from .conditions import ConditionReport, check_instance, cross_checked_basis
 from .core import DegreeVector, Instance, OrderVector
 from .errors import ArtinHolError, CapExceededError, MixedPlansError
+from .hilbert import Elements, _carried, canonical_order
 
 INSTANCE_CAP = 10_000_000
 
 #: Records per phase-2 task, a contiguous run of the enumeration.
 CHUNK_SIZE = 256
-
-Elements = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,14 @@ class SweepPlan:
     group: str | None = None
 
     def __post_init__(self):
-        if self.order_bound < 1:
-            raise ValueError("order bound must be >= 1")
-        if self.worker_count < 1:
-            raise ValueError("worker count must be >= 1")
+        if not isinstance(self.degrees, DegreeVector):
+            raise TypeError(f"degrees must be a DegreeVector, got {self.degrees!r}")
+        for name in ("order_bound", "worker_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name.replace('_', ' ')} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,22 +79,27 @@ class SweepSummary:
 
     total: int
     admissible: int
-    inadmissible: int
     cond_i_true: int
-    cond_i_false: int
     factorial_not_i: int
     hilbert_histogram: tuple[tuple[int, int], ...]
     counterexamples: tuple[tuple[int, ...], ...]
     wall_time_s: float = field(default=0.0, compare=False)
 
+    @property
+    def inadmissible(self) -> int:
+        return self.total - self.admissible
+
+    @property
+    def cond_i_false(self) -> int:
+        return self.admissible - self.cond_i_true
+
 
 def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
-    """Yield all (2B+1)^r order vectors in the box, lexicographically.
+    """All (2B+1)^r order vectors in the box, lexicographically.
 
     Raises CapExceededError up front if r * (2B+1)^r exceeds INSTANCE_CAP.
     """
-    for entries in _box(r, bound):
-        yield OrderVector(entries)
+    return map(OrderVector, _box(r, bound))
 
 
 def _box(r: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -101,19 +111,6 @@ def _box(r: int, bound: int) -> Iterator[tuple[int, ...]]:
     if r * size > INSTANCE_CAP:
         raise CapExceededError(f"sweep of r*{size} entries exceeds cap {INSTANCE_CAP}")
     return itertools.product(range(-bound, bound + 1), repeat=r)
-
-
-def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbit-canonical form of an order vector under scaling and permutation.
-
-    Returns (c, perm): c is v divided by the gcd of its entries (1 when all
-    are zero) and sorted ascending, with c[i] = v[perm[i]] / gcd.  The map
-    k -> (k[perm[0]], ..., k[perm[r-1]]) is then a monoid isomorphism from
-    Hol(v) onto Hol(c).
-    """
-    g = math.gcd(*v) or 1
-    perm = tuple(sorted(range(len(v)), key=v.__getitem__))
-    return tuple(v[i] // g for i in perm), perm
 
 
 def _box_slice(r: int, bound: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -129,17 +126,6 @@ def _box_slice(r: int, bound: int, lo: int, hi: int) -> Iterator[tuple[int, ...]
         yield tuple(i // p % n - bound for p in places)
 
 
-def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
-    """Carry basis elements of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v).
-
-    Coordinate i of an element of Hol(c) becomes coordinate perm[i].  The
-    map only permutes coordinates, so distinct nonzero nonnegative elements
-    stay so, and sorting them again keeps the basis lex-sorted.
-    """
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple(sorted(tuple([h[i] for i in inverse]) for h in elements))
-
-
 def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> Elements:
     canon, swept = item
     try:
@@ -152,56 +138,42 @@ def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> Elements:
         ) from exc
 
 
-def _index(
-    plan: SweepPlan,
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[set[int]]]:
+def _index(plan: SweepPlan) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], array]:
     """Walk the box once, for phase 1.
 
     Returns each canonical vector with the first vector swept to it, in
-    order of first appearance, and for each chunk the positions in that
-    list of the canonical vectors its records need.  Positions keep the
-    index small: about 28 MB for the 823,543 vectors of S5 B=3.
+    order of first appearance, and `owner`: entry i is the position in
+    that list of the canonical vector of the box's vector i, four bytes
+    per vector (4 MB for the 823,543 vectors of S5 B=3).
     """
-    position: dict[tuple[int, ...], int] = {}
-    todo: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    needs: list[set[int]] = []
-    for i, v in enumerate(_box(plan.degrees.rank, plan.order_bound)):
-        canon = canonical_order(v)[0]
-        k = position.setdefault(canon, len(todo))
-        if k == len(todo):
-            todo.append((canon, v))
-        if i % CHUNK_SIZE == 0:
-            needs.append(set())
-        needs[-1].add(k)
-    return todo, needs
-
-
-@contextmanager
-def _mapper(n: int):
-    """The builtin map for one process, else the ordered imap of one Pool(n)."""
-    if n == 1:
-        yield map
-    else:
-        with Pool(n) as pool:
-            yield pool.imap
+    # canonical vector -> (its position, the first vector swept to it)
+    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    owner = array("I")
+    for v in _box(plan.degrees.rank, plan.order_bound):
+        k, _ = first.setdefault(canonical_order(v)[0], (len(first), v))
+        owner.append(k)
+    return [(canon, v) for canon, (_, v) in first.items()], owner
 
 
 @contextmanager
 def _chunk_tasks(plan: SweepPlan):
     """Compute the plan's canonical bases; yield the map and the phase-2 tasks.
 
-    The bases are computed through the map the sweep keeps for phase 2,
-    which runs in a pool when more than one worker is asked for and the
-    box has more than one canonical vector.  Each task is (plan, lo, hi,
-    bases) for one chunk, carrying only the bases its records need.
+    The map is the ordered imap of one Pool when more than one worker is
+    asked for and the box has more than one canonical vector, else the
+    builtin map.  Each task is (plan, lo, hi, bases) for one chunk,
+    carrying only the bases its records need.
     """
-    todo, needs = _index(plan)
-    size = (2 * plan.order_bound + 1) ** plan.degrees.rank
-    with _mapper(min(plan.worker_count, len(todo))) as mapper:
+    todo, owner = _index(plan)
+    n = min(plan.worker_count, len(todo))
+    size = len(owner)
+    with (Pool(n) if n > 1 else nullcontext()) as pool:
+        mapper = map if pool is None else pool.imap
         bases = list(mapper(_canonical_basis, todo))
         yield mapper, (
-            (plan, lo, min(lo + CHUNK_SIZE, size), {todo[k][0]: bases[k] for k in need})
-            for lo, need in zip(range(0, size, CHUNK_SIZE), needs)
+            (plan, lo, hi, {todo[k][0]: bases[k] for k in set(owner[lo:hi])})
+            for lo in range(0, size, CHUNK_SIZE)
+            for hi in [min(lo + CHUNK_SIZE, size)]
         )
 
 
@@ -224,8 +196,6 @@ def _chunk_reports(
 def _run_chunk(task) -> tuple[list[str] | None, _Tally]:
     """One phase-2 task: the chunk's record lines (None without an output
     file) and its tally."""
-    from . import serialize  # serialize imports this module
-
     plan, lo, hi, bases = task
     lines = None if plan.out_path is None else []
     tally = _Tally()
@@ -251,9 +221,9 @@ class _Tally:
 
     def __init__(self):
         self.key = None
-        self.total = self.admissible = 0
-        self.ci_true = self.ci_false = self.factorial_not_i = 0
-        self.histogram: dict[int, int] = {}
+        # The stored counts of a SweepSummary, by field name.
+        self.counts = Counter(total=0, admissible=0, cond_i_true=0, factorial_not_i=0)
+        self.histogram: Counter[int] = Counter()
         self.counterexamples: list[tuple[int, ...]] = []
 
     def _check_key(self, key) -> None:
@@ -267,16 +237,15 @@ class _Tally:
         self._check_key(
             (inst.rank, inst.degrees.entries, inst.require_dedekind, inst.require_trivial_nonneg)
         )
-        self.total += 1
+        counts = self.counts
+        counts["total"] += 1
         if rep.admissible:
-            self.admissible += 1
+            counts["admissible"] += 1
             if rep.cond_i:
-                self.ci_true += 1
-            else:
-                self.ci_false += 1
-            if rep.factorial and not rep.cond_i:
-                self.factorial_not_i += 1
-            self.histogram[rep.hilbert_size] = self.histogram.get(rep.hilbert_size, 0) + 1
+                counts["cond_i_true"] += 1
+            elif rep.factorial:
+                counts["factorial_not_i"] += 1
+            self.histogram[rep.hilbert_size] += 1
         if rep.equivalence_ok is False:
             self.counterexamples.append(inst.orders.entries)
 
@@ -285,23 +254,13 @@ class _Tally:
         if part.key is None:
             return
         self._check_key(part.key)
-        self.total += part.total
-        self.admissible += part.admissible
-        self.ci_true += part.ci_true
-        self.ci_false += part.ci_false
-        self.factorial_not_i += part.factorial_not_i
-        for size, n in part.histogram.items():
-            self.histogram[size] = self.histogram.get(size, 0) + n
+        self.counts.update(part.counts)
+        self.histogram.update(part.histogram)
         self.counterexamples += part.counterexamples
 
     def summary(self) -> SweepSummary:
         return SweepSummary(
-            total=self.total,
-            admissible=self.admissible,
-            inadmissible=self.total - self.admissible,
-            cond_i_true=self.ci_true,
-            cond_i_false=self.ci_false,
-            factorial_not_i=self.factorial_not_i,
+            **self.counts,
             hilbert_histogram=tuple(sorted(self.histogram.items())),
             counterexamples=tuple(self.counterexamples),
         )

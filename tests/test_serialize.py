@@ -83,6 +83,23 @@ def test_sweep_file_round_trip(tmp_path):
     assert records == direct
 
 
+def test_sweep_file_with_an_edited_basis_is_rejected(tmp_path):
+    # Hol(1,0,-1) has the basis (0,1,0), (1,0,0), (1,0,1).  Raising the
+    # last element to (2,0,1) keeps its shape, its lex order and every
+    # verdict, so the record alone still parses; the file does not.
+    out = tmp_path / "records.jsonl"
+    run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, out_path=out))
+    lines = out.read_text().splitlines(keepends=True)
+    (i,) = [i for i, line in enumerate(lines) if '"orders":[1,0,-1]' in line]
+    old, new = '"elements":[[0,1,0],[1,0,0],[1,0,1]]', '"elements":[[0,1,0],[1,0,0],[2,0,1]]'
+    assert old in lines[i]
+    lines[i] = lines[i].replace(old, new)
+    parse_report_document(lines[i])
+    out.write_text("".join(lines))
+    with pytest.raises(ValueError, match="record key 'hilbert' disagrees"):
+        read_sweep_records(out)
+
+
 def test_exit_code_contract():
     rep = check_instance(Instance.of((1, 1), (1, -1)))
     assert rep.equivalence_ok is True

@@ -24,9 +24,8 @@ from artinhol import (
 from artinhol import cli, conditions, sweep
 from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
 from artinhol.hilbert import HilbertBasis, hilbert_basis_oracle
-from artinhol.serialize import sweep_record_line
+from artinhol.serialize import render_summary_csv, render_summary_json, sweep_record_line
 from artinhol.sweep import (
-    CHUNK_SIZE,
     _box_slice,
     _carried,
     _index,
@@ -65,17 +64,16 @@ class TestEnumerate:
         # _index walks the box without building OrderVectors; it must see
         # the vectors enumerate_order_vectors yields, in the same order
         plan = SweepPlan(DegreeVector((1, 1, 2)), 2)
+        box = [v.entries for v in enumerate_order_vectors(3, 2)]
         first: dict[tuple[int, ...], tuple[int, ...]] = {}
-        chunks: list[set[tuple[int, ...]]] = []
-        for i, v in enumerate(enumerate_order_vectors(3, 2)):
-            canon = canonical_order(v.entries)[0]
-            first.setdefault(canon, v.entries)
-            if i % CHUNK_SIZE == 0:
-                chunks.append(set())
-            chunks[-1].add(canon)
-        todo, needs = _index(plan)
+        for v in box:
+            first.setdefault(canonical_order(v)[0], v)
+        todo, owner = _index(plan)
         assert todo == list(first.items())
-        assert [{todo[k][0] for k in need} for need in needs] == chunks
+        assert owner.itemsize == 4
+        assert len(owner) == len(box)
+        for v, k in zip(box, owner):
+            assert todo[k][0] == canonical_order(v)[0]
 
 
 class TestRunSweep:
@@ -104,7 +102,12 @@ class TestRunSweep:
         vs = [r.instance.orders.entries for r in reports]
         assert len(vs) == len(set(vs)) == 25
         summary = summarize(reports)
+        # inadmissible is derived from total and admissible, so this holds
+        # by construction; the counts themselves are checked against the
+        # reports.
         assert summary.total == summary.admissible + summary.inadmissible
+        assert summary.admissible == sum(r.admissible for r in reports)
+        assert summary.cond_i_false == sum(r.admissible and not r.cond_i for r in reports)
 
     def test_monotone_admissible_set(self):
         def admissible_set(bound):
@@ -115,6 +118,23 @@ class TestRunSweep:
             }
 
         assert admissible_set(1) <= admissible_set(2)
+
+    @pytest.mark.parametrize("flags", [(True, False), (False, True)])
+    @pytest.mark.parametrize("degrees, bound", SWEEP_FAMILIES)
+    def test_summary_does_not_depend_on_the_record_file(self, tmp_path, degrees, bound, flags):
+        # Without an output file no record is rendered; the summary must
+        # not notice.
+        plan = SweepPlan(
+            DegreeVector(degrees),
+            bound,
+            require_dedekind=flags[0],
+            require_trivial_nonneg=flags[1],
+            worker_count=2,
+        )
+        bare = run_sweep(plan)
+        written = run_sweep(replace(plan, out_path=tmp_path / "records.jsonl"))
+        assert render_summary_json(bare) == render_summary_json(written)
+        assert render_summary_csv(bare) == render_summary_csv(written)
 
     def test_worker_determinism(self, tmp_path):
         out1 = tmp_path / "w1.jsonl"
@@ -429,3 +449,18 @@ class TestPlanValidation:
             SweepPlan(DegreeVector((1, 1)), 0)
         with pytest.raises(ValueError):
             SweepPlan(DegreeVector((1, 1)), 1, worker_count=0)
+
+    @pytest.mark.parametrize(
+        "degrees, order_bound, worker_count, match",
+        [
+            ((1, 1), 1, 1, "degrees must be a DegreeVector"),
+            ([1, 1], 1, 1, "degrees must be a DegreeVector"),
+            (DegreeVector((1, 1)), 1.0, 1, "order_bound must be an int"),
+            (DegreeVector((1, 1)), True, 1, "order_bound must be an int"),
+            (DegreeVector((1, 1)), 1, 2.0, "worker_count must be an int"),
+            (DegreeVector((1, 1)), 1, True, "worker_count must be an int"),
+        ],
+    )
+    def test_mistyped_fields(self, degrees, order_bound, worker_count, match):
+        with pytest.raises(TypeError, match=match):
+            SweepPlan(degrees, order_bound, worker_count=worker_count)
