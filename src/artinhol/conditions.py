@@ -14,7 +14,7 @@ by cond_ii_pair and cond_iii_subset.  The bounded brute-force searches
 that validate the quantified closed forms live next to the tests that use
 them, in tests/conftest.py; factoriality is checked against the Hilbert
 basis size on every cross_checked_basis call.  check_instance is the one
-constructor of a ConditionReport; parsed records are rebuilt through it.
+constructor of a ConditionReport, and orbit_basis the one source of its basis.
 
 Each public function validates its input once and calls the private
 helpers, which take an already validated order vector: _profile reads the
@@ -41,6 +41,7 @@ from .core import (
     is_admissible,
 )
 from .errors import (
+    ArtinHolError,
     EngineMismatchError,
     EqualIndicesError,
     IndexOutOfRangeError,
@@ -48,7 +49,10 @@ from .errors import (
     RankTooSmallError,
 )
 from .hilbert import (
+    Elements,
     HilbertBasis,
+    _carried,
+    canonical_order,
     hilbert_basis_frontier,
     hilbert_basis_oracle,
 )
@@ -353,19 +357,29 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     return b_oracle
 
 
-def check_instance(
-    inst: Instance, elements: tuple[tuple[int, ...], ...] | None = None
-) -> ConditionReport:
+def orbit_basis(v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]) -> Elements:
+    """Cross-checked basis elements of Hol(v): v's canonical vector's, from the
+    caller's dict or computed into it, carried back; a failure names both."""
+    canon, perm = canonical_order(v)
+    elements = bases.get(canon)
+    if elements is None:
+        try:
+            elements = bases[canon] = cross_checked_basis(canon).elements
+        except ArtinHolError as exc:
+            if canon == v:
+                raise
+            raise type(exc)(f"canonical order vector {canon} of order vector {v}: {exc}") from exc
+    return _carried(elements, perm)
+
+
+def check_instance(inst: Instance, bases: dict | None = None) -> ConditionReport:
     """Full pipeline: admissibility, Hilbert basis, all conditions.
 
-    `elements`, the elements of a validated HilbertBasis, are trusted as
-    given, recorded but not checked against the orders; when they are
-    omitted, cross_checked_basis computes the basis here.  Every verdict
-    is decided from the orders alone, all of them from one pass over the
-    entries the OrderVector has already validated.
+    The basis comes from orbit_basis through `bases`, a fresh dict when
+    omitted.  Every verdict is decided from the orders alone, all of them
+    from one pass over the entries the OrderVector has already validated.
     """
-    if elements is None:
-        elements = cross_checked_basis(inst.orders).elements
+    elements = orbit_basis(inst.orders.entries, {} if bases is None else bases)
     pr = _profile(inst.orders.entries)
     cii, pairs = _cond_ii(pr)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)

@@ -35,8 +35,8 @@ tests/conftest.py.
 
 The orbit map: scaling v leaves Hol(v) unchanged and permuting v permutes
 Hol(v), so canonical_order reduces v to a sorted, gcd-free representative
-and _carried maps its basis back to v; sweeps and sweep-file reading use
-one basis per representative.
+and _carried maps its basis back to v; conditions.orbit_basis gives every
+report its basis this way, one basis per representative.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ from typing import NamedTuple, Sequence
 from .core import OrdersLike, as_order_vector, validate_exponent_vector
 from .errors import CapExceededError, NoRelationError, NotInHolError
 
-#: Hard cap on the oracle's region points and the frontier's explored
-#: nodes; keeps interactive misuse from hanging.
+#: Hard cap on the oracle's region points, the frontier's explored nodes
+#: and the bound on a factorization search's steps; keeps interactive
+#: misuse from hanging.
 ENUMERATION_CAP = 10_000_000
 
 Elements = tuple[tuple[int, ...], ...]
@@ -349,12 +350,34 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     (j, h_j) pairs, and the coordinates no later element can reduce) are
     fields of the basis, excluded from comparison, hashing and repr, so
     the tables are built once per basis and both are freed with it.
+
+    A search that could take more than ENUMERATION_CAP loop iterations
+    raises CapExceededError before it starts; over m basis elements, with
+    K = max_j k_j, it takes at most m * prod_j (k_j + 1) * (K + 1) of them.
+    Proof.  Each iteration, a multiplicity c >= 1 tried or the step to the
+    c = 0 child, belongs to the expansion of one state (i, rem), and a
+    state is expanded at most once: every state below it has a larger i or
+    a remainder of smaller sum, so it is not reached again before its memo
+    entry is stored, and afterwards it is a memo hit.  Remainders start at
+    k and only decrease, never below 0, so there are at most
+    prod_j (k_j + 1) of them at each of the m positions.  A state tries
+    c = cmax .. 1 and then the c = 0 child, with cmax <= rem_j / h_j <= K
+    for any j in the support of its element h, so at most K + 1 steps.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
     elems = basis.elements
     kk = validate_exponent_vector(k, rank=len(elems[0]) if elems else None)
     if elems:
+        steps = len(elems)
+        for x in kk:  # a plain loop: math.prod over a generator costs 1.6x this
+            steps *= x + 1
+        steps *= max(kk) + 1
+        if steps > ENUMERATION_CAP:
+            raise CapExceededError(
+                f"factorization search of {kk} may take {steps} steps, over the "
+                f"enumeration cap {ENUMERATION_CAP}"
+            )
         memo = basis._factor_memo.setdefault(cap, {})
         count, witnesses = _factorizations_from(0, kk, *_factor_tables(basis), memo, cap)
     else:  # the empty basis generates only the identity

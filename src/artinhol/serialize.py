@@ -6,9 +6,9 @@ produces the same bytes on every platform.  Schema version "2".
 render_report_json writes the fixed-key record straight to a string; the
 test suite checks it byte for byte against canonical_json of the report
 as a dict (report_document in tests/conftest.py).  Parsing type-checks
-the instance and the basis elements, re-derives every verdict through
-conditions.check_instance and rejects a record that disagrees; a record's
-basis is trusted as recorded, but read_sweep_records recomputes each one.
+the instance, rebuilds the report, basis included, through
+conditions.check_instance and rejects a record that disagrees; a sweep
+file's records share one basis dict.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import itertools
 import json
 from typing import TYPE_CHECKING, Any
 
-from .conditions import ConditionReport, check_instance, cross_checked_basis
+from .conditions import ConditionReport, check_instance
 from .core import DegreeVector, Instance, OrderVector, validate_exponent_vector
 from .errors import LengthMismatchError
-from .hilbert import Elements, HilbertBasis, _carried, canonical_order
 
 if TYPE_CHECKING:
     from .sweep import SweepSummary
@@ -111,15 +110,18 @@ def render_report_json(rep: ConditionReport) -> str:
 def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
     """Rebuild a ConditionReport from its JSON text or parsed document.
 
-    Reads the instance and the (trusted) basis and calls check_instance; a
-    document that is not exactly the rebuilt report's rendering raises
-    ValueError naming the first top-level key that differs.  Text that is
-    byte for byte that rendering, as every sweep line is, is accepted
-    without encoding the parsed document again.  Mistyped flags, labels,
-    orders or basis elements, and elements of the wrong rank, are rejected
-    as the Instance and the basis are rebuilt; read_sweep_records also
-    recomputes the basis.
+    Reads the instance and calls check_instance; a document that is not
+    exactly the rebuilt report's rendering raises ValueError naming the
+    first top-level key that differs.  Text that is byte for byte that
+    rendering, as every sweep line is, is accepted without encoding the
+    parsed document again.  Mistyped flags, labels, orders or basis
+    elements, and elements of the wrong rank, raise their own errors.
     """
+    return _parse_report(data, {})
+
+
+def _parse_report(data, bases: dict) -> ConditionReport:
+    """parse_report_document, with check_instance's basis dict."""
     doc = json.loads(data) if isinstance(data, str) else data
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
@@ -136,11 +138,12 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
         group=di["labels"]["group"],
         s0_label=di["labels"]["s0"],
     )
-    elements = tuple(validate_exponent_vector(e, rank=r) for e in doc["hilbert"]["elements"])
-    rep = check_instance(inst, HilbertBasis(elements, "oracle").elements)
+    rep = check_instance(inst, bases)
     rendered = render_report_json(rep)
     if isinstance(data, str) and data.strip() == rendered:
         return rep
+    for e in doc["hilbert"]["elements"]:
+        validate_exponent_vector(e, rank=r)
     if canonical_json(doc) != rendered:
         pairs = itertools.zip_longest(
             doc.items(), json.loads(rendered).items(), fillvalue=(None, None)
@@ -156,22 +159,11 @@ def sweep_record_line(rep: ConditionReport) -> str:
 
 
 def read_sweep_records(path) -> list[ConditionReport]:
-    """Parse a JSON-lines sweep file back into reports, checking every basis.
-
-    Each basis must be the cross-checked basis of the record's canonical
-    vector (computed once per file) carried back to the record's orders;
-    one that is not raises ValueError naming the key 'hilbert'.
-    """
+    """Parse a JSON-lines sweep file back into reports, checking every basis;
+    the engines run once per canonical vector of the file."""
+    bases: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        out = [parse_report_document(line) for line in fh if line.strip()]
-    bases: dict[tuple[int, ...], Elements] = {}
-    for rep in out:
-        canon, perm = canonical_order(rep.instance.orders.entries)
-        if canon not in bases:
-            bases[canon] = cross_checked_basis(canon).elements
-        if rep.hilbert_elements != _carried(bases[canon], perm):
-            raise ValueError("record key 'hilbert' disagrees with the basis its orders give")
-    return out
+        return [_parse_report(line, bases) for line in fh if line.strip()]
 
 
 def exit_code_for_report(rep: ConditionReport) -> int:

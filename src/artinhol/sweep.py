@@ -11,8 +11,8 @@ Phase 1 indexes the box, one array entry per vector naming its canonical
 vector, and computes one cross-checked Hilbert basis per canonical vector,
 split across processes when asked.  Phase 2 cuts the box's enumeration
 into contiguous chunks of CHUNK_SIZE records; each task carries one
-chunk's range and the canonical basis elements it needs, and the worker
-carries them back to every vector of its chunk, derives the verdicts,
+chunk's range and a dict of the canonical basis elements it needs, which
+the worker passes to check_instance for every vector of its chunk, then
 renders the records and tallies them.  The parent only writes each
 chunk's records and merges its tally, in chunk order, so the output bytes
 do not depend on the worker count.  With one worker the same chunk
@@ -34,10 +34,10 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import serialize
-from .conditions import ConditionReport, check_instance, cross_checked_basis
+from .conditions import ConditionReport, check_instance, orbit_basis
 from .core import DegreeVector, Instance, OrderVector
-from .errors import ArtinHolError, CapExceededError, MixedPlansError
-from .hilbert import Elements, _carried, canonical_order
+from .errors import CapExceededError, MixedPlansError
+from .hilbert import Elements, canonical_order
 
 INSTANCE_CAP = 10_000_000
 
@@ -127,15 +127,11 @@ def _box_slice(r: int, bound: int, lo: int, hi: int) -> Iterator[tuple[int, ...]
 
 
 def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> Elements:
+    # Reached from the first vector swept to it, so a failure names that one too.
     canon, swept = item
-    try:
-        return cross_checked_basis(canon).elements
-    except ArtinHolError as exc:
-        # The canonical vector is sorted and gcd-reduced, so it need not be
-        # the vector the user swept; name that one too.
-        raise type(exc)(
-            f"canonical order vector {canon} of swept order vector {swept}: {exc}"
-        ) from exc
+    bases: dict = {}
+    orbit_basis(swept, bases)
+    return bases[canon]
 
 
 def _index(plan: SweepPlan) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], array]:
@@ -182,7 +178,6 @@ def _chunk_reports(
 ) -> Iterator[ConditionReport]:
     """Reports of the vectors lo .. hi-1 of the box, in enumeration order."""
     for v in _box_slice(plan.degrees.rank, plan.order_bound, lo, hi):
-        canon, perm = canonical_order(v)
         inst = Instance.of(
             plan.degrees,
             v,
@@ -190,7 +185,7 @@ def _chunk_reports(
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, _carried(bases[canon], perm))
+        yield check_instance(inst, bases)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, _Tally]:
@@ -284,13 +279,16 @@ def _replacing(path: str | Path | None):
     Text goes to a temp file in the same directory, renamed over `path`
     at the end; on any exception the temp file is removed and an existing
     file at `path` is left untouched, so a failed sweep never leaves a
-    truncated output file.  Parent directories are created.  Yields None
-    when `path` is None.
+    truncated output file.  Parent directories are created.  An existing
+    directory at `path` is refused here, before the block runs.  Yields
+    None when `path` is None.
     """
     if path is None:
         yield None
         return
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"output path {str(path)!r} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -171,6 +171,23 @@ class TestCommands:
         assert "factorial: True" in res.stdout
         assert "equivalence" in res.stdout
 
+    def test_check_carries_the_canonical_basis_back(self, capsys):
+        # Hol(10^6, -10^6, 10^6) = Hol(1, -1, 1); the region of the vector
+        # itself has 500,002,000,002,500,001 points.
+        docs = []
+        for orders in ("1000000,-1000000,1000000", "1,-1,1"):
+            assert cli.main(["check", "--degrees", "1,1,1", f"--orders={orders}", "--json"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["hilbert"] == docs[1]["hilbert"]
+        assert docs[0]["hilbert"]["elements"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
+
+    def test_factorize_over_the_search_bound_is_two(self, capsys):
+        argv = ["factorize", "--orders=1,-1", "--element=99999999999,99999999999"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: factorization search of (99999999999, 99999999999) may take")
+        assert err.endswith("steps, over the enumeration cap 10000000\n")
+
     def test_hilbert_cross_checked(self):
         res = run_cli("hilbert", "--orders", "2,-3")
         assert res.returncode == 0
@@ -377,6 +394,22 @@ class TestUnwritableOutput:
             "records.jsonl",
             "summary.json",
         ]
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
+    def test_directory_output_path_is_two_before_sweeping(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        def fail(v):
+            raise AssertionError(f"a basis was built for {v}")
+
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        target = tmp_path / "outputs"
+        target.mkdir()
+        argv = ["sweep", "--degrees", "1,1", "--order-bound", "1", flag, str(target)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: output path {str(target)!r} is a directory\n"
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     def test_missing_parent_directories_are_created(self, tmp_path):
         sj = tmp_path / "a" / "summary.json"

@@ -315,6 +315,18 @@ class TestCountFactorizations:
         with pytest.raises(ValueError):
             count_factorizations((0, 0), hilbert_basis_oracle((1, -1)), cap=1)
 
+    def test_search_over_the_bound_is_refused_before_it_starts(self):
+        # Over (1, 0), (1, 1) the element (N, N) takes about N^2 / 2 steps
+        # and the bound is 2 * (N + 1)^3.
+        basis = hilbert_basis_oracle((1, -1))
+        with pytest.raises(
+            CapExceededError,
+            match=r"of \(10000, 10000\) may take 2000600060002 steps, over the enumeration cap",
+        ):
+            count_factorizations((10000, 10000), basis)
+        assert basis._factor_memo == {}
+        assert count_factorizations((100, 100), basis).count == 1
+
     def test_cap_saturates(self):
         basis = hilbert_basis_oracle((1, 1))
         # (2,2) factors as units in exactly one way... use a redundant basis

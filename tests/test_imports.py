@@ -73,3 +73,23 @@ def test_no_function_imports_from_the_package():
         and any(_imports_from_the_package(node) for node in ast.walk(fn))
     ]
     assert found == []
+
+
+def test_only_conditions_carries_a_basis_back():
+    # Every report gets its basis through conditions.orbit_basis, the one
+    # place where a canonical vector's basis is carried back.
+    importers = {
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "_carried" for a in node.names)
+    }
+    callers = {
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "_carried" in {
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        }
+    }
+    assert importers == callers == {"conditions"}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from artinhol import DegreeVector, Instance, SweepPlan, check_instance, sweep_reports
 from artinhol.conditions import ConditionReport
-from artinhol.hilbert import HilbertBasis
+from artinhol.hilbert import canonical_order
 from artinhol.errors import LengthMismatchError
 from artinhol.serialize import (
     exit_code_for_report,
@@ -86,7 +86,8 @@ def test_sweep_file_round_trip(tmp_path):
 def test_sweep_file_with_an_edited_basis_is_rejected(tmp_path):
     # Hol(1,0,-1) has the basis (0,1,0), (1,0,0), (1,0,1).  Raising the
     # last element to (2,0,1) keeps its shape, its lex order and every
-    # verdict, so the record alone still parses; the file does not.
+    # verdict, but the rebuilt report computes the basis, so the record
+    # alone is rejected, and so is the file.
     out = tmp_path / "records.jsonl"
     run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, out_path=out))
     lines = out.read_text().splitlines(keepends=True)
@@ -94,7 +95,8 @@ def test_sweep_file_with_an_edited_basis_is_rejected(tmp_path):
     old, new = '"elements":[[0,1,0],[1,0,0],[1,0,1]]', '"elements":[[0,1,0],[1,0,0],[2,0,1]]'
     assert old in lines[i]
     lines[i] = lines[i].replace(old, new)
-    parse_report_document(lines[i])
+    with pytest.raises(ValueError, match="record key 'hilbert' disagrees"):
+        parse_report_document(lines[i])
     out.write_text("".join(lines))
     with pytest.raises(ValueError, match="record key 'hilbert' disagrees"):
         read_sweep_records(out)
@@ -266,11 +268,12 @@ def test_renderer_matches_reference_property(vectors, dedekind, trivial, group, 
         s0_label=s0,
     )
     # The units stand in for the true basis beyond rank 4, where the engines
-    # are slow; the renderer writes the elements as given.
+    # are slow; the renderer writes the elements as given.  The units of
+    # the canonical vector carry back to the units.
     r = len(orders)
-    units = sorted(tuple(int(i == j) for i in range(r)) for j in range(r))
-    elements = None if r <= 4 else HilbertBasis(tuple(units), "oracle").elements
-    _assert_renders_like_reference(check_instance(inst, elements))
+    units = tuple(sorted(tuple(int(i == j) for i in range(r)) for j in range(r)))
+    bases = None if r <= 4 else {canonical_order(orders)[0]: units}
+    _assert_renders_like_reference(check_instance(inst, bases))
 
 
 @pytest.mark.parametrize(

@@ -23,15 +23,14 @@ from artinhol import (
 )
 from artinhol import cli, conditions, sweep
 from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
-from artinhol.hilbert import HilbertBasis, hilbert_basis_oracle
-from artinhol.serialize import render_summary_csv, render_summary_json, sweep_record_line
-from artinhol.sweep import (
-    _box_slice,
-    _carried,
-    _index,
-    _Tally,
-    canonical_order,
+from artinhol.hilbert import HilbertBasis, _carried, canonical_order, hilbert_basis_oracle
+from artinhol.serialize import (
+    read_sweep_records,
+    render_summary_csv,
+    render_summary_json,
+    sweep_record_line,
 )
+from artinhol.sweep import _box_slice, _index, _Tally
 from conftest import SWEEP_FAMILIES
 
 
@@ -236,9 +235,26 @@ class TestBasisCache:
 
     def test_explicit_basis_matches_uncached_report(self):
         inst = Instance.of((1, 2, 1), (2, -1, -2))
-        canon, perm = canonical_order(inst.orders.entries)
-        elements = _carried(conditions.cross_checked_basis(canon).elements, perm)
-        assert check_instance(inst, elements) == check_instance(inst)
+        canon, _ = canonical_order(inst.orders.entries)
+        bases = {canon: conditions.cross_checked_basis(canon).elements}
+        assert check_instance(inst, bases) == check_instance(inst)
+        assert list(bases) == [canon]
+
+    def test_reading_a_file_runs_each_engine_once_per_canonical_vector(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "records.jsonl"
+        run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 2, out_path=out))
+        log = tmp_path / "calls.log"
+        for name in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
+            monkeypatch.setattr(conditions, name, getattr(conditions, name))
+        _log_engine_calls(log)
+        reports = read_sweep_records(out)
+        assert len(reports) == 125
+        canon = {canonical_order(r.instance.orders.entries)[0] for r in reports}
+        engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
+        expect = sorted(f"{name} {c}" for c in canon for name in engines)
+        assert sorted(log.read_text().splitlines()) == expect
 
     def test_basis_failure_names_the_swept_vector(self, monkeypatch):
         frontier = conditions.hilbert_basis_frontier
@@ -253,7 +269,7 @@ class TestBasisCache:
         with pytest.raises(EngineMismatchError) as err:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
         # (-2, 2) is the first vector of the box whose canonical form is (-1, 1)
-        assert "canonical order vector (-1, 1) of swept order vector (-2, 2)" in str(err.value)
+        assert "canonical order vector (-1, 1) of order vector (-2, 2)" in str(err.value)
 
     def test_wrong_closed_form_factoriality_is_caught(self, monkeypatch):
         closed_form = conditions.factorial_closed_form
@@ -265,7 +281,7 @@ class TestBasisCache:
         with pytest.raises(EngineMismatchError) as err:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
         # (-2, -2) is the first vector of the box; its canonical form is (-1, -1)
-        assert "canonical order vector (-1, -1) of swept order vector (-2, -2)" in str(err.value)
+        assert "canonical order vector (-1, -1) of order vector (-2, -2)" in str(err.value)
 
 
 class TestAtomicOutput:
@@ -273,11 +289,11 @@ class TestAtomicOutput:
         real = sweep.check_instance
         calls = []
 
-        def failing(inst, elements=None):
+        def failing(inst, bases=None):
             calls.append(inst)
             if len(calls) == k:
                 raise RuntimeError(f"instance {k} failed")
-            return real(inst, elements)
+            return real(inst, bases)
 
         monkeypatch.setattr(sweep, "check_instance", failing)
 
@@ -352,10 +368,10 @@ class TestChunkedPhaseTwo:
 
         # Forked workers inherit the patch; (1, 0, -1) is record 444, in
         # the second chunk.
-        def failing(inst, elements=None):
+        def failing(inst, bases=None):
             if inst.orders.entries == (1, 0, -1):
                 raise RuntimeError(f"check failed in process {os.getpid()}")
-            return real(inst, elements)
+            return real(inst, bases)
 
         monkeypatch.setattr(sweep, "check_instance", failing)
         with pytest.raises(RuntimeError, match="check failed in process") as err:
