@@ -1,8 +1,9 @@
 """Command-line surface: check, hilbert, factorize, sweep, catalog.
 
-Every command that prints or uses a Hilbert basis gets it from
-conditions.cross_checked_basis, so both engines and the closed-form
-factoriality are checked against each other on every call.
+Every command that prints or uses a Hilbert basis has both engines and
+the closed-form factoriality checked against each other on every call:
+check and hilbert get it from conditions.orbit_basis, factorize, which
+needs the tagged HilbertBasis, from conditions.cross_checked_basis.
 
 Exit codes: 0 when all checked assertions hold, 1 when an equivalence
 failure or counterexample is found, 2 on invalid input, an output file
@@ -20,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .catalog import catalog_groups, get_group
-from .conditions import check_instance, cross_checked_basis
+from .conditions import check_instance, cross_checked_basis, orbit_basis
 from .core import DegreeVector, Instance, OrderVector, order_of
 from .errors import ArtinHolError, NotInHolError
 from .hilbert import count_factorizations
@@ -120,21 +121,21 @@ def _cmd_check(args, parser) -> int:
 
 def _cmd_hilbert(args, parser) -> int:
     v = OrderVector(args.orders)
-    basis = cross_checked_basis(v)
+    elements = orbit_basis(v.entries, {})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "orders": list(v.entries),
         "hilbert": {
-            "size": len(basis.elements),
-            "elements": [list(e) for e in basis.elements],
+            "size": len(elements),
+            "elements": [list(e) for e in elements],
         },
     }
     if args.json:
         print(canonical_json(doc))
     else:
         print(f"orders: {list(v.entries)}")
-        print(f"hilbert basis ({len(basis.elements)} elements):")
-        for e in basis.elements:
+        print(f"hilbert basis ({len(elements)} elements):")
+        for e in elements:
             print(f"  {list(e)}")
     return 0
 

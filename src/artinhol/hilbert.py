@@ -352,34 +352,29 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     the tables are built once per basis and both are freed with it.
 
     A search that could take more than ENUMERATION_CAP loop iterations
-    raises CapExceededError before it starts; over m basis elements, with
-    K = max_j k_j, it takes at most m * prod_j (k_j + 1) * (K + 1) of them.
-    Proof.  Each iteration, a multiplicity c >= 1 tried or the step to the
-    c = 0 child, belongs to the expansion of one state (i, rem), and a
-    state is expanded at most once: every state below it has a larger i or
-    a remainder of smaller sum, so it is not reached again before its memo
-    entry is stored, and afterwards it is a memo hit.  Remainders start at
-    k and only decrease, never below 0, so there are at most
-    prod_j (k_j + 1) of them at each of the m positions.  A state tries
-    c = cmax .. 1 and then the c = 0 child, with cmax <= rem_j / h_j <= K
-    for any j in the support of its element h, so at most K + 1 steps.
+    raises CapExceededError before it starts, naming _search_bound's bound
+    on them.  An O(r) product over that bound admits small elements at
+    once; the O(m * r) sum is computed only when the product is over the cap.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
     elems = basis.elements
     kk = validate_exponent_vector(k, rank=len(elems[0]) if elems else None)
     if elems:
+        tables = _factor_tables(basis)
         steps = len(elems)
         for x in kk:  # a plain loop: math.prod over a generator costs 1.6x this
             steps *= x + 1
         steps *= max(kk) + 1
         if steps > ENUMERATION_CAP:
-            raise CapExceededError(
-                f"factorization search of {kk} may take {steps} steps, over the "
-                f"enumeration cap {ENUMERATION_CAP}"
-            )
+            steps = _search_bound(kk, *tables)
+            if steps > ENUMERATION_CAP:
+                raise CapExceededError(
+                    f"factorization search of {kk} may take {steps} steps, over the "
+                    f"enumeration cap {ENUMERATION_CAP}"
+                )
         memo = basis._factor_memo.setdefault(cap, {})
-        count, witnesses = _factorizations_from(0, kk, *_factor_tables(basis), memo, cap)
+        count, witnesses = _factorizations_from(0, kk, *tables, memo, cap)
     else:  # the empty basis generates only the identity
         count, witnesses = (0, ()) if any(kk) else (1, ((),))
     if count == 0:
@@ -405,6 +400,38 @@ def _factor_tables(basis: HilbertBasis) -> tuple[tuple, tuple]:
         tables = (supports, tuple(uncovered))
         object.__setattr__(basis, "_factor_tables", tables)
     return tables
+
+
+def _search_bound(k, supports, uncovered):
+    """A bound on the loop iterations of _factorizations_from(0, k, ...).
+
+    Let R_i be the coordinates that some element before position i and
+    some element from i on can reduce.  The bound is the sum over i of
+    prod_{j in R_i} (k_j + 1) * (min_{j in supp h_i} floor(k_j / h_ij) + 1),
+    and no term exceeds prod_j (k_j + 1) * (max_j k_j + 1), so
+    count_factorizations' product m times that is a bound too.
+
+    Proof.  Each iteration, a multiplicity c >= 1 tried or the step to the
+    c = 0 child, belongs to the expansion of one state (i, rem), and a
+    state is expanded at most once: every state below it has a larger i or
+    a remainder of smaller sum, so it is not reached again before its memo
+    entry is stored, and afterwards it is a memo hit.  Remainders start at
+    k and only decrease, never below 0.  At position i, rem_j = k_j for
+    every j no element before i reduces, and a state with rem_j > 0 for
+    some j in uncovered[i] returns unexpanded, so the expanded states at i
+    differ only on R_i: at most prod_{j in R_i} (k_j + 1) of them.  Each
+    tries c = cmax .. 1 and then the c = 0 child, with cmax <= rem_j / h_ij
+    <= k_j / h_ij for every j in the support of h_i.
+    """
+    steps = 0
+    reduced = set()
+    for support, done in zip(supports, uncovered):
+        states = 1
+        for j in reduced.difference(done):
+            states *= k[j] + 1
+        steps += states * (min(k[j] // x for j, x in support) + 1)
+        reduced.update(j for j, _ in support)
+    return steps
 
 
 def _factorizations_from(i, rem, supports, uncovered, memo, cap):

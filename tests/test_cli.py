@@ -181,6 +181,12 @@ class TestCommands:
         assert docs[0]["hilbert"] == docs[1]["hilbert"]
         assert docs[0]["hilbert"]["elements"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
 
+    def test_factorize_under_the_search_bound_answers(self, capsys):
+        argv = ["factorize", "--orders=1,-1", "--element=200,200", "--json"]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["count"], doc["witnesses"]) == (1, [[0, 200]])
+
     def test_factorize_over_the_search_bound_is_two(self, capsys):
         argv = ["factorize", "--orders=1,-1", "--element=99999999999,99999999999"]
         assert cli.main(argv) == 2
@@ -210,9 +216,18 @@ class TestCommands:
         res = run_cli("hilbert", "--orders=1000,-1000,999,-998")
         assert res.returncode == 2
         assert res.stderr == (
-            "error: completeness region of 251503253001 points exceeds the "
-            "enumeration cap 10000000\n"
+            "error: canonical order vector (-1000, -998, 999, 1000) of order "
+            "vector (1000, -1000, 999, -998): completeness region of "
+            "251503253001 points exceeds the enumeration cap 10000000\n"
         )
+
+    def test_hilbert_carries_the_canonical_basis_back(self, capsys):
+        docs = []
+        for orders in ("1000000,-1000000,1000000", "1,-1,1"):
+            assert cli.main(["hilbert", f"--orders={orders}", "--json"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["hilbert"] == docs[1]["hilbert"]
+        assert docs[0]["hilbert"]["elements"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
 
     def test_hilbert_oracle_verify(self):
         # the cross-check is always on: the option is gone, and the JSON
@@ -330,7 +345,12 @@ class TestEnginesCrossChecked:
         monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: engines disagree")
+        # hilbert checks the canonical vector, as check does, and names both
+        assert err.startswith({
+            "hilbert": "error: canonical order vector (-3, 2) of order vector (2, -3): "
+            "engines disagree for v=(-3, 2)",
+            "factorize": "error: engines disagree for v=(2, -3)",
+        }[argv[0]])
 
 
 class TestDuplicateOutputs:

@@ -317,15 +317,23 @@ class TestCountFactorizations:
 
     def test_search_over_the_bound_is_refused_before_it_starts(self):
         # Over (1, 0), (1, 1) the element (N, N) takes about N^2 / 2 steps
-        # and the bound is 2 * (N + 1)^3.
+        # and the bound is (N + 1) + (N + 1)^2.
         basis = hilbert_basis_oracle((1, -1))
         with pytest.raises(
             CapExceededError,
-            match=r"of \(10000, 10000\) may take 2000600060002 steps, over the enumeration cap",
+            match=r"of \(10000, 10000\) may take 100030002 steps, over the enumeration cap",
         ):
             count_factorizations((10000, 10000), basis)
         assert basis._factor_memo == {}
-        assert count_factorizations((100, 100), basis).count == 1
+        # the product bound 2 * 201^3 is over the cap; the sum is 40602
+        assert count_factorizations((200, 200), basis).count == 1
+
+    def test_search_bound_sums_states_times_steps_per_position(self):
+        # Over (1, 0), (1, 1): one state of (1, 0) taking k_1 + 1 steps,
+        # then up to k_1 + 1 states of (1, 1), each taking min(k) + 1.
+        tables = hilbert._factor_tables(hilbert_basis_oracle((1, -1)))
+        assert hilbert._search_bound((20, 20), *tables) == 21 + 21 * 21
+        assert hilbert._search_bound((20, 5), *tables) == 21 + 21 * 6
 
     def test_cap_saturates(self):
         basis = hilbert_basis_oracle((1, 1))
