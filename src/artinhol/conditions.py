@@ -20,9 +20,11 @@ Each public function validates its input once and calls the private
 helpers, which take an already validated order vector: _profile reads the
 signs and decides factoriality in one pass, and _cond_ii, _cond_iii_m and
 _cond_ii_prime derive the other verdicts from it, so check_instance and
-the public functions share every line of verdict logic.  The pair table is
-built row by row, since a row has at most two distinct witnesses, and its
-rows are PairWitness named tuples.
+the public functions share every line of verdict logic.  A row of the pair
+table depends only on a small-int key (r, k, the sign of v_k and the first
+two positive indices with their lift multiplicities), so _pair_row builds
+each distinct row, a tuple of PairWitness named tuples, once per process
+in a bounded cache; the table is the concatenation of the rows.
 
 Generator indices are 1-based in every public function and report,
 matching the subscripts f_1 .. f_r used throughout the domain; the
@@ -31,6 +33,8 @@ private helpers index the entries from 0.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -193,29 +197,53 @@ def _check_pair_indices(r: int, k: int, l: int) -> None:
         raise EqualIndicesError(f"pair indices must differ, got k=l={k}")
 
 
-def _pair_row(pr: _Profile, k: int) -> tuple[int, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Row k (0-based) of the pair table as (p, a, b).
+#: Distinct pair-table rows kept per process; a sweep meets a few hundred
+#: (627 over the 177,147 vectors of S6 B=1).
+ROW_CACHE_SIZE = 4096
 
-    The pair (k, l) is witnessed by b when l = p and by a otherwise.  A
-    witness exists iff v_k >= 0 (take e_k) or some p != l has v_p > 0 (take
-    e_k plus enough copies of the first such e_p to lift the order back to
-    zero), so a row has at most two distinct witnesses: p is the first
-    positive index, a lifts with it and b with the second one.
+
+def _row_key(pr: _Profile, k: int) -> tuple[int, ...]:
+    """Small-int key of row k (0-based) of the pair table: all the row depends on.
+
+    (r, k, -1) when v_k >= 0; otherwise (r, k) followed by p and
+    ceil(-v_k / v_p) for each of the first two positive indices p, so a
+    negative v_k with no positive order keys (r, k), apart from v_k >= 0.
     """
     ent = pr.ent
     vk = ent[k]
     if vk >= 0:
-        unit = [0] * len(ent)
-        unit[k] = 1
-        return (-1, tuple(unit), tuple(unit))
-    lifted: list[tuple[int, ...] | None] = []
+        return (len(ent), k, -1)
+    key = [len(ent), k]
     for p in pr.positive[:2]:
-        vec = [0] * len(ent)
-        vec[k] = 1
-        vec[p] = _ceil_div(-vk, ent[p])
-        lifted.append(tuple(vec))
-    lifted += [None, None]
-    return (pr.positive[0] if pr.positive else -1, lifted[0], lifted[1])
+        key += (p, -(vk // ent[p]))
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def _pair_row(key: tuple[int, ...]) -> tuple[tuple[PairWitness, ...], bool]:
+    """The row of a _row_key: its pairs (k, l), l != k ascending, and whether
+    every one of them has a witness.
+
+    The pair (k, l) is witnessed by e_k when v_k >= 0, else by e_k plus
+    enough copies of the first positive e_p with p != l to lift the order
+    back to zero, and by nothing when there is no such p.  So a row has at
+    most two distinct witnesses: a lifts with the first positive index and
+    witnesses every pair but one, and b lifts with the second and witnesses
+    the pair whose l is the first.
+    """
+    r, k, *lifts = key
+    if lifts == [-1]:
+        a = b = tuple(int(j == k) for j in range(r))
+        p = -1
+    else:
+        lifted = [
+            tuple(m if j == q else int(j == k) for j in range(r))
+            for q, m in zip(lifts[::2], lifts[1::2])
+        ]
+        a, b = (lifted + [None, None])[:2]
+        p = lifts[0] if lifts else -1
+    row = tuple(PairWitness(k + 1, l + 1, b if l == p else a) for l in range(r) if l != k)
+    return row, all(w is not None for _, _, w in row)
 
 
 def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
@@ -227,19 +255,16 @@ def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
     """
     ov = as_order_vector(v)
     _check_pair_indices(ov.rank, k, l)
-    p, a, b = _pair_row(_profile(ov.entries), k - 1)
-    return b if l - 1 == p else a
+    row, _ = _pair_row(_row_key(_profile(ov.entries), k - 1))
+    return row[l - 1 - (l > k)].witness
 
 
 def _cond_ii(pr: _Profile) -> tuple[bool, tuple[PairWitness, ...]]:
-    """Verdict of ii and its ordered-pair table, built row by row."""
-    r = len(pr.ent)
-    pairs = []
-    for k in range(r):
-        p, a, b = _pair_row(pr, k)
-        pairs += [PairWitness(k + 1, l + 1, b if l == p else a) for l in range(r) if l != k]
-    ok = pr.factorial and all(w is not None for _, _, w in pairs)
-    return (ok, tuple(pairs))
+    """Verdict of ii and its ordered-pair table, the concatenation of the
+    rows, each looked up by its key."""
+    rows = [_pair_row(_row_key(pr, k)) for k in range(len(pr.ent))]
+    pairs = tuple(itertools.chain.from_iterable([row for row, _ in rows]))
+    return (pr.factorial and all([full for _, full in rows]), pairs)
 
 
 def cond_ii(v: OrdersLike) -> tuple[bool, tuple[PairWitness, ...]]:

@@ -105,8 +105,10 @@ def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
     map only permutes coordinates, so distinct nonzero nonnegative elements
     stay so, and sorting them again keeps the basis lex-sorted.
     """
+    if len(perm) == 1:  # itemgetter of one index would return the entry itself
+        return tuple(sorted(elements))
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple(sorted(tuple([h[i] for i in inverse]) for h in elements))
+    return tuple(sorted(map(operator.itemgetter(*inverse), elements)))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
-render_report_json writes the fixed-key record straight to a string; the
-test suite checks it byte for byte against canonical_json of the report
-as a dict (report_document in tests/conftest.py).  Parsing type-checks
+render_report_json writes the fixed-key record straight to a string,
+taking the text of each pair-table row, labels object and reasons list
+from a bounded per-process cache keyed by its value; the test suite checks
+it byte for byte against canonical_json of the report as a dict
+(report_document in tests/conftest.py).  Parsing type-checks
 the instance, rebuilds the report, basis included, through
 conditions.check_instance and rejects a record that disagrees; a sweep
 file's records share one basis dict.
@@ -13,11 +15,12 @@ file's records share one basis dict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import TYPE_CHECKING, Any
 
-from .conditions import ConditionReport, check_instance
+from .conditions import ConditionReport, PairWitness, check_instance
 from .core import DegreeVector, Instance, OrderVector, validate_exponent_vector
 from .errors import LengthMismatchError
 
@@ -43,23 +46,43 @@ def _ints(e) -> str:
     return str(list(e)).replace(" ", "")
 
 
+#: Distinct texts kept per process by each of the renderer's caches.
+TEXT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+def _pairs_text(pairs: tuple[PairWitness, ...]) -> str:
+    """JSON text of a run of pair witnesses, without the enclosing brackets."""
+    return ",".join(
+        f'{{"k":{k},"l":{l},"witness":{"null" if w is None else _ints(w)}}}'
+        for k, l, w in pairs
+    )
+
+
+@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+def _labels_text(group: str | None, s0: str | None) -> str:
+    return canonical_json({"group": group, "s0": s0})
+
+
+@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+def _reasons_text(reasons: tuple[str, ...]) -> str:
+    return canonical_json(list(reasons))
+
+
 def render_report_json(rep: ConditionReport) -> str:
     """The report's canonical JSON text, written straight from its fields.
 
     Keys come in one fixed order, with compact separators and every number
     an integer.  Labels and reasons go through canonical_json, so strings
-    are escaped exactly as in every other artifact; each distinct pair
-    witness is rendered once.  The test suite checks the bytes against
-    canonical_json of the report as a dict.
+    are escaped exactly as in every other artifact.  The pair table is
+    rendered in slices of r - 1 pairs, one per row; the text of each
+    distinct row, labels object and reasons list is rendered once per
+    process, up to TEXT_CACHE_SIZE of each.  The test suite checks the
+    bytes against canonical_json of the report as a dict.
     """
     inst = rep.instance
-    witnesses = {None: "null"}
-    pairs = []
-    for k, l, w in rep.cond_ii_pairs:
-        text = witnesses.get(w)
-        if text is None:
-            text = witnesses[w] = _ints(w)
-        pairs.append(f'{{"k":{k},"l":{l},"witness":{text}}}')
+    pairs = rep.cond_ii_pairs
+    step = max(inst.rank - 1, 1)  # rank 1 has no pairs, but range needs a step
     m = rep.cond_iii_m
     failing = rep.cond_ii_prime_failing
     return "".join(
@@ -75,11 +98,11 @@ def render_report_json(rep: ConditionReport) -> str:
             ',"require_trivial_nonneg":',
             _SCALAR[inst.require_trivial_nonneg],
             '},"labels":',
-            canonical_json({"group": inst.group, "s0": inst.s0_label}),
+            _labels_text(inst.group, inst.s0_label),
             '},"admissible":{"ok":',
             _SCALAR[rep.admissible],
             ',"reasons":',
-            canonical_json(list(rep.admissible_reasons)),
+            _reasons_text(rep.admissible_reasons),
             '},"hilbert":{"size":',
             str(rep.hilbert_size),
             ',"elements":',
@@ -89,7 +112,7 @@ def render_report_json(rep: ConditionReport) -> str:
             ',"ii":{"ok":',
             _SCALAR[rep.cond_ii],
             ',"pairs":[',
-            ",".join(pairs),
+            ",".join([_pairs_text(pairs[i : i + step]) for i in range(0, len(pairs), step)]),
             ']},"iii":{"ok":',
             _SCALAR[rep.cond_iii],
             ',"m":',

@@ -151,17 +151,27 @@ def _index(plan: SweepPlan) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]
     return [(canon, v) for canon, (_, v) in first.items()], owner
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @contextmanager
 def _chunk_tasks(plan: SweepPlan):
     """Compute the plan's canonical bases; yield the map and the phase-2 tasks.
 
-    The map is the ordered imap of one Pool when more than one worker is
-    asked for and the box has more than one canonical vector, else the
-    builtin map.  Each task is (plan, lo, hi, bases) for one chunk,
-    carrying only the bases its records need.
+    The map is the ordered imap of one Pool, of as many processes as the
+    workers asked for, the canonical vectors and the usable CPUs allow,
+    when that is more than one; else the builtin map.  Each task is
+    (plan, lo, hi, bases) for one chunk, carrying only the bases its
+    records need.
     """
     todo, owner = _index(plan)
-    n = min(plan.worker_count, len(todo))
+    n = min(plan.worker_count, len(todo), _usable_cpus())
     size = len(owner)
     with (Pool(n) if n > 1 else nullcontext()) as pool:
         mapper = map if pool is None else pool.imap

@@ -26,13 +26,20 @@ from artinhol import (
     hilbert_basis_oracle,
     is_member_hol,
 )
+from artinhol import conditions, serialize
 from artinhol.errors import (
     EqualIndicesError,
     IndexOutOfRangeError,
     InvalidSubsetError,
     RankTooSmallError,
 )
-from conftest import cond_ii_pair_search, cond_iii_subset_search, ii_prime_failing_search
+from artinhol.hilbert import canonical_order
+from conftest import (
+    cond_ii_pair_search,
+    cond_iii_subset_search,
+    ii_prime_failing_search,
+    report_document,
+)
 
 
 class TestCondI:
@@ -132,6 +139,96 @@ class TestCondII:
         assert pickle.loads(pickle.dumps(pw)) == pw
         assert hash(pw) == hash(PairWitness(1, 2, (1, 0)))
         assert type(cond_ii((1, -1))[1][0]) is PairWitness
+
+
+def _fresh_pair_table(v):
+    """The pair table of v built pair by pair from the closed form, with no cache."""
+    r = len(v)
+    table = []
+    for k in range(r):
+        for l in range(r):
+            if l == k:
+                continue
+            w = None
+            if v[k] >= 0:
+                w = tuple(int(j == k) for j in range(r))
+            else:
+                lifts = [p for p in range(r) if v[p] > 0 and p != l]
+                if lifts:
+                    p = lifts[0]
+                    m = (-v[k] + v[p] - 1) // v[p]
+                    w = tuple(1 if j == k else m if j == p else 0 for j in range(r))
+            table.append(PairWitness(k + 1, l + 1, w))
+    return table
+
+
+def _interleaved(*boxes):
+    """Vectors of the boxes in turn, one from each, until all are spent."""
+    for vs in itertools.zip_longest(*boxes):
+        yield from (v for v in vs if v is not None)
+
+
+class TestInternedPairTable:
+    """The pair table's rows and their text are cached per process, keyed by
+    value; a row of one vector or rank must never be served for another."""
+
+    CACHES = (
+        conditions._pair_row,
+        serialize._pairs_text,
+        serialize._labels_text,
+        serialize._reasons_text,
+    )
+
+    def test_table_and_text_match_a_fresh_build(self):
+        for cache in self.CACHES:
+            cache.cache_clear()
+        boxes = [itertools.product(range(-3, 4), repeat=r) for r in range(1, 5)]
+        boxes += [
+            itertools.product(range(-1, 2), repeat=7),
+            itertools.product(range(-2, 3), repeat=5),
+        ]
+        bases = {}
+        seen = 0
+        for v in _interleaved(*boxes):
+            table = _fresh_pair_table(v)
+            ok = factorial_closed_form(v) and all(w is not None for _, _, w in table)
+            assert cond_ii(v) == (ok, tuple(table)), v
+            for k, l, w in table:
+                assert cond_ii_pair(v, k, l) == w, (v, k, l)
+            # the basis plays no part in the table or its text
+            bases[canonical_order(v)[0]] = ()
+            rep = check_instance(Instance.of((1,) * len(v), v), bases)
+            assert (rep.cond_ii, list(rep.cond_ii_pairs)) == (ok, table), v
+            text = serialize.render_report_json(rep)
+            assert text == serialize.canonical_json(report_document(rep)), v
+            seen += 1
+        assert seen == 7 + 7**2 + 7**3 + 7**4 + 3**7 + 5**5
+        assert conditions._pair_row.cache_info().hits > 0
+        assert serialize._pairs_text.cache_info().hits > 0
+
+    def test_negative_row_without_positive_order_is_its_own_row(self):
+        # Row 1 of (0, -1) and of (-1, -1) share r and k; only the sign of
+        # v_1 tells them apart, and only the first has a witness.
+        for _ in range(2):
+            assert cond_ii((0, -1))[1][0] == PairWitness(1, 2, (1, 0))
+            assert cond_ii((-1, -1))[1][0] == PairWitness(1, 2, None)
+            assert cond_ii_pair((-1, -1), 1, 2) is None
+            assert cond_ii_pair((0, -1), 1, 2) == (1, 0)
+
+    def test_caches_stay_within_their_bounds(self):
+        rng = random.Random(14)
+        bases = {}
+        for _ in range(5000):
+            r = rng.randint(2, 11)
+            v = tuple(rng.randint(-(10**6), 10**6) for _ in range(r))
+            bases[canonical_order(v)[0]] = ()
+            serialize.render_report_json(check_instance(Instance.of((1,) * r, v), bases))
+        for cache in self.CACHES:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize, cache
+        # more distinct rows than it holds went through the row cache
+        info = conditions._pair_row.cache_info()
+        assert info.misses > info.maxsize == info.currsize
 
 
 class TestCondIIISubset:

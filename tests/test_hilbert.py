@@ -216,6 +216,41 @@ class TestCompletenessRegion:
         assert hilbert_basis_frontier((2, -3)).elements == ((1, 0), (2, 1), (3, 2))
 
 
+class TestCarriedBack:
+    """_carried maps the basis of a canonical vector back to the vector's."""
+
+    @pytest.mark.parametrize(
+        "v",
+        [(3,), (0,), (-2,), (3, -2), (-2, 3), (0, -5), (2, -1, 2, -1), (1, 1, -1), (-3, 0, 3, 0)],
+    )
+    def test_matches_the_vector_s_own_basis(self, v):
+        canon, perm = hilbert.canonical_order(v)
+        elements = hilbert_basis_oracle(canon).elements
+        carried = hilbert._carried(elements, perm)
+        assert carried == hilbert_basis_oracle(v).elements
+        # coordinate i of an element of Hol(canon) becomes coordinate perm[i]
+        moved = []
+        for h in elements:
+            g = [None] * len(v)
+            for i, x in enumerate(h):
+                g[perm[i]] = x
+            moved.append(tuple(g))
+        assert carried == tuple(sorted(moved))
+
+    def test_rank_one_keeps_its_tuples(self):
+        assert hilbert._carried(((1,),), (0,)) == ((1,),)
+        assert hilbert._carried((), (0,)) == ()
+
+    def test_tied_entries_are_carried_in_order(self):
+        # ties sort stably: (2, -1, 2, -1) has perm (1, 3, 0, 2)
+        canon, perm = hilbert.canonical_order((2, -1, 2, -1))
+        assert (canon, perm) == ((-1, -1, 2, 2), (1, 3, 0, 2))
+        assert hilbert._carried(((0, 1, 0, 1), (2, 0, 1, 0)), perm) == (
+            (0, 0, 1, 1),
+            (1, 2, 0, 0),
+        )
+
+
 class TestBasisLaws:
     VECTORS = [
         (1, -1),

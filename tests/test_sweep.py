@@ -152,6 +152,8 @@ class TestRunSweep:
             return ctx.Pool(n)
 
         monkeypatch.setattr(sweep, "Pool", pool)
+        # more usable CPUs than workers, so only the bases bound the pool
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
         out1 = tmp_path / "w1.jsonl"
         out8 = tmp_path / "w8.jsonl"
         run_sweep(SweepPlan(DegreeVector((1,)), 1, worker_count=1, out_path=out1))
@@ -160,6 +162,42 @@ class TestRunSweep:
         run_sweep(SweepPlan(DegreeVector((1,)), 1, worker_count=8, out_path=out8))
         assert started == [3]
         assert out8.read_bytes() == out1.read_bytes()
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            """Records its size and starts no process; its imap is map."""
+
+            imap = staticmethod(map)
+
+            def __init__(self, n):
+                started.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(sweep, "Pool", FakePool)
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 1, worker_count=100_000)
+        assert len(_index(plan)[0]) == 10
+        serial = run_sweep(replace(plan, worker_count=1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert run_sweep(plan) == serial
+        assert started == [3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        run_sweep(plan)
+        assert started == [3, 10]
+        # where the platform has no affinity set, the machine's CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        run_sweep(plan)
+        assert started == [3, 10, 5]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_sweep(plan) == serial
+        assert started == [3, 10, 5]
 
 
 @st.composite

@@ -8,7 +8,8 @@ This guards those names: renaming one breaks the traced run or silently
 drops its spans.  A sweep walks its box without calling
 enumerate_order_vectors, so the traced run records no sweep.enumerate
 span; the name stays public and wrappable.  It also shows that the verdicts of a two-worker sweep
-are computed in the workers, not in the parent.
+are computed, and its records rendered, in the workers, not in the parent;
+with fewer than two usable CPUs the sweep runs serially and this fails.
 """
 
 from __future__ import annotations
@@ -62,3 +63,8 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
     # must keep calling sweep.check_instance and serialize.sweep_record_line
     assert names.count("conditions.check") == 27
     assert names.count("serialize.render") >= 27
+    # the cached rows and texts must not hide a layer: the workers record
+    # every verdict and every record's render span themselves
+    workers = [spans for spans in per_process if spans is not parent]
+    assert sum(spans.count("conditions.check") for spans in workers) == 27
+    assert sum(spans.count("serialize.render") for spans in workers) == 27
