@@ -1,9 +1,8 @@
 """Command-line surface: check, hilbert, factorize, sweep, catalog.
 
-Every command that prints or uses a Hilbert basis has both engines and
-the closed-form factoriality checked against each other on every call:
-check and hilbert get it from conditions.orbit_basis, factorize, which
-needs the tagged HilbertBasis, from conditions.cross_checked_basis.
+Every command that prints or uses a Hilbert basis gets it from
+conditions.orbit_basis, which checks both engines and the closed-form
+factoriality against each other on the canonical vector.
 
 Exit codes: 0 when all checked assertions hold, 1 when an equivalence
 failure or counterexample is found, 2 on invalid input, an output file
@@ -21,10 +20,10 @@ import sys
 from pathlib import Path
 
 from .catalog import catalog_groups, get_group
-from .conditions import check_instance, cross_checked_basis, orbit_basis
+from .conditions import check_instance, orbit_basis
 from .core import DegreeVector, Instance, OrderVector, order_of
 from .errors import ArtinHolError, NotInHolError
-from .hilbert import count_factorizations
+from .hilbert import HilbertBasis, count_factorizations
 from .serialize import (
     SCHEMA_VERSION,
     canonical_json,
@@ -150,7 +149,7 @@ def _cmd_factorize(args, parser) -> int:
     s = order_of(args.element, v)
     if s < 0:
         raise NotInHolError(f"{args.element} is not in Hol (order {s})")
-    basis = cross_checked_basis(v)
+    basis = HilbertBasis(orbit_basis(v.entries, {}), "oracle")
     fc = count_factorizations(args.element, basis, cap=args.cap)
     doc = {
         "schema_version": SCHEMA_VERSION,

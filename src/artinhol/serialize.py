@@ -137,8 +137,10 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
     exactly the rebuilt report's rendering raises ValueError naming the
     first top-level key that differs.  Text that is byte for byte that
     rendering, as every sweep line is, is accepted without encoding the
-    parsed document again.  Mistyped flags, labels, orders or basis
-    elements, and elements of the wrong rank, raise their own errors.
+    parsed document again.  A record that is not a JSON object, or lacks
+    a key read here, raises ValueError saying so.  Mistyped flags, labels,
+    orders or basis elements, and elements of the wrong rank, raise their
+    own errors.
     """
     return _parse_report(data, {})
 
@@ -146,26 +148,32 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
 def _parse_report(data, bases: dict) -> ConditionReport:
     """parse_report_document, with check_instance's basis dict."""
     doc = json.loads(data) if isinstance(data, str) else data
+    if not isinstance(doc, dict):
+        raise ValueError(f"record is not a JSON object: got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-    di = doc["instance"]
-    degrees = DegreeVector(tuple(di["degrees"]))
-    r = degrees.rank
-    if di["r"] != r:
-        raise LengthMismatchError(f"r {di['r']} vs degrees {r}")
-    inst = Instance(
-        degrees=degrees,
-        orders=OrderVector(tuple(di["orders"])),
-        require_dedekind=di["flags"]["require_dedekind"],
-        require_trivial_nonneg=di["flags"]["require_trivial_nonneg"],
-        group=di["labels"]["group"],
-        s0_label=di["labels"]["s0"],
-    )
+    try:
+        di = doc["instance"]
+        degrees = DegreeVector(tuple(di["degrees"]))
+        r = degrees.rank
+        if di["r"] != r:
+            raise LengthMismatchError(f"r {di['r']} vs degrees {r}")
+        inst = Instance(
+            degrees=degrees,
+            orders=OrderVector(tuple(di["orders"])),
+            require_dedekind=di["flags"]["require_dedekind"],
+            require_trivial_nonneg=di["flags"]["require_trivial_nonneg"],
+            group=di["labels"]["group"],
+            s0_label=di["labels"]["s0"],
+        )
+        elements = doc["hilbert"]["elements"]
+    except KeyError as exc:
+        raise ValueError(f"record lacks key {exc.args[0]!r}") from None
     rep = check_instance(inst, bases)
     rendered = render_report_json(rep)
     if isinstance(data, str) and data.strip() == rendered:
         return rep
-    for e in doc["hilbert"]["elements"]:
+    for e in elements:
         validate_exponent_vector(e, rank=r)
     if canonical_json(doc) != rendered:
         pairs = itertools.zip_longest(

@@ -6,18 +6,18 @@ streams one JSON line per instance to the output file, and aggregates a
 summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.
 
-A sweep runs in two phases, through the orbit map of the hilbert module.
-Phase 1 indexes the box, one array entry per vector naming its canonical
-vector, and computes one cross-checked Hilbert basis per canonical vector,
-split across processes when asked.  Phase 2 cuts the box's enumeration
-into contiguous chunks of CHUNK_SIZE records; each task carries one
-chunk's range and a dict of the canonical basis elements it needs, which
-the worker passes to check_instance for every vector of its chunk, then
-renders the records and tallies them.  The parent only writes each
-chunk's records and merges its tally, in chunk order, so the output bytes
-do not depend on the worker count.  With one worker the same chunk
-function runs in this process, and sweep_reports walks the same chunk
-reports.
+A sweep walks its box once, through the orbit map of the hilbert module.
+It cuts the enumeration into contiguous chunks of CHUNK_SIZE vectors;
+each task carries one chunk's vectors and a dict of the canonical basis
+elements they need.  The parent computes each cross-checked Hilbert
+basis as the task stream first meets its canonical vector, so each
+engine runs once per canonical vector, in the same order for any worker
+count.  The worker passes the dict to check_instance for every vector of
+its chunk, then renders the records and tallies them.  The parent only
+writes each chunk's records and merges its tally, in chunk order, so the
+output bytes do not depend on the worker count.  With one worker, or a
+box of one chunk, the same chunk function runs in this process, and
+sweep_reports walks the same tasks.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from array import array
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -41,7 +40,7 @@ from .hilbert import Elements, canonical_order
 
 INSTANCE_CAP = 10_000_000
 
-#: Records per phase-2 task, a contiguous run of the enumeration.
+#: Records per task, a contiguous run of the enumeration.
 CHUNK_SIZE = 256
 
 
@@ -109,46 +108,33 @@ def _box(r: int, bound: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("need r >= 1 and bound >= 1")
     size = (2 * bound + 1) ** r
     if r * size > INSTANCE_CAP:
-        raise CapExceededError(f"sweep of r*{size} entries exceeds cap {INSTANCE_CAP}")
+        raise CapExceededError(
+            f"sweep of {r} x {size} = {r * size} entries exceeds cap {INSTANCE_CAP}"
+        )
     return itertools.product(range(-bound, bound + 1), repeat=r)
 
 
-def _box_slice(r: int, bound: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Entries of the vectors lo .. hi-1 of enumerate_order_vectors(r, bound).
+def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
+    """The plan's tasks, in enumeration order, after the cap check.
 
-    Index i written in base 2B+1, most significant digit first, is the
-    i-th vector of the box in lex order, so a slice costs O(r) per vector
-    wherever it starts; skipping into the product would cost O(lo).
+    Each task is (plan, vectors, bases): the next CHUNK_SIZE vectors of
+    the box, and a dict of the canonical bases they need.  Every
+    canonical basis is computed in this process, once per sweep, at the
+    first vector swept to it, so a failure names that vector.
     """
-    n = 2 * bound + 1
-    places = [n ** (r - 1 - j) for j in range(r)]
-    for i in range(lo, hi):
-        yield tuple(i // p % n - bound for p in places)
+    return _chunks(plan, _box(plan.degrees.rank, plan.order_bound))
 
 
-def _canonical_basis(item: tuple[tuple[int, ...], tuple[int, ...]]) -> Elements:
-    # Reached from the first vector swept to it, so a failure names that one too.
-    canon, swept = item
-    bases: dict = {}
-    orbit_basis(swept, bases)
-    return bases[canon]
-
-
-def _index(plan: SweepPlan) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], array]:
-    """Walk the box once, for phase 1.
-
-    Returns each canonical vector with the first vector swept to it, in
-    order of first appearance, and `owner`: entry i is the position in
-    that list of the canonical vector of the box's vector i, four bytes
-    per vector (4 MB for the 823,543 vectors of S5 B=3).
-    """
-    # canonical vector -> (its position, the first vector swept to it)
-    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    owner = array("I")
-    for v in _box(plan.degrees.rank, plan.order_bound):
-        k, _ = first.setdefault(canonical_order(v)[0], (len(first), v))
-        owner.append(k)
-    return [(canon, v) for canon, (_, v) in first.items()], owner
+def _chunks(plan: SweepPlan, box: Iterator[tuple[int, ...]]) -> Iterator[tuple]:
+    bases: dict[tuple[int, ...], Elements] = {}
+    while vectors := list(itertools.islice(box, CHUNK_SIZE)):
+        needed = {}
+        for v in vectors:
+            canon = canonical_order(v)[0]
+            if canon not in bases:
+                orbit_basis(v, bases)
+            needed[canon] = bases[canon]
+        yield plan, vectors, needed
 
 
 def _usable_cpus() -> int:
@@ -161,33 +147,24 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _chunk_tasks(plan: SweepPlan):
-    """Compute the plan's canonical bases; yield the map and the phase-2 tasks.
-
-    The map is the ordered imap of one Pool, of as many processes as the
-    workers asked for, the canonical vectors and the usable CPUs allow,
-    when that is more than one; else the builtin map.  Each task is
-    (plan, lo, hi, bases) for one chunk, carrying only the bases its
-    records need.
-    """
-    todo, owner = _index(plan)
-    n = min(plan.worker_count, len(todo), _usable_cpus())
-    size = len(owner)
-    with (Pool(n) if n > 1 else nullcontext()) as pool:
-        mapper = map if pool is None else pool.imap
-        bases = list(mapper(_canonical_basis, todo))
-        yield mapper, (
-            (plan, lo, hi, {todo[k][0]: bases[k] for k in set(owner[lo:hi])})
-            for lo in range(0, size, CHUNK_SIZE)
-            for hi in [min(lo + CHUNK_SIZE, size)]
-        )
+def _mapper(plan: SweepPlan):
+    """The ordered map to run the plan's tasks with: the imap of one Pool,
+    of as many processes as the workers asked for, the chunks and the
+    usable CPUs allow, when that is more than one; else the builtin map."""
+    chunks = -(-((2 * plan.order_bound + 1) ** plan.degrees.rank) // CHUNK_SIZE)
+    n = min(plan.worker_count, chunks, _usable_cpus())
+    if n < 2:
+        yield map
+        return
+    with Pool(n) as pool:
+        yield pool.imap
 
 
 def _chunk_reports(
-    plan: SweepPlan, lo: int, hi: int, bases: dict[tuple[int, ...], Elements]
+    plan: SweepPlan, vectors: list[tuple[int, ...]], bases: dict[tuple[int, ...], Elements]
 ) -> Iterator[ConditionReport]:
-    """Reports of the vectors lo .. hi-1 of the box, in enumeration order."""
-    for v in _box_slice(plan.degrees.rank, plan.order_bound, lo, hi):
+    """Reports of one chunk's vectors, in order."""
+    for v in vectors:
         inst = Instance.of(
             plan.degrees,
             v,
@@ -199,12 +176,12 @@ def _chunk_reports(
 
 
 def _run_chunk(task) -> tuple[list[str] | None, _Tally]:
-    """One phase-2 task: the chunk's record lines (None without an output
-    file) and its tally."""
-    plan, lo, hi, bases = task
+    """One task: the chunk's record lines (None without an output file)
+    and its tally."""
+    plan, vectors, bases = task
     lines = None if plan.out_path is None else []
     tally = _Tally()
-    for rep in _chunk_reports(plan, lo, hi, bases):
+    for rep in _chunk_reports(plan, vectors, bases):
         if lines is not None:
             lines.append(serialize.sweep_record_line(rep))
         tally.add(rep)
@@ -212,12 +189,9 @@ def _run_chunk(task) -> tuple[list[str] | None, _Tally]:
 
 
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
-    """Run the plan's instances and return reports in enumeration order.
-
-    Phase 2 runs in this process, through the same chunk reports as a sweep.
-    """
-    with _chunk_tasks(plan) as (_, tasks):
-        return [rep for task in tasks for rep in _chunk_reports(*task)]
+    """Run the plan's instances in this process and return reports in
+    enumeration order, through the same tasks as a sweep."""
+    return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
 
 
 class _Tally:
@@ -314,9 +288,11 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     """Execute the plan: write each chunk's records in order and merge its tally."""
     t0 = time.perf_counter()
     tally = _Tally()
-    with _replacing(plan.out_path) as fh, _chunk_tasks(plan) as (mapper, tasks):
-        for lines, part in mapper(_run_chunk, tasks):
-            if fh is not None:
-                fh.writelines(lines)
-            tally.merge(part)
+    with _replacing(plan.out_path) as fh:
+        tasks = _chunk_tasks(plan)
+        with _mapper(plan) as mapper:
+            for lines, part in mapper(_run_chunk, tasks):
+                if fh is not None:
+                    fh.writelines(lines)
+                tally.merge(part)
     return replace(tally.summary(), wall_time_s=time.perf_counter() - t0)

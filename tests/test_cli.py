@@ -101,9 +101,8 @@ class TestExitCodes:
         def fail(v):
             raise AssertionError(f"a basis was built for {v}")
 
-        # cli calls the name it imported from conditions; patch both bindings.
+        # orbit_basis looks the cross-check up in conditions' namespace.
         monkeypatch.setattr(conditions, "cross_checked_basis", fail)
-        monkeypatch.setattr(cli, "cross_checked_basis", fail)
         assert cli.main(["factorize", "--orders=200,-301", "--element", "0,1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not in Hol" in err
@@ -113,7 +112,6 @@ class TestExitCodes:
             raise AssertionError(f"a basis was built for {v}")
 
         monkeypatch.setattr(conditions, "cross_checked_basis", fail)
-        monkeypatch.setattr(cli, "cross_checked_basis", fail)
         with pytest.raises(SystemExit) as exc:
             cli.main(["factorize", "--orders=200,-301", "--element", "2,1", "--cap", "1"])
         assert exc.value.code == 2
@@ -228,6 +226,17 @@ class TestCommands:
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0]["hilbert"] == docs[1]["hilbert"]
         assert docs[0]["hilbert"]["elements"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
+
+    def test_factorize_carries_the_canonical_basis_back(self, capsys):
+        docs = []
+        for orders in ("1000000,-1000000,1000000", "1,-1,1"):
+            argv = ["factorize", f"--orders={orders}", "--element=1,1,1", "--json"]
+            assert cli.main(argv) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["basis"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
+        del docs[0]["orders"], docs[1]["orders"]
+        assert docs[0] == docs[1]
+        assert (docs[0]["count"], docs[0]["witnesses"]) == (2, [[1, 0, 0, 1], [0, 1, 1, 0]])
 
     def test_hilbert_oracle_verify(self):
         # the cross-check is always on: the option is gone, and the JSON
@@ -345,12 +354,11 @@ class TestEnginesCrossChecked:
         monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong)
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        # hilbert checks the canonical vector, as check does, and names both
-        assert err.startswith({
-            "hilbert": "error: canonical order vector (-3, 2) of order vector (2, -3): "
-            "engines disagree for v=(-3, 2)",
-            "factorize": "error: engines disagree for v=(2, -3)",
-        }[argv[0]])
+        # both check the canonical vector, as check does, and name both
+        assert err.startswith(
+            "error: canonical order vector (-3, 2) of order vector (2, -3): "
+            "engines disagree for v=(-3, 2)"
+        )
 
 
 class TestDuplicateOutputs:

@@ -130,6 +130,36 @@ def test_schema_version_checked():
             parse_report_document(doc)
 
 
+@pytest.mark.parametrize(
+    "path, match",
+    [
+        (None, "record is not a JSON object: got list"),
+        (("instance",), "record lacks key 'instance'"),
+        (("instance", "labels", "s0"), "record lacks key 's0'"),
+        (("hilbert",), "record lacks key 'hilbert'"),
+    ],
+)
+def test_malformed_record_raises_value_error(tmp_path, path, match):
+    # path None replaces the record by a JSON list; else the key at the
+    # end of path is dropped.
+    doc = report_document(check_instance(Instance.of((1, 1, 2), (1, 0, -1))))
+    if path is None:
+        doc = []
+    else:
+        *outer, key = path
+        node = doc
+        for k in outer:
+            node = node[k]
+        del node[key]
+    text = json.dumps(doc, separators=(",", ":"))
+    with pytest.raises(ValueError, match=match):
+        parse_report_document(text)
+    out = tmp_path / "records.jsonl"
+    out.write_text(text + "\n")
+    with pytest.raises(ValueError, match=match):
+        read_sweep_records(out)
+
+
 def test_rank_must_match_degrees():
     line = sweep_record_line(check_instance(Instance.of((1, 1, 2), (1, 0, -1))))
     assert '"r":3,' in line

@@ -30,7 +30,7 @@ from artinhol.serialize import (
     render_summary_json,
     sweep_record_line,
 )
-from artinhol.sweep import _box_slice, _index, _Tally
+from artinhol.sweep import CHUNK_SIZE, _chunk_tasks, _Tally
 from conftest import SWEEP_FAMILIES
 
 
@@ -59,20 +59,13 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             sweep_reports(plan)
 
-    def test_phase_one_index_follows_the_enumeration(self):
-        # _index walks the box without building OrderVectors; it must see
-        # the vectors enumerate_order_vectors yields, in the same order
-        plan = SweepPlan(DegreeVector((1, 1, 2)), 2)
-        box = [v.entries for v in enumerate_order_vectors(3, 2)]
-        first: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for v in box:
-            first.setdefault(canonical_order(v)[0], v)
-        todo, owner = _index(plan)
-        assert todo == list(first.items())
-        assert owner.itemsize == 4
-        assert len(owner) == len(box)
-        for v, k in zip(box, owner):
-            assert todo[k][0] == canonical_order(v)[0]
+    def test_cap_message_names_rank_and_product(self, capsys):
+        message = "sweep of 7 x 4782969 = 33480783 entries exceeds cap 10000000"
+        with pytest.raises(CapExceededError) as err:
+            list(enumerate_order_vectors(7, 4))
+        assert str(err.value) == message
+        assert cli.main(["sweep", "--group", "S5", "--order-bound", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRunSweep:
@@ -143,7 +136,7 @@ class TestRunSweep:
         assert out1.read_bytes() == out2.read_bytes()
         assert s1 == s2  # wall time excluded from equality
 
-    def test_no_more_workers_than_bases(self, tmp_path, monkeypatch):
+    def test_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
         ctx = multiprocessing.get_context()
         started = []
 
@@ -152,14 +145,18 @@ class TestRunSweep:
             return ctx.Pool(n)
 
         monkeypatch.setattr(sweep, "Pool", pool)
-        # more usable CPUs than workers, so only the bases bound the pool
+        # more usable CPUs than workers, so only the chunks bound the pool
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=8)
         out1 = tmp_path / "w1.jsonl"
         out8 = tmp_path / "w8.jsonl"
-        run_sweep(SweepPlan(DegreeVector((1,)), 1, worker_count=1, out_path=out1))
+        run_sweep(replace(plan, worker_count=1, out_path=out1))
         assert started == []
-        # (-1,), (0,) and (1,) are the only canonical vectors
-        run_sweep(SweepPlan(DegreeVector((1,)), 1, worker_count=8, out_path=out8))
+        # a box of one chunk runs in this process whatever the workers
+        run_sweep(replace(plan, order_bound=1))
+        assert started == []
+        # 729 records: two full chunks and a partial one
+        run_sweep(replace(plan, out_path=out8))
         assert started == [3]
         assert out8.read_bytes() == out1.read_bytes()
 
@@ -181,8 +178,8 @@ class TestRunSweep:
                 return False
 
         monkeypatch.setattr(sweep, "Pool", FakePool)
-        plan = SweepPlan(DegreeVector((1, 1, 2)), 1, worker_count=100_000)
-        assert len(_index(plan)[0]) == 10
+        plan = SweepPlan(DegreeVector((1, 1, 2, 2)), 3, worker_count=100_000)
+        assert sum(1 for _ in _chunk_tasks(plan)) == 10  # 2,401 records
         serial = run_sweep(replace(plan, worker_count=1))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         assert run_sweep(plan) == serial
@@ -250,26 +247,31 @@ def _log_engine_calls(log_path):
 class TestBasisCache:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_engine_runs_once_per_canonical_vector(self, tmp_path, monkeypatch, workers):
+        # The parent computes every basis, in the order the box first meets
+        # its canonical vector; forked workers inherit the logging engines,
+        # so a call made in a worker would show in the log too.
         log = tmp_path / "calls.log"
-        if workers == 1:
-            for name in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
-                monkeypatch.setattr(conditions, name, getattr(conditions, name))
-            _log_engine_calls(log)
-        else:
-            ctx = multiprocessing.get_context()
-            monkeypatch.setattr(
-                sweep,
-                "Pool",
-                lambda n: ctx.Pool(n, initializer=_log_engine_calls, initargs=(log,)),
-            )
-        reports = sweep_reports(SweepPlan(DegreeVector((1, 1, 2)), 2, worker_count=workers))
-        assert len(reports) == 125
-        canon = {canonical_order(r.instance.orders.entries)[0] for r in reports}
-        calls = sorted(log.read_text().splitlines())
         engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
-        expect = sorted(f"{name} {c}" for c in canon for name in engines)
-        assert calls == expect
-        assert len(canon) < 125
+        for name in engines:
+            monkeypatch.setattr(conditions, name, getattr(conditions, name))
+        _log_engine_calls(log)
+        ctx = multiprocessing.get_context()
+        started = []
+
+        def pool(n):
+            started.append(n)
+            return ctx.Pool(n)
+
+        monkeypatch.setattr(sweep, "Pool", pool)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        # 729 records, three chunks
+        summary = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers))
+        assert summary.total == 729
+        assert started == ([2] if workers == 2 else [])
+        canon = dict.fromkeys(canonical_order(v.entries)[0] for v in enumerate_order_vectors(3, 4))
+        expect = [f"{name} {c}" for c in canon for name in engines]
+        assert log.read_text().splitlines() == expect
+        assert len(canon) < 729
 
     def test_explicit_basis_matches_uncached_report(self):
         inst = Instance.of((1, 2, 1), (2, -1, -2))
@@ -390,10 +392,37 @@ class TestChunkedPhaseTwo:
 
     @pytest.mark.parametrize("r, bound", [(1, 1), (1, 2), (3, 2), (4, 1), (3, 4)])
     def test_box_slices_follow_the_enumeration(self, r, bound):
+        # The tasks cut the box into consecutive slices of CHUNK_SIZE
+        # vectors, the last one partial at (3, 4), and the reports follow
+        # them.
         box = [v.entries for v in enumerate_order_vectors(r, bound)]
-        n = len(box)
-        for lo, hi in [(0, n), (0, 1), (n - 1, n), (n // 3, n // 2), (n, n)]:
-            assert list(_box_slice(r, bound, lo, hi)) == box[lo:hi]
+        plan = SweepPlan(DegreeVector((1,) * r), bound)
+        slices = [vectors for _, vectors, _ in _chunk_tasks(plan)]
+        assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
+        assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
+
+    def test_basis_failure_after_the_first_chunk_writes_nothing(self, tmp_path, monkeypatch):
+        # (-1, -1, 3) is record 277 of the box, in the second chunk, and
+        # the first vector with that canonical form.
+        frontier = conditions.hilbert_basis_frontier
+
+        def wrong_for_late_vector(v):
+            basis = frontier(v)
+            if v.entries == (-1, -1, 3):
+                return HilbertBasis(basis.elements[:-1], "frontier")
+            return basis
+
+        monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong_for_late_vector)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
+        with pytest.raises(EngineMismatchError) as serial:
+            run_sweep(plan)
+        assert "engines disagree for v=(-1, -1, 3)" in str(serial.value)
+        out = tmp_path / "records.jsonl"
+        with pytest.raises(EngineMismatchError) as pooled:
+            run_sweep(replace(plan, worker_count=2, out_path=out))
+        assert str(pooled.value) == str(serial.value)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_in_a_worker_propagates_and_writes_nothing(

@@ -7,9 +7,10 @@ argument, and the engines looked up as globals of artinhol.conditions).
 This guards those names: renaming one breaks the traced run or silently
 drops its spans.  A sweep walks its box without calling
 enumerate_order_vectors, so the traced run records no sweep.enumerate
-span; the name stays public and wrappable.  It also shows that the verdicts of a two-worker sweep
-are computed, and its records rendered, in the workers, not in the parent;
-with fewer than two usable CPUs the sweep runs serially and this fails.
+span; the name stays public and wrappable.  It also shows that the
+verdicts of a two-worker sweep of three chunks are computed, and its
+records rendered, in the workers, and its bases in the parent; with fewer
+than two usable CPUs the sweep runs serially and this fails.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
             str(ROOT / "bench" / "traced_sweep.py"),
             str(trace_dir),
             "sweep",
-            "--degrees", "1,1,2",
+            "--degrees", "1,1,2,2,3,3",
             "--order-bound", "1",
             "--workers", "2",
             "--out", str(out),
@@ -48,23 +49,23 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert out.read_text().count("\n") == 27
+    assert out.read_text().count("\n") == 729
     per_process = [
         [json.loads(line)["name"] for line in path.read_text().splitlines()]
         for path in trace_dir.glob("spans-*.jsonl")
     ]
     names = [name for spans in per_process for name in spans]
-    assert names.count("hilbert.oracle") >= 1
-    # phase 2 runs in the pool: the parent, which holds the sweep.run
-    # span, writes and merges but checks no instance itself
+    # the parent, which holds the sweep.run span, computes every basis
+    # and writes and merges, but checks no instance itself
     (parent,) = [spans for spans in per_process if "sweep.run" in spans]
+    assert parent.count("hilbert.oracle") == names.count("hilbert.oracle") >= 1
     assert "conditions.check" not in parent
     # one verdict span and at least one render span per record: the sweep
     # must keep calling sweep.check_instance and serialize.sweep_record_line
-    assert names.count("conditions.check") == 27
-    assert names.count("serialize.render") >= 27
+    assert names.count("conditions.check") == 729
+    assert names.count("serialize.render") >= 729
     # the cached rows and texts must not hide a layer: the workers record
     # every verdict and every record's render span themselves
     workers = [spans for spans in per_process if spans is not parent]
-    assert sum(spans.count("conditions.check") for spans in workers) == 27
-    assert sum(spans.count("serialize.render") for spans in workers) == 27
+    assert sum(spans.count("conditions.check") for spans in workers) == 729
+    assert sum(spans.count("serialize.render") for spans in workers) == 729
