@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from .catalog import catalog_groups, get_group
@@ -208,12 +209,15 @@ def _cmd_sweep(args, parser) -> int:
     # The summary files are opened before the sweep runs, so an unwritable
     # path fails fast; like --out, each replaces its target only on success.
     with _replacing(args.summary_json) as json_fh, _replacing(args.csv) as csv_fh:
+        t0 = time.perf_counter()
         summary = run_sweep(plan)
+        wall_time = time.perf_counter() - t0
         if json_fh is not None:
             json_fh.write(render_summary_json(summary) + "\n")
         if csv_fh is not None:
             csv_fh.write(render_summary_csv(summary))
     print(render_summary_human(summary), end="")
+    print(f"wall time: {wall_time:.2f}s")
     return 1 if summary.counterexamples else 0
 
 

@@ -102,6 +102,17 @@ class DegreeVector:
         return len(self.entries)
 
 
+def check_flags(obj, *labels: str) -> None:
+    """Raise TypeError unless obj's require_dedekind and
+    require_trivial_nonneg are bools and each named label is a str or None."""
+    for name in ("require_dedekind", "require_trivial_nonneg"):
+        if not isinstance(getattr(obj, name), bool):
+            raise TypeError(f"{name} must be a bool, got {getattr(obj, name)!r}")
+    for name in labels:
+        if not isinstance(getattr(obj, name), (str, type(None))):
+            raise TypeError(f"{name} must be a str or None, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """One hypothetical situation: degrees, order profile, flags.
@@ -124,12 +135,7 @@ class Instance:
             raise LengthMismatchError(
                 f"degrees {self.degrees.rank} vs orders {self.orders.rank}"
             )
-        for name in ("require_dedekind", "require_trivial_nonneg"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        for name in ("group", "s0_label"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise TypeError(f"{name} must be a str or None, got {getattr(self, name)!r}")
+        check_flags(self, "group", "s0_label")
 
     @property
     def rank(self) -> int:

@@ -244,7 +244,7 @@ def render_report_human(rep: ConditionReport) -> str:
 
 
 def render_summary_json(summary: SweepSummary) -> str:
-    """The summary's JSON text; wall time is deliberately omitted."""
+    """The summary's JSON text."""
     return canonical_json(
         {
             "schema_version": SCHEMA_VERSION,
@@ -284,5 +284,4 @@ def render_summary_human(summary: SweepSummary) -> str:
     ]
     for v in summary.counterexamples:
         lines.append(f"  equivalence failed at orders={list(v)}")
-    lines.append(f"wall time: {summary.wall_time_s:.2f}s")
     return "\n".join(lines) + "\n"

@@ -13,28 +13,27 @@ elements they need.  The parent computes each cross-checked Hilbert
 basis as the task stream first meets its canonical vector, so each
 engine runs once per canonical vector, in the same order for any worker
 count.  The worker passes the dict to check_instance for every vector of
-its chunk, then renders the records and tallies them.  The parent only
-writes each chunk's records and merges its tally, in chunk order, so the
-output bytes do not depend on the worker count.  With one worker, or a
-box of one chunk, the same chunk function runs in this process, and
-sweep_reports walks the same tasks.
+its chunk, then renders the records and runs summarize on the reports.
+The parent only writes each chunk's records and adds its summary, in
+chunk order, so the output bytes do not depend on the worker count.
+With one worker, or a box of one chunk, the same chunk function runs in
+this process, and sweep_reports walks the same tasks.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import serialize
 from .conditions import ConditionReport, check_instance, orbit_basis
-from .core import DegreeVector, Instance, OrderVector
+from .core import DegreeVector, Instance, OrderVector, check_flags
 from .errors import CapExceededError, MixedPlansError
 from .hilbert import Elements, canonical_order
 
@@ -65,6 +64,7 @@ class SweepPlan:
                 raise TypeError(f"{name} must be an int, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name.replace('_', ' ')} must be >= 1")
+        check_flags(self, "group")
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ class SweepSummary:
     """Aggregate counts for one sweep.
 
     Condition statistics and the size histogram cover admissible instances
-    only; inadmissible ones are counted but not asserted against.  Wall
-    time is informational and excluded from equality.
+    only; inadmissible ones are counted but not asserted against.  The sum
+    of two summaries is the summary of the first one's records followed by
+    the second one's.
     """
 
     total: int
@@ -82,7 +83,18 @@ class SweepSummary:
     factorial_not_i: int
     hilbert_histogram: tuple[tuple[int, int], ...]
     counterexamples: tuple[tuple[int, ...], ...]
-    wall_time_s: float = field(default=0.0, compare=False)
+
+    def __add__(self, other: SweepSummary) -> SweepSummary:
+        histogram = Counter(dict(self.hilbert_histogram))
+        histogram.update(dict(other.hilbert_histogram))
+        return SweepSummary(
+            total=self.total + other.total,
+            admissible=self.admissible + other.admissible,
+            cond_i_true=self.cond_i_true + other.cond_i_true,
+            factorial_not_i=self.factorial_not_i + other.factorial_not_i,
+            hilbert_histogram=tuple(sorted(histogram.items())),
+            counterexamples=self.counterexamples + other.counterexamples,
+        )
 
     @property
     def inadmissible(self) -> int:
@@ -175,17 +187,15 @@ def _chunk_reports(
         yield check_instance(inst, bases)
 
 
-def _run_chunk(task) -> tuple[list[str] | None, _Tally]:
+def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
     """One task: the chunk's record lines (None without an output file)
-    and its tally."""
+    and its summary."""
     plan, vectors, bases = task
-    lines = None if plan.out_path is None else []
-    tally = _Tally()
-    for rep in _chunk_reports(plan, vectors, bases):
-        if lines is not None:
-            lines.append(serialize.sweep_record_line(rep))
-        tally.add(rep)
-    return lines, tally
+    reports = list(_chunk_reports(plan, vectors, bases))
+    lines = None
+    if plan.out_path is not None:
+        lines = [serialize.sweep_record_line(rep) for rep in reports]
+    return lines, summarize(reports)
 
 
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
@@ -194,29 +204,23 @@ def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
     return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
 
 
-class _Tally:
-    """Running aggregate of one plan's reports, folded one at a time or
-    merged from the tallies of consecutive parts."""
+def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
+    """Aggregate a record stream from a single plan into a SweepSummary.
 
-    def __init__(self):
-        self.key = None
-        # The stored counts of a SweepSummary, by field name.
-        self.counts = Counter(total=0, admissible=0, cond_i_true=0, factorial_not_i=0)
-        self.histogram: Counter[int] = Counter()
-        self.counterexamples: list[tuple[int, ...]] = []
-
-    def _check_key(self, key) -> None:
-        if self.key is None:
-            self.key = key
-        elif self.key != key:
-            raise MixedPlansError(f"record {key} does not match plan {self.key}")
-
-    def add(self, rep: ConditionReport) -> None:
+    Raises MixedPlansError if records disagree on rank, degrees, or flags.
+    """
+    plan = None
+    # The stored counts of a SweepSummary, by field name.
+    counts = Counter(total=0, admissible=0, cond_i_true=0, factorial_not_i=0)
+    histogram: Counter[int] = Counter()
+    counterexamples: list[tuple[int, ...]] = []
+    for rep in records:
         inst = rep.instance
-        self._check_key(
-            (inst.rank, inst.degrees.entries, inst.require_dedekind, inst.require_trivial_nonneg)
-        )
-        counts = self.counts
+        key = (inst.rank, inst.degrees.entries, inst.require_dedekind, inst.require_trivial_nonneg)
+        if plan is None:
+            plan = key
+        elif plan != key:
+            raise MixedPlansError(f"record {key} does not match plan {plan}")
         counts["total"] += 1
         if rep.admissible:
             counts["admissible"] += 1
@@ -224,36 +228,14 @@ class _Tally:
                 counts["cond_i_true"] += 1
             elif rep.factorial:
                 counts["factorial_not_i"] += 1
-            self.histogram[rep.hilbert_size] += 1
+            histogram[rep.hilbert_size] += 1
         if rep.equivalence_ok is False:
-            self.counterexamples.append(inst.orders.entries)
-
-    def merge(self, part: _Tally) -> None:
-        """Fold in the tally of the records that follow the ones folded so far."""
-        if part.key is None:
-            return
-        self._check_key(part.key)
-        self.counts.update(part.counts)
-        self.histogram.update(part.histogram)
-        self.counterexamples += part.counterexamples
-
-    def summary(self) -> SweepSummary:
-        return SweepSummary(
-            **self.counts,
-            hilbert_histogram=tuple(sorted(self.histogram.items())),
-            counterexamples=tuple(self.counterexamples),
-        )
-
-
-def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
-    """Aggregate a record stream from a single plan into a SweepSummary.
-
-    Raises MixedPlansError if records disagree on rank, degrees, or flags.
-    """
-    tally = _Tally()
-    for rep in records:
-        tally.add(rep)
-    return tally.summary()
+            counterexamples.append(inst.orders.entries)
+    return SweepSummary(
+        **counts,
+        hilbert_histogram=tuple(sorted(histogram.items())),
+        counterexamples=tuple(counterexamples),
+    )
 
 
 @contextmanager
@@ -263,16 +245,20 @@ def _replacing(path: str | Path | None):
     Text goes to a temp file in the same directory, renamed over `path`
     at the end; on any exception the temp file is removed and an existing
     file at `path` is left untouched, so a failed sweep never leaves a
-    truncated output file.  Parent directories are created.  An existing
-    directory at `path` is refused here, before the block runs.  Yields
-    None when `path` is None.
+    truncated output file.  Symlinks are resolved first, so the file a link
+    names is replaced, not the link.  An existing directory or other file
+    that is not a regular file at `path` is refused here, before parent
+    directories are created and before the block runs.  Yields None when
+    `path` is None.
     """
     if path is None:
         yield None
         return
-    path = Path(path)
+    name, path = str(path), Path(os.path.realpath(path))
     if path.is_dir():
-        raise IsADirectoryError(f"output path {str(path)!r} is a directory")
+        raise IsADirectoryError(f"output path {name!r} is a directory")
+    if path.exists() and not path.is_file():
+        raise OSError(f"output path {name!r} is not a regular file")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -285,14 +271,14 @@ def _replacing(path: str | Path | None):
 
 
 def run_sweep(plan: SweepPlan) -> SweepSummary:
-    """Execute the plan: write each chunk's records in order and merge its tally."""
-    t0 = time.perf_counter()
-    tally = _Tally()
+    """Execute the plan: write each chunk's records and add its summary,
+    in chunk order."""
+    summary = summarize(())
     with _replacing(plan.out_path) as fh:
         tasks = _chunk_tasks(plan)
         with _mapper(plan) as mapper:
             for lines, part in mapper(_run_chunk, tasks):
                 if fh is not None:
                     fh.writelines(lines)
-                tally.merge(part)
-    return replace(tally.summary(), wall_time_s=time.perf_counter() - t0)
+                summary += part
+    return summary

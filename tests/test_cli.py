@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -438,6 +439,45 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err == f"error: output path {str(target)!r} is a directory\n"
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
+    def test_symlinked_output_path_replaces_the_file_it_names(self, flag, tmp_path, capsys):
+        target = tmp_path / "real" / "output"
+        target.parent.mkdir()
+        target.write_text("previous output\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        plain = tmp_path / "plain"
+        for path in (link, plain):
+            assert cli.main(["sweep", "--degrees", "1", "--order-bound", "1", flag, str(path)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert list(target.parent.iterdir()) == [target]
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_fifo_output_path_is_two_before_sweeping(
+        self, flag, via_link, tmp_path, monkeypatch, capsys
+    ):
+        def fail(v):
+            raise AssertionError(f"a basis was built for {v}")
+
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        target = fifo
+        if via_link:
+            target = tmp_path / "link"
+            target.symlink_to(fifo)
+        argv = ["sweep", "--degrees", "1,1", "--order-bound", "1", flag, str(target)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: output path {str(target)!r} is not a regular file\n"
+        )
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted({fifo, target})
 
     def test_missing_parent_directories_are_created(self, tmp_path):
         sj = tmp_path / "a" / "summary.json"

@@ -30,7 +30,7 @@ from artinhol.serialize import (
     render_summary_json,
     sweep_record_line,
 )
-from artinhol.sweep import CHUNK_SIZE, _chunk_tasks, _Tally
+from artinhol.sweep import CHUNK_SIZE, _chunk_tasks
 from conftest import SWEEP_FAMILIES
 
 
@@ -134,7 +134,7 @@ class TestRunSweep:
         s1 = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, worker_count=1, out_path=out1))
         s2 = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, worker_count=2, out_path=out2))
         assert out1.read_bytes() == out2.read_bytes()
-        assert s1 == s2  # wall time excluded from equality
+        assert s1 == s2
 
     def test_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
         ctx = multiprocessing.get_context()
@@ -467,28 +467,38 @@ class TestTallyMerge:
         assert len(whole.hilbert_histogram) > 1
         for cuts in [(), (0,), (1, 1, 64), (32, 100), (124,), (125,)]:
             bounds = [0, *cuts, len(reports)]
-            tally = _Tally()
+            total = summarize(())
             for lo, hi in itertools.pairwise(bounds):
-                part = _Tally()
-                for rep in reports[lo:hi]:
-                    part.add(rep)
-                tally.merge(part)
-            assert tally.summary() == whole
+                total += summarize(reports[lo:hi])
+            assert total == whole
 
-    def test_mismatched_parts_are_rejected(self):
-        a = _Tally()
-        a.add(check_instance(Instance.of((1, 1), (0, 0))))
-        for other in [
-            Instance.of((1, 2), (0, 0)),
-            Instance.of((1, 1), (0, 0), require_dedekind=False),
-        ]:
-            b = _Tally()
-            b.add(check_instance(other))
-            with pytest.raises(MixedPlansError):
-                a.merge(b)
-        empty = _Tally()
-        empty.merge(a)
-        assert empty.summary() == a.summary()
+
+class TestCounterexamples:
+    def test_counterexamples_across_chunks_keep_their_order(self, monkeypatch, capsys):
+        real = conditions._cond_iii_m
+
+        def flipped(pr):
+            # Wrong wherever the last order is 0, which happens in every chunk.
+            m = real(pr)
+            if pr.ent[-1] == 0:
+                return 1 if m is None else None
+            return m
+
+        monkeypatch.setattr(conditions, "_cond_iii_m", flipped)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        # (1, 1, 2) at B=4 has 729 records: two full chunks and a partial one.
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
+        expected = summarize(sweep_reports(plan))
+        box = [v.entries for v in enumerate_order_vectors(3, 4)]
+        chunks = [box.index(v) // CHUNK_SIZE for v in expected.counterexamples]
+        assert chunks == sorted(chunks)
+        assert set(chunks) == {0, 1, 2}
+        for workers in (1, 2):
+            assert run_sweep(replace(plan, worker_count=workers)) == expected
+        argv = ["sweep", "--degrees", "1,1,2", "--order-bound", "4", "--workers", "2"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        assert f"counterexamples: {len(expected.counterexamples)}\n" in out
 
 
 class TestSummarize:
@@ -547,3 +557,17 @@ class TestPlanValidation:
     def test_mistyped_fields(self, degrees, order_bound, worker_count, match):
         with pytest.raises(TypeError, match=match):
             SweepPlan(degrees, order_bound, worker_count=worker_count)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("require_dedekind", 1), ("require_trivial_nonneg", "no"), ("group", 5)],
+    )
+    def test_mistyped_flags(self, tmp_path, monkeypatch, name, value):
+        def fail(v):
+            raise AssertionError(f"a basis was built for {v}")
+
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        out = tmp_path / "new" / "records.jsonl"
+        with pytest.raises(TypeError, match=f"{name} must be a "):
+            run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 1, out_path=out, **{name: value}))
+        assert list(tmp_path.iterdir()) == []
