@@ -35,7 +35,7 @@ from .serialize import (
     render_summary_human,
     render_summary_json,
 )
-from .sweep import SweepPlan, _replacing, run_sweep
+from .sweep import SweepPlan, _output_file, _replacing, run_sweep
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -206,8 +206,12 @@ def _cmd_sweep(args, parser) -> int:
         out_path=args.out,
         group=group,
     )
+    # Every output path is checked before any of them creates a directory.
     # The summary files are opened before the sweep runs, so an unwritable
     # path fails fast; like --out, each replaces its target only on success.
+    for path in (args.out, args.summary_json, args.csv):
+        if path is not None:
+            _output_file(path)
     with _replacing(args.summary_json) as json_fh, _replacing(args.csv) as csv_fh:
         t0 = time.perf_counter()
         summary = run_sweep(plan)

@@ -55,6 +55,7 @@ from .errors import (
 from .hilbert import (
     Elements,
     HilbertBasis,
+    Orbit,
     _carried,
     canonical_order,
     hilbert_basis_frontier,
@@ -382,10 +383,16 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     return b_oracle
 
 
-def orbit_basis(v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]) -> Elements:
+def orbit_basis(
+    v: tuple[int, ...], bases: dict[tuple[int, ...], Elements], orbit: Orbit | None = None
+) -> Elements:
     """Cross-checked basis elements of Hol(v): v's canonical vector's, from the
-    caller's dict or computed into it, carried back; a failure names both."""
-    canon, perm = canonical_order(v)
+    caller's dict or computed into it, carried back; a failure names both.
+
+    `orbit` is canonical_order(v) when the caller has it already, and is
+    computed here when omitted.
+    """
+    canon, perm = canonical_order(v) if orbit is None else orbit
     elements = bases.get(canon)
     if elements is None:
         try:
@@ -397,14 +404,18 @@ def orbit_basis(v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]) -> E
     return _carried(elements, perm)
 
 
-def check_instance(inst: Instance, bases: dict | None = None) -> ConditionReport:
+def check_instance(
+    inst: Instance, bases: dict | None = None, orbit: Orbit | None = None
+) -> ConditionReport:
     """Full pipeline: admissibility, Hilbert basis, all conditions.
 
     The basis comes from orbit_basis through `bases`, a fresh dict when
-    omitted.  Every verdict is decided from the orders alone, all of them
-    from one pass over the entries the OrderVector has already validated.
+    omitted, and `orbit`, the canonical order of the instance's orders
+    when the caller has it.  Every verdict is decided from the orders
+    alone, all of them from one pass over the entries the OrderVector has
+    already validated.
     """
-    elements = orbit_basis(inst.orders.entries, {} if bases is None else bases)
+    elements = orbit_basis(inst.orders.entries, {} if bases is None else bases, orbit)
     pr = _profile(inst.orders.entries)
     cii, pairs = _cond_ii(pr)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)

@@ -11,12 +11,16 @@ Exponent vectors are plain tuples of nonnegative ints throughout the
 package; order and degree vectors are small validated dataclasses.  All
 arithmetic is overflow-checked against the signed 64-bit range: orders are
 capped at 32 bits on input so that single products k_j * v_j cannot wrap,
-and running sums are verified term by term.
+and running sums are verified term by term unless a bound on the entries
+shows that none can leave the range.  Each check tests a whole vector at
+C speed first (its set of types, its min and max) and walks the entries
+one by one only to name the first that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import ArithmeticOverflowError, LengthMismatchError
@@ -28,6 +32,9 @@ INT64_MIN = -(2**63)
 
 def _int_entries(entries, what: str) -> tuple[int, ...]:
     out = tuple(entries)
+    if set(map(type, out)) <= {int}:
+        return out
+    # bools and other non-ints are found one by one, to name the first
     for x in out:
         if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"{what} entries must be ints, got {x!r}")
@@ -39,9 +46,9 @@ def validate_exponent_vector(k: Sequence[int], rank: int | None = None) -> tuple
     kk = _int_entries(k, "exponent vector")
     if rank is not None and len(kk) != rank:
         raise LengthMismatchError(f"exponent vector has length {len(kk)}, expected {rank}")
-    for x in kk:
-        if x < 0:
-            raise ValueError(f"exponent entries must be nonnegative, got {x}")
+    if kk and min(kk) < 0:
+        x = next(x for x in kk if x < 0)
+        raise ValueError(f"exponent entries must be nonnegative, got {x}")
     return kk
 
 
@@ -60,9 +67,9 @@ class OrderVector:
         object.__setattr__(self, "entries", ent)
         if not ent:
             raise ValueError("order vector must have rank >= 1")
-        for x in ent:
-            if abs(x) > INT32_MAX:
-                raise ValueError(f"order {x} outside the 32-bit input range")
+        if max(ent) > INT32_MAX or min(ent) < -INT32_MAX:
+            x = next(x for x in ent if abs(x) > INT32_MAX)
+            raise ValueError(f"order {x} outside the 32-bit input range")
 
     @property
     def rank(self) -> int:
@@ -93,9 +100,8 @@ class DegreeVector:
         object.__setattr__(self, "entries", ent)
         if not ent:
             raise ValueError("degree vector must have rank >= 1")
-        for d in ent:
-            if d < 1:
-                raise ValueError(f"degrees must be >= 1, got {d}")
+        if min(ent) < 1:
+            raise ValueError(f"degrees must be >= 1, got {next(d for d in ent if d < 1)}")
 
     @property
     def rank(self) -> int:
@@ -153,9 +159,14 @@ def order_of(k: Sequence[int], v: OrdersLike) -> int:
 
     Raises ArithmeticOverflowError if any product or partial sum leaves the
     signed 64-bit range, and LengthMismatchError on rank disagreement.
+    Every |v_j| <= INT32_MAX, so when len(k) * max(k) * INT32_MAX <= INT64_MAX
+    no product and no partial sum can leave the range, and the sum is
+    taken in one pass at C speed; otherwise each step is checked.
     """
     ent = as_order_vector(v).entries
     kk = validate_exponent_vector(k, rank=len(ent))
+    if len(kk) * max(kk) * INT32_MAX <= INT64_MAX:
+        return sum(map(mul, kk, ent))
     total = 0
     for kj, vj in zip(kk, ent):
         p = kj * vj

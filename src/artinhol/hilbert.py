@@ -55,6 +55,8 @@ from .errors import CapExceededError, NoRelationError, NotInHolError
 ENUMERATION_CAP = 10_000_000
 
 Elements = tuple[tuple[int, ...], ...]
+#: (c, perm) as canonical_order returns it.
+Orbit = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class HilbertBasis:
         return len(self.elements)
 
 
-def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def canonical_order(v: Sequence[int]) -> Orbit:
     """Orbit-canonical form of an order vector under scaling and permutation.
 
     Returns (c, perm): c is v divided by the gcd of its entries (1 when all

@@ -4,13 +4,14 @@ Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
 render_report_json writes the fixed-key record straight to a string,
-taking the text of each pair-table row, labels object and reasons list
-from a bounded per-process cache keyed by its value; the test suite checks
-it byte for byte against canonical_json of the report as a dict
-(report_document in tests/conftest.py).  Parsing type-checks
-the instance, rebuilds the report, basis included, through
-conditions.check_instance and rejects a record that disagrees; a sweep
-file's records share one basis dict.
+taking from a bounded per-process cache, keyed by value, the text of the
+head (schema version, r, degrees), of the flags and labels, of each basis
+element, of the reasons list and of each pair-table row; the test suite
+checks it byte for byte against canonical_json of the report as a dict
+(report_document in tests/conftest.py), with the caches warm and cleared.
+Parsing type-checks the instance, rebuilds the report, basis included,
+through conditions.check_instance and rejects a record that disagrees; a
+sweep file's records share one basis dict.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ def canonical_json(doc: Any) -> str:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
 
 
-_HEAD = '{"schema_version":' + canonical_json(SCHEMA_VERSION) + ',"instance":{"r":'
 # For bools and None only: an int 1 would find True here, so Instance
 # type-checks its flags and every verdict is a bool.
 _SCALAR = {True: "true", False: "false", None: "null"}
@@ -51,17 +51,50 @@ TEXT_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+def _head_text(degrees: tuple[int, ...]) -> str:
+    """A record's text up to its orders: schema version, r and degrees."""
+    return "".join(
+        (
+            '{"schema_version":',
+            canonical_json(SCHEMA_VERSION),
+            ',"instance":{"r":',
+            str(len(degrees)),
+            ',"degrees":',
+            _ints(degrees),
+            ',"orders":',
+        )
+    )
+
+
+@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+def _flags_text(dedekind: bool, trivial: bool, group: str | None, s0: str | None) -> str:
+    """A record's text from its flags to the admissibility verdict."""
+    return "".join(
+        (
+            ',"flags":{"require_dedekind":',
+            _SCALAR[dedekind],
+            ',"require_trivial_nonneg":',
+            _SCALAR[trivial],
+            '},"labels":',
+            canonical_json({"group": group, "s0": s0}),
+            '},"admissible":{"ok":',
+        )
+    )
+
+
+@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+def _element_text(element: tuple[int, ...]) -> str:
+    """JSON array of one basis element."""
+    return _ints(element)
+
+
+@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
 def _pairs_text(pairs: tuple[PairWitness, ...]) -> str:
     """JSON text of a run of pair witnesses, without the enclosing brackets."""
     return ",".join(
         f'{{"k":{k},"l":{l},"witness":{"null" if w is None else _ints(w)}}}'
         for k, l, w in pairs
     )
-
-
-@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
-def _labels_text(group: str | None, s0: str | None) -> str:
-    return canonical_json({"group": group, "s0": s0})
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
@@ -74,11 +107,13 @@ def render_report_json(rep: ConditionReport) -> str:
 
     Keys come in one fixed order, with compact separators and every number
     an integer.  Labels and reasons go through canonical_json, so strings
-    are escaped exactly as in every other artifact.  The pair table is
-    rendered in slices of r - 1 pairs, one per row; the text of each
-    distinct row, labels object and reasons list is rendered once per
-    process, up to TEXT_CACHE_SIZE of each.  The test suite checks the
-    bytes against canonical_json of the report as a dict.
+    are escaped exactly as in every other artifact.  The text that a plan
+    fixes (the head up to the orders, and the flags and labels) is
+    rendered once per process, as is each distinct basis element, reasons
+    list and pair-table row; the table is rendered in slices of r - 1
+    pairs, one per row.  Each cache is keyed by value and holds up to
+    TEXT_CACHE_SIZE texts.  The test suite checks the bytes against
+    canonical_json of the report as a dict.
     """
     inst = rep.instance
     pairs = rep.cond_ii_pairs
@@ -87,27 +122,19 @@ def render_report_json(rep: ConditionReport) -> str:
     failing = rep.cond_ii_prime_failing
     return "".join(
         (
-            _HEAD,
-            str(inst.rank),
-            ',"degrees":',
-            _ints(inst.degrees.entries),
-            ',"orders":',
+            _head_text(inst.degrees.entries),
             _ints(inst.orders.entries),
-            ',"flags":{"require_dedekind":',
-            _SCALAR[inst.require_dedekind],
-            ',"require_trivial_nonneg":',
-            _SCALAR[inst.require_trivial_nonneg],
-            '},"labels":',
-            _labels_text(inst.group, inst.s0_label),
-            '},"admissible":{"ok":',
+            _flags_text(
+                inst.require_dedekind, inst.require_trivial_nonneg, inst.group, inst.s0_label
+            ),
             _SCALAR[rep.admissible],
             ',"reasons":',
             _reasons_text(rep.admissible_reasons),
             '},"hilbert":{"size":',
             str(rep.hilbert_size),
-            ',"elements":',
-            str([list(e) for e in rep.hilbert_elements]).replace(" ", ""),
-            '},"conditions":{"i":',
+            ',"elements":[',
+            ",".join(map(_element_text, rep.hilbert_elements)),
+            ']},"conditions":{"i":',
             _SCALAR[rep.cond_i],
             ',"ii":{"ok":',
             _SCALAR[rep.cond_ii],

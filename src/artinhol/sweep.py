@@ -8,16 +8,18 @@ asserted against.
 
 A sweep walks its box once, through the orbit map of the hilbert module.
 It cuts the enumeration into contiguous chunks of CHUNK_SIZE vectors;
-each task carries one chunk's vectors and a dict of the canonical basis
-elements they need.  The parent computes each cross-checked Hilbert
-basis as the task stream first meets its canonical vector, so each
-engine runs once per canonical vector, in the same order for any worker
-count.  The worker passes the dict to check_instance for every vector of
-its chunk, then renders the records and runs summarize on the reports.
-The parent only writes each chunk's records and adds its summary, in
-chunk order, so the output bytes do not depend on the worker count.
-With one worker, or a box of one chunk, the same chunk function runs in
-this process, and sweep_reports walks the same tasks.
+each task carries one chunk's vectors, the canonical order (canon, perm)
+of each, and a dict of the canonical basis elements they need.  The
+parent runs canonical_order once per vector and computes each
+cross-checked Hilbert basis as the task stream first meets its canonical
+vector, so each engine runs once per canonical vector, in the same order
+for any worker count.  The worker passes the dict and each vector's
+(canon, perm) to check_instance, then renders the records and runs
+summarize on the reports.  The parent only writes each chunk's records
+and adds its summary, in chunk order, so the output bytes do not depend
+on the worker count.  With one worker, or a box of one chunk, the same
+chunk function runs in this process, sweep_reports walks the same tasks,
+and multiprocessing is never imported: Pool imports it when it is called.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -35,7 +36,7 @@ from . import serialize
 from .conditions import ConditionReport, check_instance, orbit_basis
 from .core import DegreeVector, Instance, OrderVector, check_flags
 from .errors import CapExceededError, MixedPlansError
-from .hilbert import Elements, canonical_order
+from .hilbert import Elements, Orbit, canonical_order
 
 INSTANCE_CAP = 10_000_000
 
@@ -129,10 +130,12 @@ def _box(r: int, bound: int) -> Iterator[tuple[int, ...]]:
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
     """The plan's tasks, in enumeration order, after the cap check.
 
-    Each task is (plan, vectors, bases): the next CHUNK_SIZE vectors of
-    the box, and a dict of the canonical bases they need.  Every
-    canonical basis is computed in this process, once per sweep, at the
-    first vector swept to it, so a failure names that vector.
+    Each task is (plan, vectors, orbits, bases): the next CHUNK_SIZE
+    vectors of the box, the canonical order (canon, perm) of each, and a
+    dict of the canonical bases they need.  canonical_order runs once per
+    vector, here.  Every canonical basis is computed in this process,
+    once per sweep, at the first vector swept to it, so a failure names
+    that vector.
     """
     return _chunks(plan, _box(plan.degrees.rank, plan.order_bound))
 
@@ -140,13 +143,14 @@ def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
 def _chunks(plan: SweepPlan, box: Iterator[tuple[int, ...]]) -> Iterator[tuple]:
     bases: dict[tuple[int, ...], Elements] = {}
     while vectors := list(itertools.islice(box, CHUNK_SIZE)):
+        orbits = list(map(canonical_order, vectors))
         needed = {}
-        for v in vectors:
-            canon = canonical_order(v)[0]
+        for v, orbit in zip(vectors, orbits):
+            canon = orbit[0]
             if canon not in bases:
-                orbit_basis(v, bases)
+                orbit_basis(v, bases, orbit)
             needed[canon] = bases[canon]
-        yield plan, vectors, needed
+        yield plan, vectors, orbits, needed
 
 
 def _usable_cpus() -> int:
@@ -156,6 +160,14 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def Pool(processes: int):
+    """multiprocessing.Pool(processes), imported only when a sweep starts a
+    pool, so a serial sweep never loads multiprocessing."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
 
 
 @contextmanager
@@ -173,10 +185,13 @@ def _mapper(plan: SweepPlan):
 
 
 def _chunk_reports(
-    plan: SweepPlan, vectors: list[tuple[int, ...]], bases: dict[tuple[int, ...], Elements]
+    plan: SweepPlan,
+    vectors: list[tuple[int, ...]],
+    orbits: list[Orbit],
+    bases: dict[tuple[int, ...], Elements],
 ) -> Iterator[ConditionReport]:
     """Reports of one chunk's vectors, in order."""
-    for v in vectors:
+    for v, orbit in zip(vectors, orbits):
         inst = Instance.of(
             plan.degrees,
             v,
@@ -184,14 +199,14 @@ def _chunk_reports(
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, bases)
+        yield check_instance(inst, bases, orbit)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
     """One task: the chunk's record lines (None without an output file)
     and its summary."""
-    plan, vectors, bases = task
-    reports = list(_chunk_reports(plan, vectors, bases))
+    plan = task[0]
+    reports = list(_chunk_reports(*task))
     lines = None
     if plan.out_path is not None:
         lines = [serialize.sweep_record_line(rep) for rep in reports]
@@ -238,6 +253,18 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
     )
 
 
+def _output_file(path: str | Path) -> Path:
+    """The file that output to `path` replaces: `path` with its symlinks
+    resolved.  An existing directory or other file that is not a regular
+    file there is refused."""
+    name, target = str(path), Path(os.path.realpath(path))
+    if target.is_dir():
+        raise IsADirectoryError(f"output path {name!r} is a directory")
+    if target.exists() and not target.is_file():
+        raise OSError(f"output path {name!r} is not a regular file")
+    return target
+
+
 @contextmanager
 def _replacing(path: str | Path | None):
     """Text file for `path` that replaces it only once the block succeeds.
@@ -246,19 +273,14 @@ def _replacing(path: str | Path | None):
     at the end; on any exception the temp file is removed and an existing
     file at `path` is left untouched, so a failed sweep never leaves a
     truncated output file.  Symlinks are resolved first, so the file a link
-    names is replaced, not the link.  An existing directory or other file
-    that is not a regular file at `path` is refused here, before parent
-    directories are created and before the block runs.  Yields None when
-    `path` is None.
+    names is replaced, not the link.  _output_file refuses a `path` that
+    cannot be replaced, before parent directories are created and before
+    the block runs.  Yields None when `path` is None.
     """
     if path is None:
         yield None
         return
-    name, path = str(path), Path(os.path.realpath(path))
-    if path.is_dir():
-        raise IsADirectoryError(f"output path {name!r} is a directory")
-    if path.exists() and not path.is_file():
-        raise OSError(f"output path {name!r} is not a regular file")
+    path = _output_file(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -479,6 +479,24 @@ class TestUnwritableOutput:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == sorted({fifo, target})
 
+    @pytest.mark.parametrize("refused", ["--out", "--summary-json", "--csv"])
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_refused_output_path_creates_no_directory(self, refused, kind, tmp_path, capsys):
+        # Every output path is checked before any output makes its parent
+        # directories, so a refused one leaves nothing behind.
+        bad = tmp_path / kind
+        if kind == "fifo":
+            os.mkfifo(bad)
+        else:
+            bad.mkdir()
+        argv = ["sweep", "--degrees", "1,1", "--order-bound", "1"]
+        for flag in ("--out", "--summary-json", "--csv"):
+            argv += [flag, str(bad if flag == refused else tmp_path / flag[2:] / "file")]
+        assert cli.main(argv) == 2
+        reason = "is a directory" if kind == "directory" else "is not a regular file"
+        assert capsys.readouterr().err == f"error: output path {str(bad)!r} {reason}\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_missing_parent_directories_are_created(self, tmp_path):
         sj = tmp_path / "a" / "summary.json"
         csvp = tmp_path / "b" / "summary.csv"

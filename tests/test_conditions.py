@@ -174,8 +174,10 @@ class TestInternedPairTable:
 
     CACHES = (
         conditions._pair_row,
+        serialize._head_text,
+        serialize._flags_text,
+        serialize._element_text,
         serialize._pairs_text,
-        serialize._labels_text,
         serialize._reasons_text,
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinhol import (
@@ -15,7 +15,9 @@ from artinhol import (
     is_admissible,
     is_member_hol,
     order_of,
+    validate_exponent_vector,
 )
+from artinhol.core import INT32_MAX, INT64_MAX, INT64_MIN
 from artinhol.errors import (
     ArithmeticOverflowError,
     LengthMismatchError,
@@ -71,6 +73,120 @@ class TestOrderOf:
         a, b, v = kkv
         ab = tuple(x + y for x, y in zip(a, b))
         assert order_of(ab, v) == order_of(a, v) + order_of(b, v)
+
+
+def _checked_order(k, v) -> int:
+    """<k, v> by a loop that checks every product and partial sum: the
+    reference for order_of, which skips the checks when a bound allows."""
+    ent = OrderVector(tuple(v)).entries
+    kk = validate_exponent_vector(k, rank=len(ent))
+    total = 0
+    for kj, vj in zip(kk, ent):
+        p = kj * vj
+        if p > INT64_MAX or p < INT64_MIN:
+            raise ArithmeticOverflowError(f"{kj} * {vj} leaves the 64-bit range")
+        total += p
+        if total > INT64_MAX or total < INT64_MIN:
+            raise ArithmeticOverflowError("order accumulation left the 64-bit range")
+    return total
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def near_the_fast_path_bound(draw):
+    """(k, v) of rank 1-8 with entries of k up to 2**40, or with max(k)
+    next to the largest value that keeps len(k) * max(k) * INT32_MAX
+    within INT64_MAX; orders anywhere in range, or all at its ends."""
+    r = draw(st.integers(1, 8))
+    ends = st.sampled_from([INT32_MAX, -INT32_MAX])
+    orders = draw(st.sampled_from([st.integers(-INT32_MAX, INT32_MAX), ends]))
+    v = tuple(draw(orders) for _ in range(r))
+    edge = INT64_MAX // (r * INT32_MAX)
+    top = draw(st.one_of(st.integers(0, 2**40), st.sampled_from(range(edge - 1, edge + 3))))
+    k = [draw(st.sampled_from([top, draw(st.integers(0, top))])) for _ in range(r)]
+    k[draw(st.integers(0, r - 1))] = top
+    return tuple(k), v
+
+
+class TestFastValidation:
+    """Each check tests a whole vector first and walks it only to name the
+    first entry that fails; types, messages and results are unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_the_fast_path_bound())
+    def test_order_of_matches_the_checked_loop(self, kv):
+        k, v = kv
+        assert _outcome(order_of, k, v) == _outcome(_checked_order, k, v)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_order_of_at_the_fast_path_bound(self, r):
+        edge = INT64_MAX // (r * INT32_MAX)
+        for top in (edge, edge + 1):
+            for vj in (INT32_MAX, -INT32_MAX):
+                k, v = (top,) * r, (vj,) * r
+                assert _outcome(order_of, k, v) == _outcome(_checked_order, k, v)
+        assert order_of((edge,) * r, (INT32_MAX,) * r) == r * edge * INT32_MAX
+        with pytest.raises(ArithmeticOverflowError):
+            order_of((edge + 1,) * r, (INT32_MAX,) * r)
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: OrderVector((1, True)), "order vector"),
+            (lambda: DegreeVector((True, 1)), "degree vector"),
+            (lambda: validate_exponent_vector((0, False)), "exponent vector"),
+            (lambda: order_of((1, True), (1, 1)), "exponent vector"),
+            (lambda: order_of((1, 1), (False, 1)), "order vector"),
+        ],
+    )
+    def test_bools_are_rejected(self, build, what):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) in {
+            f"{what} entries must be ints, got True",
+            f"{what} entries must be ints, got False",
+        }
+
+    def test_first_non_int_is_named(self):
+        with pytest.raises(TypeError, match=r"got 1\.5$"):
+            OrderVector((0, 1.5, "x"))
+
+    def test_int_subclasses_are_accepted(self):
+        class Small(int):
+            pass
+
+        assert OrderVector((Small(2), -1)).entries == (2, -1)
+        assert DegreeVector((1, Small(3))).entries == (1, 3)
+        assert validate_exponent_vector((Small(4), 0)) == (4, 0)
+        assert order_of((Small(1), 1), (Small(2), -1)) == 1
+
+    def test_out_of_range_orders_name_the_first(self):
+        with pytest.raises(ValueError) as err:
+            OrderVector((0, -(2**31), 2**31))
+        assert str(err.value) == "order -2147483648 outside the 32-bit input range"
+        with pytest.raises(ValueError) as err:
+            OrderVector((2**31, -(2**40)))
+        assert str(err.value) == "order 2147483648 outside the 32-bit input range"
+
+    def test_negative_exponents_name_the_first(self):
+        with pytest.raises(ValueError) as err:
+            validate_exponent_vector((1, -2, -3))
+        assert str(err.value) == "exponent entries must be nonnegative, got -2"
+        with pytest.raises(ValueError) as err:
+            order_of((0, -1, -5), (1, 1, 1))
+        assert str(err.value) == "exponent entries must be nonnegative, got -1"
+
+    def test_degrees_below_one_name_the_first(self):
+        with pytest.raises(ValueError) as err:
+            DegreeVector((2, 0, -1))
+        assert str(err.value) == "degrees must be >= 1, got 0"
 
 
 class TestMembership:

@@ -2,11 +2,16 @@
 
 Reads the sources with ast, so nothing is imported.  An import under
 `if TYPE_CHECKING:` serves annotations only and is left out of the graph.
+The one exception runs the package in a fresh interpreter, to show that
+multiprocessing is loaded only for a pool.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "artinhol"
@@ -93,3 +98,23 @@ def test_only_conditions_carries_a_basis_back():
         }
     }
     assert importers == callers == {"conditions"}
+
+
+def test_multiprocessing_is_imported_only_for_a_pool():
+    # sweep.Pool imports multiprocessing when a sweep starts a pool, so
+    # importing the package and running a serial sweep never load it.
+    script = (
+        "import sys, artinhol\n"
+        "assert 'multiprocessing' not in sys.modules, 'import artinhol'\n"
+        "from artinhol import cli\n"
+        "assert cli.main(['sweep', '--degrees', '1,1,2', '--order-bound', '4']) == 0\n"
+        "assert 'multiprocessing' not in sys.modules, 'serial sweep'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr

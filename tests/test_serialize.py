@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinhol import DegreeVector, Instance, SweepPlan, check_instance, sweep_reports
+from artinhol import DegreeVector, Instance, SweepPlan, check_instance, get_group, sweep_reports
+from artinhol import serialize
 from artinhol.conditions import ConditionReport
 from artinhol.hilbert import canonical_order
 from artinhol.errors import LengthMismatchError
@@ -320,6 +321,33 @@ def test_renderer_matches_reference_on_reasons_and_flags(degrees, orders, flags)
     rep = check_instance(Instance.of(degrees, orders, **flags))
     _assert_renders_like_reference(rep)
     assert parse_report_document(render_report_json(rep)) == rep
+
+
+def test_record_caches_never_go_stale():
+    # The text caches are keyed by value; an S4 B=1 sweep under two flag
+    # settings, interleaved, must render as the reference does whether
+    # every text comes from a warm cache or is rendered afresh.
+    caches = [f for f in vars(serialize).values() if hasattr(f, "cache_clear")]
+    assert {f.__name__ for f in caches} == {
+        "_head_text", "_flags_text", "_element_text", "_pairs_text", "_reasons_text"
+    }
+    plan = SweepPlan(get_group("S4").degrees, 1, group="S4")
+    flipped = SweepPlan(
+        plan.degrees, 1, require_dedekind=False, require_trivial_nonneg=True
+    )
+    reports = [
+        rep
+        for pair in zip(sweep_reports(plan), sweep_reports(flipped))
+        for rep in pair
+    ]
+    assert len(reports) == 2 * 3**5
+    for clear in (False, True):
+        for rep in reports:
+            if clear:
+                for cache in caches:
+                    cache.cache_clear()
+            assert render_report_json(rep) == serialize.canonical_json(report_document(rep))
+    assert serialize._element_text.cache_info().currsize > 0
 
 
 def test_summary_csv_shape():

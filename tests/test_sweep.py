@@ -21,7 +21,7 @@ from artinhol import (
     summarize,
     sweep_reports,
 )
-from artinhol import cli, conditions, sweep
+from artinhol import cli, conditions, hilbert, sweep
 from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
 from artinhol.hilbert import HilbertBasis, _carried, canonical_order, hilbert_basis_oracle
 from artinhol.serialize import (
@@ -273,6 +273,38 @@ class TestBasisCache:
         assert log.read_text().splitlines() == expect
         assert len(canon) < 729
 
+    def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch):
+        # The parent computes each vector's canonical order and ships it
+        # with the chunk; forked workers inherit the patch, so a call made
+        # in a worker would show in the log with its own pid.
+        log = tmp_path / "calls.log"
+
+        def logged(v):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return canonical_order(v)
+
+        for module in (conditions, sweep, hilbert):
+            monkeypatch.setattr(module, "canonical_order", logged)
+        ctx = multiprocessing.get_context()
+        started = []
+
+        def pool(n):
+            started.append(n)
+            return ctx.Pool(n)
+
+        monkeypatch.setattr(sweep, "Pool", pool)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        # 625 records, three chunks
+        plan = SweepPlan(DegreeVector((1, 1, 2, 2)), 2, out_path=tmp_path / "w1.jsonl")
+        run_sweep(plan)
+        assert log.read_text().splitlines() == [str(os.getpid())] * 5**4
+        log.unlink()
+        run_sweep(replace(plan, worker_count=2, out_path=tmp_path / "w2.jsonl"))
+        assert started == [2]
+        assert log.read_text().splitlines() == [str(os.getpid())] * 5**4
+        assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
+
     def test_explicit_basis_matches_uncached_report(self):
         inst = Instance.of((1, 2, 1), (2, -1, -2))
         canon, _ = canonical_order(inst.orders.entries)
@@ -329,11 +361,11 @@ class TestAtomicOutput:
         real = sweep.check_instance
         calls = []
 
-        def failing(inst, bases=None):
+        def failing(inst, *args):
             calls.append(inst)
             if len(calls) == k:
                 raise RuntimeError(f"instance {k} failed")
-            return real(inst, bases)
+            return real(inst, *args)
 
         monkeypatch.setattr(sweep, "check_instance", failing)
 
@@ -393,12 +425,14 @@ class TestChunkedPhaseTwo:
     @pytest.mark.parametrize("r, bound", [(1, 1), (1, 2), (3, 2), (4, 1), (3, 4)])
     def test_box_slices_follow_the_enumeration(self, r, bound):
         # The tasks cut the box into consecutive slices of CHUNK_SIZE
-        # vectors, the last one partial at (3, 4), and the reports follow
-        # them.
+        # vectors, the last one partial at (3, 4), each shipped with the
+        # canonical order of every vector, and the reports follow them.
         box = [v.entries for v in enumerate_order_vectors(r, bound)]
         plan = SweepPlan(DegreeVector((1,) * r), bound)
-        slices = [vectors for _, vectors, _ in _chunk_tasks(plan)]
+        tasks = list(_chunk_tasks(plan))
+        slices = [vectors for _, vectors, _, _ in tasks]
         assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
+        assert [o for _, _, orbits, _ in tasks for o in orbits] == list(map(canonical_order, box))
         assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
 
     def test_basis_failure_after_the_first_chunk_writes_nothing(self, tmp_path, monkeypatch):
@@ -435,10 +469,10 @@ class TestChunkedPhaseTwo:
 
         # Forked workers inherit the patch; (1, 0, -1) is record 444, in
         # the second chunk.
-        def failing(inst, bases=None):
+        def failing(inst, *args):
             if inst.orders.entries == (1, 0, -1):
                 raise RuntimeError(f"check failed in process {os.getpid()}")
-            return real(inst, bases)
+            return real(inst, *args)
 
         monkeypatch.setattr(sweep, "check_instance", failing)
         with pytest.raises(RuntimeError, match="check failed in process") as err:
