@@ -22,7 +22,8 @@ Two engines exploit this independently: the oracle walks the region in
 lex order and keeps each member of Hol that no irreducible found before
 it divides inside Hol, and the frontier engine grows candidate solutions
 of the slack equation one unit step at a time, pruning anything that
-dominates a known minimal solution.  They must agree; every cross-checked
+dominates a known minimal solution, which it looks up in an index of
+those solutions by coordinate value.  They must agree; every cross-checked
 basis compares them.  A basis of more than r elements is not factorial,
 and nonuniqueness_witness reads an element with two factorizations off
 two of its irreducibles, by the closed form of the factoriality proof in
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .core import OrdersLike, as_order_vector, validate_exponent_vector
-from .errors import CapExceededError, NoRelationError, NotInHolError
+from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotInHolError
 
 #: Hard cap on the oracle's region points, the frontier's explored nodes
 #: and the bound on a factorization search's steps; keeps interactive
@@ -243,10 +244,6 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(n))
 
 
-def _dominates(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(x, y))
-
-
 def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     """Second engine: completion-style search over the slack equation.
 
@@ -261,9 +258,23 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     search starts from the unit vectors and repeatedly bumps a candidate x
     by one in a direction that moves its defect sum(c_i x_i) toward zero
     (the classical completion restriction, which reaches every minimal
-    solution).  Balanced candidates are collected; anything dominating a
-    known minimal solution is pruned.  Level-by-level processing keeps the
-    minimal set complete before deeper candidates are expanded.
+    solution): a coordinate of positive coefficient from a negative
+    defect, one of negative coefficient from a positive defect.  Balanced
+    candidates are the minimal solutions; a candidate dominating a known
+    minimal solution is pruned.  A candidate's level is its coordinate
+    sum, and a level's minimal solutions are all collected before its
+    candidates are expanded, so each candidate is made after every
+    minimal solution of lower level is known, and tested against them.
+    Two facts follow, and keep each test to a few of those solutions:
+
+    - y = x + e_i need only be tested against the minimal m with
+      m_i = y_i, which by_entry[i][y_i] lists.  Proof: no minimal
+      solution of lower level than x lies below x, and one of x's own
+      level below x would be x, which is unbalanced; so m <= y does not
+      put m below x, which forces m_i > x_i, that is m_i = y_i.
+    - A balanced candidate is minimal without a second test.  Proof: it
+      was tested against every minimal solution of lower level when it
+      was made, and one of its own level below it would be itself.
 
     The search ends by level b+ + b- + 1, with b+ and b- the sum limits
     of the completeness region.  A unit vector's defect lies in
@@ -289,7 +300,11 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
 
     coeffs = tuple(ent[j] for j in active) + (-1,)
     n = len(coeffs)
+    up = [i for i in range(n) if coeffs[i] > 0]  # the steps from a negative defect
+    down = [i for i in range(n) if coeffs[i] < 0]  # and from a positive one
     minimal: list[tuple[int, ...]] = []
+    # by_entry[i][t]: the minimal solutions m with m_i = t > 0
+    by_entry: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(n)]
     frontier: dict[tuple[int, ...], int] = {}
     for i in range(n):
         frontier[_unit(n, i)] = coeffs[i]
@@ -301,22 +316,26 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
         if level > max_level:
             raise AssertionError(f"frontier search exceeded level bound for v={ent}")
         for x, d in frontier.items():
-            if d == 0 and not any(_dominates(m, x) for m in minimal):
+            if d == 0:
                 minimal.append(x)
+                for i, t in enumerate(x):
+                    if t:
+                        by_entry[i].setdefault(t, []).append(x)
         room = ENUMERATION_CAP - explored
         nxt: dict[tuple[int, ...], int] = {}
         for x, d in frontier.items():
             if d == 0:
                 continue
-            for i in range(n):
-                c = coeffs[i]
-                if c * d < 0:
-                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
-                    if y in nxt:
-                        continue
-                    if any(_dominates(m, y) for m in minimal):
-                        continue
-                    nxt[y] = d + c
+            for i in up if d < 0 else down:
+                t = x[i] + 1
+                y = x[:i] + (t,) + x[i + 1:]
+                if y in nxt:
+                    continue
+                for m in by_entry[i].get(t, ()):
+                    if all(map(operator.le, m, y)):
+                        break
+                else:
+                    nxt[y] = d + coeffs[i]
                     if len(nxt) > room:
                         raise CapExceededError(
                             f"frontier search exceeds the enumeration cap of "
@@ -515,9 +534,12 @@ def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None
     that shares its n with an earlier one, and x the first of those.
     Returns None when |basis| <= r (no relation is forced), and
     raises NoRelationError when no such pair exists, since the basis is
-    then not one of Hol.
+    then not one of Hol.  Raises LengthMismatchError when r is not the
+    rank of a nonempty basis.
     """
     elems = basis.elements
+    if elems and r != len(elems[0]):
+        raise LengthMismatchError(f"rank {r} given for a basis of rank {len(elems[0])}")
     if len(elems) <= r:
         return None
     units = {h.index(1) for h in elems if sum(h) == 1}

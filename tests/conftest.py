@@ -2,7 +2,10 @@
 
 Everything here recomputes answers the dumbest possible way (full
 enumeration, no slack equation, no pruning) so the package's algorithms
-are checked against genuinely separate code paths.  The lattice checks
+are checked against genuinely separate code paths.  The one exception is
+full_scan_frontier, the frontier engine with its pruning done the plain
+way, by a scan of every minimal solution, kept to count the nodes the
+indexed engine must explore as well.  The lattice checks
 rest on the exact Hermite reduction defined here, which the tests check
 against sympy.  report_document is the reference for the package's
 direct record renderer, and swept_families is the acceptance sweep,
@@ -12,6 +15,7 @@ computed once per session.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Any, Sequence
 
@@ -141,6 +145,54 @@ def brute_hilbert_basis(v, bound: int) -> list[tuple[int, ...]]:
         if not splits:
             out.append(k)
     return sorted(out)
+
+
+def full_scan_frontier(v) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(basis, nodes explored) of hilbert_basis_frontier's search, with
+    every candidate tested against every minimal solution known so far.
+
+    The same completion search on v / gcd(v) over the nonzero orders and
+    the slack, level by level from the unit vectors, with no cap and no
+    level bound; zero orders add their unit vectors.
+    """
+    r = len(v)
+    g = math.gcd(*v) or 1
+    ent = [x // g for x in v]
+    active = [j for j in range(r) if ent[j]]
+    coeffs = [ent[j] for j in active] + [-1]
+    n = len(coeffs)
+
+    def unit(m, i):
+        return tuple(int(j == i) for j in range(m))
+
+    def dominated(y, minimal):
+        return any(all(a <= b for a, b in zip(m, y)) for m in minimal)
+
+    minimal = []
+    frontier = {unit(n, i): coeffs[i] for i in range(n)}
+    explored = n
+    while frontier:
+        for x, d in frontier.items():
+            if d == 0 and not dominated(x, minimal):
+                minimal.append(x)
+        nxt = {}
+        for x, d in frontier.items():
+            if d == 0:
+                continue
+            for i, c in enumerate(coeffs):
+                if c * d < 0:
+                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    if y not in nxt and not dominated(y, minimal):
+                        nxt[y] = d + c
+        explored += len(nxt)
+        frontier = nxt
+    elems = [unit(r, j) for j in range(r) if not ent[j]]
+    for x in minimal:
+        h = [0] * r
+        for i, j in enumerate(active):
+            h[j] = x[i]
+        elems.append(tuple(h))
+    return tuple(sorted(elems)), explored
 
 
 def brute_count_factorizations(k, elements) -> int:

@@ -1,7 +1,7 @@
 """Hilbert engines: both basis algorithms, factorization counting and
 non-uniqueness witnesses, with the brute-force irreducibility, lattice and
-adjoined-irreducibles checks from conftest they are tested against, and
-the Hermite reduction behind the lattice check."""
+adjoined-irreducibles checks and the full-scan frontier from conftest they
+are tested against, and the Hermite reduction behind the lattice check."""
 
 from __future__ import annotations
 
@@ -31,12 +31,18 @@ from artinhol import (
 )
 from artinhol import hilbert
 from artinhol.conditions import cross_checked_basis
-from artinhol.errors import CapExceededError, NoRelationError, NotInHolError
+from artinhol.errors import (
+    CapExceededError,
+    LengthMismatchError,
+    NoRelationError,
+    NotInHolError,
+)
 from conftest import (
     adjoined_irreducibles,
     brute_count_factorizations,
     brute_hilbert_basis,
     dot,
+    full_scan_frontier,
     hnf_with_transform,
     is_irreducible,
     lattice_is_full,
@@ -149,6 +155,43 @@ class TestFrontierEngine:
         b = hilbert_basis_frontier(v)
         assert a.elements == b.elements
         assert all(_obeys_region(h, v) for h in b.elements)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-25, 25), min_size=2, max_size=3))
+    def test_engines_agree_on_deep_searches(self, v):
+        # orders up to 25 make b+ + b-, and with it the depth, up to 50
+        assert hilbert_basis_frontier(v).elements == hilbert_basis_oracle(v).elements
+
+    @pytest.mark.parametrize(
+        "v, size", [((40, -63, 17, -29), 684), ((1,) * 150 + (-1,), 300)]
+    )
+    def test_deep_and_wide_searches(self, v, size):
+        # a deep search (b+ + b- = 103) and a wide one (300 elements at rank 151)
+        basis = hilbert_basis_frontier(v)
+        assert len(basis) == size
+        assert basis.elements == hilbert_basis_oracle(v).elements
+
+    def test_explores_the_nodes_of_the_full_scan(self, monkeypatch):
+        # The cap is consulted as each node past the unit vectors is added,
+        # so a search that adds one passes at a cap of its node count N and
+        # is refused at N - 1; the indexed pruning must prune exactly what
+        # a scan of every minimal solution prunes.
+        rng = random.Random(18)
+        vectors = list(itertools.product(range(-3, 4), repeat=3)) + [
+            tuple(rng.randint(-6, 6) for _ in range(rng.randint(4, 6)))
+            for _ in range(100)
+        ]
+        deeper = 0
+        for v in vectors:
+            basis, nodes = full_scan_frontier(v)
+            monkeypatch.setattr(hilbert, "ENUMERATION_CAP", nodes)
+            assert hilbert_basis_frontier(v).elements == basis, v
+            if nodes > sum(1 for x in v if x) + 1:  # past the unit vectors
+                deeper += 1
+                monkeypatch.setattr(hilbert, "ENUMERATION_CAP", nodes - 1)
+                with pytest.raises(CapExceededError):
+                    hilbert_basis_frontier(v)
+        assert deeper == 373
 
 
 class TestCompletenessRegion:
@@ -609,6 +652,14 @@ class TestNonuniquenessWitness:
                         product = [a + c * b for a, b in zip(product, h)]
                     assert tuple(product) == w, (v, w, coeffs)
         assert seen == 829
+
+    def test_rank_must_match_the_basis(self):
+        # (2, -3) is not factorial: its 3 elements have rank 2
+        basis = hilbert_basis_oracle((2, -3))
+        for r in (1, 5):
+            with pytest.raises(LengthMismatchError, match=f"rank {r} given for a basis of rank 2"):
+                nonuniqueness_witness(basis, r)
+        assert nonuniqueness_witness(HilbertBasis((), "oracle"), 5) is None
 
     def test_no_shared_coordinate_is_not_a_hol_basis(self):
         # (1,1) is no unit, yet it has no coordinate outside the units
