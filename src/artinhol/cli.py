@@ -103,9 +103,9 @@ def _cmd_check(args, parser) -> int:
             f"degrees ({len(args.degrees)}) and orders ({len(args.orders)}) "
             "must have the same length"
         )
-    inst = Instance.of(
-        DegreeVector(args.degrees),
-        OrderVector(args.orders),
+    inst = Instance(
+        args.degrees,
+        args.orders,
         require_dedekind=not args.no_require_dedekind,
         require_trivial_nonneg=args.require_trivial_nonneg,
         group=args.group,
@@ -174,6 +174,7 @@ def _cmd_factorize(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
+    # Every output path is checked before any of them creates a directory.
     # Two outputs on one file would share a temp name and overwrite each other.
     seen: dict[Path, str] = {}
     for flag, path in (
@@ -184,7 +185,7 @@ def _cmd_sweep(args, parser) -> int:
         if path == "":
             parser.error(f"{flag} needs a file name, got an empty path")
         if path is not None:
-            key = Path(path).resolve()
+            key = _output_file(path)
             if key in seen:
                 parser.error(f"{seen[key]} and {flag} name the same file: {path}")
             seen[key] = flag
@@ -206,12 +207,8 @@ def _cmd_sweep(args, parser) -> int:
         out_path=args.out,
         group=group,
     )
-    # Every output path is checked before any of them creates a directory.
     # The summary files are opened before the sweep runs, so an unwritable
     # path fails fast; like --out, each replaces its target only on success.
-    for path in (args.out, args.summary_json, args.csv):
-        if path is not None:
-            _output_file(path)
     with _replacing(args.summary_json) as json_fh, _replacing(args.csv) as csv_fh:
         t0 = time.perf_counter()
         summary = run_sweep(plan)

@@ -41,6 +41,8 @@ from typing import NamedTuple
 from .core import (
     Instance,
     OrdersLike,
+    _int_entries,
+    _int_value,
     as_order_vector,
     is_admissible,
 )
@@ -70,7 +72,7 @@ class SubsetSelector:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = _int_entries(self.indices, "subset")
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise InvalidSubsetError("subset must be nonempty")
@@ -192,6 +194,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _check_pair_indices(r: int, k: int, l: int) -> None:
+    _int_value(k, "k")
+    _int_value(l, "l")
     if not (1 <= k <= r and 1 <= l <= r):
         raise IndexOutOfRangeError(f"indices ({k},{l}) outside 1..{r}")
     if k == l:

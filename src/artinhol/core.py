@@ -41,6 +41,13 @@ def _int_entries(entries, what: str) -> tuple[int, ...]:
     return out
 
 
+def _int_value(x, what: str) -> int:
+    """x, if it is an int and not a bool; else TypeError naming `what`."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 def validate_exponent_vector(k: Sequence[int], rank: int | None = None) -> tuple[int, ...]:
     """Normalize k to a tuple, checking nonnegativity and (optionally) rank."""
     kk = _int_entries(k, "exponent vector")
@@ -123,10 +130,12 @@ def check_flags(obj, *labels: str) -> None:
 class Instance:
     """One hypothetical situation: degrees, order profile, flags.
 
-    The field and the point s0 are carried only as opaque labels; no
-    analytic content is attached to them.  Admissibility is a verdict of
-    is_admissible, not a construction guard, so inadmissible instances can
-    be built, swept, and recorded.
+    degrees and orders may be given as DegreeVector and OrderVector or as
+    plain sequences of ints, which are converted to them; anything else
+    raises TypeError.  The field and the point s0 are carried only as
+    opaque labels; no analytic content is attached to them.  Admissibility
+    is a verdict of is_admissible, not a construction guard, so
+    inadmissible instances can be built, swept, and recorded.
     """
 
     degrees: DegreeVector
@@ -137,6 +146,10 @@ class Instance:
     s0_label: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.degrees, DegreeVector):
+            object.__setattr__(self, "degrees", DegreeVector(self.degrees))
+        if not isinstance(self.orders, OrderVector):
+            object.__setattr__(self, "orders", OrderVector(self.orders))
         if self.degrees.rank != self.orders.rank:
             raise LengthMismatchError(
                 f"degrees {self.degrees.rank} vs orders {self.orders.rank}"
@@ -146,12 +159,6 @@ class Instance:
     @property
     def rank(self) -> int:
         return self.degrees.rank
-
-    @classmethod
-    def of(cls, degrees, orders, **kwargs) -> "Instance":
-        d = degrees if isinstance(degrees, DegreeVector) else DegreeVector(tuple(degrees))
-        v = as_order_vector(orders)
-        return cls(degrees=d, orders=v, **kwargs)
 
 
 def order_of(k: Sequence[int], v: OrdersLike) -> int:

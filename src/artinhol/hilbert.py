@@ -42,12 +42,13 @@ report its basis this way, one basis per representative.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .core import OrdersLike, as_order_vector, validate_exponent_vector
+from .core import OrdersLike, _int_entries, _int_value, as_order_vector, validate_exponent_vector
 from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotInHolError
 
 #: Hard cap on the oracle's region points, the frontier's explored nodes
@@ -74,6 +75,7 @@ class HilbertBasis:
     def __post_init__(self):
         elems = tuple(tuple(e) for e in self.elements)
         object.__setattr__(self, "elements", elems)
+        _int_entries(itertools.chain.from_iterable(elems), "basis element")
         if self.source_engine not in ("oracle", "frontier"):
             raise ValueError(f"unknown engine tag {self.source_engine!r}")
         for e in elems:
@@ -379,7 +381,7 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     on them.  An O(r) product over that bound admits small elements at
     once; the O(m * r) sum is computed only when the product is over the cap.
     """
-    if cap < 2:
+    if _int_value(cap, "cap") < 2:
         raise ValueError("cap must be >= 2")
     elems = basis.elements
     kk = validate_exponent_vector(k, rank=len(elems[0]) if elems else None)
@@ -538,6 +540,7 @@ def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None
     rank of a nonempty basis.
     """
     elems = basis.elements
+    _int_value(r, "rank r")
     if elems and r != len(elems[0]):
         raise LengthMismatchError(f"rank {r} given for a basis of rank {len(elems[0])}")
     if len(elems) <= r:

@@ -22,7 +22,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .conditions import ConditionReport, PairWitness, check_instance
-from .core import DegreeVector, Instance, OrderVector, validate_exponent_vector
+from .core import DegreeVector, Instance, validate_exponent_vector
 from .errors import LengthMismatchError
 
 if TYPE_CHECKING:
@@ -187,7 +187,7 @@ def _parse_report(data, bases: dict) -> ConditionReport:
             raise LengthMismatchError(f"r {di['r']} vs degrees {r}")
         inst = Instance(
             degrees=degrees,
-            orders=OrderVector(tuple(di["orders"])),
+            orders=di["orders"],
             require_dedekind=di["flags"]["require_dedekind"],
             require_trivial_nonneg=di["flags"]["require_trivial_nonneg"],
             group=di["labels"]["group"],

@@ -27,14 +27,14 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import serialize
 from .conditions import ConditionReport, check_instance, orbit_basis
-from .core import DegreeVector, Instance, OrderVector, check_flags
+from .core import DegreeVector, Instance, OrderVector, _int_value, check_flags
 from .errors import CapExceededError, MixedPlansError
 from .hilbert import Elements, Orbit, canonical_order
 
@@ -60,10 +60,7 @@ class SweepPlan:
         if not isinstance(self.degrees, DegreeVector):
             raise TypeError(f"degrees must be a DegreeVector, got {self.degrees!r}")
         for name in ("order_bound", "worker_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 1:
+            if _int_value(getattr(self, name), name) < 1:
                 raise ValueError(f"{name.replace('_', ' ')} must be >= 1")
         check_flags(self, "group")
 
@@ -170,20 +167,6 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-@contextmanager
-def _mapper(plan: SweepPlan):
-    """The ordered map to run the plan's tasks with: the imap of one Pool,
-    of as many processes as the workers asked for, the chunks and the
-    usable CPUs allow, when that is more than one; else the builtin map."""
-    chunks = -(-((2 * plan.order_bound + 1) ** plan.degrees.rank) // CHUNK_SIZE)
-    n = min(plan.worker_count, chunks, _usable_cpus())
-    if n < 2:
-        yield map
-        return
-    with Pool(n) as pool:
-        yield pool.imap
-
-
 def _chunk_reports(
     plan: SweepPlan,
     vectors: list[tuple[int, ...]],
@@ -192,7 +175,7 @@ def _chunk_reports(
 ) -> Iterator[ConditionReport]:
     """Reports of one chunk's vectors, in order."""
     for v, orbit in zip(vectors, orbits):
-        inst = Instance.of(
+        inst = Instance(
             plan.degrees,
             v,
             require_dedekind=plan.require_dedekind,
@@ -294,12 +277,17 @@ def _replacing(path: str | Path | None):
 
 def run_sweep(plan: SweepPlan) -> SweepSummary:
     """Execute the plan: write each chunk's records and add its summary,
-    in chunk order."""
+    in chunk order.  The tasks, and with them the cap check, are made
+    before the chunks run through the imap of one Pool of n processes, n
+    the least of the workers, the chunks and the usable CPUs, if n > 1;
+    else through the builtin map, in this process."""
     summary = summarize(())
     with _replacing(plan.out_path) as fh:
         tasks = _chunk_tasks(plan)
-        with _mapper(plan) as mapper:
-            for lines, part in mapper(_run_chunk, tasks):
+        chunks = -(-((2 * plan.order_bound + 1) ** plan.degrees.rank) // CHUNK_SIZE)
+        n = min(plan.worker_count, chunks, _usable_cpus())
+        with Pool(n) if n > 1 else nullcontext() as pool:
+            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, tasks):
                 if fh is not None:
                     fh.writelines(lines)
                 summary += part

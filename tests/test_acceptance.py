@@ -167,7 +167,7 @@ def test_criterion_5_closed_forms_vs_search():
 def test_criterion_6_known_value_spot_checks():
     assert hilbert_basis_oracle((1, -1)).elements == ((1, 0), (1, 1))
     assert hilbert_basis_oracle((2, -3)).elements == ((1, 0), (2, 1), (3, 2))
-    rep = check_instance(Instance.of((1, 1), (1, -1)))
+    rep = check_instance(Instance((1, 1), (1, -1)))
     assert rep.factorial is True
     assert rep.cond_i is False
     assert rep.cond_ii is False
@@ -194,8 +194,8 @@ def test_criterion_7_invariance():
         pd = tuple(d[perm[j]] for j in range(r))
         expected = sorted(tuple(h[perm[j]] for j in range(r)) for h in base)
         assert list(hilbert_basis_oracle(pv).elements) == expected, (v, perm)
-        rep = check_instance(Instance.of(d, v))
-        rep_p = check_instance(Instance.of(pd, pv))
+        rep = check_instance(Instance(d, v))
+        rep_p = check_instance(Instance(pd, pv))
         for attr in (
             "admissible",
             "factorial",
@@ -266,7 +266,7 @@ def test_criterion_9_determinism_and_interfaces(tmp_path):
     # criteria provably agree); the mapping itself is pinned synthetically
     import dataclasses
 
-    rep = check_instance(Instance.of((1, 1), (1, -1)))
+    rep = check_instance(Instance((1, 1), (1, -1)))
     broken = dataclasses.replace(rep, cond_i=True)
     assert broken.equivalence_ok is False
     assert exit_code_for_report(broken) == 1
@@ -281,7 +281,7 @@ def test_cached_sweep_matches_uncached_reports(tmp_path, degrees, bound, workers
     out = tmp_path / "cached.jsonl"
     run_sweep(SweepPlan(DegreeVector(degrees), bound, worker_count=workers, out_path=out))
     expected = "".join(
-        sweep_record_line(check_instance(Instance.of(degrees, v)))
+        sweep_record_line(check_instance(Instance(degrees, v)))
         for v in enumerate_order_vectors(len(degrees), bound)
     )
     assert out.read_bytes() == expected.encode("utf-8")

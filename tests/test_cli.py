@@ -384,6 +384,25 @@ class TestDuplicateOutputs:
         assert target.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_a_symlink_and_its_target_exit_two(self, tmp_path, exists):
+        target = tmp_path / "summary.csv"
+        if exists:
+            target.write_text("previous\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        res = run_cli(
+            "sweep", "--degrees", "1,1", "--order-bound", "1",
+            "--out", str(link), "--csv", str(target),
+        )
+        assert res.returncode == 2
+        assert "--out and --csv name the same file" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link"] + ["summary.csv"] * exists
+        if exists:
+            assert target.read_text() == "previous\n"
+
 
 def _readme_commands() -> list[list[str]]:
     """Every `artinhol ...` line of the README's sh blocks, continuations joined."""

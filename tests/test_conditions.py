@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,15 @@ class TestCondIIPair:
         with pytest.raises(EqualIndicesError):
             cond_ii_pair((1, -1), 1, 1)
 
+    @pytest.mark.parametrize(
+        "k, l, bad",
+        [(True, 2, "k"), (1, 2.0, "l"), (1.0, 2, "k"), ("1", 2, "k"), (2, False, "l")],
+    )
+    def test_indices_must_be_ints(self, k, l, bad):
+        value = {"k": k, "l": l}[bad]
+        with pytest.raises(TypeError, match=re.escape(f"{bad} must be an int, got {value!r}")):
+            cond_ii_pair((1, -1), k, l)
+
 
 class TestCondII:
     def test_examples(self):
@@ -109,7 +119,7 @@ class TestCondII:
     def test_pair_table_matches_report(self):
         for v in itertools.product(range(-2, 3), repeat=3):
             ok, pairs = cond_ii(v)
-            rep = check_instance(Instance.of((1, 1, 2), v))
+            rep = check_instance(Instance((1, 1, 2), v))
             assert (ok, pairs) == (rep.cond_ii, rep.cond_ii_pairs), v
 
     def test_pair_table_matches_search_r3(self):
@@ -199,7 +209,7 @@ class TestInternedPairTable:
                 assert cond_ii_pair(v, k, l) == w, (v, k, l)
             # the basis plays no part in the table or its text
             bases[canonical_order(v)[0]] = ()
-            rep = check_instance(Instance.of((1,) * len(v), v), bases)
+            rep = check_instance(Instance((1,) * len(v), v), bases)
             assert (rep.cond_ii, list(rep.cond_ii_pairs)) == (ok, table), v
             text = serialize.render_report_json(rep)
             assert text == serialize.canonical_json(report_document(rep)), v
@@ -224,7 +234,7 @@ class TestInternedPairTable:
             r = rng.randint(2, 11)
             v = tuple(rng.randint(-(10**6), 10**6) for _ in range(r))
             bases[canonical_order(v)[0]] = ()
-            serialize.render_report_json(check_instance(Instance.of((1,) * r, v), bases))
+            serialize.render_report_json(check_instance(Instance((1,) * r, v), bases))
         for cache in self.CACHES:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize, cache
@@ -272,6 +282,17 @@ class TestCondIIISubset:
             SubsetSelector((1, 1))
         with pytest.raises(InvalidSubsetError):
             cond_iii_subset((1, -1), (1, 3))
+
+    @pytest.mark.parametrize(
+        "indices, bad",
+        [((1.9, 2.5), 1.9), ((1, 2.0), 2.0), (("1", "2"), "1"), ((1, True), True), ((False,), False)],
+    )
+    def test_subset_indices_must_be_ints(self, indices, bad):
+        message = f"subset entries must be ints, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            SubsetSelector(indices)
+        with pytest.raises(TypeError):
+            cond_iii_subset((1, -1, 2), indices)
 
 
 class TestCondIII:
@@ -324,7 +345,7 @@ class TestCondIIPrime:
 
 class TestCheckInstance:
     def test_motivating_example(self):
-        rep = check_instance(Instance.of((1, 1), (1, -1)))
+        rep = check_instance(Instance((1, 1), (1, -1)))
         assert rep.admissible
         assert rep.factorial is True
         assert rep.cond_i is False
@@ -336,18 +357,18 @@ class TestCheckInstance:
         assert len(rep.cond_ii_pairs) == 2  # complete ordered-pair table
 
     def test_all_true_example(self):
-        rep = check_instance(Instance.of((1, 1, 2), (0, 0, 0)))
+        rep = check_instance(Instance((1, 1, 2), (0, 0, 0)))
         assert rep.cond_i and rep.cond_ii and rep.cond_iii and rep.cond_ii_prime
         assert rep.equivalence_ok is True
 
     def test_inadmissible_example(self):
-        rep = check_instance(Instance.of((1, 1), (0, -1)))
+        rep = check_instance(Instance((1, 1), (0, -1)))
         assert rep.admissible is False
         assert rep.equivalence_ok is None
         assert rep.hilbert_size == 1  # basis still computed and recorded
 
     def test_rank_one_report(self):
-        rep = check_instance(Instance.of((1,), (2,)))
+        rep = check_instance(Instance((1,), (2,)))
         assert rep.cond_ii_prime is None
         assert rep.cond_iii is False
         assert rep.equivalence_ok is None
@@ -355,12 +376,12 @@ class TestCheckInstance:
 
     def test_cond_i_forces_unit_basis(self):
         for v in itertools.product(range(0, 3), repeat=3):
-            rep = check_instance(Instance.of((1, 1, 1), v))
+            rep = check_instance(Instance((1, 1, 1), v))
             assert rep.cond_i and rep.factorial
             assert all(sum(e) == 1 for e in rep.hilbert_elements)
 
     def test_pair_table_is_complete(self):
-        rep = check_instance(Instance.of((1, 1, 2), (1, -1, 0)))
+        rep = check_instance(Instance((1, 1, 2), (1, -1, 0)))
         assert [(p.k, p.l) for p in rep.cond_ii_pairs] == [
             (k, l)
             for k in range(1, 4)
@@ -376,9 +397,9 @@ class TestCheckInstance:
             v = tuple(rng.randint(-3, 3) for _ in range(r))
             perm = list(range(r))
             rng.shuffle(perm)
-            rep = check_instance(Instance.of(d, v))
+            rep = check_instance(Instance(d, v))
             rep_p = check_instance(
-                Instance.of(
+                Instance(
                     tuple(d[perm[j]] for j in range(r)),
                     tuple(v[perm[j]] for j in range(r)),
                 )

@@ -268,17 +268,17 @@ class TestDivisibility:
 
 class TestAdmissibility:
     def test_examples(self):
-        ok, reasons = is_admissible(Instance.of((1, 1, 2), (1, -1, 0)))
+        ok, reasons = is_admissible(Instance((1, 1, 2), (1, -1, 0)))
         assert ok and reasons == ()
-        ok, reasons = is_admissible(Instance.of((1, 1), (0, -1)))
+        ok, reasons = is_admissible(Instance((1, 1), (0, -1)))
         assert not ok and len(reasons) == 1
         ok, reasons = is_admissible(
-            Instance.of((1, 1), (-1, 2), require_trivial_nonneg=True)
+            Instance((1, 1), (-1, 2), require_trivial_nonneg=True)
         )
         assert not ok and any("trivial" in r for r in reasons)
 
     def test_flags_off(self):
-        ok, _ = is_admissible(Instance.of((1, 1), (0, -1), require_dedekind=False))
+        ok, _ = is_admissible(Instance((1, 1), (0, -1), require_dedekind=False))
         assert ok
 
     def test_dedekind_lemma(self):
@@ -294,10 +294,28 @@ class TestAdmissibility:
                 degrees=DegreeVector((1, 1, 1)),
                 orders=OrderVector((0, 0)),
             )
-        assert Instance.of((1, 1, 2), (0, 1, -1)).rank == 3
+        with pytest.raises(LengthMismatchError):
+            Instance((1, 1, 1), [0, 0])
+        assert Instance((1, 1, 2), (0, 1, -1)).rank == 3
+
+    def test_plain_sequences_are_converted(self):
+        typed = Instance(DegreeVector((1, 1, 2)), OrderVector((0, 1, -1)), group="S3")
+        assert Instance((1, 1, 2), (0, 1, -1), group="S3") == typed
+        assert Instance(degrees=[1, 1, 2], orders=[0, 1, -1], group="S3") == typed
+        assert Instance(DegreeVector((1, 1, 2)), [0, 1, -1], group="S3") == typed
+        inst = Instance([1, 1, 2], [0, 1, -1])
+        assert type(inst.degrees) is DegreeVector and type(inst.orders) is OrderVector
+
+    @pytest.mark.parametrize(
+        "degrees, orders",
+        [(5, (0,)), ((1,), None), ((1, 1), (0, 1.0)), ((1, True), (0, 0)), (("1",), (0,))],
+    )
+    def test_a_field_not_a_sequence_of_ints_is_a_type_error(self, degrees, orders):
+        with pytest.raises(TypeError):
+            Instance(degrees, orders)
 
     def test_s0_label_is_opaque(self):
-        inst = Instance.of((1, 1), (0, 0), s0_label="1/2+3i")
+        inst = Instance((1, 1), (0, 0), s0_label="1/2+3i")
         assert inst.s0_label == "1/2+3i"
 
     @pytest.mark.parametrize(
@@ -311,7 +329,7 @@ class TestAdmissibility:
     )
     def test_flags_are_bools_and_labels_strings(self, field, value):
         with pytest.raises(TypeError, match=field):
-            Instance.of((1, 1), (0, 0), **{field: value})
+            Instance((1, 1), (0, 0), **{field: value})
 
 
 class TestDegreeVector:

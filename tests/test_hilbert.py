@@ -357,6 +357,13 @@ class TestBasisLaws:
             assert list(hilbert_basis_oracle(pv).elements) == expected
 
 
+    @pytest.mark.parametrize("elements", [((1.5, 0),), ((0, True), (1, 0)), (("1", 0),)])
+    def test_entries_must_be_ints(self, elements):
+        with pytest.raises(TypeError, match="basis element entries must be ints"):
+            HilbertBasis(elements, "oracle")
+        assert HilbertBasis(((1, 0),), "frontier").elements == ((1, 0),)
+
+
 class TestCountFactorizations:
     def test_unique_example(self):
         basis = hilbert_basis_oracle((1, -1))
@@ -392,6 +399,13 @@ class TestCountFactorizations:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             count_factorizations((0, 0), hilbert_basis_oracle((1, -1)), cap=1)
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, True, "2", None])
+    def test_cap_must_be_an_int(self, cap):
+        basis = hilbert_basis_oracle((2, -3))
+        with pytest.raises(TypeError, match=f"cap must be an int, got {cap!r}$"):
+            count_factorizations((8, 4), basis, cap=cap)
+        assert basis._factor_memo == {}
 
     def test_search_over_the_bound_is_refused_before_it_starts(self):
         # Over (1, 0), (1, 1) the element (N, N) takes about N^2 / 2 steps
@@ -660,6 +674,12 @@ class TestNonuniquenessWitness:
             with pytest.raises(LengthMismatchError, match=f"rank {r} given for a basis of rank 2"):
                 nonuniqueness_witness(basis, r)
         assert nonuniqueness_witness(HilbertBasis((), "oracle"), 5) is None
+
+    @pytest.mark.parametrize("r", [True, 2.0, "2", None])
+    def test_rank_must_be_an_int(self, r):
+        for basis in (hilbert_basis_oracle((2, -3)), HilbertBasis((), "oracle")):
+            with pytest.raises(TypeError, match=f"rank r must be an int, got {r!r}$"):
+                nonuniqueness_witness(basis, r)
 
     def test_no_shared_coordinate_is_not_a_hol_basis(self):
         # (1,1) is no unit, yet it has no coordinate outside the units

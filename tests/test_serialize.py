@@ -48,7 +48,7 @@ def test_round_trip_on_small_sweep():
 
 def test_round_trip_preserves_labels_and_flags():
     rep = check_instance(
-        Instance.of(
+        Instance(
             (1, 1, 2),
             (1, -1, 0),
             require_dedekind=False,
@@ -61,14 +61,14 @@ def test_round_trip_preserves_labels_and_flags():
 
 
 def test_no_floating_point_anywhere():
-    rep = check_instance(Instance.of((1, 1, 2), (1, -1, 0)))
+    rep = check_instance(Instance((1, 1, 2), (1, -1, 0)))
     assert _no_floats(report_document(rep))
     summary = summarize(sweep_reports(SweepPlan(DegreeVector((1, 1)), 1)))
     assert _no_floats(json.loads(render_summary_json(summary)))
 
 
 def test_render_is_stable():
-    rep = check_instance(Instance.of((1, 1), (1, -1)))
+    rep = check_instance(Instance((1, 1), (1, -1)))
     assert render_report_json(rep) == render_report_json(rep)
     line = sweep_record_line(rep)
     assert line.endswith("\n")
@@ -104,11 +104,11 @@ def test_sweep_file_with_an_edited_basis_is_rejected(tmp_path):
 
 
 def test_exit_code_contract():
-    rep = check_instance(Instance.of((1, 1), (1, -1)))
+    rep = check_instance(Instance((1, 1), (1, -1)))
     assert rep.equivalence_ok is True
     assert exit_code_for_report(rep) == 0
 
-    inadmissible = check_instance(Instance.of((1, 1), (0, -1)))
+    inadmissible = check_instance(Instance((1, 1), (0, -1)))
     assert inadmissible.equivalence_ok is None
     assert exit_code_for_report(inadmissible) == 0
 
@@ -123,7 +123,7 @@ def test_exit_code_contract():
 
 
 def test_schema_version_checked():
-    rep = check_instance(Instance.of((1, 1), (0, 0)))
+    rep = check_instance(Instance((1, 1), (0, 0)))
     for version in ("1", "99"):
         doc = report_document(rep)
         doc["schema_version"] = version
@@ -143,7 +143,7 @@ def test_schema_version_checked():
 def test_malformed_record_raises_value_error(tmp_path, path, match):
     # path None replaces the record by a JSON list; else the key at the
     # end of path is dropped.
-    doc = report_document(check_instance(Instance.of((1, 1, 2), (1, 0, -1))))
+    doc = report_document(check_instance(Instance((1, 1, 2), (1, 0, -1))))
     if path is None:
         doc = []
     else:
@@ -162,7 +162,7 @@ def test_malformed_record_raises_value_error(tmp_path, path, match):
 
 
 def test_rank_must_match_degrees():
-    line = sweep_record_line(check_instance(Instance.of((1, 1, 2), (1, 0, -1))))
+    line = sweep_record_line(check_instance(Instance((1, 1, 2), (1, 0, -1))))
     assert '"r":3,' in line
     parse_report_document(line)
     for r in ("2", "4"):
@@ -186,7 +186,7 @@ def test_rank_must_match_degrees():
 def test_round_trip_property(vectors, dedekind, trivial, group, s0):
     degrees, orders = vectors
     rep = check_instance(
-        Instance.of(
+        Instance(
             degrees,
             orders,
             require_dedekind=dedekind,
@@ -211,7 +211,7 @@ def test_round_trip_property(vectors, dedekind, trivial, group, s0):
     ],
 )
 def test_tampered_record_is_rejected(orders, old, new, key):
-    line = render_report_json(check_instance(Instance.of((1, 1, 2), orders)))
+    line = render_report_json(check_instance(Instance((1, 1, 2), orders)))
     assert old in line
     parse_report_document(line)
     with pytest.raises(ValueError, match=f"record key '{key}' disagrees"):
@@ -221,7 +221,7 @@ def test_tampered_record_is_rejected(orders, old, new, key):
 def test_other_encodings_of_a_record_parse_through_the_key_comparison():
     # Only the rendered text itself takes the fast path; the same document
     # spaced out, padded, or already parsed is compared key by key.
-    line = sweep_record_line(check_instance(Instance.of((1, 1, 2), (1, 1, 0))))
+    line = sweep_record_line(check_instance(Instance((1, 1, 2), (1, 1, 0))))
     rep = parse_report_document(line)
     doc = json.loads(line)
     for other in (json.dumps(doc, indent=1), f"  {line}  ", doc):
@@ -245,7 +245,7 @@ def test_other_encodings_of_a_record_parse_through_the_key_comparison():
     ],
 )
 def test_mistyped_record_is_rejected(degrees, orders, old, new, error, match):
-    line = render_report_json(check_instance(Instance.of(degrees, orders)))
+    line = render_report_json(check_instance(Instance(degrees, orders)))
     assert old in line
     parse_report_document(line)
     with pytest.raises(error, match=match):
@@ -290,7 +290,7 @@ _LABEL_TEXT = st.text(
 )
 def test_renderer_matches_reference_property(vectors, dedekind, trivial, group, s0):
     degrees, orders = vectors
-    inst = Instance.of(
+    inst = Instance(
         degrees,
         orders,
         require_dedekind=dedekind,
@@ -318,7 +318,7 @@ def test_renderer_matches_reference_property(vectors, dedekind, trivial, group, 
     ],
 )
 def test_renderer_matches_reference_on_reasons_and_flags(degrees, orders, flags):
-    rep = check_instance(Instance.of(degrees, orders, **flags))
+    rep = check_instance(Instance(degrees, orders, **flags))
     _assert_renders_like_reference(rep)
     assert parse_report_document(render_report_json(rep)) == rep
 
@@ -360,7 +360,7 @@ def test_summary_csv_shape():
 
 
 def test_human_rendering_mentions_verdicts():
-    rep = check_instance(Instance.of((1, 1), (1, -1)))
+    rep = check_instance(Instance((1, 1), (1, -1)))
     text = render_report_human(rep)
     assert "factorial: True" in text
     assert "condition i   : False" in text

@@ -59,6 +59,26 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             sweep_reports(plan)
 
+    def test_oversized_box_starts_no_pool_and_leaves_no_file(self, tmp_path, monkeypatch):
+        # The cap check runs as the tasks are made, before run_sweep starts
+        # a pool; a check made lazily, inside the task stream, would run
+        # only once a pool had started and asked for the first task.
+        def fail(what):
+            def call(arg):
+                raise AssertionError(f"{what} {arg}")
+
+            return call
+
+        for name in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
+            monkeypatch.setattr(conditions, name, fail(f"{name} ran on"))
+        monkeypatch.setattr(sweep, "Pool", fail("a pool started of size"))
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        out = tmp_path / "records.jsonl"
+        plan = SweepPlan(DegreeVector((1,) * 10), 3, worker_count=2, out_path=out)
+        with pytest.raises(CapExceededError):
+            run_sweep(plan)
+        assert list(tmp_path.iterdir()) == []
+
     def test_cap_message_names_rank_and_product(self, capsys):
         message = "sweep of 7 x 4782969 = 33480783 entries exceeds cap 10000000"
         with pytest.raises(CapExceededError) as err:
@@ -306,7 +326,7 @@ class TestBasisCache:
         assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
 
     def test_explicit_basis_matches_uncached_report(self):
-        inst = Instance.of((1, 2, 1), (2, -1, -2))
+        inst = Instance((1, 2, 1), (2, -1, -2))
         canon, _ = canonical_order(inst.orders.entries)
         bases = {canon: conditions.cross_checked_basis(canon).elements}
         assert check_instance(inst, bases) == check_instance(inst)
@@ -544,7 +564,7 @@ class TestSummarize:
         assert s.counterexamples == ()
 
     def test_single_report(self):
-        rep = check_instance(Instance.of((1, 1), (0, 0)))
+        rep = check_instance(Instance((1, 1), (0, 0)))
         s = summarize([rep])
         assert s.total == 1
         assert s.admissible == 1
@@ -561,11 +581,11 @@ class TestSummarize:
         assert dict(s.hilbert_histogram) == expect
 
     def test_mixed_plans_rejected(self):
-        a = check_instance(Instance.of((1, 1), (0, 0)))
-        b = check_instance(Instance.of((1, 2), (0, 0)))
+        a = check_instance(Instance((1, 1), (0, 0)))
+        b = check_instance(Instance((1, 2), (0, 0)))
         with pytest.raises(MixedPlansError):
             summarize([a, b])
-        c = check_instance(Instance.of((1, 1), (0, 0), require_dedekind=False))
+        c = check_instance(Instance((1, 1), (0, 0), require_dedekind=False))
         with pytest.raises(MixedPlansError):
             summarize([a, c])
 
