@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .catalog import catalog_groups, get_group
 from .conditions import check_instance, orbit_basis
-from .core import DegreeVector, Instance, OrderVector, order_of
+from .core import Instance, OrderVector, order_of
 from .errors import ArtinHolError, NotInHolError
 from .hilbert import HilbertBasis, count_factorizations
 from .serialize import (
@@ -196,8 +196,7 @@ def _cmd_sweep(args, parser) -> int:
             parser.error(exc.args[0])
         group = args.group
     else:
-        degrees = DegreeVector(args.degrees)
-        group = None
+        degrees, group = args.degrees, None
     plan = SweepPlan(
         degrees=degrees,
         order_bound=args.order_bound,

@@ -292,7 +292,7 @@ def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
     """
     ov = as_order_vector(v)
     ent = ov.entries
-    sel = subset if isinstance(subset, SubsetSelector) else SubsetSelector(tuple(subset))
+    sel = subset if isinstance(subset, SubsetSelector) else SubsetSelector(subset)
     sel.validate_rank(ov.rank)
     vals = [ent[j - 1] for j in sel.indices]
     if all(x == 0 for x in vals):

@@ -31,7 +31,10 @@ INT64_MIN = -(2**63)
 
 
 def _int_entries(entries, what: str) -> tuple[int, ...]:
-    out = tuple(entries)
+    try:
+        out = tuple(entries)
+    except TypeError:
+        raise TypeError(f"{what} must be a sequence of ints, got {entries!r}") from None
     if set(map(type, out)) <= {int}:
         return out
     # bools and other non-ints are found one by one, to name the first
@@ -87,7 +90,7 @@ OrdersLike = Union[OrderVector, Sequence[int]]
 
 
 def as_order_vector(v: OrdersLike) -> OrderVector:
-    return v if isinstance(v, OrderVector) else OrderVector(tuple(v))
+    return v if isinstance(v, OrderVector) else OrderVector(v)
 
 
 @dataclass(frozen=True)

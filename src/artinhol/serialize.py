@@ -164,12 +164,21 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
     exactly the rebuilt report's rendering raises ValueError naming the
     first top-level key that differs.  Text that is byte for byte that
     rendering, as every sweep line is, is accepted without encoding the
-    parsed document again.  A record that is not a JSON object, or lacks
-    a key read here, raises ValueError saying so.  Mistyped flags, labels,
-    orders or basis elements, and elements of the wrong rank, raise their
-    own errors.
+    parsed document again.  A record that is not a JSON object, lacks a
+    key read here, or holds something else where its instance, flags,
+    labels or hilbert object should be, raises ValueError saying so.
+    Mistyped flags, labels, orders or basis elements, and elements of the
+    wrong rank, raise their own errors.
     """
     return _parse_report(data, {})
+
+
+def _object(node: dict, key: str) -> dict:
+    """node[key], which must be a JSON object; else ValueError naming key."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"record key {key!r} is not a JSON object: got {type(value).__name__}")
+    return value
 
 
 def _parse_report(data, bases: dict) -> ConditionReport:
@@ -180,20 +189,21 @@ def _parse_report(data, bases: dict) -> ConditionReport:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
     try:
-        di = doc["instance"]
-        degrees = DegreeVector(tuple(di["degrees"]))
+        di = _object(doc, "instance")
+        degrees = DegreeVector(di["degrees"])
         r = degrees.rank
         if di["r"] != r:
             raise LengthMismatchError(f"r {di['r']} vs degrees {r}")
+        flags, labels = _object(di, "flags"), _object(di, "labels")
         inst = Instance(
             degrees=degrees,
             orders=di["orders"],
-            require_dedekind=di["flags"]["require_dedekind"],
-            require_trivial_nonneg=di["flags"]["require_trivial_nonneg"],
-            group=di["labels"]["group"],
-            s0_label=di["labels"]["s0"],
+            require_dedekind=flags["require_dedekind"],
+            require_trivial_nonneg=flags["require_trivial_nonneg"],
+            group=labels["group"],
+            s0_label=labels["s0"],
         )
-        elements = doc["hilbert"]["elements"]
+        elements = _object(doc, "hilbert")["elements"]
     except KeyError as exc:
         raise ValueError(f"record lacks key {exc.args[0]!r}") from None
     rep = check_instance(inst, bases)

@@ -4,7 +4,8 @@ A sweep fixes a degree vector and enumerates every order vector in the box
 [-B, B]^r in lexicographic order, runs the full condition report on each,
 streams one JSON line per instance to the output file, and aggregates a
 summary.  Inadmissible instances are recorded with their reasons but never
-asserted against.
+asserted against.  A SweepPlan makes every check a sweep needs, the box's
+size against INSTANCE_CAP included, when it is built.
 
 A sweep walks its box once, through the orbit map of the hilbert module.
 It cuts the enumeration into contiguous chunks of CHUNK_SIZE vectors;
@@ -46,7 +47,8 @@ CHUNK_SIZE = 256
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One sweep: degrees, box radius, flags, parallelism, output path."""
+    """One sweep: degrees (a DegreeVector, or a sequence of ints converted
+    to one), box radius, flags, parallelism, output path."""
 
     degrees: DegreeVector
     order_bound: int
@@ -58,11 +60,17 @@ class SweepPlan:
 
     def __post_init__(self):
         if not isinstance(self.degrees, DegreeVector):
-            raise TypeError(f"degrees must be a DegreeVector, got {self.degrees!r}")
+            try:
+                object.__setattr__(self, "degrees", DegreeVector(self.degrees))
+            except TypeError as err:
+                raise TypeError(
+                    f"degrees must be a DegreeVector or a sequence of ints, got {self.degrees!r}"
+                ) from err
         for name in ("order_bound", "worker_count"):
             if _int_value(getattr(self, name), name) < 1:
                 raise ValueError(f"{name.replace('_', ' ')} must be >= 1")
         check_flags(self, "group")
+        _box_size(self.degrees.rank, self.order_bound)
 
 
 @dataclass(frozen=True)
@@ -103,29 +111,28 @@ class SweepSummary:
         return self.admissible - self.cond_i_true
 
 
-def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
-    """All (2B+1)^r order vectors in the box, lexicographically.
-
-    Raises CapExceededError up front if r * (2B+1)^r exceeds INSTANCE_CAP.
-    """
-    return map(OrderVector, _box(r, bound))
-
-
-def _box(r: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """Entries of the vectors of enumerate_order_vectors(r, bound), with its
-    checks made up front and no OrderVector built."""
-    if r < 1 or bound < 1:
-        raise ValueError("need r >= 1 and bound >= 1")
+def _box_size(r: int, bound: int) -> int:
+    """(2B+1)^r, the number of vectors in the box [-B, B]^r; raises
+    CapExceededError if r * (2B+1)^r exceeds INSTANCE_CAP."""
     size = (2 * bound + 1) ** r
     if r * size > INSTANCE_CAP:
         raise CapExceededError(
             f"sweep of {r} x {size} = {r * size} entries exceeds cap {INSTANCE_CAP}"
         )
-    return itertools.product(range(-bound, bound + 1), repeat=r)
+    return size
+
+
+def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
+    """All (2B+1)^r order vectors in the box, lexicographically; r or B
+    below 1, and a box over INSTANCE_CAP, raise up front."""
+    if r < 1 or bound < 1:
+        raise ValueError("need r >= 1 and bound >= 1")
+    _box_size(r, bound)
+    return map(OrderVector, itertools.product(range(-bound, bound + 1), repeat=r))
 
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
-    """The plan's tasks, in enumeration order, after the cap check.
+    """The plan's tasks, in enumeration order.
 
     Each task is (plan, vectors, orbits, bases): the next CHUNK_SIZE
     vectors of the box, the canonical order (canon, perm) of each, and a
@@ -134,10 +141,8 @@ def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
     once per sweep, at the first vector swept to it, so a failure names
     that vector.
     """
-    return _chunks(plan, _box(plan.degrees.rank, plan.order_bound))
-
-
-def _chunks(plan: SweepPlan, box: Iterator[tuple[int, ...]]) -> Iterator[tuple]:
+    bound = plan.order_bound
+    box = itertools.product(range(-bound, bound + 1), repeat=plan.degrees.rank)
     bases: dict[tuple[int, ...], Elements] = {}
     while vectors := list(itertools.islice(box, CHUNK_SIZE)):
         orbits = list(map(canonical_order, vectors))
@@ -277,17 +282,15 @@ def _replacing(path: str | Path | None):
 
 def run_sweep(plan: SweepPlan) -> SweepSummary:
     """Execute the plan: write each chunk's records and add its summary,
-    in chunk order.  The tasks, and with them the cap check, are made
-    before the chunks run through the imap of one Pool of n processes, n
-    the least of the workers, the chunks and the usable CPUs, if n > 1;
-    else through the builtin map, in this process."""
+    in chunk order.  The chunks run through the imap of one Pool of n
+    processes, n the least of the workers, the chunks and the usable
+    CPUs, if n > 1; else through the builtin map, in this process."""
     summary = summarize(())
     with _replacing(plan.out_path) as fh:
-        tasks = _chunk_tasks(plan)
-        chunks = -(-((2 * plan.order_bound + 1) ** plan.degrees.rank) // CHUNK_SIZE)
+        chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
         n = min(plan.worker_count, chunks, _usable_cpus())
         with Pool(n) if n > 1 else nullcontext() as pool:
-            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, tasks):
+            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, _chunk_tasks(plan)):
                 if fh is not None:
                     fh.writelines(lines)
                 summary += part

@@ -516,6 +516,26 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err == f"error: output path {str(bad)!r} {reason}\n"
         assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--degrees", "1,1,1,1,1,1,1,1,1,1", "--order-bound", "3"],
+             "sweep of 10 x 282475249 = 2824752490 entries exceeds cap 10000000"),
+            (["--degrees", "1,1", "--order-bound", "0"], "order bound must be >= 1"),
+            (["--degrees", "1,1", "--workers", "0"], "worker count must be >= 1"),
+            (["--degrees", "1,0"], "degrees must be >= 1, got 0"),
+        ],
+    )
+    def test_refused_sweep_creates_no_directory(self, args, message, tmp_path, capsys):
+        # The plan refuses the sweep before any output makes its parent
+        # directories, so a refused sweep leaves nothing behind.
+        argv = ["sweep", *args]
+        for flag in ("--out", "--summary-json", "--csv"):
+            argv += [flag, str(tmp_path / flag[2:] / "file")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_parent_directories_are_created(self, tmp_path):
         sj = tmp_path / "a" / "summary.json"
         csvp = tmp_path / "b" / "summary.csv"

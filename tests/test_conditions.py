@@ -291,8 +291,14 @@ class TestCondIIISubset:
         message = f"subset entries must be ints, got {bad!r}"
         with pytest.raises(TypeError, match=re.escape(message)):
             SubsetSelector(indices)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=re.escape(message)):
             cond_iii_subset((1, -1, 2), indices)
+
+    def test_a_non_sequence_argument_is_named(self):
+        with pytest.raises(TypeError, match=r"^order vector must be a sequence of ints, got 5$"):
+            cond_i(5)
+        with pytest.raises(TypeError, match=r"^subset must be a sequence of ints, got 5$"):
+            cond_iii_subset((1, -1), 5)
 
 
 class TestCondIII:

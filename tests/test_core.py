@@ -154,6 +154,21 @@ class TestFastValidation:
             f"{what} entries must be ints, got False",
         }
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: OrderVector(5), "order vector"),
+            (lambda: DegreeVector(5), "degree vector"),
+            (lambda: validate_exponent_vector(5), "exponent vector"),
+            (lambda: order_of((1,), 5), "order vector"),
+            (lambda: order_of(5, (1,)), "exponent vector"),
+        ],
+    )
+    def test_a_non_sequence_is_named(self, build, what):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == f"{what} must be a sequence of ints, got 5"
+
     def test_first_non_int_is_named(self):
         with pytest.raises(TypeError, match=r"got 1\.5$"):
             OrderVector((0, 1.5, "x"))
@@ -311,7 +326,9 @@ class TestAdmissibility:
         [(5, (0,)), ((1,), None), ((1, 1), (0, 1.0)), ((1, True), (0, 0)), (("1",), (0,))],
     )
     def test_a_field_not_a_sequence_of_ints_is_a_type_error(self, degrees, orders):
-        with pytest.raises(TypeError):
+        # A non-sequence is named whole, a sequence by its first non-int.
+        shapes = "must be a sequence of ints|entries must be ints"
+        with pytest.raises(TypeError, match=rf"^(degree|order) vector ({shapes}), got "):
             Instance(degrees, orders)
 
     def test_s0_label_is_opaque(self):

@@ -138,20 +138,31 @@ def test_schema_version_checked():
         (("instance",), "record lacks key 'instance'"),
         (("instance", "labels", "s0"), "record lacks key 's0'"),
         (("hilbert",), "record lacks key 'hilbert'"),
+        (("instance", []), "record key 'instance' is not a JSON object: got list"),
+        (("instance", "flags", []), "record key 'flags' is not a JSON object: got list"),
+        (("instance", "labels", []), "record key 'labels' is not a JSON object: got list"),
+        (("hilbert", []), "record key 'hilbert' is not a JSON object: got list"),
     ],
 )
 def test_malformed_record_raises_value_error(tmp_path, path, match):
-    # path None replaces the record by a JSON list; else the key at the
+    # path None replaces the record by a JSON list; a path ending in []
+    # replaces the value at the rest of the path by []; else the key at the
     # end of path is dropped.
     doc = report_document(check_instance(Instance((1, 1, 2), (1, 0, -1))))
     if path is None:
         doc = []
     else:
         *outer, key = path
+        emptied = key == []
+        if emptied:
+            *outer, key = outer
         node = doc
         for k in outer:
             node = node[k]
-        del node[key]
+        if emptied:
+            node[key] = []
+        else:
+            del node[key]
     text = json.dumps(doc, separators=(",", ":"))
     with pytest.raises(ValueError, match=match):
         parse_report_document(text)

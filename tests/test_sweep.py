@@ -55,14 +55,16 @@ class TestEnumerate:
             list(enumerate_order_vectors(10, 3))
 
     def test_sweep_refuses_an_oversized_box_up_front(self):
-        plan = SweepPlan(DegreeVector((1,) * 10), 3)
-        with pytest.raises(CapExceededError):
-            sweep_reports(plan)
+        message = "sweep of 10 x 282475249 = 2824752490 entries exceeds cap 10000000"
+        with pytest.raises(CapExceededError) as err:
+            SweepPlan(DegreeVector((1,) * 10), 3)
+        assert str(err.value) == message
+        plan = SweepPlan(DegreeVector((1,) * 10), 1)
+        with pytest.raises(CapExceededError, match="exceeds cap"):
+            replace(plan, order_bound=3)
 
     def test_oversized_box_starts_no_pool_and_leaves_no_file(self, tmp_path, monkeypatch):
-        # The cap check runs as the tasks are made, before run_sweep starts
-        # a pool; a check made lazily, inside the task stream, would run
-        # only once a pool had started and asked for the first task.
+        # The plan refuses the box when it is built, so no sweep starts.
         def fail(what):
             def call(arg):
                 raise AssertionError(f"{what} {arg}")
@@ -74,9 +76,8 @@ class TestEnumerate:
         monkeypatch.setattr(sweep, "Pool", fail("a pool started of size"))
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
         out = tmp_path / "records.jsonl"
-        plan = SweepPlan(DegreeVector((1,) * 10), 3, worker_count=2, out_path=out)
         with pytest.raises(CapExceededError):
-            run_sweep(plan)
+            run_sweep(SweepPlan(DegreeVector((1,) * 10), 3, worker_count=2, out_path=out))
         assert list(tmp_path.iterdir()) == []
 
     def test_cap_message_names_rank_and_product(self, capsys):
@@ -600,17 +601,25 @@ class TestPlanValidation:
     @pytest.mark.parametrize(
         "degrees, order_bound, worker_count, match",
         [
-            ((1, 1), 1, 1, "degrees must be a DegreeVector"),
-            ([1, 1], 1, 1, "degrees must be a DegreeVector"),
+            ((1, 1.0), 1, 1, "degrees must be a DegreeVector"),
+            ([1, True], 1, 1, "degrees must be a DegreeVector"),
             (DegreeVector((1, 1)), 1.0, 1, "order_bound must be an int"),
             (DegreeVector((1, 1)), True, 1, "order_bound must be an int"),
             (DegreeVector((1, 1)), 1, 2.0, "worker_count must be an int"),
             (DegreeVector((1, 1)), 1, True, "worker_count must be an int"),
+            (5, 1, 1, "degrees must be a DegreeVector or a sequence of ints, got 5"),
+            (None, 1, 1, "degrees must be a DegreeVector or a sequence of ints, got None"),
         ],
     )
     def test_mistyped_fields(self, degrees, order_bound, worker_count, match):
         with pytest.raises(TypeError, match=match):
             SweepPlan(degrees, order_bound, worker_count=worker_count)
+
+    def test_plain_sequence_degrees_are_converted(self):
+        typed = SweepPlan(DegreeVector((1, 1)), 1)
+        assert SweepPlan((1, 1), 1) == typed
+        assert SweepPlan([1, 1], 1) == typed
+        assert type(SweepPlan([1, 1], 1).degrees) is DegreeVector
 
     @pytest.mark.parametrize(
         "name, value",
