@@ -229,6 +229,8 @@ def _cmd_catalog(args, parser) -> int:
             entries = [get_group(args.name)]
         except KeyError as exc:
             parser.error(exc.args[0])
+    elif args.name is not None:
+        parser.error("catalog list takes no group name")
     else:
         entries = list(catalog_groups())
     doc = {

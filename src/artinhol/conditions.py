@@ -24,7 +24,8 @@ the public functions share every line of verdict logic.  A row of the pair
 table depends only on a small-int key (r, k, the sign of v_k and the first
 two positive indices with their lift multiplicities), so _pair_row builds
 each distinct row, a tuple of PairWitness named tuples, once per process
-in a bounded cache; the table is the concatenation of the rows.
+in a bounded cache.  A ConditionReport keeps the rows as they come, one
+per k; its flat table, the concatenation of the rows, is derived.
 
 Generator indices are 1-based in every public function and report,
 matching the subscripts f_1 .. f_r used throughout the domain; the
@@ -104,7 +105,7 @@ class ConditionReport:
     factorial: bool
     cond_i: bool
     cond_ii: bool
-    cond_ii_pairs: tuple[PairWitness, ...]
+    cond_ii_rows: tuple[tuple[PairWitness, ...], ...]
     cond_iii_m: int | None
     cond_ii_prime: bool | None
     cond_ii_prime_failing: tuple[int, ...] | None
@@ -112,6 +113,11 @@ class ConditionReport:
     @property
     def admissible(self) -> bool:
         return not self.admissible_reasons
+
+    @property
+    def cond_ii_pairs(self) -> tuple[PairWitness, ...]:
+        """The ordered-pair table, (k, l) in lexicographic order: the rows joined."""
+        return tuple(itertools.chain.from_iterable(self.cond_ii_rows))
 
     @property
     def hilbert_size(self) -> int:
@@ -264,12 +270,11 @@ def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
     return row[l - 1 - (l > k)].witness
 
 
-def _cond_ii(pr: _Profile) -> tuple[bool, tuple[PairWitness, ...]]:
-    """Verdict of ii and its ordered-pair table, the concatenation of the
-    rows, each looked up by its key."""
+def _cond_ii(pr: _Profile) -> tuple[bool, tuple[tuple[PairWitness, ...], ...]]:
+    """Verdict of ii and the rows of its ordered-pair table, one per k in
+    order, each looked up by its key."""
     rows = [_pair_row(_row_key(pr, k)) for k in range(len(pr.ent))]
-    pairs = tuple(itertools.chain.from_iterable([row for row, _ in rows]))
-    return (pr.factorial and all([full for _, full in rows]), pairs)
+    return (pr.factorial and all([full for _, full in rows]), tuple([row for row, _ in rows]))
 
 
 def cond_ii(v: OrdersLike) -> tuple[bool, tuple[PairWitness, ...]]:
@@ -278,7 +283,8 @@ def cond_ii(v: OrdersLike) -> tuple[bool, tuple[PairWitness, ...]]:
     Returns the verdict and the complete ordered-pair table, (k, l) in
     lexicographic order, whether or not v is factorial.
     """
-    return _cond_ii(_profile(as_order_vector(v).entries))
+    ok, rows = _cond_ii(_profile(as_order_vector(v).entries))
+    return ok, tuple(itertools.chain.from_iterable(rows))
 
 
 def cond_iii_subset(v: OrdersLike, subset) -> tuple[int, ...] | None:
@@ -421,7 +427,7 @@ def check_instance(
     """
     elements = orbit_basis(inst.orders.entries, {} if bases is None else bases, orbit)
     pr = _profile(inst.orders.entries)
-    cii, pairs = _cond_ii(pr)
+    cii, rows = _cond_ii(pr)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)
     return ConditionReport(
         instance=inst,
@@ -430,7 +436,7 @@ def check_instance(
         factorial=pr.factorial,
         cond_i=not pr.negative,
         cond_ii=cii,
-        cond_ii_pairs=pairs,
+        cond_ii_rows=rows,
         cond_iii_m=_cond_iii_m(pr),
         cond_ii_prime=cii_prime,
         cond_ii_prime_failing=failing,

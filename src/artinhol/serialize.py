@@ -5,8 +5,8 @@ a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
 render_report_json writes the fixed-key record straight to a string,
 taking from a bounded per-process cache, keyed by value, the text of the
-head (schema version, r, degrees), of the flags and labels, of each basis
-element, of the reasons list and of each pair-table row; the test suite
+labels, of the degrees and each basis element, of the reasons list and
+of each pair-table row, as the report keeps its rows; the test suite
 checks it byte for byte against canonical_json of the report as a dict
 (report_document in tests/conftest.py), with the caches warm and cleared.
 Parsing type-checks the instance, rebuilds the report, basis included,
@@ -50,50 +50,27 @@ def _ints(e) -> str:
 TEXT_CACHE_SIZE = 4096
 
 
-@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
-def _head_text(degrees: tuple[int, ...]) -> str:
-    """A record's text up to its orders: schema version, r and degrees."""
-    return "".join(
-        (
-            '{"schema_version":',
-            canonical_json(SCHEMA_VERSION),
-            ',"instance":{"r":',
-            str(len(degrees)),
-            ',"degrees":',
-            _ints(degrees),
-            ',"orders":',
-        )
-    )
+_SCHEMA_TEXT = canonical_json(SCHEMA_VERSION)
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
-def _flags_text(dedekind: bool, trivial: bool, group: str | None, s0: str | None) -> str:
-    """A record's text from its flags to the admissibility verdict."""
-    return "".join(
-        (
-            ',"flags":{"require_dedekind":',
-            _SCALAR[dedekind],
-            ',"require_trivial_nonneg":',
-            _SCALAR[trivial],
-            '},"labels":',
-            canonical_json({"group": group, "s0": s0}),
-            '},"admissible":{"ok":',
-        )
-    )
+def _labels_text(group: str | None, s0: str | None) -> str:
+    return canonical_json({"group": group, "s0": s0})
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
-def _element_text(element: tuple[int, ...]) -> str:
-    """JSON array of one basis element."""
-    return _ints(element)
+def _vector_text(vector: tuple[int, ...]) -> str:
+    """JSON array of an int vector that recurs across records: the degrees
+    or a basis element, never the orders, which differ in every record."""
+    return _ints(vector)
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
-def _pairs_text(pairs: tuple[PairWitness, ...]) -> str:
-    """JSON text of a run of pair witnesses, without the enclosing brackets."""
+def _pairs_text(row: tuple[PairWitness, ...]) -> str:
+    """JSON text of one pair-table row, without the enclosing brackets."""
     return ",".join(
         f'{{"k":{k},"l":{l},"witness":{"null" if w is None else _ints(w)}}}'
-        for k, l, w in pairs
+        for k, l, w in row
     )
 
 
@@ -107,39 +84,47 @@ def render_report_json(rep: ConditionReport) -> str:
 
     Keys come in one fixed order, with compact separators and every number
     an integer.  Labels and reasons go through canonical_json, so strings
-    are escaped exactly as in every other artifact.  The text that a plan
-    fixes (the head up to the orders, and the flags and labels) is
-    rendered once per process, as is each distinct basis element, reasons
-    list and pair-table row; the table is rendered in slices of r - 1
-    pairs, one per row.  Each cache is keyed by value and holds up to
+    are escaped exactly as in every other artifact.  Text that recurs
+    across records and costs something to build is rendered once per
+    process: the labels object, each distinct degree vector or basis
+    element, reasons list and pair-table row, the table taken row by row
+    as the report keeps it.  Each cache is keyed by value and holds up to
     TEXT_CACHE_SIZE texts.  The test suite checks the bytes against
     canonical_json of the report as a dict.
     """
     inst = rep.instance
-    pairs = rep.cond_ii_pairs
-    step = max(inst.rank - 1, 1)  # rank 1 has no pairs, but range needs a step
     m = rep.cond_iii_m
     failing = rep.cond_ii_prime_failing
     return "".join(
         (
-            _head_text(inst.degrees.entries),
+            '{"schema_version":',
+            _SCHEMA_TEXT,
+            ',"instance":{"r":',
+            str(inst.rank),
+            ',"degrees":',
+            _vector_text(inst.degrees.entries),
+            ',"orders":',
             _ints(inst.orders.entries),
-            _flags_text(
-                inst.require_dedekind, inst.require_trivial_nonneg, inst.group, inst.s0_label
-            ),
+            ',"flags":{"require_dedekind":',
+            _SCALAR[inst.require_dedekind],
+            ',"require_trivial_nonneg":',
+            _SCALAR[inst.require_trivial_nonneg],
+            '},"labels":',
+            _labels_text(inst.group, inst.s0_label),
+            '},"admissible":{"ok":',
             _SCALAR[rep.admissible],
             ',"reasons":',
             _reasons_text(rep.admissible_reasons),
             '},"hilbert":{"size":',
             str(rep.hilbert_size),
             ',"elements":[',
-            ",".join(map(_element_text, rep.hilbert_elements)),
+            ",".join(map(_vector_text, rep.hilbert_elements)),
             ']},"conditions":{"i":',
             _SCALAR[rep.cond_i],
             ',"ii":{"ok":',
             _SCALAR[rep.cond_ii],
             ',"pairs":[',
-            ",".join([_pairs_text(pairs[i : i + step]) for i in range(0, len(pairs), step)]),
+            ",".join(map(_pairs_text, rep.cond_ii_rows)),
             ']},"iii":{"ok":',
             _SCALAR[rep.cond_iii],
             ',"m":',

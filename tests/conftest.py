@@ -9,14 +9,19 @@ indexed engine must explore as well.  The lattice checks
 rest on the exact Hermite reduction defined here, which the tests check
 against sympy.  report_document is the reference for the package's
 direct record renderer, and swept_families is the acceptance sweep,
-computed once per session.
+computed once per session.  run_artinhol starts the command-line program
+in a child process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from typing import Any, Sequence
 
 import pytest
@@ -41,6 +46,19 @@ SWEEP_FAMILIES = [
     ((1, 1, 1, 1, 2), 2),
     ((1, 1, 2, 3, 3), 2),
 ]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_artinhol(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m artinhol ARGS` in a child process, with src first on its
+    PYTHONPATH, so the child runs this checkout whether or not the package
+    is installed; `env` defaults to os.environ, and the other keywords go
+    to subprocess.run."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "artinhol", *args], env=env, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -35,7 +33,13 @@ from artinhol import (
     run_sweep,
 )
 from artinhol.serialize import exit_code_for_report, sweep_record_line
-from conftest import cond_ii_pair_search, cond_iii_subset_search, dot, lattice_is_full
+from conftest import (
+    cond_ii_pair_search,
+    cond_iii_subset_search,
+    dot,
+    lattice_is_full,
+    run_artinhol,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,29 +242,16 @@ def test_criterion_9_determinism_and_interfaces(tmp_path):
         (["check", "--degrees", "1,1,2", "--orders", "0,0,0", "--json"], "check_d112_v000.json"),
     ]
     for args, golden_name in pinned:
-        res = subprocess.run(
-            [sys.executable, "-m", "artinhol", *args],
-            capture_output=True,
-            text=True,
-        )
+        res = run_artinhol(*args, capture_output=True, text=True)
         assert res.returncode == 0
         assert res.stdout == (GOLDEN / golden_name).read_text(), golden_name
 
     # exit-code contract on crafted inputs
-    ok = subprocess.run(
-        [sys.executable, "-m", "artinhol", "check", "--degrees", "1,1", "--orders", "0,0"],
-        capture_output=True,
-    )
+    ok = run_artinhol("check", "--degrees", "1,1", "--orders", "0,0", capture_output=True)
     assert ok.returncode == 0
-    bad = subprocess.run(
-        [sys.executable, "-m", "artinhol", "check", "--degrees", "1,1", "--orders", "1"],
-        capture_output=True,
-    )
+    bad = run_artinhol("check", "--degrees", "1,1", "--orders", "1", capture_output=True)
     assert bad.returncode == 2
-    garbled = subprocess.run(
-        [sys.executable, "-m", "artinhol", "hilbert", "--orders", "a,b"],
-        capture_output=True,
-    )
+    garbled = run_artinhol("hilbert", "--orders", "a,b", capture_output=True)
     assert garbled.returncode == 2
     # the exit-1 branch is unreachable through the real pipeline (the four
     # criteria provably agree); the mapping itself is pinned synthetically

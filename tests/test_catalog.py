@@ -51,6 +51,11 @@ def test_corrupted_sum_of_squares():
     assert any("sum of squares 11" in r for r in reasons)
 
 
+def test_unsorted_degrees():
+    bad = GroupEntry("Z", 6, DegreeVector((2, 1, 1)))
+    assert validate_catalog_entry(bad) == (False, ("degrees not sorted nondecreasing",))
+
+
 def test_corrupted_divisibility():
     bad = GroupEntry("Y", 17, DegreeVector((1, 4)))
     ok, reasons = validate_catalog_entry(bad)

@@ -9,25 +9,20 @@ import re
 import shlex
 import stat
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from artinhol import cli, conditions
 from artinhol.hilbert import HilbertBasis
+from conftest import run_artinhol
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(*args, check=False):
-    return subprocess.run(
-        [sys.executable, "-m", "artinhol", *args],
-        capture_output=True,
-        text=True,
-        check=check,
-    )
+    return run_artinhol(*args, capture_output=True, text=True, check=check)
 
 
 class TestGolden:
@@ -135,6 +130,7 @@ class TestExitCodes:
             ["check", "--degrees", "1,1", "--orders", "1"],
             ["factorize", "--orders", "1,-1", "--element", "1"],
             ["catalog", "show"],
+            ["catalog", "list", "S4"],
         ],
     )
     def test_usage_names_the_subcommand(self, argv, capsys):
@@ -151,8 +147,8 @@ class TestExitCodes:
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
         try:
-            res = subprocess.run(
-                [sys.executable, "-m", "artinhol", *argv],
+            res = run_artinhol(
+                *argv,
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),

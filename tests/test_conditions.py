@@ -184,9 +184,8 @@ class TestInternedPairTable:
 
     CACHES = (
         conditions._pair_row,
-        serialize._head_text,
-        serialize._flags_text,
-        serialize._element_text,
+        serialize._labels_text,
+        serialize._vector_text,
         serialize._pairs_text,
         serialize._reasons_text,
     )
@@ -211,6 +210,14 @@ class TestInternedPairTable:
             bases[canonical_order(v)[0]] = ()
             rep = check_instance(Instance((1,) * len(v), v), bases)
             assert (rep.cond_ii, list(rep.cond_ii_pairs)) == (ok, table), v
+            # the report keeps the table as r rows of r - 1 pairs, row i
+            # holding k = i + 1; rank 1 has one empty row
+            r = len(v)
+            assert len(rep.cond_ii_rows) == r, v
+            for i, row in enumerate(rep.cond_ii_rows):
+                assert len(row) == r - 1, v
+                assert all(k == i + 1 for k, _, _ in row), v
+            assert rep.cond_ii_pairs == cond_ii(v)[1], v
             text = serialize.render_report_json(rep)
             assert text == serialize.canonical_json(report_document(rep)), v
             seen += 1
@@ -280,6 +287,8 @@ class TestCondIIISubset:
             SubsetSelector((2, 1))
         with pytest.raises(InvalidSubsetError):
             SubsetSelector((1, 1))
+        with pytest.raises(InvalidSubsetError, match="^subset indices are 1-based$"):
+            SubsetSelector((0, 1))
         with pytest.raises(InvalidSubsetError):
             cond_iii_subset((1, -1), (1, 3))
 

@@ -203,6 +203,12 @@ class TestFastValidation:
             DegreeVector((2, 0, -1))
         assert str(err.value) == "degrees must be >= 1, got 0"
 
+    @pytest.mark.parametrize("cls, what", [(OrderVector, "order"), (DegreeVector, "degree")])
+    def test_an_empty_vector_is_refused(self, cls, what):
+        with pytest.raises(ValueError) as err:
+            cls(())
+        assert str(err.value) == f"{what} vector must have rank >= 1"
+
 
 class TestMembership:
     def test_examples(self):

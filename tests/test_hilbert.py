@@ -363,6 +363,22 @@ class TestBasisLaws:
             HilbertBasis(elements, "oracle")
         assert HilbertBasis(((1, 0),), "frontier").elements == ((1, 0),)
 
+    @pytest.mark.parametrize(
+        "elements, engine, message",
+        [
+            (((1, 0),), "lattice", "unknown engine tag 'lattice'"),
+            (((1, 0), (0, 0)), "oracle", "basis elements must be nonzero with entries >= 0"),
+            (((2, -1),), "frontier", "basis elements must be nonzero with entries >= 0"),
+            (((0, 1), (1, 0, 0)), "oracle", "basis elements must share one rank"),
+            (((1, 0), (0, 1)), "oracle", "basis elements must be lex-sorted and duplicate-free"),
+            (((0, 1), (0, 1)), "oracle", "basis elements must be lex-sorted and duplicate-free"),
+        ],
+    )
+    def test_malformed_bases_are_refused(self, elements, engine, message):
+        with pytest.raises(ValueError) as err:
+            HilbertBasis(elements, engine)
+        assert str(err.value) == message
+
 
 class TestCountFactorizations:
     def test_unique_example(self):

@@ -340,7 +340,7 @@ def test_record_caches_never_go_stale():
     # every text comes from a warm cache or is rendered afresh.
     caches = [f for f in vars(serialize).values() if hasattr(f, "cache_clear")]
     assert {f.__name__ for f in caches} == {
-        "_head_text", "_flags_text", "_element_text", "_pairs_text", "_reasons_text"
+        "_labels_text", "_vector_text", "_pairs_text", "_reasons_text"
     }
     plan = SweepPlan(get_group("S4").degrees, 1, group="S4")
     flipped = SweepPlan(
@@ -358,7 +358,7 @@ def test_record_caches_never_go_stale():
                 for cache in caches:
                     cache.cache_clear()
             assert render_report_json(rep) == serialize.canonical_json(report_document(rep))
-    assert serialize._element_text.cache_info().currsize > 0
+    assert serialize._vector_text.cache_info().currsize > 0
 
 
 def test_summary_csv_shape():

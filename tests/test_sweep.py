@@ -54,6 +54,12 @@ class TestEnumerate:
         with pytest.raises(CapExceededError):
             list(enumerate_order_vectors(10, 3))
 
+    @pytest.mark.parametrize("r, bound", [(0, 1), (1, 0)])
+    def test_empty_box_is_refused(self, r, bound):
+        with pytest.raises(ValueError) as err:
+            enumerate_order_vectors(r, bound)
+        assert str(err.value) == "need r >= 1 and bound >= 1"
+
     def test_sweep_refuses_an_oversized_box_up_front(self):
         message = "sweep of 10 x 282475249 = 2824752490 entries exceeds cap 10000000"
         with pytest.raises(CapExceededError) as err:
