@@ -27,11 +27,25 @@ those solutions by coordinate value.  They must agree; every cross-checked
 basis compares them.  A basis of more than r elements is not factorial,
 and nonuniqueness_witness reads an element with two factorizations off
 two of its irreducibles, by the closed form of the factoriality proof in
-conditions.factorial_closed_form.  The brute-force checks the test suite
-runs against all of these (the irreducibles of the whole box
-[0, max(1, max |v_j|)]^r, a split search deciding irreducibility, the
-lattice rank of a basis through a Hermite normal form, the adjoined
-irreducibles of a positive pivot) live next to those tests, in
+conditions.factorial_closed_form.
+
+count_factorizations searches the basis depth first with each remainder
+packed into one int: a field of w bits per coordinate, the low w - 1
+holding the value and the top one a guard that every remainder has set.
+The guard makes one subtraction an exact division test for every
+coordinate at once.  With every value and every basis entry below
+2^(w-1), subtracting an element leaves each field in [1, 2^w), so no
+borrow crosses into the next field, and a field keeps its guard iff the
+element's entry there is at most the remainder's.  The search's guard
+admits an element whose largest entry is at most a per-basis threshold at
+once and refuses the rest only by a proved bound on the search's
+iterations (_search_bound).
+
+The brute-force checks the test suite runs against all of these (the
+irreducibles of the whole box [0, max(1, max |v_j|)]^r, a split search
+deciding irreducibility, the lattice rank of a basis through a Hermite
+normal form, the adjoined irreducibles of a positive pivot, every
+factorization of an element) live next to those tests, in
 tests/conftest.py.
 
 The orbit map: scaling v leaves Hol(v) unchanged and permuting v permutes
@@ -67,10 +81,13 @@ class HilbertBasis:
 
     elements: Elements
     source_engine: str
-    # count_factorizations' memo: cap -> {(i, remainder): (count, witnesses)}.
+    # count_factorizations' memo: (cap, field width) -> one dict per
+    # position, packed remainder -> (count, witnesses as cons cells).
     _factor_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # count_factorizations' tables, built on its first call: (supports, uncovered).
-    _factor_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # count_factorizations' tables, built on its first call.
+    _factor_tables: _FactorTables | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         elems = tuple(tuple(e) for e in self.elements)
@@ -360,46 +377,75 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     """Count coefficient vectors c over the basis with sum_h c_h * h = k.
 
     Depth-first over basis elements in lex order, multiplicities tried
-    largest first, stopping once `cap` factorizations are found.  A
+    largest first, stopping once `cap` factorizations are found, so the
+    witnesses are the (at most two) lex-largest factorizations.  A
     complete basis generates Hol, so a zero count means k is outside Hol
     and raises NotInHolError.  The identity factors once, emptily.
 
-    Each search state (position i, remainder) is memoized on the basis,
-    per cap, and shared by every call on that basis.  A state stores its
-    count capped at `cap` and the first two of its suffix factorizations
-    in depth-first order, never more, so the memo does not grow with
-    `cap`.  This is exact: a state's capped count is the capped sum of
-    its children's capped counts, and its first two factorizations are
-    the first two of its children's, taken in the order the search visits
-    them.  The memo and the search's tables (each element's support as
-    (j, h_j) pairs, and the coordinates no later element can reduce) are
-    fields of the basis, excluded from comparison, hashing and repr, so
-    the tables are built once per basis and both are freed with it.
+    A search state is a position i and the remainder rem still to factor,
+    packed into one int (module docstring): w = bit_length(max(max k,
+    largest basis entry)) + 1 bits per coordinate, each field holding
+    rem_j + 2^(w-1), so that its top bit is a guard.  With G the mask of
+    the guards and H[i] element i packed without them, element i divides
+    rem iff (rem - H[i]) & G == G, rem is zero iff rem == G, and a
+    coordinate that no element from i on has in its support is nonzero,
+    so that the state has no factorization, iff (rem ^ G) & dead[i].
+    Subtracting H[i] while the guards hold gives the children
+    rem - c * h_i, c = 1 .. cmax.  A position whose element does not
+    divide rem has only the c = 0 child: it is stepped over, with no
+    multiplicity tried and no witnesses folded, and its memo entry is its
+    successor's own.
+
+    Each state is memoized on the basis, per cap and per field width, in
+    one dict per position keyed by the packed remainder, and shared by
+    every call on that basis.  A state stores its count capped at `cap`
+    and the first two of its suffix factorizations in depth-first order,
+    never more, so the memo does not grow with `cap`.  This is exact: a
+    state's capped count is the capped sum of its children's capped
+    counts, and its first two factorizations are the first two of its
+    children's, taken in the order the search visits them.  A
+    factorization travels as cons cells (i, c, tail) of its nonzero
+    multiplicities and becomes a coefficient tuple only when the call
+    returns.  The memo and the tables (_FactorTables) are fields of the
+    basis, excluded from comparison, hashing and repr, so the tables are
+    built once per basis (the packed ones once per width) and both are
+    freed with it.
 
     A search that could take more than ENUMERATION_CAP loop iterations
     raises CapExceededError before it starts, naming _search_bound's bound
-    on them.  An O(r) product over that bound admits small elements at
-    once; the O(m * r) sum is computed only when the product is over the cap.
+    on them.  The product m * prod_j (k_j + 1) * (max k + 1) is at least
+    that bound and at most m * (max k + 1)^(r + 1), so an element whose
+    max k is at most the basis's threshold, the largest t with
+    m * (t + 1)^(r + 1) <= ENUMERATION_CAP, is admitted at once.  Above
+    it the O(r) product decides, and the O(m * r) bound only when the
+    product is over the cap.
     """
     if _int_value(cap, "cap") < 2:
         raise ValueError("cap must be >= 2")
     elems = basis.elements
     kk = validate_exponent_vector(k, rank=len(elems[0]) if elems else None)
     if elems:
-        tables = _factor_tables(basis)
-        steps = len(elems)
-        for x in kk:  # a plain loop: math.prod over a generator costs 1.6x this
-            steps *= x + 1
-        steps *= max(kk) + 1
-        if steps > ENUMERATION_CAP:
-            steps = _search_bound(kk, *tables)
+        tables = basis._factor_tables or _factor_tables(basis)
+        top = max(kk)
+        if top > tables.threshold:
+            steps = len(elems)
+            for x in kk:  # a plain loop: math.prod over a generator costs 1.6x this
+                steps *= x + 1
+            steps *= top + 1
             if steps > ENUMERATION_CAP:
-                raise CapExceededError(
-                    f"factorization search of {kk} may take {steps} steps, over the "
-                    f"enumeration cap {ENUMERATION_CAP}"
-                )
-        memo = basis._factor_memo.setdefault(cap, {})
-        count, witnesses = _factorizations_from(0, kk, *tables, memo, cap)
+                steps = _search_bound(kk, elems)
+                if steps > ENUMERATION_CAP:
+                    raise CapExceededError(
+                        f"factorization search of {kk} may take {steps} steps, over the "
+                        f"enumeration cap {ENUMERATION_CAP}"
+                    )
+        w = (top if top > tables.top else tables.top).bit_length() + 1
+        guards, packed, dead = tables.packed.get(w) or _pack_tables(tables, elems, w)
+        memo = basis._factor_memo.get((cap, w))
+        if memo is None:
+            memo = basis._factor_memo[cap, w] = [{} for _ in elems]
+        count, cells = _count_from(0, _pack(kk, w) | guards, packed, dead, guards, memo, cap)
+        witnesses = tuple([_coefficients(cell, len(elems)) for cell in cells])
     else:  # the empty basis generates only the identity
         count, witnesses = (0, ()) if any(kk) else (1, ((),))
     if count == 0:
@@ -407,116 +453,178 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     return FactorizationCount(kk, count, witnesses)
 
 
-def _factor_tables(basis: HilbertBasis) -> tuple[tuple, tuple]:
-    """(supports, uncovered) of a nonempty basis, built on first use.
+class _FactorTables(NamedTuple):
+    """count_factorizations' tables for one nonempty basis."""
 
-    supports[i] holds the nonzero coordinates of element i as (j, h_j)
-    pairs; uncovered[i] the coordinates no element from position i on can
-    reduce, all of them at i = len(basis).
-    """
+    threshold: int  # the largest t with m * (t + 1)^(r + 1) <= ENUMERATION_CAP
+    top: int  # the largest basis entry
+    uncovered: tuple  # per position i <= m: the coordinates no element from i on has
+    packed: dict  # field width w -> (G, H, dead), see _pack_tables
+
+
+def _factor_tables(basis: HilbertBasis) -> _FactorTables:
+    """The tables of a nonempty basis, built on its first search."""
     tables = basis._factor_tables
     if tables is None:
         elems = basis.elements
-        m = len(elems)
-        supports = tuple(tuple((j, x) for j, x in enumerate(h) if x) for h in elems)
-        uncovered = [tuple(range(len(elems[0])))] * (m + 1)
+        m, r = len(elems), len(elems[0])
+        uncovered = [tuple(range(r))] * (m + 1)
         for i in range(m - 1, -1, -1):
             uncovered[i] = tuple(j for j in uncovered[i + 1] if not elems[i][j])
-        tables = (supports, tuple(uncovered))
+        room = ENUMERATION_CAP // m  # t + 1 is the largest s with s^(r + 1) <= room
+        s = int(room ** (1 / (r + 1)))
+        while s ** (r + 1) > room:
+            s -= 1
+        while (s + 1) ** (r + 1) <= room:
+            s += 1
+        tables = _FactorTables(s - 1, max(map(max, elems)), tuple(uncovered), {})
         object.__setattr__(basis, "_factor_tables", tables)
     return tables
 
 
-def _search_bound(k, supports, uncovered):
-    """A bound on the loop iterations of _factorizations_from(0, k, ...).
+def _pack(xs: Sequence[int], w: int) -> int:
+    """xs packed into one int, x_j in the w-bit field at bit w * j."""
+    n = 0
+    for x in reversed(xs):
+        n = n << w | x
+    return n
+
+
+def _pack_tables(tables: _FactorTables, elems: Elements, w: int) -> tuple[int, tuple, tuple]:
+    """(G, H, dead) at field width w: the guard mask, the packed elements
+    and, per position, the mask of the fields no element from it on has;
+    built once per width."""
+    low = (1 << w - 1) - 1
+    r = len(elems[0])
+    packed = tables.packed[w] = (
+        _pack([1 << w - 1] * r, w),
+        tuple(_pack(h, w) for h in elems),
+        tuple(_pack([low if j in u else 0 for j in range(r)], w) for u in tables.uncovered),
+    )
+    return packed
+
+
+def _search_bound(k: tuple[int, ...], elements: Elements) -> int:
+    """A bound on the loop iterations of count_factorizations' search for
+    k over `elements`.
 
     Let R_i be the coordinates that some element before position i and
-    some element from i on can reduce.  The bound is the sum over i of
-    prod_{j in R_i} (k_j + 1) * (min_{j in supp h_i} floor(k_j / h_ij) + 1),
+    some element from i on have in their supports.  The bound is the sum
+    over i of prod_{j in R_i} (k_j + 1) * (min_{j in supp h_i} floor(k_j / h_ij) + 1),
     and no term exceeds prod_j (k_j + 1) * (max_j k_j + 1), so
     count_factorizations' product m times that is a bound too.
 
-    Proof.  Each iteration, a multiplicity c >= 1 tried or the step to the
-    c = 0 child, belongs to the expansion of one state (i, rem), and a
-    state is expanded at most once: every state below it has a larger i or
-    a remainder of smaller sum, so it is not reached again before its memo
-    entry is stored, and afterwards it is a memo hit.  Remainders start at
-    k and only decrease, never below 0.  At position i, rem_j = k_j for
-    every j no element before i reduces, and a state with rem_j > 0 for
-    some j in uncovered[i] returns unexpanded, so the expanded states at i
-    differ only on R_i: at most prod_{j in R_i} (k_j + 1) of them.  Each
-    tries c = cmax .. 1 and then the c = 0 child, with cmax <= rem_j / h_ij
-    <= k_j / h_ij for every j in the support of h_i.
+    Proof, for the loop of _count_from.  An iteration is a multiplicity
+    c >= 1 tried or the step from a state (i, rem) to its c = 0 child
+    (i + 1, rem), the step over a position whose element does not divide
+    rem included.  Each belongs to the visit of one state that is neither
+    dead nor in the memo, and a state is visited at most once: the visit
+    stores its memo entry when its walk unwinds, a position stepped over
+    included, and until then no call reaches it again, because every
+    state the visit leads to has a larger position or a remainder of
+    smaller sum.  Remainders start at k and only decrease, never below
+    0.  At position i, rem_j = k_j for every j that no element before i
+    has, and a state with rem_j > 0 for some j that no element from i on
+    has is dead: it returns after one mask test, before any iteration.
+    So the states visited at i differ only on R_i: at most
+    prod_{j in R_i} (k_j + 1) of them.  A visit makes cmax iterations for
+    c = cmax .. 1 and one for the c = 0 step, with
+    cmax <= rem_j / h_ij <= k_j / h_ij for every j in the support of h_i;
+    where h_i does not divide rem, cmax = 0 and the step is the visit.
+    Besides a memo lookup and a division test, a visit makes at most three
+    int operations per multiplicity to find cmax and step through the
+    children, and one subtraction that fails its guard test; each call
+    (one per multiplicity c >= 1 tried, and the first) makes at most a
+    zero test, a dead test and a memo lookup before its first visit.  So
+    the work is a constant times the bound.
     """
+    later = [set()]  # later[-1 - i]: the coordinates elements from position i on have
+    for h in reversed(elements):
+        later.append(later[-1].union(j for j, x in enumerate(h) if x))
     steps = 0
     reduced = set()
-    for support, done in zip(supports, uncovered):
+    for h, after in zip(elements, reversed(later)):
         states = 1
-        for j in reduced.difference(done):
+        for j in reduced & after:
             states *= k[j] + 1
-        steps += states * (min(k[j] // x for j, x in support) + 1)
-        reduced.update(j for j, _ in support)
+        steps += states * (min(k[j] // x for j, x in enumerate(h) if x) + 1)
+        reduced.update(j for j, x in enumerate(h) if x)
     return steps
 
 
-def _factorizations_from(i, rem, supports, uncovered, memo, cap):
-    """(count capped at `cap`, first two witnesses) of `rem` over the
-    elements from position i on.
+def _count_from(i, rem, packed, dead, guards, memo, cap):
+    """(count capped at `cap`, first two witnesses as cons cells) of the
+    packed remainder `rem` over the elements from position i on.
 
-    Multiplicities and remainders are computed over each element's
-    support only.  Recurses only on multiplicities c >= 1, which shrink
-    `rem`, so the depth does not grow with the basis; the c = 0 successors
-    (i+1, rem), (i+2, rem), ... are walked in a loop and folded back in
-    reverse.  A module-level function rather than a closure: a
-    self-referencing closure leaves a reference cycle behind each call,
-    and a memo reachable from one would outlive its basis until the
-    cyclic collector runs.
+    Recurses only on multiplicities c >= 1, which shrink `rem`, so the
+    depth does not grow with the basis; the c = 0 successors (i+1, rem),
+    (i+2, rem), ... are walked in a loop and folded back in reverse.  A
+    module-level function rather than a closure: a self-referencing
+    closure leaves a reference cycle behind each call, and a memo
+    reachable from one would outlive its basis until the cyclic collector
+    runs.
     """
-    if not any(rem):
-        return 1, ((0,) * (len(supports) - i),)
-    chain = []  # (key, count, witnesses) of states awaiting their c = 0 child
+    if rem == guards:
+        return _EMPTY
+    # (memo of the position, count, witnesses) of the states awaiting their
+    # c = 0 child; witnesses is None at a position whose element does not divide
+    chain = []
     while True:
-        for j in uncovered[i]:
-            if rem[j]:
-                state = (0, ())
-                break
-        else:
-            key = (i, rem)
-            state = memo.get(key)
+        if (rem ^ guards) & dead[i]:
+            state = _NONE
+            break
+        seen = memo[i]
+        state = seen.get(rem)
         if state is not None:
             break
-        support = supports[i]
-        cmax = None  # a plain loop: min() over a generator costs 3x this
-        for j, x in support:
-            q = rem[j] // x
-            if cmax is None or q < cmax:
-                cmax = q
+        h = packed[i]
+        child = rem - h
+        if child & guards != guards:  # element i does not divide rem
+            chain.append((seen, 0, None))
+            i += 1
+            continue
+        cmax = 1
+        while (child - h) & guards == guards:
+            child -= h
+            cmax += 1
         count, witnesses = 0, []
-        for c in range(cmax, 0, -1):
-            nr = list(rem)
-            for j, x in support:
-                nr[j] -= c * x
-            n, ws = _factorizations_from(i + 1, tuple(nr), supports, uncovered, memo, cap)
+        for c in range(cmax, 0, -1):  # child = rem - c * h_i
+            n, cells = _count_from(i + 1, child, packed, dead, guards, memo, cap)
             if n:
                 count += n
-                for w in ws[: 2 - len(witnesses)]:
-                    witnesses.append((c,) + w)
+                for cell in cells[: 2 - len(witnesses)]:
+                    witnesses.append((i, c, cell))
                 if count >= cap:
                     break
-        chain.append((key, count, witnesses))
+            child += h
+        chain.append((seen, count, witnesses))
         if count >= cap:
-            state = (0, ())  # capped before c = 0: that child is never searched
+            state = _NONE  # capped before c = 0: that child is never searched
             break
         i += 1
     while chain:
-        key, count, witnesses = chain.pop()
-        n, ws = state
-        if n:
-            count += n
-            for w in ws[: 2 - len(witnesses)]:
-                witnesses.append((0,) + w)
-        state = memo[key] = (count if count < cap else cap, tuple(witnesses))
+        seen, count, witnesses = chain.pop()
+        if witnesses is not None:
+            n, cells = state
+            if n:
+                count += n
+                witnesses.extend(cells[: 2 - len(witnesses)])
+            state = (count if count < cap else cap, tuple(witnesses))
+        seen[rem] = state
     return state
+
+
+_EMPTY = (1, (None,))  # the zero remainder: one factorization, all multiplicities 0
+_NONE = (0, ())
+
+
+def _coefficients(cell, m: int) -> tuple[int, ...]:
+    """The coefficient tuple of a factorization given as cons cells."""
+    coeffs = [0] * m
+    while cell is not None:
+        i, c, cell = cell
+        coeffs[i] = c
+    return tuple(coeffs)
 
 
 def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None:

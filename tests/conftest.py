@@ -9,8 +9,8 @@ indexed engine must explore as well.  The lattice checks
 rest on the exact Hermite reduction defined here, which the tests check
 against sympy.  report_document is the reference for the package's
 direct record renderer, and swept_families is the acceptance sweep,
-computed once per session.  run_artinhol starts the command-line program
-in a child process.
+computed once per session.  child_env puts src on a child process's
+import path, and run_artinhol starts the command-line program in one.
 """
 
 from __future__ import annotations
@@ -51,14 +51,19 @@ SWEEP_FAMILIES = [
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_artinhol(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m artinhol ARGS` in a child process, with src first on its
-    PYTHONPATH, so the child runs this checkout whether or not the package
-    is installed; `env` defaults to os.environ, and the other keywords go
-    to subprocess.run."""
+def child_env(env=None) -> dict[str, str]:
+    """A copy of `env` (default os.environ) with src first on PYTHONPATH, so
+    a child Python process imports this checkout's package whether or not
+    it is installed."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, "-m", "artinhol", *args], env=env, **kwargs)
+    return env
+
+
+def run_artinhol(*args: str, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m artinhol ARGS` in a child process with child_env(env); the
+    other keywords go to subprocess.run."""
+    return subprocess.run([sys.executable, "-m", "artinhol", *args], env=child_env(env), **kwargs)
 
 
 @pytest.fixture(scope="session")
@@ -213,21 +218,26 @@ def full_scan_frontier(v) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(sorted(elems)), explored
 
 
-def brute_count_factorizations(k, elements) -> int:
-    """Number of coefficient vectors over `elements` summing to k."""
+def brute_factorizations(k, elements) -> list[tuple[int, ...]]:
+    """Every coefficient vector over `elements` summing to k, in lex order."""
     rngs = []
     for h in elements:
         caps = [k[j] // h[j] for j in range(len(k)) if h[j]]
         rngs.append(range(min(caps) + 1 if caps else 1))
-    n = 0
+    found = []
     for combo in itertools.product(*rngs):
         total = [0] * len(k)
         for c, h in zip(combo, elements):
             for j in range(len(k)):
                 total[j] += c * h[j]
         if tuple(total) == tuple(k):
-            n += 1
-    return n
+            found.append(combo)
+    return found
+
+
+def brute_count_factorizations(k, elements) -> int:
+    """Number of coefficient vectors over `elements` summing to k."""
+    return len(brute_factorizations(k, elements))
 
 
 def _default_search_bound(v) -> int:

@@ -40,6 +40,7 @@ from artinhol.errors import (
 from conftest import (
     adjoined_irreducibles,
     brute_count_factorizations,
+    brute_factorizations,
     brute_hilbert_basis,
     dot,
     full_scan_frontier,
@@ -439,9 +440,59 @@ class TestCountFactorizations:
     def test_search_bound_sums_states_times_steps_per_position(self):
         # Over (1, 0), (1, 1): one state of (1, 0) taking k_1 + 1 steps,
         # then up to k_1 + 1 states of (1, 1), each taking min(k) + 1.
-        tables = hilbert._factor_tables(hilbert_basis_oracle((1, -1)))
-        assert hilbert._search_bound((20, 20), *tables) == 21 + 21 * 21
-        assert hilbert._search_bound((20, 5), *tables) == 21 + 21 * 6
+        elements = hilbert_basis_oracle((1, -1)).elements
+        assert hilbert._search_bound((20, 20), elements) == 21 + 21 * 21
+        assert hilbert._search_bound((20, 5), elements) == 21 + 21 * 6
+
+    def test_guard_admits_up_to_the_threshold_then_asks_the_product(self, monkeypatch):
+        # Over (1, 0), (1, 1): m = 2, r = 2, and the threshold is 169, the
+        # largest t with 2 * (t + 1)^3 <= ENUMERATION_CAP < 2 * 171^3.
+        basis = hilbert_basis_oracle((1, -1))
+        bound, asked = hilbert._search_bound, []
+
+        def refuse(k, elements):
+            raise AssertionError(f"bound asked for {k}")
+
+        def spy(k, elements):
+            asked.append(k)
+            return bound(k, elements)
+
+        monkeypatch.setattr(hilbert, "_search_bound", refuse)
+        assert count_factorizations((169, 169), basis).count == 1
+        assert hilbert._factor_tables(basis).threshold == 169
+        # above it the product decides: 2 * 171 * 1 * 171 admits (170, 0) ...
+        assert count_factorizations((170, 0), basis).count == 1
+        # ... and 2 * 171^3 is over the cap, so (170, 170) asks the bound
+        monkeypatch.setattr(hilbert, "_search_bound", spy)
+        assert count_factorizations((170, 170), basis).count == 1
+        assert asked == [(170, 170)]
+
+    @pytest.mark.parametrize(
+        "v, k",
+        [
+            ((1, -1), (20, 20)),
+            ((-1, 38), (5, 5)),
+            ((10, -1, 10), (5, 3, 5)),
+            ((3, -5, 2, -1), (6, 3, 3, 5)),
+        ],
+    )
+    def test_cold_search_stays_within_its_bound(self, v, k, monkeypatch):
+        # An iteration is a multiplicity c >= 1 tried, one per call but the
+        # first, or the step out of a visited state, which leaves one memo
+        # entry; the last three searches step over many positions whose
+        # element does not divide.
+        search, calls = hilbert._count_from, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(hilbert, "_count_from", counted)
+        basis = hilbert_basis_oracle(v)
+        count_factorizations(k, basis, cap=10**6)
+        (memo,) = basis._factor_memo.values()
+        iterations = len(calls) - 1 + sum(map(len, memo))
+        assert iterations <= hilbert._search_bound(k, basis.elements)
 
     def test_cap_saturates(self):
         basis = hilbert_basis_oracle((1, 1))
@@ -487,13 +538,55 @@ class TestFactorizationMemo:
                     assert (got[1] if got else 0) == min(brute[k], cap), (v, k, cap)
                     assert not got or len(got[2]) == min(got[1], 2)
 
+    def test_positions_stepped_over_keep_an_entry(self):
+        # Over (1, 0), (2, 1), (3, 2), in 3-bit fields with guards 0b100100,
+        # no element after the first divides (1, 0), (2, 0) or (3, 0).  A
+        # visit leaves an entry also where it only steps over a position, so
+        # no state is walked twice, as _search_bound's proof requires.
+        basis = hilbert_basis_oracle((2, -3))
+        assert count_factorizations((3, 0), basis).witnesses == ((3, 0, 0),)
+        (memo,) = basis._factor_memo.values()
+        rem = {k: hilbert._pack(k, 3) | 0b100100 for k in ((1, 0), (2, 0), (3, 0))}
+        assert memo[0] == {rem[3, 0]: (1, ((0, 3, None),))}  # a cons cell: 3 * h_0
+        assert memo[1] == memo[2] == dict.fromkeys(rem.values(), (0, ()))
+
+    def test_counts_and_witnesses_match_every_factorization(self):
+        # brute_factorizations lists every factorization, so the count must
+        # be min(#factorizations, cap) and the witnesses the two lex-largest.
+        # Entries of 8, 15, 16 and 40 need wider fields than the box
+        # [0, 3]^r: one warm basis serves several widths, in shuffled order.
+        rng, order = random.Random(21), random.Random(22)
+        for r, bound in ((2, 5), (3, 3), (4, 2)):
+            drawn = 0
+            while drawn < 3:
+                v = tuple(rng.randint(-bound, bound) for _ in range(r))
+                if min(v) >= 0 or max(v) <= 0:
+                    continue  # one-signed bases are units or empty
+                drawn += 1
+                warm = hilbert_basis_oracle(v)
+                ks = list(itertools.product(range(4), repeat=r))
+                for big in (8, 15, 16, 40):
+                    for _ in range(2):
+                        k = [rng.randint(0, 1) for _ in range(r)]
+                        k[rng.randrange(r)] = big
+                        ks.append(tuple(k))
+                every = {k: brute_factorizations(k, warm.elements)[::-1] for k in ks}
+                calls = [(k, cap) for k in ks for cap in (2, 3, 5)]
+                order.shuffle(calls)
+                for k, cap in calls:
+                    found = every[k]
+                    want = (k, min(len(found), cap), tuple(found[:2])) if found else None
+                    assert self._outcome(k, warm, cap) == want, (v, k, cap)
+                    cold = HilbertBasis(warm.elements, warm.source_engine)
+                    assert self._outcome(k, cold, cap) == want, (v, k, cap)
+
     def test_huge_cap_keeps_two_witnesses(self):
         rich = HilbertBasis(((0, 1), (1, 0), (1, 1)), "oracle")
         fc = count_factorizations((20, 20), rich, cap=10**6)
         assert fc.count == brute_count_factorizations((20, 20), rich.elements) == 21
         assert fc.witnesses == ((20, 20, 0), (19, 19, 1))  # largest multiplicities first
-        states = rich._factor_memo[10**6].values()
-        assert max(len(ws) for _, ws in states) == 2
+        (memo,) = rich._factor_memo.values()  # one cap, one field width
+        assert max(len(ws) for seen in memo for _, ws in seen.values()) == 2
 
     def test_memo_dies_with_its_basis(self):
         gc.collect()
@@ -503,7 +596,7 @@ class TestFactorizationMemo:
             for k in itertools.product(range(4), repeat=3):
                 if dot(k, (3, -2, 2)) >= 0:
                     count_factorizations(k, basis, cap=3)
-            assert basis._factor_memo[3] and basis._factor_tables
+            assert [cap for cap, _ in basis._factor_memo] == [3] and basis._factor_tables
             ref = weakref.ref(basis)
             del basis
             assert ref() is None
@@ -530,17 +623,20 @@ class TestFactorizationMemo:
         assert basis._factor_tables is None
         count_factorizations((4, 2), basis)
         tables = basis._factor_tables
-        # supports as (j, h_j) pairs; uncovered[i]: coordinates that no
-        # element from position i on can reduce
-        assert tables == (
-            (((0, 1),), ((0, 2), (1, 1)), ((0, 3), (1, 2))),
-            ((), (), (), (0, 1)),
-        )
+        # (1, 0), (2, 1), (3, 2): 148 is the largest t with
+        # 3 * (t + 1)^3 <= ENUMERATION_CAP, 3 the largest entry, and
+        # uncovered[i] the coordinates that no element from position i on has
+        assert tables[:3] == (148, 3, ((), (), (), (0, 1)))
+        # (4, 2) takes 4-bit fields: guards 0x88, the elements packed, and
+        # a dead mask only past the last element
+        assert tables.packed == {4: (0x88, (0x01, 0x12, 0x23), (0, 0, 0, 0x77))}
+        packed = tables.packed[4]
         for k in itertools.product(range(5), repeat=2):
             for cap in (2, 3):
                 if dot(k, (2, -3)) >= 0:
                     count_factorizations(k, basis, cap=cap)
-        assert basis._factor_tables is tables
+        assert basis._factor_tables is tables and tables.packed[4] is packed
+        assert sorted(tables.packed) == [3, 4]  # max k <= 3 fits 3-bit fields
         assert HilbertBasis(basis.elements, "oracle")._factor_tables is None
 
     def test_empty_basis_factors_only_the_identity(self):

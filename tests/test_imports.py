@@ -9,10 +9,11 @@ multiprocessing is loaded only for a pool.
 from __future__ import annotations
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "artinhol"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
@@ -110,11 +111,11 @@ def test_multiprocessing_is_imported_only_for_a_pool():
         "assert cli.main(['sweep', '--degrees', '1,1,2', '--order-bound', '4']) == 0\n"
         "assert 'multiprocessing' not in sys.modules, 'serial sweep'\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE.parent), *filter(None, [env.get("PYTHONPATH")])]
-    )
     res = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
     )
     assert res.returncode == 0, res.stderr

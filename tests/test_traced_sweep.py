@@ -16,10 +16,11 @@ than two usable CPUs the sweep runs serially and this fails.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,10 +29,6 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
     out = tmp_path / "records.jsonl"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
     res = subprocess.run(
         [
             sys.executable,
@@ -45,7 +42,7 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
     assert res.returncode == 0, res.stderr
