@@ -1,19 +1,21 @@
 """Hilbert bases of the holomorphy semigroup, with two independent engines.
 
-Hol(v) = {k in N^r : <k, v> >= 0} is an affine semigroup.  Mapping k to
-(k, <k, v>) identifies it with the solution monoid of the single slack
-equation sum_{v_j > 0} v_j k_j = sum_{v_j < 0} |v_j| k_j + s over
-N^(r+1), with coordinates where v_j = 0 left free; irreducible elements
-of Hol correspond to the componentwise-minimal nonzero solutions.  For the
-minimal solutions of a.x = b.y with positive a and b, Sigma x <= max b
-and Sigma y <= max a (J.-L. Lambert, C. R. Acad. Sci. Paris Ser. I 305
-(1987) 39-40).  With a the positive orders and b the absolute negative
-orders plus the slack's 1, every irreducible h of Hol lies in the
-completeness region
+Hol(v) = {k in N^r : <k, v> >= 0} is an affine semigroup.  Both engines
+first reduce v once, through _nonzero_part and _embed: Hol(v) = Hol(v / g)
+for g = gcd(v), and each zero order v_j contributes exactly its unit
+vector e_j (the unit lemma, proved in _nonzero_part), so the engines
+search only the nonzero orders c of v / g.  Mapping k to (k, <k, c>)
+identifies Hol(c) with the solution monoid of the single slack equation
+sum_{c_j > 0} c_j k_j = sum_{c_j < 0} |c_j| k_j + s over N^(r'+1);
+irreducible elements of Hol(c) correspond to the componentwise-minimal
+nonzero solutions.  For the minimal solutions of a.x = b.y with positive
+a and b, Sigma x <= max b and Sigma y <= max a (J.-L. Lambert, C. R.
+Acad. Sci. Paris Ser. I 305 (1987) 39-40).  With a the positive orders
+and b the absolute negative orders plus the slack's 1, every irreducible
+h of Hol(c) lies in the completeness region
 
-    Sigma_{v_j > 0} h_j <= b+ = max(1, max_{v_j < 0} |v_j|),
-    Sigma_{v_j < 0} h_j <= b- = max_{v_j > 0} v_j  (0 if no v_j > 0),
-    h_j <= 1 where v_j = 0  (an irreducible with h_j >= 1 there is e_j),
+    Sigma_{c_j > 0} h_j <= b+ = max(1, max_{c_j < 0} |c_j|),
+    Sigma_{c_j < 0} h_j <= b- = max_{c_j > 0} c_j  (0 if no c_j > 0),
 
 which turns the computation into a finite problem.  The region is
 downward closed: lowering a coordinate of a point keeps it inside.
@@ -60,7 +62,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import OrdersLike, _int_entries, _int_value, as_order_vector, validate_exponent_vector
 from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotInHolError
@@ -146,35 +148,62 @@ class FactorizationCount:
     witnesses: tuple[tuple[int, ...], ...]
 
 
-class _Region(NamedTuple):
-    """The completeness region of Hol(v) (module docstring): the two sum
-    limits and how many coordinates have each sign of v_j."""
+def _nonzero_part(v: OrdersLike) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(r, at, c) for the order vector v of rank r: at lists the positions
+    of its nonzero orders, and c those orders divided by g = gcd(v).
 
-    plus: int  # b+, the limit on the sum over v_j > 0
-    minus: int  # b-, the limit on the sum over v_j < 0
+    Both engines search Hol(c) and hand what they find to _embed, which
+    yields the irreducibles of Hol(v).  Hol(v) = Hol(v / g), since
+    <k, v> = g <k, v / g>.  The unit lemma: for v_j = 0, e_j is
+    irreducible, having entry sum 1, and it is the only irreducible with
+    h_j >= 1.  Any h != e_j with h_j >= 1 splits as e_j + (h - e_j),
+    where h - e_j is nonzero and stays in Hol because
+    <h - e_j, v> = <h, v>.  Every other irreducible is 0 at every zero
+    order, so it is the embedding of an element of Hol(c); and an element
+    of Hol(c) is irreducible exactly when its embedding is irreducible in
+    Hol(v), since the parts of any split are 0 wherever their sum is.
+    """
+    ent = as_order_vector(v).entries
+    g = math.gcd(*ent) or 1
+    at = tuple(j for j, x in enumerate(ent) if x)
+    return len(ent), at, tuple(ent[j] // g for j in at)
+
+
+def _embed(found: Iterable[Sequence[int]], r: int, at: Sequence[int], engine: str) -> HilbertBasis:
+    """The basis of Hol(v) for (r, at, c) = _nonzero_part(v), from the
+    irreducibles `found` of Hol(c): each carried to rank r, with entry i
+    at position at[i] and any entries past len(at) dropped, and e_j added
+    for each zero order."""
+    elems = [_unit(r, j) for j in set(range(r)).difference(at)]
+    for x in found:
+        h = [0] * r
+        for j, t in zip(at, x):
+            h[j] = t
+        elems.append(tuple(h))
+    return HilbertBasis(tuple(sorted(elems)), engine)
+
+
+class _Region(NamedTuple):
+    """The completeness region of Hol(c) for nonzero orders c (module
+    docstring): the two sum limits and how many orders have each sign."""
+
+    plus: int  # b+, the limit on the sum over c_j > 0
+    minus: int  # b-, the limit on the sum over c_j < 0
     positive: int
     negative: int
-    zero: int
 
     def points(self) -> int:
         """Exact number of points in the region, the identity included."""
         return (
             math.comb(self.plus + self.positive, self.positive)
             * math.comb(self.minus + self.negative, self.negative)
-            * 2**self.zero
         )
 
 
 def _region(ent: Sequence[int]) -> _Region:
     pos = [x for x in ent if x > 0]
     neg = [-x for x in ent if x < 0]
-    return _Region(
-        max(1, max(neg, default=0)),
-        max(pos, default=0),
-        len(pos),
-        len(neg),
-        len(ent) - len(pos) - len(neg),
-    )
+    return _Region(max(1, max(neg, default=0)), max(pos, default=0), len(pos), len(neg))
 
 
 def _guard_oracle(region: _Region) -> None:
@@ -206,18 +235,21 @@ def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
     kept.  The kept list is therefore exactly the irreducibles of the
     region, in lex order, and by Lambert's bound every irreducible of Hol
     lies in the region.
+
+    The walk runs over the nonzero orders c of v / gcd(v)
+    (_nonzero_part), so the guard counts exactly the points walked.
     """
-    ov = as_order_vector(v)
-    ent = ov.entries
+    r, at, ent = _nonzero_part(v)
     region = _region(ent)
     _guard_oracle(region)
     kept = _walk_region(ent, region.plus, region.minus)
-    return HilbertBasis(tuple(h for h, _ in kept), "oracle")
+    return _embed((h for h, _ in kept), r, at, "oracle")
 
 
 def _walk_region(ent: Sequence[int], plus: int, minus: int) -> list[tuple[tuple[int, ...], int]]:
-    """Walk the region in lex order; return the points no earlier kept
-    point divides inside Hol, each with its order.
+    """Walk the region of the nonzero orders `ent` in lex order; return
+    the points no earlier kept point divides inside Hol, each with its
+    order.
 
     A depth-first walk over prefixes, one coordinate per level, on an
     explicit stack so that the rank is not limited by the recursion
@@ -227,12 +259,12 @@ def _walk_region(ent: Sequence[int], plus: int, minus: int) -> list[tuple[tuple[
     """
     last = len(ent) - 1
     kept: list[tuple[tuple[int, ...], int]] = []
-    stack = [((), 0, plus, minus)]
+    stack = [((), 0, plus, minus)] if ent else []  # no orders: only the identity
     while stack:
         prefix, s, plus, minus = stack.pop()
         j = len(prefix)
         w = ent[j]
-        top = plus if w > 0 else minus if w < 0 else 1
+        top = plus if w > 0 else minus
         if j < last:
             for x in range(top, -1, -1):  # pushed in reverse, popped in lex order
                 stack.append(
@@ -270,11 +302,10 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     efficient incremental algorithm for solving systems of linear
     Diophantine equations", Information and Computation 113 (1994).
 
-    Hol(v) = Hol(v / g) for g = gcd(v), so the search runs on v / g, whose
-    region limits, and with them the depth, are up to g times smaller.
-    Coordinates with v_j = 0 contribute exactly their unit vectors and are
-    excluded up front.  Over the remaining coordinates plus the slack, the
-    search starts from the unit vectors and repeatedly bumps a candidate x
+    The search runs on the nonzero orders c of v / gcd(v) (_nonzero_part),
+    whose region limits, and with them the depth, are up to gcd(v) times
+    smaller than v's.  Over those coordinates plus the slack, the search
+    starts from the unit vectors and repeatedly bumps a candidate x
     by one in a direction that moves its defect sum(c_i x_i) toward zero
     (the classical completion restriction, which reaches every minimal
     solution): a coordinate of positive coefficient from a negative
@@ -308,16 +339,9 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     and raises AssertionError.  Sums never leave [-b+, b-], so the
     guard caps only the nodes explored, at ENUMERATION_CAP.
     """
-    ov = as_order_vector(v)
-    g = math.gcd(*ov.entries) or 1
-    ent = tuple(x // g for x in ov.entries)
-    r = ov.rank
+    r, at, ent = _nonzero_part(v)
     region = _region(ent)
-
-    active = [j for j in range(r) if ent[j] != 0]
-    units = [_unit(r, j) for j in range(r) if ent[j] == 0]
-
-    coeffs = tuple(ent[j] for j in active) + (-1,)
+    coeffs = ent + (-1,)
     n = len(coeffs)
     up = [i for i in range(n) if coeffs[i] > 0]  # the steps from a negative defect
     down = [i for i in range(n) if coeffs[i] < 0]  # and from a positive one
@@ -363,14 +387,7 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
         explored += len(nxt)
         frontier = nxt
         level += 1
-
-    elems = list(units)
-    for x in minimal:
-        vec = [0] * r
-        for idx, j in enumerate(active):
-            vec[j] = x[idx]
-        elems.append(tuple(vec))
-    return HilbertBasis(tuple(sorted(elems)), "frontier")
+    return _embed(minimal, r, at, "frontier")
 
 
 def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) -> FactorizationCount:

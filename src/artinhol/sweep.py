@@ -84,7 +84,6 @@ class SweepSummary:
     """
 
     total: int
-    admissible: int
     cond_i_true: int
     factorial_not_i: int
     hilbert_histogram: tuple[tuple[int, int], ...]
@@ -95,12 +94,16 @@ class SweepSummary:
         histogram.update(dict(other.hilbert_histogram))
         return SweepSummary(
             total=self.total + other.total,
-            admissible=self.admissible + other.admissible,
             cond_i_true=self.cond_i_true + other.cond_i_true,
             factorial_not_i=self.factorial_not_i + other.factorial_not_i,
             hilbert_histogram=tuple(sorted(histogram.items())),
             counterexamples=self.counterexamples + other.counterexamples,
         )
+
+    @property
+    def admissible(self) -> int:
+        """The histogram's total, which counts exactly the admissible records."""
+        return sum(n for _, n in self.hilbert_histogram)
 
     @property
     def inadmissible(self) -> int:
@@ -214,7 +217,7 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
     """
     plan = None
     # The stored counts of a SweepSummary, by field name.
-    counts = Counter(total=0, admissible=0, cond_i_true=0, factorial_not_i=0)
+    counts = Counter(total=0, cond_i_true=0, factorial_not_i=0)
     histogram: Counter[int] = Counter()
     counterexamples: list[tuple[int, ...]] = []
     for rep in records:
@@ -226,7 +229,6 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
             raise MixedPlansError(f"record {key} does not match plan {plan}")
         counts["total"] += 1
         if rep.admissible:
-            counts["admissible"] += 1
             if rep.cond_i:
                 counts["cond_i_true"] += 1
             elif rep.factorial:

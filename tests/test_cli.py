@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from artinhol import cli, conditions
+from artinhol import cli, conditions, hilbert_basis_frontier, hilbert_basis_oracle
 from artinhol.hilbert import HilbertBasis
 from conftest import run_artinhol
 
@@ -167,8 +167,7 @@ class TestCommands:
         assert "equivalence" in res.stdout
 
     def test_check_carries_the_canonical_basis_back(self, capsys):
-        # Hol(10^6, -10^6, 10^6) = Hol(1, -1, 1); the region of the vector
-        # itself has 500,002,000,002,500,001 points.
+        # Hol(10^6, -10^6, 10^6) = Hol(1, -1, 1)
         docs = []
         for orders in ("1000000,-1000000,1000000", "1,-1,1"):
             assert cli.main(["check", "--degrees", "1,1,1", f"--orders={orders}", "--json"]) == 0
@@ -215,6 +214,17 @@ class TestCommands:
             "vector (1000, -1000, 999, -998): completeness region of "
             "251503253001 points exceeds the enumeration cap 10000000\n"
         )
+
+    def test_hilbert_zero_orders_add_only_their_units(self, capsys):
+        # each of the 29 zero orders adds its unit vector to the basis, not
+        # a factor 2 to the region the oracle walks
+        v = (1,) + (0,) * 29 + (-1,)
+        units = [[int(i == j) for i in range(31)] for j in range(30)]
+        expect = sorted(units + [[1] + [0] * 29 + [1]])
+        assert cli.main(["hilbert", "--orders=" + ",".join(map(str, v)), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["hilbert"]["elements"] == expect
+        for engine in (hilbert_basis_oracle, hilbert_basis_frontier):
+            assert [list(h) for h in engine(v).elements] == expect
 
     def test_hilbert_carries_the_canonical_basis_back(self, capsys):
         docs = []

@@ -101,6 +101,23 @@ def test_only_conditions_carries_a_basis_back():
     assert importers == callers == {"conditions"}
 
 
+def test_one_reduction_for_both_hilbert_engines():
+    # Both engines search the nonzero orders of v / gcd(v) that
+    # hilbert._nonzero_part returns and carry back through hilbert._embed;
+    # no other function divides by a gcd.
+    calls = {
+        fn.name: {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        for fn in ast.walk(MODULES["hilbert"])
+        if isinstance(fn, ast.FunctionDef)
+    }
+    assert {name for name, called in calls.items() if called & {"math.gcd", "gcd"}} == {
+        "canonical_order",
+        "_nonzero_part",
+    }
+    for engine in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
+        assert {"_nonzero_part", "_embed"} <= calls[engine], engine
+
+
 def test_multiprocessing_is_imported_only_for_a_pool():
     # sweep.Pool imports multiprocessing when a sweep starts a pool, so
     # importing the package and running a serial sweep never load it.
