@@ -111,6 +111,11 @@ class TestOracleEngine:
     def test_engine_tag(self):
         assert hilbert_basis_oracle((1, -1)).source_engine == "oracle"
 
+    def test_enumeration_cap(self):
+        # coprime orders, so dividing by the gcd leaves the region over the cap
+        with pytest.raises(CapExceededError):
+            hilbert_basis_oracle((10**6, -(10**6), 10**6 - 1))
+
 
 class TestFrontierEngine:
     def test_known_values(self):
