@@ -73,8 +73,6 @@ from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotI
 ENUMERATION_CAP = 10_000_000
 
 Elements = tuple[tuple[int, ...], ...]
-#: (c, perm) as canonical_order returns it.
-Orbit = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class HilbertBasis:
         return len(self.elements)
 
 
-def canonical_order(v: Sequence[int]) -> Orbit:
+def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Orbit-canonical form of an order vector under scaling and permutation.
 
     Returns (c, perm): c is v divided by the gcd of its entries (1 when all
@@ -430,12 +428,10 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
 
     A search that could take more than ENUMERATION_CAP loop iterations
     raises CapExceededError before it starts, naming _search_bound's bound
-    on them.  The product m * prod_j (k_j + 1) * (max k + 1) is at least
-    that bound and at most m * (max k + 1)^(r + 1), so an element whose
-    max k is at most the basis's threshold, the largest t with
-    m * (t + 1)^(r + 1) <= ENUMERATION_CAP, is admitted at once.  Above
-    it the O(r) product decides, and the O(m * r) bound only when the
-    product is over the cap.
+    on them.  That bound is at most m * (max k + 1)^(r + 1), so an element
+    whose max k is at most the basis's threshold, the largest t with
+    m * (t + 1)^(r + 1) <= ENUMERATION_CAP, is admitted at once; above it
+    the O(m * r) bound decides.
     """
     if _int_value(cap, "cap") < 2:
         raise ValueError("cap must be >= 2")
@@ -445,17 +441,12 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
         tables = basis._factor_tables or _factor_tables(basis)
         top = max(kk)
         if top > tables.threshold:
-            steps = len(elems)
-            for x in kk:  # a plain loop: math.prod over a generator costs 1.6x this
-                steps *= x + 1
-            steps *= top + 1
+            steps = _search_bound(kk, elems)
             if steps > ENUMERATION_CAP:
-                steps = _search_bound(kk, elems)
-                if steps > ENUMERATION_CAP:
-                    raise CapExceededError(
-                        f"factorization search of {kk} may take {steps} steps, over the "
-                        f"enumeration cap {ENUMERATION_CAP}"
-                    )
+                raise CapExceededError(
+                    f"factorization search of {kk} may take {steps} steps, over the "
+                    f"enumeration cap {ENUMERATION_CAP}"
+                )
         w = (top if top > tables.top else tables.top).bit_length() + 1
         guards, packed, dead = tables.packed.get(w) or _pack_tables(tables, elems, w)
         memo = basis._factor_memo.get((cap, w))
@@ -528,8 +519,9 @@ def _search_bound(k: tuple[int, ...], elements: Elements) -> int:
     Let R_i be the coordinates that some element before position i and
     some element from i on have in their supports.  The bound is the sum
     over i of prod_{j in R_i} (k_j + 1) * (min_{j in supp h_i} floor(k_j / h_ij) + 1),
-    and no term exceeds prod_j (k_j + 1) * (max_j k_j + 1), so
-    count_factorizations' product m times that is a bound too.
+    and no term exceeds prod_j (k_j + 1) * (max_j k_j + 1) <= (max_j k_j + 1)^(r + 1),
+    so the sum is at most m times that, which sizes count_factorizations'
+    threshold.
 
     Proof, for the loop of _count_from.  An iteration is a multiplicity
     c >= 1 tried or the step from a state (i, rem) to its c = 0 child

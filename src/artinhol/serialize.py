@@ -22,7 +22,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .conditions import ConditionReport, PairWitness, check_instance
-from .core import DegreeVector, Instance, validate_exponent_vector
+from .core import DegreeVector, Instance, _int_value, validate_exponent_vector
 from .errors import LengthMismatchError
 
 if TYPE_CHECKING:
@@ -151,9 +151,9 @@ def parse_report_document(data: str | dict[str, Any]) -> ConditionReport:
     rendering, as every sweep line is, is accepted without encoding the
     parsed document again.  A record that is not a JSON object, lacks a
     key read here, or holds something else where its instance, flags,
-    labels or hilbert object should be, raises ValueError saying so.
-    Mistyped flags, labels, orders or basis elements, and elements of the
-    wrong rank, raise their own errors.
+    labels or hilbert object or its elements array should be, raises
+    ValueError saying so.  A mistyped r, flags, labels, orders or basis
+    elements, and elements of the wrong rank, raise their own errors.
     """
     return _parse_report(data, {})
 
@@ -177,7 +177,7 @@ def _parse_report(data, bases: dict) -> ConditionReport:
         di = _object(doc, "instance")
         degrees = DegreeVector(di["degrees"])
         r = degrees.rank
-        if di["r"] != r:
+        if _int_value(di["r"], "r") != r:
             raise LengthMismatchError(f"r {di['r']} vs degrees {r}")
         flags, labels = _object(di, "flags"), _object(di, "labels")
         inst = Instance(
@@ -189,6 +189,9 @@ def _parse_report(data, bases: dict) -> ConditionReport:
             s0_label=labels["s0"],
         )
         elements = _object(doc, "hilbert")["elements"]
+        if not isinstance(elements, list):
+            got = type(elements).__name__
+            raise ValueError(f"record key 'elements' is not a JSON array: got {got}")
     except KeyError as exc:
         raise ValueError(f"record lacks key {exc.args[0]!r}") from None
     rep = check_instance(inst, bases)

@@ -7,20 +7,22 @@ summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.  A SweepPlan makes every check a sweep needs, the box's
 size against INSTANCE_CAP included, when it is built.
 
-A sweep walks its box once, through the orbit map of the hilbert module.
-It cuts the enumeration into contiguous chunks of CHUNK_SIZE vectors;
-each task carries one chunk's vectors, the canonical order (canon, perm)
-of each, and a dict of the canonical basis elements they need.  The
-parent runs canonical_order once per vector and computes each
-cross-checked Hilbert basis as the task stream first meets its canonical
-vector, so each engine runs once per canonical vector, in the same order
-for any worker count.  The worker passes the dict and each vector's
-(canon, perm) to check_instance, then renders the records and runs
-summarize on the reports.  The parent only writes each chunk's records
-and adds its summary, in chunk order, so the output bytes do not depend
-on the worker count.  With one worker, or a box of one chunk, the same
-chunk function runs in this process, sweep_reports walks the same tasks,
-and multiprocessing is never imported: Pool imports it when it is called.
+A sweep walks its box once.  It cuts the enumeration into contiguous
+chunks of CHUNK_SIZE vectors, and a task is the plan and one chunk's
+vectors, nothing else.  The process that checks a chunk passes each of
+its vectors to check_instance with _BASES, its dict of the canonical
+bases it has met in this sweep, so orbit_basis canonicalizes each vector
+there and cross-checks each canonical basis the first time that process
+meets it.  run_sweep and sweep_reports empty _BASES when they end, and
+pool workers end with their sweep, so no basis outlives its sweep.  The
+worker renders the records and runs summarize on the reports.  The
+parent only writes each chunk's records and adds its summary, in chunk
+order, so the output bytes do not depend on the worker count; and as
+orbit_basis never stores a failure, the error a sweep raises names the
+first vector of the box whose canonical basis fails.  With one worker,
+or a box of one chunk, the same chunk function runs in this process,
+sweep_reports walks the same tasks, and multiprocessing is never
+imported: Pool imports it when it is called.
 """
 
 from __future__ import annotations
@@ -34,15 +36,18 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import serialize
-from .conditions import ConditionReport, check_instance, orbit_basis
+from .conditions import ConditionReport, check_instance
 from .core import DegreeVector, Instance, OrderVector, _int_value, check_flags
 from .errors import CapExceededError, MixedPlansError
-from .hilbert import Elements, Orbit, canonical_order
+from .hilbert import Elements
 
 INSTANCE_CAP = 10_000_000
 
 #: Records per task, a contiguous run of the enumeration.
 CHUNK_SIZE = 256
+
+#: The canonical bases this process has met in the running sweep.
+_BASES: dict[tuple[int, ...], Elements] = {}
 
 
 @dataclass(frozen=True)
@@ -135,27 +140,12 @@ def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
 
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
-    """The plan's tasks, in enumeration order.
-
-    Each task is (plan, vectors, orbits, bases): the next CHUNK_SIZE
-    vectors of the box, the canonical order (canon, perm) of each, and a
-    dict of the canonical bases they need.  canonical_order runs once per
-    vector, here.  Every canonical basis is computed in this process,
-    once per sweep, at the first vector swept to it, so a failure names
-    that vector.
-    """
+    """The plan's tasks, in enumeration order: (plan, the next CHUNK_SIZE
+    vectors of the box)."""
     bound = plan.order_bound
     box = itertools.product(range(-bound, bound + 1), repeat=plan.degrees.rank)
-    bases: dict[tuple[int, ...], Elements] = {}
     while vectors := list(itertools.islice(box, CHUNK_SIZE)):
-        orbits = list(map(canonical_order, vectors))
-        needed = {}
-        for v, orbit in zip(vectors, orbits):
-            canon = orbit[0]
-            if canon not in bases:
-                orbit_basis(v, bases, orbit)
-            needed[canon] = bases[canon]
-        yield plan, vectors, orbits, needed
+        yield plan, vectors
 
 
 def _usable_cpus() -> int:
@@ -175,14 +165,9 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-def _chunk_reports(
-    plan: SweepPlan,
-    vectors: list[tuple[int, ...]],
-    orbits: list[Orbit],
-    bases: dict[tuple[int, ...], Elements],
-) -> Iterator[ConditionReport]:
+def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[ConditionReport]:
     """Reports of one chunk's vectors, in order."""
-    for v, orbit in zip(vectors, orbits):
+    for v in vectors:
         inst = Instance(
             plan.degrees,
             v,
@@ -190,7 +175,7 @@ def _chunk_reports(
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, bases, orbit)
+        yield check_instance(inst, _BASES)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
@@ -207,7 +192,10 @@ def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
     """Run the plan's instances in this process and return reports in
     enumeration order, through the same tasks as a sweep."""
-    return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
+    try:
+        return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
+    finally:
+        _BASES.clear()
 
 
 def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
@@ -288,12 +276,15 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     processes, n the least of the workers, the chunks and the usable
     CPUs, if n > 1; else through the builtin map, in this process."""
     summary = summarize(())
-    with _replacing(plan.out_path) as fh:
-        chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
-        n = min(plan.worker_count, chunks, _usable_cpus())
-        with Pool(n) if n > 1 else nullcontext() as pool:
-            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, _chunk_tasks(plan)):
-                if fh is not None:
-                    fh.writelines(lines)
-                summary += part
+    try:
+        with _replacing(plan.out_path) as fh:
+            chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
+            n = min(plan.worker_count, chunks, _usable_cpus())
+            with Pool(n) if n > 1 else nullcontext() as pool:
+                for lines, part in (pool.imap if n > 1 else map)(_run_chunk, _chunk_tasks(plan)):
+                    if fh is not None:
+                        fh.writelines(lines)
+                    summary += part
+    finally:
+        _BASES.clear()
     return summary

@@ -442,7 +442,7 @@ class TestCountFactorizations:
         ):
             count_factorizations((10000, 10000), basis)
         assert basis._factor_memo == {}
-        # the product bound 2 * 201^3 is over the cap; the sum is 40602
+        # 200 is over the threshold, 169, and the bound, 40602, admits it
         assert count_factorizations((200, 200), basis).count == 1
 
     def test_search_bound_sums_states_times_steps_per_position(self):
@@ -452,7 +452,7 @@ class TestCountFactorizations:
         assert hilbert._search_bound((20, 20), elements) == 21 + 21 * 21
         assert hilbert._search_bound((20, 5), elements) == 21 + 21 * 6
 
-    def test_guard_admits_up_to_the_threshold_then_asks_the_product(self, monkeypatch):
+    def test_guard_asks_the_bound_only_above_the_threshold(self, monkeypatch):
         # Over (1, 0), (1, 1): m = 2, r = 2, and the threshold is 169, the
         # largest t with 2 * (t + 1)^3 <= ENUMERATION_CAP < 2 * 171^3.
         basis = hilbert_basis_oracle((1, -1))
@@ -468,12 +468,11 @@ class TestCountFactorizations:
         monkeypatch.setattr(hilbert, "_search_bound", refuse)
         assert count_factorizations((169, 169), basis).count == 1
         assert hilbert._factor_tables(basis).threshold == 169
-        # above it the product decides: 2 * 171 * 1 * 171 admits (170, 0) ...
-        assert count_factorizations((170, 0), basis).count == 1
-        # ... and 2 * 171^3 is over the cap, so (170, 170) asks the bound
+        # above it the bound decides, and admits both
         monkeypatch.setattr(hilbert, "_search_bound", spy)
+        assert count_factorizations((170, 0), basis).count == 1
         assert count_factorizations((170, 170), basis).count == 1
-        assert asked == [(170, 170)]
+        assert asked == [(170, 0), (170, 170)]
 
     @pytest.mark.parametrize(
         "v, k",

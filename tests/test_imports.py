@@ -101,6 +101,21 @@ def test_only_conditions_carries_a_basis_back():
     assert importers == callers == {"conditions"}
 
 
+def test_only_conditions_canonicalizes():
+    # The orbit map belongs to conditions.orbit_basis: a sweep ships plain
+    # vectors, and the process that checks one canonicalizes it there.  A
+    # module that imports, names or calls canonical_order uses it.
+    users = {
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if "canonical_order"
+        in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        and not isinstance(node, ast.FunctionDef)
+    }
+    assert users == {"conditions"}
+
+
 def test_one_reduction_for_both_hilbert_engines():
     # Both engines search the nonzero orders of v / gcd(v) that
     # hilbert._nonzero_part returns and carry back through hilbert._embed;

@@ -245,7 +245,8 @@ def test_other_encodings_of_a_record_parse_through_the_key_comparison():
 @pytest.mark.parametrize(
     "degrees, orders, old, new, error, match",
     [
-        # each edit re-renders to the same bytes unless the parser checks types
+        # each edit re-renders to the same bytes, or fails with a bare
+        # TypeError, unless the parser checks types
         ((1, 1), (1, -1), '"require_dedekind":true', '"require_dedekind":1',
          TypeError, "require_dedekind must be a bool"),
         ((1, 1), (1, -1), '"elements":[[1,0],', '"elements":[[1.0,0],',
@@ -253,6 +254,12 @@ def test_other_encodings_of_a_record_parse_through_the_key_comparison():
         ((1, 1), (1, -1), '"group":null', '"group":5', TypeError, "group must be a str"),
         ((1, 1), (1, -1), '"elements":[[1,0],[1,1]]', '"elements":[[1,0,0],[1,1,0]]',
          LengthMismatchError, "length 3, expected 2"),
+        ((1, 1), (1, -1), '"r":2,', '"r":"2",', TypeError, "r must be an int, got '2'"),
+        ((1,), (1,), '"r":1,', '"r":true,', TypeError, "r must be an int, got True"),
+        ((1, 1), (1, -1), '"elements":[[1,0],[1,1]]', '"elements":5',
+         ValueError, "record key 'elements' is not a JSON array: got int"),
+        ((1, 1), (1, -1), '"elements":[[1,0],[1,1]]', '"elements":null',
+         ValueError, "record key 'elements' is not a JSON array: got NoneType"),
     ],
 )
 def test_mistyped_record_is_rejected(degrees, orders, old, new, error, match):

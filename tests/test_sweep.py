@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -164,16 +165,8 @@ class TestRunSweep:
         assert s1 == s2
 
     def test_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
-        ctx = multiprocessing.get_context()
-        started = []
-
-        def pool(n):
-            started.append(n)
-            return ctx.Pool(n)
-
-        monkeypatch.setattr(sweep, "Pool", pool)
         # more usable CPUs than workers, so only the chunks bound the pool
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 64)
+        started = _logged_pool(monkeypatch, cpus=64)
         plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=8)
         out1 = tmp_path / "w1.jsonl"
         out8 = tmp_path / "w8.jsonl"
@@ -257,12 +250,13 @@ class TestCanonicalOrder:
 
 
 def _log_engine_calls(log_path):
-    """Make both engines append one line per call to log_path."""
+    """Make both engines append one line per call to log_path: the calling
+    process's pid, the engine and the vector."""
 
     def logged(name, fn):
         def call(v):
             with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(f"{name} {v.entries}\n")
+                fh.write(f"{os.getpid()} {name} {v.entries}\n")
             return fn(v)
 
         return call
@@ -271,66 +265,133 @@ def _log_engine_calls(log_path):
         setattr(conditions, name, logged(name, getattr(conditions, name)))
 
 
+def _logged_pool(monkeypatch, cpus=2):
+    """Let sweep.Pool start real pools, recording each pool's size."""
+    ctx = multiprocessing.get_context()
+    started = []
+
+    def pool(n):
+        started.append(n)
+        return ctx.Pool(n)
+
+    monkeypatch.setattr(sweep, "Pool", pool)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    return started
+
+
 class TestBasisCache:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_engine_runs_once_per_canonical_vector(self, tmp_path, monkeypatch, workers):
-        # The parent computes every basis, in the order the box first meets
-        # its canonical vector; forked workers inherit the logging engines,
-        # so a call made in a worker would show in the log too.
+        # Each process that checks a chunk cross-checks a canonical basis
+        # the first time it meets it; forked workers inherit the logging
+        # engines, so the log shows which process made each call.
         log = tmp_path / "calls.log"
         engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
         for name in engines:
             monkeypatch.setattr(conditions, name, getattr(conditions, name))
         _log_engine_calls(log)
-        ctx = multiprocessing.get_context()
-        started = []
-
-        def pool(n):
-            started.append(n)
-            return ctx.Pool(n)
-
-        monkeypatch.setattr(sweep, "Pool", pool)
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        started = _logged_pool(monkeypatch)
         # 729 records, three chunks
         summary = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers))
         assert summary.total == 729
         assert started == ([2] if workers == 2 else [])
         canon = dict.fromkeys(canonical_order(v.entries)[0] for v in enumerate_order_vectors(3, 4))
         expect = [f"{name} {c}" for c in canon for name in engines]
-        assert log.read_text().splitlines() == expect
         assert len(canon) < 729
+        calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        if workers == 1:
+            # in this process, in the order the box first meets each one
+            assert calls == [[str(os.getpid()), call] for call in expect]
+            return
+        by_process: dict[str, list[str]] = {}
+        for pid, call in calls:
+            by_process.setdefault(pid, []).append(call)
+        assert str(os.getpid()) not in by_process  # the parent runs no engine
+        for made in by_process.values():
+            assert len(made) == len(set(made))
+        assert {call for _, call in calls} == set(expect)
 
     def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch):
-        # The parent computes each vector's canonical order and ships it
-        # with the chunk; forked workers inherit the patch, so a call made
-        # in a worker would show in the log with its own pid.
+        # Each vector is canonicalized once, in the process that checks it;
+        # forked workers inherit the patches, so each log line carries the
+        # pid of the process that wrote it.
         log = tmp_path / "calls.log"
+        checked = tmp_path / "checked.log"
 
         def logged(v):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
+                fh.write(f"{os.getpid()} {v}\n")
             return canonical_order(v)
 
-        for module in (conditions, sweep, hilbert):
+        real = sweep.check_instance
+
+        def check(inst, *args):
+            with open(checked, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {inst.orders.entries}\n")
+            return real(inst, *args)
+
+        for module in (conditions, hilbert):
             monkeypatch.setattr(module, "canonical_order", logged)
-        ctx = multiprocessing.get_context()
-        started = []
-
-        def pool(n):
-            started.append(n)
-            return ctx.Pool(n)
-
-        monkeypatch.setattr(sweep, "Pool", pool)
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sweep, "check_instance", check)
+        started = _logged_pool(monkeypatch)
         # 625 records, three chunks
         plan = SweepPlan(DegreeVector((1, 1, 2, 2)), 2, out_path=tmp_path / "w1.jsonl")
         run_sweep(plan)
-        assert log.read_text().splitlines() == [str(os.getpid())] * 5**4
+        assert started == []
+        box = [str(v.entries) for v in enumerate_order_vectors(4, 2)]
+        assert log.read_text().splitlines() == [f"{os.getpid()} {v}" for v in box]
         log.unlink()
+        checked.unlink()
         run_sweep(replace(plan, worker_count=2, out_path=tmp_path / "w2.jsonl"))
         assert started == [2]
-        assert log.read_text().splitlines() == [str(os.getpid())] * 5**4
+        made = log.read_text().splitlines()
+        assert sorted(made) == sorted(checked.read_text().splitlines())
+        assert sorted(line.split(" ", 1)[1] for line in made) == sorted(box)
+        assert all(not line.startswith(f"{os.getpid()} ") for line in made)
         assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_the_sweep_dict_is_emptied_when_the_sweep_ends(self, monkeypatch, fail):
+        real, sizes = sweep.check_instance, []
+
+        def check(inst, bases):
+            assert bases is sweep._BASES
+            rep = real(inst, bases)
+            sizes.append(len(bases))
+            if fail and len(sizes) % 100 == 0:
+                raise RuntimeError("check failed")
+            return rep
+
+        monkeypatch.setattr(sweep, "check_instance", check)
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
+        for run in (run_sweep, sweep_reports):
+            with pytest.raises(RuntimeError) if fail else nullcontext():
+                run(plan)
+            assert sizes[-1] > 0
+            assert sweep._BASES == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sweep_does_not_inherit_an_earlier_sweeps_bases(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # A sweep with a patched cross-check, which gives every canonical
+        # vector its unit vectors, must leave no basis to the next sweep.
+        def units(c):
+            r = len(c)
+            rows = (tuple(int(i == j) for i in range(r)) for j in reversed(range(r)))
+            return HilbertBasis(tuple(rows), "oracle")
+
+        _logged_pool(monkeypatch)
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers)
+        paths = [tmp_path / f"{name}.jsonl" for name in ("before", "patched", "after")]
+        run_sweep(replace(plan, out_path=paths[0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(conditions, "cross_checked_basis", units)
+            run_sweep(replace(plan, out_path=paths[1]))
+        run_sweep(replace(plan, out_path=paths[2]))
+        before, patched, after = (path.read_bytes() for path in paths)
+        assert patched != before
+        assert after == before
 
     def test_explicit_basis_matches_uncached_report(self):
         inst = Instance((1, 2, 1), (2, -1, -2))
@@ -352,7 +413,7 @@ class TestBasisCache:
         assert len(reports) == 125
         canon = {canonical_order(r.instance.orders.entries)[0] for r in reports}
         engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
-        expect = sorted(f"{name} {c}" for c in canon for name in engines)
+        expect = sorted(f"{os.getpid()} {name} {c}" for c in canon for name in engines)
         assert sorted(log.read_text().splitlines()) == expect
 
     def test_basis_failure_names_the_swept_vector(self, monkeypatch):
@@ -453,18 +514,23 @@ class TestChunkedPhaseTwo:
     def test_box_slices_follow_the_enumeration(self, r, bound):
         # The tasks cut the box into consecutive slices of CHUNK_SIZE
         # vectors, the last one partial at (3, 4), each shipped with the
-        # canonical order of every vector, and the reports follow them.
+        # plan and nothing else, and the reports follow them.
         box = [v.entries for v in enumerate_order_vectors(r, bound)]
         plan = SweepPlan(DegreeVector((1,) * r), bound)
         tasks = list(_chunk_tasks(plan))
-        slices = [vectors for _, vectors, _, _ in tasks]
+        assert all(len(task) == 2 and task[0] is plan for task in tasks)
+        slices = [vectors for _, vectors in tasks]
         assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
-        assert [o for _, _, orbits, _ in tasks for o in orbits] == list(map(canonical_order, box))
         assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
 
-    def test_basis_failure_after_the_first_chunk_writes_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_basis_failure_after_the_first_chunk_writes_nothing(
+        self, tmp_path, monkeypatch, workers
+    ):
         # (-1, -1, 3) is record 277 of the box, in the second chunk, and
-        # the first vector with that canonical form.
+        # the first vector with that canonical form.  A failure is never
+        # stored and the chunks come back in order, so every worker count
+        # names it.
         frontier = conditions.hilbert_basis_frontier
 
         def wrong_for_late_vector(v):
@@ -474,15 +540,15 @@ class TestChunkedPhaseTwo:
             return basis
 
         monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong_for_late_vector)
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
-        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
-        with pytest.raises(EngineMismatchError) as serial:
-            run_sweep(plan)
-        assert "engines disagree for v=(-1, -1, 3)" in str(serial.value)
+        started = _logged_pool(monkeypatch, cpus=4)
         out = tmp_path / "records.jsonl"
-        with pytest.raises(EngineMismatchError) as pooled:
-            run_sweep(replace(plan, worker_count=2, out_path=out))
-        assert str(pooled.value) == str(serial.value)
+        with pytest.raises(EngineMismatchError) as err:
+            run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers, out_path=out))
+        assert started == ([] if workers == 1 else [min(workers, 3)])
+        elements = hilbert_basis_oracle((-1, -1, 3)).elements
+        assert str(err.value) == (
+            f"engines disagree for v=(-1, -1, 3): {elements} vs {elements[:-1]}"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [False, True])

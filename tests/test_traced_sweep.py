@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from artinhol.hilbert import canonical_order
 from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,21 +49,40 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
     assert res.returncode == 0, res.stderr
     assert out.read_text().count("\n") == 729
     per_process = [
-        [json.loads(line)["name"] for line in path.read_text().splitlines()]
+        [json.loads(line) for line in path.read_text().splitlines()]
         for path in trace_dir.glob("spans-*.jsonl")
     ]
-    names = [name for spans in per_process for name in spans]
-    # the parent, which holds the sweep.run span, computes every basis
-    # and writes and merges, but checks no instance itself
-    (parent,) = [spans for spans in per_process if "sweep.run" in spans]
-    assert parent.count("hilbert.oracle") == names.count("hilbert.oracle") >= 1
-    assert "conditions.check" not in parent
+    names = [span["name"] for spans in per_process for span in spans]
+    canon = {
+        canonical_order(json.loads(line)["instance"]["orders"])[0]
+        for line in out.read_text().splitlines()
+    }
+    assert len(canon) < 729
+    # the parent, which holds the sweep.run span, writes and merges but
+    # checks no instance; its engine spans are the read-back's, under the
+    # serialize.parse span, one per canonical vector of the file
+    (parent,) = [spans for spans in per_process if any(s["name"] == "sweep.run" for s in spans)]
+    assert all(span["name"] != "conditions.check" for span in parent)
+    (parse,) = [span["id"] for span in parent if span["name"] == "serialize.parse"]
+    for engine in ("hilbert.oracle", "hilbert.frontier"):
+        spans = [span for span in parent if span["name"] == engine]
+        assert all(span["parent"] == parse for span in spans)
+        assert sorted(tuple(span["v"]) for span in spans) == sorted(canon)
     # one verdict span and at least one render span per record: the sweep
     # must keep calling sweep.check_instance and serialize.sweep_record_line
     assert names.count("conditions.check") == 729
     assert names.count("serialize.render") >= 729
     # the cached rows and texts must not hide a layer: the workers record
-    # every verdict and every record's render span themselves
+    # every verdict and every record's render span themselves, and run the
+    # sweep's engines, each at most once per canonical vector
     workers = [spans for spans in per_process if spans is not parent]
-    assert sum(spans.count("conditions.check") for spans in workers) == 729
-    assert sum(spans.count("serialize.render") for spans in workers) == 729
+    worker_names = [span["name"] for spans in workers for span in spans]
+    assert worker_names.count("conditions.check") == 729
+    assert worker_names.count("serialize.render") == 729
+    met = set()
+    for spans in workers:
+        for engine in ("hilbert.oracle", "hilbert.frontier"):
+            found = [tuple(span["v"]) for span in spans if span["name"] == engine]
+            assert len(found) == len(set(found))
+            met.update(found)
+    assert met == canon
