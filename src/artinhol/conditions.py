@@ -392,21 +392,29 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     return b_oracle
 
 
-def orbit_basis(v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]) -> Elements:
-    """Cross-checked basis elements of Hol(v): v's canonical vector's, from the
-    caller's dict or computed into it, carried back; a failure names both.
-    A failure is never stored, so the next vector with that canonical
-    vector fails again."""
+def canonical_basis(
+    v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """canonical_order(v), once the canonical vector's cross-checked basis
+    elements are in the caller's dict, computed into it if missing; a
+    failure names both vectors.  A failure is never stored, so the next
+    vector with that canonical vector fails again."""
     canon, perm = canonical_order(v)
-    elements = bases.get(canon)
-    if elements is None:
+    if canon not in bases:
         try:
-            elements = bases[canon] = cross_checked_basis(canon).elements
+            bases[canon] = cross_checked_basis(canon).elements
         except ArtinHolError as exc:
             if canon == v:
                 raise
             raise type(exc)(f"canonical order vector {canon} of order vector {v}: {exc}") from exc
-    return _carried(elements, perm)
+    return canon, perm
+
+
+def orbit_basis(v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]) -> Elements:
+    """Cross-checked basis elements of Hol(v): its canonical vector's, from
+    canonical_basis, carried back."""
+    canon, perm = canonical_basis(v, bases)
+    return _carried(bases[canon], perm)
 
 
 def check_instance(inst: Instance, bases: dict | None = None) -> ConditionReport:

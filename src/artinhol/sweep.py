@@ -7,22 +7,21 @@ summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.  A SweepPlan makes every check a sweep needs, the box's
 size against INSTANCE_CAP included, when it is built.
 
-A sweep walks its box once.  It cuts the enumeration into contiguous
-chunks of CHUNK_SIZE vectors, and a task is the plan and one chunk's
-vectors, nothing else.  The process that checks a chunk passes each of
-its vectors to check_instance with _BASES, its dict of the canonical
-bases it has met in this sweep, so orbit_basis canonicalizes each vector
-there and cross-checks each canonical basis the first time that process
-meets it.  run_sweep and sweep_reports empty _BASES when they end, and
-pool workers end with their sweep, so no basis outlives its sweep.  The
-worker renders the records and runs summarize on the reports.  The
+A sweep walks its box once.  _chunk_tasks cuts the enumeration into
+contiguous chunks of CHUNK_SIZE vectors, and a task is the plan, one
+chunk's vectors and a dict of canonical bases.  Each canonical basis is
+cross-checked once per sweep, in this process, into a dict that lives as
+long as the sweep, at the first vector of the box swept to it, so the
+engines run once per canonical vector, in the same order for any worker
+count, and a failure names that vector.  Serially, every task takes that
+dict and orbit_basis fills it as the chunks are checked; for a pool,
+_pool_tasks fills it and gives each task the bases its vectors need.
+The worker renders the records and runs summarize on the reports; the
 parent only writes each chunk's records and adds its summary, in chunk
-order, so the output bytes do not depend on the worker count; and as
-orbit_basis never stores a failure, the error a sweep raises names the
-first vector of the box whose canonical basis fails.  With one worker,
-or a box of one chunk, the same chunk function runs in this process,
-sweep_reports walks the same tasks, and multiprocessing is never
-imported: Pool imports it when it is called.
+order, so the output bytes do not depend on the worker count.  With one
+worker, or a box of one chunk, the same chunk function runs in this
+process, sweep_reports walks the same chunks, and multiprocessing is
+never imported: Pool imports it when it is called.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import serialize
-from .conditions import ConditionReport, check_instance
+from .conditions import ConditionReport, canonical_basis, check_instance
 from .core import DegreeVector, Instance, OrderVector, _int_value, check_flags
 from .errors import CapExceededError, MixedPlansError
 from .hilbert import Elements
@@ -45,10 +44,6 @@ INSTANCE_CAP = 10_000_000
 
 #: Records per task, a contiguous run of the enumeration.
 CHUNK_SIZE = 256
-
-#: The canonical bases this process has met in the running sweep.
-_BASES: dict[tuple[int, ...], Elements] = {}
-
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -140,12 +135,24 @@ def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
 
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
-    """The plan's tasks, in enumeration order: (plan, the next CHUNK_SIZE
+    """The plan's chunks, in enumeration order: (plan, the next CHUNK_SIZE
     vectors of the box)."""
     bound = plan.order_bound
     box = itertools.product(range(-bound, bound + 1), repeat=plan.degrees.rank)
     while vectors := list(itertools.islice(box, CHUNK_SIZE)):
         yield plan, vectors
+
+
+def _pool_tasks(plan: SweepPlan, bases: dict[tuple[int, ...], Elements]) -> Iterator[tuple]:
+    """The plan's tasks for a pool, in enumeration order: (plan, vectors,
+    the canonical bases those vectors need), each computed into `bases`
+    at the first vector swept to it."""
+    for _, vectors in _chunk_tasks(plan):
+        needed = {}
+        for v in vectors:
+            canon = canonical_basis(v, bases)[0]
+            needed[canon] = bases[canon]
+        yield plan, vectors, needed
 
 
 def _usable_cpus() -> int:
@@ -165,8 +172,10 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[ConditionReport]:
-    """Reports of one chunk's vectors, in order."""
+def _chunk_reports(
+    plan: SweepPlan, vectors: list[tuple[int, ...]], bases: dict[tuple[int, ...], Elements]
+) -> Iterator[ConditionReport]:
+    """Reports of one chunk's vectors, in order, their bases from `bases`."""
     for v in vectors:
         inst = Instance(
             plan.degrees,
@@ -175,12 +184,12 @@ def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, _BASES)
+        yield check_instance(inst, bases)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
-    """One task: the chunk's record lines (None without an output file)
-    and its summary."""
+    """One task, (plan, vectors, bases): the chunk's record lines (None
+    without an output file) and its summary."""
     plan = task[0]
     reports = list(_chunk_reports(*task))
     lines = None
@@ -192,10 +201,8 @@ def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
     """Run the plan's instances in this process and return reports in
     enumeration order, through the same tasks as a sweep."""
-    try:
-        return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
-    finally:
-        _BASES.clear()
+    bases: dict[tuple[int, ...], Elements] = {}
+    return [rep for _, vs in _chunk_tasks(plan) for rep in _chunk_reports(plan, vs, bases)]
 
 
 def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
@@ -276,15 +283,17 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     processes, n the least of the workers, the chunks and the usable
     CPUs, if n > 1; else through the builtin map, in this process."""
     summary = summarize(())
-    try:
-        with _replacing(plan.out_path) as fh:
-            chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
-            n = min(plan.worker_count, chunks, _usable_cpus())
-            with Pool(n) if n > 1 else nullcontext() as pool:
-                for lines, part in (pool.imap if n > 1 else map)(_run_chunk, _chunk_tasks(plan)):
-                    if fh is not None:
-                        fh.writelines(lines)
-                    summary += part
-    finally:
-        _BASES.clear()
+    bases: dict[tuple[int, ...], Elements] = {}
+    with _replacing(plan.out_path) as fh:
+        chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
+        n = min(plan.worker_count, chunks, _usable_cpus())
+        with Pool(n) if n > 1 else nullcontext() as pool:
+            if n > 1:
+                tasks = _pool_tasks(plan, bases)
+            else:
+                tasks = ((plan, vectors, bases) for _, vectors in _chunk_tasks(plan))
+            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, tasks):
+                if fh is not None:
+                    fh.writelines(lines)
+                summary += part
     return summary

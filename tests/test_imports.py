@@ -102,9 +102,9 @@ def test_only_conditions_carries_a_basis_back():
 
 
 def test_only_conditions_canonicalizes():
-    # The orbit map belongs to conditions.orbit_basis: a sweep ships plain
-    # vectors, and the process that checks one canonicalizes it there.  A
-    # module that imports, names or calls canonical_order uses it.
+    # The orbit map belongs to conditions: a sweep reaches it through
+    # canonical_basis and orbit_basis.  A module that imports, names or
+    # calls canonical_order uses it.
     users = {
         name
         for name, tree in MODULES.items()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -282,8 +281,8 @@ def _logged_pool(monkeypatch, cpus=2):
 class TestBasisCache:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_engine_runs_once_per_canonical_vector(self, tmp_path, monkeypatch, workers):
-        # Each process that checks a chunk cross-checks a canonical basis
-        # the first time it meets it; forked workers inherit the logging
+        # This process computes every basis, in the order the box first
+        # meets its canonical vector; forked workers inherit the logging
         # engines, so the log shows which process made each call.
         log = tmp_path / "calls.log"
         engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
@@ -296,25 +295,16 @@ class TestBasisCache:
         assert summary.total == 729
         assert started == ([2] if workers == 2 else [])
         canon = dict.fromkeys(canonical_order(v.entries)[0] for v in enumerate_order_vectors(3, 4))
-        expect = [f"{name} {c}" for c in canon for name in engines]
+        expect = [f"{os.getpid()} {name} {c}" for c in canon for name in engines]
+        assert log.read_text().splitlines() == expect
         assert len(canon) < 729
-        calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
-        if workers == 1:
-            # in this process, in the order the box first meets each one
-            assert calls == [[str(os.getpid()), call] for call in expect]
-            return
-        by_process: dict[str, list[str]] = {}
-        for pid, call in calls:
-            by_process.setdefault(pid, []).append(call)
-        assert str(os.getpid()) not in by_process  # the parent runs no engine
-        for made in by_process.values():
-            assert len(made) == len(set(made))
-        assert {call for _, call in calls} == set(expect)
 
     def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch):
-        # Each vector is canonicalized once, in the process that checks it;
-        # forked workers inherit the patches, so each log line carries the
-        # pid of the process that wrote it.
+        # A serial sweep canonicalizes each vector once.  A pooled one
+        # canonicalizes it once in this process, to pick the bases its task
+        # ships, and once in the worker that checks it, to carry its basis
+        # back.  Forked workers inherit the patches, so each log line
+        # carries the pid of the process that wrote it.
         log = tmp_path / "calls.log"
         checked = tmp_path / "checked.log"
 
@@ -339,36 +329,18 @@ class TestBasisCache:
         run_sweep(plan)
         assert started == []
         box = [str(v.entries) for v in enumerate_order_vectors(4, 2)]
-        assert log.read_text().splitlines() == [f"{os.getpid()} {v}" for v in box]
+        here = [f"{os.getpid()} {v}" for v in box]
+        assert log.read_text().splitlines() == here
         log.unlink()
         checked.unlink()
         run_sweep(replace(plan, worker_count=2, out_path=tmp_path / "w2.jsonl"))
         assert started == [2]
         made = log.read_text().splitlines()
-        assert sorted(made) == sorted(checked.read_text().splitlines())
-        assert sorted(line.split(" ", 1)[1] for line in made) == sorted(box)
-        assert all(not line.startswith(f"{os.getpid()} ") for line in made)
+        assert [line for line in made if line in here] == here
+        in_workers = [line for line in made if line not in here]
+        assert sorted(in_workers) == sorted(checked.read_text().splitlines())
+        assert sorted(line.split(" ", 1)[1] for line in in_workers) == sorted(box)
         assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
-
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_the_sweep_dict_is_emptied_when_the_sweep_ends(self, monkeypatch, fail):
-        real, sizes = sweep.check_instance, []
-
-        def check(inst, bases):
-            assert bases is sweep._BASES
-            rep = real(inst, bases)
-            sizes.append(len(bases))
-            if fail and len(sizes) % 100 == 0:
-                raise RuntimeError("check failed")
-            return rep
-
-        monkeypatch.setattr(sweep, "check_instance", check)
-        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
-        for run in (run_sweep, sweep_reports):
-            with pytest.raises(RuntimeError) if fail else nullcontext():
-                run(plan)
-            assert sizes[-1] > 0
-            assert sweep._BASES == {}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_sweep_does_not_inherit_an_earlier_sweeps_bases(
@@ -523,14 +495,24 @@ class TestChunkedPhaseTwo:
         assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
         assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_basis_failure_after_the_first_chunk_writes_nothing(
-        self, tmp_path, monkeypatch, workers
-    ):
+    def test_each_pooled_task_ships_the_bases_its_vectors_need(self):
+        # A pooled task adds the canonical bases of its vectors, computed
+        # in this process, to the plan and the chunk _chunk_tasks yields.
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
+        bases = {}
+        for (_, vectors), (same, shipped, needed) in zip(
+            _chunk_tasks(plan), sweep._pool_tasks(plan, bases), strict=True
+        ):
+            assert same is plan and shipped == vectors
+            assert set(needed) == {canonical_order(v)[0] for v in vectors}
+            for canon, elements in needed.items():
+                assert elements is bases[canon]
+                assert elements == conditions.cross_checked_basis(canon).elements
+
+    def test_basis_failure_after_the_first_chunk_writes_nothing(self, tmp_path, monkeypatch):
         # (-1, -1, 3) is record 277 of the box, in the second chunk, and
-        # the first vector with that canonical form.  A failure is never
-        # stored and the chunks come back in order, so every worker count
-        # names it.
+        # the first vector with that canonical form.  This process computes
+        # every basis in box order, so every worker count names it.
         frontier = conditions.hilbert_basis_frontier
 
         def wrong_for_late_vector(v):
@@ -541,15 +523,16 @@ class TestChunkedPhaseTwo:
 
         monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong_for_late_vector)
         started = _logged_pool(monkeypatch, cpus=4)
-        out = tmp_path / "records.jsonl"
-        with pytest.raises(EngineMismatchError) as err:
-            run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers, out_path=out))
-        assert started == ([] if workers == 1 else [min(workers, 3)])
         elements = hilbert_basis_oracle((-1, -1, 3)).elements
-        assert str(err.value) == (
-            f"engines disagree for v=(-1, -1, 3): {elements} vs {elements[:-1]}"
-        )
-        assert list(tmp_path.iterdir()) == []
+        out = tmp_path / "records.jsonl"
+        for workers in (1, 2, 4):
+            with pytest.raises(EngineMismatchError) as err:
+                run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers, out_path=out))
+            assert str(err.value) == (
+                f"engines disagree for v=(-1, -1, 3): {elements} vs {elements[:-1]}"
+            )
+            assert list(tmp_path.iterdir()) == []
+        assert started == [2, 3]
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_in_a_worker_propagates_and_writes_nothing(
