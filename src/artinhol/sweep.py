@@ -9,19 +9,17 @@ size against INSTANCE_CAP included, when it is built.
 
 A sweep walks its box once.  _chunk_tasks cuts the enumeration into
 contiguous chunks of CHUNK_SIZE vectors, and a task is the plan, one
-chunk's vectors and a dict of canonical bases.  Each canonical basis is
-cross-checked once per sweep, in this process, into a dict that lives as
-long as the sweep, at the first vector of the box swept to it, so the
-engines run once per canonical vector, in the same order for any worker
-count, and a failure names that vector.  Serially, every task takes that
-dict and orbit_basis fills it as the chunks are checked; for a pool,
-_pool_tasks fills it and gives each task the bases its vectors need.
-The worker renders the records and runs summarize on the reports; the
-parent only writes each chunk's records and adds its summary, in chunk
-order, so the output bytes do not depend on the worker count.  With one
-worker, or a box of one chunk, the same chunk function runs in this
-process, sweep_reports walks the same chunks, and multiprocessing is
-never imported: Pool imports it when it is called.
+chunk's vectors and the canonical bases those vectors need.  The stream
+cross-checks each canonical basis once per sweep, in this process, at
+the first vector of the box swept to it, so the engines run once per
+canonical vector, in the same order for any worker count, and a failure
+names that vector.  The process that checks a chunk renders its records
+and runs summarize on the reports; the parent only writes each chunk's
+records and adds its summary, in chunk order, so the output bytes do not
+depend on the worker count.  The worker count only chooses the mapper:
+with one worker, or a box of one chunk, the builtin map runs the chunks
+in this process, sweep_reports walks the same stream, and
+multiprocessing is never imported: Pool imports it when it is called.
 """
 
 from __future__ import annotations
@@ -135,19 +133,13 @@ def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
 
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
-    """The plan's chunks, in enumeration order: (plan, the next CHUNK_SIZE
-    vectors of the box)."""
+    """The plan's tasks, in enumeration order: (plan, the next CHUNK_SIZE
+    vectors of the box, the canonical bases those vectors need), each
+    basis computed at the first vector swept to it."""
     bound = plan.order_bound
     box = itertools.product(range(-bound, bound + 1), repeat=plan.degrees.rank)
+    bases: dict[tuple[int, ...], Elements] = {}
     while vectors := list(itertools.islice(box, CHUNK_SIZE)):
-        yield plan, vectors
-
-
-def _pool_tasks(plan: SweepPlan, bases: dict[tuple[int, ...], Elements]) -> Iterator[tuple]:
-    """The plan's tasks for a pool, in enumeration order: (plan, vectors,
-    the canonical bases those vectors need), each computed into `bases`
-    at the first vector swept to it."""
-    for _, vectors in _chunk_tasks(plan):
         needed = {}
         for v in vectors:
             canon = canonical_basis(v, bases)[0]
@@ -188,7 +180,7 @@ def _chunk_reports(
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
-    """One task, (plan, vectors, bases): the chunk's record lines (None
+    """One task of _chunk_tasks: the chunk's record lines (None
     without an output file) and its summary."""
     plan = task[0]
     reports = list(_chunk_reports(*task))
@@ -201,8 +193,7 @@ def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
     """Run the plan's instances in this process and return reports in
     enumeration order, through the same tasks as a sweep."""
-    bases: dict[tuple[int, ...], Elements] = {}
-    return [rep for _, vs in _chunk_tasks(plan) for rep in _chunk_reports(plan, vs, bases)]
+    return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
 
 
 def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
@@ -283,16 +274,11 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     processes, n the least of the workers, the chunks and the usable
     CPUs, if n > 1; else through the builtin map, in this process."""
     summary = summarize(())
-    bases: dict[tuple[int, ...], Elements] = {}
     with _replacing(plan.out_path) as fh:
         chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
         n = min(plan.worker_count, chunks, _usable_cpus())
         with Pool(n) if n > 1 else nullcontext() as pool:
-            if n > 1:
-                tasks = _pool_tasks(plan, bases)
-            else:
-                tasks = ((plan, vectors, bases) for _, vectors in _chunk_tasks(plan))
-            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, tasks):
+            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, _chunk_tasks(plan)):
                 if fh is not None:
                     fh.writelines(lines)
                 summary += part

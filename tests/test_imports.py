@@ -116,6 +116,23 @@ def test_only_conditions_canonicalizes():
     assert users == {"conditions"}
 
 
+def test_only_the_task_stream_computes_a_sweeps_bases():
+    # Every sweep, serial or pooled, gets its bases from the task stream:
+    # within sweep, only _chunk_tasks calls canonical_basis.
+    callers = {
+        fn.name
+        for fn in ast.walk(MODULES["sweep"])
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and "canonical_basis"
+            in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+            for node in ast.walk(fn)
+        )
+    }
+    assert callers == {"_chunk_tasks"}
+
+
 def test_one_reduction_for_both_hilbert_engines():
     # Both engines search the nonzero orders of v / gcd(v) that
     # hilbert._nonzero_part returns and carry back through hilbert._embed;

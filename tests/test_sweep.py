@@ -299,48 +299,72 @@ class TestBasisCache:
         assert log.read_text().splitlines() == expect
         assert len(canon) < 729
 
-    def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch):
-        # A serial sweep canonicalizes each vector once.  A pooled one
-        # canonicalizes it once in this process, to pick the bases its task
-        # ships, and once in the worker that checks it, to carry its basis
-        # back.  Forked workers inherit the patches, so each log line
-        # carries the pid of the process that wrote it.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_vector_is_canonicalized_twice(self, tmp_path, monkeypatch, workers):
+        # The task stream canonicalizes each vector in this process, in box
+        # order, to pick the bases its task ships; the process that checks
+        # the vector canonicalizes it again, to carry its basis back.  That
+        # is this process for one worker and a pool worker for two.  Forked
+        # workers inherit the patches, so each log line carries the pid of
+        # the process that wrote it and whether a check made the call.
         log = tmp_path / "calls.log"
         checked = tmp_path / "checked.log"
+        in_check = []
 
         def logged(v):
+            caller = "check" if in_check else "stream"
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {v}\n")
+                fh.write(f"{os.getpid()} {caller} {v}\n")
             return canonical_order(v)
 
         real = sweep.check_instance
 
         def check(inst, *args):
             with open(checked, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {inst.orders.entries}\n")
-            return real(inst, *args)
+                fh.write(f"{os.getpid()} check {inst.orders.entries}\n")
+            in_check.append(inst)
+            try:
+                return real(inst, *args)
+            finally:
+                in_check.pop()
 
         for module in (conditions, hilbert):
             monkeypatch.setattr(module, "canonical_order", logged)
         monkeypatch.setattr(sweep, "check_instance", check)
         started = _logged_pool(monkeypatch)
         # 625 records, three chunks
-        plan = SweepPlan(DegreeVector((1, 1, 2, 2)), 2, out_path=tmp_path / "w1.jsonl")
-        run_sweep(plan)
-        assert started == []
+        run_sweep(SweepPlan(DegreeVector((1, 1, 2, 2)), 2, worker_count=workers))
+        assert started == ([2] if workers == 2 else [])
         box = [str(v.entries) for v in enumerate_order_vectors(4, 2)]
-        here = [f"{os.getpid()} {v}" for v in box]
-        assert log.read_text().splitlines() == here
-        log.unlink()
-        checked.unlink()
-        run_sweep(replace(plan, worker_count=2, out_path=tmp_path / "w2.jsonl"))
-        assert started == [2]
         made = log.read_text().splitlines()
-        assert [line for line in made if line in here] == here
-        in_workers = [line for line in made if line not in here]
-        assert sorted(in_workers) == sorted(checked.read_text().splitlines())
-        assert sorted(line.split(" ", 1)[1] for line in in_workers) == sorted(box)
-        assert (tmp_path / "w2.jsonl").read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
+        streamed = [line for line in made if " stream " in line]
+        assert streamed == [f"{os.getpid()} stream {v}" for v in box]
+        in_checks = [line for line in made if " check " in line]
+        assert sorted(in_checks) == sorted(checked.read_text().splitlines())
+        assert sorted(line.split(" ", 2)[2] for line in in_checks) == sorted(box)
+        checkers = {line.split(" ", 1)[0] for line in in_checks}
+        assert (str(os.getpid()) in checkers) == (workers == 1)
+
+    def test_every_worker_count_is_handed_the_same_tasks(self, monkeypatch):
+        # The worker count only chooses the mapper: the stream runs in this
+        # process, so wrapping it records what _run_chunk is handed.
+        stream = sweep._chunk_tasks
+        handed = {}
+
+        def recorded(plan):
+            for task in stream(plan):
+                handed.setdefault(plan.worker_count, []).append((task[1], list(task[2])))
+                yield task
+
+        monkeypatch.setattr(sweep, "_chunk_tasks", recorded)
+        started = _logged_pool(monkeypatch)
+        # 729 records, three chunks
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
+        summaries = [run_sweep(replace(plan, worker_count=n)) for n in (1, 2)]
+        assert started == [2]
+        assert summaries[0] == summaries[1]
+        assert len(handed[1]) == 3
+        assert handed[1] == handed[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_sweep_does_not_inherit_an_earlier_sweeps_bases(
@@ -484,30 +508,28 @@ class TestChunkedPhaseTwo:
 
     @pytest.mark.parametrize("r, bound", [(1, 1), (1, 2), (3, 2), (4, 1), (3, 4)])
     def test_box_slices_follow_the_enumeration(self, r, bound):
-        # The tasks cut the box into consecutive slices of CHUNK_SIZE
-        # vectors, the last one partial at (3, 4), each shipped with the
-        # plan and nothing else, and the reports follow them.
+        # The one task stream cuts the box into consecutive slices of
+        # CHUNK_SIZE vectors, the last one partial at (3, 4), and ships each
+        # with the plan and the cross-checked bases of its canonical
+        # vectors.  A basis is computed once per sweep, so a canonical
+        # vector met in two chunks ships the same object; the reports
+        # follow the slices.
         box = [v.entries for v in enumerate_order_vectors(r, bound)]
         plan = SweepPlan(DegreeVector((1,) * r), bound)
         tasks = list(_chunk_tasks(plan))
-        assert all(len(task) == 2 and task[0] is plan for task in tasks)
-        slices = [vectors for _, vectors in tasks]
+        assert all(len(task) == 3 and task[0] is plan for task in tasks)
+        slices = [vectors for _, vectors, _ in tasks]
         assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
-        assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
-
-    def test_each_pooled_task_ships_the_bases_its_vectors_need(self):
-        # A pooled task adds the canonical bases of its vectors, computed
-        # in this process, to the plan and the chunk _chunk_tasks yields.
-        plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
-        bases = {}
-        for (_, vectors), (same, shipped, needed) in zip(
-            _chunk_tasks(plan), sweep._pool_tasks(plan, bases), strict=True
-        ):
-            assert same is plan and shipped == vectors
+        first = {}
+        for _, vectors, needed in tasks:
             assert set(needed) == {canonical_order(v)[0] for v in vectors}
             for canon, elements in needed.items():
-                assert elements is bases[canon]
-                assert elements == conditions.cross_checked_basis(canon).elements
+                assert first.setdefault(canon, elements) is elements
+        for canon, elements in first.items():
+            assert elements == conditions.cross_checked_basis(canon).elements
+        shipped_again = sum(len(needed) for *_, needed in tasks) - len(first)
+        assert (shipped_again > 0) == (len(tasks) > 1)
+        assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
 
     def test_basis_failure_after_the_first_chunk_writes_nothing(self, tmp_path, monkeypatch):
         # (-1, -1, 3) is record 277 of the box, in the second chunk, and

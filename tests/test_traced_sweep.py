@@ -10,7 +10,9 @@ enumerate_order_vectors, so the traced run records no sweep.enumerate
 span; the name stays public and wrappable.  It also shows that the
 verdicts of a two-worker sweep of three chunks are computed, and its
 records rendered, in the workers, and its bases in the parent; with fewer
-than two usable CPUs the sweep runs serially and this fails.
+than two usable CPUs the sweep runs serially and this fails.  A one-worker
+sweep computes its bases the same way: in the task stream, outside every
+check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from conftest import child_env
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
+def _traced_sweep(tmp_path, workers):
+    """Spans of a traced sweep of 729 records in three chunks, one list per
+    process, the parent's first, and the canonical vectors of its file."""
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
     out = tmp_path / "records.jsonl"
@@ -38,7 +42,7 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
             "sweep",
             "--degrees", "1,1,2,2,3,3",
             "--order-bound", "1",
-            "--workers", "2",
+            "--workers", str(workers),
             "--out", str(out),
         ],
         capture_output=True,
@@ -52,34 +56,59 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
         [json.loads(line) for line in path.read_text().splitlines()]
         for path in trace_dir.glob("spans-*.jsonl")
     ]
-    names = [span["name"] for spans in per_process for span in spans]
+    # the parent holds the sweep.run span
+    per_process.sort(key=lambda spans: all(s["name"] != "sweep.run" for s in spans))
     canon = {
         canonical_order(json.loads(line)["instance"]["orders"])[0]
         for line in out.read_text().splitlines()
     }
     assert len(canon) < 729
-    # the parent, which holds the sweep.run span, computes every basis of
-    # the sweep, once per canonical vector, and again under the
-    # serialize.parse span as it reads the file back; it writes and merges
-    # but checks no instance
-    (parent,) = [spans for spans in per_process if any(s["name"] == "sweep.run" for s in spans)]
-    assert all(span["name"] != "conditions.check" for span in parent)
+    return per_process, canon
+
+
+def _assert_the_parent_runs_every_engine_call(parent, canon):
+    # The parent computes every basis of the sweep, once per canonical
+    # vector and outside any check, and again under the serialize.parse
+    # span as it reads the file back.
+    by_id = {span["id"]: span for span in parent}
+
+    def ancestors(span):
+        while span["parent"] is not None:
+            span = by_id[span["parent"]]
+            yield span["name"]
+
     (parse,) = [span["id"] for span in parent if span["name"] == "serialize.parse"]
     for engine in ("hilbert.oracle", "hilbert.frontier"):
         spans = [span for span in parent if span["name"] == engine]
+        assert all("conditions.check" not in ancestors(span) for span in spans)
         for read_back in (False, True):
             met = [tuple(s["v"]) for s in spans if (s["parent"] == parse) == read_back]
             assert sorted(met) == sorted(canon)
-    # one verdict span and at least one render span per record: the sweep
-    # must keep calling sweep.check_instance and serialize.sweep_record_line
-    assert names.count("conditions.check") == 729
-    assert names.count("serialize.render") >= 729
-    # the cached rows and texts must not hide a layer: the workers record
-    # every verdict and every record's render span themselves, and run no
-    # engine, so the engine counts depend on the input alone
-    workers = [spans for spans in per_process if spans is not parent]
+
+
+def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
+    (parent, *workers), canon = _traced_sweep(tmp_path, 2)
+    assert workers
+    _assert_the_parent_runs_every_engine_call(parent, canon)
+    # the parent writes and merges but checks no instance
+    assert all(span["name"] != "conditions.check" for span in parent)
+    # one verdict span and one render span per record, in the workers: the
+    # sweep must keep calling sweep.check_instance and
+    # serialize.sweep_record_line, and the cached rows and texts must not
+    # hide a layer.  The workers run no engine, so the engine counts
+    # depend on the input alone.
     worker_names = [span["name"] for spans in workers for span in spans]
     assert worker_names.count("conditions.check") == 729
     assert worker_names.count("serialize.render") == 729
     assert "hilbert.oracle" not in worker_names
     assert "hilbert.frontier" not in worker_names
+
+
+def test_traced_one_worker_sweep_records_engine_and_check_spans(tmp_path):
+    # One process checks every record and runs every engine call, the
+    # engines outside the checks, as with a pool.
+    (parent,), canon = _traced_sweep(tmp_path, 1)
+    _assert_the_parent_runs_every_engine_call(parent, canon)
+    names = [span["name"] for span in parent]
+    assert names.count("conditions.check") == 729
+    assert names.count("serialize.render") >= 729
