@@ -40,8 +40,8 @@ coordinate at once.  With every value and every basis entry below
 borrow crosses into the next field, and a field keeps its guard iff the
 element's entry there is at most the remainder's.  The search's guard
 admits an element whose largest entry is at most a per-basis threshold at
-once and refuses the rest only by a proved bound on the search's
-iterations (_search_bound).
+once and refuses the rest only by proved bounds on the search's
+iterations and on the states it memoizes (_search_bound).
 
 The brute-force checks the test suite runs against all of these (the
 irreducibles of the whole box [0, max(1, max |v_j|)]^r, a split search
@@ -71,6 +71,10 @@ from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotI
 #: and the bound on a factorization search's steps; keeps interactive
 #: misuse from hanging.
 ENUMERATION_CAP = 10_000_000
+
+#: Cap on the bound on the states one factorization search memoizes, at
+#: about 96 bytes each: about 100 MB.
+_STATE_CAP = ENUMERATION_CAP // 10
 
 Elements = tuple[tuple[int, ...], ...]
 
@@ -426,12 +430,14 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     built once per basis (the packed ones once per width) and both are
     freed with it.
 
-    A search that could take more than ENUMERATION_CAP loop iterations
+    A search that could take more than ENUMERATION_CAP loop iterations,
+    or store more than _STATE_CAP = ENUMERATION_CAP // 10 memo entries,
     raises CapExceededError before it starts, naming _search_bound's bound
-    on them.  That bound is at most m * (max k + 1)^(r + 1), so an element
-    whose max k is at most the basis's threshold, the largest t with
-    m * (t + 1)^(r + 1) <= ENUMERATION_CAP, is admitted at once; above it
-    the O(m * r) bound decides.
+    on them.  Those bounds are at most m * (max k + 1)^(r + 1) and
+    m * (max k + 1)^r, so an element whose max k is at most the basis's
+    threshold, the largest t with m * (t + 1)^(r + 1) <= ENUMERATION_CAP
+    and m * (t + 1)^r <= _STATE_CAP, is admitted at once; above it the
+    O(m * r) bounds decide.
     """
     if _int_value(cap, "cap") < 2:
         raise ValueError("cap must be >= 2")
@@ -441,11 +447,16 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
         tables = basis._factor_tables or _factor_tables(basis)
         top = max(kk)
         if top > tables.threshold:
-            steps = _search_bound(kk, elems)
+            states, steps = _search_bound(kk, elems)
             if steps > ENUMERATION_CAP:
                 raise CapExceededError(
                     f"factorization search of {kk} may take {steps} steps, over the "
                     f"enumeration cap {ENUMERATION_CAP}"
+                )
+            if states > _STATE_CAP:
+                raise CapExceededError(
+                    f"factorization search of {kk} may keep {states} states, over the "
+                    f"state cap {_STATE_CAP}"
                 )
         w = (top if top > tables.top else tables.top).bit_length() + 1
         guards, packed, dead = tables.packed.get(w) or _pack_tables(tables, elems, w)
@@ -464,7 +475,7 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
 class _FactorTables(NamedTuple):
     """count_factorizations' tables for one nonempty basis."""
 
-    threshold: int  # the largest t with m * (t + 1)^(r + 1) <= ENUMERATION_CAP
+    threshold: int  # the largest t admitted at once, see count_factorizations
     top: int  # the largest basis entry
     uncovered: tuple  # per position i <= m: the coordinates no element from i on has
     packed: dict  # field width w -> (G, H, dead), see _pack_tables
@@ -479,11 +490,14 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
         uncovered = [tuple(range(r))] * (m + 1)
         for i in range(m - 1, -1, -1):
             uncovered[i] = tuple(j for j in uncovered[i + 1] if not elems[i][j])
-        room = ENUMERATION_CAP // m  # t + 1 is the largest s with s^(r + 1) <= room
-        s = int(room ** (1 / (r + 1)))
-        while s ** (r + 1) > room:
+
+        def fits(s):  # whether t = s - 1 keeps both bounds within their caps
+            return m * s ** (r + 1) <= ENUMERATION_CAP and m * s**r <= _STATE_CAP
+
+        s = int((ENUMERATION_CAP / m) ** (1 / (r + 1)))
+        while not fits(s):
             s -= 1
-        while (s + 1) ** (r + 1) <= room:
+        while fits(s + 1):
             s += 1
         tables = _FactorTables(s - 1, max(map(max, elems)), tuple(uncovered), {})
         object.__setattr__(basis, "_factor_tables", tables)
@@ -512,16 +526,19 @@ def _pack_tables(tables: _FactorTables, elems: Elements, w: int) -> tuple[int, t
     return packed
 
 
-def _search_bound(k: tuple[int, ...], elements: Elements) -> int:
-    """A bound on the loop iterations of count_factorizations' search for
-    k over `elements`.
+def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:
+    """(states, steps): bounds on the states count_factorizations' search
+    for k over `elements` visits, and so on the memo entries it stores,
+    and on its loop iterations.
 
     Let R_i be the coordinates that some element before position i and
-    some element from i on have in their supports.  The bound is the sum
-    over i of prod_{j in R_i} (k_j + 1) * (min_{j in supp h_i} floor(k_j / h_ij) + 1),
-    and no term exceeds prod_j (k_j + 1) * (max_j k_j + 1) <= (max_j k_j + 1)^(r + 1),
-    so the sum is at most m times that, which sizes count_factorizations'
-    threshold.
+    some element from i on have in their supports, and S_i the product
+    prod_{j in R_i} (k_j + 1).  The states bound is the sum over i of S_i,
+    and the steps bound the sum over i of
+    S_i * (min_{j in supp h_i} floor(k_j / h_ij) + 1).  No S_i exceeds
+    prod_j (k_j + 1) <= (max_j k_j + 1)^r, and no step term exceeds that
+    times (max_j k_j + 1), so the sums are at most m (max_j k_j + 1)^r and
+    m (max_j k_j + 1)^(r + 1), which size count_factorizations' threshold.
 
     Proof, for the loop of _count_from.  An iteration is a multiplicity
     c >= 1 tried or the step from a state (i, rem) to its c = 0 child
@@ -535,8 +552,8 @@ def _search_bound(k: tuple[int, ...], elements: Elements) -> int:
     0.  At position i, rem_j = k_j for every j that no element before i
     has, and a state with rem_j > 0 for some j that no element from i on
     has is dead: it returns after one mask test, before any iteration.
-    So the states visited at i differ only on R_i: at most
-    prod_{j in R_i} (k_j + 1) of them.  A visit makes cmax iterations for
+    So the states visited at i differ only on R_i: at most S_i of them,
+    and each stores one memo entry.  A visit makes cmax iterations for
     c = cmax .. 1 and one for the c = 0 step, with
     cmax <= rem_j / h_ij <= k_j / h_ij for every j in the support of h_i;
     where h_i does not divide rem, cmax = 0 and the step is the visit.
@@ -550,15 +567,16 @@ def _search_bound(k: tuple[int, ...], elements: Elements) -> int:
     later = [set()]  # later[-1 - i]: the coordinates elements from position i on have
     for h in reversed(elements):
         later.append(later[-1].union(j for j, x in enumerate(h) if x))
-    steps = 0
+    states = steps = 0
     reduced = set()
     for h, after in zip(elements, reversed(later)):
-        states = 1
+        here = 1
         for j in reduced & after:
-            states *= k[j] + 1
-        steps += states * (min(k[j] // x for j, x in enumerate(h) if x) + 1)
+            here *= k[j] + 1
+        states += here
+        steps += here * (min(k[j] // x for j, x in enumerate(h) if x) + 1)
         reduced.update(j for j, x in enumerate(h) if x)
-    return steps
+    return states, steps
 
 
 def _count_from(i, rem, packed, dead, guards, memo, cap):

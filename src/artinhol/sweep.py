@@ -7,9 +7,9 @@ summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.  A SweepPlan makes every check a sweep needs, the box's
 size against INSTANCE_CAP included, when it is built.
 
-A sweep walks its box once.  _chunk_tasks cuts the enumeration into
-contiguous chunks of CHUNK_SIZE vectors, and a task is the plan, one
-chunk's vectors and the canonical bases those vectors need.  The stream
+A sweep walks its box once, through enumerate_order_vectors: _chunk_tasks
+cuts that walk into contiguous chunks of CHUNK_SIZE vectors, and a task is
+the plan, one chunk's vectors and the canonical bases they need.  The stream
 cross-checks each canonical basis once per sweep, in this process, at
 the first vector of the box swept to it, so the engines run once per
 canonical vector, in the same order for any worker count, and a failure
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 from . import serialize
 from .conditions import ConditionReport, canonical_basis, check_instance
-from .core import DegreeVector, Instance, OrderVector, _int_value, check_flags
+from .core import DegreeVector, Instance, _int_value, check_flags
 from .errors import CapExceededError, MixedPlansError
 from .hilbert import Elements
 
@@ -123,21 +123,20 @@ def _box_size(r: int, bound: int) -> int:
     return size
 
 
-def enumerate_order_vectors(r: int, bound: int) -> Iterator[OrderVector]:
-    """All (2B+1)^r order vectors in the box, lexicographically; r or B
-    below 1, and a box over INSTANCE_CAP, raise up front."""
-    if r < 1 or bound < 1:
+def enumerate_order_vectors(r: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """All (2B+1)^r order vectors in the box, as tuples, lexicographically;
+    r or B not an int or below 1, and a box over INSTANCE_CAP, raise up front."""
+    if min(_int_value(r, "r"), _int_value(bound, "bound")) < 1:
         raise ValueError("need r >= 1 and bound >= 1")
     _box_size(r, bound)
-    return map(OrderVector, itertools.product(range(-bound, bound + 1), repeat=r))
+    return itertools.product(range(-bound, bound + 1), repeat=r)
 
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
     """The plan's tasks, in enumeration order: (plan, the next CHUNK_SIZE
-    vectors of the box, the canonical bases those vectors need), each
-    basis computed at the first vector swept to it."""
-    bound = plan.order_bound
-    box = itertools.product(range(-bound, bound + 1), repeat=plan.degrees.rank)
+    vectors of enumerate_order_vectors' box, the canonical bases those
+    vectors need), each basis computed at the first vector swept to it."""
+    box = enumerate_order_vectors(plan.degrees.rank, plan.order_bound)
     bases: dict[tuple[int, ...], Elements] = {}
     while vectors := list(itertools.islice(box, CHUNK_SIZE)):
         needed = {}

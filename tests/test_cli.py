@@ -176,10 +176,17 @@ class TestCommands:
         assert docs[0]["hilbert"]["elements"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
 
     def test_factorize_under_the_search_bound_answers(self, capsys):
-        argv = ["factorize", "--orders=1,-1", "--element=200,200", "--json"]
-        assert cli.main(argv) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert (doc["count"], doc["witnesses"]) == (1, [[0, 200]])
+        # (100000, 0) may keep 100,002 states; (3000, 3000) may take
+        # 9,009,002 steps but keep only 3,002 states.
+        for element, witness in (
+            ("200,200", [0, 200]),
+            ("100000,0", [100000, 0]),
+            ("3000,3000", [0, 3000]),
+        ):
+            argv = ["factorize", "--orders=1,-1", f"--element={element}", "--json"]
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["count"], doc["witnesses"]) == (1, [witness])
 
     def test_factorize_over_the_search_bound_is_two(self, capsys):
         argv = ["factorize", "--orders=1,-1", "--element=99999999999,99999999999"]
@@ -187,6 +194,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: factorization search of (99999999999, 99999999999) may take")
         assert err.endswith("steps, over the enumeration cap 10000000\n")
+        for element, message in (
+            ("1000000,0", "may keep 1000002 states, over the state cap 1000000"),
+            ("10000,10000", "may take 100030002 steps, over the enumeration cap 10000000"),
+        ):
+            assert cli.main(["factorize", "--orders=1,-1", f"--element={element}"]) == 2
+            pair = element.replace(",", ", ")
+            assert capsys.readouterr().err == f"error: factorization search of ({pair}) {message}\n"
 
     def test_hilbert_cross_checked(self):
         res = run_cli("hilbert", "--orders", "2,-3")

@@ -449,8 +449,30 @@ class TestCountFactorizations:
         # Over (1, 0), (1, 1): one state of (1, 0) taking k_1 + 1 steps,
         # then up to k_1 + 1 states of (1, 1), each taking min(k) + 1.
         elements = hilbert_basis_oracle((1, -1)).elements
-        assert hilbert._search_bound((20, 20), elements) == 21 + 21 * 21
-        assert hilbert._search_bound((20, 5), elements) == 21 + 21 * 6
+        assert hilbert._search_bound((20, 20), elements) == (1 + 21, 21 + 21 * 21)
+        assert hilbert._search_bound((20, 5), elements) == (1 + 21, 21 + 21 * 6)
+
+    def test_search_that_may_keep_too_many_states_is_refused_before_it_starts(self):
+        # Over (1, 0), (1, 1) the element (N, 0) takes 2N + 2 steps, well
+        # under the enumeration cap, but may keep N + 2 states, one memo
+        # entry each.
+        basis = hilbert_basis_oracle((1, -1))
+        with pytest.raises(CapExceededError) as err:
+            count_factorizations((1000000, 0), basis)
+        assert str(err.value) == (
+            "factorization search of (1000000, 0) may keep 1000002 states, "
+            "over the state cap 1000000"
+        )
+        assert basis._factor_memo == {}
+        assert count_factorizations((100000, 0), basis).count == 1
+        (memo,) = basis._factor_memo.values()
+        assert sum(map(len, memo)) == 100001
+
+    def test_threshold_keeps_the_states_within_their_cap(self):
+        # m = 2, r = 6: the steps alone would admit t = 8, as
+        # 2 * 9^7 <= ENUMERATION_CAP, but 2 * 9^6 > ENUMERATION_CAP // 10.
+        basis = HilbertBasis(((0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 1, 0)), "oracle")
+        assert hilbert._factor_tables(basis).threshold == 7
 
     def test_guard_asks_the_bound_only_above_the_threshold(self, monkeypatch):
         # Over (1, 0), (1, 1): m = 2, r = 2, and the threshold is 169, the
@@ -498,8 +520,10 @@ class TestCountFactorizations:
         basis = hilbert_basis_oracle(v)
         count_factorizations(k, basis, cap=10**6)
         (memo,) = basis._factor_memo.values()
+        states, steps = hilbert._search_bound(k, basis.elements)
+        assert sum(map(len, memo)) <= states
         iterations = len(calls) - 1 + sum(map(len, memo))
-        assert iterations <= hilbert._search_bound(k, basis.elements)
+        assert iterations <= steps
 
     def test_cap_saturates(self):
         basis = hilbert_basis_oracle((1, 1))

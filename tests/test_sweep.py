@@ -36,11 +36,12 @@ from conftest import SWEEP_FAMILIES
 
 class TestEnumerate:
     def test_rank_one(self):
-        got = [v.entries for v in enumerate_order_vectors(1, 1)]
+        got = list(enumerate_order_vectors(1, 1))
         assert got == [(-1,), (0,), (1,)]
+        assert {type(v) for v in got} == {tuple}
 
     def test_rank_two_order(self):
-        got = [v.entries for v in enumerate_order_vectors(2, 1)]
+        got = list(enumerate_order_vectors(2, 1))
         assert len(got) == 9
         assert got[0] == (-1, -1)
         assert got[-1] == (1, 1)
@@ -59,6 +60,20 @@ class TestEnumerate:
         with pytest.raises(ValueError) as err:
             enumerate_order_vectors(r, bound)
         assert str(err.value) == "need r >= 1 and bound >= 1"
+
+    @pytest.mark.parametrize(
+        "r, bound, message",
+        [
+            (True, 1, "r must be an int, got True"),
+            (2, True, "bound must be an int, got True"),
+            (0, True, "bound must be an int, got True"),
+        ],
+    )
+    def test_a_bool_is_refused_as_the_plan_refuses_it(self, r, bound, message):
+        # Both arguments are checked before either is compared with 1.
+        with pytest.raises(TypeError) as err:
+            enumerate_order_vectors(r, bound)
+        assert str(err.value) == message
 
     def test_sweep_refuses_an_oversized_box_up_front(self):
         message = "sweep of 10 x 282475249 = 2824752490 entries exceeds cap 10000000"
@@ -294,7 +309,7 @@ class TestBasisCache:
         summary = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers))
         assert summary.total == 729
         assert started == ([2] if workers == 2 else [])
-        canon = dict.fromkeys(canonical_order(v.entries)[0] for v in enumerate_order_vectors(3, 4))
+        canon = dict.fromkeys(canonical_order(v)[0] for v in enumerate_order_vectors(3, 4))
         expect = [f"{os.getpid()} {name} {c}" for c in canon for name in engines]
         assert log.read_text().splitlines() == expect
         assert len(canon) < 729
@@ -335,7 +350,7 @@ class TestBasisCache:
         # 625 records, three chunks
         run_sweep(SweepPlan(DegreeVector((1, 1, 2, 2)), 2, worker_count=workers))
         assert started == ([2] if workers == 2 else [])
-        box = [str(v.entries) for v in enumerate_order_vectors(4, 2)]
+        box = [str(v) for v in enumerate_order_vectors(4, 2)]
         made = log.read_text().splitlines()
         streamed = [line for line in made if " stream " in line]
         assert streamed == [f"{os.getpid()} stream {v}" for v in box]
@@ -514,7 +529,7 @@ class TestChunkedPhaseTwo:
         # vectors.  A basis is computed once per sweep, so a canonical
         # vector met in two chunks ships the same object; the reports
         # follow the slices.
-        box = [v.entries for v in enumerate_order_vectors(r, bound)]
+        box = list(enumerate_order_vectors(r, bound))
         plan = SweepPlan(DegreeVector((1,) * r), bound)
         tasks = list(_chunk_tasks(plan))
         assert all(len(task) == 3 and task[0] is plan for task in tasks)
@@ -621,7 +636,7 @@ class TestCounterexamples:
         # (1, 1, 2) at B=4 has 729 records: two full chunks and a partial one.
         plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
         expected = summarize(sweep_reports(plan))
-        box = [v.entries for v in enumerate_order_vectors(3, 4)]
+        box = list(enumerate_order_vectors(3, 4))
         chunks = [box.index(v) // CHUNK_SIZE for v in expected.counterexamples]
         assert chunks == sorted(chunks)
         assert set(chunks) == {0, 1, 2}

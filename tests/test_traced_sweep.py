@@ -5,14 +5,12 @@ wrappers (sweep.check_instance, serialize.sweep_record_line,
 sweep.enumerate_order_vectors, sweep.Pool called with one positional
 argument, and the engines looked up as globals of artinhol.conditions).
 This guards those names: renaming one breaks the traced run or silently
-drops its spans.  A sweep walks its box without calling
-enumerate_order_vectors, so the traced run records no sweep.enumerate
-span; the name stays public and wrappable.  It also shows that the
-verdicts of a two-worker sweep of three chunks are computed, and its
-records rendered, in the workers, and its bases in the parent; with fewer
-than two usable CPUs the sweep runs serially and this fails.  A one-worker
-sweep computes its bases the same way: in the task stream, outside every
-check.
+drops its spans.  It also shows that the parent walks the box once, under
+one sweep.enumerate span, and that the verdicts of a two-worker sweep of
+three chunks are computed, and its records rendered, in the workers, and
+its bases in the parent; with fewer than two usable CPUs the sweep runs
+serially and this fails.  A one-worker sweep walks its box and computes
+its bases the same way: in the task stream, outside every check.
 """
 
 from __future__ import annotations
@@ -86,10 +84,20 @@ def _assert_the_parent_runs_every_engine_call(parent, canon):
             assert sorted(met) == sorted(canon)
 
 
+def _assert_the_parent_enumerates_the_box_once(parent, workers):
+    # The task stream walks the box through sweep.enumerate_order_vectors,
+    # in the parent, inside the sweep.run span.
+    (run,) = [span["id"] for span in parent if span["name"] == "sweep.run"]
+    (walk,) = [span for span in parent if span["name"] == "sweep.enumerate"]
+    assert walk["parent"] == run
+    assert all(span["name"] != "sweep.enumerate" for spans in workers for span in spans)
+
+
 def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
     (parent, *workers), canon = _traced_sweep(tmp_path, 2)
     assert workers
     _assert_the_parent_runs_every_engine_call(parent, canon)
+    _assert_the_parent_enumerates_the_box_once(parent, workers)
     # the parent writes and merges but checks no instance
     assert all(span["name"] != "conditions.check" for span in parent)
     # one verdict span and one render span per record, in the workers: the
@@ -107,8 +115,10 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
 def test_traced_one_worker_sweep_records_engine_and_check_spans(tmp_path):
     # One process checks every record and runs every engine call, the
     # engines outside the checks, as with a pool.
-    (parent,), canon = _traced_sweep(tmp_path, 1)
+    (parent, *workers), canon = _traced_sweep(tmp_path, 1)
+    assert not workers
     _assert_the_parent_runs_every_engine_call(parent, canon)
+    _assert_the_parent_enumerates_the_box_once(parent, workers)
     names = [span["name"] for span in parent]
     assert names.count("conditions.check") == 729
     assert names.count("serialize.render") >= 729
