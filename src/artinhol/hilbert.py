@@ -39,9 +39,16 @@ coordinate at once.  With every value and every basis entry below
 2^(w-1), subtracting an element leaves each field in [1, 2^w), so no
 borrow crosses into the next field, and a field keeps its guard iff the
 element's entry there is at most the remainder's.  The search's guard
-admits an element whose largest entry is at most a per-basis threshold at
+admits an element whose largest entry is at most a per-basis threshold t at
 once and refuses the rest only by proved bounds on the search's
-iterations and on the states it memoizes (_search_bound).
+iterations and on the states it memoizes (_search_bound).  The searches at
+or under t with the default cap share one memo on the basis, and every
+other search keeps a private one, dropped when it returns.  The shared
+memo never exceeds _STATE_CAP entries, however many searches fill it: it
+keeps only states (i, rem) that are not dead, whose rem is at most k <= t
+in each coordinate and 0 in each coordinate no element from position i on
+has, and the threshold's own second condition bounds their number,
+sum_i (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r <= _STATE_CAP.
 
 The brute-force checks the test suite runs against all of these (the
 irreducibles of the whole box [0, max(1, max |v_j|)]^r, a split search
@@ -85,10 +92,7 @@ class HilbertBasis:
 
     elements: Elements
     source_engine: str
-    # count_factorizations' memo: (cap, field width) -> one dict per
-    # position, packed remainder -> (count, witnesses as cons cells).
-    _factor_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # count_factorizations' tables, built on its first call.
+    # count_factorizations' tables and shared memo, built on its first call.
     _factor_tables: _FactorTables | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -402,33 +406,51 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     and raises NotInHolError.  The identity factors once, emptily.
 
     A search state is a position i and the remainder rem still to factor,
-    packed into one int (module docstring): w = bit_length(max(max k,
-    largest basis entry)) + 1 bits per coordinate, each field holding
-    rem_j + 2^(w-1), so that its top bit is a guard.  With G the mask of
-    the guards and H[i] element i packed without them, element i divides
-    rem iff (rem - H[i]) & G == G, rem is zero iff rem == G, and a
-    coordinate that no element from i on has in its support is nonzero,
-    so that the state has no factorization, iff (rem ^ G) & dead[i].
+    packed into one int (module docstring): w >= bit_length(max(max k,
+    largest basis entry)) + 1 bits per coordinate (the width is chosen
+    below), each field holding rem_j + 2^(w-1), so that its top bit is a
+    guard.  With G the mask of the guards and H[i] element i packed without
+    them, element i divides rem iff (rem - H[i]) & G == G, rem is zero iff
+    rem == G, and a coordinate that no element from i on has in its
+    support is nonzero, so that the state has no factorization, iff
+    (rem ^ G) & dead[i].
     Subtracting H[i] while the guards hold gives the children
     rem - c * h_i, c = 1 .. cmax.  A position whose element does not
     divide rem has only the c = 0 child: it is stepped over, with no
     multiplicity tried and no witnesses folded, and its memo entry is its
     successor's own.
 
-    Each state is memoized on the basis, per cap and per field width, in
-    one dict per position keyed by the packed remainder, and shared by
-    every call on that basis.  A state stores its count capped at `cap`
-    and the first two of its suffix factorizations in depth-first order,
-    never more, so the memo does not grow with `cap`.  This is exact: a
-    state's capped count is the capped sum of its children's capped
-    counts, and its first two factorizations are the first two of its
-    children's, taken in the order the search visits them.  A
-    factorization travels as cons cells (i, c, tail) of its nonzero
+    Each state is memoized in one dict per position keyed by the packed
+    remainder.  A state stores its count capped at `cap` and the first two
+    of its suffix factorizations in depth-first order, never more, so an
+    entry does not grow with `cap`.  This is exact: a state's capped count
+    is the capped sum of its children's capped counts, and its first two
+    factorizations are the first two of its children's, taken in the order
+    the search visits them.  A factorization travels as cons cells (i, c, tail) of its nonzero
     multiplicities and becomes a coefficient tuple only when the call
-    returns.  The memo and the tables (_FactorTables) are fields of the
-    basis, excluded from comparison, hashing and repr, so the tables are
-    built once per basis (the packed ones once per width) and both are
-    freed with it.
+    returns.
+
+    Every search whose max k is at most the basis's threshold t (below)
+    packs at the one width w0 = bit_length(max(t, largest basis entry)) + 1,
+    and those with the default cap 2 share one memo.  The tables
+    (_FactorTables) hold that packing and that memo; they are a field of
+    the basis, excluded from comparison, hashing and repr, so they are
+    built once per basis and freed with it.  A search above t packs at its
+    own width where w0 is too narrow for max k, and a search above t or with
+    any other cap runs on a private memo, dropped when it returns.  Keeping
+    one shared memo per cap would not be bounded, since a caller may use
+    any number of caps.  The bound: a state (i, rem) enters a memo only
+    once it has passed the dead test, so i < m (at position m every
+    coordinate is uncovered, and a nonzero rem is dead there), and rem_j = 0
+    for every j in uncovered_i, the coordinates no element from i on has;
+    and remainders only decrease, so rem <= k componentwise.  Under the
+    threshold every rem_j is then at most t, so the shared memo holds at
+    most sum_{i < m} (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r entries,
+    which the threshold's second condition keeps within _STATE_CAP, whatever
+    searches stored them.  A private memo stays within its own search's
+    states bound, which is refused above _STATE_CAP (under the threshold,
+    within the same sum).  So between calls a basis holds at most
+    _STATE_CAP memo entries, and during one at most twice that.
 
     A search that could take more than ENUMERATION_CAP loop iterations,
     or store more than _STATE_CAP = ENUMERATION_CAP // 10 memo entries,
@@ -458,11 +480,11 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
                     f"factorization search of {kk} may keep {states} states, over the "
                     f"state cap {_STATE_CAP}"
                 )
-        w = (top if top > tables.top else tables.top).bit_length() + 1
-        guards, packed, dead = tables.packed.get(w) or _pack_tables(tables, elems, w)
-        memo = basis._factor_memo.get((cap, w))
-        if memo is None:
-            memo = basis._factor_memo[cap, w] = [{} for _ in elems]
+        w = max(top.bit_length() + 1, tables.width)
+        guards, packed, dead = (
+            tables.packing if w == tables.width else _pack_tables(elems, tables.uncovered, w)
+        )
+        memo = tables.memo if cap == 2 and top <= tables.threshold else [{} for _ in elems]
         count, cells = _count_from(0, _pack(kk, w) | guards, packed, dead, guards, memo, cap)
         witnesses = tuple([_coefficients(cell, len(elems)) for cell in cells])
     else:  # the empty basis generates only the identity
@@ -476,9 +498,10 @@ class _FactorTables(NamedTuple):
     """count_factorizations' tables for one nonempty basis."""
 
     threshold: int  # the largest t admitted at once, see count_factorizations
-    top: int  # the largest basis entry
     uncovered: tuple  # per position i <= m: the coordinates no element from i on has
-    packed: dict  # field width w -> (G, H, dead), see _pack_tables
+    width: int  # the field width w0 of every search at or under the threshold
+    packing: tuple  # (G, H, dead) at w0, see _pack_tables
+    memo: list  # the memo those searches share when they use the default cap
 
 
 def _factor_tables(basis: HilbertBasis) -> _FactorTables:
@@ -494,12 +517,14 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
         def fits(s):  # whether t = s - 1 keeps both bounds within their caps
             return m * s ** (r + 1) <= ENUMERATION_CAP and m * s**r <= _STATE_CAP
 
-        s = int((ENUMERATION_CAP / m) ** (1 / (r + 1)))
+        # an s that fits is at most the root below, which the float misses
+        # by far less than 1: start one above it and count down
+        s = int((ENUMERATION_CAP / m) ** (1 / (r + 1))) + 1
         while not fits(s):
             s -= 1
-        while fits(s + 1):
-            s += 1
-        tables = _FactorTables(s - 1, max(map(max, elems)), tuple(uncovered), {})
+        w = max(s - 1, *map(max, elems)).bit_length() + 1
+        packing = _pack_tables(elems, uncovered, w)
+        tables = _FactorTables(s - 1, tuple(uncovered), w, packing, [{} for _ in elems])
         object.__setattr__(basis, "_factor_tables", tables)
     return tables
 
@@ -512,18 +537,17 @@ def _pack(xs: Sequence[int], w: int) -> int:
     return n
 
 
-def _pack_tables(tables: _FactorTables, elems: Elements, w: int) -> tuple[int, tuple, tuple]:
+def _pack_tables(elems: Elements, uncovered: Sequence, w: int) -> tuple[int, tuple, tuple]:
     """(G, H, dead) at field width w: the guard mask, the packed elements
-    and, per position, the mask of the fields no element from it on has;
-    built once per width."""
+    and, per position, the mask of the fields in `uncovered` there, those
+    no element from it on has."""
     low = (1 << w - 1) - 1
     r = len(elems[0])
-    packed = tables.packed[w] = (
+    return (
         _pack([1 << w - 1] * r, w),
         tuple(_pack(h, w) for h in elems),
-        tuple(_pack([low if j in u else 0 for j in range(r)], w) for u in tables.uncovered),
+        tuple(_pack([low if j in u else 0 for j in range(r)], w) for u in uncovered),
     )
-    return packed
 
 
 def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:

@@ -231,8 +231,11 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
 def _output_file(path: str | Path) -> Path:
     """The file that output to `path` replaces: `path` with its symlinks
     resolved.  An existing directory or other file that is not a regular
-    file there is refused."""
+    file there is refused, and so is a name ending in a path separator,
+    which realpath would strip but open() refuses."""
     name, target = str(path), Path(os.path.realpath(path))
+    if name[-1:] in (os.sep, os.altsep):
+        raise IsADirectoryError(f"output path {name!r} ends in a path separator")
     if target.is_dir():
         raise IsADirectoryError(f"output path {name!r} is a directory")
     if target.exists() and not target.is_file():

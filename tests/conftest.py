@@ -11,6 +11,9 @@ against sympy.  report_document is the reference for the package's
 direct record renderer, and swept_families is the acceptance sweep,
 computed once per session.  child_env puts src on a child process's
 import path, and run_artinhol starts the command-line program in one.
+shared_memo is the one place the tests read the factorization memo a
+basis keeps, and spy_searches shows them the private memo of any other
+search.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from artinhol import (
     sweep_reports,
     validate_exponent_vector,
 )
+from artinhol import hilbert
 from artinhol.conditions import ConditionReport
 from artinhol.errors import NotInHolError
 from artinhol.serialize import SCHEMA_VERSION
@@ -238,6 +242,29 @@ def brute_factorizations(k, elements) -> list[tuple[int, ...]]:
 def brute_count_factorizations(k, elements) -> int:
     """Number of coefficient vectors over `elements` summing to k."""
     return len(brute_factorizations(k, elements))
+
+
+def shared_memo(basis) -> list[dict]:
+    """The memo that count_factorizations' default-cap searches at or
+    under the basis's threshold share: one dict per basis position, packed
+    remainder -> (count, witnesses as cons cells).  [] until the first
+    search over the basis builds its tables."""
+    tables = basis._factor_tables
+    return [] if tables is None else tables.memo
+
+
+def spy_searches(monkeypatch) -> list[tuple]:
+    """Wrap hilbert._count_from for the rest of the test.  The list
+    returned gets the arguments of every call, so call[0] is its position
+    and call[5] the memo it searches, a private one included."""
+    search, calls = hilbert._count_from, []
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(hilbert, "_count_from", spy)
+    return calls
 
 
 def _default_search_bound(v) -> int:

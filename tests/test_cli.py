@@ -480,6 +480,28 @@ class TestUnwritableOutput:
         assert list(target.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
+    @pytest.mark.parametrize("name", ["existing", "new/absent"])
+    def test_output_path_ending_in_a_separator_is_two_before_sweeping(
+        self, flag, name, tmp_path, monkeypatch, capsys
+    ):
+        # open() refuses such a name, so it must not replace the existing
+        # file that realpath would resolve it to, nor make one or a directory.
+        def fail(v):
+            raise AssertionError(f"a basis was built for {v}")
+
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        existing = tmp_path / "existing"
+        existing.write_bytes(b"previous output\n")
+        path = f"{tmp_path / name}{os.sep}"
+        argv = ["sweep", "--degrees", "1,1", "--order-bound", "1", flag, path]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: output path {path!r} ends in a path separator\n"
+        )
+        assert existing.read_bytes() == b"previous output\n"
+        assert list(tmp_path.iterdir()) == [existing]
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
     def test_symlinked_output_path_replaces_the_file_it_names(self, flag, tmp_path, capsys):
         target = tmp_path / "real" / "output"
         target.parent.mkdir()

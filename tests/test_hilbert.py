@@ -48,6 +48,8 @@ from conftest import (
     is_irreducible,
     lattice_is_full,
     row_lattice_is_unimodular,
+    shared_memo,
+    spy_searches,
 )
 
 
@@ -430,7 +432,7 @@ class TestCountFactorizations:
         basis = hilbert_basis_oracle((2, -3))
         with pytest.raises(TypeError, match=f"cap must be an int, got {cap!r}$"):
             count_factorizations((8, 4), basis, cap=cap)
-        assert basis._factor_memo == {}
+        assert shared_memo(basis) == []
 
     def test_search_over_the_bound_is_refused_before_it_starts(self):
         # Over (1, 0), (1, 1) the element (N, N) takes about N^2 / 2 steps
@@ -441,7 +443,7 @@ class TestCountFactorizations:
             match=r"of \(10000, 10000\) may take 100030002 steps, over the enumeration cap",
         ):
             count_factorizations((10000, 10000), basis)
-        assert basis._factor_memo == {}
+        assert not any(shared_memo(basis))
         # 200 is over the threshold, 169, and the bound, 40602, admits it
         assert count_factorizations((200, 200), basis).count == 1
 
@@ -452,20 +454,25 @@ class TestCountFactorizations:
         assert hilbert._search_bound((20, 20), elements) == (1 + 21, 21 + 21 * 21)
         assert hilbert._search_bound((20, 5), elements) == (1 + 21, 21 + 21 * 6)
 
-    def test_search_that_may_keep_too_many_states_is_refused_before_it_starts(self):
+    def test_search_that_may_keep_too_many_states_is_refused_before_it_starts(
+        self, monkeypatch
+    ):
         # Over (1, 0), (1, 1) the element (N, 0) takes 2N + 2 steps, well
         # under the enumeration cap, but may keep N + 2 states, one memo
         # entry each.
         basis = hilbert_basis_oracle((1, -1))
+        calls = spy_searches(monkeypatch)
         with pytest.raises(CapExceededError) as err:
             count_factorizations((1000000, 0), basis)
         assert str(err.value) == (
             "factorization search of (1000000, 0) may keep 1000002 states, "
             "over the state cap 1000000"
         )
-        assert basis._factor_memo == {}
+        assert calls == [] and not any(shared_memo(basis))
+        # over the threshold, 169: a private memo
         assert count_factorizations((100000, 0), basis).count == 1
-        (memo,) = basis._factor_memo.values()
+        memo = calls[0][5]
+        assert all(call[5] is memo for call in calls) and memo is not shared_memo(basis)
         assert sum(map(len, memo)) == 100001
 
     def test_threshold_keeps_the_states_within_their_cap(self):
@@ -510,16 +517,11 @@ class TestCountFactorizations:
         # first, or the step out of a visited state, which leaves one memo
         # entry; the last three searches step over many positions whose
         # element does not divide.
-        search, calls = hilbert._count_from, []
-
-        def counted(*args):
-            calls.append(args[0])
-            return search(*args)
-
-        monkeypatch.setattr(hilbert, "_count_from", counted)
+        calls = spy_searches(monkeypatch)
         basis = hilbert_basis_oracle(v)
         count_factorizations(k, basis, cap=10**6)
-        (memo,) = basis._factor_memo.values()
+        memo = calls[0][5]  # a cap other than 2: a private memo
+        assert all(call[5] is memo for call in calls) and not any(shared_memo(basis))
         states, steps = hilbert._search_bound(k, basis.elements)
         assert sum(map(len, memo)) <= states
         iterations = len(calls) - 1 + sum(map(len, memo))
@@ -570,14 +572,15 @@ class TestFactorizationMemo:
                     assert not got or len(got[2]) == min(got[1], 2)
 
     def test_positions_stepped_over_keep_an_entry(self):
-        # Over (1, 0), (2, 1), (3, 2), in 3-bit fields with guards 0b100100,
-        # no element after the first divides (1, 0), (2, 0) or (3, 0).  A
-        # visit leaves an entry also where it only steps over a position, so
-        # no state is walked twice, as _search_bound's proof requires.
+        # Over (1, 0), (2, 1), (3, 2), in the 9-bit fields of the threshold
+        # 148 with guards 1 << 8 | 1 << 17, no element after the first
+        # divides (1, 0), (2, 0) or (3, 0).  A visit leaves an entry also
+        # where it only steps over a position, so no state is walked twice,
+        # as _search_bound's proof requires.
         basis = hilbert_basis_oracle((2, -3))
         assert count_factorizations((3, 0), basis).witnesses == ((3, 0, 0),)
-        (memo,) = basis._factor_memo.values()
-        rem = {k: hilbert._pack(k, 3) | 0b100100 for k in ((1, 0), (2, 0), (3, 0))}
+        memo = shared_memo(basis)
+        rem = {k: hilbert._pack(k, 9) | 1 << 8 | 1 << 17 for k in ((1, 0), (2, 0), (3, 0))}
         assert memo[0] == {rem[3, 0]: (1, ((0, 3, None),))}  # a cons cell: 3 * h_0
         assert memo[1] == memo[2] == dict.fromkeys(rem.values(), (0, ()))
 
@@ -611,12 +614,14 @@ class TestFactorizationMemo:
                     cold = HilbertBasis(warm.elements, warm.source_engine)
                     assert self._outcome(k, cold, cap) == want, (v, k, cap)
 
-    def test_huge_cap_keeps_two_witnesses(self):
+    def test_huge_cap_keeps_two_witnesses(self, monkeypatch):
         rich = HilbertBasis(((0, 1), (1, 0), (1, 1)), "oracle")
+        calls = spy_searches(monkeypatch)
         fc = count_factorizations((20, 20), rich, cap=10**6)
         assert fc.count == brute_count_factorizations((20, 20), rich.elements) == 21
         assert fc.witnesses == ((20, 20, 0), (19, 19, 1))  # largest multiplicities first
-        (memo,) = rich._factor_memo.values()  # one cap, one field width
+        memo = calls[0][5]  # a cap other than 2: a private memo
+        assert not any(shared_memo(rich))
         assert max(len(ws) for seen in memo for _, ws in seen.values()) == 2
 
     def test_memo_dies_with_its_basis(self):
@@ -626,8 +631,9 @@ class TestFactorizationMemo:
             basis = hilbert_basis_oracle((3, -2, 2))
             for k in itertools.product(range(4), repeat=3):
                 if dot(k, (3, -2, 2)) >= 0:
-                    count_factorizations(k, basis, cap=3)
-            assert [cap for cap, _ in basis._factor_memo] == [3] and basis._factor_tables
+                    for cap in (2, 3):  # the shared memo, then a private one
+                        count_factorizations(k, basis, cap=cap)
+            assert any(shared_memo(basis))
             ref = weakref.ref(basis)
             del basis
             assert ref() is None
@@ -641,7 +647,7 @@ class TestFactorizationMemo:
             if dot(k, (2, -3, 1)) >= 0:
                 count_factorizations(k, warm)
         fresh = hilbert_basis_oracle((2, -3, 1))
-        assert warm._factor_memo and not fresh._factor_memo
+        assert any(shared_memo(warm)) and shared_memo(fresh) == []
         assert warm._factor_tables is not None and fresh._factor_tables is None
         assert warm == fresh and hash(warm) == hash(fresh)
         assert repr(warm) == repr(fresh)
@@ -649,26 +655,69 @@ class TestFactorizationMemo:
         assert back == fresh and hash(back) == hash(fresh)
         assert self._outcome((3, 2, 1), back, 2) == self._outcome((3, 2, 1), fresh, 2)
 
-    def test_tables_are_built_once_per_basis(self):
+    def test_tables_are_built_once_per_basis(self, monkeypatch):
         basis = hilbert_basis_oracle((2, -3))
         assert basis._factor_tables is None
         count_factorizations((4, 2), basis)
         tables = basis._factor_tables
         # (1, 0), (2, 1), (3, 2): 148 is the largest t with
-        # 3 * (t + 1)^3 <= ENUMERATION_CAP, 3 the largest entry, and
-        # uncovered[i] the coordinates that no element from position i on has
-        assert tables[:3] == (148, 3, ((), (), (), (0, 1)))
-        # (4, 2) takes 4-bit fields: guards 0x88, the elements packed, and
-        # a dead mask only past the last element
-        assert tables.packed == {4: (0x88, (0x01, 0x12, 0x23), (0, 0, 0, 0x77))}
-        packed = tables.packed[4]
-        for k in itertools.product(range(5), repeat=2):
+        # 3 * (t + 1)^3 <= ENUMERATION_CAP, uncovered[i] the coordinates
+        # that no element from position i on has, and 9 bits hold 148
+        # and its guard
+        assert tables[:3] == (148, ((), (), (), (0, 1)), 9)
+        # guards 0x20100, the elements packed, and a dead mask only past the
+        # last element
+        assert tables.packing == (0x20100, (0x001, 0x202, 0x403), (0, 0, 0, 0x1FEFF))
+        packing, memo = tables.packing, tables.memo
+        pack, widths = hilbert._pack_tables, []
+
+        def spy(elems, uncovered, w):
+            widths.append(w)
+            return pack(elems, uncovered, w)
+
+        monkeypatch.setattr(hilbert, "_pack_tables", spy)
+        for k in [*itertools.product(range(5), repeat=2), (256, 0)]:
             for cap in (2, 3):
                 if dot(k, (2, -3)) >= 0:
                     count_factorizations(k, basis, cap=cap)
-        assert basis._factor_tables is tables and tables.packed[4] is packed
-        assert sorted(tables.packed) == [3, 4]  # max k <= 3 fits 3-bit fields
+        assert widths == [10, 10]  # only (256, 0), over 148 and 9 bits, packs anew
+        assert basis._factor_tables is tables
+        assert tables.packing is packing and tables.memo is memo
         assert HilbertBasis(basis.elements, "oracle")._factor_tables is None
+
+    @pytest.mark.parametrize("v, t", [((3, -2, 2), 6), ((2, -3), 17), ((1, -1, 2, -2), 3)])
+    def test_shared_memo_stays_within_its_bound(self, v, t, monkeypatch):
+        # With the caps cut to 20,000 steps and 2,000 states the thresholds
+        # are small enough to factor every member of [0, t]^r.  A stored
+        # state (i, rem) has rem <= t and rem_j = 0 wherever no element
+        # from i on has coordinate j, which bounds the shared memo by
+        # sum_i (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r <= _STATE_CAP.
+        monkeypatch.setattr(hilbert, "ENUMERATION_CAP", 20_000)
+        monkeypatch.setattr(hilbert, "_STATE_CAP", 2_000)
+        basis, r = hilbert_basis_oracle(v), len(v)
+        for k in itertools.product(range(t + 1), repeat=r):
+            if dot(k, v) >= 0:
+                count_factorizations(k, basis)
+        assert basis._factor_tables.threshold == t
+        elems = basis.elements
+        bound = 0
+        for i in range(len(elems)):
+            covered = {j for h in elems[i:] for j in range(r) if h[j]}
+            bound += (t + 1) ** len(covered)
+        assert sum(map(len, shared_memo(basis))) <= bound <= len(elems) * (t + 1) ** r <= 2_000
+
+    def test_searches_off_the_shared_path_leave_its_memo_alone(self):
+        # Searches above the threshold, 169, each keep about 10,000 states,
+        # and a cap other than 2 keeps its own: none of them stays on the
+        # basis once it returns.
+        basis = hilbert_basis_oracle((1, -1))
+        assert count_factorizations((100, 100), basis).count == 1
+        memo = shared_memo(basis)
+        before = [dict(seen) for seen in memo]
+        for y in range(6):
+            assert count_factorizations((10000, y), basis).count == 1
+        assert count_factorizations((100, 100), basis, cap=3).count == 1
+        assert shared_memo(basis) is memo and memo == before
 
     def test_empty_basis_factors_only_the_identity(self):
         basis = hilbert_basis_oracle((-2, -1))
@@ -677,7 +726,7 @@ class TestFactorizationMemo:
         assert (fc.count, fc.witnesses) == (1, ((),))
         with pytest.raises(NotInHolError):
             count_factorizations((0, 1), basis)
-        assert basis._factor_tables is None and not basis._factor_memo
+        assert basis._factor_tables is None and shared_memo(basis) == []
 
     def test_depth_does_not_grow_with_the_basis(self):
         # (1000, -1001) has 1001 irreducibles (1, 0), (2, 1), ..., (1001, 1000);

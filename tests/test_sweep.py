@@ -484,6 +484,20 @@ class TestAtomicOutput:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 1, out_path=out))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["records.jsonl", "new/records.jsonl"])
+    def test_output_path_ending_in_a_separator_is_refused(self, name, tmp_path):
+        # realpath strips the separator, but open() refuses such a name: an
+        # existing file of that name stays as it was, and no file or
+        # directory is made for an absent one.
+        out = tmp_path / "records.jsonl"
+        out.write_bytes(b"previous sweep\n")
+        path = f"{tmp_path / name}{os.sep}"
+        with pytest.raises(IsADirectoryError) as err:
+            run_sweep(SweepPlan(DegreeVector((1, 1)), 1, out_path=path))
+        assert str(err.value) == f"output path {path!r} ends in a path separator"
+        assert out.read_bytes() == b"previous sweep\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_successful_sweep_replaces_the_file(self, tmp_path):
         out = tmp_path / "records.jsonl"
         out.write_text("previous sweep\n")
