@@ -426,9 +426,9 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     entry does not grow with `cap`.  This is exact: a state's capped count
     is the capped sum of its children's capped counts, and its first two
     factorizations are the first two of its children's, taken in the order
-    the search visits them.  A factorization travels as cons cells (i, c, tail) of its nonzero
-    multiplicities and becomes a coefficient tuple only when the call
-    returns.
+    the search visits them.  A factorization travels as cons cells
+    (i, c, tail) of its nonzero multiplicities and becomes a coefficient
+    tuple only when the search returns.
 
     Every search whose max k is at most the basis's threshold t (below)
     packs at the one width w0 = bit_length(max(t, largest basis entry)) + 1,
@@ -482,7 +482,7 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
                 )
         w = max(top.bit_length() + 1, tables.width)
         guards, packed, dead = (
-            tables.packing if w == tables.width else _pack_tables(elems, tables.uncovered, w)
+            tables.packing if w == tables.width else _pack_tables(elems, w)
         )
         memo = tables.memo if cap == 2 and top <= tables.threshold else [{} for _ in elems]
         count, cells = _count_from(0, _pack(kk, w) | guards, packed, dead, guards, memo, cap)
@@ -498,7 +498,6 @@ class _FactorTables(NamedTuple):
     """count_factorizations' tables for one nonempty basis."""
 
     threshold: int  # the largest t admitted at once, see count_factorizations
-    uncovered: tuple  # per position i <= m: the coordinates no element from i on has
     width: int  # the field width w0 of every search at or under the threshold
     packing: tuple  # (G, H, dead) at w0, see _pack_tables
     memo: list  # the memo those searches share when they use the default cap
@@ -510,9 +509,6 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
     if tables is None:
         elems = basis.elements
         m, r = len(elems), len(elems[0])
-        uncovered = [tuple(range(r))] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            uncovered[i] = tuple(j for j in uncovered[i + 1] if not elems[i][j])
 
         def fits(s):  # whether t = s - 1 keeps both bounds within their caps
             return m * s ** (r + 1) <= ENUMERATION_CAP and m * s**r <= _STATE_CAP
@@ -523,8 +519,7 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
         while not fits(s):
             s -= 1
         w = max(s - 1, *map(max, elems)).bit_length() + 1
-        packing = _pack_tables(elems, uncovered, w)
-        tables = _FactorTables(s - 1, tuple(uncovered), w, packing, [{} for _ in elems])
+        tables = _FactorTables(s - 1, w, _pack_tables(elems, w), [{} for _ in elems])
         object.__setattr__(basis, "_factor_tables", tables)
     return tables
 
@@ -537,17 +532,23 @@ def _pack(xs: Sequence[int], w: int) -> int:
     return n
 
 
-def _pack_tables(elems: Elements, uncovered: Sequence, w: int) -> tuple[int, tuple, tuple]:
+def _pack_tables(elems: Elements, w: int) -> tuple[int, tuple, tuple]:
     """(G, H, dead) at field width w: the guard mask, the packed elements
-    and, per position, the mask of the fields in `uncovered` there, those
-    no element from it on has."""
-    low = (1 << w - 1) - 1
-    r = len(elems[0])
-    return (
-        _pack([1 << w - 1] * r, w),
-        tuple(_pack(h, w) for h in elems),
-        tuple(_pack([low if j in u else 0 for j in range(r)], w) for u in uncovered),
-    )
+    and, per position i <= m, the mask of the value bits of the fields no
+    element from i on has.
+
+    Every entry is below 2^(w-1), so G - H[i] keeps exactly the guards
+    of the fields where element i is 0, and a set of guards Z becomes the
+    value bits below them as Z - (Z >> (w - 1)): dead[i] is dead[i + 1]
+    cut to those fields, one O(r) int operation per position.
+    """
+    guards = _pack([1 << w - 1] * len(elems[0]), w)
+    packed = tuple(_pack(h, w) for h in elems)
+    dead = [guards - (guards >> w - 1)]  # at position m, every field
+    for h in reversed(packed):
+        zero = (guards - h) & guards
+        dead.append(dead[-1] & (zero - (zero >> w - 1)))
+    return guards, packed, tuple(reversed(dead))
 
 
 def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:
@@ -564,42 +565,46 @@ def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:
     times (max_j k_j + 1), so the sums are at most m (max_j k_j + 1)^r and
     m (max_j k_j + 1)^(r + 1), which size count_factorizations' threshold.
 
-    Proof, for the loop of _count_from.  An iteration is a multiplicity
-    c >= 1 tried or the step from a state (i, rem) to its c = 0 child
-    (i + 1, rem), the step over a position whose element does not divide
-    rem included.  Each belongs to the visit of one state that is neither
-    dead nor in the memo, and a state is visited at most once: the visit
-    stores its memo entry when its walk unwinds, a position stepped over
-    included, and until then no call reaches it again, because every
-    state the visit leads to has a larger position or a remainder of
-    smaller sum.  Remainders start at k and only decrease, never below
-    0.  At position i, rem_j = k_j for every j that no element before i
-    has, and a state with rem_j > 0 for some j that no element from i on
-    has is dead: it returns after one mask test, before any iteration.
-    So the states visited at i differ only on R_i: at most S_i of them,
-    and each stores one memo entry.  A visit makes cmax iterations for
-    c = cmax .. 1 and one for the c = 0 step, with
-    cmax <= rem_j / h_ij <= k_j / h_ij for every j in the support of h_i;
-    where h_i does not divide rem, cmax = 0 and the step is the visit.
-    Besides a memo lookup and a division test, a visit makes at most three
-    int operations per multiplicity to find cmax and step through the
-    children, and one subtraction that fails its guard test; each call
-    (one per multiplicity c >= 1 tried, and the first) makes at most a
-    zero test, a dead test and a memo lookup before its first visit.  So
-    the work is a constant times the bound.
+    Proof, for the loop of _count_from.  An iteration is a descent from
+    a state (i, rem) to one of its children (i + 1, rem - c * h_i): a
+    multiplicity c >= 1 tried, or the c = 0 step, the step over a
+    position whose element does not divide rem included.  Each belongs to
+    the visit of one state that is neither dead nor in the memo, and a
+    state is visited at most once: the visit stores its memo entry when
+    its frame is popped, a position stepped over included, and until then
+    no descent reaches it again, because every state the visit leads to
+    has a larger position or a remainder of smaller sum.  Remainders
+    start at k and only decrease, never below 0.  At position i,
+    rem_j = k_j for every j that no element before i has, and a state
+    with rem_j > 0 for some j that no element from i on has is dead: it
+    resolves after one mask test, before any iteration.  So the states
+    visited at i differ only on R_i: at most S_i of them, and each stores
+    one memo entry.  A visit makes cmax iterations for c = cmax .. 1 and
+    one for the c = 0 step, with cmax <= rem_j / h_ij <= k_j / h_ij for
+    every j in the support of h_i; where h_i does not divide rem,
+    cmax = 0 and the step is the visit.  Besides a memo lookup and a push,
+    a visit makes at most two int operations per multiplicity to find
+    cmax and one subtraction that fails its guard test; each descent, and
+    the first state, makes at most a dead test, a zero test and a memo
+    lookup, and each fold into a frame a constant number of operations
+    and at most two witness cells.  So the work is a constant times the
+    bound.
     """
-    later = [set()]  # later[-1 - i]: the coordinates elements from position i on have
-    for h in reversed(elements):
-        later.append(later[-1].union(j for j, x in enumerate(h) if x))
+    supports = [[j for j, x in enumerate(h) if x] for h in elements]
+    last = {j: i for i, support in enumerate(supports) for j in support}
     states = steps = 0
-    reduced = set()
-    for h, after in zip(elements, reversed(later)):
+    shared = set()  # R_i at position i
+    for i, (h, support) in enumerate(zip(elements, supports)):
         here = 1
-        for j in reduced & after:
+        for j in shared:
             here *= k[j] + 1
         states += here
-        steps += here * (min(k[j] // x for j, x in enumerate(h) if x) + 1)
-        reduced.update(j for j, x in enumerate(h) if x)
+        steps += here * (min(k[j] // h[j] for j in support) + 1)
+        for j in support:
+            if last[j] > i:
+                shared.add(j)
+            else:
+                shared.discard(j)
     return states, steps
 
 
@@ -607,62 +612,53 @@ def _count_from(i, rem, packed, dead, guards, memo, cap):
     """(count capped at `cap`, first two witnesses as cons cells) of the
     packed remainder `rem` over the elements from position i on.
 
-    Recurses only on multiplicities c >= 1, which shrink `rem`, so the
-    depth does not grow with the basis; the c = 0 successors (i+1, rem),
-    (i+2, rem), ... are walked in a loop and folded back in reverse.  A
-    module-level function rather than a closure: a self-referencing
-    closure leaves a reference cycle behind each call, and a memo
-    reachable from one would outlive its basis until the cyclic collector
-    runs.
+    One loop over one explicit stack, so no recursion limit bounds the
+    basis or the multiplicities.  A frame [i, rem, h, c, child, count,
+    witnesses] is a state being visited, h = h_i packed, searching its
+    child (i + 1, child = rem - c * h), with what the children before it
+    gave.  On the way down a dead, zero or memoized state resolves at
+    once, and any other is pushed with c = cmax (0 where h_i does not
+    divide rem).  On the way up a resolved state is folded into the frame
+    below, which moves on to c - 1, or, after c = 0 or at the cap, stores
+    its own state and is popped; one whose count is still 0 after c = 0,
+    a position stepped over included, stores its c = 0 child's state.
     """
-    if rem == guards:
-        return _EMPTY
-    # (memo of the position, count, witnesses) of the states awaiting their
-    # c = 0 child; witnesses is None at a position whose element does not divide
-    chain = []
+    stack = []
     while True:
         if (rem ^ guards) & dead[i]:
             state = _NONE
-            break
-        seen = memo[i]
-        state = seen.get(rem)
-        if state is not None:
-            break
-        h = packed[i]
-        child = rem - h
-        if child & guards != guards:  # element i does not divide rem
-            chain.append((seen, 0, None))
-            i += 1
-            continue
-        cmax = 1
-        while (child - h) & guards == guards:
-            child -= h
-            cmax += 1
-        count, witnesses = 0, []
-        for c in range(cmax, 0, -1):  # child = rem - c * h_i
-            n, cells = _count_from(i + 1, child, packed, dead, guards, memo, cap)
-            if n:
-                count += n
-                for cell in cells[: 2 - len(witnesses)]:
-                    witnesses.append((i, c, cell))
-                if count >= cap:
+        elif rem == guards:
+            state = _EMPTY
+        else:
+            state = memo[i].get(rem)
+            if state is None:
+                h = packed[i]
+                c, child = 0, rem
+                while (child - h) & guards == guards:  # element i divides child
+                    child -= h
+                    c += 1
+                stack.append([i, rem, h, c, child, 0, []])
+                i, rem = i + 1, child
+                continue
+        while stack:  # fold the resolved state into the frames it completes
+            frame = stack[-1]
+            at, top, h, c, child, count, witnesses = frame
+            if c or count:
+                n, cells = state
+                if n:
+                    count += n
+                    for cell in cells[: 2 - len(witnesses)]:
+                        witnesses.append((at, c, cell) if c else cell)
+                if c and count < cap:
+                    child += h
+                    frame[3:6] = c - 1, child, count
+                    i, rem = at + 1, child
                     break
-            child += h
-        chain.append((seen, count, witnesses))
-        if count >= cap:
-            state = _NONE  # capped before c = 0: that child is never searched
-            break
-        i += 1
-    while chain:
-        seen, count, witnesses = chain.pop()
-        if witnesses is not None:
-            n, cells = state
-            if n:
-                count += n
-                witnesses.extend(cells[: 2 - len(witnesses)])
-            state = (count if count < cap else cap, tuple(witnesses))
-        seen[rem] = state
-    return state
+                state = (count if count < cap else cap, tuple(witnesses))
+            memo[at][top] = state
+            stack.pop()
+        else:
+            return state
 
 
 _EMPTY = (1, (None,))  # the zero remainder: one factorization, all multiplicities 0

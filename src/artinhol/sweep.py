@@ -232,15 +232,17 @@ def _output_file(path: str | Path) -> Path:
     """The file that output to `path` replaces: `path` with its symlinks
     resolved.  An existing directory or other file that is not a regular
     file there is refused, and so is a name ending in a path separator,
-    which realpath would strip but open() refuses."""
-    name, target = str(path), Path(os.path.realpath(path))
+    which realpath would strip but open() refuses.  The check stats
+    `path` itself, following its links as open() would: realpath reads a
+    link like /dev/stdout on a pipe as a name that does not exist."""
+    name, given = str(path), Path(path)
     if name[-1:] in (os.sep, os.altsep):
         raise IsADirectoryError(f"output path {name!r} ends in a path separator")
-    if target.is_dir():
+    if given.is_dir():
         raise IsADirectoryError(f"output path {name!r} is a directory")
-    if target.exists() and not target.is_file():
+    if given.exists() and not given.is_file():
         raise OSError(f"output path {name!r} is not a regular file")
-    return target
+    return Path(os.path.realpath(path))
 
 
 @contextmanager

@@ -13,7 +13,7 @@ computed once per session.  child_env puts src on a child process's
 import path, and run_artinhol starts the command-line program in one.
 shared_memo is the one place the tests read the factorization memo a
 basis keeps, and spy_searches shows them the private memo of any other
-search.
+search and counts the states a search descends to.
 """
 
 from __future__ import annotations
@@ -253,13 +253,26 @@ def shared_memo(basis) -> list[dict]:
     return [] if tables is None else tables.memo
 
 
+class _CountingTable(tuple):
+    """A tuple that counts the entries looked up in it."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
 def spy_searches(monkeypatch) -> list[tuple]:
     """Wrap hilbert._count_from for the rest of the test.  The list
-    returned gets the arguments of every call, so call[0] is its position
-    and call[5] the memo it searches, a private one included."""
+    returned gets the arguments of every search, one call each: call[5]
+    is the memo it searches, a private one included, and call[3] its
+    table of dead masks, which counts in .lookups the dead tests, one per
+    state the search reaches, its first included."""
     search, calls = hilbert._count_from, []
 
-    def spy(*args):
+    def spy(i, rem, packed, dead, *rest):
+        args = (i, rem, packed, _CountingTable(dead), *rest)
         calls.append(args)
         return search(*args)
 

@@ -188,6 +188,16 @@ class TestCommands:
             doc = json.loads(capsys.readouterr().out)
             assert (doc["count"], doc["witnesses"]) == (1, [witness])
 
+    def test_factorize_over_2000_zero_orders_answers(self, capsys):
+        # The basis is the 2,000 unit vectors: the search descends through
+        # every one of them, past the recursion limit, and the tables hold
+        # one dead mask of 2,000 fields per position.
+        zeros, ones = ",".join(["0"] * 2000), ",".join(["1"] * 2000)
+        assert cli.main(["factorize", f"--orders={zeros}", f"--element={ones}"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"element [{ones.replace(',', ', ')}] factors 1 way(s) (cap 2)\n")
+        assert out.count("\n") == 2
+
     def test_factorize_over_the_search_bound_is_two(self, capsys):
         argv = ["factorize", "--orders=1,-1", "--element=99999999999,99999999999"]
         assert cli.main(argv) == 2
@@ -539,6 +549,16 @@ class TestUnwritableOutput:
         )
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(tmp_path.iterdir()) == sorted({fifo, target})
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-json", "--csv"])
+    def test_stdout_on_a_pipe_is_two_before_sweeping(self, flag):
+        # /dev/stdout names the child's pipe through a link that realpath
+        # reads as a name that does not exist, so the path itself is
+        # checked, the way open() would follow it.
+        res = run_cli("sweep", "--degrees", "1,1", "--order-bound", "1", flag, "/dev/stdout")
+        assert res.returncode == 2
+        assert res.stderr == "error: output path '/dev/stdout' is not a regular file\n"
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("refused", ["--out", "--summary-json", "--csv"])
     @pytest.mark.parametrize("kind", ["fifo", "directory"])

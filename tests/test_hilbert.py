@@ -513,19 +513,20 @@ class TestCountFactorizations:
         ],
     )
     def test_cold_search_stays_within_its_bound(self, v, k, monkeypatch):
-        # An iteration is a multiplicity c >= 1 tried, one per call but the
-        # first, or the step out of a visited state, which leaves one memo
-        # entry; the last three searches step over many positions whose
+        # An iteration is a descent to a child, a multiplicity c >= 1 tried
+        # or the c = 0 step out of a visited state, which leaves one memo
+        # entry; each descent makes one dead test, as the first state
+        # does.  The last three searches step over many positions whose
         # element does not divide.
         calls = spy_searches(monkeypatch)
         basis = hilbert_basis_oracle(v)
         count_factorizations(k, basis, cap=10**6)
-        memo = calls[0][5]  # a cap other than 2: a private memo
-        assert all(call[5] is memo for call in calls) and not any(shared_memo(basis))
+        [(_, _, _, dead, _, memo, _)] = calls  # a cap other than 2: a private memo
+        assert not any(shared_memo(basis))
         states, steps = hilbert._search_bound(k, basis.elements)
         assert sum(map(len, memo)) <= states
-        iterations = len(calls) - 1 + sum(map(len, memo))
-        assert iterations <= steps
+        iterations = dead.lookups - 1
+        assert sum(map(len, memo)) < iterations <= steps
 
     def test_cap_saturates(self):
         basis = hilbert_basis_oracle((1, 1))
@@ -661,19 +662,17 @@ class TestFactorizationMemo:
         count_factorizations((4, 2), basis)
         tables = basis._factor_tables
         # (1, 0), (2, 1), (3, 2): 148 is the largest t with
-        # 3 * (t + 1)^3 <= ENUMERATION_CAP, uncovered[i] the coordinates
-        # that no element from position i on has, and 9 bits hold 148
-        # and its guard
-        assert tables[:3] == (148, ((), (), (), (0, 1)), 9)
+        # 3 * (t + 1)^3 <= ENUMERATION_CAP, and 9 bits hold 148 and its guard
+        assert tables[:2] == (148, 9)
         # guards 0x20100, the elements packed, and a dead mask only past the
-        # last element
+        # last element, where no element has coordinate 0 or 1
         assert tables.packing == (0x20100, (0x001, 0x202, 0x403), (0, 0, 0, 0x1FEFF))
         packing, memo = tables.packing, tables.memo
         pack, widths = hilbert._pack_tables, []
 
-        def spy(elems, uncovered, w):
+        def spy(elems, w):
             widths.append(w)
-            return pack(elems, uncovered, w)
+            return pack(elems, w)
 
         monkeypatch.setattr(hilbert, "_pack_tables", spy)
         for k in [*itertools.product(range(5), repeat=2), (256, 0)]:
@@ -684,6 +683,25 @@ class TestFactorizationMemo:
         assert basis._factor_tables is tables
         assert tables.packing is packing and tables.memo is memo
         assert HilbertBasis(basis.elements, "oracle")._factor_tables is None
+
+    def test_dead_masks_cover_the_fields_no_later_element_has(self):
+        # dead[i] holds the value bits, and only those, of every coordinate
+        # that no element from position i on has, at any width that holds
+        # the entries.
+        rng = random.Random(31)
+        for _ in range(200):
+            r = rng.randint(1, 5)
+            v = tuple(rng.randint(-4, 4) for _ in range(r))
+            elems = hilbert_basis_oracle(v).elements
+            if not elems:
+                continue
+            for w in range(max(map(max, elems)).bit_length() + 1, 12):
+                low = (1 << w - 1) - 1
+                dead = hilbert._pack_tables(elems, w)[2]
+                assert len(dead) == len(elems) + 1
+                for i, mask in enumerate(dead):
+                    fields = [low if not any(h[j] for h in elems[i:]) else 0 for j in range(r)]
+                    assert mask == hilbert._pack(fields, w), (v, w, i)
 
     @pytest.mark.parametrize("v, t", [((3, -2, 2), 6), ((2, -3), 17), ((1, -1, 2, -2), 3)])
     def test_shared_memo_stays_within_its_bound(self, v, t, monkeypatch):
@@ -728,9 +746,16 @@ class TestFactorizationMemo:
             count_factorizations((0, 1), basis)
         assert basis._factor_tables is None and shared_memo(basis) == []
 
+    def test_unit_basis_past_the_recursion_limit_factors_once(self):
+        # 1,100 zero orders: the basis is the unit vectors, lex-sorted from
+        # e_1099 down to e_0, and the search descends through every one.
+        basis = hilbert_basis_oracle((0,) * 1100)
+        fc = count_factorizations((1,) * 1100, basis)
+        assert (fc.count, fc.witnesses) == (1, ((1,) * 1100,))
+
     def test_depth_does_not_grow_with_the_basis(self):
-        # (1000, -1001) has 1001 irreducibles (1, 0), (2, 1), ..., (1001, 1000);
-        # a search that recursed once per basis position overflowed the stack.
+        # (1000, -1001) has 1001 irreducibles (1, 0), (2, 1), ..., (1001, 1000),
+        # and the search steps over most of them, past the recursion limit.
         basis = hilbert_basis_oracle((1000, -1001))
         assert len(basis) == 1001
         for k in ((1, 0), (2, 1), (5, 0), (3, 2)):

@@ -81,6 +81,23 @@ def test_no_function_imports_from_the_package():
     assert found == []
 
 
+def test_no_function_calls_itself():
+    # Recursion would tie the depth of a search to the recursion limit;
+    # every deep walk in the package keeps its own stack instead.
+    found = [
+        f"{name}.{fn.name}"
+        for name, tree in MODULES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in {fn.name, f"self.{fn.name}", f"cls.{fn.name}"}
+            for node in ast.walk(fn)
+        )
+    ]
+    assert found == []
+
+
 def test_only_conditions_carries_a_basis_back():
     # Every report gets its basis through conditions.orbit_basis, the one
     # place where a canonical vector's basis is carried back.
