@@ -410,21 +410,33 @@ def canonical_basis(
     return canon, perm
 
 
-def orbit_basis(v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]) -> Elements:
-    """Cross-checked basis elements of Hol(v): its canonical vector's, from
-    canonical_basis, carried back."""
-    canon, perm = canonical_basis(v, bases)
+def orbit_basis(
+    v: tuple[int, ...],
+    bases: dict[tuple[int, ...], Elements],
+    canonical: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> Elements:
+    """Cross-checked basis elements of Hol(v): its canonical vector's,
+    carried back.  `canonical` is the (canon, perm) that canonical_basis
+    already returned for v into `bases`; without it, canonical_basis is
+    called here."""
+    canon, perm = canonical_basis(v, bases) if canonical is None else canonical
     return _carried(bases[canon], perm)
 
 
-def check_instance(inst: Instance, bases: dict | None = None) -> ConditionReport:
+def check_instance(
+    inst: Instance,
+    bases: dict | None = None,
+    canonical: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> ConditionReport:
     """Full pipeline: admissibility, Hilbert basis, all conditions.
 
     The basis comes from orbit_basis through `bases`, a fresh dict when
-    omitted.  Every verdict is decided from the orders alone, all of them
-    from one pass over the entries the OrderVector has already validated.
+    omitted, and `canonical`, the orders' canonical_basis pair when the
+    caller has it.  Every verdict is decided from the orders alone, all of
+    them from one pass over the entries the OrderVector has already
+    validated.
     """
-    elements = orbit_basis(inst.orders.entries, {} if bases is None else bases)
+    elements = orbit_basis(inst.orders.entries, {} if bases is None else bases, canonical)
     pr = _profile(inst.orders.entries)
     cii, rows = _cond_ii(pr)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)

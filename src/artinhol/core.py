@@ -174,11 +174,17 @@ def order_of(k: Sequence[int], v: OrdersLike) -> int:
     taken in one pass at C speed; otherwise each step is checked.
     """
     ent = as_order_vector(v).entries
-    kk = validate_exponent_vector(k, rank=len(ent))
-    if len(kk) * max(kk) * INT32_MAX <= INT64_MAX:
-        return sum(map(mul, kk, ent))
+    return _dot(validate_exponent_vector(k, rank=len(ent)), ent)
+
+
+def _dot(k: tuple[int, ...], ent: tuple[int, ...]) -> int:
+    """order_of for an exponent vector k and orders ent already validated,
+    of one rank: the bound of order_of's docstring, then one pass at C
+    speed or the checked loop."""
+    if len(k) * max(k) * INT32_MAX <= INT64_MAX:
+        return sum(map(mul, k, ent))
     total = 0
-    for kj, vj in zip(kk, ent):
+    for kj, vj in zip(k, ent):
         p = kj * vj
         if p > INT64_MAX or p < INT64_MIN:
             raise ArithmeticOverflowError(f"{kj} * {vj} leaves the 64-bit range")
@@ -197,12 +203,13 @@ def is_admissible(inst: Instance) -> tuple[bool, tuple[str, ...]]:
     """Evaluate the enabled admissibility constraints; returns (ok, reasons).
 
     With require_dedekind on, the zeta-function exponent vector d must have
-    nonnegative order, i.e. <d, v> >= 0; with require_trivial_nonneg on,
-    the trivial character's order v1 must be >= 0.
+    nonnegative order, i.e. <d, v> >= 0, taken without validating again
+    the degrees and orders the Instance holds; with require_trivial_nonneg
+    on, the trivial character's order v1 must be >= 0.
     """
     reasons = []
     if inst.require_dedekind:
-        s = order_of(inst.degrees.entries, inst.orders)
+        s = _dot(inst.degrees.entries, inst.orders.entries)
         if s < 0:
             reasons.append(f"dedekind:<d,v>={s}<0")
     if inst.require_trivial_nonneg:

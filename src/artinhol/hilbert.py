@@ -125,7 +125,7 @@ def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]
     """
     g = math.gcd(*v) or 1
     perm = tuple(sorted(range(len(v)), key=v.__getitem__))
-    return tuple(v[i] // g for i in perm), perm
+    return tuple([v[i] // g for i in perm]), perm
 
 
 def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
@@ -298,7 +298,7 @@ def _walk_region(ent: Sequence[int], plus: int, minus: int) -> list[tuple[tuple[
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(int(j == i) for j in range(n))
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:

@@ -4,11 +4,13 @@ Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
 render_report_json writes the fixed-key record straight to a string,
-taking from a bounded per-process cache, keyed by value, the text of the
-labels, of the degrees and each basis element, of the reasons list and
-of each pair-table row, as the report keeps its rows; the test suite
-checks it byte for byte against canonical_json of the report as a dict
-(report_document in tests/conftest.py), with the caches warm and cleared.
+taking from bounded per-process caches the record's text around its
+orders, up to its admissibility verdict, which depends only on the
+degrees, flags and labels, the text of each basis element and of the
+reasons list, keyed by value, and of each pair-table row, keyed by the
+row object, as the report keeps its rows; the test suite checks it byte
+for byte against canonical_json of the report as a dict (report_document
+in tests/conftest.py), with the caches warm and cleared.
 Parsing type-checks the instance, rebuilds the report, basis included,
 through conditions.check_instance and rejects a record that disagrees; a
 sweep file's records share one basis dict.
@@ -54,24 +56,58 @@ _SCHEMA_TEXT = canonical_json(SCHEMA_VERSION)
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
-def _labels_text(group: str | None, s0: str | None) -> str:
-    return canonical_json({"group": group, "s0": s0})
+def _instance_texts(
+    degrees: tuple[int, ...],
+    require_dedekind: bool,
+    require_trivial_nonneg: bool,
+    group: str | None,
+    s0: str | None,
+) -> tuple[str, str]:
+    """The record's text before its orders and from them to its
+    admissibility verdict: all of it but the orders depends on the
+    degrees, flags and labels alone, so every record of a sweep shares it."""
+    flags = canonical_json(
+        {"require_dedekind": require_dedekind, "require_trivial_nonneg": require_trivial_nonneg}
+    )
+    labels = canonical_json({"group": group, "s0": s0})
+    return (
+        f'{{"schema_version":{_SCHEMA_TEXT},"instance":{{"r":{len(degrees)},'
+        f'"degrees":{_ints(degrees)},"orders":',
+        f',"flags":{flags},"labels":{labels}}},"admissible":{{"ok":',
+    )
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
 def _vector_text(vector: tuple[int, ...]) -> str:
-    """JSON array of an int vector that recurs across records: the degrees
-    or a basis element, never the orders, which differ in every record."""
+    """JSON array of a basis element, which recurs across records."""
     return _ints(vector)
 
 
-@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+#: Row texts by id(row), each entry holding its row, so that no other
+#: object can take that id while the entry lives; the oldest goes first.
+_ROW_TEXTS: dict[int, tuple[tuple[PairWitness, ...], str]] = {}
+
+
 def _pairs_text(row: tuple[PairWitness, ...]) -> str:
-    """JSON text of one pair-table row, without the enclosing brackets."""
-    return ",".join(
+    """JSON text of one pair-table row, without the enclosing brackets.
+
+    Cached by the row object: conditions._pair_row builds each distinct
+    row once, and hashing its nested tuples on every record would cost
+    most of what the cache saves."""
+    hit = _ROW_TEXTS.get(id(row))
+    if hit is not None:
+        return hit[1]
+    if len(_ROW_TEXTS) >= TEXT_CACHE_SIZE:
+        del _ROW_TEXTS[next(iter(_ROW_TEXTS))]
+    text = ",".join(
         f'{{"k":{k},"l":{l},"witness":{"null" if w is None else _ints(w)}}}'
         for k, l, w in row
     )
+    _ROW_TEXTS[id(row)] = (row, text)
+    return text
+
+
+_pairs_text.cache_clear = _ROW_TEXTS.clear
 
 
 @functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
@@ -86,32 +122,27 @@ def render_report_json(rep: ConditionReport) -> str:
     an integer.  Labels and reasons go through canonical_json, so strings
     are escaped exactly as in every other artifact.  Text that recurs
     across records and costs something to build is rendered once per
-    process: the labels object, each distinct degree vector or basis
+    process: the instance's text but its orders, each distinct basis
     element, reasons list and pair-table row, the table taken row by row
-    as the report keeps it.  Each cache is keyed by value and holds up to
-    TEXT_CACHE_SIZE texts.  The test suite checks the bytes against
-    canonical_json of the report as a dict.
+    as the report keeps it.  Each cache holds up to TEXT_CACHE_SIZE texts.
+    The test suite checks the bytes against canonical_json of the report
+    as a dict.
     """
     inst = rep.instance
     m = rep.cond_iii_m
     failing = rep.cond_ii_prime_failing
+    head, flags = _instance_texts(
+        inst.degrees.entries,
+        inst.require_dedekind,
+        inst.require_trivial_nonneg,
+        inst.group,
+        inst.s0_label,
+    )
     return "".join(
         (
-            '{"schema_version":',
-            _SCHEMA_TEXT,
-            ',"instance":{"r":',
-            str(inst.rank),
-            ',"degrees":',
-            _vector_text(inst.degrees.entries),
-            ',"orders":',
+            head,
             _ints(inst.orders.entries),
-            ',"flags":{"require_dedekind":',
-            _SCALAR[inst.require_dedekind],
-            ',"require_trivial_nonneg":',
-            _SCALAR[inst.require_trivial_nonneg],
-            '},"labels":',
-            _labels_text(inst.group, inst.s0_label),
-            '},"admissible":{"ok":',
+            flags,
             _SCALAR[rep.admissible],
             ',"reasons":',
             _reasons_text(rep.admissible_reasons),

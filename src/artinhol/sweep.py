@@ -9,17 +9,20 @@ size against INSTANCE_CAP included, when it is built.
 
 A sweep walks its box once, through enumerate_order_vectors: _chunk_tasks
 cuts that walk into contiguous chunks of CHUNK_SIZE vectors, and a task is
-the plan, one chunk's vectors and the canonical bases they need.  The stream
-cross-checks each canonical basis once per sweep, in this process, at
-the first vector of the box swept to it, so the engines run once per
-canonical vector, in the same order for any worker count, and a failure
-names that vector.  The process that checks a chunk renders its records
-and runs summarize on the reports; the parent only writes each chunk's
-records and adds its summary, in chunk order, so the output bytes do not
-depend on the worker count.  The worker count only chooses the mapper:
-with one worker, or a box of one chunk, the builtin map runs the chunks
-in this process, sweep_reports walks the same stream, and
-multiprocessing is never imported: Pool imports it when it is called.
+the plan, one chunk's vectors, each with its (canon, perm) from
+canonical_basis, and the canonical bases they need.  The stream
+canonicalizes each vector once and cross-checks each canonical basis once
+per sweep, in this process, at the first vector of the box swept to it,
+so the engines run once per canonical vector, in the same order for any
+worker count, and a failure names that vector.  The check carries the
+basis back through the pair the vector came with.  The process that
+checks a chunk renders its records and runs summarize on the reports;
+the parent only writes each chunk's records and adds its summary, in
+chunk order, so the output bytes do not depend on the worker count.
+The worker count only chooses the mapper: with one worker, or a box of
+one chunk, the builtin map runs the chunks in this process,
+sweep_reports walks the same stream, and multiprocessing is never
+imported: Pool imports it when it is called.
 """
 
 from __future__ import annotations
@@ -134,15 +137,22 @@ def enumerate_order_vectors(r: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
     """The plan's tasks, in enumeration order: (plan, the next CHUNK_SIZE
-    vectors of enumerate_order_vectors' box, the canonical bases those
-    vectors need), each basis computed at the first vector swept to it."""
+    vectors of enumerate_order_vectors' box, each paired with its
+    canonical_basis (canon, perm), the canonical bases those vectors
+    need), each basis computed at the first vector swept to it.  A
+    canonical vector is one object throughout the sweep, the key of
+    `needed` included, so a pickled task holds it once."""
     box = enumerate_order_vectors(plan.degrees.rank, plan.order_bound)
     bases: dict[tuple[int, ...], Elements] = {}
-    while vectors := list(itertools.islice(box, CHUNK_SIZE)):
+    canons: dict[tuple[int, ...], tuple[int, ...]] = {}
+    while chunk := list(itertools.islice(box, CHUNK_SIZE)):
+        vectors = []
         needed = {}
-        for v in vectors:
-            canon = canonical_basis(v, bases)[0]
+        for v in chunk:
+            canon, perm = canonical_basis(v, bases)
+            canon = canons.setdefault(canon, canon)
             needed[canon] = bases[canon]
+            vectors.append((v, (canon, perm)))
         yield plan, vectors, needed
 
 
@@ -164,10 +174,13 @@ def Pool(processes: int):
 
 
 def _chunk_reports(
-    plan: SweepPlan, vectors: list[tuple[int, ...]], bases: dict[tuple[int, ...], Elements]
+    plan: SweepPlan,
+    vectors: list[tuple[tuple[int, ...], tuple]],
+    bases: dict[tuple[int, ...], Elements],
 ) -> Iterator[ConditionReport]:
-    """Reports of one chunk's vectors, in order, their bases from `bases`."""
-    for v in vectors:
+    """Reports of one chunk's vectors, in order, their bases from `bases`
+    through the (canon, perm) each vector comes with."""
+    for v, canonical in vectors:
         inst = Instance(
             plan.degrees,
             v,
@@ -175,7 +188,7 @@ def _chunk_reports(
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, bases)
+        yield check_instance(inst, bases, canonical)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:

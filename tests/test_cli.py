@@ -42,7 +42,7 @@ class TestGolden:
         assert res.stdout == (GOLDEN / "check_d112_v000.json").read_text()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("name", ["a4_b2", "d112_b3", "s5_b1", "d1_b2"])
+    @pytest.mark.parametrize("name", ["a4_b2", "d112_b3", "s5_b1", "d1_b2", "s3_b2_flags"])
     def test_sweep_artifact_digests(self, tmp_path, capsys, name, workers):
         # sweeps.sha256 is in `sha256sum` format; any change to the bytes
         # of the records, the summary or the CSV shows up here.
@@ -55,6 +55,11 @@ class TestGolden:
             "d112_b3": ["--degrees", "1,1,2", "--order-bound", "3"],
             "s5_b1": ["--group", "S5", "--order-bound", "1"],  # rank 7: 42 pairs a record
             "d1_b2": ["--degrees", "1", "--order-bound", "2"],  # rank 1: one-entry arrays
+            # Both flags away from their defaults: a record head other than the default one.
+            "s3_b2_flags": [
+                "--group", "S3", "--order-bound", "2",
+                "--no-require-dedekind", "--require-trivial-nonneg",
+            ],
         }[name]
         outputs = (("--out", "jsonl"), ("--summary-json", "json"), ("--csv", "csv"))
         paths = {flag: tmp_path / f"{name}.{ext}" for flag, ext in outputs}

@@ -184,7 +184,7 @@ class TestInternedPairTable:
 
     CACHES = (
         conditions._pair_row,
-        serialize._labels_text,
+        serialize._instance_texts,
         serialize._vector_text,
         serialize._pairs_text,
         serialize._reasons_text,
@@ -223,7 +223,9 @@ class TestInternedPairTable:
             seen += 1
         assert seen == 7 + 7**2 + 7**3 + 7**4 + 3**7 + 5**5
         assert conditions._pair_row.cache_info().hits > 0
-        assert serialize._pairs_text.cache_info().hits > 0
+        # a row's text is served from the cache: the same str object again
+        row = rep.cond_ii_rows[0]
+        assert serialize._pairs_text(row) is serialize._pairs_text(row)
 
     def test_negative_row_without_positive_order_is_its_own_row(self):
         # Row 1 of (0, -1) and of (-1, -1) share r and k; only the sign of
@@ -243,8 +245,12 @@ class TestInternedPairTable:
             bases[canonical_order(v)[0]] = ()
             serialize.render_report_json(check_instance(Instance((1,) * r, v), bases))
         for cache in self.CACHES:
+            if cache is serialize._pairs_text:
+                continue
             info = cache.cache_info()
             assert info.currsize <= info.maxsize, cache
+        # the row texts, cached by row object, drop the oldest once full
+        assert len(serialize._ROW_TEXTS) == serialize.TEXT_CACHE_SIZE
         # more distinct rows than it holds went through the row cache
         info = conditions._pair_row.cache_info()
         assert info.misses > info.maxsize == info.currsize

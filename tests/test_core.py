@@ -51,9 +51,10 @@ class TestOrderOf:
             order_of((2**40,), (2**30,))
 
     def test_sum_overflow(self):
-        # each product fits, the running sum does not
-        with pytest.raises(ArithmeticOverflowError):
-            order_of((2**33, 2**33, 2**33), (2**30, 2**30, 2**30))
+        # each product 2**62 fits, the running sum does not (2**33 * 2**30
+        # = 2**63 would already fail as a product)
+        with pytest.raises(ArithmeticOverflowError, match="accumulation"):
+            order_of((2**32, 2**32, 2**32), (2**30, 2**30, 2**30))
 
     def test_orders_validated_to_32_bits(self):
         with pytest.raises(ValueError):
@@ -301,6 +302,33 @@ class TestAdmissibility:
     def test_flags_off(self):
         ok, _ = is_admissible(Instance((1, 1), (0, -1), require_dedekind=False))
         assert ok
+
+    def test_overflow_is_a_hard_error(self):
+        # <d, v> skips validating the Instance's vectors again, not the
+        # overflow checks: order_of's bound and checked loop still apply.
+        with pytest.raises(ArithmeticOverflowError, match="leaves the 64-bit range"):
+            is_admissible(Instance((2**40,), (2**30,)))
+        # 2**33 * 2**30 = 2**63 is one past INT64_MAX
+        with pytest.raises(ArithmeticOverflowError):
+            is_admissible(Instance((2**33,) * 3, (2**30,) * 3))
+        # each product 2**62 fits, the running sum of two does not
+        with pytest.raises(ArithmeticOverflowError, match="accumulation"):
+            is_admissible(Instance((2**32,) * 3, (2**30,) * 3))
+        # with the Dedekind check off, no sum is taken
+        assert is_admissible(Instance((2**40,), (2**30,), require_dedekind=False)) == (True, ())
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_dedekind_sum_at_the_fast_path_bound(self, r):
+        # is_admissible takes <d, v> as the checked loop does, on both
+        # sides of the bound between one pass and that loop.
+        edge = INT64_MAX // (r * INT32_MAX)
+        for top in (edge, edge + 1):
+            for vj in (INT32_MAX, -INT32_MAX):
+                d, v = (top,) * r, (vj,) * r
+                s = _outcome(_checked_order, d, v)
+                if isinstance(s, int):
+                    s = (True, ()) if s >= 0 else (False, (f"dedekind:<d,v>={s}<0",))
+                assert _outcome(is_admissible, Instance(d, v)) == s
 
     def test_dedekind_lemma(self):
         # <d,v> >= 0 with all degrees >= 1 forces v = 0 or some v_j > 0

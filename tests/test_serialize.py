@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinhol import DegreeVector, Instance, SweepPlan, check_instance, get_group, sweep_reports
-from artinhol import serialize
+from artinhol import conditions, serialize
 from artinhol.conditions import ConditionReport
 from artinhol.hilbert import canonical_order
 from artinhol.errors import LengthMismatchError
@@ -342,12 +344,13 @@ def test_renderer_matches_reference_on_reasons_and_flags(degrees, orders, flags)
 
 
 def test_record_caches_never_go_stale():
-    # The text caches are keyed by value; an S4 B=1 sweep under two flag
-    # settings, interleaved, must render as the reference does whether
-    # every text comes from a warm cache or is rendered afresh.
+    # The text caches are keyed by value, and a pair-table row's text by
+    # the row object; an S4 B=1 sweep under two flag settings,
+    # interleaved, must render as the reference does whether every text
+    # comes from a warm cache or is rendered afresh.
     caches = [f for f in vars(serialize).values() if hasattr(f, "cache_clear")]
     assert {f.__name__ for f in caches} == {
-        "_labels_text", "_vector_text", "_pairs_text", "_reasons_text"
+        "_instance_texts", "_vector_text", "_pairs_text", "_reasons_text"
     }
     plan = SweepPlan(get_group("S4").degrees, 1, group="S4")
     flipped = SweepPlan(
@@ -366,6 +369,34 @@ def test_record_caches_never_go_stale():
                     cache.cache_clear()
             assert render_report_json(rep) == serialize.canonical_json(report_document(rep))
     assert serialize._vector_text.cache_info().currsize > 0
+    # Clearing the row cache in the middle of the records frees the rows
+    # of the reports already rendered and dropped, and builds new row
+    # objects, which may take their addresses: none may be served an old
+    # row's text.
+    del reports, rep
+    box = list(itertools.product(range(-1, 2), repeat=5))
+    bases = {}
+    for i, v in enumerate(box):
+        if i == len(box) // 2:
+            conditions._pair_row.cache_clear()
+        for p in (plan, flipped):
+            rep = check_instance(
+                Instance(
+                    p.degrees,
+                    v,
+                    require_dedekind=p.require_dedekind,
+                    require_trivial_nonneg=p.require_trivial_nonneg,
+                    group=p.group,
+                ),
+                bases,
+            )
+            assert render_report_json(rep) == serialize.canonical_json(report_document(rep))
+    # The cache holds every row it has rendered, so while the entry lives
+    # no other row can take that row's id.
+    row = (conditions.PairWitness(1, 2, None),)
+    held = sys.getrefcount(row)
+    serialize._pairs_text(row)
+    assert sys.getrefcount(row) == held + 1
 
 
 def test_summary_csv_shape():

@@ -315,13 +315,15 @@ class TestBasisCache:
         assert len(canon) < 729
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_vector_is_canonicalized_twice(self, tmp_path, monkeypatch, workers):
+    def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch, workers):
         # The task stream canonicalizes each vector in this process, in box
-        # order, to pick the bases its task ships; the process that checks
-        # the vector canonicalizes it again, to carry its basis back.  That
-        # is this process for one worker and a pool worker for two.  Forked
-        # workers inherit the patches, so each log line carries the pid of
-        # the process that wrote it and whether a check made the call.
+        # order, to pick the bases its task ships, and ships the (canon,
+        # perm) pair with the vector; the process that checks the vector
+        # carries its basis back through that pair, so no check
+        # canonicalizes again.  The checks run in this process for one
+        # worker and in a pool worker for two.  Forked workers inherit the
+        # patches, so each log line carries the pid of the process that
+        # wrote it and whether a check made the call.
         log = tmp_path / "calls.log"
         checked = tmp_path / "checked.log"
         in_check = []
@@ -334,12 +336,12 @@ class TestBasisCache:
 
         real = sweep.check_instance
 
-        def check(inst, *args):
+        def check(inst, *args, **kwargs):
             with open(checked, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} check {inst.orders.entries}\n")
+                fh.write(f"{os.getpid()} {inst.orders.entries}\n")
             in_check.append(inst)
             try:
-                return real(inst, *args)
+                return real(inst, *args, **kwargs)
             finally:
                 in_check.pop()
 
@@ -351,13 +353,10 @@ class TestBasisCache:
         run_sweep(SweepPlan(DegreeVector((1, 1, 2, 2)), 2, worker_count=workers))
         assert started == ([2] if workers == 2 else [])
         box = [str(v) for v in enumerate_order_vectors(4, 2)]
-        made = log.read_text().splitlines()
-        streamed = [line for line in made if " stream " in line]
-        assert streamed == [f"{os.getpid()} stream {v}" for v in box]
-        in_checks = [line for line in made if " check " in line]
-        assert sorted(in_checks) == sorted(checked.read_text().splitlines())
-        assert sorted(line.split(" ", 2)[2] for line in in_checks) == sorted(box)
-        checkers = {line.split(" ", 1)[0] for line in in_checks}
+        assert log.read_text().splitlines() == [f"{os.getpid()} stream {v}" for v in box]
+        checks = checked.read_text().splitlines()
+        assert sorted(line.split(" ", 1)[1] for line in checks) == sorted(box)
+        checkers = {line.split(" ", 1)[0] for line in checks}
         assert (str(os.getpid()) in checkers) == (workers == 1)
 
     def test_every_worker_count_is_handed_the_same_tasks(self, monkeypatch):
@@ -547,11 +546,20 @@ class TestChunkedPhaseTwo:
         plan = SweepPlan(DegreeVector((1,) * r), bound)
         tasks = list(_chunk_tasks(plan))
         assert all(len(task) == 3 and task[0] is plan for task in tasks)
-        slices = [vectors for _, vectors, _ in tasks]
+        slices = [[v for v, _ in vectors] for _, vectors, _ in tasks]
         assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
         first = {}
+        canons = {}
         for _, vectors, needed in tasks:
-            assert set(needed) == {canonical_order(v)[0] for v in vectors}
+            # each vector comes with its canonical_order pair, whose
+            # canonical vector is the very key of `needed` and one object
+            # for the whole sweep, so a pickled task holds it once
+            keys = {id(canon) for canon in needed}
+            for v, (canon, perm) in vectors:
+                assert (canon, perm) == canonical_order(v)
+                assert id(canon) in keys
+                assert canons.setdefault(canon, canon) is canon
+            assert set(needed) == {canonical_order(v)[0] for v, _ in vectors}
             for canon, elements in needed.items():
                 assert first.setdefault(canon, elements) is elements
         for canon, elements in first.items():
