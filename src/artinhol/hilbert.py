@@ -100,7 +100,9 @@ class HilbertBasis:
     def __post_init__(self):
         elems = tuple(tuple(e) for e in self.elements)
         object.__setattr__(self, "elements", elems)
-        _int_entries(itertools.chain.from_iterable(elems), "basis element")
+        entries = itertools.chain.from_iterable
+        if not set(map(type, entries(elems))) <= {int}:
+            _int_entries(entries(elems), "basis element")  # names the first non-int
         if self.source_engine not in ("oracle", "frontier"):
             raise ValueError(f"unknown engine tag {self.source_engine!r}")
         for e in elems:
@@ -108,7 +110,8 @@ class HilbertBasis:
                 raise ValueError("basis elements must be nonzero with entries >= 0")
         if elems and any(len(e) != len(elems[0]) for e in elems):
             raise ValueError("basis elements must share one rank")
-        if list(elems) != sorted(set(elems)):
+        # strictly increasing: lex-sorted with no element repeated
+        if not all(map(operator.lt, elems, elems[1:])):
             raise ValueError("basis elements must be lex-sorted and duplicate-free")
 
     def __len__(self) -> int:
@@ -141,12 +144,12 @@ def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
     return tuple(sorted(map(operator.itemgetter(*inverse), elements)))
 
 
-@dataclass(frozen=True)
-class FactorizationCount:
+class FactorizationCount(NamedTuple):
     """Number of basis factorizations of one element, with sample witnesses.
 
     Witnesses are coefficient vectors aligned with the (lex-sorted) basis
-    elements; at most two are kept.
+    elements; at most two are kept.  A plain record: it checks nothing, and
+    as a tuple it compares equal to a tuple of the same fields.
     """
 
     element: tuple[int, ...]
@@ -435,9 +438,14 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     and those with the default cap 2 share one memo.  The tables
     (_FactorTables) hold that packing and that memo; they are a field of
     the basis, excluded from comparison, hashing and repr, so they are
-    built once per basis and freed with it.  A search above t packs at its
-    own width where w0 is too narrow for max k, and a search above t or with
-    any other cap runs on a private memo, dropped when it returns.  Keeping
+    built once per basis and freed with it.  So the common call, at or under
+    t, only validates, reads w0, the packing and (cap 2) the shared memo
+    from the tables, packs k and searches: it asks no bound, works out no
+    width and packs no elements.  Only a search above t asks _search_bound,
+    works out its width, and packs at it where w0 is too narrow for max k;
+    a search above t or with any other cap runs on a private memo, dropped
+    when it returns.  Either way the at most two witness cells are decoded
+    into coefficient tuples once the search returns.  Keeping
     one shared memo per cap would not be bounded, since a caller may use
     any number of caps.  The bound: a state (i, rem) enters a memo only
     once it has passed the dead test, so i < m (at position m every
@@ -468,7 +476,11 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     if elems:
         tables = basis._factor_tables or _factor_tables(basis)
         top = max(kk)
-        if top > tables.threshold:
+        if top <= tables.threshold:
+            w = tables.width
+            guards, packed, dead = tables.packing
+            memo = tables.memo if cap == 2 else [{} for _ in elems]
+        else:
             states, steps = _search_bound(kk, elems)
             if steps > ENUMERATION_CAP:
                 raise CapExceededError(
@@ -480,18 +492,22 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
                     f"factorization search of {kk} may keep {states} states, over the "
                     f"state cap {_STATE_CAP}"
                 )
-        w = max(top.bit_length() + 1, tables.width)
-        guards, packed, dead = (
-            tables.packing if w == tables.width else _pack_tables(elems, w)
-        )
-        memo = tables.memo if cap == 2 and top <= tables.threshold else [{} for _ in elems]
+            w = max(top.bit_length() + 1, tables.width)
+            guards, packed, dead = tables.packing if w == tables.width else _pack_tables(elems, w)
+            memo = [{} for _ in elems]
         count, cells = _count_from(0, _pack(kk, w) | guards, packed, dead, guards, memo, cap)
-        witnesses = tuple([_coefficients(cell, len(elems)) for cell in cells])
     else:  # the empty basis generates only the identity
-        count, witnesses = (0, ()) if any(kk) else (1, ((),))
+        count, cells = _NONE if any(kk) else _EMPTY
     if count == 0:
         raise NotInHolError(f"{kk} is not generated by the basis (not in Hol)")
-    return FactorizationCount(kk, count, witnesses)
+    witnesses = []
+    for cell in cells:  # cons cells (i, c, tail) to coefficient tuples
+        coeffs = [0] * len(elems)
+        while cell is not None:
+            i, c, cell = cell
+            coeffs[i] = c
+        witnesses.append(tuple(coeffs))
+    return FactorizationCount(kk, count, tuple(witnesses))
 
 
 class _FactorTables(NamedTuple):
@@ -665,15 +681,6 @@ _EMPTY = (1, (None,))  # the zero remainder: one factorization, all multipliciti
 _NONE = (0, ())
 
 
-def _coefficients(cell, m: int) -> tuple[int, ...]:
-    """The coefficient tuple of a factorization given as cons cells."""
-    coeffs = [0] * m
-    while cell is not None:
-        i, c, cell = cell
-        coeffs[i] = c
-    return tuple(coeffs)
-
-
 def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None:
     """Element with two distinct basis factorizations, when |basis| > r.
 
@@ -691,11 +698,12 @@ def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None
     that shares its n with an earlier one, and x the first of those.
     Returns None when |basis| <= r (no relation is forced), and
     raises NoRelationError when no such pair exists, since the basis is
-    then not one of Hol.  Raises LengthMismatchError when r is not the
-    rank of a nonempty basis.
+    then not one of Hol.  Raises ValueError when r < 1, and
+    LengthMismatchError when r is not the rank of a nonempty basis.
     """
     elems = basis.elements
-    _int_value(r, "rank r")
+    if _int_value(r, "rank r") < 1:
+        raise ValueError(f"rank r must be >= 1, got {r}")
     if elems and r != len(elems[0]):
         raise LengthMismatchError(f"rank {r} given for a basis of rank {len(elems[0])}")
     if len(elems) <= r:

@@ -140,17 +140,18 @@ def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
     vectors of enumerate_order_vectors' box, each paired with its
     canonical_basis (canon, perm), the canonical bases those vectors
     need), each basis computed at the first vector swept to it.  A
-    canonical vector is one object throughout the sweep, the key of
-    `needed` included, so a pickled task holds it once."""
+    canonical vector or a permutation is one object throughout the sweep,
+    the key of `needed` included, so a pickled task holds it once."""
     box = enumerate_order_vectors(plan.degrees.rank, plan.order_bound)
     bases: dict[tuple[int, ...], Elements] = {}
-    canons: dict[tuple[int, ...], tuple[int, ...]] = {}
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     while chunk := list(itertools.islice(box, CHUNK_SIZE)):
         vectors = []
         needed = {}
         for v in chunk:
             canon, perm = canonical_basis(v, bases)
-            canon = canons.setdefault(canon, canon)
+            canon = interned.setdefault(canon, canon)
+            perm = interned.setdefault(perm, perm)
             needed[canon] = bases[canon]
             vectors.append((v, (canon, perm)))
         yield plan, vectors, needed

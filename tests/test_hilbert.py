@@ -21,6 +21,7 @@ from sympy.matrices.normalforms import (
 )
 
 from artinhol import (
+    FactorizationCount,
     HilbertBasis,
     count_factorizations,
     factorial_closed_form,
@@ -528,6 +529,20 @@ class TestCountFactorizations:
         iterations = dead.lookups - 1
         assert sum(map(len, memo)) < iterations <= steps
 
+    def test_result_is_a_plain_record(self):
+        # (4, 2) over (1, 0), (2, 1), (3, 2): (1, 0) + (3, 2) and 2 * (2, 1)
+        fc = count_factorizations((4, 2), hilbert_basis_oracle((2, -3)))
+        assert FactorizationCount._fields == ("element", "count", "witnesses")
+        assert fc == FactorizationCount((4, 2), 2, ((1, 0, 1), (0, 2, 0)))
+        assert fc == FactorizationCount(witnesses=((1, 0, 1), (0, 2, 0)), count=2, element=(4, 2))
+        assert fc == ((4, 2), 2, ((1, 0, 1), (0, 2, 0)))
+        assert (fc.element, fc.count, fc.witnesses) == tuple(fc)
+        with pytest.raises(AttributeError):
+            fc.count = 1
+        assert repr(fc) == (
+            "FactorizationCount(element=(4, 2), count=2, witnesses=((1, 0, 1), (0, 2, 0)))"
+        )
+
     def test_cap_saturates(self):
         basis = hilbert_basis_oracle((1, 1))
         # (2,2) factors as units in exactly one way... use a redundant basis
@@ -724,18 +739,39 @@ class TestFactorizationMemo:
             bound += (t + 1) ** len(covered)
         assert sum(map(len, shared_memo(basis))) <= bound <= len(elems) * (t + 1) ** r <= 2_000
 
-    def test_searches_off_the_shared_path_leave_its_memo_alone(self):
-        # Searches above the threshold, 169, each keep about 10,000 states,
-        # and a cap other than 2 keeps its own: none of them stays on the
+    def test_searches_off_the_shared_path_leave_its_memo_alone(self, monkeypatch):
+        # A default-cap search at or under the threshold, 169, asks no bound
+        # and packs no elements: it searches the shared memo with the
+        # tables' packing.  Searches above the threshold, each keeping about
+        # 10,000 states, ask the bound and pack at 15 bits, and they and a
+        # cap other than 2 search private memos: none of them stays on the
         # basis once it returns.
         basis = hilbert_basis_oracle((1, -1))
         assert count_factorizations((100, 100), basis).count == 1
+        tables = basis._factor_tables
         memo = shared_memo(basis)
+        calls, bounds, widths = spy_searches(monkeypatch), [], []
+        bound, pack = hilbert._search_bound, hilbert._pack_tables
+        monkeypatch.setattr(
+            hilbert, "_search_bound", lambda k, elems: bounds.append(k) or bound(k, elems)
+        )
+        monkeypatch.setattr(
+            hilbert, "_pack_tables", lambda elems, w: widths.append(w) or pack(elems, w)
+        )
+        assert count_factorizations((169, 20), basis).count == 1
+        [(_, _, packed, dead, guards, searched, cap)] = calls
+        assert searched is memo and cap == 2 and (bounds, widths) == ([], [])
+        assert (guards, packed, tuple(dead)) == tables.packing and packed is tables.packing[1]
         before = [dict(seen) for seen in memo]
         for y in range(6):
             assert count_factorizations((10000, y), basis).count == 1
         assert count_factorizations((100, 100), basis, cap=3).count == 1
-        assert shared_memo(basis) is memo and memo == before
+        assert bounds == [(10000, y) for y in range(6)] and widths == [15] * 6
+        private = [call[5] for call in calls[1:]]
+        assert len(private) == 7 and len(set(map(id, private))) == 7
+        assert all(seen is not memo for seen in private)
+        assert basis._factor_tables is tables and shared_memo(basis) is memo
+        assert memo == before
 
     def test_empty_basis_factors_only_the_identity(self):
         basis = hilbert_basis_oracle((-2, -1))
@@ -891,6 +927,13 @@ class TestNonuniquenessWitness:
             with pytest.raises(LengthMismatchError, match=f"rank {r} given for a basis of rank 2"):
                 nonuniqueness_witness(basis, r)
         assert nonuniqueness_witness(HilbertBasis((), "oracle"), 5) is None
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rank_must_be_at_least_one(self, r):
+        for basis in (hilbert_basis_oracle((2, -3)), HilbertBasis((), "oracle")):
+            with pytest.raises(ValueError) as err:
+                nonuniqueness_witness(basis, r)
+            assert str(err.value) == f"rank r must be >= 1, got {r}"
 
     @pytest.mark.parametrize("r", [True, 2.0, "2", None])
     def test_rank_must_be_an_int(self, r):

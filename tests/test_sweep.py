@@ -550,15 +550,18 @@ class TestChunkedPhaseTwo:
         assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
         first = {}
         canons = {}
+        perms = {}
         for _, vectors, needed in tasks:
             # each vector comes with its canonical_order pair, whose
-            # canonical vector is the very key of `needed` and one object
-            # for the whole sweep, so a pickled task holds it once
+            # canonical vector is the very key of `needed`; the canonical
+            # vector and the permutation are each one object for the whole
+            # sweep, so a pickled task holds each once
             keys = {id(canon) for canon in needed}
             for v, (canon, perm) in vectors:
                 assert (canon, perm) == canonical_order(v)
                 assert id(canon) in keys
                 assert canons.setdefault(canon, canon) is canon
+                assert perms.setdefault(perm, perm) is perm
             assert set(needed) == {canonical_order(v)[0] for v, _ in vectors}
             for canon, elements in needed.items():
                 assert first.setdefault(canon, elements) is elements
