@@ -9,18 +9,21 @@ through the sum-of-squares and divisibility laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import DegreeVector
+from .core import DegreeVector, _setattr, _Value
 
 
-@dataclass(frozen=True)
-class GroupEntry:
+class GroupEntry(_Value):
     """One catalog row: group name, order, degree vector."""
 
+    __slots__ = ("name", "order", "degrees")
     name: str
     order: int
     degrees: DegreeVector
+
+    def __init__(self, name: str, order: int, degrees: DegreeVector):
+        _setattr(self, "name", name)
+        _setattr(self, "order", order)
+        _setattr(self, "degrees", degrees)
 
     @property
     def class_count(self) -> int:

@@ -36,14 +36,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     Instance,
     OrdersLike,
     _int_entries,
     _int_value,
+    _setattr,
+    _Value,
     as_order_vector,
     is_admissible,
 )
@@ -65,15 +66,15 @@ from .hilbert import (
 )
 
 
-@dataclass(frozen=True)
-class SubsetSelector:
+class SubsetSelector(_Value):
     """Nonempty, strictly increasing 1-based index subset of {1..r}."""
 
+    __slots__ = ("indices",)
     indices: tuple[int, ...]
 
-    def __post_init__(self):
-        idx = _int_entries(self.indices, "subset")
-        object.__setattr__(self, "indices", idx)
+    def __init__(self, indices: Sequence[int]):
+        idx = _int_entries(indices, "subset")
+        _setattr(self, "indices", idx)
         if not idx:
             raise InvalidSubsetError("subset must be nonempty")
         if any(i < 1 for i in idx):
@@ -94,10 +95,21 @@ class PairWitness(NamedTuple):
     witness: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Value):
     """Per-instance verdicts and basis; the properties derive from the fields."""
 
+    __slots__ = (
+        "instance",
+        "admissible_reasons",
+        "hilbert_elements",
+        "factorial",
+        "cond_i",
+        "cond_ii",
+        "cond_ii_rows",
+        "cond_iii_m",
+        "cond_ii_prime",
+        "cond_ii_prime_failing",
+    )
     instance: Instance
     admissible_reasons: tuple[str, ...]
     hilbert_elements: tuple[tuple[int, ...], ...]
@@ -108,6 +120,30 @@ class ConditionReport:
     cond_iii_m: int | None
     cond_ii_prime: bool | None
     cond_ii_prime_failing: tuple[int, ...] | None
+
+    def __init__(
+        self,
+        instance: Instance,
+        admissible_reasons: tuple[str, ...],
+        hilbert_elements: tuple[tuple[int, ...], ...],
+        factorial: bool,
+        cond_i: bool,
+        cond_ii: bool,
+        cond_ii_rows: tuple[tuple[PairWitness, ...], ...],
+        cond_iii_m: int | None,
+        cond_ii_prime: bool | None,
+        cond_ii_prime_failing: tuple[int, ...] | None,
+    ):
+        _setattr(self, "instance", instance)
+        _setattr(self, "admissible_reasons", admissible_reasons)
+        _setattr(self, "hilbert_elements", hilbert_elements)
+        _setattr(self, "factorial", factorial)
+        _setattr(self, "cond_i", cond_i)
+        _setattr(self, "cond_ii", cond_ii)
+        _setattr(self, "cond_ii_rows", cond_ii_rows)
+        _setattr(self, "cond_iii_m", cond_iii_m)
+        _setattr(self, "cond_ii_prime", cond_ii_prime)
+        _setattr(self, "cond_ii_prime_failing", cond_ii_prime_failing)
 
     @property
     def admissible(self) -> bool:

@@ -8,7 +8,8 @@ the j-th generator at s0.  Orders add under multiplication, so the element
 k has order <k, v>, and k is holomorphic at s0 exactly when <k, v> >= 0.
 
 Exponent vectors are plain tuples of nonnegative ints throughout the
-package; order and degree vectors are small validated dataclasses.  All
+package; order and degree vectors are small validated value types, built
+on _Value, the base of every value type in the package.  All
 arithmetic is overflow-checked against the signed 64-bit range: orders are
 capped at 32 bits on input so that single products k_j * v_j cannot wrap,
 and running sums are verified term by term unless a bound on the entries
@@ -19,7 +20,6 @@ one by one only to name the first that fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence, Union
 
@@ -28,6 +28,69 @@ from .errors import ArithmeticOverflowError, LengthMismatchError
 INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
+
+
+_setattr = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types, read from __slots__.
+
+    A subclass lists its fields in __slots__, in constructor order; a slot
+    whose name starts with an underscore is private state outside them.
+    Its __init__ validates and converts its arguments and sets each slot
+    once with object.__setattr__.  The base compares two values of one
+    class field by field, hashes and shows the fields, refuses assignment
+    and deletion, and builds _replace's value through __init__, so that it
+    validates again.  Unpickling sets the fields a value was pickled with,
+    validated when it was built, without validating them again, and every
+    private slot to None.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _restore, (self.__class__, self._values())
+
+    def _replace(self, **changes):
+        """A value of this class with the given fields changed, validated
+        again by its constructor."""
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+
+def _restore(cls: type, values: tuple) -> _Value:
+    """The value of cls that _Value.__reduce__ pickled as its field values."""
+    value = cls.__new__(cls)
+    fields = dict(zip(cls._fields, values))
+    for name in cls.__slots__:
+        _setattr(value, name, fields.get(name))
+    return value
 
 
 def _int_entries(entries, what: str) -> tuple[int, ...]:
@@ -62,19 +125,19 @@ def validate_exponent_vector(k: Sequence[int], rank: int | None = None) -> tuple
     return kk
 
 
-@dataclass(frozen=True)
-class OrderVector:
+class OrderVector(_Value):
     """Order profile (ord f_1, ..., ord f_r) of the generators at s0.
 
     Entries are validated to the signed 32-bit range so every product
     k_j * v_j met downstream stays well inside 64 bits.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        ent = _int_entries(self.entries, "order vector")
-        object.__setattr__(self, "entries", ent)
+    def __init__(self, entries: Sequence[int]):
+        ent = _int_entries(entries, "order vector")
+        _setattr(self, "entries", ent)
         if not ent:
             raise ValueError("order vector must have rank >= 1")
         if max(ent) > INT32_MAX or min(ent) < -INT32_MAX:
@@ -93,8 +156,7 @@ def as_order_vector(v: OrdersLike) -> OrderVector:
     return v if isinstance(v, OrderVector) else OrderVector(v)
 
 
-@dataclass(frozen=True)
-class DegreeVector:
+class DegreeVector(_Value):
     """Character-degree vector d with every d[j] >= 1.
 
     Also the exponent vector of the Dedekind zeta function of the field,
@@ -103,11 +165,12 @@ class DegreeVector:
     by catalog.validate_catalog_entry.
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        ent = _int_entries(self.entries, "degree vector")
-        object.__setattr__(self, "entries", ent)
+    def __init__(self, entries: Sequence[int]):
+        ent = _int_entries(entries, "degree vector")
+        _setattr(self, "entries", ent)
         if not ent:
             raise ValueError("degree vector must have rank >= 1")
         if min(ent) < 1:
@@ -129,8 +192,7 @@ def check_flags(obj, *labels: str) -> None:
             raise TypeError(f"{name} must be a str or None, got {getattr(obj, name)!r}")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """One hypothetical situation: degrees, order profile, flags.
 
     degrees and orders may be given as DegreeVector and OrderVector or as
@@ -141,22 +203,37 @@ class Instance:
     inadmissible instances can be built, swept, and recorded.
     """
 
+    __slots__ = (
+        "degrees", "orders", "require_dedekind", "require_trivial_nonneg", "group", "s0_label"
+    )
     degrees: DegreeVector
     orders: OrderVector
-    require_dedekind: bool = True
-    require_trivial_nonneg: bool = False
-    group: str | None = None
-    s0_label: str | None = None
+    require_dedekind: bool
+    require_trivial_nonneg: bool
+    group: str | None
+    s0_label: str | None
 
-    def __post_init__(self):
-        if not isinstance(self.degrees, DegreeVector):
-            object.__setattr__(self, "degrees", DegreeVector(self.degrees))
-        if not isinstance(self.orders, OrderVector):
-            object.__setattr__(self, "orders", OrderVector(self.orders))
-        if self.degrees.rank != self.orders.rank:
-            raise LengthMismatchError(
-                f"degrees {self.degrees.rank} vs orders {self.orders.rank}"
-            )
+    def __init__(
+        self,
+        degrees: DegreeVector | Sequence[int],
+        orders: OrderVector | Sequence[int],
+        require_dedekind: bool = True,
+        require_trivial_nonneg: bool = False,
+        group: str | None = None,
+        s0_label: str | None = None,
+    ):
+        if not isinstance(degrees, DegreeVector):
+            degrees = DegreeVector(degrees)
+        if not isinstance(orders, OrderVector):
+            orders = OrderVector(orders)
+        _setattr(self, "degrees", degrees)
+        _setattr(self, "orders", orders)
+        _setattr(self, "require_dedekind", require_dedekind)
+        _setattr(self, "require_trivial_nonneg", require_trivial_nonneg)
+        _setattr(self, "group", group)
+        _setattr(self, "s0_label", s0_label)
+        if len(degrees.entries) != len(orders.entries):
+            raise LengthMismatchError(f"degrees {degrees.rank} vs orders {orders.rank}")
         check_flags(self, "group", "s0_label")
 
     @property

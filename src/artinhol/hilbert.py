@@ -65,13 +65,21 @@ report its basis this way, one basis per representative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import OrdersLike, _int_entries, _int_value, as_order_vector, validate_exponent_vector
+from .core import (
+    OrdersLike,
+    _int_entries,
+    _int_value,
+    _setattr,
+    _Value,
+    as_order_vector,
+    validate_exponent_vector,
+)
 from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotInHolError
 
 #: Hard cap on the oracle's region points, the frontier's explored nodes
@@ -86,25 +94,29 @@ _STATE_CAP = ENUMERATION_CAP // 10
 Elements = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
-    """Lex-sorted irreducible elements of Hol for one order profile."""
+class HilbertBasis(_Value):
+    """Lex-sorted irreducible elements of Hol for one order profile.
 
+    _factor_tables holds count_factorizations' tables and shared memo,
+    built on its first call; as a private slot it is no field, so it takes
+    no part in comparison, hashing, repr or pickling.
+    """
+
+    __slots__ = ("elements", "source_engine", "_factor_tables")
     elements: Elements
     source_engine: str
-    # count_factorizations' tables and shared memo, built on its first call.
-    _factor_tables: _FactorTables | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _factor_tables: _FactorTables | None
 
-    def __post_init__(self):
-        elems = tuple(tuple(e) for e in self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: Iterable[Sequence[int]], source_engine: str):
+        elems = tuple(tuple(e) for e in elements)
+        _setattr(self, "elements", elems)
+        _setattr(self, "source_engine", source_engine)
+        _setattr(self, "_factor_tables", None)
         entries = itertools.chain.from_iterable
         if not set(map(type, entries(elems))) <= {int}:
             _int_entries(entries(elems), "basis element")  # names the first non-int
-        if self.source_engine not in ("oracle", "frontier"):
-            raise ValueError(f"unknown engine tag {self.source_engine!r}")
+        if source_engine not in ("oracle", "frontier"):
+            raise ValueError(f"unknown engine tag {source_engine!r}")
         for e in elems:
             if not e or min(e) < 0 or not any(e):
                 raise ValueError("basis elements must be nonzero with entries >= 0")
@@ -140,8 +152,20 @@ def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
     """
     if len(perm) == 1:  # itemgetter of one index would return the entry itself
         return tuple(sorted(elements))
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple(sorted(map(operator.itemgetter(*inverse), elements)))
+    return tuple(sorted(map(_carrier(perm), elements)))
+
+
+#: Distinct permutations whose carriers are kept per process, as many as
+#: conditions.ROW_CACHE_SIZE keeps pair-table rows; S5 B=1 meets 1,312.
+CARRIER_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=CARRIER_CACHE_SIZE)
+def _carrier(perm: tuple[int, ...]) -> operator.itemgetter:
+    """The itemgetter that _carried maps over the elements for perm, of
+    length >= 2: coordinate j of the carried element is coordinate
+    inverse[j] of the element, for the inverse permutation of perm."""
+    return operator.itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
 
 
 class FactorizationCount(NamedTuple):
@@ -436,9 +460,9 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     Every search whose max k is at most the basis's threshold t (below)
     packs at the one width w0 = bit_length(max(t, largest basis entry)) + 1,
     and those with the default cap 2 share one memo.  The tables
-    (_FactorTables) hold that packing and that memo; they are a field of
-    the basis, excluded from comparison, hashing and repr, so they are
-    built once per basis and freed with it.  So the common call, at or under
+    (_FactorTables) hold that packing and that memo; they are a private
+    slot of the basis, outside comparison, hashing, repr and pickling, so
+    they are built once per basis and freed with it.  So the common call, at or under
     t, only validates, reads w0, the packing and (cap 2) the shared memo
     from the tables, packs k and searches: it asks no bound, works out no
     width and packs no elements.  Only a search above t asks _search_bound,
@@ -536,7 +560,7 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
             s -= 1
         w = max(s - 1, *map(max, elems)).bit_length() + 1
         tables = _FactorTables(s - 1, w, _pack_tables(elems, w), [{} for _ in elems])
-        object.__setattr__(basis, "_factor_tables", tables)
+        _setattr(basis, "_factor_tables", tables)
     return tables
 
 

@@ -31,13 +31,12 @@ import itertools
 import os
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import serialize
 from .conditions import ConditionReport, canonical_basis, check_instance
-from .core import DegreeVector, Instance, _int_value, check_flags
+from .core import DegreeVector, Instance, _int_value, _setattr, _Value, check_flags
 from .errors import CapExceededError, MixedPlansError
 from .hilbert import Elements
 
@@ -46,27 +45,52 @@ INSTANCE_CAP = 10_000_000
 #: Records per task, a contiguous run of the enumeration.
 CHUNK_SIZE = 256
 
-@dataclass(frozen=True)
-class SweepPlan:
+
+class SweepPlan(_Value):
     """One sweep: degrees (a DegreeVector, or a sequence of ints converted
     to one), box radius, flags, parallelism, output path."""
 
+    __slots__ = (
+        "degrees",
+        "order_bound",
+        "require_dedekind",
+        "require_trivial_nonneg",
+        "worker_count",
+        "out_path",
+        "group",
+    )
     degrees: DegreeVector
     order_bound: int
-    require_dedekind: bool = True
-    require_trivial_nonneg: bool = False
-    worker_count: int = 1
-    out_path: str | Path | None = None
-    group: str | None = None
+    require_dedekind: bool
+    require_trivial_nonneg: bool
+    worker_count: int
+    out_path: str | Path | None
+    group: str | None
 
-    def __post_init__(self):
-        if not isinstance(self.degrees, DegreeVector):
+    def __init__(
+        self,
+        degrees: DegreeVector | Sequence[int],
+        order_bound: int,
+        require_dedekind: bool = True,
+        require_trivial_nonneg: bool = False,
+        worker_count: int = 1,
+        out_path: str | Path | None = None,
+        group: str | None = None,
+    ):
+        if not isinstance(degrees, DegreeVector):
             try:
-                object.__setattr__(self, "degrees", DegreeVector(self.degrees))
+                degrees = DegreeVector(degrees)
             except TypeError as err:
                 raise TypeError(
-                    f"degrees must be a DegreeVector or a sequence of ints, got {self.degrees!r}"
+                    f"degrees must be a DegreeVector or a sequence of ints, got {degrees!r}"
                 ) from err
+        _setattr(self, "degrees", degrees)
+        _setattr(self, "order_bound", order_bound)
+        _setattr(self, "require_dedekind", require_dedekind)
+        _setattr(self, "require_trivial_nonneg", require_trivial_nonneg)
+        _setattr(self, "worker_count", worker_count)
+        _setattr(self, "out_path", out_path)
+        _setattr(self, "group", group)
         for name in ("order_bound", "worker_count"):
             if _int_value(getattr(self, name), name) < 1:
                 raise ValueError(f"{name.replace('_', ' ')} must be >= 1")
@@ -74,8 +98,7 @@ class SweepPlan:
         _box_size(self.degrees.rank, self.order_bound)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(_Value):
     """Aggregate counts for one sweep.
 
     Condition statistics and the size histogram cover admissible instances
@@ -84,11 +107,28 @@ class SweepSummary:
     the second one's.
     """
 
+    __slots__ = (
+        "total", "cond_i_true", "factorial_not_i", "hilbert_histogram", "counterexamples"
+    )
     total: int
     cond_i_true: int
     factorial_not_i: int
     hilbert_histogram: tuple[tuple[int, int], ...]
     counterexamples: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        total: int,
+        cond_i_true: int,
+        factorial_not_i: int,
+        hilbert_histogram: tuple[tuple[int, int], ...],
+        counterexamples: tuple[tuple[int, ...], ...],
+    ):
+        _setattr(self, "total", total)
+        _setattr(self, "cond_i_true", cond_i_true)
+        _setattr(self, "factorial_not_i", factorial_not_i)
+        _setattr(self, "hilbert_histogram", hilbert_histogram)
+        _setattr(self, "counterexamples", counterexamples)
 
     def __add__(self, other: SweepSummary) -> SweepSummary:
         histogram = Counter(dict(self.hilbert_histogram))
@@ -290,14 +330,29 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     """Execute the plan: write each chunk's records and add its summary,
     in chunk order.  The chunks run through the imap of one Pool of n
     processes, n the least of the workers, the chunks and the usable
-    CPUs, if n > 1; else through the builtin map, in this process."""
+    CPUs, if n > 1; else through the builtin map, in this process.
+
+    When a chunk fails in a pool, or writing its records does, the pool
+    is sent no further task and finishes the tasks it has before it is
+    torn down: a worker terminated while it sends a result would leave the
+    result queue's lock held, and the teardown would wait on it forever.
+    """
     summary = summarize(())
     with _replacing(plan.out_path) as fh:
         chunks = -(-_box_size(plan.degrees.rank, plan.order_bound) // CHUNK_SIZE)
         n = min(plan.worker_count, chunks, _usable_cpus())
+        failed = []
+        tasks = itertools.takewhile(lambda _: not failed, _chunk_tasks(plan))
         with Pool(n) if n > 1 else nullcontext() as pool:
-            for lines, part in (pool.imap if n > 1 else map)(_run_chunk, _chunk_tasks(plan)):
-                if fh is not None:
-                    fh.writelines(lines)
-                summary += part
+            try:
+                for lines, part in (pool.imap if n > 1 else map)(_run_chunk, tasks):
+                    if fh is not None:
+                        fh.writelines(lines)
+                    summary += part
+            except Exception:
+                if n > 1:
+                    failed.append(True)
+                    pool.close()
+                    pool.join()
+                raise
     return summary

@@ -255,10 +255,8 @@ def test_criterion_9_determinism_and_interfaces(tmp_path):
     assert garbled.returncode == 2
     # the exit-1 branch is unreachable through the real pipeline (the four
     # criteria provably agree); the mapping itself is pinned synthetically
-    import dataclasses
-
     rep = check_instance(Instance((1, 1), (1, -1)))
-    broken = dataclasses.replace(rep, cond_i=True)
+    broken = rep._replace(cond_i=True)
     assert broken.equivalence_ok is False
     assert exit_code_for_report(broken) == 1
     _passed(9, "determinism, golden bytes, exit codes")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +13,24 @@ from artinhol import (
     DegreeVector,
     Instance,
     OrderVector,
+    SubsetSelector,
+    SweepPlan,
+    check_instance,
+    get_group,
     is_admissible,
     is_member_hol,
     order_of,
     validate_exponent_vector,
 )
+from artinhol.conditions import cross_checked_basis
 from artinhol.core import INT32_MAX, INT64_MAX, INT64_MIN
 from artinhol.errors import (
     ArithmeticOverflowError,
+    InvalidSubsetError,
     LengthMismatchError,
     NotInHolError,
 )
+from artinhol.sweep import summarize, sweep_reports
 from conftest import divides_ar, divides_hol
 
 BOX2 = list(itertools.product(range(-3, 4), repeat=2))
@@ -387,3 +395,131 @@ class TestDegreeVector:
     def test_degrees_at_least_one(self):
         with pytest.raises(ValueError):
             DegreeVector((1, 0))
+
+
+# One value of each of the package's nine value types, built afresh on
+# each call; its repr, pinned as the frozen dataclasses these types once
+# were printed it; its fields in constructor order; and a change that
+# _replace must refuse, with the error and message the constructor gives,
+# or None for a type that checks nothing.
+VALUES = {
+    "OrderVector": (
+        lambda: OrderVector((1, -2)),
+        "OrderVector(entries=(1, -2))",
+        ("entries",),
+        ({"entries": ()}, ValueError, "order vector must have rank >= 1"),
+    ),
+    "DegreeVector": (
+        lambda: DegreeVector((1, 1, 2)),
+        "DegreeVector(entries=(1, 1, 2))",
+        ("entries",),
+        ({"entries": (1, 0)}, ValueError, "degrees must be >= 1, got 0"),
+    ),
+    "Instance": (
+        lambda: Instance((1, 1, 2), (1, -1, 0), group="S3", s0_label="s0"),
+        "Instance(degrees=DegreeVector(entries=(1, 1, 2)), orders=OrderVector(entries=(1, -1, 0)),"
+        " require_dedekind=True, require_trivial_nonneg=False, group='S3', s0_label='s0')",
+        ("degrees", "orders", "require_dedekind", "require_trivial_nonneg", "group", "s0_label"),
+        ({"orders": (1, -1)}, LengthMismatchError, "degrees 3 vs orders 2"),
+    ),
+    "HilbertBasis": (
+        lambda: cross_checked_basis((2, -3)),
+        "HilbertBasis(elements=((1, 0), (2, 1), (3, 2)), source_engine='oracle')",
+        ("elements", "source_engine"),
+        ({"source_engine": "lattice"}, ValueError, "unknown engine tag 'lattice'"),
+    ),
+    "SubsetSelector": (
+        lambda: SubsetSelector((1, 3)),
+        "SubsetSelector(indices=(1, 3))",
+        ("indices",),
+        ({"indices": (3, 1)}, InvalidSubsetError, "subset indices must be strictly increasing"),
+    ),
+    "ConditionReport": (
+        lambda: check_instance(Instance((1, 1), (1, -1))),
+        "ConditionReport(instance=Instance(degrees=DegreeVector(entries=(1, 1)),"
+        " orders=OrderVector(entries=(1, -1)), require_dedekind=True,"
+        " require_trivial_nonneg=False, group=None, s0_label=None), admissible_reasons=(),"
+        " hilbert_elements=((1, 0), (1, 1)), factorial=True, cond_i=False, cond_ii=False,"
+        " cond_ii_rows=((PairWitness(k=1, l=2, witness=(1, 0)),),"
+        " (PairWitness(k=2, l=1, witness=None),)), cond_iii_m=None, cond_ii_prime=False,"
+        " cond_ii_prime_failing=(2,))",
+        (
+            "instance",
+            "admissible_reasons",
+            "hilbert_elements",
+            "factorial",
+            "cond_i",
+            "cond_ii",
+            "cond_ii_rows",
+            "cond_iii_m",
+            "cond_ii_prime",
+            "cond_ii_prime_failing",
+        ),
+        None,
+    ),
+    "SweepPlan": (
+        lambda: SweepPlan((1, 1, 2), 2, out_path="out.jsonl", group="S3"),
+        "SweepPlan(degrees=DegreeVector(entries=(1, 1, 2)), order_bound=2, require_dedekind=True,"
+        " require_trivial_nonneg=False, worker_count=1, out_path='out.jsonl', group='S3')",
+        (
+            "degrees",
+            "order_bound",
+            "require_dedekind",
+            "require_trivial_nonneg",
+            "worker_count",
+            "out_path",
+            "group",
+        ),
+        ({"order_bound": 0}, ValueError, "order bound must be >= 1"),
+    ),
+    "SweepSummary": (
+        lambda: summarize(sweep_reports(SweepPlan((1, 1), 1, require_dedekind=False))),
+        "SweepSummary(total=9, cond_i_true=4, factorial_not_i=2,"
+        " hilbert_histogram=((0, 1), (1, 2), (2, 6)), counterexamples=())",
+        ("total", "cond_i_true", "factorial_not_i", "hilbert_histogram", "counterexamples"),
+        None,
+    ),
+    "GroupEntry": (
+        lambda: get_group("S3"),
+        "GroupEntry(name='S3', order=6, degrees=DegreeVector(entries=(1, 1, 2)))",
+        ("name", "order", "degrees"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_type_contract(name):
+    make, text, fields, refused = VALUES[name]
+    value, twin = make(), make()
+    assert type(value).__name__ == name and repr(value) == text
+    values = tuple(getattr(value, f) for f in fields)
+    # equality within the class only, field by field, and hashing to match
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert value != values and values != value
+    assert type(value)(*values) == value
+    if name in ("OrderVector", "DegreeVector"):  # one field of one value, two classes
+        assert OrderVector((1,)) != DegreeVector((1,)) and DegreeVector((1,)) != OrderVector((1,))
+        assert OrderVector((1,)) != (1,) and DegreeVector((1,)) != ((1,),)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, f, getattr(value, f))
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+    assert value == twin
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value and hash(back) == hash(value)
+    assert repr(back) == text
+    # _replace keeps the unchanged fields and builds through the constructor
+    assert value._replace() == value and value._replace() is not value
+    last = fields[-1]
+    assert value._replace(**{last: getattr(twin, last)}) == value
+    with pytest.raises(TypeError):
+        value._replace(unknown=1)
+    if refused is not None:
+        change, error, message = refused
+        with pytest.raises(error) as err:
+            value._replace(**change)
+        assert str(err.value) == message

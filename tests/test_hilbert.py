@@ -296,6 +296,14 @@ class TestCarriedBack:
         assert hilbert._carried(((1,),), (0,)) == ((1,),)
         assert hilbert._carried((), (0,)) == ()
 
+    def test_one_carrier_per_permutation(self):
+        # a sweep carries many vectors through one permutation; its
+        # itemgetter is built once, in a bounded cache
+        carrier = hilbert._carrier((1, 3, 0, 2))
+        assert hilbert._carrier(tuple([1, 3, 0, 2])) is carrier
+        assert carrier((10, 11, 12, 13)) == (12, 10, 13, 11)
+        assert hilbert._carrier.cache_info().maxsize == hilbert.CARRIER_CACHE_SIZE
+
     def test_tied_entries_are_carried_in_order(self):
         # ties sort stably: (2, -1, 2, -1) has perm (1, 3, 0, 2)
         canon, perm = hilbert.canonical_order((2, -1, 2, -1))
@@ -669,6 +677,7 @@ class TestFactorizationMemo:
         assert repr(warm) == repr(fresh)
         back = pickle.loads(pickle.dumps(warm))
         assert back == fresh and hash(back) == hash(fresh)
+        assert back._factor_tables is None  # the tables are not pickled
         assert self._outcome((3, 2, 1), back, 2) == self._outcome((3, 2, 1), fresh, 2)
 
     def test_tables_are_built_once_per_basis(self, monkeypatch):

@@ -3,7 +3,8 @@
 Reads the sources with ast, so nothing is imported.  An import under
 `if TYPE_CHECKING:` serves annotations only and is left out of the graph.
 The one exception runs the package in a fresh interpreter, to show that
-multiprocessing is loaded only for a pool.
+multiprocessing is loaded only for a pool, and dataclasses and inspect
+never.
 """
 
 from __future__ import annotations
@@ -77,6 +78,22 @@ def test_no_function_imports_from_the_package():
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_imports_from_the_package(node) for node in ast.walk(fn))
+    ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # The value types build on core._Value; dataclasses would load inspect,
+    # ast, dis and tokenize into every run.
+    found = [
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (
+            isinstance(node, ast.Import)
+            and any(alias.name == "dataclasses" for alias in node.names)
+        )
     ]
     assert found == []
 
@@ -169,13 +186,18 @@ def test_one_reduction_for_both_hilbert_engines():
 
 def test_multiprocessing_is_imported_only_for_a_pool():
     # sweep.Pool imports multiprocessing when a sweep starts a pool, so
-    # importing the package and running a serial sweep never load it.
+    # importing the package and running a serial sweep never load it; and
+    # no run loads dataclasses or the inspect it imports.
     script = (
         "import sys, artinhol\n"
-        "assert 'multiprocessing' not in sys.modules, 'import artinhol'\n"
+        "def unloaded(*names):\n"
+        "    return not set(names) & sys.modules.keys()\n"
+        "assert unloaded('multiprocessing', 'dataclasses', 'inspect'), 'import artinhol'\n"
         "from artinhol import cli\n"
         "assert cli.main(['sweep', '--degrees', '1,1,2', '--order-bound', '4']) == 0\n"
-        "assert 'multiprocessing' not in sys.modules, 'serial sweep'\n"
+        "assert unloaded('multiprocessing', 'dataclasses', 'inspect'), 'serial sweep'\n"
+        "assert cli.main(['check', '--degrees', '1,1,2', '--orders', '1,-1,0']) == 0\n"
+        "assert unloaded('dataclasses', 'inspect'), 'check'\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script],

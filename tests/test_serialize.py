@@ -116,9 +116,7 @@ def test_exit_code_contract():
 
     # the pipeline never produces a failed equivalence (the four criteria
     # provably agree), so the exit-1 branch is exercised synthetically
-    import dataclasses
-
-    broken = dataclasses.replace(rep, cond_i=True)
+    broken = rep._replace(cond_i=True)
     assert isinstance(broken, ConditionReport)
     assert broken.equivalence_ok is False
     assert exit_code_for_report(broken) == 1

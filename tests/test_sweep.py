@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import multiprocessing.pool
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -82,7 +82,7 @@ class TestEnumerate:
         assert str(err.value) == message
         plan = SweepPlan(DegreeVector((1,) * 10), 1)
         with pytest.raises(CapExceededError, match="exceeds cap"):
-            replace(plan, order_bound=3)
+            plan._replace(order_bound=3)
 
     def test_oversized_box_starts_no_pool_and_leaves_no_file(self, tmp_path, monkeypatch):
         # The plan refuses the box when it is built, so no sweep starts.
@@ -166,7 +166,7 @@ class TestRunSweep:
             worker_count=2,
         )
         bare = run_sweep(plan)
-        written = run_sweep(replace(plan, out_path=tmp_path / "records.jsonl"))
+        written = run_sweep(plan._replace(out_path=tmp_path / "records.jsonl"))
         assert render_summary_json(bare) == render_summary_json(written)
         assert render_summary_csv(bare) == render_summary_csv(written)
 
@@ -184,13 +184,13 @@ class TestRunSweep:
         plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=8)
         out1 = tmp_path / "w1.jsonl"
         out8 = tmp_path / "w8.jsonl"
-        run_sweep(replace(plan, worker_count=1, out_path=out1))
+        run_sweep(plan._replace(worker_count=1, out_path=out1))
         assert started == []
         # a box of one chunk runs in this process whatever the workers
-        run_sweep(replace(plan, order_bound=1))
+        run_sweep(plan._replace(order_bound=1))
         assert started == []
         # 729 records: two full chunks and a partial one
-        run_sweep(replace(plan, out_path=out8))
+        run_sweep(plan._replace(out_path=out8))
         assert started == [3]
         assert out8.read_bytes() == out1.read_bytes()
 
@@ -214,7 +214,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "Pool", FakePool)
         plan = SweepPlan(DegreeVector((1, 1, 2, 2)), 3, worker_count=100_000)
         assert sum(1 for _ in _chunk_tasks(plan)) == 10  # 2,401 records
-        serial = run_sweep(replace(plan, worker_count=1))
+        serial = run_sweep(plan._replace(worker_count=1))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
         assert run_sweep(plan) == serial
         assert started == [3]
@@ -374,7 +374,7 @@ class TestBasisCache:
         started = _logged_pool(monkeypatch)
         # 729 records, three chunks
         plan = SweepPlan(DegreeVector((1, 1, 2)), 4)
-        summaries = [run_sweep(replace(plan, worker_count=n)) for n in (1, 2)]
+        summaries = [run_sweep(plan._replace(worker_count=n)) for n in (1, 2)]
         assert started == [2]
         assert summaries[0] == summaries[1]
         assert len(handed[1]) == 3
@@ -394,11 +394,11 @@ class TestBasisCache:
         _logged_pool(monkeypatch)
         plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers)
         paths = [tmp_path / f"{name}.jsonl" for name in ("before", "patched", "after")]
-        run_sweep(replace(plan, out_path=paths[0]))
+        run_sweep(plan._replace(out_path=paths[0]))
         with monkeypatch.context() as patch:
             patch.setattr(conditions, "cross_checked_basis", units)
-            run_sweep(replace(plan, out_path=paths[1]))
-        run_sweep(replace(plan, out_path=paths[2]))
+            run_sweep(plan._replace(out_path=paths[1]))
+        run_sweep(plan._replace(out_path=paths[2]))
         before, patched, after = (path.read_bytes() for path in paths)
         assert patched != before
         assert after == before
@@ -622,13 +622,60 @@ class TestChunkedPhaseTwo:
         else:
             assert list(tmp_path.iterdir()) == []
 
+    def test_a_failed_pool_is_sent_no_more_tasks_and_finishes_before_teardown(
+        self, monkeypatch
+    ):
+        # Terminating a worker while it sends a result can leave the result
+        # queue locked and hang the teardown; after a failure the pool gets
+        # no further task, is closed and joined, and only then torn down,
+        # with every worker exited by itself.
+        calls = []
+
+        class RecordingPool(multiprocessing.pool.Pool):
+            def close(self):
+                calls.append("close")
+                super().close()
+
+            def join(self):
+                calls.append("join")
+                super().join()
+
+            def terminate(self):
+                calls.append(("terminate", {p.exitcode for p in self._pool}))
+                super().terminate()
+
+        monkeypatch.setattr(sweep, "Pool", RecordingPool)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        pulled = []
+        tasks = sweep._chunk_tasks
+
+        def counted(plan):
+            for task in tasks(plan):
+                pulled.append(len(pulled))
+                yield task
+
+        monkeypatch.setattr(sweep, "_chunk_tasks", counted)
+        real = sweep.check_instance
+
+        def failing(inst, *args):  # (-3, -3, 3, -3, 3) is record 300, in the second chunk
+            if inst.orders.entries == (-3, -3, 3, -3, 3):
+                raise RuntimeError("check failed")
+            return real(inst, *args)
+
+        monkeypatch.setattr(sweep, "check_instance", failing)
+        plan = SweepPlan(DegreeVector((1,) * 5), 3, worker_count=2)
+        with pytest.raises(RuntimeError, match="check failed"):
+            run_sweep(plan)
+        assert calls == ["close", "join", ("terminate", {0})]
+        assert len(pulled) < 66 // 2  # of 7^5 = 16,807 records, 66 chunks
+
 
 class TestTallyMerge:
     def _reports(self):
         reports = sweep_reports(SweepPlan(DegreeVector((1, 1, 2)), 2))
         # Real sweeps hold no counterexamples; flipping ii makes some.
         return [
-            replace(rep, cond_ii=not rep.cond_ii) if i % 17 == 3 and rep.admissible else rep
+            rep._replace(cond_ii=not rep.cond_ii) if i % 17 == 3 and rep.admissible else rep
             for i, rep in enumerate(reports)
         ]
 
@@ -666,7 +713,7 @@ class TestCounterexamples:
         assert chunks == sorted(chunks)
         assert set(chunks) == {0, 1, 2}
         for workers in (1, 2):
-            assert run_sweep(replace(plan, worker_count=workers)) == expected
+            assert run_sweep(plan._replace(worker_count=workers)) == expected
         argv = ["sweep", "--degrees", "1,1,2", "--order-bound", "4", "--workers", "2"]
         assert cli.main(argv) == 1
         out = capsys.readouterr().out
