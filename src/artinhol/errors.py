@@ -50,3 +50,7 @@ class CapExceededError(ArtinHolError):
 
 class MixedPlansError(ArtinHolError):
     """Records from different sweep plans were mixed into one summary."""
+
+
+class WorkerDiedError(ArtinHolError):
+    """A sweep's pool worker exited before it returned a chunk's result."""

@@ -22,14 +22,17 @@ chunk order, so the output bytes do not depend on the worker count.
 The worker count only chooses the mapper: with one worker, or a box of
 one chunk, the builtin map runs the chunks in this process,
 sweep_reports walks the same stream, and multiprocessing is never
-imported: Pool imports it when it is called.
+imported: Pool imports it when it starts.  Otherwise the chunks go
+through Pool, whose workers have a pipe each and are fed from this
+process's one thread, at most _IN_FLIGHT chunks per worker; a worker
+that dies fails the sweep with WorkerDiedError.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -37,7 +40,7 @@ from typing import Iterable, Iterator, Sequence
 from . import serialize
 from .conditions import ConditionReport, canonical_basis, check_instance
 from .core import DegreeVector, Instance, _int_value, _setattr, _Value, check_flags
-from .errors import CapExceededError, MixedPlansError
+from .errors import CapExceededError, MixedPlansError, WorkerDiedError
 from .hilbert import Elements
 
 INSTANCE_CAP = 10_000_000
@@ -206,12 +209,165 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def Pool(processes: int):
-    """multiprocessing.Pool(processes), imported only when a sweep starts a
-    pool, so a serial sweep never loads multiprocessing."""
-    import multiprocessing
+#: Tasks a pool worker holds at once: the one it runs and one queued, so
+#: that it starts its next chunk as soon as it has sent a result.
+_IN_FLIGHT = 2
 
-    return multiprocessing.Pool(processes)
+
+class Pool:
+    """`processes` worker processes, each with a pipe of its own, fed from
+    the caller's thread: the pool starts no thread.
+
+    A pool serves one imap(func, tasks), which sends each worker at most
+    _IN_FLIGHT tasks at once and yields func(task) in task order, so
+    output does not depend on which worker ran a task.  A worker sends a
+    task's result only once the pool's next message to it, a task or the
+    stop message, has arrived; so the two ends of a pipe never both wait
+    to send, whatever the size of a task or a result.  An exception raised by func is raised from imap; a worker
+    that exits without returning its task's result raises WorkerDiedError,
+    naming its exit code and the first vector of the chunk it held.
+
+    close() sends each worker the stop message; join() then reads and
+    drops the results still pending and waits for the workers to exit.
+    terminate(), which leaving a with block calls, kills the workers: no
+    lock or queue is shared, so that is safe at any moment.
+    multiprocessing is imported only when a Pool starts, so a serial sweep
+    never loads it.  Workers start by the platform's default method, fork
+    on Linux, as multiprocessing.Pool's do; the parent runs no other
+    thread a fork could copy mid-operation.
+    """
+
+    def __init__(self, processes: int):
+        import multiprocessing
+
+        self._workers = []  # (process, the pool's end of its pipe)
+        self._pending = deque()  # (worker index, task) in task order
+        self._open = set()  # workers not yet sent the stop message
+        try:
+            for i in range(processes):
+                ours, theirs = multiprocessing.Pipe()
+                # A forked worker inherits the pool's end of its own pipe
+                # and of every earlier worker's; it closes them, so that it
+                # reads EOF once the pool's process is gone.
+                held = [conn for _, conn in self._workers] + [ours]
+                proc = multiprocessing.Process(target=_serve, args=(theirs, held), daemon=True)
+                proc.start()
+                theirs.close()
+                self._workers.append((proc, ours))
+                self._open.add(i)
+        except BaseException:
+            self.terminate()
+            raise
+
+    def __enter__(self) -> Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.terminate()
+
+    def imap(self, func, iterable: Iterable) -> Iterator:
+        tasks = iter(iterable)
+        for _ in range(_IN_FLIGHT):
+            for i in range(len(self._workers)):
+                self._feed(i, func, tasks)
+        while self._pending:
+            i, task = self._pending.popleft()
+            ok, value = self._receive(i, task)
+            if not ok:
+                exc, trace = value
+                raise exc from _WorkerTraceback(trace)
+            self._feed(i, func, tasks)
+            yield value
+
+    def close(self) -> None:
+        """Send every worker the stop message: each returns the results of
+        the tasks it holds and exits."""
+        for i in sorted(self._open):
+            self._stop(i)
+
+    def join(self) -> None:
+        """Read and drop the results still pending, then wait for every
+        worker to exit.  close() must come first."""
+        while self._pending:
+            i, _ = self._pending.popleft()
+            try:
+                self._workers[i][1].recv()
+            except (EOFError, ConnectionResetError):
+                pass  # that worker has died; its later results raise the same
+        for proc, _ in self._workers:
+            proc.join()
+
+    def terminate(self) -> None:
+        """Kill the workers, wait for them and close their pipes."""
+        self._open.clear()
+        self._pending.clear()
+        for proc, _ in self._workers:
+            proc.terminate()
+        for proc, conn in self._workers:
+            proc.join()
+            conn.close()
+
+    def _feed(self, i: int, func, tasks: Iterator) -> None:
+        """Send worker i the next task, or the stop message if none is left."""
+        if i not in self._open:
+            return
+        try:
+            task = next(tasks)
+        except StopIteration:
+            return self._stop(i)
+        self._pending.append((i, task))
+        self._send(i, (func, task))
+
+    def _stop(self, i: int) -> None:
+        self._open.discard(i)
+        self._send(i, None)
+
+    def _send(self, i: int, message) -> None:
+        try:
+            self._workers[i][1].send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the worker has died: reading its oldest pending result raises
+
+    def _receive(self, i: int, task):
+        proc, conn = self._workers[i]
+        try:
+            return conn.recv()
+        except (EOFError, ConnectionResetError):
+            proc.join()
+            raise WorkerDiedError(
+                f"worker process exited with code {proc.exitcode} "
+                f"in the chunk that starts at v={task[1][0][0]}"
+            ) from None
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a pool worker: the cause of
+    the same exception raised again from Pool.imap."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _serve(conn, inherited) -> None:
+    """A Pool worker: run each (func, task) it is sent and send back
+    (True, func(task)) or (False, (the exception raised, its traceback)),
+    each once the next message has arrived, until the stop message None."""
+    for other in inherited:
+        other.close()
+    try:
+        message = conn.recv()
+        while message is not None:
+            func, task = message
+            try:
+                result = True, func(task)
+            except Exception as exc:
+                import traceback
+
+                result = False, (exc, traceback.format_exc())
+            message = conn.recv()
+            conn.send(result)
+    except EOFError:
+        pass  # the pool's process is gone
 
 
 def _chunk_reports(
@@ -333,9 +489,12 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     CPUs, if n > 1; else through the builtin map, in this process.
 
     When a chunk fails in a pool, or writing its records does, the pool
-    is sent no further task and finishes the tasks it has before it is
-    torn down: a worker terminated while it sends a result would leave the
-    result queue's lock held, and the teardown would wait on it forever.
+    is sent no further task, and its workers finish the tasks they hold
+    and exit before it is torn down.  Pool could be torn down at once, but
+    the same path serves a multiprocessing.Pool, which the benchmark's
+    tracing swaps in: a worker of that pool terminated while it sends a
+    result would leave its result queue's lock held, and the teardown
+    would wait on it forever.
     """
     summary = summarize(())
     with _replacing(plan.out_path) as fh:

@@ -2,9 +2,10 @@
 
 Reads the sources with ast, so nothing is imported.  An import under
 `if TYPE_CHECKING:` serves annotations only and is left out of the graph.
-The one exception runs the package in a fresh interpreter, to show that
+The two exceptions run the package in a fresh interpreter, to show that
 multiprocessing is loaded only for a pool, and dataclasses and inspect
-never.
+never, and that a pooled sweep runs in one thread of its process and
+loads neither multiprocessing.pool nor queue.
 """
 
 from __future__ import annotations
@@ -201,6 +202,35 @@ def test_multiprocessing_is_imported_only_for_a_pool():
     )
     res = subprocess.run(
         [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_a_pooled_sweep_starts_no_thread_and_loads_no_stdlib_pool(tmp_path):
+    # sweep.Pool feeds its workers from the caller's thread, one pipe each:
+    # the parent runs one thread while it writes, and neither
+    # multiprocessing.pool nor the queue module it uses is loaded.
+    script = (
+        "import sys, threading\n"
+        "from artinhol import cli, sweep\n"
+        "sweep._usable_cpus = lambda: 2\n"
+        "add, threads = sweep.SweepSummary.__add__, []\n"
+        "def counted(self, other):\n"
+        "    threads.append(threading.active_count())\n"
+        "    return add(self, other)\n"
+        "sweep.SweepSummary.__add__ = counted\n"
+        "argv = ['sweep', '--degrees', '1,1,2', '--order-bound', '4', '--workers', '2']\n"
+        "assert cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
+        "assert 'multiprocessing' in sys.modules, 'no pool started'\n"
+        "assert not {'multiprocessing.pool', 'queue'} & sys.modules.keys(), 'pooled sweep'\n"
+        "assert threads == [1, 1, 1], threads\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "records.jsonl")],
         capture_output=True,
         text=True,
         env=child_env(),

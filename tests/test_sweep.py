@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import multiprocessing.pool
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,13 @@ from artinhol import (
     sweep_reports,
 )
 from artinhol import cli, conditions, hilbert, sweep
-from artinhol.errors import CapExceededError, EngineMismatchError, MixedPlansError
+from artinhol.errors import (
+    ArtinHolError,
+    CapExceededError,
+    EngineMismatchError,
+    MixedPlansError,
+    WorkerDiedError,
+)
 from artinhol.hilbert import HilbertBasis, _carried, canonical_order, hilbert_basis_oracle
 from artinhol.serialize import (
     read_sweep_records,
@@ -31,7 +38,7 @@ from artinhol.serialize import (
     sweep_record_line,
 )
 from artinhol.sweep import CHUNK_SIZE, _chunk_tasks
-from conftest import SWEEP_FAMILIES
+from conftest import SWEEP_FAMILIES, child_env
 
 
 class TestEnumerate:
@@ -280,15 +287,15 @@ def _log_engine_calls(log_path):
 
 
 def _logged_pool(monkeypatch, cpus=2):
-    """Let sweep.Pool start real pools, recording each pool's size."""
-    ctx = multiprocessing.get_context()
-    started = []
+    """Record the size of each pool a sweep starts, and start it as
+    sweep.Pool."""
+    pool, started = sweep.Pool, []
 
-    def pool(n):
+    def logged(n):
         started.append(n)
-        return ctx.Pool(n)
+        return pool(n)
 
-    monkeypatch.setattr(sweep, "Pool", pool)
+    monkeypatch.setattr(sweep, "Pool", logged)
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
     return started
 
@@ -616,6 +623,8 @@ class TestChunkedPhaseTwo:
         with pytest.raises(RuntimeError, match="check failed in process") as err:
             run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=2, out_path=out))
         assert f"process {os.getpid()}" not in str(err.value)
+        # the worker's traceback is the cause of the exception raised here
+        assert ", in failing\n" in str(err.value.__cause__)
         if existing:
             assert out.read_text() == "previous sweep\n"
             assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
@@ -668,6 +677,122 @@ class TestChunkedPhaseTwo:
             run_sweep(plan)
         assert calls == ["close", "join", ("terminate", {0})]
         assert len(pulled) < 66 // 2  # of 7^5 = 16,807 records, 66 chunks
+
+
+#: A child process runs PATCH, then the CLI's two-worker sweep of (1, 1, 2)
+#: at B=4 (729 records in three chunks, (1, 0, -1) the 444th, in the second)
+#: into argv[1], and prints, after the CLI's output, its exit code or the
+#: exception, then the processes it has started that are still running.
+_POOLED_SWEEP = """\
+import multiprocessing, os, sys
+from artinhol import cli, sweep
+sweep._usable_cpus = lambda: 2
+real_check, real_add = sweep.check_instance, sweep.SweepSummary.__add__
+PATCH
+argv = ["sweep", "--degrees", "1,1,2", "--order-bound", "4", "--workers", "2", "--out", sys.argv[1]]
+try:
+    print(cli.main(argv))
+except BaseException as exc:
+    print(f"{type(exc).__name__}: {exc}")
+print(multiprocessing.active_children())
+"""
+
+_POOL_OUTCOMES = {
+    "success": ("", "0", ""),
+    "exception in a worker": (
+        """
+def check(inst, *args):
+    if inst.orders.entries == (1, 0, -1):
+        raise RuntimeError("check failed")
+    return real_check(inst, *args)
+sweep.check_instance = check
+""",
+        "RuntimeError: check failed",
+        "",
+    ),
+    "dead worker": (
+        """
+def check(inst, *args):
+    if inst.orders.entries == (1, 0, -1):
+        os._exit(3)
+    return real_check(inst, *args)
+sweep.check_instance = check
+""",
+        "2",
+        "error: worker process exited with code 3 in the chunk that starts at v=(-1, -3, 0)\n",
+    ),
+    # The file limit is passed while the second chunk's records are written.
+    "OSError from the writer": (
+        """
+import resource, signal
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+""",
+        "2",
+        "error: [Errno 27] File too large\n",
+    ),
+    "KeyboardInterrupt after the first chunk": (
+        """
+added = []
+def add(self, other):
+    added.append(other)
+    if len(added) == 2:
+        raise KeyboardInterrupt
+    return real_add(self, other)
+sweep.SweepSummary.__add__ = add
+""",
+        "KeyboardInterrupt: ",
+        "",
+    ),
+}
+
+
+class TestPoolOutcomes:
+    # Each sweep runs in a child process with a timeout, so a pool that
+    # hangs fails its test in seconds.
+    @pytest.mark.parametrize("outcome", list(_POOL_OUTCOMES))
+    def test_every_worker_exits_and_no_temp_file_remains(self, tmp_path, outcome):
+        patch, result, stderr = _POOL_OUTCOMES[outcome]
+        out = tmp_path / "records.jsonl"
+        res = subprocess.run(
+            [sys.executable, "-c", _POOLED_SWEEP.replace("PATCH", patch), str(out)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-2:] == [result, "[]"]
+        assert res.stderr == stderr
+        if outcome == "success":
+            assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+            assert out.read_text().count("\n") == 729
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_tasks_and_results_larger_than_a_pipe_pass_through(self):
+        # A worker that sent a 1 MB result while the pool sent it a 1 MB
+        # task would leave both ends waiting for the other to read.
+        script = (
+            "from artinhol import sweep\n"
+            "def padded(task):\n"
+            "    return task[0], 'x' * len(task[1])\n"
+            "tasks = [(i, 'y' * 2**20) for i in range(8)]\n"
+            "with sweep.Pool(2) as pool:\n"
+            "    results = list(pool.imap(padded, tasks))\n"
+            "assert results == [(i, 'x' * 2**20) for i in range(8)]\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+
+    def test_a_dead_worker_is_a_domain_error(self):
+        assert issubclass(WorkerDiedError, ArtinHolError)
 
 
 class TestTallyMerge:

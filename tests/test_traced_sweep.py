@@ -11,6 +11,11 @@ three chunks are computed, and its records rendered, in the workers, and
 its bases in the parent; with fewer than two usable CPUs the sweep runs
 serially and this fails.  A one-worker sweep walks its box and computes
 its bases the same way: in the task stream, outside every check.
+
+The traced run replaces sweep.Pool with the stdlib multiprocessing.Pool,
+whose initializer installs the wrappers in each worker; so the pool a
+traced sweep times is not the one a sweep ships, and sweep.write_s under
+`--trace 1` includes the stdlib pool's handler threads.
 """
 
 from __future__ import annotations
