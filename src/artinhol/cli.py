@@ -1,15 +1,18 @@
 """Command-line surface: check, hilbert, factorize, sweep, catalog.
 
 Every command that prints or uses a Hilbert basis gets it from
-conditions.orbit_basis, which checks both engines and the closed-form
-factoriality against each other on the canonical vector.
+conditions.orbit_basis.  check, hilbert and factorize check both engines
+and the closed-form factoriality against each other on the canonical
+vector; sweep expands each canonical vector's basis from a type table
+whose supports it cross-checks the same way before it checks any instance.
 
 Exit codes: 0 when all checked assertions hold, 1 when an equivalence
 failure or counterexample is found, 2 on invalid input, an output file
 that cannot be written, or an engine disagreement (EngineMismatchError),
-and 141 (128 + SIGPIPE, as a shell reports a pipe writer killed by that
-signal) when the reader of stdout goes away early; that case prints
-nothing on stderr.
+130 (128 + SIGINT) on an interrupt, which prints one line, `interrupted`,
+on stderr and leaves no partial output file, and 141 (128 + SIGPIPE, as
+a shell reports a pipe writer killed by that signal) when the reader of
+stdout goes away early; that case prints nothing on stderr.
 """
 
 from __future__ import annotations
@@ -264,6 +267,9 @@ def main(argv=None) -> int:
     except (ArtinHolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,7 +14,10 @@ by cond_ii_pair and cond_iii_subset.  The bounded brute-force searches
 that validate the quantified closed forms live next to the tests that use
 them, in tests/conftest.py; factoriality is checked against the Hilbert
 basis size on every cross_checked_basis call.  check_instance is the one
-constructor of a ConditionReport, and orbit_basis the one source of its basis.
+constructor of a ConditionReport, and orbit_basis the one source of its
+basis: cross_checked_basis on the canonical vector, or, in a sweep, an
+expansion from the sweep's type table (build_type_table), whose supports
+are the only vectors a sweep runs the engines on.
 
 Each public function validates its input once and calls the private
 helpers, which take an already validated order vector: _profile reads the
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Instance,
@@ -428,51 +431,152 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     return b_oracle
 
 
-def canonical_basis(
-    v: tuple[int, ...], bases: dict[tuple[int, ...], Elements]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """canonical_order(v), once the canonical vector's cross-checked basis
-    elements are in the caller's dict, computed into it if missing; a
-    failure names both vectors.  A failure is never stored, so the next
-    vector with that canonical vector fails again."""
-    canon, perm = canonical_order(v)
-    if canon not in bases:
+#: Canonical vectors whose bases, expanded from the type table, each process
+#: keeps; S5 B=2 meets 295 and S7 B=2 3,741.
+BASIS_CACHE_SIZE = 4096
+
+#: The type table this process expands sweep bases from, under its
+#: (bound, width) key: the last one build_type_table built.
+_TABLE: dict[tuple[int, int], dict] = {}
+
+
+def _supports(bound: int, width: int) -> Iterator[tuple[int, ...]]:
+    """The type table's supports: the sorted multisets of at most `width`
+    nonzero values in [-B, B] that mix both signs with at most B of each,
+    and the positive singletons.  No other multiset s has an irreducible of
+    Hol(s) with full support (see build_type_table)."""
+    values = [*range(-bound, 0), *range(1, bound + 1)]
+    for size in range(1, width + 1):
+        for s in itertools.combinations_with_replacement(values, size):
+            negative = sum(1 for x in s if x < 0)
+            positive = size - negative
+            if (negative, positive) == (0, 1) or 0 < negative <= bound and 0 < positive <= bound:
+                yield s
+
+
+def build_type_table(bound: int, r: int) -> dict[tuple[int, ...], tuple]:
+    """The type table of rank r and order bound B, made this process's
+    table, with one cross_checked_basis per support; a failure names the
+    support and B.  It maps each support s (_supports) to its types: for
+    each irreducible h of Hol(s) with full support, a dict from each value
+    x of s to the sorted h_j with s_j = x, once per multiset.
+
+    It is exact by two facts.  Support locality: every split h = a + b in
+    N^r has supp(a), supp(b) within supp(h), and <a, c> reads c only on
+    S = supp(h), so h is irreducible in Hol(c) iff h restricted to S is
+    irreducible in Hol(c restricted to S).  Support size: by Lambert's
+    region (hilbert module docstring), an irreducible of Hol(c) with
+    |c| <= B has at most B coordinates of each sign in its support, and
+    one with no negative coordinate there is a unit vector.
+    """
+    width = min(r, 2 * bound)
+    table = {}
+    for s in _supports(bound, width):
         try:
-            bases[canon] = cross_checked_basis(canon).elements
+            elements = cross_checked_basis(s).elements
         except ArtinHolError as exc:
-            if canon == v:
-                raise
-            raise type(exc)(f"canonical order vector {canon} of order vector {v}: {exc}") from exc
-    return canon, perm
+            raise type(exc)(f"table support {s} of order bound {bound}: {exc}") from exc
+        types = (itertools.groupby(sorted(zip(s, h)), lambda p: p[0]) for h in elements if all(h))
+        grouped = dict.fromkeys(tuple((x, tuple(y for _, y in g)) for x, g in t) for t in types)
+        table[s] = tuple(map(dict, grouped))
+    _TABLE.clear()
+    _TABLE[bound, width] = table
+    _table_basis.cache_clear()
+    return table
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _arrangements(hs: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct tuples of length n holding the positive entries hs, in
+    any order, and zeros elsewhere."""
+    out = [(0,) * n]
+    for h in dict.fromkeys(hs):
+        out = [
+            tuple(h if j in chosen else y for j, y in enumerate(a))
+            for a in out
+            for chosen in itertools.combinations([j for j, y in enumerate(a) if not y], hs.count(h))
+        ]
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
+    """Basis elements of Hol(c), for a canonical vector c with entries in
+    [-B, B], expanded from this process's type table of B, which is built
+    if missing: e_j for each zero c_j, and each type of each sub-multiset
+    of c's nonzero values with at most B of each sign, placed on c's
+    coordinates in every distinct way.  c is sorted, so each value's
+    coordinates form one run, over which the type's entries of that value
+    are arranged.  A basis whose size disagrees with factorial_closed_form
+    raises EngineMismatchError naming c, and a c outside [-B, B] ValueError.
+    """
+    r = len(c)
+    if max(c[-1], -c[0]) > bound:
+        raise ValueError(f"canonical order vector {c} exceeds the order bound {bound}")
+    key = (bound, min(r, 2 * bound))
+    table = _TABLE[key] if key in _TABLE else build_type_table(bound, r)
+    runs = [(x, len(tuple(g))) for x, g in itertools.groupby(c)]
+    parts = {True: [()], False: [()]}  # the sub-multisets of each sign, by x < 0
+    for x, n in runs:
+        if x:
+            side = parts[x < 0]
+            side[:] = [p + (x,) * k for p in side for k in range(n + 1) if len(p) + k <= bound]
+    elems = [tuple(int(i == j) for i in range(r)) for j, x in enumerate(c) if x == 0]
+    for negative in parts[True]:
+        for positive in parts[False][1:]:  # the empty part first
+            for t in table.get(negative + positive, ()):
+                placed = itertools.product(*[_arrangements(t.get(x, ()), n) for x, n in runs])
+                elems += map(tuple, map(itertools.chain.from_iterable, placed))
+    elems.sort()
+    if (len(elems) == r) != factorial_closed_form(c):
+        raise EngineMismatchError(
+            f"closed-form factoriality disagrees with the basis expanded from the type "
+            f"table for c={c}: {len(elems)} irreducibles at rank {r}"
+        )
+    return tuple(elems)
 
 
 def orbit_basis(
-    v: tuple[int, ...],
-    bases: dict[tuple[int, ...], Elements],
-    canonical: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+    v: tuple[int, ...], bases: dict | None = None, bound: int | None = None
 ) -> Elements:
-    """Cross-checked basis elements of Hol(v): its canonical vector's,
-    carried back.  `canonical` is the (canon, perm) that canonical_basis
-    already returned for v into `bases`; without it, canonical_basis is
-    called here."""
-    canon, perm = canonical_basis(v, bases) if canonical is None else canonical
-    return _carried(bases[canon], perm)
+    """Basis elements of Hol(v): its canonical vector's, carried back.
+
+    With `bound`, the order bound of a sweep's box, they are expanded from
+    the type table (_table_basis).  Otherwise they are cross-checked into
+    `bases`, a fresh dict when None, on a miss; a failure names both
+    vectors and is never stored, so the next vector with that canonical
+    vector fails again.
+    """
+    canon, perm = canonical_order(v)
+    if bound is not None:
+        elements = _table_basis(canon, bound)
+    else:
+        bases = {} if bases is None else bases
+        elements = bases.get(canon)
+        if elements is None:
+            try:
+                elements = bases[canon] = cross_checked_basis(canon).elements
+            except ArtinHolError as exc:
+                if canon == v:
+                    raise
+                raise type(exc)(
+                    f"canonical order vector {canon} of order vector {v}: {exc}"
+                ) from exc
+    return _carried(elements, perm)
 
 
 def check_instance(
-    inst: Instance,
-    bases: dict | None = None,
-    canonical: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+    inst: Instance, bound: int | None = None, bases: dict | None = None
 ) -> ConditionReport:
     """Full pipeline: admissibility, Hilbert basis, all conditions.
 
-    The basis comes from orbit_basis through `bases`, a fresh dict when
-    omitted, and `canonical`, the orders' canonical_basis pair when the
-    caller has it.  Every verdict is decided from the orders alone, all of
-    them from one pass over the entries the OrderVector has already
-    validated.
+    The basis comes from orbit_basis: from the type table of `bound`, the
+    order bound of the sweep the instance belongs to, or cross-checked
+    into `bases` without it.  Every verdict is decided from the orders
+    alone, all of them from one pass over the entries the OrderVector has
+    already validated.
     """
-    elements = orbit_basis(inst.orders.entries, {} if bases is None else bases, canonical)
+    elements = orbit_basis(inst.orders.entries, bases, bound)
     pr = _profile(inst.orders.entries)
     cii, rows = _cond_ii(pr)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)

@@ -138,8 +138,10 @@ def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]
     k -> (k[perm[0]], ..., k[perm[r-1]]) is then a monoid isomorphism from
     Hol(v) onto Hol(c).
     """
-    g = math.gcd(*v) or 1
+    g = math.gcd(*v)
     perm = tuple(sorted(range(len(v)), key=v.__getitem__))
+    if g < 2:  # nothing to divide: sort v itself, at C speed
+        return tuple(sorted(v)), perm
     return tuple([v[i] // g for i in perm]), perm
 
 
@@ -565,10 +567,14 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
 
 
 def _pack(xs: Sequence[int], w: int) -> int:
-    """xs packed into one int, x_j in the w-bit field at bit w * j."""
-    n = 0
-    for x in reversed(xs):
-        n = n << w | x
+    """xs packed into one int, x_j in the w-bit field at bit w * j.  Only
+    the nonzero x_j are shifted into place, so a unit vector costs one
+    shift, however long it is."""
+    n = at = 0
+    for x in xs:
+        if x:
+            n |= x << at
+        at += w
     return n
 
 

@@ -225,7 +225,7 @@ def _parse_report(data, bases: dict) -> ConditionReport:
             raise ValueError(f"record key 'elements' is not a JSON array: got {got}")
     except KeyError as exc:
         raise ValueError(f"record lacks key {exc.args[0]!r}") from None
-    rep = check_instance(inst, bases)
+    rep = check_instance(inst, bases=bases)
     rendered = render_report_json(rep)
     if isinstance(data, str) and data.strip() == rendered:
         return rep

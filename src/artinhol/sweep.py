@@ -7,22 +7,23 @@ summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.  A SweepPlan makes every check a sweep needs, the box's
 size against INSTANCE_CAP included, when it is built.
 
-A sweep walks its box once, through enumerate_order_vectors: _chunk_tasks
-cuts that walk into contiguous chunks of CHUNK_SIZE vectors, and a task is
-the plan, one chunk's vectors, each with its (canon, perm) from
-canonical_basis, and the canonical bases they need.  The stream
-canonicalizes each vector once and cross-checks each canonical basis once
-per sweep, in this process, at the first vector of the box swept to it,
-so the engines run once per canonical vector, in the same order for any
-worker count, and a failure names that vector.  The check carries the
-basis back through the pair the vector came with.  The process that
-checks a chunk renders its records and runs summarize on the reports;
-the parent only writes each chunk's records and adds its summary, in
-chunk order, so the output bytes do not depend on the worker count.
-The worker count only chooses the mapper: with one worker, or a box of
-one chunk, the builtin map runs the chunks in this process,
-sweep_reports walks the same stream, and multiprocessing is never
-imported: Pool imports it when it starts.  Otherwise the chunks go
+Every basis of a sweep comes from one type table (conditions.build_type_table),
+which the sweep's own process builds before any chunk runs: the engines
+run once per table support, never per canonical vector, and never in a
+pool worker forked from it, which inherits the table, so an engine
+failure names a support and B.  (A worker started by spawn inherits
+nothing and builds its own table the same way.)  A sweep walks its box once, through
+enumerate_order_vectors: _chunk_tasks cuts that walk into contiguous
+chunks of CHUNK_SIZE vectors, and a task is the plan and one chunk's
+vectors.  The process that checks a chunk canonicalizes each vector
+through check_instance, expands each canonical vector's basis from the
+table once into a bounded cache, renders its records and runs summarize
+on the reports; the parent only enumerates, writes each chunk's records
+and adds its summary, in chunk order, so the output bytes do not depend
+on the worker count.  The worker count only chooses the mapper: with one
+worker, or a box of one chunk, the builtin map runs the chunks in this
+process, sweep_reports walks the same stream, and multiprocessing is
+never imported: Pool imports it when it starts.  Otherwise the chunks go
 through Pool, whose workers have a pipe each and are fed from this
 process's one thread, at most _IN_FLIGHT chunks per worker; a worker
 that dies fails the sweep with WorkerDiedError.
@@ -38,10 +39,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import serialize
-from .conditions import ConditionReport, canonical_basis, check_instance
+from .conditions import ConditionReport, build_type_table, check_instance
 from .core import DegreeVector, Instance, _int_value, _setattr, _Value, check_flags
 from .errors import CapExceededError, MixedPlansError, WorkerDiedError
-from .hilbert import Elements
 
 INSTANCE_CAP = 10_000_000
 
@@ -180,24 +180,10 @@ def enumerate_order_vectors(r: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
     """The plan's tasks, in enumeration order: (plan, the next CHUNK_SIZE
-    vectors of enumerate_order_vectors' box, each paired with its
-    canonical_basis (canon, perm), the canonical bases those vectors
-    need), each basis computed at the first vector swept to it.  A
-    canonical vector or a permutation is one object throughout the sweep,
-    the key of `needed` included, so a pickled task holds it once."""
+    vectors of enumerate_order_vectors' box)."""
     box = enumerate_order_vectors(plan.degrees.rank, plan.order_bound)
-    bases: dict[tuple[int, ...], Elements] = {}
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     while chunk := list(itertools.islice(box, CHUNK_SIZE)):
-        vectors = []
-        needed = {}
-        for v in chunk:
-            canon, perm = canonical_basis(v, bases)
-            canon = interned.setdefault(canon, canon)
-            perm = interned.setdefault(perm, perm)
-            needed[canon] = bases[canon]
-            vectors.append((v, (canon, perm)))
-        yield plan, vectors, needed
+        yield plan, chunk
 
 
 def _usable_cpus() -> int:
@@ -223,9 +209,12 @@ class Pool:
     output does not depend on which worker ran a task.  A worker sends a
     task's result only once the pool's next message to it, a task or the
     stop message, has arrived; so the two ends of a pipe never both wait
-    to send, whatever the size of a task or a result.  An exception raised by func is raised from imap; a worker
-    that exits without returning its task's result raises WorkerDiedError,
-    naming its exit code and the first vector of the chunk it held.
+    to send, whatever the size of a task or a result.  An exception
+    raised by func is raised from imap; a worker that exits without
+    returning its task's result raises WorkerDiedError, naming its exit
+    code and the first vector of the chunk it held.  Workers ignore
+    SIGINT: an interrupt is the caller's to handle, and leaving the with
+    block then kills them.
 
     close() sends each worker the stop message; join() then reads and
     drops the results still pending and waits for the workers to exit.
@@ -336,7 +325,7 @@ class Pool:
             proc.join()
             raise WorkerDiedError(
                 f"worker process exited with code {proc.exitcode} "
-                f"in the chunk that starts at v={task[1][0][0]}"
+                f"in the chunk that starts at v={task[1][0]}"
             ) from None
 
 
@@ -352,6 +341,9 @@ def _serve(conn, inherited) -> None:
     """A Pool worker: run each (func, task) it is sent and send back
     (True, func(task)) or (False, (the exception raised, its traceback)),
     each once the next message has arrived, until the stop message None."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
     try:
@@ -370,14 +362,10 @@ def _serve(conn, inherited) -> None:
         pass  # the pool's process is gone
 
 
-def _chunk_reports(
-    plan: SweepPlan,
-    vectors: list[tuple[tuple[int, ...], tuple]],
-    bases: dict[tuple[int, ...], Elements],
-) -> Iterator[ConditionReport]:
-    """Reports of one chunk's vectors, in order, their bases from `bases`
-    through the (canon, perm) each vector comes with."""
-    for v, canonical in vectors:
+def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[ConditionReport]:
+    """Reports of one chunk's vectors, in order, their bases expanded from
+    the type table of the plan's order bound."""
+    for v in vectors:
         inst = Instance(
             plan.degrees,
             v,
@@ -385,7 +373,7 @@ def _chunk_reports(
             require_trivial_nonneg=plan.require_trivial_nonneg,
             group=plan.group,
         )
-        yield check_instance(inst, bases, canonical)
+        yield check_instance(inst, plan.order_bound)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
@@ -401,7 +389,8 @@ def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
 
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
     """Run the plan's instances in this process and return reports in
-    enumeration order, through the same tasks as a sweep."""
+    enumeration order, through the same type table and tasks as a sweep."""
+    build_type_table(plan.order_bound, plan.degrees.rank)
     return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
 
 
@@ -483,10 +472,12 @@ def _replacing(path: str | Path | None):
 
 
 def run_sweep(plan: SweepPlan) -> SweepSummary:
-    """Execute the plan: write each chunk's records and add its summary,
-    in chunk order.  The chunks run through the imap of one Pool of n
-    processes, n the least of the workers, the chunks and the usable
-    CPUs, if n > 1; else through the builtin map, in this process.
+    """Execute the plan: build its type table here, then write each
+    chunk's records and add its summary, in chunk order.  The chunks run
+    through the imap of one Pool of n processes, n the least of the
+    workers, the chunks and the usable CPUs, if n > 1, started once the
+    table is built, so that its workers inherit it; else through the
+    builtin map, in this process.
 
     When a chunk fails in a pool, or writing its records does, the pool
     is sent no further task, and its workers finish the tasks they hold
@@ -502,6 +493,7 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
         n = min(plan.worker_count, chunks, _usable_cpus())
         failed = []
         tasks = itertools.takewhile(lambda _: not failed, _chunk_tasks(plan))
+        build_type_table(plan.order_bound, plan.degrees.rank)
         with Pool(n) if n > 1 else nullcontext() as pool:
             try:
                 for lines, part in (pool.imap if n > 1 else map)(_run_chunk, tasks):

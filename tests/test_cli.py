@@ -7,15 +7,18 @@ import json
 import os
 import re
 import shlex
+import signal
 import stat
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from artinhol import cli, conditions, hilbert_basis_frontier, hilbert_basis_oracle
 from artinhol.hilbert import HilbertBasis
-from conftest import run_artinhol
+from conftest import child_env, run_artinhol
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -162,6 +165,38 @@ class TestExitCodes:
             os.close(write_end)
         assert res.stderr == b""
         assert res.returncode == 141
+
+    def test_an_interrupted_pooled_sweep_exits_130_quietly(self, tmp_path):
+        # SIGINT to the whole process group, as a terminal's Ctrl-C sends
+        # it, once the sweep writes records: the workers ignore it, and the
+        # parent tears the pool down, prints one line and exits 130,
+        # leaving no process of its group running and no temp file.
+        out = tmp_path / "records.jsonl"
+        argv = ["--group", "S5", "--order-bound", "2", "--workers", "2", "--out", str(out)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "artinhol", "sweep", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not any(tmp.stat().st_size for tmp in tmp_path.glob(".records.jsonl.*.tmp")):
+                assert proc.poll() is None, "the sweep ended before it was interrupted"
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestCommands:
@@ -372,7 +407,8 @@ class TestCommands:
 
 
 class TestEnginesCrossChecked:
-    """hilbert and factorize get their basis the way check and sweep do."""
+    """hilbert and factorize get their basis the way check does, and sweep
+    cross-checks every support of its type table the same way."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -394,6 +430,19 @@ class TestEnginesCrossChecked:
         assert err.startswith(
             "error: canonical order vector (-3, 2) of order vector (2, -3): "
             "engines disagree for v=(-3, 2)"
+        )
+
+    def test_a_sweep_names_the_table_support_and_bound(self, monkeypatch, capsys):
+        frontier = conditions.hilbert_basis_frontier
+
+        def wrong(v):
+            basis = frontier(v)
+            return HilbertBasis(basis.elements[:-1], "frontier") if v.entries == (-3, 2) else basis
+
+        monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong)
+        assert cli.main(["sweep", "--degrees", "1,1", "--order-bound", "3"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: table support (-3, 2) of order bound 3: engines disagree for v=(-3, 2)"
         )
 
 

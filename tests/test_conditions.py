@@ -208,7 +208,7 @@ class TestInternedPairTable:
                 assert cond_ii_pair(v, k, l) == w, (v, k, l)
             # the basis plays no part in the table or its text
             bases[canonical_order(v)[0]] = ()
-            rep = check_instance(Instance((1,) * len(v), v), bases)
+            rep = check_instance(Instance((1,) * len(v), v), bases=bases)
             assert (rep.cond_ii, list(rep.cond_ii_pairs)) == (ok, table), v
             # the report keeps the table as r rows of r - 1 pairs, row i
             # holding k = i + 1; rank 1 has one empty row
@@ -243,7 +243,7 @@ class TestInternedPairTable:
             r = rng.randint(2, 11)
             v = tuple(rng.randint(-(10**6), 10**6) for _ in range(r))
             bases[canonical_order(v)[0]] = ()
-            serialize.render_report_json(check_instance(Instance((1,) * r, v), bases))
+            serialize.render_report_json(check_instance(Instance((1,) * r, v), bases=bases))
         for cache in self.CACHES:
             if cache is serialize._pairs_text:
                 continue

@@ -727,6 +727,38 @@ class TestFactorizationMemo:
                     fields = [low if not any(h[j] for h in elems[i:]) else 0 for j in range(r)]
                     assert mask == hilbert._pack(fields, w), (v, w, i)
 
+    def test_packing_shifts_only_the_nonzero_fields_and_equals_the_field_loop(self):
+        # The loop _pack replaced shifted every field into a growing int.
+        def field_loop(xs, w):
+            n = 0
+            for x in reversed(xs):
+                n = n << w | x
+            return n
+
+        rng = random.Random(62)
+        for _ in range(300):
+            r, w = rng.randint(1, 40), rng.randint(2, 20)
+            elems = sorted({
+                tuple(rng.choice((0, 0, rng.randrange(1 << w - 1))) for _ in range(r))
+                for _ in range(rng.randint(1, 8))
+            } - {(0,) * r})
+            if not elems:
+                continue
+            guards, packed, _ = hilbert._pack_tables(elems, w)
+            assert guards == field_loop([1 << w - 1] * r, w)
+            assert packed == tuple(field_loop(h, w) for h in elems)
+        # the units of 2,000 zero orders: one shift each
+        units = hilbert_basis_oracle((0,) * 2000).elements
+        shifts = []
+
+        class Counted(int):
+            def __lshift__(self, other):
+                shifts.append(other)
+                return int(self) << other
+
+        hilbert._pack([Counted(x) for x in units[7]], 2)
+        assert shifts == [2 * (2000 - 8)]
+
     @pytest.mark.parametrize("v, t", [((3, -2, 2), 6), ((2, -3), 17), ((1, -1, 2, -2), 3)])
     def test_shared_memo_stays_within_its_bound(self, v, t, monkeypatch):
         # With the caps cut to 20,000 steps and 2,000 states the thresholds

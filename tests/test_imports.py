@@ -48,7 +48,7 @@ def _module_level_edges(tree: ast.Module) -> set[str]:
 
 def test_module_level_imports_form_no_cycle():
     graph = {name: _module_level_edges(tree) for name, tree in MODULES.items()}
-    assert graph["sweep"] >= {"serialize", "hilbert"}
+    assert graph["sweep"] >= {"serialize", "conditions"}
     state: dict[str, str] = {}
 
     def visit(name: str, path: list[str]) -> None:
@@ -138,8 +138,8 @@ def test_only_conditions_carries_a_basis_back():
 
 def test_only_conditions_canonicalizes():
     # The orbit map belongs to conditions: a sweep reaches it through
-    # canonical_basis and orbit_basis.  A module that imports, names or
-    # calls canonical_order uses it.
+    # check_instance's orbit_basis, in the process that checks the vector.
+    # A module that imports, names or calls canonical_order uses it.
     users = {
         name
         for name, tree in MODULES.items()
@@ -151,21 +151,36 @@ def test_only_conditions_canonicalizes():
     assert users == {"conditions"}
 
 
-def test_only_the_task_stream_computes_a_sweeps_bases():
-    # Every sweep, serial or pooled, gets its bases from the task stream:
-    # within sweep, only _chunk_tasks calls canonical_basis.
-    callers = {
-        fn.name
-        for fn in ast.walk(MODULES["sweep"])
+def _calls(module: str) -> dict[str, set[str]]:
+    """The names each function of `module` calls, by function name."""
+    return {
+        fn.name: {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        for fn in ast.walk(MODULES[module])
         if isinstance(fn, ast.FunctionDef)
-        and any(
-            isinstance(node, ast.Call)
-            and "canonical_basis"
-            in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
-            for node in ast.walk(fn)
-        )
     }
-    assert callers == {"_chunk_tasks"}
+
+
+def test_on_the_sweep_path_only_the_table_build_runs_the_engines():
+    # A sweep reaches the engines only through conditions.build_type_table,
+    # which run_sweep calls before it starts a pool, and sweep_reports
+    # before its first chunk; the expansion a check makes from the table
+    # builds a missing table the same way and calls no engine itself.
+    engines = {"cross_checked_basis", "hilbert_basis_oracle", "hilbert_basis_frontier"}
+    in_sweep = _calls("sweep")
+    assert not set().union(*in_sweep.values()) & engines
+    callers = {name for name, called in in_sweep.items() if "build_type_table" in called}
+    assert callers == {"run_sweep", "sweep_reports"}
+    in_conditions = _calls("conditions")
+    checkers = {name for name, called in in_conditions.items() if "cross_checked_basis" in called}
+    assert checkers == {"build_type_table", "orbit_basis"}
+    assert not in_conditions["_table_basis"] & engines
+    (run,) = [
+        fn for fn in ast.walk(MODULES["sweep"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "run_sweep"
+    ]
+    calls = [node for node in ast.walk(run) if isinstance(node, ast.Call)]
+    line = {ast.unparse(node.func): node.lineno for node in calls}
+    assert line["build_type_table"] < line["Pool"]
 
 
 def test_one_reduction_for_both_hilbert_engines():

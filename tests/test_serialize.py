@@ -322,7 +322,7 @@ def test_renderer_matches_reference_property(vectors, dedekind, trivial, group, 
     r = len(orders)
     units = tuple(sorted(tuple(int(i == j) for i in range(r)) for j in range(r)))
     bases = None if r <= 4 else {canonical_order(orders)[0]: units}
-    _assert_renders_like_reference(check_instance(inst, bases))
+    _assert_renders_like_reference(check_instance(inst, bases=bases))
 
 
 @pytest.mark.parametrize(
@@ -386,7 +386,7 @@ def test_record_caches_never_go_stale():
                     require_trivial_nonneg=p.require_trivial_nonneg,
                     group=p.group,
                 ),
-                bases,
+                bases=bases,
             )
             assert render_report_json(rep) == serialize.canonical_json(report_document(rep))
     # The cache holds every row it has rendered, so while the entry lives

@@ -302,10 +302,11 @@ def _logged_pool(monkeypatch, cpus=2):
 
 class TestBasisCache:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_engine_runs_once_per_canonical_vector(self, tmp_path, monkeypatch, workers):
-        # This process computes every basis, in the order the box first
-        # meets its canonical vector; forked workers inherit the logging
-        # engines, so the log shows which process made each call.
+    def test_each_engine_runs_once_per_table_support(self, tmp_path, monkeypatch, workers):
+        # This process builds the sweep's type table before any chunk runs,
+        # one cross-check per support, and the checks only expand from it;
+        # forked workers inherit the logging engines, so the log shows
+        # which process made each call.
         log = tmp_path / "calls.log"
         engines = ("hilbert_basis_oracle", "hilbert_basis_frontier")
         for name in engines:
@@ -316,19 +317,17 @@ class TestBasisCache:
         summary = run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers))
         assert summary.total == 729
         assert started == ([2] if workers == 2 else [])
-        canon = dict.fromkeys(canonical_order(v)[0] for v in enumerate_order_vectors(3, 4))
-        expect = [f"{os.getpid()} {name} {c}" for c in canon for name in engines]
-        assert log.read_text().splitlines() == expect
-        assert len(canon) < 729
+        calls = log.read_text().splitlines()
+        table = conditions.build_type_table(4, 3)
+        assert calls == [f"{os.getpid()} {name} {s}" for s in table for name in engines]
+        canon = {canonical_order(v)[0] for v in enumerate_order_vectors(3, 4)}
+        assert len(table) == 100 < len(canon) == 122
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch, workers):
-        # The task stream canonicalizes each vector in this process, in box
-        # order, to pick the bases its task ships, and ships the (canon,
-        # perm) pair with the vector; the process that checks the vector
-        # carries its basis back through that pair, so no check
-        # canonicalizes again.  The checks run in this process for one
-        # worker and in a pool worker for two.  Forked workers inherit the
+        # A task ships plain vectors; the process that checks a vector
+        # canonicalizes it once, inside its check: this process for one
+        # worker, a pool worker for two.  Forked workers inherit the
         # patches, so each log line carries the pid of the process that
         # wrote it and whether a check made the call.
         log = tmp_path / "calls.log"
@@ -359,10 +358,12 @@ class TestBasisCache:
         # 625 records, three chunks
         run_sweep(SweepPlan(DegreeVector((1, 1, 2, 2)), 2, worker_count=workers))
         assert started == ([2] if workers == 2 else [])
-        box = [str(v) for v in enumerate_order_vectors(4, 2)]
-        assert log.read_text().splitlines() == [f"{os.getpid()} stream {v}" for v in box]
+        box = sorted(str(v) for v in enumerate_order_vectors(4, 2))
         checks = checked.read_text().splitlines()
-        assert sorted(line.split(" ", 1)[1] for line in checks) == sorted(box)
+        assert sorted(line.split(" ", 1)[1] for line in checks) == box
+        assert sorted(line.replace(" check ", " ") for line in log.read_text().splitlines()) == (
+            sorted(checks)
+        )
         checkers = {line.split(" ", 1)[0] for line in checks}
         assert (str(os.getpid()) in checkers) == (workers == 1)
 
@@ -374,7 +375,7 @@ class TestBasisCache:
 
         def recorded(plan):
             for task in stream(plan):
-                handed.setdefault(plan.worker_count, []).append((task[1], list(task[2])))
+                handed.setdefault(plan.worker_count, []).append(task[1:])
                 yield task
 
         monkeypatch.setattr(sweep, "_chunk_tasks", recorded)
@@ -391,19 +392,22 @@ class TestBasisCache:
     def test_a_sweep_does_not_inherit_an_earlier_sweeps_bases(
         self, tmp_path, monkeypatch, workers
     ):
-        # A sweep with a patched cross-check, which gives every canonical
-        # vector its unit vectors, must leave no basis to the next sweep.
-        def units(c):
-            r = len(c)
-            rows = (tuple(int(i == j) for i in range(r)) for j in reversed(range(r)))
-            return HilbertBasis(tuple(rows), "oracle")
+        # A sweep with a patched cross-check, which doubles every type of
+        # its table and so keeps every basis size, must leave no table and
+        # no basis to the next sweep.
+        cross_checked = conditions.cross_checked_basis
+
+        def doubled(s):
+            elements = cross_checked(s).elements
+            rows = (tuple(2 * x for x in h) if all(h) else h for h in elements)
+            return HilbertBasis(sorted(rows), "oracle")
 
         _logged_pool(monkeypatch)
         plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers)
         paths = [tmp_path / f"{name}.jsonl" for name in ("before", "patched", "after")]
         run_sweep(plan._replace(out_path=paths[0]))
         with monkeypatch.context() as patch:
-            patch.setattr(conditions, "cross_checked_basis", units)
+            patch.setattr(conditions, "cross_checked_basis", doubled)
             run_sweep(plan._replace(out_path=paths[1]))
         run_sweep(plan._replace(out_path=paths[2]))
         before, patched, after = (path.read_bytes() for path in paths)
@@ -414,7 +418,7 @@ class TestBasisCache:
         inst = Instance((1, 2, 1), (2, -1, -2))
         canon, _ = canonical_order(inst.orders.entries)
         bases = {canon: conditions.cross_checked_basis(canon).elements}
-        assert check_instance(inst, bases) == check_instance(inst)
+        assert check_instance(inst, bases=bases) == check_instance(inst)
         assert list(bases) == [canon]
 
     def test_reading_a_file_runs_each_engine_once_per_canonical_vector(
@@ -433,7 +437,7 @@ class TestBasisCache:
         expect = sorted(f"{os.getpid()} {name} {c}" for c in canon for name in engines)
         assert sorted(log.read_text().splitlines()) == expect
 
-    def test_basis_failure_names_the_swept_vector(self, monkeypatch):
+    def test_basis_failure_names_the_table_support(self, monkeypatch):
         frontier = conditions.hilbert_basis_frontier
 
         def wrong_for_minus_one_one(v):
@@ -445,8 +449,9 @@ class TestBasisCache:
         monkeypatch.setattr(conditions, "hilbert_basis_frontier", wrong_for_minus_one_one)
         with pytest.raises(EngineMismatchError) as err:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
-        # (-2, 2) is the first vector of the box whose canonical form is (-1, 1)
-        assert "canonical order vector (-1, 1) of order vector (-2, 2)" in str(err.value)
+        assert str(err.value).startswith(
+            "table support (-1, 1) of order bound 2: engines disagree for v=(-1, 1): "
+        )
 
     def test_wrong_closed_form_factoriality_is_caught(self, monkeypatch):
         closed_form = conditions.factorial_closed_form
@@ -457,8 +462,25 @@ class TestBasisCache:
             conditions.cross_checked_basis((2, -3))
         with pytest.raises(EngineMismatchError) as err:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
-        # (-2, -2) is the first vector of the box; its canonical form is (-1, -1)
-        assert "canonical order vector (-1, -1) of order vector (-2, -2)" in str(err.value)
+        # (1,) is the table's first support
+        assert str(err.value) == (
+            "table support (1,) of order bound 2: closed-form factoriality disagrees "
+            "with the basis for v=(1,): 1 irreducibles at rank 1"
+        )
+
+    def test_an_expanded_basis_is_checked_against_the_closed_form(self, monkeypatch):
+        # The closed form is wrong only for (-1, 1), which no support of
+        # the B=1 table is: the expansion's check names it.
+        closed_form = conditions.factorial_closed_form
+        monkeypatch.setattr(
+            conditions, "factorial_closed_form", lambda v: closed_form(v) != (v == (-1, 1))
+        )
+        with pytest.raises(EngineMismatchError) as err:
+            run_sweep(SweepPlan(DegreeVector((1, 1)), 1))
+        assert str(err.value) == (
+            "closed-form factoriality disagrees with the basis expanded from the type "
+            "table for c=(-1, 1): 2 irreducibles at rank 2"
+        )
 
 
 class TestAtomicOutput:
@@ -544,44 +566,23 @@ class TestChunkedPhaseTwo:
     @pytest.mark.parametrize("r, bound", [(1, 1), (1, 2), (3, 2), (4, 1), (3, 4)])
     def test_box_slices_follow_the_enumeration(self, r, bound):
         # The one task stream cuts the box into consecutive slices of
-        # CHUNK_SIZE vectors, the last one partial at (3, 4), and ships each
-        # with the plan and the cross-checked bases of its canonical
-        # vectors.  A basis is computed once per sweep, so a canonical
-        # vector met in two chunks ships the same object; the reports
-        # follow the slices.
+        # CHUNK_SIZE plain vectors, the last one partial at (3, 4), and
+        # ships each with the plan and nothing else; the reports follow
+        # the slices.
         box = list(enumerate_order_vectors(r, bound))
         plan = SweepPlan(DegreeVector((1,) * r), bound)
         tasks = list(_chunk_tasks(plan))
-        assert all(len(task) == 3 and task[0] is plan for task in tasks)
-        slices = [[v for v, _ in vectors] for _, vectors, _ in tasks]
-        assert slices == [box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)]
-        first = {}
-        canons = {}
-        perms = {}
-        for _, vectors, needed in tasks:
-            # each vector comes with its canonical_order pair, whose
-            # canonical vector is the very key of `needed`; the canonical
-            # vector and the permutation are each one object for the whole
-            # sweep, so a pickled task holds each once
-            keys = {id(canon) for canon in needed}
-            for v, (canon, perm) in vectors:
-                assert (canon, perm) == canonical_order(v)
-                assert id(canon) in keys
-                assert canons.setdefault(canon, canon) is canon
-                assert perms.setdefault(perm, perm) is perm
-            assert set(needed) == {canonical_order(v)[0] for v, _ in vectors}
-            for canon, elements in needed.items():
-                assert first.setdefault(canon, elements) is elements
-        for canon, elements in first.items():
-            assert elements == conditions.cross_checked_basis(canon).elements
-        shipped_again = sum(len(needed) for *_, needed in tasks) - len(first)
-        assert (shipped_again > 0) == (len(tasks) > 1)
+        assert all(len(task) == 2 and task[0] is plan for task in tasks)
+        assert [vectors for _, vectors in tasks] == [
+            box[lo : lo + CHUNK_SIZE] for lo in range(0, len(box), CHUNK_SIZE)
+        ]
         assert [rep.instance.orders.entries for rep in sweep_reports(plan)] == box
 
-    def test_basis_failure_after_the_first_chunk_writes_nothing(self, tmp_path, monkeypatch):
-        # (-1, -1, 3) is record 277 of the box, in the second chunk, and
-        # the first vector with that canonical form.  This process computes
-        # every basis in box order, so every worker count names it.
+    def test_a_table_failure_writes_nothing_and_starts_no_pool(self, tmp_path, monkeypatch):
+        # (-1, -1, 3) is a support of the B=4 table of rank 3, whose
+        # canonical vector is record 277 of the box, in the second chunk.
+        # The table is built before any chunk runs, so every worker count
+        # fails before a pool starts, and no file is left behind.
         frontier = conditions.hilbert_basis_frontier
 
         def wrong_for_late_vector(v):
@@ -598,10 +599,11 @@ class TestChunkedPhaseTwo:
             with pytest.raises(EngineMismatchError) as err:
                 run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=workers, out_path=out))
             assert str(err.value) == (
+                "table support (-1, -1, 3) of order bound 4: "
                 f"engines disagree for v=(-1, -1, 3): {elements} vs {elements[:-1]}"
             )
             assert list(tmp_path.iterdir()) == []
-        assert started == [2, 3]
+        assert started == []
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_in_a_worker_propagates_and_writes_nothing(
@@ -741,8 +743,8 @@ def add(self, other):
     return real_add(self, other)
 sweep.SweepSummary.__add__ = add
 """,
-        "KeyboardInterrupt: ",
-        "",
+        "130",
+        "interrupted\n",
     ),
 }
 

@@ -8,9 +8,10 @@ This guards those names: renaming one breaks the traced run or silently
 drops its spans.  It also shows that the parent walks the box once, under
 one sweep.enumerate span, and that the verdicts of a two-worker sweep of
 three chunks are computed, and its records rendered, in the workers, and
-its bases in the parent; with fewer than two usable CPUs the sweep runs
-serially and this fails.  A one-worker sweep walks its box and computes
-its bases the same way: in the task stream, outside every check.
+its type table in the parent, the engines running once per table support;
+with fewer than two usable CPUs the sweep runs serially and this fails.
+A one-worker sweep walks its box and builds its table the same way,
+outside every check.
 
 The traced run replaces sweep.Pool with the stdlib multiprocessing.Pool,
 whose initializer installs the wrappers in each worker; so the pool a
@@ -25,6 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from artinhol import conditions
 from artinhol.hilbert import canonical_order
 from conftest import child_env
 
@@ -70,9 +72,10 @@ def _traced_sweep(tmp_path, workers):
 
 
 def _assert_the_parent_runs_every_engine_call(parent, canon):
-    # The parent computes every basis of the sweep, once per canonical
-    # vector and outside any check, and again under the serialize.parse
-    # span as it reads the file back.
+    # The parent builds the sweep's type table, one engine call each per
+    # support and outside any check, and runs the engines again under the
+    # serialize.parse span, once per canonical vector, as it reads the
+    # file back.
     by_id = {span["id"]: span for span in parent}
 
     def ancestors(span):
@@ -81,12 +84,14 @@ def _assert_the_parent_runs_every_engine_call(parent, canon):
             yield span["name"]
 
     (parse,) = [span["id"] for span in parent if span["name"] == "serialize.parse"]
+    supports = list(conditions.build_type_table(1, 6))
+    assert len(supports) < len(canon)
     for engine in ("hilbert.oracle", "hilbert.frontier"):
         spans = [span for span in parent if span["name"] == engine]
         assert all("conditions.check" not in ancestors(span) for span in spans)
-        for read_back in (False, True):
-            met = [tuple(s["v"]) for s in spans if (s["parent"] == parse) == read_back]
-            assert sorted(met) == sorted(canon)
+        swept = [tuple(s["v"]) for s in spans if s["parent"] != parse]
+        assert swept == supports
+        assert sorted(tuple(s["v"]) for s in spans if s["parent"] == parse) == sorted(canon)
 
 
 def _assert_the_parent_enumerates_the_box_once(parent, workers):
@@ -119,7 +124,7 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
 
 def test_traced_one_worker_sweep_records_engine_and_check_spans(tmp_path):
     # One process checks every record and runs every engine call, the
-    # engines outside the checks, as with a pool.
+    # engines in the table build, outside the checks, as with a pool.
     (parent, *workers), canon = _traced_sweep(tmp_path, 1)
     assert not workers
     _assert_the_parent_runs_every_engine_call(parent, canon)
