@@ -15,9 +15,9 @@ that validate the quantified closed forms live next to the tests that use
 them, in tests/conftest.py; factoriality is checked against the Hilbert
 basis size on every cross_checked_basis call.  check_instance is the one
 constructor of a ConditionReport, and orbit_basis the one source of its
-basis: cross_checked_basis on the canonical vector, or, in a sweep, an
-expansion from the sweep's type table (build_type_table), whose supports
-are the only vectors a sweep runs the engines on.
+basis: cross_checked_basis on the canonical vector, or, in a sweep, the
+unit vectors of its orders >= 0 and the types of the sweep's type table
+(build_type_table), whose supports alone a sweep runs the engines on.
 
 Each public function validates its input once and calls the private
 helpers, which take an already validated order vector: _profile reads the
@@ -63,6 +63,7 @@ from .hilbert import (
     Elements,
     HilbertBasis,
     _carried,
+    _region,
     canonical_order,
     hilbert_basis_frontier,
     hilbert_basis_oracle,
@@ -441,16 +442,14 @@ _TABLE: dict[tuple[int, int], dict] = {}
 
 
 def _supports(bound: int, width: int) -> Iterator[tuple[int, ...]]:
-    """The type table's supports: the sorted multisets of at most `width`
-    nonzero values in [-B, B] that mix both signs with at most B of each,
-    and the positive singletons.  No other multiset s has an irreducible of
-    Hol(s) with full support (see build_type_table)."""
+    """The type table's supports: the sorted multisets s of 2 to `width`
+    nonzero values in [-B, B] inside their own completeness region with
+    both signs, 0 < positive entries <= -s[0] and 0 < negative <= s[-1]."""
     values = [*range(-bound, 0), *range(1, bound + 1)]
-    for size in range(1, width + 1):
+    for size in range(2, width + 1):
         for s in itertools.combinations_with_replacement(values, size):
-            negative = sum(1 for x in s if x < 0)
-            positive = size - negative
-            if (negative, positive) == (0, 1) or 0 < negative <= bound and 0 < positive <= bound:
+            region = _region(s)
+            if 0 < region.positive <= region.plus and 0 < region.negative <= region.minus:
                 yield s
 
 
@@ -461,13 +460,14 @@ def build_type_table(bound: int, r: int) -> dict[tuple[int, ...], tuple]:
     each irreducible h of Hol(s) with full support, a dict from each value
     x of s to the sorted h_j with s_j = x, once per multiset.
 
-    It is exact by two facts.  Support locality: every split h = a + b in
-    N^r has supp(a), supp(b) within supp(h), and <a, c> reads c only on
-    S = supp(h), so h is irreducible in Hol(c) iff h restricted to S is
-    irreducible in Hol(c restricted to S).  Support size: by Lambert's
-    region (hilbert module docstring), an irreducible of Hol(c) with
-    |c| <= B has at most B coordinates of each sign in its support, and
-    one with no negative coordinate there is a unit vector.
+    It is exact by three facts.  Support locality: every split h = a + b in
+    N^r has supp(a), supp(b) within S = supp(h), and <a, c> reads c only on
+    S, so h is irreducible in Hol(c) iff h restricted to S is irreducible
+    in Hol(c restricted to S).  Lambert's region (hilbert module docstring)
+    of s, the sorted nonzero c_j on S, where every h_j >= 1: s has one
+    entry if none is negative, else at most -s[0] <= B positive and at most
+    s[-1] <= B negative ones.  The unit lemma (hilbert._nonzero_part): e_j
+    is irreducible for each c_j >= 0, the only one with h_j >= 1 if c_j = 0.
     """
     width = min(r, 2 * bound)
     table = {}
@@ -503,8 +503,8 @@ def _arrangements(hs: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
 def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
     """Basis elements of Hol(c), for a canonical vector c with entries in
     [-B, B], expanded from this process's type table of B, which is built
-    if missing: e_j for each zero c_j, and each type of each sub-multiset
-    of c's nonzero values with at most B of each sign, placed on c's
+    if missing: e_j for each c_j >= 0, and each type of each sub-multiset
+    of c's nonzero values with both signs within c's region, placed on c's
     coordinates in every distinct way.  c is sorted, so each value's
     coordinates form one run, over which the type's entries of that value
     are arranged.  A basis whose size disagrees with factorial_closed_form
@@ -518,12 +518,12 @@ def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
     runs = [(x, len(tuple(g))) for x, g in itertools.groupby(c)]
     parts = {True: [()], False: [()]}  # the sub-multisets of each sign, by x < 0
     for x, n in runs:
-        if x:
-            side = parts[x < 0]
-            side[:] = [p + (x,) * k for p in side for k in range(n + 1) if len(p) + k <= bound]
-    elems = [tuple(int(i == j) for i in range(r)) for j, x in enumerate(c) if x == 0]
-    for negative in parts[True]:
-        for positive in parts[False][1:]:  # the empty part first
+        if x:  # c's region: at most c[-1] negative values and -c[0] positive ones
+            side, cap = parts[x < 0], c[-1] if x < 0 else -c[0]
+            side[:] = [p + (x,) * k for p in side for k in range(n + 1) if len(p) + k <= cap]
+    elems = [tuple(int(i == j) for i in range(r)) for j, x in enumerate(c) if x >= 0]
+    for negative in parts[True][1:]:  # the empty part first on each side
+        for positive in parts[False][1:]:
             for t in table.get(negative + positive, ()):
                 placed = itertools.product(*[_arrangements(t.get(x, ()), n) for x, n in runs])
                 elems += map(tuple, map(itertools.chain.from_iterable, placed))

@@ -9,10 +9,10 @@ size against INSTANCE_CAP included, when it is built.
 
 Every basis of a sweep comes from one type table (conditions.build_type_table),
 which the sweep's own process builds before any chunk runs: the engines
-run once per table support, never per canonical vector, and never in a
-pool worker forked from it, which inherits the table, so an engine
-failure names a support and B.  (A worker started by spawn inherits
-nothing and builds its own table the same way.)  A sweep walks its box once, through
+run once per table support (a rank 1 table has none), never per
+canonical vector, and never in a pool worker forked from it, which
+inherits the table, so an engine failure names a support and B; a worker
+started by spawn builds its own.  A sweep walks its box once, through
 enumerate_order_vectors: _chunk_tasks cuts that walk into contiguous
 chunks of CHUNK_SIZE vectors, and a task is the plan and one chunk's
 vectors.  The process that checks a chunk canonicalizes each vector

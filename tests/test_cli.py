@@ -28,6 +28,24 @@ def run_cli(*args, check=False):
     return run_artinhol(*args, capture_output=True, text=True, check=check)
 
 
+def _pinned_digests() -> dict[str, str]:
+    """The digest of each golden sweep artifact, by file name, from
+    sweeps.sha256, which is in `sha256sum` format."""
+    lines = (GOLDEN / "sweeps.sha256").read_text().splitlines()
+    return {file_name: digest for digest, file_name in map(str.split, lines)}
+
+
+def _sweep_artifacts(tmp_path, name, argv) -> dict[str, str]:
+    """Run `sweep argv` writing the records, the summary and the CSV as
+    name.jsonl, name.json and name.csv, and return each file's digest."""
+    outputs = (("--out", "jsonl"), ("--summary-json", "json"), ("--csv", "csv"))
+    paths = [tmp_path / f"{name}.{ext}" for _, ext in outputs]
+    for (flag, _), path in zip(outputs, paths):
+        argv = [*argv, flag, str(path)]
+    assert cli.main(["sweep", *argv]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
 class TestGolden:
     def test_check_d11_v1m1(self):
         res = run_cli("check", "--degrees", "1,1", "--orders", "1,-1", "--json")
@@ -47,12 +65,9 @@ class TestGolden:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name", ["a4_b2", "d112_b3", "s5_b1", "d1_b2", "s3_b2_flags"])
     def test_sweep_artifact_digests(self, tmp_path, capsys, name, workers):
-        # sweeps.sha256 is in `sha256sum` format; any change to the bytes
-        # of the records, the summary or the CSV shows up here.
-        pinned = {}
-        for line in (GOLDEN / "sweeps.sha256").read_text().splitlines():
-            digest, file_name = line.split()
-            pinned[file_name] = digest
+        # Any change to the bytes of the records, the summary or the CSV
+        # shows up here.
+        pinned = _pinned_digests()
         source = {
             "a4_b2": ["--group", "A4", "--order-bound", "2"],
             "d112_b3": ["--degrees", "1,1,2", "--order-bound", "3"],
@@ -64,15 +79,10 @@ class TestGolden:
                 "--no-require-dedekind", "--require-trivial-nonneg",
             ],
         }[name]
-        outputs = (("--out", "jsonl"), ("--summary-json", "json"), ("--csv", "csv"))
-        paths = {flag: tmp_path / f"{name}.{ext}" for flag, ext in outputs}
-        argv = ["sweep", *source, "--workers", workers]
-        for flag, path in paths.items():
-            argv += [flag, str(path)]
-        assert cli.main(argv) == 0
+        digests = _sweep_artifacts(tmp_path, name, [*source, "--workers", workers])
         capsys.readouterr()
-        for path in paths.values():
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[path.name], path.name
+        for file_name, digest in digests.items():
+            assert digest == pinned[file_name], file_name
 
 
 class TestExitCodes:
@@ -444,6 +454,22 @@ class TestEnginesCrossChecked:
         assert capsys.readouterr().err.startswith(
             "error: table support (-3, 2) of order bound 3: engines disagree for v=(-3, 2)"
         )
+
+
+def test_a_rank_1_sweep_runs_no_engine(tmp_path, monkeypatch, capsys):
+    # A rank 1 table has no support: every basis is e_1 or empty, by the
+    # unit lemma.  So no engine runs at B=1000, and the B=2 sweep keeps
+    # its golden bytes.
+    calls = []
+    for name in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
+        engine = getattr(conditions, name)
+        monkeypatch.setattr(conditions, name, lambda v, e=engine: calls.append(v) or e(v))
+    assert cli.main(["sweep", "--degrees", "1", "--order-bound", "1000"]) == 0
+    digests = _sweep_artifacts(tmp_path, "d1_b2", ["--degrees", "1", "--order-bound", "2"])
+    capsys.readouterr()
+    pinned = _pinned_digests()
+    assert digests == {file_name: pinned[file_name] for file_name in digests}
+    assert calls == []
 
 
 class TestDuplicateOutputs:

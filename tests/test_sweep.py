@@ -321,7 +321,7 @@ class TestBasisCache:
         table = conditions.build_type_table(4, 3)
         assert calls == [f"{os.getpid()} {name} {s}" for s in table for name in engines]
         canon = {canonical_order(v)[0] for v in enumerate_order_vectors(3, 4)}
-        assert len(table) == 100 < len(canon) == 122
+        assert len(table) == 76 < len(canon) == 122
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_vector_is_canonicalized_once(self, tmp_path, monkeypatch, workers):
@@ -462,15 +462,16 @@ class TestBasisCache:
             conditions.cross_checked_basis((2, -3))
         with pytest.raises(EngineMismatchError) as err:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 2))
-        # (1,) is the table's first support
+        # (-2, 1) is the table's first support
         assert str(err.value) == (
-            "table support (1,) of order bound 2: closed-form factoriality disagrees "
-            "with the basis for v=(1,): 1 irreducibles at rank 1"
+            "table support (-2, 1) of order bound 2: closed-form factoriality disagrees "
+            "with the basis for v=(-2, 1): 2 irreducibles at rank 2"
         )
 
     def test_an_expanded_basis_is_checked_against_the_closed_form(self, monkeypatch):
-        # The closed form is wrong only for (-1, 1), which no support of
-        # the B=1 table is: the expansion's check names it.
+        # The closed form is wrong only for the plain tuple (-1, 1): the
+        # table's cross-check of its one support, (-1, 1), passes an
+        # OrderVector and succeeds, and the expansion's check names c.
         closed_form = conditions.factorial_closed_form
         monkeypatch.setattr(
             conditions, "factorial_closed_form", lambda v: closed_form(v) != (v == (-1, 1))

@@ -1,16 +1,18 @@
 """The type table every sweep takes its bases from (conditions.build_type_table).
 
 The gates: the expansion equals cross_checked_basis on every canonical
-vector of each acceptance sweep box and of S5 B=2, and dropping any one
-type fails that gate, naming a vector.  The two facts the table rests on,
-support locality and the support-size bound, are checked against the
+vector of each acceptance sweep box and of S5 B=2, and the frontier on
+every canonical vector of S7 B=2; dropping any one type fails the first
+gate, naming a vector.  The two facts the table rests on, support
+locality and Lambert's region of the support, are checked against the
 brute-force split search of tests/conftest.py, and the table never has
-more supports than its box has canonical vectors, for r >= 2.
+more supports than its box has canonical vectors.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from artinhol import Instance, check_instance, conditions
 from artinhol.conditions import build_type_table, cross_checked_basis
 from artinhol.errors import EngineMismatchError
-from artinhol.hilbert import canonical_order
+from artinhol.hilbert import canonical_order, hilbert_basis_frontier
 from artinhol.sweep import enumerate_order_vectors
 from conftest import SWEEP_FAMILIES, dot, is_irreducible
 
@@ -58,17 +60,25 @@ def test_expansion_equals_the_cross_checked_basis(r, bound):
     _assert_expansion_matches(r, bound)
 
 
+def test_expansion_equals_the_frontier_on_s7_b2():
+    # S7 has 15 characters; the canonical vectors of [-2, 2]^15 are its
+    # sorted, gcd-free multisets.
+    build_type_table(2, 15)
+    box = itertools.combinations_with_replacement(range(-2, 3), 15)
+    canon = [c for c in box if canonical_order(c)[0] == c]
+    assert len(canon) == 3741
+    for c in canon:
+        assert conditions._table_basis(c, 2) == hilbert_basis_frontier(c).elements, f"c={c}"
+
+
 @pytest.mark.parametrize(
     "bound, r, supports, types",
-    [(1, 1, 1, 1), (1, 7, 2, 2), (2, 1, 2, 2), (2, 3, 18, 9), (2, 7, 27, 9), (3, 7, 364, 41)],
+    [(1, 1, 0, 0), (1, 7, 1, 1), (2, 1, 0, 0), (2, 3, 10, 7), (2, 7, 14, 7), (3, 7, 168, 38)],
 )
 def test_table_sizes(bound, r, supports, types):
-    # The supports have at most min(r, 2B) values, and no more than B of
-    # either sign; each gets one cross-check.
+    # Each support gets one cross-check; a rank 1 table has none.
     table = build_type_table(bound, r)
     assert (len(table), sum(map(len, table.values()))) == (supports, types)
-    width = min(r, 2 * bound)
-    assert all(len(s) <= width and sum(x < 0 for x in s) <= bound for s in table)
 
 
 def test_dropping_any_type_fails_the_gate_naming_a_vector():
@@ -80,7 +90,7 @@ def test_dropping_any_type_fails_the_gate_naming_a_vector():
             with pytest.raises((AssertionError, EngineMismatchError), match=r"c=\(-?\d"):
                 _assert_expansion_matches(7, 2)
             dropped += 1
-    assert dropped == 9
+    assert dropped == 7
 
 
 def test_a_process_without_the_table_builds_it():
@@ -93,11 +103,11 @@ def test_a_process_without_the_table_builds_it():
 
 
 @pytest.mark.parametrize(
-    "r, bounds", [(2, range(1, 41)), (3, range(1, 7)), (4, range(1, 4)), (5, (1, 2)), (7, (1, 2))]
+    "r, bounds",
+    [(2, range(1, 41)), (3, range(1, 7)), (4, range(1, 4)), (5, (1, 2)), (7, (1, 2)),
+     (1, range(1, 41))],
 )
 def test_the_table_has_no_more_supports_than_the_box_has_canonical_vectors(r, bounds):
-    # At r = 1 it has more: the B positive singletons, against the box's
-    # 3 canonical vectors (-1,), (0,) and (1,).
     for bound in bounds:
         supports = sum(1 for _ in conditions._supports(bound, min(r, 2 * bound)))
         canon = {canonical_order(v)[0] for v in enumerate_order_vectors(r, bound)}
@@ -123,11 +133,18 @@ def test_support_locality_and_support_size(member):
     irreducible = is_irreducible(h, c)
     assert irreducible == is_irreducible([h[j] for j in support], [c[j] for j in support])
     if irreducible:
-        bound = max(map(abs, c))
-        orders = [c[j] for j in support]
-        assert sum(x > 0 for x in orders) <= bound >= sum(x < 0 for x in orders)
-        if min(orders) >= 0:
+        # Lambert's region of the support: with no negative order on it, h
+        # is a unit vector; else it has at most max(-c_j) positive and at
+        # most max(c_j) negative coordinates, both over the support, and
+        # its sorted orders are a support of the type table.
+        orders = sorted(c[j] for j in support)
+        if orders[0] >= 0:
             assert sum(h) == 1
+        else:
+            assert sum(x > 0 for x in orders) <= -orders[0]
+            assert sum(x < 0 for x in orders) <= orders[-1]
+            bound = max(map(abs, c))
+            assert tuple(orders) in set(conditions._supports(bound, len(orders)))
 
 
 def test_an_order_outside_the_bound_is_refused():
