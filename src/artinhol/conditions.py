@@ -19,6 +19,11 @@ basis: cross_checked_basis on the canonical vector, or, in a sweep, the
 unit vectors of its orders >= 0 and the types of the sweep's type table
 (build_type_table), whose supports alone a sweep runs the engines on.
 
+The orbit map: scaling v leaves Hol(v) unchanged and permuting v permutes
+it, so canonical_order reduces v to its sorted, gcd-free canonical vector,
+the layout of the type table's sorted-multiset supports, and _carried
+maps that vector's basis back to v.
+
 Each public function validates its input once and calls the private
 helpers, which take an already validated order vector: _profile reads the
 signs and decides factoriality in one pass, and _cond_ii, _cond_iii_m and
@@ -27,8 +32,9 @@ the public functions share every line of verdict logic.  A row of the pair
 table depends only on a small-int key (r, k, the sign of v_k and the first
 two positive indices with their lift multiplicities), so _pair_row builds
 each distinct row, a tuple of PairWitness named tuples, once per process
-in a bounded cache.  A ConditionReport keeps the rows as they come, one
-per k; its flat table, the concatenation of the rows, is derived.
+in a cache of core.CACHE_SIZE rows.  A ConditionReport keeps the rows as
+they come, one per k; its flat table, the concatenation of the rows, is
+derived.
 
 Generator indices are 1-based in every public function and report,
 matching the subscripts f_1 .. f_r used throughout the domain; the
@@ -39,9 +45,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
+    CACHE_SIZE,
     Instance,
     OrdersLike,
     _int_entries,
@@ -62,9 +71,7 @@ from .errors import (
 from .hilbert import (
     Elements,
     HilbertBasis,
-    _carried,
     _region,
-    canonical_order,
     hilbert_basis_frontier,
     hilbert_basis_oracle,
 )
@@ -247,11 +254,6 @@ def _check_pair_indices(r: int, k: int, l: int) -> None:
         raise EqualIndicesError(f"pair indices must differ, got k=l={k}")
 
 
-#: Distinct pair-table rows kept per process; a sweep meets a few hundred
-#: (627 over the 177,147 vectors of S6 B=1).
-ROW_CACHE_SIZE = 4096
-
-
 def _row_key(pr: _Profile, k: int) -> tuple[int, ...]:
     """Small-int key of row k (0-based) of the pair table: all the row depends on.
 
@@ -269,7 +271,7 @@ def _row_key(pr: _Profile, k: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _pair_row(key: tuple[int, ...]) -> tuple[tuple[PairWitness, ...], bool]:
     """The row of a _row_key: its pairs (k, l), l != k ascending, and whether
     every one of them has a witness.
@@ -432,10 +434,6 @@ def cross_checked_basis(v: OrdersLike) -> HilbertBasis:
     return b_oracle
 
 
-#: Canonical vectors whose bases, expanded from the type table, each process
-#: keeps; S5 B=2 meets 295 and S7 B=2 3,741.
-BASIS_CACHE_SIZE = 4096
-
 #: The type table this process expands sweep bases from, under its
 #: (bound, width) key: the last one build_type_table built.
 _TABLE: dict[tuple[int, int], dict] = {}
@@ -485,7 +483,7 @@ def build_type_table(bound: int, r: int) -> dict[tuple[int, ...], tuple]:
     return table
 
 
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _arrangements(hs: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     """The distinct tuples of length n holding the positive entries hs, in
     any order, and zeros elsewhere."""
@@ -499,7 +497,7 @@ def _arrangements(hs: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
     """Basis elements of Hol(c), for a canonical vector c with entries in
     [-B, B], expanded from this process's type table of B, which is built
@@ -534,6 +532,41 @@ def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
             f"table for c={c}: {len(elems)} irreducibles at rank {r}"
         )
     return tuple(elems)
+
+
+def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orbit-canonical form of an order vector under scaling and permutation.
+
+    Returns (c, perm): c is v divided by the gcd of its entries (1 when all
+    are zero) and sorted ascending, with c[i] = v[perm[i]] / gcd.  The map
+    k -> (k[perm[0]], ..., k[perm[r-1]]) is then a monoid isomorphism from
+    Hol(v) onto Hol(c).
+    """
+    g = math.gcd(*v)
+    perm = tuple(sorted(range(len(v)), key=v.__getitem__))
+    if g < 2:  # nothing to divide: sort v itself, at C speed
+        return tuple(sorted(v)), perm
+    return tuple([v[i] // g for i in perm]), perm
+
+
+def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
+    """Carry basis elements of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v).
+
+    Coordinate i of an element of Hol(c) becomes coordinate perm[i].  The
+    map only permutes coordinates, so distinct nonzero nonnegative elements
+    stay so, and sorting them again keeps the basis lex-sorted.
+    """
+    return tuple(sorted(map(_carrier(perm), elements)))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _carrier(perm: tuple[int, ...]) -> operator.itemgetter | type[tuple]:
+    """The map _carried applies for perm: the itemgetter of its inverse
+    permutation, or tuple for one coordinate, where an itemgetter of one
+    index would return the entry itself."""
+    if len(perm) == 1:
+        return tuple
+    return operator.itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def orbit_basis(

@@ -1,4 +1,4 @@
-"""Hilbert bases of the holomorphy semigroup, with two independent engines.
+"""Hilbert bases of the holomorphy semigroup: two engines, factorization counting.
 
 Hol(v) = {k in N^r : <k, v> >= 0} is an affine semigroup.  Both engines
 first reduce v once, through _nonzero_part and _embed: Hol(v) = Hol(v / g)
@@ -56,16 +56,10 @@ deciding irreducibility, the lattice rank of a basis through a Hermite
 normal form, the adjoined irreducibles of a positive pivot, every
 factorization of an element) live next to those tests, in
 tests/conftest.py.
-
-The orbit map: scaling v leaves Hol(v) unchanged and permuting v permutes
-Hol(v), so canonical_order reduces v to a sorted, gcd-free representative
-and _carried maps its basis back to v; conditions.orbit_basis gives every
-report its basis this way, one basis per representative.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -128,46 +122,6 @@ class HilbertBasis(_Value):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def canonical_order(v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orbit-canonical form of an order vector under scaling and permutation.
-
-    Returns (c, perm): c is v divided by the gcd of its entries (1 when all
-    are zero) and sorted ascending, with c[i] = v[perm[i]] / gcd.  The map
-    k -> (k[perm[0]], ..., k[perm[r-1]]) is then a monoid isomorphism from
-    Hol(v) onto Hol(c).
-    """
-    g = math.gcd(*v)
-    perm = tuple(sorted(range(len(v)), key=v.__getitem__))
-    if g < 2:  # nothing to divide: sort v itself, at C speed
-        return tuple(sorted(v)), perm
-    return tuple([v[i] // g for i in perm]), perm
-
-
-def _carried(elements: Elements, perm: Sequence[int]) -> Elements:
-    """Carry basis elements of Hol(c) back to Hol(v), where (c, perm) = canonical_order(v).
-
-    Coordinate i of an element of Hol(c) becomes coordinate perm[i].  The
-    map only permutes coordinates, so distinct nonzero nonnegative elements
-    stay so, and sorting them again keeps the basis lex-sorted.
-    """
-    if len(perm) == 1:  # itemgetter of one index would return the entry itself
-        return tuple(sorted(elements))
-    return tuple(sorted(map(_carrier(perm), elements)))
-
-
-#: Distinct permutations whose carriers are kept per process, as many as
-#: conditions.ROW_CACHE_SIZE keeps pair-table rows; S5 B=1 meets 1,312.
-CARRIER_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=CARRIER_CACHE_SIZE)
-def _carrier(perm: tuple[int, ...]) -> operator.itemgetter:
-    """The itemgetter that _carried maps over the elements for perm, of
-    length >= 2: coordinate j of the carried element is coordinate
-    inverse[j] of the element, for the inverse permutation of perm."""
-    return operator.itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
 
 
 class FactorizationCount(NamedTuple):

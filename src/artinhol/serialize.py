@@ -4,13 +4,13 @@ Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
 render_report_json writes the fixed-key record straight to a string,
-taking from bounded per-process caches the record's text around its
-orders, up to its admissibility verdict, which depends only on the
-degrees, flags and labels, the text of each basis element and of the
-reasons list, keyed by value, and of each pair-table row, keyed by the
-row object, as the report keeps its rows; the test suite checks it byte
-for byte against canonical_json of the report as a dict (report_document
-in tests/conftest.py), with the caches warm and cleared.
+taking from per-process caches of core.CACHE_SIZE entries the record's
+text around its orders, up to its admissibility verdict, which depends
+only on the degrees, flags and labels, the text of each basis element
+and of the reasons list, keyed by value, and of each pair-table row,
+keyed by the row object, as the report keeps its rows; the test suite
+checks it byte for byte against canonical_json of the report as a dict
+(report_document in tests/conftest.py), with the caches warm and cleared.
 Parsing type-checks the instance, rebuilds the report, basis included,
 through conditions.check_instance and rejects a record that disagrees; a
 sweep file's records share one basis dict.
@@ -24,7 +24,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .conditions import ConditionReport, PairWitness, check_instance
-from .core import DegreeVector, Instance, _int_value, validate_exponent_vector
+from .core import CACHE_SIZE, DegreeVector, Instance, _int_value, validate_exponent_vector
 from .errors import LengthMismatchError
 
 if TYPE_CHECKING:
@@ -48,14 +48,10 @@ def _ints(e) -> str:
     return str(list(e)).replace(" ", "")
 
 
-#: Distinct texts kept per process by each of the renderer's caches.
-TEXT_CACHE_SIZE = 4096
-
-
 _SCHEMA_TEXT = canonical_json(SCHEMA_VERSION)
 
 
-@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _instance_texts(
     degrees: tuple[int, ...],
     require_dedekind: bool,
@@ -77,7 +73,7 @@ def _instance_texts(
     )
 
 
-@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _vector_text(vector: tuple[int, ...]) -> str:
     """JSON array of a basis element, which recurs across records."""
     return _ints(vector)
@@ -97,7 +93,7 @@ def _pairs_text(row: tuple[PairWitness, ...]) -> str:
     hit = _ROW_TEXTS.get(id(row))
     if hit is not None:
         return hit[1]
-    if len(_ROW_TEXTS) >= TEXT_CACHE_SIZE:
+    if len(_ROW_TEXTS) >= CACHE_SIZE:
         del _ROW_TEXTS[next(iter(_ROW_TEXTS))]
     text = ",".join(
         f'{{"k":{k},"l":{l},"witness":{"null" if w is None else _ints(w)}}}'
@@ -110,7 +106,7 @@ def _pairs_text(row: tuple[PairWitness, ...]) -> str:
 _pairs_text.cache_clear = _ROW_TEXTS.clear
 
 
-@functools.lru_cache(maxsize=TEXT_CACHE_SIZE)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _reasons_text(reasons: tuple[str, ...]) -> str:
     return canonical_json(list(reasons))
 
@@ -124,9 +120,8 @@ def render_report_json(rep: ConditionReport) -> str:
     across records and costs something to build is rendered once per
     process: the instance's text but its orders, each distinct basis
     element, reasons list and pair-table row, the table taken row by row
-    as the report keeps it.  Each cache holds up to TEXT_CACHE_SIZE texts.
-    The test suite checks the bytes against canonical_json of the report
-    as a dict.
+    as the report keeps it.  The test suite checks the bytes against
+    canonical_json of the report as a dict.
     """
     inst = rep.instance
     m = rep.cond_iii_m

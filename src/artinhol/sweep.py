@@ -160,8 +160,13 @@ class SweepSummary(_Value):
 
 def _box_size(r: int, bound: int) -> int:
     """(2B+1)^r, the number of vectors in the box [-B, B]^r; raises
-    CapExceededError if r * (2B+1)^r exceeds INSTANCE_CAP."""
-    size = (2 * bound + 1) ** r
+    CapExceededError if r * (2B+1)^r exceeds INSTANCE_CAP: at once, the
+    size unbuilt and named as a power, where r >= 13 (13 * 3^13 is over)
+    or 2B+1 alone is over."""
+    side = 2 * bound + 1
+    if r >= 13 or side > INSTANCE_CAP:
+        raise CapExceededError(f"sweep of {r} x {side}^{r} entries exceeds cap {INSTANCE_CAP}")
+    size = side**r
     if r * size > INSTANCE_CAP:
         raise CapExceededError(
             f"sweep of {r} x {size} = {r * size} entries exceeds cap {INSTANCE_CAP}"

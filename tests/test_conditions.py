@@ -28,13 +28,14 @@ from artinhol import (
     is_member_hol,
 )
 from artinhol import conditions, serialize
+from artinhol.conditions import canonical_order
+from artinhol.core import CACHE_SIZE
 from artinhol.errors import (
     EqualIndicesError,
     IndexOutOfRangeError,
     InvalidSubsetError,
     RankTooSmallError,
 )
-from artinhol.hilbert import canonical_order
 from conftest import (
     cond_ii_pair_search,
     cond_iii_subset_search,
@@ -250,7 +251,7 @@ class TestInternedPairTable:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize, cache
         # the row texts, cached by row object, drop the oldest once full
-        assert len(serialize._ROW_TEXTS) == serialize.TEXT_CACHE_SIZE
+        assert len(serialize._ROW_TEXTS) == CACHE_SIZE
         # more distinct rows than it holds went through the row cache
         info = conditions._pair_row.cache_info()
         assert info.misses > info.maxsize == info.currsize

@@ -116,39 +116,57 @@ def test_no_function_calls_itself():
     assert found == []
 
 
-def test_only_conditions_carries_a_basis_back():
-    # Every report gets its basis through conditions.orbit_basis, the one
-    # place where a canonical vector's basis is carried back.
-    importers = {
-        name
-        for name, tree in MODULES.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and any(a.name == "_carried" for a in node.names)
-    }
-    callers = {
-        name
-        for name, tree in MODULES.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and "_carried" in {
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        }
-    }
-    assert importers == callers == {"conditions"}
-
-
-def test_only_conditions_canonicalizes():
-    # The orbit map belongs to conditions: a sweep reaches it through
-    # check_instance's orbit_basis, in the process that checks the vector.
-    # A module that imports, names or calls canonical_order uses it.
+def test_only_conditions_holds_the_orbit_map():
+    # The orbit map belongs to conditions: every report gets its basis
+    # through conditions.orbit_basis, which canonicalizes the vector in the
+    # process that checks it and carries the canonical vector's basis back.
+    # A module that defines, imports, names or calls one of its parts uses it.
+    orbit_map = {"canonical_order", "_carried", "_carrier"}
     users = {
         name
         for name, tree in MODULES.items()
         for node in ast.walk(tree)
-        if "canonical_order"
-        in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
-        and not isinstance(node, ast.FunctionDef)
+        if orbit_map
+        & {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
     }
     assert users == {"conditions"}
+
+
+def test_every_per_process_cache_is_bounded_by_core_cache_size():
+    # One constant sizes every cache a process keeps: each lru_cache takes
+    # core.CACHE_SIZE as its maxsize, and serialize's row texts drop the
+    # oldest entry once they hold that many.
+    sizes = {
+        f"{name}.{target.id}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("CACHE_SIZE")
+    }
+    assert sizes == {"core.CACHE_SIZE"}
+    caches = {
+        f"{name}.{fn.name}": ast.unparse(decorator)
+        for name, tree in MODULES.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for decorator in fn.decorator_list
+        if "cache" in ast.unparse(decorator)
+    }
+    assert caches == dict.fromkeys(
+        [
+            "conditions._pair_row",
+            "conditions._arrangements",
+            "conditions._table_basis",
+            "conditions._carrier",
+            "serialize._instance_texts",
+            "serialize._vector_text",
+            "serialize._reasons_text",
+        ],
+        "functools.lru_cache(maxsize=CACHE_SIZE)",
+    )
+    compared = [ast.unparse(node) for node in ast.walk(MODULES["serialize"])]
+    assert "len(_ROW_TEXTS) >= CACHE_SIZE" in compared
 
 
 def _calls(module: str) -> dict[str, set[str]]:
@@ -186,15 +204,14 @@ def test_on_the_sweep_path_only_the_table_build_runs_the_engines():
 def test_one_reduction_for_both_hilbert_engines():
     # Both engines search the nonzero orders of v / gcd(v) that
     # hilbert._nonzero_part returns and carry back through hilbert._embed;
-    # no other function divides by a gcd.
+    # no other function of hilbert divides by a gcd.
     calls = {
         fn.name: {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
         for fn in ast.walk(MODULES["hilbert"])
         if isinstance(fn, ast.FunctionDef)
     }
     assert {name for name, called in calls.items() if called & {"math.gcd", "gcd"}} == {
-        "canonical_order",
-        "_nonzero_part",
+        "_nonzero_part"
     }
     for engine in ("hilbert_basis_oracle", "hilbert_basis_frontier"):
         assert {"_nonzero_part", "_embed"} <= calls[engine], engine

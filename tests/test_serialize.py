@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from artinhol import DegreeVector, Instance, SweepPlan, check_instance, get_group, sweep_reports
 from artinhol import conditions, serialize
-from artinhol.conditions import ConditionReport
-from artinhol.hilbert import canonical_order
+from artinhol.conditions import ConditionReport, canonical_order
 from artinhol.errors import LengthMismatchError
 from artinhol.serialize import (
     exit_code_for_report,

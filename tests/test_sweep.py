@@ -7,6 +7,7 @@ import multiprocessing.pool
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from artinhol import (
     summarize,
     sweep_reports,
 )
-from artinhol import cli, conditions, hilbert, sweep
+from artinhol import cli, conditions, sweep
 from artinhol.errors import (
     ArtinHolError,
     CapExceededError,
@@ -30,7 +31,8 @@ from artinhol.errors import (
     MixedPlansError,
     WorkerDiedError,
 )
-from artinhol.hilbert import HilbertBasis, _carried, canonical_order, hilbert_basis_oracle
+from artinhol.conditions import _carried, canonical_order
+from artinhol.hilbert import HilbertBasis, hilbert_basis_oracle
 from artinhol.serialize import (
     read_sweep_records,
     render_summary_csv,
@@ -90,6 +92,22 @@ class TestEnumerate:
         plan = SweepPlan(DegreeVector((1,) * 10), 1)
         with pytest.raises(CapExceededError, match="exceeds cap"):
             plan._replace(order_bound=3)
+
+    def test_a_rank_past_12_is_refused_before_its_box_size_is_built(self, capsys):
+        # 13 * 3^13 is over the cap, so a rank of 13 or more is refused at
+        # once for every B, its size named as a power: 3^10000 has 4,772
+        # digits, more than int-to-str converts by default.
+        message = "sweep of 10000 x 3^10000 entries exceeds cap 10000000"
+        with pytest.raises(CapExceededError) as err:
+            SweepPlan(DegreeVector((1,) * 10_000), 1)
+        assert str(err.value) == message
+        start = time.perf_counter()
+        assert cli.main(["sweep", "--degrees", ",".join(["1"] * 10_000), "--order-bound", "1"]) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(CapExceededError, match=r"^sweep of 13 x 3\^13 entries exceeds"):
+            enumerate_order_vectors(13, 1)
+        assert sweep._box_size(12, 1) == 3**12
 
     def test_oversized_box_starts_no_pool_and_leaves_no_file(self, tmp_path, monkeypatch):
         # The plan refuses the box when it is built, so no sweep starts.
@@ -351,8 +369,7 @@ class TestBasisCache:
             finally:
                 in_check.pop()
 
-        for module in (conditions, hilbert):
-            monkeypatch.setattr(module, "canonical_order", logged)
+        monkeypatch.setattr(conditions, "canonical_order", logged)
         monkeypatch.setattr(sweep, "check_instance", check)
         started = _logged_pool(monkeypatch)
         # 625 records, three chunks

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from artinhol import conditions
-from artinhol.hilbert import canonical_order
+from artinhol.conditions import canonical_order
 from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -19,9 +19,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artinhol import Instance, check_instance, conditions
-from artinhol.conditions import build_type_table, cross_checked_basis
+from artinhol.conditions import build_type_table, canonical_order, cross_checked_basis
 from artinhol.errors import EngineMismatchError
-from artinhol.hilbert import canonical_order, hilbert_basis_frontier
+from artinhol.hilbert import hilbert_basis_frontier
 from artinhol.sweep import enumerate_order_vectors
 from conftest import SWEEP_FAMILIES, dot, is_irreducible
 
