@@ -116,20 +116,27 @@ def test_no_function_calls_itself():
     assert found == []
 
 
-def test_only_conditions_holds_the_orbit_map():
-    # The orbit map belongs to conditions: every report gets its basis
-    # through conditions.orbit_basis, which canonicalizes the vector in the
-    # process that checks it and carries the canonical vector's basis back.
-    # A module that defines, imports, names or calls one of its parts uses it.
-    orbit_map = {"canonical_order", "_carried", "_carrier"}
-    users = {
+def _users(names: set[str]) -> set[str]:
+    """Modules that define, import, name or call one of `names`."""
+    return {
         name
         for name, tree in MODULES.items()
         for node in ast.walk(tree)
-        if orbit_map
+        if names
         & {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
     }
-    assert users == {"conditions"}
+
+
+def test_only_conditions_carries_a_basis_back():
+    # Every report gets its basis through conditions.orbit_basis, the one
+    # place where a canonical vector's basis is carried back.
+    assert _users({"_carried", "_carrier"}) == {"conditions"}
+
+
+def test_only_conditions_canonicalizes():
+    # The orbit map belongs to conditions: a sweep reaches it through
+    # check_instance's orbit_basis, in the process that checks the vector.
+    assert _users({"canonical_order"}) == {"conditions"}
 
 
 def test_every_per_process_cache_is_bounded_by_core_cache_size():
