@@ -62,6 +62,7 @@ from .core import (
 )
 from .errors import (
     ArtinHolError,
+    CapExceededError,
     EngineMismatchError,
     EqualIndicesError,
     IndexOutOfRangeError,
@@ -69,6 +70,7 @@ from .errors import (
     RankTooSmallError,
 )
 from .hilbert import (
+    ENUMERATION_CAP,
     Elements,
     HilbertBasis,
     _region,
@@ -313,8 +315,17 @@ def cond_ii_pair(v: OrdersLike, k: int, l: int) -> tuple[int, ...] | None:
 
 def _cond_ii(pr: _Profile) -> tuple[bool, tuple[tuple[PairWitness, ...], ...]]:
     """Verdict of ii and the rows of its ordered-pair table, one per k in
-    order, each looked up by its key."""
-    rows = [_pair_row(_row_key(pr, k)) for k in range(len(pr.ent))]
+    order, each looked up by its key.  A table of more than
+    ENUMERATION_CAP witness entries, r(r-1) witnesses of r entries each
+    (r >= 216), is refused before any row is built."""
+    r = len(pr.ent)
+    entries = r * r * (r - 1)
+    if entries > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"pair table of {entries} witness entries exceeds the enumeration cap "
+            f"{ENUMERATION_CAP}"
+        )
+    rows = [_pair_row(_row_key(pr, k)) for k in range(r)]
     return (pr.factorial and all([full for _, full in rows]), tuple([row for row, _ in rows]))
 
 
@@ -607,11 +618,12 @@ def check_instance(
     order bound of the sweep the instance belongs to, or cross-checked
     into `bases` without it.  Every verdict is decided from the orders
     alone, all of them from one pass over the entries the OrderVector has
-    already validated.
+    already validated.  The pair table comes first, so a rank whose table
+    is over the cap is refused before the basis is built.
     """
-    elements = orbit_basis(inst.orders.entries, bases, bound)
     pr = _profile(inst.orders.entries)
     cii, rows = _cond_ii(pr)
+    elements = orbit_basis(inst.orders.entries, bases, bound)
     cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)
     return ConditionReport(
         instance=inst,

@@ -11,8 +11,8 @@ Every basis of a sweep comes from one type table (conditions.build_type_table),
 which the sweep's own process builds before any chunk runs: the engines
 run once per table support (a rank 1 table has none), never per
 canonical vector, and never in a pool worker forked from it, which
-inherits the table, so an engine failure names a support and B; a worker
-started by spawn builds its own.  A sweep walks its box once, through
+inherits the table, so an engine failure names a support and B.  A
+sweep walks its box once, through
 enumerate_order_vectors: _chunk_tasks cuts that walk into contiguous
 chunks of CHUNK_SIZE vectors, and a task is the plan and one chunk's
 vectors.  The process that checks a chunk canonicalizes each vector
@@ -21,12 +21,13 @@ table once into a bounded cache, renders its records and runs summarize
 on the reports; the parent only enumerates, writes each chunk's records
 and adds its summary, in chunk order, so the output bytes do not depend
 on the worker count.  The worker count only chooses the mapper: with one
-worker, or a box of one chunk, the builtin map runs the chunks in this
-process, sweep_reports walks the same stream, and multiprocessing is
-never imported: Pool imports it when it starts.  Otherwise the chunks go
-through Pool, whose workers have a pipe each and are fed from this
-process's one thread, at most _IN_FLIGHT chunks per worker; a worker
-that dies fails the sweep with WorkerDiedError.
+worker, a box of one chunk or a platform without os.fork, the builtin map
+runs the chunks in this process, and sweep_reports walks the same
+stream.  Otherwise the chunks go through Pool, whose workers are forked
+from this process with two raw pipes each, one for tasks and one for
+results, and are fed from this process's one thread, at most _IN_FLIGHT
+chunks per worker; a worker that dies fails the sweep with
+WorkerDiedError.  No run imports multiprocessing.
 """
 
 from __future__ import annotations
@@ -162,9 +163,15 @@ def _box_size(r: int, bound: int) -> int:
     """(2B+1)^r, the number of vectors in the box [-B, B]^r; raises
     CapExceededError if r * (2B+1)^r exceeds INSTANCE_CAP: at once, the
     size unbuilt and named as a power, where r >= 13 (13 * 3^13 is over)
-    or 2B+1 alone is over."""
+    or 2B+1 alone is over, when 2B+1 is named by its bit length, which
+    prints however large B is."""
     side = 2 * bound + 1
-    if r >= 13 or side > INSTANCE_CAP:
+    if side > INSTANCE_CAP:
+        raise CapExceededError(
+            f"sweep of {r} x (2B+1)^{r} entries, 2B+1 of {side.bit_length()} bits, "
+            f"exceeds cap {INSTANCE_CAP}"
+        )
+    if r >= 13:
         raise CapExceededError(f"sweep of {r} x {side}^{r} entries exceeds cap {INSTANCE_CAP}")
     size = side**r
     if r * size > INSTANCE_CAP:
@@ -193,7 +200,10 @@ def _chunk_tasks(plan: SweepPlan) -> Iterator[tuple]:
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
+    has one, else the machine's count; 1 where it cannot fork, so that a
+    sweep there runs serially."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -206,48 +216,43 @@ _IN_FLIGHT = 2
 
 
 class Pool:
-    """`processes` worker processes, each with a pipe of its own, fed from
-    the caller's thread: the pool starts no thread.
+    """`processes` worker processes forked from the caller, each with two
+    pipes of its own, tasks going down one and results coming up the
+    other, fed from the caller's thread: the pool starts no thread.
 
     A pool serves one imap(func, tasks), which sends each worker at most
     _IN_FLIGHT tasks at once and yields func(task) in task order, so
     output does not depend on which worker ran a task.  A worker sends a
     task's result only once the pool's next message to it, a task or the
-    stop message, has arrived; so the two ends of a pipe never both wait
-    to send, whatever the size of a task or a result.  An exception
-    raised by func is raised from imap; a worker that exits without
-    returning its task's result raises WorkerDiedError, naming its exit
-    code and the first vector of the chunk it held.  Workers ignore
-    SIGINT: an interrupt is the caller's to handle, and leaving the with
-    block then kills them.
+    stop message, has arrived; so the two ends of a worker's pipes never
+    both wait to send, whatever the size of a task or a result.  A message
+    is an 8-byte length and a pickle of that many bytes.  An exception
+    raised by func, or by pickling its result, is raised from imap; a
+    worker that exits without returning its task's result raises
+    WorkerDiedError, naming its exit code and the first vector of the
+    chunk it held.  Workers ignore SIGINT: an interrupt is the caller's
+    to handle, and leaving the with block then kills them.
 
     close() sends each worker the stop message; join() then reads and
     drops the results still pending and waits for the workers to exit.
-    terminate(), which leaving a with block calls, kills the workers: no
-    lock or queue is shared, so that is safe at any moment.
-    multiprocessing is imported only when a Pool starts, so a serial sweep
-    never loads it.  Workers start by the platform's default method, fork
-    on Linux, as multiprocessing.Pool's do; the parent runs no other
-    thread a fork could copy mid-operation.
+    terminate(), which leaving a with block calls, kills the workers
+    with SIGTERM, waits for them and closes the pool's pipe ends: no lock
+    or queue is shared, so that is safe at any moment.  A worker never
+    returns into the caller's frames: it leaves through os._exit, so it
+    flushes none of the buffers, stdio or output file, that it inherited.
+    The caller runs no other thread that a fork could copy mid-operation.
     """
 
     def __init__(self, processes: int):
-        import multiprocessing
+        import pickle  # noqa: F401  (loaded before the first fork, so no worker loads it)
 
-        self._workers = []  # (process, the pool's end of its pipe)
+        self._workers = []  # (pid, the fd tasks go down, the fd results come up)
+        self._exitcodes = {}  # worker index -> exit code, once reaped
         self._pending = deque()  # (worker index, task) in task order
         self._open = set()  # workers not yet sent the stop message
         try:
             for i in range(processes):
-                ours, theirs = multiprocessing.Pipe()
-                # A forked worker inherits the pool's end of its own pipe
-                # and of every earlier worker's; it closes them, so that it
-                # reads EOF once the pool's process is gone.
-                held = [conn for _, conn in self._workers] + [ours]
-                proc = multiprocessing.Process(target=_serve, args=(theirs, held), daemon=True)
-                proc.start()
-                theirs.close()
-                self._workers.append((proc, ours))
+                self._workers.append(self._start())
                 self._open.add(i)
         except BaseException:
             self.terminate()
@@ -285,21 +290,68 @@ class Pool:
         while self._pending:
             i, _ = self._pending.popleft()
             try:
-                self._workers[i][1].recv()
-            except (EOFError, ConnectionResetError):
+                _read_message(self._workers[i][2])
+            except EOFError:
                 pass  # that worker has died; its later results raise the same
-        for proc, _ in self._workers:
-            proc.join()
+        for i in range(len(self._workers)):
+            self._reap(i)
 
     def terminate(self) -> None:
         """Kill the workers, wait for them and close their pipes."""
+        import signal
+
         self._open.clear()
         self._pending.clear()
-        for proc, _ in self._workers:
-            proc.terminate()
-        for proc, conn in self._workers:
-            proc.join()
-            conn.close()
+        for i, (pid, _, _) in enumerate(self._workers):
+            if i not in self._exitcodes:
+                os.kill(pid, signal.SIGTERM)
+        for i, (_, tasks, results) in enumerate(self._workers):
+            self._reap(i)
+            os.close(tasks)
+            os.close(results)
+        self._workers.clear()
+        self._exitcodes.clear()
+
+    def _start(self) -> tuple[int, int, int]:
+        """Fork a worker; return its pid and the pool's ends of its pipes."""
+        import signal
+
+        fds = []
+        try:
+            fds += os.pipe()  # tasks: the worker reads fds[0], the pool writes fds[1]
+            fds += os.pipe()  # results: the pool reads fds[2], the worker writes fds[3]
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # The worker closes the pool's ends of its own pipes and of
+                # every earlier worker's, so that it reads EOF once the
+                # pool's process is gone.
+                for fd in [fd for _, *ends in self._workers for fd in ends] + fds[1:3]:
+                    os.close(fd)
+                _serve(fds[0], fds[3])
+                code = 0
+            except BaseException:
+                import traceback
+
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        os.close(fds[0])
+        os.close(fds[3])
+        return pid, fds[1], fds[2]
+
+    def _reap(self, i: int) -> int:
+        """Wait for worker i to exit, once; return its exit code."""
+        if i not in self._exitcodes:
+            _, status = os.waitpid(self._workers[i][0], 0)
+            self._exitcodes[i] = os.waitstatus_to_exitcode(status)
+        return self._exitcodes[i]
 
     def _feed(self, i: int, func, tasks: Iterator) -> None:
         """Send worker i the next task, or the stop message if none is left."""
@@ -317,19 +369,21 @@ class Pool:
         self._send(i, None)
 
     def _send(self, i: int, message) -> None:
+        import pickle
+
         try:
-            self._workers[i][1].send(message)
-        except (BrokenPipeError, ConnectionResetError):
+            _write_message(self._workers[i][1], pickle.dumps(message))
+        except BrokenPipeError:
             pass  # the worker has died: reading its oldest pending result raises
 
     def _receive(self, i: int, task):
-        proc, conn = self._workers[i]
+        import pickle
+
         try:
-            return conn.recv()
-        except (EOFError, ConnectionResetError):
-            proc.join()
+            return pickle.loads(_read_message(self._workers[i][2]))
+        except EOFError:
             raise WorkerDiedError(
-                f"worker process exited with code {proc.exitcode} "
+                f"worker process exited with code {self._reap(i)} "
                 f"in the chunk that starts at v={task[1][0]}"
             ) from None
 
@@ -342,28 +396,48 @@ class _WorkerTraceback(Exception):
         return "\n" + self.args[0]
 
 
-def _serve(conn, inherited) -> None:
+def _write_message(fd: int, message: bytes) -> None:
+    """Write `message` to `fd`, after its length as 8 bytes."""
+    data = memoryview(len(message).to_bytes(8, "little") + message)
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _read_exactly(fd: int, size: int) -> bytearray:
+    """The next `size` bytes from `fd`; EOFError if it ends first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _read_message(fd: int) -> bytearray:
+    """The next message _write_message wrote to `fd`."""
+    return _read_exactly(fd, int.from_bytes(_read_exactly(fd, 8), "little"))
+
+
+def _serve(tasks: int, results: int) -> None:
     """A Pool worker: run each (func, task) it is sent and send back
     (True, func(task)) or (False, (the exception raised, its traceback)),
     each once the next message has arrived, until the stop message None."""
-    import signal
+    import pickle
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for other in inherited:
-        other.close()
     try:
-        message = conn.recv()
+        message = pickle.loads(_read_message(tasks))
         while message is not None:
             func, task = message
             try:
-                result = True, func(task)
+                result = pickle.dumps((True, func(task)))
             except Exception as exc:
                 import traceback
 
-                result = False, (exc, traceback.format_exc())
-            message = conn.recv()
-            conn.send(result)
-    except EOFError:
+                result = pickle.dumps((False, (exc, traceback.format_exc())))
+            message = pickle.loads(_read_message(tasks))
+            _write_message(results, result)
+    except (EOFError, BrokenPipeError):
         pass  # the pool's process is gone
 
 
@@ -486,11 +560,11 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
 
     When a chunk fails in a pool, or writing its records does, the pool
     is sent no further task, and its workers finish the tasks they hold
-    and exit before it is torn down.  Pool could be torn down at once, but
-    the same path serves a multiprocessing.Pool, which the benchmark's
-    tracing swaps in: a worker of that pool terminated while it sends a
-    result would leave its result queue's lock held, and the teardown
-    would wait on it forever.
+    and exit before it is torn down.  Pool could be torn down at once, as
+    its workers share no lock, but the same path serves a
+    multiprocessing.Pool, which the benchmark's tracing swaps in: a worker
+    of that pool terminated while it sends a result would leave its result
+    queue's lock held, and the teardown would wait on it forever.
     """
     summary = summarize(())
     with _replacing(plan.out_path) as fh:

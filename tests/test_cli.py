@@ -106,6 +106,24 @@ class TestExitCodes:
         res = run_cli("check", "--degrees", "0,1", "--orders", "1,1")
         assert res.returncode == 2
 
+    def test_a_pair_table_over_the_cap_is_two_before_any_row(self, monkeypatch, capsys):
+        # r(r-1) witnesses of r entries: r = 216 is the first rank past the
+        # cap, refused before the basis or any pair row is built; r = 215
+        # would print about 31 MB.
+        def fail(*args):
+            raise AssertionError(f"built for {args}")
+
+        monkeypatch.setattr(conditions, "cross_checked_basis", fail)
+        monkeypatch.setattr(conditions, "_pair_row", fail)
+        start = time.perf_counter()
+        argv = ["check", "--degrees", ",".join(["1"] * 216), "--orders", "0," * 215 + "-1"]
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr() == (
+            "",
+            "error: pair table of 10031040 witness entries exceeds the enumeration cap 10000000\n",
+        )
+
     def test_factorize_outside_hol_is_two(self):
         res = run_cli("factorize", "--orders", "1,-1", "--element", "0,1")
         assert res.returncode == 2

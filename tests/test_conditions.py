@@ -31,6 +31,7 @@ from artinhol import conditions, serialize
 from artinhol.conditions import canonical_order
 from artinhol.core import CACHE_SIZE
 from artinhol.errors import (
+    CapExceededError,
     EqualIndicesError,
     IndexOutOfRangeError,
     InvalidSubsetError,
@@ -116,6 +117,20 @@ class TestCondII:
         assert cond_ii((0, 0))[0] is True
         assert cond_ii((1, -1))[0] is False
         assert cond_ii((2, -3))[0] is False
+
+    def test_a_table_over_the_cap_is_refused(self, monkeypatch):
+        # r(r-1) witnesses of r entries: 216^2 * 215 = 10,031,040 is the
+        # first over the cap; at a cap of 18 = 3^2 * 2 rank 3 is the last
+        # rank allowed.
+        with pytest.raises(CapExceededError) as err:
+            cond_ii((0,) * 215 + (-1,))
+        assert str(err.value) == (
+            "pair table of 10031040 witness entries exceeds the enumeration cap 10000000"
+        )
+        monkeypatch.setattr(conditions, "ENUMERATION_CAP", 18)
+        assert len(cond_ii((0, 0, -1))[1]) == 6
+        with pytest.raises(CapExceededError, match="^pair table of 48 witness entries exceeds"):
+            check_instance(Instance((1,) * 4, (0, 0, 0, -1)))
 
     def test_pair_table_matches_report(self):
         for v in itertools.product(range(-2, 3), repeat=3):

@@ -3,9 +3,9 @@
 Reads the sources with ast, so nothing is imported.  An import under
 `if TYPE_CHECKING:` serves annotations only and is left out of the graph.
 The two exceptions run the package in a fresh interpreter, to show that
-multiprocessing is loaded only for a pool, and dataclasses and inspect
-never, and that a pooled sweep runs in one thread of its process and
-loads neither multiprocessing.pool nor queue.
+no run loads multiprocessing, dataclasses or inspect, and that a pooled
+sweep runs in one thread of its process, its chunks checked in worker
+processes, and loads neither multiprocessing.pool nor queue.
 """
 
 from __future__ import annotations
@@ -224,20 +224,25 @@ def test_one_reduction_for_both_hilbert_engines():
         assert {"_nonzero_part", "_embed"} <= calls[engine], engine
 
 
-def test_multiprocessing_is_imported_only_for_a_pool():
-    # sweep.Pool imports multiprocessing when a sweep starts a pool, so
-    # importing the package and running a serial sweep never load it; and
+def test_no_run_loads_multiprocessing_dataclasses_or_inspect():
+    # sweep.Pool forks its workers itself, so neither importing the package
+    # nor a serial or a pooled sweep loads any multiprocessing module; and
     # no run loads dataclasses or the inspect it imports.
     script = (
         "import sys, artinhol\n"
-        "def unloaded(*names):\n"
-        "    return not set(names) & sys.modules.keys()\n"
-        "assert unloaded('multiprocessing', 'dataclasses', 'inspect'), 'import artinhol'\n"
-        "from artinhol import cli\n"
-        "assert cli.main(['sweep', '--degrees', '1,1,2', '--order-bound', '4']) == 0\n"
-        "assert unloaded('multiprocessing', 'dataclasses', 'inspect'), 'serial sweep'\n"
+        "def unloaded():\n"
+        "    return not [m for m in sys.modules if m.split('.')[0] in\n"
+        "                ('multiprocessing', 'dataclasses', 'inspect')]\n"
+        "assert unloaded(), 'import artinhol'\n"
+        "from artinhol import cli, sweep\n"
+        "argv = ['sweep', '--degrees', '1,1,2', '--order-bound', '4']\n"
+        "assert cli.main(argv) == 0\n"
+        "assert unloaded(), 'serial sweep'\n"
+        "sweep._usable_cpus = lambda: 2\n"
+        "assert cli.main([*argv, '--workers', '2']) == 0\n"
+        "assert unloaded(), 'pooled sweep'\n"
         "assert cli.main(['check', '--degrees', '1,1,2', '--orders', '1,-1,0']) == 0\n"
-        "assert unloaded('dataclasses', 'inspect'), 'check'\n"
+        "assert unloaded(), 'check'\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script],
@@ -250,22 +255,29 @@ def test_multiprocessing_is_imported_only_for_a_pool():
 
 
 def test_a_pooled_sweep_starts_no_thread_and_loads_no_stdlib_pool(tmp_path):
-    # sweep.Pool feeds its workers from the caller's thread, one pipe each:
-    # the parent runs one thread while it writes, and neither
-    # multiprocessing.pool nor the queue module it uses is loaded.
+    # sweep.Pool feeds its workers from the caller's thread, two pipes each:
+    # the parent runs one thread while it writes, its three chunks are
+    # checked by two other processes, and no multiprocessing module, nor
+    # the queue module multiprocessing.pool uses, is loaded.
     script = (
-        "import sys, threading\n"
+        "import os, sys, threading\n"
         "from artinhol import cli, sweep\n"
         "sweep._usable_cpus = lambda: 2\n"
-        "add, threads = sweep.SweepSummary.__add__, []\n"
+        "run, add, threads, pids = sweep._run_chunk, sweep.SweepSummary.__add__, [], []\n"
+        "def traced(task):\n"
+        "    lines, part = run(task)\n"
+        "    return lines, (part, os.getpid())\n"
         "def counted(self, other):\n"
+        "    part, pid = other\n"
         "    threads.append(threading.active_count())\n"
-        "    return add(self, other)\n"
-        "sweep.SweepSummary.__add__ = counted\n"
+        "    pids.append(pid)\n"
+        "    return add(self, part)\n"
+        "sweep._run_chunk, sweep.SweepSummary.__add__ = traced, counted\n"
         "argv = ['sweep', '--degrees', '1,1,2', '--order-bound', '4', '--workers', '2']\n"
         "assert cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
-        "assert 'multiprocessing' in sys.modules, 'no pool started'\n"
-        "assert not {'multiprocessing.pool', 'queue'} & sys.modules.keys(), 'pooled sweep'\n"
+        "assert len(set(pids)) == 2 and os.getpid() not in pids, 'no pool started'\n"
+        "loaded = [m for m in sys.modules if m.startswith('multiprocessing') or m == 'queue']\n"
+        "assert loaded == [], loaded\n"
         "assert threads == [1, 1, 1], threads\n"
     )
     res = subprocess.run(

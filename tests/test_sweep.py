@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing.pool
 import os
@@ -108,6 +109,18 @@ class TestEnumerate:
         with pytest.raises(CapExceededError, match=r"^sweep of 13 x 3\^13 entries exceeds"):
             enumerate_order_vectors(13, 1)
         assert sweep._box_size(12, 1) == 3**12
+
+    def test_a_side_too_large_to_print_is_named_by_its_bit_length(self):
+        # 2 * 10**5000 + 1 has 5,001 digits, more than int-to-str converts
+        # by default, so the message names its bit length instead.
+        bits = (2 * 10**5000 + 1).bit_length()
+        with pytest.raises(CapExceededError) as err:
+            SweepPlan((1,), 10**5000)
+        assert str(err.value) == (
+            f"sweep of 1 x (2B+1)^1 entries, 2B+1 of {bits} bits, exceeds cap 10000000"
+        )
+        with pytest.raises(CapExceededError, match=r"^sweep of 13 x \(2B\+1\)\^13 entries, 2B\+1 "):
+            enumerate_order_vectors(13, 5_000_000)
 
     def test_oversized_box_starts_no_pool_and_leaves_no_file(self, tmp_path, monkeypatch):
         # The plan refuses the box when it is built, so no sweep starts.
@@ -252,6 +265,11 @@ class TestRunSweep:
         run_sweep(plan)
         assert started == [3, 10, 5]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_sweep(plan) == serial
+        assert started == [3, 10, 5]
+        # where the platform cannot fork, every sweep runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "fork")
         assert run_sweep(plan) == serial
         assert started == [3, 10, 5]
 
@@ -702,19 +720,24 @@ class TestChunkedPhaseTwo:
 #: A child process runs PATCH, then the CLI's two-worker sweep of (1, 1, 2)
 #: at B=4 (729 records in three chunks, (1, 0, -1) the 444th, in the second)
 #: into argv[1], and prints, after the CLI's output, its exit code or the
-#: exception, then the processes it has started that are still running.
+#: exception, then the first child it has started that is still running,
+#: or exited but not waited for, or [] if there is none.
 _POOLED_SWEEP = """\
-import multiprocessing, os, sys
+import os, sys
 from artinhol import cli, sweep
 sweep._usable_cpus = lambda: 2
 real_check, real_add = sweep.check_instance, sweep.SweepSummary.__add__
+real_run = sweep._run_chunk
 PATCH
 argv = ["sweep", "--degrees", "1,1,2", "--order-bound", "4", "--workers", "2", "--out", sys.argv[1]]
 try:
     print(cli.main(argv))
 except BaseException as exc:
     print(f"{type(exc).__name__}: {exc}")
-print(multiprocessing.active_children())
+try:
+    print(os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print([])
 """
 
 _POOL_OUTCOMES = {
@@ -764,6 +787,20 @@ sweep.SweepSummary.__add__ = add
         "130",
         "interrupted\n",
     ),
+    # The worker's pickle of its result fails; the pool raises its error.
+    "result that cannot be pickled": (
+        """
+class Unpicklable:
+    def __reduce__(self):
+        raise TypeError("cannot pickle this result")
+def run(task):
+    lines, part = real_run(task)
+    return (lines, Unpicklable()) if (1, 0, -1) in task[1] else (lines, part)
+sweep._run_chunk = run
+""",
+        "TypeError: cannot pickle this result",
+        "",
+    ),
 }
 
 
@@ -783,6 +820,9 @@ class TestPoolOutcomes:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-2:] == [result, "[]"]
+        # A worker that returned into the caller's code would print again.
+        assert res.stdout.splitlines().count(result) == 1
+        assert res.stdout.count("wall time:") == (outcome == "success")
         assert res.stderr == stderr
         if outcome == "success":
             assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
@@ -810,6 +850,45 @@ class TestPoolOutcomes:
             timeout=60,
         )
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+    def test_a_pool_leaves_no_fd_open_and_no_worker_unwaited(self, monkeypatch, fails):
+        # The pool's pipe ends are raw fds, which no finalizer closes, and
+        # its workers are this process's children: after either outcome
+        # every fd it opened is closed and every worker has been waited for.
+        pool, pids = sweep.Pool, []
+
+        def recorded(n):
+            started = pool(n)
+            pids.extend(pid for pid, _, _ in started._workers)
+            return started
+
+        monkeypatch.setattr(sweep, "Pool", recorded)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        real = sweep.check_instance
+
+        def failing(inst, *args):  # (1, 0, -1) is record 444, in the second chunk
+            if fails and inst.orders.entries == (1, 0, -1):
+                raise RuntimeError("check failed")
+            return real(inst, *args)
+
+        monkeypatch.setattr(sweep, "check_instance", failing)
+        # Collected first: a stdlib pool an earlier test left behind closes
+        # its pipes when the collector finds it, which may be mid-sweep.
+        gc.collect()
+        before = sorted(os.listdir("/dev/fd"))
+        plan = SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=2)
+        if fails:
+            with pytest.raises(RuntimeError, match="check failed"):
+                run_sweep(plan)
+        else:
+            assert run_sweep(plan) == run_sweep(plan._replace(worker_count=1))
+        assert sorted(os.listdir("/dev/fd")) == before
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_a_dead_worker_is_a_domain_error(self):
         assert issubclass(WorkerDiedError, ArtinHolError)
