@@ -23,18 +23,20 @@ and adds its summary, in chunk order, so the output bytes do not depend
 on the worker count.  The worker count only chooses the mapper: with one
 worker, a box of one chunk or a platform without os.fork, the builtin map
 runs the chunks in this process, and sweep_reports walks the same
-stream.  Otherwise the chunks go through Pool, whose workers are forked
-from this process with two raw pipes each, one for tasks and one for
-results, and are fed from this process's one thread, at most _IN_FLIGHT
-chunks per worker; a worker that dies fails the sweep with
-WorkerDiedError.  No run imports multiprocessing.
+stream.  Otherwise the chunks go through Pool, whose n workers are
+forked from this process with one raw pipe each, for their results:
+worker i walks its own copy of the task stream and checks chunks i,
+i + n, i + 2n, ..., and this process, walking the stream too, reads
+chunk j's result from worker j % n, so no task crosses a pipe; a worker
+that dies fails the sweep with WorkerDiedError.  No run imports
+multiprocessing.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -210,53 +212,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: Tasks a pool worker holds at once: the one it runs and one queued, so
-#: that it starts its next chunk as soon as it has sent a result.
-_IN_FLIGHT = 2
-
-
 class Pool:
-    """`processes` worker processes forked from the caller, each with two
-    pipes of its own, tasks going down one and results coming up the
-    other, fed from the caller's thread: the pool starts no thread.
+    """`processes` worker processes forked from the caller, each with one
+    pipe of its own, which carries its results up: the pool starts no
+    thread and sends no task.
 
-    A pool serves one imap(func, tasks), which sends each worker at most
-    _IN_FLIGHT tasks at once and yields func(task) in task order, so
-    output does not depend on which worker ran a task.  A worker sends a
-    task's result only once the pool's next message to it, a task or the
-    stop message, has arrived; so the two ends of a worker's pipes never
-    both wait to send, whatever the size of a task or a result.  A message
-    is an 8-byte length and a pickle of that many bytes.  An exception
-    raised by func, or by pickling its result, is raised from imap; a
-    worker that exits without returning its task's result raises
+    A pool serves one imap(func, tasks), which forks the workers before
+    it pulls the first task, so every worker holds its own copy of
+    `tasks`: `tasks` must yield the same tasks in every process, computed
+    in memory.  Worker i of n runs func on tasks i, i + n, i + 2n, ... of
+    its copy and sends each result up its pipe; imap walks `tasks` too
+    and reads task j's result from worker j % n, so it yields func(task)
+    in task order and output does not depend on which worker ran a task.
+    A message is an 8-byte length and a pickle of that many bytes.  An
+    exception raised by func, or by pickling its result, is sent in place
+    of the result, after which the worker stops, and is raised from imap;
+    a worker that exits without sending its task's result raises
     WorkerDiedError, naming its exit code and the first vector of the
-    chunk it held.  Workers ignore SIGINT: an interrupt is the caller's
-    to handle, and leaving the with block then kills them.
+    task's chunk.  Workers ignore SIGINT: an interrupt is the caller's to
+    handle, and leaving the with block then kills them.
 
-    close() sends each worker the stop message; join() then reads and
-    drops the results still pending and waits for the workers to exit.
-    terminate(), which leaving a with block calls, kills the workers
-    with SIGTERM, waits for them and closes the pool's pipe ends: no lock
-    or queue is shared, so that is safe at any moment.  A worker never
-    returns into the caller's frames: it leaves through os._exit, so it
-    flushes none of the buffers, stdio or output file, that it inherited.
-    The caller runs no other thread that a fork could copy mid-operation.
+    close() closes the pool's ends of the pipes, so that each worker's
+    next write fails and the worker exits; join() then waits for the
+    workers to exit.  terminate(), which leaving a with block calls,
+    kills the workers with SIGTERM, waits for them and closes the pool's
+    pipe ends: no lock or queue is shared, so that is safe at any moment.
+    A worker never returns into the caller's frames: it leaves through
+    os._exit, so it flushes none of the buffers, stdio or output file,
+    that it inherited.  The caller runs no other thread that a fork could
+    copy mid-operation.
     """
 
     def __init__(self, processes: int):
         import pickle  # noqa: F401  (loaded before the first fork, so no worker loads it)
 
-        self._workers = []  # (pid, the fd tasks go down, the fd results come up)
+        self._processes = processes
+        self._workers = []  # pids, in the order forked
+        self._results = []  # the fds results come up, one per worker, until close()
         self._exitcodes = {}  # worker index -> exit code, once reaped
-        self._pending = deque()  # (worker index, task) in task order
-        self._open = set()  # workers not yet sent the stop message
-        try:
-            for i in range(processes):
-                self._workers.append(self._start())
-                self._open.add(i)
-        except BaseException:
-            self.terminate()
-            raise
 
     def __enter__(self) -> Pool:
         return self
@@ -264,35 +257,27 @@ class Pool:
     def __exit__(self, *exc) -> None:
         self.terminate()
 
-    def imap(self, func, iterable: Iterable) -> Iterator:
-        tasks = iter(iterable)
-        for _ in range(_IN_FLIGHT):
-            for i in range(len(self._workers)):
-                self._feed(i, func, tasks)
-        while self._pending:
-            i, task = self._pending.popleft()
-            ok, value = self._receive(i, task)
+    def imap(self, func, tasks: Iterable) -> Iterator:
+        n = self._processes
+        for i in range(n):
+            pid, results = self._start(func, itertools.islice(tasks, i, None, n))
+            self._workers.append(pid)
+            self._results.append(results)
+        for j, task in enumerate(tasks):
+            ok, value = self._receive(j % n, task)
             if not ok:
                 exc, trace = value
                 raise exc from _WorkerTraceback(trace)
-            self._feed(i, func, tasks)
             yield value
 
     def close(self) -> None:
-        """Send every worker the stop message: each returns the results of
-        the tasks it holds and exits."""
-        for i in sorted(self._open):
-            self._stop(i)
+        """Close the pool's ends of the pipes: each worker's next write
+        fails with BrokenPipeError, and the worker exits."""
+        while self._results:
+            os.close(self._results.pop())
 
     def join(self) -> None:
-        """Read and drop the results still pending, then wait for every
-        worker to exit.  close() must come first."""
-        while self._pending:
-            i, _ = self._pending.popleft()
-            try:
-                _read_message(self._workers[i][2])
-            except EOFError:
-                pass  # that worker has died; its later results raise the same
+        """Wait for every worker to exit.  close() must come first."""
         for i in range(len(self._workers)):
             self._reap(i)
 
@@ -300,41 +285,36 @@ class Pool:
         """Kill the workers, wait for them and close their pipes."""
         import signal
 
-        self._open.clear()
-        self._pending.clear()
-        for i, (pid, _, _) in enumerate(self._workers):
+        for i, pid in enumerate(self._workers):
             if i not in self._exitcodes:
                 os.kill(pid, signal.SIGTERM)
-        for i, (_, tasks, results) in enumerate(self._workers):
-            self._reap(i)
-            os.close(tasks)
-            os.close(results)
+        self.join()
+        self.close()
         self._workers.clear()
         self._exitcodes.clear()
 
-    def _start(self) -> tuple[int, int, int]:
-        """Fork a worker; return its pid and the pool's ends of its pipes."""
+    def _start(self, func, tasks: Iterator) -> tuple[int, int]:
+        """Fork a worker that sends func(task) for each of `tasks`; return
+        its pid and the pool's end of its pipe."""
         import signal
 
-        fds = []
+        results, end = os.pipe()  # the pool reads results, the worker writes end
         try:
-            fds += os.pipe()  # tasks: the worker reads fds[0], the pool writes fds[1]
-            fds += os.pipe()  # results: the pool reads fds[2], the worker writes fds[3]
             pid = os.fork()
         except BaseException:
-            for fd in fds:
-                os.close(fd)
+            os.close(results)
+            os.close(end)
             raise
         if pid == 0:
             code = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # The worker closes the pool's ends of its own pipes and of
-                # every earlier worker's, so that it reads EOF once the
-                # pool's process is gone.
-                for fd in [fd for _, *ends in self._workers for fd in ends] + fds[1:3]:
+                # The worker closes the pool's end of its own pipe and of
+                # every earlier worker's, so that a worker's write fails
+                # once the pool's process has closed its end or is gone.
+                for fd in [*self._results, results]:
                     os.close(fd)
-                _serve(fds[0], fds[3])
+                _serve(func, tasks, end)
                 code = 0
             except BaseException:
                 import traceback
@@ -342,45 +322,21 @@ class Pool:
                 os.write(2, traceback.format_exc().encode())
             finally:
                 os._exit(code)
-        os.close(fds[0])
-        os.close(fds[3])
-        return pid, fds[1], fds[2]
+        os.close(end)
+        return pid, results
 
     def _reap(self, i: int) -> int:
         """Wait for worker i to exit, once; return its exit code."""
         if i not in self._exitcodes:
-            _, status = os.waitpid(self._workers[i][0], 0)
+            _, status = os.waitpid(self._workers[i], 0)
             self._exitcodes[i] = os.waitstatus_to_exitcode(status)
         return self._exitcodes[i]
-
-    def _feed(self, i: int, func, tasks: Iterator) -> None:
-        """Send worker i the next task, or the stop message if none is left."""
-        if i not in self._open:
-            return
-        try:
-            task = next(tasks)
-        except StopIteration:
-            return self._stop(i)
-        self._pending.append((i, task))
-        self._send(i, (func, task))
-
-    def _stop(self, i: int) -> None:
-        self._open.discard(i)
-        self._send(i, None)
-
-    def _send(self, i: int, message) -> None:
-        import pickle
-
-        try:
-            _write_message(self._workers[i][1], pickle.dumps(message))
-        except BrokenPipeError:
-            pass  # the worker has died: reading its oldest pending result raises
 
     def _receive(self, i: int, task):
         import pickle
 
         try:
-            return pickle.loads(_read_message(self._workers[i][2]))
+            return pickle.loads(_read_message(self._results[i]))
         except EOFError:
             raise WorkerDiedError(
                 f"worker process exited with code {self._reap(i)} "
@@ -419,26 +375,25 @@ def _read_message(fd: int) -> bytearray:
     return _read_exactly(fd, int.from_bytes(_read_exactly(fd, 8), "little"))
 
 
-def _serve(tasks: int, results: int) -> None:
-    """A Pool worker: run each (func, task) it is sent and send back
-    (True, func(task)) or (False, (the exception raised, its traceback)),
-    each once the next message has arrived, until the stop message None."""
+def _serve(func, tasks: Iterator, results: int) -> None:
+    """A Pool worker: send (True, func(task)) for each of `tasks` up the
+    fd `results`, or (False, (the exception raised, its traceback)) for
+    the first task that raises, and stop there; stop at once when the
+    pool has closed its end."""
     import pickle
 
     try:
-        message = pickle.loads(_read_message(tasks))
-        while message is not None:
-            func, task = message
+        for task in tasks:
             try:
                 result = pickle.dumps((True, func(task)))
             except Exception as exc:
                 import traceback
 
-                result = pickle.dumps((False, (exc, traceback.format_exc())))
-            message = pickle.loads(_read_message(tasks))
+                _write_message(results, pickle.dumps((False, (exc, traceback.format_exc()))))
+                return
             _write_message(results, result)
-    except (EOFError, BrokenPipeError):
-        pass  # the pool's process is gone
+    except BrokenPipeError:
+        pass  # the pool has closed its end
 
 
 def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[ConditionReport]:
@@ -559,12 +514,14 @@ def run_sweep(plan: SweepPlan) -> SweepSummary:
     builtin map, in this process.
 
     When a chunk fails in a pool, or writing its records does, the pool
-    is sent no further task, and its workers finish the tasks they hold
-    and exit before it is torn down.  Pool could be torn down at once, as
+    is closed and joined before it is torn down: each worker of Pool
+    finishes the chunk it runs and exits when it sends that result, as
+    no one reads its pipe any more.  Pool could be torn down at once, as
     its workers share no lock, but the same path serves a
-    multiprocessing.Pool, which the benchmark's tracing swaps in: a worker
-    of that pool terminated while it sends a result would leave its result
-    queue's lock held, and the teardown would wait on it forever.
+    multiprocessing.Pool, which the benchmark's tracing swaps in: the
+    task stream stops, so that pool is sent no further task, and a
+    worker of it terminated while it sends a result would leave its
+    result queue's lock held, and the teardown would wait on it forever.
     """
     summary = summarize(())
     with _replacing(plan.out_path) as fh:

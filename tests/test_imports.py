@@ -255,10 +255,11 @@ def test_no_run_loads_multiprocessing_dataclasses_or_inspect():
 
 
 def test_a_pooled_sweep_starts_no_thread_and_loads_no_stdlib_pool(tmp_path):
-    # sweep.Pool feeds its workers from the caller's thread, two pipes each:
-    # the parent runs one thread while it writes, its three chunks are
-    # checked by two other processes, and no multiprocessing module, nor
-    # the queue module multiprocessing.pool uses, is loaded.
+    # sweep.Pool's workers walk the task stream themselves and send their
+    # results up one pipe each: the parent runs one thread while it writes,
+    # its three chunks are checked by two other processes, and no
+    # multiprocessing module, nor the queue module multiprocessing.pool
+    # uses, is loaded.
     script = (
         "import os, sys, threading\n"
         "from artinhol import cli, sweep\n"

@@ -404,7 +404,8 @@ class TestBasisCache:
 
     def test_every_worker_count_is_handed_the_same_tasks(self, monkeypatch):
         # The worker count only chooses the mapper: the stream runs in this
-        # process, so wrapping it records what _run_chunk is handed.
+        # process, and each pool worker walks its own copy of it, so
+        # wrapping it here records what _run_chunk is handed.
         stream = sweep._chunk_tasks
         handed = {}
 
@@ -804,6 +805,20 @@ sweep._run_chunk = run
 }
 
 
+def _recorded_pids(monkeypatch) -> list[int]:
+    """The pids of the pool workers started from now on, in the order
+    forked."""
+    start, pids = sweep.Pool._start, []
+
+    def recorded(self, *args):
+        pid, results = start(self, *args)
+        pids.append(pid)
+        return pid, results
+
+    monkeypatch.setattr(sweep.Pool, "_start", recorded)
+    return pids
+
+
 class TestPoolOutcomes:
     # Each sweep runs in a child process with a timeout, so a pool that
     # hangs fails its test in seconds.
@@ -831,8 +846,9 @@ class TestPoolOutcomes:
             assert list(tmp_path.iterdir()) == []
 
     def test_tasks_and_results_larger_than_a_pipe_pass_through(self):
-        # A worker that sent a 1 MB result while the pool sent it a 1 MB
-        # task would leave both ends waiting for the other to read.
+        # No task crosses a pipe: each worker walks its own copy of the
+        # 1 MB tasks, and its 1 MB results, more than its pipe holds, pass
+        # through as the pool reads them in task order.
         script = (
             "from artinhol import sweep\n"
             "def padded(task):\n"
@@ -851,20 +867,57 @@ class TestPoolOutcomes:
         )
         assert res.returncode == 0, res.stderr
 
+    def test_a_caller_that_fails_while_a_worker_is_blocked_writing_finishes(self):
+        # The caller raises on task 0 while worker 1 is blocked writing a
+        # 2 MB result into its full pipe: close() lets that write fail, so
+        # the worker exits by itself and join() returns.
+        script = (
+            "import os, time\n"
+            "from artinhol import sweep\n"
+            "def padded(task):\n"
+            "    return 'x' * 2**21\n"
+            "with sweep.Pool(2) as pool:\n"
+            "    try:\n"
+            "        for result in pool.imap(padded, range(4)):\n"
+            "            time.sleep(0.2)\n"
+            "            raise RuntimeError('caller failed')\n"
+            "    except RuntimeError:\n"
+            "        pool.close()\n"
+            "        pool.join()\n"
+            "        assert sorted(pool._exitcodes.values()) == [0, 0], pool._exitcodes\n"
+            "try:\n"
+            "    print(os.waitpid(-1, os.WNOHANG))\n"
+            "except ChildProcessError:\n"
+            "    print([])\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+    def test_tasks_need_not_pickle_and_task_j_runs_in_worker_j_mod_n(self, monkeypatch):
+        # Each worker walks its own copy of the tasks, so neither the
+        # tasks nor func, lambdas local to this test, are pickled; and
+        # task j is worker j % n's.
+        pids = _recorded_pids(monkeypatch)
+        tasks = [lambda j=j: j for j in range(8)]
+        with sweep.Pool(3) as pool:
+            ran = list(pool.imap(lambda task: (task(), os.getpid()), tasks))
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert ran == [(j, pids[j % 3]) for j in range(8)]
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
     def test_a_pool_leaves_no_fd_open_and_no_worker_unwaited(self, monkeypatch, fails):
         # The pool's pipe ends are raw fds, which no finalizer closes, and
         # its workers are this process's children: after either outcome
         # every fd it opened is closed and every worker has been waited for.
-        pool, pids = sweep.Pool, []
-
-        def recorded(n):
-            started = pool(n)
-            pids.extend(pid for pid, _, _ in started._workers)
-            return started
-
-        monkeypatch.setattr(sweep, "Pool", recorded)
+        pids = _recorded_pids(monkeypatch)
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
         real = sweep.check_instance
 
