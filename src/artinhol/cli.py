@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from .catalog import catalog_groups, get_group
 from .conditions import check_instance, orbit_basis
@@ -252,18 +253,13 @@ def _cmd_catalog(args, parser) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _dispatch(args) -> int:
+    """Run the parsed command and map its failures to their exit codes.
+    A BrokenPipeError is left to main, for its flush may raise one too."""
     try:
-        code = args.handler(args, args.subparser)
-        # Flushed here, so a reader that went away is seen before exit.
-        sys.stdout.flush()
-        return code
+        return args.handler(args, args.subparser)
     except BrokenPipeError:
-        # Send what is still buffered to /dev/null, so that the
-        # interpreter's final flush of stdout stays silent too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        raise
     except (ArtinHolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -272,5 +268,37 @@ def main(argv=None) -> int:
         return 130
 
 
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        # Flushed on every path that returns, so a reader that went away
+        # is seen here, and run's os._exit finds no byte left to drop.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to /dev/null, so that the final
+        # flush of stdout, run's or the interpreter's, stays silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def run() -> NoReturn:
+    """The program's entry, for `python -m artinhol` and the installed
+    `artinhol` script: main(), then os._exit with its code once stdout
+    and stderr are flushed, skipping the interpreter's teardown (its final
+    garbage collections and module deallocation), which no output needs.
+    Nothing else needs it either: every output file is closed before main
+    returns, a pooled sweep has reaped its workers, no thread runs and the
+    package registers no atexit hook.  A SystemExit from argparse, or an
+    exception that escapes main, still ends the process the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import re
+import runpy
 import shlex
 import signal
 import stat
@@ -225,6 +227,156 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+
+
+# Block-buffered stdout, as a child has it by default, whatever this
+# process's environment says: os._exit would drop what it holds.
+BUFFERED = dict(os.environ, PYTHONUNBUFFERED="")
+
+
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c script args` in a child process that imports this
+    checkout, with stdout block-buffered."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=child_env(BUFFERED),
+        timeout=120,
+    )
+
+
+class TestExitPath:
+    """`python -m artinhol` and the installed script end through cli.run,
+    which flushes stdout and stderr and leaves through os._exit: the bytes
+    and exit codes are main's, and nothing main leaves behind needs the
+    interpreter's teardown."""
+
+    RANK_40 = [
+        "check", "--degrees", ",".join(["1"] * 40), "--orders=" + ",".join(["0"] * 39 + ["-1"]),
+    ]
+
+    @pytest.mark.parametrize("sink", ["pipe", "file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "list"],
+            ["sweep", "--group", "S4", "--order-bound", "1"],
+            RANK_40,  # about 220 KB, more than a pipe holds
+        ],
+        ids=["catalog", "sweep", "check-rank-40"],
+    )
+    def test_a_child_prints_the_bytes_main_prints(self, argv, sink, tmp_path, capsys):
+        code = cli.main(argv)
+        expected = capsys.readouterr().out.encode()
+        if sink == "pipe":
+            # subprocess.run reads the pipe to its end.
+            res = run_artinhol(*argv, env=BUFFERED, stdout=subprocess.PIPE, timeout=120)
+            got = res.stdout
+        else:
+            with open(tmp_path / "stdout", "wb") as fh:
+                res = run_artinhol(*argv, env=BUFFERED, stdout=fh, timeout=120)
+            got = (tmp_path / "stdout").read_bytes()
+        assert res.returncode == code
+        # Only the sweep's own timing may differ.
+        wall_time = re.compile(rb"^wall time: \d+\.\d\ds$", re.M)
+        masked, count = wall_time.subn(b"wall time", got)
+        assert count == (argv[0] == "sweep")
+        assert masked == wall_time.sub(b"wall time", expected)
+
+    @pytest.mark.parametrize(
+        "raised, code, stderr",
+        [
+            ("ArtinHolError('late failure')", 2, "error: late failure\n"),
+            ("KeyboardInterrupt", 130, "interrupted\n"),
+        ],
+    )
+    def test_output_printed_before_a_failure_is_kept(self, raised, code, stderr):
+        # stdout on a pipe is block-buffered: the line is flushed on the
+        # error paths too, or os._exit would drop it.
+        script = (
+            "from artinhol import cli\n"
+            "from artinhol.errors import ArtinHolError\n"
+            "def fail(args, parser):\n"
+            "    print('partial')\n"
+            f"    raise {raised}\n"
+            "cli._cmd_catalog = fail\n"
+            "cli.run()\n"
+        )
+        res = _run_python(script, "catalog", "list")
+        assert (res.returncode, res.stdout, res.stderr) == (code, "partial\n", stderr)
+
+    def test_an_exception_escaping_main_prints_its_traceback_and_exits_1(self):
+        script = (
+            "from artinhol import cli\n"
+            "def fail(argv=None):\n"
+            "    print('partial')\n"
+            "    raise RuntimeError('escaped main')\n"
+            "cli.main = fail\n"
+            "cli.run()\n"
+        )
+        res = _run_python(script)
+        assert res.returncode == 1
+        assert res.stdout == "partial\n"
+        assert res.stderr.startswith("Traceback (most recent call last):\n")
+        assert res.stderr.endswith("RuntimeError: escaped main\n")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_gone_reader_exits_141_and_leaves_no_descriptor_open(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            assert cli.main(["catalog", "list"]) == 141
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            stdout.close()  # its descriptor now names /dev/null
+
+    def test_the_module_and_the_installed_script_name_the_same_entry(self, monkeypatch):
+        text = (README.parent / "pyproject.toml").read_text()
+        if sys.version_info >= (3, 11):
+            import tomllib
+
+            entry = tomllib.loads(text)["project"]["scripts"]["artinhol"]
+        else:
+            entry = re.search(r'^artinhol = "(.+)"$', text, re.M).group(1)
+        module, _, name = entry.partition(":")
+        script_entry = getattr(importlib.import_module(module), name)
+        calls = []
+        entry_of_main = cli.run
+        monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+        runpy.run_module("artinhol", run_name="__main__")
+        assert calls == ["run"]
+        assert script_entry is entry_of_main
+
+    def test_no_import_or_command_registers_an_atexit_hook_or_leaves_a_thread(self, tmp_path):
+        # os._exit runs no atexit hook and waits for no thread: a change
+        # that adds either must end the process another way.
+        script = (
+            "import atexit, sys, threading\n"
+            "hooks = atexit._ncallbacks()\n"
+            "from artinhol import cli, sweep\n"
+            "assert atexit._ncallbacks() == hooks, 'import artinhol'\n"
+            "sweep._usable_cpus = lambda: 2\n"
+            "outputs = [f'--{flag}={sys.argv[1]}/{flag}' for flag in ('out', 'summary-json', 'csv')]\n"
+            "sweep_argv = ['sweep', '--degrees', '1,1,2', '--order-bound', '4', *outputs]\n"
+            "for argv in (\n"
+            "    ['check', '--degrees', '1,1,2', '--orders', '1,-1,0'],\n"
+            "    ['hilbert', '--orders=2,-3'],\n"
+            "    ['factorize', '--orders=2,-3', '--element', '4,2'],\n"
+            "    ['catalog', 'list'],\n"
+            "    ['catalog', 'show', 'S4'],\n"
+            "    sweep_argv,\n"
+            "    [*sweep_argv, '--workers', '2'],\n"
+            "):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    assert atexit._ncallbacks() == hooks, argv\n"
+            "    assert threading.active_count() == 1, argv\n"
+        )
+        res = _run_python(script, str(tmp_path))
+        assert res.returncode == 0, res.stderr
 
 
 class TestCommands:
