@@ -17,13 +17,10 @@ stdout goes away early; that case prints nothing on stderr.
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-import time
-from pathlib import Path
-from typing import NoReturn
-
+# The package's modules are compiled before argparse and the gettext it
+# loads, in the order the package namespace loaded them when it imported
+# everything at once: a sweep's peak RSS depends on that order, and moved
+# by about 0.1 MB when argparse came first.
 from .catalog import catalog_groups, get_group
 from .conditions import check_instance, orbit_basis
 from .core import Instance, OrderVector, order_of
@@ -40,6 +37,30 @@ from .serialize import (
     render_summary_json,
 )
 from .sweep import SweepPlan, _output_file, _replacing, run_sweep
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+from typing import NoReturn
+
+# argparse reads a token that starts with '-' as an option unless it is one
+# negative number, so `--orders -5,3` would lose its value.  No option of
+# this parser starts with '-' and a digit, so main joins such a token to the
+# vector option before it.
+_VECTOR_OPTIONS = ("--degrees", "--orders", "--element")
+
+
+def _join_negative_vectors(argv: list[str]) -> list[str]:
+    """argv with each `--orders -5,3` written as `--orders=-5,3`."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -269,7 +290,9 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_negative_vectors(argv))
     try:
         code = _dispatch(args)
         # Flushed on every path that returns, so a reader that went away

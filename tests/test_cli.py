@@ -229,6 +229,61 @@ class TestExitCodes:
             os.killpg(proc.pid, 0)
 
 
+def _outcome(argv, capsys) -> tuple[int, str, str]:
+    """cli.main's exit code, an argparse exit included, and its output."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+class TestVectorWithLeadingMinus:
+    """`--orders -5,3` is read as `--orders=-5,3`: argparse alone takes a
+    token that starts with '-' and is not one number for an option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hilbert", "--orders", "-5,3"],
+            ["hilbert", "--orders", "-5,3", "--json"],
+            ["hilbert", "--orders", "-5,x"],
+            ["check", "--degrees", "1,1", "--orders", "-1,1"],
+            ["check", "--degrees", "1,1", "--orders", "-1,1", "--json"],
+            ["check", "--degrees", "-1,1", "--orders", "1,1"],
+            ["factorize", "--orders", "-1,2", "--element", "2,1"],
+            ["factorize", "--orders", "1,-1", "--element", "-1,0"],
+            ["sweep", "--degrees", "-1,1", "--order-bound", "1"],
+        ],
+    )
+    def test_a_separate_token_reads_as_the_equals_form(self, argv, capsys):
+        joined = []
+        for tok in argv:
+            if tok[:1] == "-" and tok[1:2].isdigit():
+                joined[-1] += f"={tok}"
+            else:
+                joined.append(tok)
+        assert joined != argv
+        separate = _outcome(argv, capsys)
+        assert separate == _outcome(joined, capsys)
+        assert separate[0] in (0, 2)
+
+    def test_the_program_reads_its_own_argv_the_same_way(self):
+        separate = run_cli("hilbert", "--orders", "-5,3", "--json")
+        assert separate.returncode == 0
+        assert separate.stdout == run_cli("hilbert", "--orders=-5,3", "--json").stdout
+
+    def test_an_option_in_place_of_the_vector_is_still_refused(self, capsys):
+        code, out, err = _outcome(["hilbert", "--orders", "--json"], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --orders: expected one argument" in err
+
+    def test_the_joined_options_are_the_vector_options(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        typed = set(re.findall(r'add_argument\("(--[\w-]+)", type=_int_vector', source))
+        assert typed == set(cli._VECTOR_OPTIONS)
+
+
 # Block-buffered stdout, as a child has it by default, whatever this
 # process's environment says: os._exit would drop what it holds.
 BUFFERED = dict(os.environ, PYTHONUNBUFFERED="")

@@ -2,19 +2,28 @@
 
 Reads the sources with ast, so nothing is imported.  An import under
 `if TYPE_CHECKING:` serves annotations only and is left out of the graph.
-The two exceptions run the package in a fresh interpreter, to show that
-no run loads multiprocessing, dataclasses or inspect, and that a pooled
-sweep runs in one thread of its process, its chunks checked in worker
-processes, and loads neither multiprocessing.pool nor queue.
+The package's one deferred import is the `importlib.import_module` in
+`__init__.__getattr__`, which loads a public name's home module on first
+access; no module imports the package namespace, so that lookup takes no
+part in any import cycle.  The exceptions run the package in a fresh
+interpreter: to pin what importing the package, or one module of it,
+loads; to show that no run loads multiprocessing, dataclasses or inspect;
+and that a pooled sweep runs in one thread of its process, its chunks
+checked in worker processes, and loads neither multiprocessing.pool nor
+queue.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import artinhol
 from conftest import child_env
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "artinhol"
@@ -81,6 +90,139 @@ def test_no_function_imports_from_the_package():
         and any(_imports_from_the_package(node) for node in ast.walk(fn))
     ]
     assert found == []
+
+
+def test_only_the_package_defines_a_module_getattr():
+    found = {
+        name
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    }
+    assert found == {"__init__"}
+
+
+def _imports_the_namespace(node: ast.AST) -> bool:
+    """`import artinhol...`, `from artinhol import x`, or `from . import x`
+    for an x that is not a module of the package."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "artinhol" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            return node.module == "artinhol"
+        return node.module is None and any(alias.name not in MODULES for alias in node.names)
+    return False
+
+
+def test_no_module_imports_the_package_namespace():
+    # The namespace loads a module on first access to one of its names; a
+    # module that took a name from it could close an import cycle.
+    for text in ("import artinhol", "import artinhol.core", "from artinhol import cli"):
+        assert _imports_the_namespace(ast.parse(text).body[0]), text
+    assert _imports_the_namespace(ast.parse("from . import cond_i").body[0])
+    assert not _imports_the_namespace(ast.parse("from . import serialize").body[0])
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if _imports_the_namespace(node)
+    ]
+    assert found == []
+
+
+def _run_fresh(script: str, *args: str) -> str:
+    """Run `script` with `args` in a fresh interpreter that imports this
+    checkout, and return its stdout."""
+    res = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def _modules_loaded_by(statement: str) -> list[str]:
+    script = f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(*sorted(set(sys.modules) - before))"
+    return _run_fresh(script).split()
+
+
+def _own(modules: list[str]) -> list[str]:
+    return [name for name in modules if name.split(".")[0] == "artinhol"]
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert _own(_modules_loaded_by("import artinhol")) == ["artinhol"]
+
+
+def test_importing_hilbert_loads_only_what_hilbert_imports():
+    # The library workload's whole import: no catalog, conditions, sweep,
+    # serialize, nor the json that serialize loads.
+    loaded = _modules_loaded_by("import artinhol.hilbert")
+    assert _own(loaded) == ["artinhol", "artinhol.core", "artinhol.errors", "artinhol.hilbert"]
+    assert "json" not in loaded
+
+
+# The public namespace, each name by the module that defines it.
+PUBLIC = {
+    "catalog": ["GroupEntry", "catalog_groups", "get_group", "validate_catalog_entry"],
+    "conditions": [
+        "ConditionReport", "PairWitness", "SubsetSelector", "check_instance", "cond_i",
+        "cond_ii", "cond_ii_pair", "cond_ii_prime", "cond_iii", "cond_iii_subset",
+        "factorial_closed_form",
+    ],
+    "core": [
+        "DegreeVector", "Instance", "OrderVector", "is_admissible", "is_member_hol",
+        "order_of", "validate_exponent_vector",
+    ],
+    "hilbert": [
+        "FactorizationCount", "HilbertBasis", "count_factorizations",
+        "hilbert_basis_frontier", "hilbert_basis_oracle", "nonuniqueness_witness",
+    ],
+    "sweep": [
+        "SweepPlan", "SweepSummary", "enumerate_order_vectors", "run_sweep", "summarize",
+        "sweep_reports",
+    ],
+}
+
+
+@pytest.mark.parametrize("access", ["getattr", "star"])
+def test_every_public_name_resolves_to_its_home_modules_object(access):
+    # Each in a fresh interpreter, so the name is resolved by the package's
+    # __getattr__, then kept in its globals.
+    script = (
+        "import json, sys, artinhol\n"
+        "names = [n for n in artinhol.__all__ if n != '__version__']\n"
+        "if sys.argv[1] == 'star':\n"
+        "    found = {}\n"
+        "    exec('from artinhol import *', found)\n"
+        "else:\n"
+        "    found = {name: getattr(artinhol, name) for name in names}\n"
+        "homes = {}\n"
+        "for name in names:\n"
+        "    obj = found[name]\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "    assert vars(artinhol)[name] is obj, name\n"
+        "    homes.setdefault(obj.__module__.split('.')[1], []).append(name)\n"
+        "print(json.dumps([artinhol.__all__, artinhol.__version__, homes]))\n"
+    )
+    out = _run_fresh(script, access)
+    exported, version, homes = json.loads(out)
+    assert exported == sorted(name for names in PUBLIC.values() for name in names) + ["__version__"]
+    assert version == "0.1.0"
+    assert homes == PUBLIC
+
+
+def test_dir_lists_every_public_name():
+    assert set(artinhol.__all__) <= set(dir(artinhol))
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        artinhol.no_such_name  # noqa: B018
+    assert "no_such_name" not in vars(artinhol)
 
 
 def test_no_module_imports_dataclasses():
@@ -244,14 +386,7 @@ def test_no_run_loads_multiprocessing_dataclasses_or_inspect():
         "assert cli.main(['check', '--degrees', '1,1,2', '--orders', '1,-1,0']) == 0\n"
         "assert unloaded(), 'check'\n"
     )
-    res = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
+    _run_fresh(script)
 
 
 def test_a_pooled_sweep_starts_no_thread_and_loads_no_stdlib_pool(tmp_path):
@@ -281,11 +416,4 @@ def test_a_pooled_sweep_starts_no_thread_and_loads_no_stdlib_pool(tmp_path):
         "assert loaded == [], loaded\n"
         "assert threads == [1, 1, 1], threads\n"
     )
-    res = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "records.jsonl")],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
+    _run_fresh(script, str(tmp_path / "records.jsonl"))
