@@ -48,19 +48,38 @@ from typing import NoReturn
 # argparse reads a token that starts with '-' as an option unless it is one
 # negative number, so `--orders -5,3` would lose its value.  No option of
 # this parser starts with '-' and a digit, so main joins such a token to the
-# vector option before it.
-_VECTOR_OPTIONS = ("--degrees", "--orders", "--element")
+# vector option before it.  Each vector option maps to the subcommands that
+# have it.
+_VECTOR_OPTIONS = {
+    "--degrees": ("check", "sweep"),
+    "--orders": ("check", "hilbert", "factorize"),
+    "--element": ("factorize",),
+}
 
 
 def _join_negative_vectors(argv: list[str]) -> list[str]:
-    """argv with each `--orders -5,3` written as `--orders=-5,3`."""
+    """argv with each `--orders -5,3` written as `--orders=-5,3`, the
+    option named in full or abbreviated.  An abbreviation is a prefix of
+    the name, `--` and at least one more character; argparse resolves it to
+    the one option of the subcommand, argv[0], that starts with it, and
+    refuses it, in either form, when several do.  So a prefix of a vector option of the
+    subcommand is joined, and `sweep --ord -5`, where `--ord` is short for
+    `--order-bound`, is not."""
+    command = argv[0] if argv else None
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _VECTOR_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+        negative = tok[:1] == "-" and tok[1:2].isdigit()
+        if negative and out and _names_a_vector_option(out[-1], command):
             out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
+
+
+def _names_a_vector_option(tok: str, command: str | None) -> bool:
+    return len(tok) > 2 and any(
+        name.startswith(tok) and command in commands for name, commands in _VECTOR_OPTIONS.items()
+    )
 
 
 def _int_vector(text: str) -> tuple[int, ...]:
@@ -175,7 +194,7 @@ def _cmd_factorize(args, parser) -> int:
     s = order_of(args.element, v)
     if s < 0:
         raise NotInHolError(f"{args.element} is not in Hol (order {s})")
-    basis = HilbertBasis(orbit_basis(v.entries, {}), "oracle")
+    basis = HilbertBasis(orbit_basis(v.entries, {}), "oracle", orders=v.entries)
     fc = count_factorizations(args.element, basis, cap=args.cap)
     doc = {
         "schema_version": SCHEMA_VERSION,

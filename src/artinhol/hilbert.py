@@ -38,16 +38,27 @@ The guard makes one subtraction an exact division test for every
 coordinate at once.  With every value and every basis entry below
 2^(w-1), subtracting an element leaves each field in [1, 2^w), so no
 borrow crosses into the next field, and a field keeps its guard iff the
-element's entry there is at most the remainder's.  The search's guard
-admits an element whose largest entry is at most a per-basis threshold t at
-once and refuses the rest only by proved bounds on the search's
+element's entry there is at most the remainder's.  One more field, past
+the r coordinates and of its own width, as no field lies above it, holds
+the remainder's order <rem, c> under the reduced orders c the basis
+carries (all 0 for a basis built without orders), and each element its
+own order, which is >= 0: the same subtraction refuses a multiplicity
+that would leave the order negative, and the same dead mask a positive
+order once no later element has a positive order.  Neither remainder has
+a factorization, as a sum of elements of order >= 0 has order >= 0, and
+0 when every element has order 0; so the search keeps its counts and
+witnesses and visits a subset of its states without the order field
+(count_factorizations proves both).  The search's guard
+admits an element whose largest entry is at most a per-basis threshold t
+at once and refuses the rest only by proved bounds on the search's
 iterations and on the states it memoizes (_search_bound).  The searches at
 or under t with the default cap share one memo on the basis, and every
 other search keeps a private one, dropped when it returns.  The shared
 memo never exceeds _STATE_CAP entries, however many searches fill it: it
 keeps only states (i, rem) that are not dead, whose rem is at most k <= t
 in each coordinate and 0 in each coordinate no element from position i on
-has, and the threshold's own second condition bounds their number,
+has, and whose order field is <rem, c>, fixed by those coordinates; the
+threshold's own second condition bounds their number,
 sum_i (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r <= _STATE_CAP.
 
 The brute-force checks the test suite runs against all of these (the
@@ -91,20 +102,32 @@ Elements = tuple[tuple[int, ...], ...]
 class HilbertBasis(_Value):
     """Lex-sorted irreducible elements of Hol for one order profile.
 
-    _factor_tables holds count_factorizations' tables and shared memo,
-    built on its first call; as a private slot it is no field, so it takes
-    no part in comparison, hashing, repr or pickling.
+    orders, when given, are the orders v of that profile: every element
+    must have <h, v> >= 0, and count_factorizations prunes its searches by
+    the gcd-reduced orders c = v / gcd(v), which _orders holds (None
+    without them).  _factor_tables holds count_factorizations' tables and
+    shared memo, built on its first call.  As private slots they are no
+    fields, so they take no part in comparison, hashing, repr or pickling:
+    a basis unpickled or rebuilt by _replace searches without orders.
     """
 
-    __slots__ = ("elements", "source_engine", "_factor_tables")
+    __slots__ = ("elements", "source_engine", "_orders", "_factor_tables")
     elements: Elements
     source_engine: str
+    _orders: tuple[int, ...] | None
     _factor_tables: _FactorTables | None
 
-    def __init__(self, elements: Iterable[Sequence[int]], source_engine: str):
+    def __init__(
+        self,
+        elements: Iterable[Sequence[int]],
+        source_engine: str,
+        *,
+        orders: OrdersLike | None = None,
+    ):
         elems = tuple(tuple(e) for e in elements)
         _setattr(self, "elements", elems)
         _setattr(self, "source_engine", source_engine)
+        _setattr(self, "_orders", None)
         _setattr(self, "_factor_tables", None)
         entries = itertools.chain.from_iterable
         if not set(map(type, entries(elems))) <= {int}:
@@ -119,6 +142,17 @@ class HilbertBasis(_Value):
         # strictly increasing: lex-sorted with no element repeated
         if not all(map(operator.lt, elems, elems[1:])):
             raise ValueError("basis elements must be lex-sorted and duplicate-free")
+        if orders is not None:
+            r, at, c = _nonzero_part(orders)
+            if elems and r != len(elems[0]):
+                raise LengthMismatchError(
+                    f"orders of rank {r} given for a basis of rank {len(elems[0])}"
+                )
+            reduced = _spread(r, at, c)
+            for h in elems:
+                if sum(map(operator.mul, h, reduced)) < 0:
+                    raise ValueError(f"basis element {h} is outside Hol of the orders")
+            _setattr(self, "_orders", reduced)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -158,18 +192,25 @@ def _nonzero_part(v: OrdersLike) -> tuple[int, tuple[int, ...], tuple[int, ...]]
     return len(ent), at, tuple(ent[j] // g for j in at)
 
 
-def _embed(found: Iterable[Sequence[int]], r: int, at: Sequence[int], engine: str) -> HilbertBasis:
+def _embed(
+    found: Iterable[Sequence[int]], r: int, at: Sequence[int], c: Sequence[int], engine: str
+) -> HilbertBasis:
     """The basis of Hol(v) for (r, at, c) = _nonzero_part(v), from the
-    irreducibles `found` of Hol(c): each carried to rank r, with entry i
-    at position at[i] and any entries past len(at) dropped, and e_j added
-    for each zero order."""
+    irreducibles `found` of Hol(c): each carried to rank r by _spread, and
+    e_j added for each zero order.  The basis carries v's reduced orders,
+    c carried to rank r, for count_factorizations to prune by."""
     elems = [_unit(r, j) for j in set(range(r)).difference(at)]
-    for x in found:
-        h = [0] * r
-        for j, t in zip(at, x):
-            h[j] = t
-        elems.append(tuple(h))
-    return HilbertBasis(tuple(sorted(elems)), engine)
+    elems.extend(_spread(r, at, x) for x in found)
+    return HilbertBasis(tuple(sorted(elems)), engine, orders=_spread(r, at, c))
+
+
+def _spread(r: int, at: Sequence[int], xs: Sequence[int]) -> tuple[int, ...]:
+    """xs carried to rank r: entry i at position at[i], 0 elsewhere, and
+    any entries past len(at) dropped."""
+    out = [0] * r
+    for j, x in zip(at, xs):
+        out[j] = x
+    return tuple(out)
 
 
 class _Region(NamedTuple):
@@ -232,7 +273,7 @@ def hilbert_basis_oracle(v: OrdersLike) -> HilbertBasis:
     region = _region(ent)
     _guard_oracle(region)
     kept = _walk_region(ent, region.plus, region.minus)
-    return _embed((h for h, _ in kept), r, at, "oracle")
+    return _embed((h for h, _ in kept), r, at, ent, "oracle")
 
 
 def _walk_region(ent: Sequence[int], plus: int, minus: int) -> list[tuple[tuple[int, ...], int]]:
@@ -376,7 +417,7 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
         explored += len(nxt)
         frontier = nxt
         level += 1
-    return _embed(minimal, r, at, "frontier")
+    return _embed(minimal, r, at, ent, "frontier")
 
 
 def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) -> FactorizationCount:
@@ -390,18 +431,44 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
 
     A search state is a position i and the remainder rem still to factor,
     packed into one int (module docstring): w >= bit_length(max(max k,
-    largest basis entry)) + 1 bits per coordinate (the width is chosen
-    below), each field holding rem_j + 2^(w-1), so that its top bit is a
-    guard.  With G the mask of the guards and H[i] element i packed without
-    them, element i divides rem iff (rem - H[i]) & G == G, rem is zero iff
-    rem == G, and a coordinate that no element from i on has in its
-    support is nonzero, so that the state has no factorization, iff
-    (rem ^ G) & dead[i].
+    largest basis entry)) + 1 bits per coordinate and, past them as field
+    r, u >= bit_length(max(<k, c>, largest element order)) + 1 bits for
+    its order <rem, c> under the basis's reduced orders c (all 0 for a
+    basis without orders; the widths are chosen below), each field holding
+    its value + 2^(width - 1), so that its top bit is a guard.  With G the
+    mask of the guards and H[i] element i with its order <h_i, c> appended,
+    packed without them, element i divides rem and leaves an order >= 0
+    iff (rem - H[i]) & G == G, rem is zero iff rem == G, and a field that
+    every element from i on has 0 in is nonzero, so that the state has no
+    factorization, iff (rem ^ G) & dead[i].
     Subtracting H[i] while the guards hold gives the children
     rem - c * h_i, c = 1 .. cmax.  A position whose element does not
     divide rem has only the c = 0 child: it is stepped over, with no
     multiplicity tried and no witnesses folded, and its memo entry is its
     successor's own.
+
+    The order field is exact, and it changes no result.  k is packed as
+    sum_j k_j * place_j, place_j = 2^(w j) + c_j 2^(w r): its coordinates
+    with <k, c> as field r, the top one, which has no field above it to
+    borrow into and so its own width.  The fields below it hold less than
+    2^(w r) in all, so the sum is negative iff <k, c> is, and then k is
+    outside Hol, refused before any search.  Otherwise field r of k and of
+    every element lies in [0, 2^(u-1)): element orders are >= 0, as the
+    basis's constructor checks.  Subtracting H[i] takes field r from
+    <rem, c> to <rem - h_i, c>, by linearity, and the guard admits it only
+    if that is >= 0, so field r never leaves [0, 2^(u-1)).  A remainder of
+    negative order is no sum of elements of order >= 0, and one of positive
+    order is no sum of elements of order 0, which is what dead[i] tests on
+    field r.  So each multiplicity the order field refuses, and each state
+    its dead mask ends, has count 0 without it: the search tries the same
+    children in the same order, less some of count 0, reaches the cap at
+    the same child, and returns the same capped count and witnesses.  It
+    visits and stores a subset of the states it would visit and store
+    without the field, with at most as many multiplicities each, and the
+    field is a function of the coordinates, so _search_bound's bounds, the
+    threshold and _STATE_CAP hold as they are.  Without orders field r is
+    0 throughout and dead from position 0 on, and the search is the one
+    without the field.
 
     Each state is memoized in one dict per position keyed by the packed
     remainder.  A state stores its count capped at `cap` and the first two
@@ -414,24 +481,30 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     tuple only when the search returns.
 
     Every search whose max k is at most the basis's threshold t (below)
-    packs at the one width w0 = bit_length(max(t, largest basis entry)) + 1,
-    and those with the default cap 2 share one memo.  The tables
-    (_FactorTables) hold that packing and that memo; they are a private
-    slot of the basis, outside comparison, hashing, repr and pickling, so
-    they are built once per basis and freed with it.  So the common call, at or under
-    t, only validates, reads w0, the packing and (cap 2) the shared memo
-    from the tables, packs k and searches: it asks no bound, works out no
-    width and packs no elements.  Only a search above t asks _search_bound,
-    works out its width, and packs at it where w0 is too narrow for max k;
-    a search above t or with any other cap runs on a private memo, dropped
-    when it returns.  Either way the at most two witness cells are decoded
-    into coefficient tuples once the search returns.  Keeping
-    one shared memo per cap would not be bounded, since a caller may use
-    any number of caps.  The bound: a state (i, rem) enters a memo only
-    once it has passed the dead test, so i < m (at position m every
-    coordinate is uncovered, and a nonzero rem is dead there), and rem_j = 0
-    for every j in uncovered_i, the coordinates no element from i on has;
-    and remainders only decrease, so rem <= k componentwise.  Under the
+    packs at the one pair of widths w0 = bit_length(max(t, largest basis
+    entry)) + 1 and u0 = bit_length(max(t * P, largest element order)) + 1,
+    with P the sum of the positive c_j, so that u0 holds the order of every
+    k <= t, at most t * P; and those with the default cap 2 share one
+    memo.  The tables (_FactorTables) hold that packing, the places and
+    that memo; they are a private slot of the basis, outside comparison,
+    hashing, repr and pickling, so they are built once per basis and freed
+    with it.  So the common call, at or under t, only validates, reads the
+    places, the packing and (cap 2) the shared memo from the tables, packs
+    k with its order in one sum of products and searches: it asks no
+    bound, works out no width and packs no elements.  Only a search above t
+    asks _search_bound, then takes <k, c>, works out its widths, and packs
+    at them where w0 is too narrow for max k or u0 for <k, c>: the bounds
+    come first, so an element refused for its bound is refused for it
+    whether or not the basis carries orders.  A search above t or with any
+    other cap runs on a private memo, dropped when it returns.  Either way
+    the at most two witness cells are decoded into coefficient tuples once
+    the search returns.  Keeping one shared memo per cap would not be
+    bounded, since a caller may use any number of caps.  The bound: a state
+    (i, rem) enters a memo only once it has passed the dead test, so i < m
+    (at position m every coordinate is uncovered, and a nonzero rem is dead
+    there), and rem_j = 0 for every j in uncovered_i, the coordinates no
+    element from i on has; and remainders only decrease, so rem <= k
+    componentwise; field r is <rem, c>, fixed by the coordinates.  Under the
     threshold every rem_j is then at most t, so the shared memo holds at
     most sum_{i < m} (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r entries,
     which the threshold's second condition keeps within _STATE_CAP, whatever
@@ -457,8 +530,7 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
         tables = basis._factor_tables or _factor_tables(basis)
         top = max(kk)
         if top <= tables.threshold:
-            w = tables.width
-            guards, packed, dead = tables.packing
+            place, (guards, packed, dead) = tables.place, tables.packing
             memo = tables.memo if cap == 2 else [{} for _ in elems]
         else:
             states, steps = _search_bound(kk, elems)
@@ -472,10 +544,20 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
                     f"factorization search of {kk} may keep {states} states, over the "
                     f"state cap {_STATE_CAP}"
                 )
+            c = tables.orders
             w = max(top.bit_length() + 1, tables.width)
-            guards, packed, dead = tables.packing if w == tables.width else _pack_tables(elems, w)
+            ow = max(sum(map(operator.mul, kk, c)).bit_length() + 1, tables.order_width)
+            if w == tables.width and ow == tables.order_width:
+                place, (guards, packed, dead) = tables.place, tables.packing
+            else:
+                place = _places(c, w)
+                guards, packed, dead = _pack_tables(_with_orders(elems, c), w, ow)
             memo = [{} for _ in elems]
-        count, cells = _count_from(0, _pack(kk, w) | guards, packed, dead, guards, memo, cap)
+        start = sum(map(operator.mul, kk, place))  # k packed with <k, c>, negative iff that is
+        if start < 0:
+            count, cells = _NONE
+        else:
+            count, cells = _count_from(0, start | guards, packed, dead, guards, memo, cap)
     else:  # the empty basis generates only the identity
         count, cells = _NONE if any(kk) else _EMPTY
     if count == 0:
@@ -491,11 +573,20 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
 
 
 class _FactorTables(NamedTuple):
-    """count_factorizations' tables for one nonempty basis."""
+    """count_factorizations' tables for one nonempty basis.
+
+    Every packing holds r + 1 fields: the r coordinates, then the order
+    under the basis's reduced orders c, zeros for a basis without orders;
+    the order field is then always 0 and dead from position 0 on, and the
+    search is the one without it.
+    """
 
     threshold: int  # the largest t admitted at once, see count_factorizations
-    width: int  # the field width w0 of every search at or under the threshold
-    packing: tuple  # (G, H, dead) at w0, see _pack_tables
+    width: int  # the coordinate field width w0 of every search at or under it
+    order_width: int  # the order field width u0 of those searches
+    orders: tuple  # the reduced orders c, all 0 for a basis without orders
+    place: tuple  # 2^(w0 j) + c_j 2^(w0 r) per coordinate j: k packed with <k, c>
+    packing: tuple  # (G, H, dead) at w0 and u0 of the elements with their orders
     memo: list  # the memo those searches share when they use the default cap
 
 
@@ -505,6 +596,7 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
     if tables is None:
         elems = basis.elements
         m, r = len(elems), len(elems[0])
+        c = basis._orders or (0,) * r
 
         def fits(s):  # whether t = s - 1 keeps both bounds within their caps
             return m * s ** (r + 1) <= ENUMERATION_CAP and m * s**r <= _STATE_CAP
@@ -514,10 +606,30 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
         s = int((ENUMERATION_CAP / m) ** (1 / (r + 1))) + 1
         while not fits(s):
             s -= 1
+        extended = _with_orders(elems, c)
         w = max(s - 1, *map(max, elems)).bit_length() + 1
-        tables = _FactorTables(s - 1, w, _pack_tables(elems, w), [{} for _ in elems])
+        # every k <= t has order at most t * (the sum of the positive c_j)
+        most = (s - 1) * sum(x for x in c if x > 0)
+        ow = max(most, *(h[-1] for h in extended)).bit_length() + 1
+        tables = _FactorTables(
+            s - 1, w, ow, c, _places(c, w), _pack_tables(extended, w, ow), [{} for _ in elems]
+        )
         _setattr(basis, "_factor_tables", tables)
     return tables
+
+
+def _with_orders(elems: Elements, c: Sequence[int]) -> Elements:
+    """Each element with its order <h, c> appended as one more coordinate."""
+    return tuple(h + (sum(map(operator.mul, h, c)),) for h in elems)
+
+
+def _places(c: Sequence[int], w: int) -> tuple[int, ...]:
+    """2^(w j) + c_j 2^(w r) for each coordinate j of the rank-r orders c,
+    so that sum_j k_j place_j packs k, each coordinate in a w-bit field,
+    with <k, c> appended as its last field, from bit w r on, and is
+    negative exactly when <k, c> is."""
+    r = len(c)
+    return tuple((1 << w * j) + (x << w * r) for j, x in enumerate(c))
 
 
 def _pack(xs: Sequence[int], w: int) -> int:
@@ -532,22 +644,29 @@ def _pack(xs: Sequence[int], w: int) -> int:
     return n
 
 
-def _pack_tables(elems: Elements, w: int) -> tuple[int, tuple, tuple]:
-    """(G, H, dead) at field width w: the guard mask, the packed elements
-    and, per position i <= m, the mask of the value bits of the fields no
-    element from i on has.
+def _pack_tables(elems: Elements, w: int, last: int | None = None) -> tuple[int, tuple, tuple]:
+    """(G, H, dead) at field width w, the last field at width `last` where
+    it is given: the guard mask, the packed elements and, per position
+    i <= m, the mask of the value bits of the fields no element from i on
+    has.  The last field is the top one, so its width moves no other
+    field, and _pack puts it at bit w * (n - 1) whatever its width.
 
-    Every entry is below 2^(w-1), so G - H[i] keeps exactly the guards
-    of the fields where element i is 0, and a set of guards Z becomes the
-    value bits below them as Z - (Z >> (w - 1)): dead[i] is dead[i + 1]
-    cut to those fields, one O(r) int operation per position.
+    Every entry is below 2^(w-1), the last below 2^(last-1), so G - H[i]
+    keeps exactly the guards of the fields where element i is 0, and a
+    set of guards Z becomes the value bits below them as Z - (Z >> (w - 1)),
+    with the last guard shifted by last - 1 instead: dead[i] is dead[i + 1]
+    cut to those fields, a few O(r) int operations per position.
     """
-    guards = _pack([1 << w - 1] * len(elems[0]), w)
+    n = len(elems[0])
+    last = w if last is None else last
+    low = _pack([1 << w - 1] * (n - 1), w)
+    top = 1 << w * (n - 1) + last - 1
+    guards = low | top
     packed = tuple(_pack(h, w) for h in elems)
-    dead = [guards - (guards >> w - 1)]  # at position m, every field
+    dead = [guards - (low >> w - 1) - (top >> last - 1)]  # at position m, every field
     for h in reversed(packed):
         zero = (guards - h) & guards
-        dead.append(dead[-1] & (zero - (zero >> w - 1)))
+        dead.append(dead[-1] & (zero - ((zero & low) >> w - 1) - ((zero & top) >> last - 1)))
     return guards, packed, tuple(reversed(dead))
 
 
@@ -589,6 +708,14 @@ def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:
     lookup, and each fold into a frame a constant number of operations
     and at most two witness cells.  So the work is a constant times the
     bound.
+
+    The order field appended to each remainder (count_factorizations)
+    changes none of this.  Its guard only lowers cmax and its dead mask
+    only ends more states at once, so a search with it visits a subset of
+    the states visited without it, each trying at most as many
+    multiplicities; and a state is still fixed by its position and its r
+    coordinates, the field being their order.  Both sums bound it as they
+    are, with k and the elements alone: no order enters them.
     """
     supports = [[j for j, x in enumerate(h) if x] for h in elements]
     last = {j: i for i, support in enumerate(supports) for j in support}

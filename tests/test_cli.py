@@ -254,6 +254,13 @@ class TestVectorWithLeadingMinus:
             ["factorize", "--orders", "-1,2", "--element", "2,1"],
             ["factorize", "--orders", "1,-1", "--element", "-1,0"],
             ["sweep", "--degrees", "-1,1", "--order-bound", "1"],
+            # abbreviations argparse resolves to a vector option
+            ["hilbert", "--ord", "-5,3"],
+            ["hilbert", "--o", "-5,3", "--json"],
+            ["factorize", "--ord", "-5,3", "--element", "1,1"],
+            ["factorize", "--orders", "1,-1", "--el", "-1,0"],
+            ["check", "--deg", "-1,1", "--o", "1,1"],
+            ["sweep", "--d", "-1,1", "--order-bound", "1"],
         ],
     )
     def test_a_separate_token_reads_as_the_equals_form(self, argv, capsys):
@@ -277,6 +284,35 @@ class TestVectorWithLeadingMinus:
         code, out, err = _outcome(["hilbert", "--orders", "--json"], capsys)
         assert (code, out) == (2, "")
         assert "argument --orders: expected one argument" in err
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            # in sweep --ord is short for --order-bound, which takes -5 as
+            # the one negative number it is, and refuses -5,3
+            (["sweep", "--degrees", "1,1", "--ord", "-5"], 2, "error: order bound must be >= 1\n"),
+            (["sweep", "--degrees", "1,1", "--ord", "-5,3"], 2, "expected one argument"),
+            # hilbert has no --element
+            (["hilbert", "--orders", "1,1", "--element", "-1,0"], 2, "unrecognized arguments"),
+        ],
+    )
+    def test_other_options_are_not_joined(self, argv, code, err, capsys):
+        got = _outcome(argv, capsys)
+        assert got[:2] == (code, "") and err in got[2]
+        assert cli._join_negative_vectors(argv) == argv
+
+    def test_each_subcommand_joins_its_own_vector_options(self, capsys):
+        # A subcommand's help lists its options; the vector options among
+        # them are the ones joined there.
+        for command in ("check", "hilbert", "factorize", "sweep", "catalog"):
+            code, out, _ = _outcome([command, "--help"], capsys)
+            assert code == 0
+            listed = set(re.findall(r"--[\w-]+", out)) & set(cli._VECTOR_OPTIONS)
+            joined = {
+                name for name in cli._VECTOR_OPTIONS
+                if cli._join_negative_vectors([command, name, "-1"]) == [command, f"{name}=-1"]
+            }
+            assert joined == listed, command
 
     def test_the_joined_options_are_the_vector_options(self):
         source = Path(cli.__file__).read_text(encoding="utf-8")

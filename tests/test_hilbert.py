@@ -399,6 +399,28 @@ class TestBasisLaws:
         assert str(err.value) == message
 
 
+    def test_orders_must_fit_the_basis(self):
+        # Orders are keyword-only, of the basis's rank, and give every
+        # element an order >= 0; the basis keeps them reduced by their gcd,
+        # as a private slot outside equality, hashing, repr and pickling.
+        elements = ((1, 0), (2, 1), (3, 2))  # the basis of (2, -3)
+        with pytest.raises(LengthMismatchError) as err:
+            HilbertBasis(elements, "oracle", orders=(2, -3, 1))
+        assert str(err.value) == "orders of rank 3 given for a basis of rank 2"
+        with pytest.raises(ValueError) as err:
+            HilbertBasis(elements, "oracle", orders=(1, -3))  # (2, 1) has order -1
+        assert str(err.value) == "basis element (2, 1) is outside Hol of the orders"
+        with pytest.raises(TypeError):
+            HilbertBasis(elements, "oracle", (2, -3))
+        basis = HilbertBasis(elements, "oracle", orders=(4, -6))
+        plain = HilbertBasis(elements, "oracle")
+        assert (basis._orders, plain._orders) == ((2, -3), None)
+        assert basis == plain and hash(basis) == hash(plain) and repr(basis) == repr(plain)
+        assert pickle.loads(pickle.dumps(basis))._orders is None
+        assert basis._replace()._orders is None
+        assert HilbertBasis((), "oracle", orders=(-1, -2))._orders == (-1, -2)
+
+
 class TestCountFactorizations:
     def test_unique_example(self):
         basis = hilbert_basis_oracle((1, -1))
@@ -477,11 +499,17 @@ class TestCountFactorizations:
             "over the state cap 1000000"
         )
         assert calls == [] and not any(shared_memo(basis))
-        # over the threshold, 169: a private memo
-        assert count_factorizations((100000, 0), basis).count == 1
-        memo = calls[0][5]
-        assert all(call[5] is memo for call in calls) and memo is not shared_memo(basis)
-        assert sum(map(len, memo)) == 100001
+        # over the threshold, 169: a private memo.  Without the orders it
+        # keeps the state (100000, 0) and each (j, 0) at position 1; with
+        # the orders (1, -1) each (j, 0) has order j > 0 while (1, 1), the
+        # only element after (1, 0), has order 0, so each is dead at once.
+        plain = HilbertBasis(basis.elements, "oracle")
+        for searched, states in ((plain, 100001), (basis, 1)):
+            calls.clear()
+            assert count_factorizations((100000, 0), searched).count == 1
+            memo = calls[0][5]
+            assert all(call[5] is memo for call in calls) and memo is not shared_memo(searched)
+            assert sum(map(len, memo)) == states
 
     def test_threshold_keeps_the_states_within_their_cap(self):
         # m = 2, r = 6: the steps alone would admit t = 8, as
@@ -595,17 +623,22 @@ class TestFactorizationMemo:
                     assert not got or len(got[2]) == min(got[1], 2)
 
     def test_positions_stepped_over_keep_an_entry(self):
-        # Over (1, 0), (2, 1), (3, 2), in the 9-bit fields of the threshold
-        # 148 with guards 1 << 8 | 1 << 17, no element after the first
-        # divides (1, 0), (2, 0) or (3, 0).  A visit leaves an entry also
-        # where it only steps over a position, so no state is walked twice,
-        # as _search_bound's proof requires.
+        # Over (1, 0), (2, 1), (3, 2), of orders 2, 1, 0 under (2, -3), in
+        # the 9-bit fields of the threshold 148, the order appended as a
+        # 10-bit third field, with guards 1 << 8 | 1 << 17 | 1 << 27, no
+        # element after the first divides (1, 0), (2, 0) or (3, 0).  A visit leaves
+        # an entry also where it only steps over a position, so no state is
+        # walked twice, as _search_bound's proof requires.  At position 2
+        # the same remainders, of orders 2, 4 and 6, are dead, since (3, 2)
+        # has order 0, and leave none.
         basis = hilbert_basis_oracle((2, -3))
         assert count_factorizations((3, 0), basis).witnesses == ((3, 0, 0),)
         memo = shared_memo(basis)
-        rem = {k: hilbert._pack(k, 9) | 1 << 8 | 1 << 17 for k in ((1, 0), (2, 0), (3, 0))}
+        guards = 1 << 8 | 1 << 17 | 1 << 27
+        rem = {k: hilbert._pack(k + (2 * k[0],), 9) | guards for k in ((1, 0), (2, 0), (3, 0))}
         assert memo[0] == {rem[3, 0]: (1, ((0, 3, None),))}  # a cons cell: 3 * h_0
-        assert memo[1] == memo[2] == dict.fromkeys(rem.values(), (0, ()))
+        assert memo[1] == dict.fromkeys(rem.values(), (0, ()))
+        assert memo[2] == {}
 
     def test_counts_and_witnesses_match_every_factorization(self):
         # brute_factorizations lists every factorization, so the count must
@@ -684,25 +717,34 @@ class TestFactorizationMemo:
         assert basis._factor_tables is None
         count_factorizations((4, 2), basis)
         tables = basis._factor_tables
-        # (1, 0), (2, 1), (3, 2): 148 is the largest t with
-        # 3 * (t + 1)^3 <= ENUMERATION_CAP, and 9 bits hold 148 and its guard
-        assert tables[:2] == (148, 9)
-        # guards 0x20100, the elements packed, and a dead mask only past the
-        # last element, where no element has coordinate 0 or 1
-        assert tables.packing == (0x20100, (0x001, 0x202, 0x403), (0, 0, 0, 0x1FEFF))
+        # (1, 0), (2, 1), (3, 2), of orders 2, 1, 0 under (2, -3): 148 is
+        # the largest t with 3 * (t + 1)^3 <= ENUMERATION_CAP, 9 bits hold
+        # 148 and its guard, an element k <= 148 has order at most
+        # 2 * 148 = 296, and 10 bits hold 296 and its guard
+        assert tables[:4] == (148, 9, 10, (2, -3))
+        # k packed with its order: 2^(9 j) + c_j 2^18 per coordinate j
+        assert tables.place == (1 + (2 << 18), (1 << 9) - (3 << 18))
+        # guards 0x8020100, the elements packed with their orders appended,
+        # a dead mask on the order field from the last element on, which
+        # has order 0, and one on every field past it
+        assert tables.packing == (
+            0x8020100, (0x80001, 0x40202, 0x00403), (0, 0, 0x7FC0000, 0x7FDFEFF)
+        )
         packing, memo = tables.packing, tables.memo
         pack, widths = hilbert._pack_tables, []
 
-        def spy(elems, w):
-            widths.append(w)
-            return pack(elems, w)
+        def spy(elems, w, last):
+            widths.append((w, last))
+            return pack(elems, w, last)
 
         monkeypatch.setattr(hilbert, "_pack_tables", spy)
         for k in [*itertools.product(range(5), repeat=2), (256, 0)]:
             for cap in (2, 3):
                 if dot(k, (2, -3)) >= 0:
                     count_factorizations(k, basis, cap=cap)
-        assert widths == [10, 10]  # only (256, 0), over 148 and 9 bits, packs anew
+        # only (256, 0), over 148 and 9 bits and of order 512, over 10 bits,
+        # packs anew
+        assert widths == [(10, 11), (10, 11)]
         assert basis._factor_tables is tables
         assert tables.packing is packing and tables.memo is memo
         assert HilbertBasis(basis.elements, "oracle")._factor_tables is None
@@ -782,10 +824,10 @@ class TestFactorizationMemo:
     def test_searches_off_the_shared_path_leave_its_memo_alone(self, monkeypatch):
         # A default-cap search at or under the threshold, 169, asks no bound
         # and packs no elements: it searches the shared memo with the
-        # tables' packing.  Searches above the threshold, each keeping about
-        # 10,000 states, ask the bound and pack at 15 bits, and they and a
-        # cap other than 2 search private memos: none of them stays on the
-        # basis once it returns.
+        # tables' packing.  Searches above the threshold ask the bound and
+        # pack at 15 bits, for their entries and for their orders, and they
+        # and a cap other than 2 search private memos: none of them stays
+        # on the basis once it returns.
         basis = hilbert_basis_oracle((1, -1))
         assert count_factorizations((100, 100), basis).count == 1
         tables = basis._factor_tables
@@ -796,7 +838,9 @@ class TestFactorizationMemo:
             hilbert, "_search_bound", lambda k, elems: bounds.append(k) or bound(k, elems)
         )
         monkeypatch.setattr(
-            hilbert, "_pack_tables", lambda elems, w: widths.append(w) or pack(elems, w)
+            hilbert,
+            "_pack_tables",
+            lambda elems, w, last: widths.append((w, last)) or pack(elems, w, last),
         )
         assert count_factorizations((169, 20), basis).count == 1
         [(_, _, packed, dead, guards, searched, cap)] = calls
@@ -806,7 +850,7 @@ class TestFactorizationMemo:
         for y in range(6):
             assert count_factorizations((10000, y), basis).count == 1
         assert count_factorizations((100, 100), basis, cap=3).count == 1
-        assert bounds == [(10000, y) for y in range(6)] and widths == [15] * 6
+        assert bounds == [(10000, y) for y in range(6)] and widths == [(15, 15)] * 6
         private = [call[5] for call in calls[1:]]
         assert len(private) == 7 and len(set(map(id, private))) == 7
         assert all(seen is not memo for seen in private)
@@ -837,6 +881,109 @@ class TestFactorizationMemo:
         for k in ((1, 0), (2, 1), (5, 0), (3, 2)):
             fc = count_factorizations(k, basis, cap=10**6)
             assert fc.count == brute_count_factorizations(k, basis.elements), k
+
+
+def _outcome_or_error(k, basis, cap):
+    try:
+        return count_factorizations(k, basis, cap=cap)
+    except (NotInHolError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+_ORDER = st.one_of(st.integers(-6, 6), st.integers(-(2**31 - 1), 2**31 - 1))
+
+
+class TestOrderPruning:
+    """A basis that carries its orders v prunes each search by the order
+    <rem, c> of the remainder, c = v / gcd(v), kept as one more guarded
+    field of the packed remainder: no element has a negative order, so a
+    remainder of negative order, or of positive order past the last
+    element of positive order, has no factorization."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.lists(_ORDER, min_size=r, max_size=r)), st.data())
+    def test_orders_change_no_outcome(self, v, data):
+        # Any elements of order >= 0 under v, not only a Hilbert basis, give
+        # the same count and witnesses, or the same error, with the orders
+        # as without them, under the threshold, at it and over it, for caps
+        # 2, 3 and 10, on two warm bases.
+        r = len(v)
+        members = [h for h in itertools.product(range(4), repeat=r) if any(h) and dot(h, v) >= 0]
+        chosen = data.draw(st.sets(st.sampled_from(members), max_size=12)) if members else set()
+        elements = sorted(chosen)
+        pruned = HilbertBasis(elements, "oracle", orders=v)
+        plain = HilbertBasis(elements, "oracle")
+        small = st.lists(st.integers(0, 6), min_size=r, max_size=r)
+        ks = [tuple(data.draw(small)) for _ in range(2)]
+        if elements:
+            t = hilbert._factor_tables(plain).threshold
+            assert hilbert._factor_tables(pruned).threshold == t
+            # at the threshold, with the largest order one coordinate gives
+            top = v.index(max(v))
+            ks.append(tuple(t if j == top else 0 for j in range(r)))
+            big = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+            big[data.draw(st.integers(0, r - 1))] = t + data.draw(st.integers(1, 40))
+            ks.append(tuple(big))
+        for k in ks:
+            for cap in (2, 3, 10):
+                got = _outcome_or_error(k, pruned, cap)
+                assert got == _outcome_or_error(k, plain, cap), (v, elements, k, cap)
+                if isinstance(got, FactorizationCount):
+                    assert dot(k, v) >= 0
+
+    def test_the_bound_is_asked_before_the_order(self):
+        # Over the threshold, 12, an element of negative order whose search
+        # bound is over the cap is refused for its bound, as without orders.
+        v, k = (-27, -39, 12, -16), (35, 17, 31, 16)
+        basis = hilbert_basis_frontier(v)
+        assert dot(k, v) < 0 and hilbert._factor_tables(basis).threshold == 12
+        plain = HilbertBasis(basis.elements, "frontier")
+        got = _outcome_or_error(k, basis, 3)
+        assert got == _outcome_or_error(k, plain, 3)
+        assert got == (
+            CapExceededError,
+            f"factorization search of {k} may take 16956672 steps, over the enumeration "
+            f"cap {hilbert.ENUMERATION_CAP}",
+        )
+
+    def test_an_element_outside_hol_is_refused_before_any_search(self, monkeypatch):
+        # Under the threshold, 148, and over it, an element of negative
+        # order packs to a negative int and is refused without a search;
+        # the same elements without orders search, and find nothing.
+        basis = hilbert_basis_oracle((2, -3))
+        plain = HilbertBasis(basis.elements, "oracle")
+        calls = spy_searches(monkeypatch)
+        for k in ((0, 1), (148, 99), (0, 500), (200, 134)):
+            for cap in (2, 3):
+                with pytest.raises(NotInHolError) as err:
+                    count_factorizations(k, basis, cap=cap)
+                assert str(err.value) == f"{k} is not generated by the basis (not in Hol)"
+        assert calls == [] and not any(shared_memo(basis))
+        with pytest.raises(NotInHolError) as err:
+            count_factorizations((0, 1), plain)
+        assert str(err.value) == "(0, 1) is not generated by the basis (not in Hol)"
+        assert len(calls) == 1
+
+    def test_pruning_keeps_a_third_of_the_states_of_a_deep_basis(self):
+        # The 684 elements of (40, -63, 17, -29) factor every member of
+        # [0, 4]^4 in Hol under the threshold, 5, into the shared memo.
+        v = (40, -63, 17, -29)
+        basis = hilbert_basis_frontier(v)
+        plain = HilbertBasis(basis.elements, "frontier")
+        box = [k for k in itertools.product(range(5), repeat=4) if dot(k, v) >= 0]
+        assert len(basis) == 684 and len(box) == 179
+        assert hilbert._factor_tables(basis).threshold == 5
+        found = {}
+        for searched, states in ((plain, 216683), (basis, 73319)):
+            found[searched is basis] = [count_factorizations(k, searched) for k in box]
+            assert sum(map(len, shared_memo(searched))) == states
+        assert found[True] == found[False]
+
+    def test_both_engines_carry_the_reduced_orders(self):
+        for engine in (hilbert_basis_oracle, hilbert_basis_frontier):
+            assert engine((4, 0, -6))._orders == (2, 0, -3)
+            assert engine((0, 0))._orders == (0, 0)
+            assert engine((-2, -1))._orders == (-2, -1)  # the empty basis
 
 
 class TestLattice:
