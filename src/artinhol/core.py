@@ -51,15 +51,17 @@ class _Value:
     and deletion, and builds _replace's value through __init__, so that it
     validates again.  Unpickling sets the fields a value was pickled with,
     validated when it was built, without validating them again, and every
-    private slot to None.
+    private slot to None (_restore), as a sweep does for each record.
     """
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()
+    _private: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._private = tuple(name for name in cls.__slots__ if name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -92,11 +94,16 @@ class _Value:
 
 
 def _restore(cls: type, values: tuple) -> _Value:
-    """The value of cls that _Value.__reduce__ pickled as its field values."""
+    """The value of cls with the given field values, in field order, set
+    without validating them, and every private slot None: the value that
+    _Value.__reduce__ pickled, or one a sweep builds from values its plan
+    has validated (sweep._chunk_reports).  Any other input goes through
+    cls's constructor."""
     value = cls.__new__(cls)
-    fields = dict(zip(cls._fields, values))
-    for name in cls.__slots__:
-        _setattr(value, name, fields.get(name))
+    for name, x in zip(cls._fields, values):
+        _setattr(value, name, x)
+    for name in cls._private:
+        _setattr(value, name, None)
     return value
 
 

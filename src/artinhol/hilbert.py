@@ -465,8 +465,10 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     the same child, and returns the same capped count and witnesses.  It
     visits and stores a subset of the states it would visit and store
     without the field, with at most as many multiplicities each, and the
-    field is a function of the coordinates, so _search_bound's bounds, the
-    threshold and _STATE_CAP hold as they are.  Without orders field r is
+    field is a function of the coordinates, so _search_bound's bounds
+    without the orders, the threshold and _STATE_CAP hold as they are;
+    _search_bound divides its bounds by what the field prunes once no
+    element of positive order is left.  Without orders field r is
     0 throughout and dead from position 0 on, and the search is the one
     without the field.
 
@@ -492,10 +494,10 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     places, the packing and (cap 2) the shared memo from the tables, packs
     k with its order in one sum of products and searches: it asks no
     bound, works out no width and packs no elements.  Only a search above t
-    asks _search_bound, then takes <k, c>, works out its widths, and packs
-    at them where w0 is too narrow for max k or u0 for <k, c>: the bounds
-    come first, so an element refused for its bound is refused for it
-    whether or not the basis carries orders.  A search above t or with any
+    asks _search_bound, with the orders c, then takes <k, c>, works out its
+    widths, and packs at them where w0 is too narrow for max k or u0 for
+    <k, c>: the bounds come first, so an element refused for its bound is
+    refused for it whatever its order.  A search above t or with any
     other cap runs on a private memo, dropped when it returns.  Either way
     the at most two witness cells are decoded into coefficient tuples once
     the search returns.  Keeping one shared memo per cap would not be
@@ -533,7 +535,7 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
             place, (guards, packed, dead) = tables.place, tables.packing
             memo = tables.memo if cap == 2 else [{} for _ in elems]
         else:
-            states, steps = _search_bound(kk, elems)
+            states, steps = _search_bound(kk, elems, tables.orders)
             if steps > ENUMERATION_CAP:
                 raise CapExceededError(
                     f"factorization search of {kk} may take {steps} steps, over the "
@@ -670,15 +672,20 @@ def _pack_tables(elems: Elements, w: int, last: int | None = None) -> tuple[int,
     return guards, packed, tuple(reversed(dead))
 
 
-def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:
+def _search_bound(
+    k: tuple[int, ...], elements: Elements, orders: Sequence[int] | None = None
+) -> tuple[int, int]:
     """(states, steps): bounds on the states count_factorizations' search
     for k over `elements` visits, and so on the memo entries it stores,
-    and on its loop iterations.
+    and on its loop iterations; `orders` are the reduced orders c the
+    basis carries, None (or all 0) for a basis without them.
 
     Let R_i be the coordinates that some element before position i and
     some element from i on have in their supports, and S_i the product
-    prod_{j in R_i} (k_j + 1).  The states bound is the sum over i of S_i,
-    and the steps bound the sum over i of
+    prod_{j in R_i} (k_j + 1), divided, at a position i from which every
+    element has order <h, c> = 0, by the largest k_j + 1 over the j in
+    R_i with c_j != 0, if there is one.  The states bound is the sum over
+    i of S_i, and the steps bound the sum over i of
     S_i * (min_{j in supp h_i} floor(k_j / h_ij) + 1).  No S_i exceeds
     prod_j (k_j + 1) <= (max_j k_j + 1)^r, and no step term exceeds that
     times (max_j k_j + 1), so the sums are at most m (max_j k_j + 1)^r and
@@ -714,17 +721,38 @@ def _search_bound(k: tuple[int, ...], elements: Elements) -> tuple[int, int]:
     only ends more states at once, so a search with it visits a subset of
     the states visited without it, each trying at most as many
     multiplicities; and a state is still fixed by its position and its r
-    coordinates, the field being their order.  Both sums bound it as they
-    are, with k and the elements alone: no order enters them.
+    coordinates, the field being their order.  So both sums bound it
+    undivided.  The division counts what the field prunes.  Let i be a
+    position from which every element has order 0 under c.  A state
+    visited at i has order <rem, c> exactly 0: not below 0, as k of
+    negative order is refused before any search and the guard refuses a
+    multiplicity that would leave a negative order, and not above 0, as
+    the dead mask then ends the state, field r being 0 in every element
+    from i on.  On the states visited at i every coordinate outside R_i
+    is fixed, as above: rem_j = k_j where no element before i has j, and
+    rem_j = 0 where no element from i on has it.  So for a j in R_i with
+    c_j != 0 the equation <rem, c> = 0 fixes rem_j by the other
+    coordinates, and those states differ only on R_i less j: at most
+    S_i / (k_j + 1) of them, the fewest for the largest k_j.  Each still
+    makes at most the step term's multiplicities.  Without orders no c_j
+    is nonzero and nothing is divided, and with them the sums only fall:
+    every search admitted without the division is admitted with it, and
+    the search, hence its count, is the same.
     """
     supports = [[j for j, x in enumerate(h) if x] for h in elements]
     last = {j: i for i, support in enumerate(supports) for j in support}
+    c = orders or (0,) * len(k)
+    flat = len(elements)  # every element from position flat on has order 0
+    while flat and not sum(map(operator.mul, elements[flat - 1], c)):
+        flat -= 1
     states = steps = 0
     shared = set()  # R_i at position i
     for i, (h, support) in enumerate(zip(elements, supports)):
         here = 1
         for j in shared:
             here *= k[j] + 1
+        if i >= flat:  # the visited states' order 0 fixes one rem_j with c_j != 0
+            here //= max([k[j] + 1 for j in shared if c[j]], default=1)
         states += here
         steps += here * (min(k[j] // h[j] for j in support) + 1)
         for j in support:

@@ -120,10 +120,13 @@ def render_report_json(rep: ConditionReport) -> str:
     across records and costs something to build is rendered once per
     process: the instance's text but its orders, each distinct basis
     element, reasons list and pair-table row, the table taken row by row
-    as the report keeps it.  The test suite checks the bytes against
-    canonical_json of the report as a dict.
+    as the report keeps it.  The verdicts the report derives are read
+    from its fields (admissible from the reasons, the size from the
+    elements, iii from m), not through its properties.  The test suite
+    checks the bytes against canonical_json of the report as a dict.
     """
     inst = rep.instance
+    reasons, elements = rep.admissible_reasons, rep.hilbert_elements
     m = rep.cond_iii_m
     failing = rep.cond_ii_prime_failing
     head, flags = _instance_texts(
@@ -138,13 +141,13 @@ def render_report_json(rep: ConditionReport) -> str:
             head,
             _ints(inst.orders.entries),
             flags,
-            _SCALAR[rep.admissible],
+            _SCALAR[not reasons],
             ',"reasons":',
-            _reasons_text(rep.admissible_reasons),
+            _reasons_text(reasons),
             '},"hilbert":{"size":',
-            str(rep.hilbert_size),
+            str(len(elements)),
             ',"elements":[',
-            ",".join(map(_vector_text, rep.hilbert_elements)),
+            ",".join(map(_vector_text, elements)),
             ']},"conditions":{"i":',
             _SCALAR[rep.cond_i],
             ',"ii":{"ok":',
@@ -152,7 +155,7 @@ def render_report_json(rep: ConditionReport) -> str:
             ',"pairs":[',
             ",".join(map(_pairs_text, rep.cond_ii_rows)),
             ']},"iii":{"ok":',
-            _SCALAR[rep.cond_iii],
+            _SCALAR[m is not None],
             ',"m":',
             "null" if m is None else str(m),
             '},"ii_prime":{"ok":',

@@ -5,7 +5,9 @@ A sweep fixes a degree vector and enumerates every order vector in the box
 streams one JSON line per instance to the output file, and aggregates a
 summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.  A SweepPlan makes every check a sweep needs, the box's
-size against INSTANCE_CAP included, when it is built.
+size against INSTANCE_CAP included, when it is built, so each record's
+OrderVector and Instance are restored from values it validated, not
+validated again by their constructors (_chunk_reports).
 
 Every basis of a sweep comes from one type table (conditions.build_type_table),
 which the sweep's own process builds before any chunk runs: the engines
@@ -43,7 +45,16 @@ from typing import Iterable, Iterator, Sequence
 
 from . import serialize
 from .conditions import ConditionReport, build_type_table, check_instance
-from .core import DegreeVector, Instance, _int_value, _setattr, _Value, check_flags
+from .core import (
+    DegreeVector,
+    Instance,
+    OrderVector,
+    _int_value,
+    _restore,
+    _setattr,
+    _Value,
+    check_flags,
+)
 from .errors import CapExceededError, MixedPlansError, WorkerDiedError
 
 INSTANCE_CAP = 10_000_000
@@ -398,16 +409,26 @@ def _serve(func, tasks: Iterator, results: int) -> None:
 
 def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[ConditionReport]:
     """Reports of one chunk's vectors, in order, their bases expanded from
-    the type table of the plan's order bound."""
+    the type table of the plan's order bound.
+
+    `vectors` is a chunk of _chunk_tasks(plan), and each record's
+    OrderVector and Instance are restored from their values
+    (core._restore), as unpickling restores them, because every check
+    their constructors would make already holds:
+    - itertools.product over range(-B, B + 1) yields tuples of ints;
+    - _box_size, which building the plan ran, keeps 2B + 1 <= INSTANCE_CAP
+      < 2^31, so each |v_j| <= B is within OrderVector's 32-bit range;
+    - each tuple's length is degrees.rank, that of the plan's DegreeVector,
+      which is at least 1: the orders are nonempty, of the degrees' rank;
+    - SweepPlan ran check_flags on the flags and the group, and s0_label
+      is None.
+    Instance(...) makes every check for any input from outside a sweep.
+    """
+    degrees, bound = plan.degrees, plan.order_bound
+    flags = (plan.require_dedekind, plan.require_trivial_nonneg, plan.group, None)
     for v in vectors:
-        inst = Instance(
-            plan.degrees,
-            v,
-            require_dedekind=plan.require_dedekind,
-            require_trivial_nonneg=plan.require_trivial_nonneg,
-            group=plan.group,
-        )
-        yield check_instance(inst, plan.order_bound)
+        orders = _restore(OrderVector, (v,))
+        yield check_instance(_restore(Instance, (degrees, orders, *flags)), bound)
 
 
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
@@ -432,32 +453,45 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
     """Aggregate a record stream from a single plan into a SweepSummary.
 
     Raises MixedPlansError if records disagree on rank, degrees, or flags.
+    A record's plan key is built and compared only when its degrees object
+    (an `is` test) or its flags differ from the record before it's, as
+    records of one sweep share their plan's DegreeVector; verdicts are
+    read from the fields, as render_report_json reads them.
     """
-    plan = None
-    # The stored counts of a SweepSummary, by field name.
-    counts = Counter(total=0, cond_i_true=0, factorial_not_i=0)
+    plan = degrees = dedekind = trivial = None
+    total = cond_i_true = factorial_not_i = 0
     histogram: Counter[int] = Counter()
     counterexamples: list[tuple[int, ...]] = []
     for rep in records:
         inst = rep.instance
-        key = (inst.rank, inst.degrees.entries, inst.require_dedekind, inst.require_trivial_nonneg)
-        if plan is None:
-            plan = key
-        elif plan != key:
-            raise MixedPlansError(f"record {key} does not match plan {plan}")
-        counts["total"] += 1
-        if rep.admissible:
+        if (
+            inst.degrees is not degrees
+            or inst.require_dedekind != dedekind
+            or inst.require_trivial_nonneg != trivial
+        ):
+            degrees, dedekind, trivial = (
+                inst.degrees, inst.require_dedekind, inst.require_trivial_nonneg
+            )
+            key = (degrees.rank, degrees.entries, dedekind, trivial)
+            if plan is None:
+                plan = key
+            elif plan != key:
+                raise MixedPlansError(f"record {key} does not match plan {plan}")
+        total += 1
+        if not rep.admissible_reasons:
             if rep.cond_i:
-                counts["cond_i_true"] += 1
+                cond_i_true += 1
             elif rep.factorial:
-                counts["factorial_not_i"] += 1
-            histogram[rep.hilbert_size] += 1
+                factorial_not_i += 1
+            histogram[len(rep.hilbert_elements)] += 1
         if rep.equivalence_ok is False:
             counterexamples.append(inst.orders.entries)
     return SweepSummary(
-        **counts,
-        hilbert_histogram=tuple(sorted(histogram.items())),
-        counterexamples=tuple(counterexamples),
+        total,
+        cond_i_true,
+        factorial_not_i,
+        tuple(sorted(histogram.items())),
+        tuple(counterexamples),
     )
 
 

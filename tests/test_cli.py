@@ -487,12 +487,14 @@ class TestCommands:
         assert docs[0]["hilbert"]["elements"] == [[0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
 
     def test_factorize_under_the_search_bound_answers(self, capsys):
-        # (100000, 0) may keep 100,002 states; (3000, 3000) may take
-        # 9,009,002 steps but keep only 3,002 states.
+        # Over (1, 0), (1, 1) with the orders 1, -1, (N, M) keeps at most 2
+        # states: (1, 1) has order 0, so at its position the order 0 fixes
+        # rem_1 by rem_2.  (10000, 10000) may take 20,002 steps.
         for element, witness in (
             ("200,200", [0, 200]),
             ("100000,0", [100000, 0]),
             ("3000,3000", [0, 3000]),
+            ("10000,10000", [0, 10000]),
         ):
             argv = ["factorize", "--orders=1,-1", f"--element={element}", "--json"]
             assert cli.main(argv) == 0
@@ -515,11 +517,14 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: factorization search of (99999999999, 99999999999) may take")
         assert err.endswith("steps, over the enumeration cap 10000000\n")
+        # Over (1, 0), (1, 1), (1, 2) with the orders 2, -1, (1, 1) has order
+        # 1, so the states at its position are not pruned: (N, 0) may keep
+        # N + 3 of them, and (N, N) may take N + 1 + (N + 1)^2 + (N + 1)(N/2 + 1).
         for element, message in (
-            ("1000000,0", "may keep 1000002 states, over the state cap 1000000"),
-            ("10000,10000", "may take 100030002 steps, over the enumeration cap 10000000"),
+            ("1000000,0", "may keep 1000003 states, over the state cap 1000000"),
+            ("10000,10000", "may take 150045003 steps, over the enumeration cap 10000000"),
         ):
-            assert cli.main(["factorize", "--orders=1,-1", f"--element={element}"]) == 2
+            assert cli.main(["factorize", "--orders=2,-1", f"--element={element}"]) == 2
             pair = element.replace(",", ", ")
             assert capsys.readouterr().err == f"error: factorization search of ({pair}) {message}\n"
 

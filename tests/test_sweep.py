@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import collections
 import gc
 import itertools
 import multiprocessing.pool
@@ -24,7 +26,7 @@ from artinhol import (
     summarize,
     sweep_reports,
 )
-from artinhol import cli, conditions, sweep
+from artinhol import cli, conditions, core, sweep
 from artinhol.errors import (
     ArtinHolError,
     CapExceededError,
@@ -40,7 +42,7 @@ from artinhol.serialize import (
     render_summary_json,
     sweep_record_line,
 )
-from artinhol.sweep import CHUNK_SIZE, _chunk_tasks
+from artinhol.sweep import CHUNK_SIZE, _chunk_reports, _chunk_tasks
 from conftest import SWEEP_FAMILIES, child_env
 
 
@@ -997,6 +999,84 @@ class TestCounterexamples:
         assert f"counterexamples: {len(expected.counterexamples)}\n" in out
 
 
+class TestRestoredRecords:
+    """A sweep restores each record's OrderVector and Instance from values
+    its plan has validated (sweep._chunk_reports); Instance(...) still
+    validates every input from outside a sweep."""
+
+    @pytest.mark.parametrize(
+        "degrees, bound, group",
+        [
+            *((degrees, bound, None) for degrees, bound in SWEEP_FAMILIES),
+            ((3, 1, 2, 1, 3), 2, "S5"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [(True, False), (False, True)])
+    def test_restored_records_equal_validated_ones(self, degrees, bound, group, flags):
+        plan = SweepPlan(degrees, bound, *flags, group=group)
+        conditions.build_type_table(bound, len(degrees))
+        for _, vectors in _chunk_tasks(plan):
+            restored = list(_chunk_reports(plan, vectors))
+            validated = [
+                check_instance(Instance(degrees, v, *flags, group=group), bound) for v in vectors
+            ]
+            assert restored == validated
+            lines = [sweep_record_line(rep) for rep in restored]
+            assert lines == [sweep_record_line(rep) for rep in validated]
+
+    @pytest.mark.parametrize("bound, workers", [(1, 1), (2, 2)])
+    def test_records_are_restored_and_only_the_plan_validated(
+        self, tmp_path, monkeypatch, bound, workers
+    ):
+        # Every call is logged to a file with its process id, so that pool
+        # workers forked from this process log theirs too.  S4 (degrees
+        # 1, 1, 2, 3, 3) at B=1 is one chunk, run here; at B=2 it is 13,
+        # run by 2 workers.
+        log = tmp_path / "calls.log"
+
+        def spy(name, real):
+            def logged(*args):
+                entries = args[1] if name == "OrderVector" else None
+                with open(log, "a") as fh:
+                    fh.write(repr((os.getpid(), name, entries)) + "\n")
+                return real(*args)
+
+            return logged
+
+        for cls in (core.OrderVector, core.Instance):
+            monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
+        checked = spy("check_flags", core.check_flags)
+        monkeypatch.setattr(core, "check_flags", checked)
+        monkeypatch.setattr(sweep, "check_flags", checked)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        plan = SweepPlan((1, 1, 2, 3, 3), bound, worker_count=workers, out_path=tmp_path / "r")
+        summary = run_sweep(plan)
+        calls = [ast.literal_eval(line) for line in log.read_text().splitlines()]
+        monkeypatch.undo()
+        assert summary.total == (2 * bound + 1) ** 5
+        assert len((tmp_path / "r").read_text().splitlines()) == summary.total
+        # check_flags runs once, for the plan, and Instance.__init__ never.
+        # An OrderVector is built only on sorted orders: where the engines
+        # run on a support of the plan's type table, and where a canonical
+        # vector's basis is expanded and checked against the closed form,
+        # once per process.  No unsorted record is validated again, and
+        # the builds do not follow the records.
+        assert [name for _, name, _ in calls if name != "OrderVector"] == ["check_flags"]
+        built = collections.Counter((pid, e) for pid, name, e in calls if name == "OrderVector")
+        assert all(list(entries) == sorted(entries) for _, entries in built)
+        assert sum(built.values()) < summary.total // 8  # 24 of 243, 250 of 3,125
+        assert len({pid for pid, _ in built}) == (1 if workers == 1 else 3)
+        # _chunk_reports' proof: every |v_j| <= B < INSTANCE_CAP fits 32 bits
+        assert sweep.INSTANCE_CAP < 2**31
+        for orders, error in (
+            ((True, 0), TypeError),
+            ((0.5, 1), TypeError),
+            ((2**31, 0), ValueError),
+        ):
+            with pytest.raises(error):
+                Instance((1, 1), orders)
+
+
 class TestSummarize:
     def test_empty(self):
         s = summarize([])
@@ -1030,6 +1110,21 @@ class TestSummarize:
         c = check_instance(Instance((1, 1), (0, 0), require_dedekind=False))
         with pytest.raises(MixedPlansError):
             summarize([a, c])
+
+    def test_plan_key_is_checked_when_the_degrees_object_or_flags_change(self):
+        # Equal degrees in another DegreeVector are the same plan; a change
+        # after many records of one DegreeVector is still found.
+        reports = sweep_reports(SweepPlan(DegreeVector((1, 1)), 1))
+        other = check_instance(Instance(DegreeVector((1, 1)), (1, -1)))
+        assert other.instance.degrees is not reports[0].instance.degrees
+        assert summarize([*reports, other]) == summarize(reports) + summarize([other])
+        for bad, key in (
+            (Instance((1, 2), (0, 0)), "(2, (1, 2), True, False)"),
+            (Instance((1, 1), (0, 0), require_trivial_nonneg=True), "(2, (1, 1), True, True)"),
+        ):
+            with pytest.raises(MixedPlansError) as err:
+                summarize([*reports, other, check_instance(bad)])
+            assert str(err.value) == f"record {key} does not match plan (2, (1, 1), True, False)"
 
 
 class TestPlanValidation:
