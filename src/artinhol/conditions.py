@@ -517,8 +517,9 @@ def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
     of c's nonzero values with both signs within c's region, placed on c's
     coordinates in every distinct way.  c is sorted, so each value's
     coordinates form one run, over which the type's entries of that value
-    are arranged.  A basis whose size disagrees with factorial_closed_form
-    raises EngineMismatchError naming c, and a c outside [-B, B] ValueError.
+    are arranged.  A basis whose size disagrees with the closed form of
+    factorial_closed_form, read off _profile(c), raises EngineMismatchError
+    naming c, and a c outside [-B, B] ValueError.
     """
     r = len(c)
     if max(c[-1], -c[0]) > bound:
@@ -538,7 +539,7 @@ def _table_basis(c: tuple[int, ...], bound: int) -> Elements:
                 placed = itertools.product(*[_arrangements(t.get(x, ()), n) for x, n in runs])
                 elems += map(tuple, map(itertools.chain.from_iterable, placed))
     elems.sort()
-    if (len(elems) == r) != factorial_closed_form(c):
+    if (len(elems) == r) != _profile(c).factorial:  # c comes from validated orders
         raise EngineMismatchError(
             f"closed-form factoriality disagrees with the basis expanded from the type "
             f"table for c={c}: {len(elems)} irreducibles at rank {r}"

@@ -49,11 +49,14 @@ a factorization, as a sum of elements of order >= 0 has order >= 0, and
 0 when every element has order 0; so the search keeps its counts and
 witnesses and visits a subset of its states without the order field
 (count_factorizations proves both).  The search's guard
-admits an element whose largest entry is at most a per-basis threshold t
-at once and refuses the rest only by proved bounds on the search's
-iterations and on the states it memoizes (_search_bound).  The searches at
-or under t with the default cap share one memo on the basis, and every
-other search keeps a private one, dropped when it returns.  The shared
+counts the work it does as it runs: each state it memoizes costs one of
+_STATE_CAP states and the multiplicities it tries there, plus the step
+past them, steps of ENUMERATION_CAP, and the first state either cap
+cannot pay for raises CapExceededError.  A per-basis threshold t keeps
+every search whose largest entry is at most t within both caps.  The
+searches at or under t with the default cap share one memo on the
+basis, and every other search keeps a private one, dropped when it
+returns.  The shared
 memo never exceeds _STATE_CAP entries, however many searches fill it: it
 keeps only states (i, rem) that are not dead, whose rem is at most k <= t
 in each coordinate and 0 in each coordinate no element from position i on
@@ -88,12 +91,15 @@ from .core import (
 from .errors import CapExceededError, LengthMismatchError, NoRelationError, NotInHolError
 
 #: Hard cap on the oracle's region points, the frontier's explored nodes
-#: and the bound on a factorization search's steps; keeps interactive
-#: misuse from hanging.
+#: and the steps a factorization search takes; keeps interactive misuse
+#: from hanging.
 ENUMERATION_CAP = 10_000_000
 
-#: Cap on the bound on the states one factorization search memoizes, at
-#: about 96 bytes each: about 100 MB.
+#: Cap on the states one factorization search memoizes, at about 100
+#: bytes each, or 200 where a state keeps two factorizations: 100-200 MB.
+#: A search refused at it takes about 1 s and 107 MB (factorize --orders
+#: 2,-1 --element 1000000,0); one refused at ENUMERATION_CAP's steps 1 to
+#: 4 s, up to 5.5 s on a loaded host (2 vCPUs, Python 3.11).
 _STATE_CAP = ENUMERATION_CAP // 10
 
 Elements = tuple[tuple[int, ...], ...]
@@ -465,10 +471,9 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     the same child, and returns the same capped count and witnesses.  It
     visits and stores a subset of the states it would visit and store
     without the field, with at most as many multiplicities each, and the
-    field is a function of the coordinates, so _search_bound's bounds
-    without the orders, the threshold and _STATE_CAP hold as they are;
-    _search_bound divides its bounds by what the field prunes once no
-    element of positive order is left.  Without orders field r is
+    field is a function of the coordinates, so it charges at most what
+    the search without the field charges (below), and the threshold holds
+    as it is.  Without orders field r is
     0 throughout and dead from position 0 on, and the search is the one
     without the field.
 
@@ -492,12 +497,11 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     hashing, repr and pickling, so they are built once per basis and freed
     with it.  So the common call, at or under t, only validates, reads the
     places, the packing and (cap 2) the shared memo from the tables, packs
-    k with its order in one sum of products and searches: it asks no
-    bound, works out no width and packs no elements.  Only a search above t
-    asks _search_bound, with the orders c, then takes <k, c>, works out its
-    widths, and packs at them where w0 is too narrow for max k or u0 for
-    <k, c>: the bounds come first, so an element refused for its bound is
-    refused for it whatever its order.  A search above t or with any
+    k with its order in one sum of products and searches: it works out no
+    width and packs no elements.  Only a search above t takes <k, c>, works
+    out its widths, and packs at them where w0 is too narrow for max k or
+    u0 for <k, c>.  An element of negative order is refused before any
+    search, at or above t.  A search above t or with any
     other cap runs on a private memo, dropped when it returns.  Either way
     the at most two witness cells are decoded into coefficient tuples once
     the search returns.  Keeping one shared memo per cap would not be
@@ -510,19 +514,25 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     threshold every rem_j is then at most t, so the shared memo holds at
     most sum_{i < m} (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r entries,
     which the threshold's second condition keeps within _STATE_CAP, whatever
-    searches stored them.  A private memo stays within its own search's
-    states bound, which is refused above _STATE_CAP (under the threshold,
-    within the same sum).  So between calls a basis holds at most
-    _STATE_CAP memo entries, and during one at most twice that.
+    searches stored them.  A private memo holds the states its search was
+    charged, at most _STATE_CAP (below).  So between calls a basis holds
+    at most _STATE_CAP memo entries, and during one at most twice that.
 
-    A search that could take more than ENUMERATION_CAP loop iterations,
-    or store more than _STATE_CAP = ENUMERATION_CAP // 10 memo entries,
-    raises CapExceededError before it starts, naming _search_bound's bound
-    on them.  Those bounds are at most m * (max k + 1)^(r + 1) and
-    m * (max k + 1)^r, so an element whose max k is at most the basis's
-    threshold, the largest t with m * (t + 1)^(r + 1) <= ENUMERATION_CAP
-    and m * (t + 1)^r <= _STATE_CAP, is admitted at once; above it the
-    O(m * r) bounds decide.
+    The search charges its work as it runs (_count_from): each state it
+    visits, which stores one memo entry, one of _STATE_CAP states, and
+    cmax + 1 steps of ENUMERATION_CAP, one per child it may descend to:
+    the multiplicities cmax .. 1 and the c = 0 step.  The first state either cap cannot pay for
+    raises CapExceededError naming that cap, before its frame is pushed,
+    and the memo is dropped with the search.  A state is visited at most
+    once: its entry is stored when its frame is popped, and until then no
+    descent reaches it, as every state the visit leads to has a larger
+    position or a remainder of smaller sum.  Every state visited has
+    i < m and rem <= k, and cmax <= max k, as every element is nonzero.
+    So a search charges at most m * (max k + 1)^r states and
+    m * (max k + 1)^(r + 1) steps, and the basis's threshold, the largest
+    t with m * (t + 1)^(r + 1) <= ENUMERATION_CAP and
+    m * (t + 1)^r <= _STATE_CAP, leaves every search at or under it within
+    both caps: the shared memo never sees a refusal.
     """
     if _int_value(cap, "cap") < 2:
         raise ValueError("cap must be >= 2")
@@ -535,17 +545,6 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
             place, (guards, packed, dead) = tables.place, tables.packing
             memo = tables.memo if cap == 2 else [{} for _ in elems]
         else:
-            states, steps = _search_bound(kk, elems, tables.orders)
-            if steps > ENUMERATION_CAP:
-                raise CapExceededError(
-                    f"factorization search of {kk} may take {steps} steps, over the "
-                    f"enumeration cap {ENUMERATION_CAP}"
-                )
-            if states > _STATE_CAP:
-                raise CapExceededError(
-                    f"factorization search of {kk} may keep {states} states, over the "
-                    f"state cap {_STATE_CAP}"
-                )
             c = tables.orders
             w = max(top.bit_length() + 1, tables.width)
             ow = max(sum(map(operator.mul, kk, c)).bit_length() + 1, tables.order_width)
@@ -559,7 +558,10 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
         if start < 0:
             count, cells = _NONE
         else:
-            count, cells = _count_from(0, start | guards, packed, dead, guards, memo, cap)
+            try:
+                count, cells = _count_from(0, start | guards, packed, dead, guards, memo, cap)
+            except CapExceededError as exc:
+                raise CapExceededError(f"factorization search of {kk} {exc}") from None
     else:  # the empty basis generates only the identity
         count, cells = _NONE if any(kk) else _EMPTY
     if count == 0:
@@ -672,152 +674,105 @@ def _pack_tables(elems: Elements, w: int, last: int | None = None) -> tuple[int,
     return guards, packed, tuple(reversed(dead))
 
 
-def _search_bound(
-    k: tuple[int, ...], elements: Elements, orders: Sequence[int] | None = None
-) -> tuple[int, int]:
-    """(states, steps): bounds on the states count_factorizations' search
-    for k over `elements` visits, and so on the memo entries it stores,
-    and on its loop iterations; `orders` are the reduced orders c the
-    basis carries, None (or all 0) for a basis without them.
-
-    Let R_i be the coordinates that some element before position i and
-    some element from i on have in their supports, and S_i the product
-    prod_{j in R_i} (k_j + 1), divided, at a position i from which every
-    element has order <h, c> = 0, by the largest k_j + 1 over the j in
-    R_i with c_j != 0, if there is one.  The states bound is the sum over
-    i of S_i, and the steps bound the sum over i of
-    S_i * (min_{j in supp h_i} floor(k_j / h_ij) + 1).  No S_i exceeds
-    prod_j (k_j + 1) <= (max_j k_j + 1)^r, and no step term exceeds that
-    times (max_j k_j + 1), so the sums are at most m (max_j k_j + 1)^r and
-    m (max_j k_j + 1)^(r + 1), which size count_factorizations' threshold.
-
-    Proof, for the loop of _count_from.  An iteration is a descent from
-    a state (i, rem) to one of its children (i + 1, rem - c * h_i): a
-    multiplicity c >= 1 tried, or the c = 0 step, the step over a
-    position whose element does not divide rem included.  Each belongs to
-    the visit of one state that is neither dead nor in the memo, and a
-    state is visited at most once: the visit stores its memo entry when
-    its frame is popped, a position stepped over included, and until then
-    no descent reaches it again, because every state the visit leads to
-    has a larger position or a remainder of smaller sum.  Remainders
-    start at k and only decrease, never below 0.  At position i,
-    rem_j = k_j for every j that no element before i has, and a state
-    with rem_j > 0 for some j that no element from i on has is dead: it
-    resolves after one mask test, before any iteration.  So the states
-    visited at i differ only on R_i: at most S_i of them, and each stores
-    one memo entry.  A visit makes cmax iterations for c = cmax .. 1 and
-    one for the c = 0 step, with cmax <= rem_j / h_ij <= k_j / h_ij for
-    every j in the support of h_i; where h_i does not divide rem,
-    cmax = 0 and the step is the visit.  Besides a memo lookup and a push,
-    a visit makes at most two int operations per multiplicity to find
-    cmax and one subtraction that fails its guard test; each descent, and
-    the first state, makes at most a dead test, a zero test and a memo
-    lookup, and each fold into a frame a constant number of operations
-    and at most two witness cells.  So the work is a constant times the
-    bound.
-
-    The order field appended to each remainder (count_factorizations)
-    changes none of this.  Its guard only lowers cmax and its dead mask
-    only ends more states at once, so a search with it visits a subset of
-    the states visited without it, each trying at most as many
-    multiplicities; and a state is still fixed by its position and its r
-    coordinates, the field being their order.  So both sums bound it
-    undivided.  The division counts what the field prunes.  Let i be a
-    position from which every element has order 0 under c.  A state
-    visited at i has order <rem, c> exactly 0: not below 0, as k of
-    negative order is refused before any search and the guard refuses a
-    multiplicity that would leave a negative order, and not above 0, as
-    the dead mask then ends the state, field r being 0 in every element
-    from i on.  On the states visited at i every coordinate outside R_i
-    is fixed, as above: rem_j = k_j where no element before i has j, and
-    rem_j = 0 where no element from i on has it.  So for a j in R_i with
-    c_j != 0 the equation <rem, c> = 0 fixes rem_j by the other
-    coordinates, and those states differ only on R_i less j: at most
-    S_i / (k_j + 1) of them, the fewest for the largest k_j.  Each still
-    makes at most the step term's multiplicities.  Without orders no c_j
-    is nonzero and nothing is divided, and with them the sums only fall:
-    every search admitted without the division is admitted with it, and
-    the search, hence its count, is the same.
-    """
-    supports = [[j for j, x in enumerate(h) if x] for h in elements]
-    last = {j: i for i, support in enumerate(supports) for j in support}
-    c = orders or (0,) * len(k)
-    flat = len(elements)  # every element from position flat on has order 0
-    while flat and not sum(map(operator.mul, elements[flat - 1], c)):
-        flat -= 1
-    states = steps = 0
-    shared = set()  # R_i at position i
-    for i, (h, support) in enumerate(zip(elements, supports)):
-        here = 1
-        for j in shared:
-            here *= k[j] + 1
-        if i >= flat:  # the visited states' order 0 fixes one rem_j with c_j != 0
-            here //= max([k[j] + 1 for j in shared if c[j]], default=1)
-        states += here
-        steps += here * (min(k[j] // h[j] for j in support) + 1)
-        for j in support:
-            if last[j] > i:
-                shared.add(j)
-            else:
-                shared.discard(j)
-    return states, steps
-
-
 def _count_from(i, rem, packed, dead, guards, memo, cap):
     """(count capped at `cap`, first two witnesses as cons cells) of the
     packed remainder `rem` over the elements from position i on.
 
     One loop over one explicit stack, so no recursion limit bounds the
-    basis or the multiplicities.  A frame [i, rem, h, c, child, count,
-    witnesses] is a state being visited, h = h_i packed, searching its
-    child (i + 1, child = rem - c * h), with what the children before it
-    gave.  On the way down a dead, zero or memoized state resolves at
-    once, and any other is pushed with c = cmax (0 where h_i does not
-    divide rem).  On the way up a resolved state is folded into the frame
-    below, which moves on to c - 1, or, after c = 0 or at the cap, stores
-    its own state and is popped; one whose count is still 0 after c = 0,
-    a position stepped over included, stores its c = 0 child's state.
+    basis or the multiplicities.  A frame (at, top, h, c, child, count,
+    witnesses) is a state (at, top) being visited, h = h_at packed,
+    searching its child (at + 1, child = top - c * h), with what the
+    children before it gave; the frame being visited is kept in locals and
+    the frames below it on the stack.  On the way down a dead, zero or
+    memoized state resolves at once, and any other is pushed with
+    c = cmax (0 where h_at does not divide top).  On the way up a child of
+    count 0 moves its frame on to c - 1 at once; any other resolved state
+    is folded into the frame below, which moves on to c - 1, or, after
+    c = 0, at the cap or at a dead child, stores its own state and is
+    popped; one whose count is still 0 after c = 0, a position stepped
+    over included, stores its c = 0 child's state.  A dead child ends its
+    frame because every later one is dead too: child only grows as c
+    falls, so a field that is nonzero where no element from at + 1 on
+    has it stays nonzero.
+
+    cmax is found by doubling, then halving, the multiple d * h tried:
+    d never exceeds the multiplicity c already found, or 1, so each field
+    of d * h is at most top's, below 2^(w-1), and subtracting d * h tests
+    it as exactly as subtracting h does (the module docstring).  Each push
+    is charged one state of _STATE_CAP and c + 1 steps of ENUMERATION_CAP,
+    both read when the search starts.  The search for cmax stops at the
+    steps left, so even a multiplicity of 10^11 costs no more than the
+    cap, and a push either cap cannot pay for raises CapExceededError
+    naming that cap.
     """
-    stack = []
+    steps, states = ENUMERATION_CAP, _STATE_CAP  # what is left of each
+    stack = []  # the frames below the one being visited, as tuples
+    at, c = None, 0  # no frame yet: the one being visited lives in the locals
     while True:
         if (rem ^ guards) & dead[i]:
-            state = _NONE
+            state = _DEAD
         elif rem == guards:
             state = _EMPTY
         else:
             state = memo[i].get(rem)
             if state is None:
-                h = packed[i]
-                c, child = 0, rem
-                while (child - h) & guards == guards:  # element i divides child
-                    child -= h
-                    c += 1
-                stack.append([i, rem, h, c, child, 0, []])
+                if not states:
+                    raise CapExceededError(f"kept more than {_STATE_CAP} states, the state cap")
+                if at is not None:
+                    stack.append((at, top, h, c, child, count, witnesses))
+                at, top, h, c, child, count, witnesses = i, rem, packed[i], 0, rem, 0, ()
+                d, dh = 1, h
+                while c + d <= steps and (child - dh) & guards == guards:
+                    child -= dh
+                    c += d
+                    d, dh = c, c * h
+                while d > 1:
+                    d >>= 1
+                    dh = d * h
+                    if c + d <= steps and (child - dh) & guards == guards:
+                        child -= dh
+                        c += d
+                if c == steps:  # c + 1 steps, one more than are left
+                    raise CapExceededError(
+                        f"took more than {ENUMERATION_CAP} steps, the enumeration cap"
+                    )
+                steps -= c + 1
+                states -= 1
                 i, rem = i + 1, child
                 continue
-        while stack:  # fold the resolved state into the frames it completes
-            frame = stack[-1]
-            at, top, h, c, child, count, witnesses = frame
+        if c and state is not _DEAD and not state[0]:  # a child of count 0: on to c - 1
+            child += h
+            c -= 1
+            rem = child
+            continue
+        if at is None:  # the first state resolved at once
+            return state
+        while True:  # fold the resolved state into the frames it completes
             if c or count:
                 n, cells = state
                 if n:
                     count += n
                     for cell in cells[: 2 - len(witnesses)]:
-                        witnesses.append((at, c, cell) if c else cell)
-                if c and count < cap:
+                        witnesses += ((at, c, cell) if c else cell,)
+                if c and count < cap and state is not _DEAD:
                     child += h
-                    frame[3:6] = c - 1, child, count
+                    c -= 1
                     i, rem = at + 1, child
                     break
-                state = (count if count < cap else cap, tuple(witnesses))
+                state = (count if count < cap else cap, witnesses) if count else _NONE
+            elif state is _DEAD:  # stored, it would end the frames of a live state
+                state = _NONE
             memo[at][top] = state
-            stack.pop()
-        else:
-            return state
+            if not stack:
+                return state
+            at, top, h, c, child, count, witnesses = stack.pop()
 
 
 _EMPTY = (1, (None,))  # the zero remainder: one factorization, all multiplicities 0
 _NONE = (0, ())
+# _NONE for a dead state, built at run time: the compiler would make a
+# second (0, ()) literal the same object, which _count_from must tell apart
+_DEAD = tuple([0, ()])
 
 
 def nonuniqueness_witness(basis: HilbertBasis, r: int) -> tuple[int, ...] | None:

@@ -13,7 +13,8 @@ computed once per session.  child_env puts src on a child process's
 import path, and run_artinhol starts the command-line program in one.
 shared_memo is the one place the tests read the factorization memo a
 basis keeps, and spy_searches shows them the private memo of any other
-search and counts the states a search descends to.
+search and counts the states a search descends to.  search_bound is the
+reference bound on a factorization search's work, with its proof.
 """
 
 from __future__ import annotations
@@ -278,6 +279,88 @@ def spy_searches(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(hilbert, "_count_from", spy)
     return calls
+
+
+def search_bound(k, elements, orders=None) -> tuple[int, int]:
+    """(states, steps): the reference bounds on what count_factorizations'
+    search for k over `elements` is charged, the states it visits, and so
+    the memo entries it stores, and its descents; `orders` are the reduced
+    orders c the basis carries, None (or all 0) for a basis without them.
+    The package once refused every search these bounds put over its caps
+    before it started; it now charges the work as the search runs, and
+    every search they admit is admitted, with the same result.
+
+    Let R_i be the coordinates that some element before position i and
+    some element from i on have in their supports, and S_i the product
+    prod_{j in R_i} (k_j + 1), divided, at a position i from which every
+    element has order <h, c> = 0, by the largest k_j + 1 over the j in
+    R_i with c_j != 0, if there is one.  The states bound is the sum over
+    i of S_i, and the steps bound the sum over i of
+    S_i * (min_{j in supp h_i} floor(k_j / h_ij) + 1).  No S_i exceeds
+    prod_j (k_j + 1) <= (max_j k_j + 1)^r, and no step term exceeds that
+    times (max_j k_j + 1), so the sums are at most m (max_j k_j + 1)^r and
+    m (max_j k_j + 1)^(r + 1), which size count_factorizations' threshold.
+
+    Proof, for the charges of _count_from.  A visit of a state (i, rem)
+    that is neither dead nor in the memo pushes a frame, charged one state
+    and cmax + 1 steps: the multiplicities c = cmax .. 1 and the c = 0
+    step, the step over a position whose element does not divide rem
+    included.  A state is visited at most once: the visit stores its memo
+    entry when its frame is popped, a position stepped over included, and
+    until then no descent reaches it again, because every state the visit
+    leads to has a larger position or a remainder of smaller sum.
+    Remainders start at k and only decrease, never below 0.  At position
+    i, rem_j = k_j for every j that no element before i has, and a state
+    with rem_j > 0 for some j that no element from i on has is dead: it
+    resolves after one mask test, and is never pushed.  So the states
+    visited at i differ only on R_i: at most S_i of them, each charged
+    one state.  Each is charged cmax + 1 steps, with
+    cmax <= rem_j / h_ij <= k_j / h_ij for every j in the support of h_i;
+    where h_i does not divide rem, cmax = 0.
+
+    The order field appended to each remainder (count_factorizations)
+    changes none of this.  Its guard only lowers cmax and its dead mask
+    only ends more states at once, so a search with it visits a subset of
+    the states visited without it, each charged at most as many steps;
+    and a state is still fixed by its position and its r coordinates, the
+    field being their order.  So both sums bound it undivided.  The
+    division counts what the field prunes.  Let i be a position from
+    which every element has order 0 under c.  A state visited at i has
+    order <rem, c> exactly 0: not below 0, as k of negative order is
+    refused before any search and the guard refuses a multiplicity that
+    would leave a negative order, and not above 0, as the dead mask then
+    ends the state, field r being 0 in every element from i on.  On the
+    states visited at i every coordinate outside R_i is fixed, as above:
+    rem_j = k_j where no element before i has j, and rem_j = 0 where no
+    element from i on has it.  So for a j in R_i with c_j != 0 the
+    equation <rem, c> = 0 fixes rem_j by the other coordinates, and those
+    states differ only on R_i less j: at most S_i / (k_j + 1) of them,
+    the fewest for the largest k_j.  Each is still charged at most the
+    step term's multiplicities.  Without orders no c_j is nonzero and
+    nothing is divided, and with them the sums only fall.
+    """
+    supports = [[j for j, x in enumerate(h) if x] for h in elements]
+    last = {j: i for i, support in enumerate(supports) for j in support}
+    c = orders or (0,) * len(k)
+    flat = len(elements)  # every element from position flat on has order 0
+    while flat and not dot(elements[flat - 1], c):
+        flat -= 1
+    states = steps = 0
+    shared = set()  # R_i at position i
+    for i, (h, support) in enumerate(zip(elements, supports)):
+        here = 1
+        for j in shared:
+            here *= k[j] + 1
+        if i >= flat:  # the visited states' order 0 fixes one rem_j with c_j != 0
+            here //= max([k[j] + 1 for j in shared if c[j]], default=1)
+        states += here
+        steps += here * (min(k[j] // h[j] for j in support) + 1)
+        for j in support:
+            if last[j] > i:
+                shared.add(j)
+            else:
+                shared.discard(j)
+    return states, steps
 
 
 def _default_search_bound(v) -> int:

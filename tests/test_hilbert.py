@@ -9,6 +9,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -49,6 +50,7 @@ from conftest import (
     is_irreducible,
     lattice_is_full,
     row_lattice_is_unimodular,
+    search_bound,
     shared_memo,
     spy_searches,
 )
@@ -464,18 +466,28 @@ class TestCountFactorizations:
             count_factorizations((8, 4), basis, cap=cap)
         assert shared_memo(basis) == []
 
-    def test_search_over_the_bound_is_refused_before_it_starts(self):
-        # Over (1, 0), (1, 1) without orders the element (N, N) takes about
-        # N^2 / 2 steps and the bound is (N + 1) + (N + 1)^2.
-        basis = HilbertBasis(hilbert_basis_oracle((1, -1)).elements, "oracle")
-        with pytest.raises(
-            CapExceededError,
-            match=r"of \(10000, 10000\) may take 100030002 steps, over the enumeration cap",
-        ):
-            count_factorizations((10000, 10000), basis)
-        assert not any(shared_memo(basis))
-        # 200 is over the threshold, 169, and the bound, 40602, admits it
-        assert count_factorizations((200, 200), basis).count == 1
+    def test_search_over_the_step_cap_is_refused_naming_it(self, monkeypatch):
+        # With the caps cut to 20,000 steps and 2,000 states, over (1, 0),
+        # (1, 1) without orders the element (N, N) is charged N + 1 steps
+        # at (1, 0) and k_1 + 1 at each (k_1, N) it leaves, about N^2 / 2
+        # in all, against the reference bound (N + 1) + (N + 1)^2: (150, 150)
+        # is charged exactly 151 + 11,476 = 11,627 and answers, though the
+        # bound, 22,952, refused it.
+        _cut_caps(monkeypatch, 20_000, 2_000)
+        elements = hilbert_basis_oracle((1, -1)).elements
+        basis = HilbertBasis(elements, "oracle")
+        assert count_factorizations((20, 20), basis).count == 1  # under the threshold, 20
+        before = [dict(seen) for seen in shared_memo(basis)]
+        message, memo = _refused((300, 300), basis, monkeypatch)
+        assert message == (
+            "factorization search of (300, 300) took more than 20000 steps, the enumeration cap"
+        )
+        assert memo() is None and shared_memo(basis) == before
+        assert search_bound((150, 150), elements) == (152, 22952)
+        for steps, refused in ((11_627, False), (11_626, True)):
+            monkeypatch.setattr(hilbert, "ENUMERATION_CAP", steps)
+            outcome = _outcome_or_error((150, 150), HilbertBasis(elements, "oracle"), 2)
+            assert (outcome[0] is CapExceededError) == refused
 
     def test_search_bound_counts_only_remainders_of_order_zero_where_no_order_is_left(
         self, monkeypatch
@@ -485,8 +497,8 @@ class TestCountFactorizations:
         # 1 + 1 states, not 1 + 10001.  The search keeps exactly those.
         basis = hilbert_basis_oracle((1, -1))
         elements = basis.elements
-        assert hilbert._search_bound((10000, 10000), elements, (1, -1)) == (2, 10001 + 10001)
-        assert hilbert._search_bound((10000, 10000), elements) == (1 + 10001, 100030002)
+        assert search_bound((10000, 10000), elements, (1, -1)) == (2, 10001 + 10001)
+        assert search_bound((10000, 10000), elements) == (1 + 10001, 100030002)
         calls = spy_searches(monkeypatch)
         fc = count_factorizations((10000, 10000), basis)
         assert (fc.count, fc.witnesses) == (1, ((0, 10000),))
@@ -497,35 +509,32 @@ class TestCountFactorizations:
         # Over (1, 0), (1, 1): one state of (1, 0) taking k_1 + 1 steps,
         # then up to k_1 + 1 states of (1, 1), each taking min(k) + 1.
         elements = hilbert_basis_oracle((1, -1)).elements
-        assert hilbert._search_bound((20, 20), elements) == (1 + 21, 21 + 21 * 21)
-        assert hilbert._search_bound((20, 5), elements) == (1 + 21, 21 + 21 * 6)
+        assert search_bound((20, 20), elements) == (1 + 21, 21 + 21 * 21)
+        assert search_bound((20, 5), elements) == (1 + 21, 21 + 21 * 6)
 
-    def test_search_that_may_keep_too_many_states_is_refused_before_it_starts(
-        self, monkeypatch
-    ):
-        # Over (1, 0), (1, 1) without orders the element (N, 0) takes
-        # 2N + 2 steps, well under the enumeration cap, but may keep N + 2
-        # states, one memo entry each.
+    def test_search_over_the_state_cap_is_refused_naming_it(self, monkeypatch):
+        # With the caps cut to 20,000 steps and 2,000 states, over (1, 0),
+        # (1, 1) without orders the element (N, 0) is charged 2N + 1 steps
+        # but N + 1 states: (N, 0) and each (j, 0), j >= 1, at position 1,
+        # where (1, 1) does not divide.  With the orders (1, -1) each (j, 0)
+        # has order j > 0 while (1, 1), the only element after (1, 0), has
+        # order 0, so each is dead at once and (N, 0) keeps one state.
+        _cut_caps(monkeypatch, 20_000, 2_000)
         basis = hilbert_basis_oracle((1, -1))
         plain = HilbertBasis(basis.elements, "oracle")
-        calls = spy_searches(monkeypatch)
-        with pytest.raises(CapExceededError) as err:
-            count_factorizations((1000000, 0), plain)
-        assert str(err.value) == (
-            "factorization search of (1000000, 0) may keep 1000002 states, "
-            "over the state cap 1000000"
+        assert count_factorizations((20, 0), plain).count == 1  # under the threshold, 20
+        before = [dict(seen) for seen in shared_memo(plain)]
+        message, memo = _refused((2000, 0), plain, monkeypatch)
+        assert message == (
+            "factorization search of (2000, 0) kept more than 2000 states, the state cap"
         )
-        assert calls == [] and not any(shared_memo(plain))
-        # over the threshold, 169: a private memo.  Without the orders it
-        # keeps the state (100000, 0) and each (j, 0) at position 1; with
-        # the orders (1, -1) each (j, 0) has order j > 0 while (1, 1), the
-        # only element after (1, 0), has order 0, so each is dead at once.
-        for searched, states in ((plain, 100001), (basis, 1)):
+        assert memo() is None and shared_memo(plain) == before
+        calls = spy_searches(monkeypatch)
+        for searched, states in ((plain, 2000), (basis, 1)):
             calls.clear()
-            assert count_factorizations((100000, 0), searched).count == 1
-            memo = calls[0][5]
-            assert all(call[5] is memo for call in calls) and memo is not shared_memo(searched)
-            assert sum(map(len, memo)) == states
+            assert count_factorizations((1999, 0), searched).count == 1
+            [(_, _, _, _, _, memo, _)] = calls
+            assert memo is not shared_memo(searched) and sum(map(len, memo)) == states
 
     def test_threshold_keeps_the_states_within_their_cap(self):
         # m = 2, r = 6: the steps alone would admit t = 8, as
@@ -533,27 +542,28 @@ class TestCountFactorizations:
         basis = HilbertBasis(((0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 1, 0)), "oracle")
         assert hilbert._factor_tables(basis).threshold == 7
 
-    def test_guard_asks_the_bound_only_above_the_threshold(self, monkeypatch):
-        # Over (1, 0), (1, 1): m = 2, r = 2, and the threshold is 169, the
-        # largest t with 2 * (t + 1)^3 <= ENUMERATION_CAP < 2 * 171^3.
+    def test_no_search_at_or_under_the_threshold_reaches_the_caps(self, monkeypatch):
+        # With the caps cut to 20,000 steps and 2,000 states, over (1, 0),
+        # (1, 1) the threshold is 20, the largest t with
+        # 2 * (t + 1)^3 <= 20,000 and 2 * (t + 1)^2 <= 2,000: a search at or
+        # under it is charged at most m (t + 1)^(r + 1) steps and
+        # m (t + 1)^r states, whatever its cap.  Above it the charge alone
+        # decides: (21, 21) answers, (21, 0) too, on private memos.
+        _cut_caps(monkeypatch, 20_000, 2_000)
         basis = hilbert_basis_oracle((1, -1))
-        bound, asked = hilbert._search_bound, []
-
-        def refuse(k, elements, orders):
-            raise AssertionError(f"bound asked for {k}")
-
-        def spy(k, elements, orders):
-            asked.append(k)
-            return bound(k, elements, orders)
-
-        monkeypatch.setattr(hilbert, "_search_bound", refuse)
-        assert count_factorizations((169, 169), basis).count == 1
-        assert hilbert._factor_tables(basis).threshold == 169
-        # above it the bound decides, and admits both
-        monkeypatch.setattr(hilbert, "_search_bound", spy)
-        assert count_factorizations((170, 0), basis).count == 1
-        assert count_factorizations((170, 170), basis).count == 1
-        assert asked == [(170, 0), (170, 170)]
+        plain = HilbertBasis(basis.elements, "oracle")
+        for searched in (basis, plain):
+            for k in itertools.product(range(21), repeat=2):
+                states, steps = search_bound(k, searched.elements, searched._orders)
+                assert states <= 2 * 21**2 and steps <= 2 * 21**3
+                for cap in (2, 10**6):
+                    assert _outcome_or_error(k, searched, cap)[0] is not CapExceededError
+            assert hilbert._factor_tables(searched).threshold == 20
+        memo = shared_memo(plain)
+        calls = spy_searches(monkeypatch)
+        assert count_factorizations((21, 21), plain).count == 1
+        assert count_factorizations((21, 0), plain).count == 1
+        assert [call[5] is memo for call in calls] == [False, False]
 
     @pytest.mark.parametrize(
         "v, k",
@@ -565,42 +575,88 @@ class TestCountFactorizations:
         ],
     )
     def test_cold_search_stays_within_its_bound(self, v, k, monkeypatch):
-        # An iteration is a descent to a child, a multiplicity c >= 1 tried
-        # or the c = 0 step out of a visited state, which leaves one memo
-        # entry; each descent makes one dead test, as the first state
-        # does.  The last three searches step over many positions whose
-        # element does not divide.
-        calls = spy_searches(monkeypatch)
+        # A search is charged within the reference bound without the
+        # orders, so it answers with the caps cut to that bound.  A
+        # descent, one dead test each, as the first state makes, is a
+        # multiplicity c >= 1 tried or the c = 0 step out of a visited
+        # state, which leaves one memo entry; a search makes at most the
+        # steps it is charged.  The last three searches step over many
+        # positions whose element does not divide.
         basis = hilbert_basis_oracle(v)
+        states, steps = search_bound(k, basis.elements)
+        _cut_caps(monkeypatch, steps, states)
+        calls = spy_searches(monkeypatch)
         count_factorizations(k, basis, cap=10**6)
         [(_, _, _, dead, _, memo, _)] = calls  # a cap other than 2: a private memo
         assert not any(shared_memo(basis))
-        states, steps = hilbert._search_bound(k, basis.elements)
         assert sum(map(len, memo)) <= states
-        iterations = dead.lookups - 1
-        assert sum(map(len, memo)) < iterations <= steps
+        assert sum(map(len, memo)) <= dead.lookups - 1 <= steps
 
     def test_cold_search_stays_within_its_bound_with_the_orders(self, monkeypatch):
-        # The bound with the basis's orders, divided where every element
-        # left has order 0, still holds on cold searches of seeded orders
-        # of rank 2 to 4, and is reached exactly on some.
-        rng, divided, reached = random.Random(7), 0, 0
-        calls = spy_searches(monkeypatch)
+        # The reference bound with the basis's orders, divided where every
+        # element left has order 0, holds on cold searches of seeded orders
+        # of rank 2 to 4: each answers with the caps cut to it, and some
+        # are charged exactly that many steps, refused one step below it.
+        rng, cases, divided, reached = random.Random(7), [], 0, 0
         for _ in range(150):
             v = [rng.randint(-4, 4) for _ in range(rng.randint(2, 4))]
             k = tuple(rng.randint(0, 7) for _ in v)
-            if not any(v) or dot(k, v) < 0:
-                continue
-            basis = hilbert_basis_oracle(v)
-            calls.clear()
-            count_factorizations(k, basis, cap=10**6)
-            [(_, _, _, dead, _, memo, _)] = calls
-            states, steps = hilbert._search_bound(k, basis.elements, basis._factor_tables.orders)
-            iterations = dead.lookups - 1
-            assert sum(map(len, memo)) <= states and iterations <= steps, (v, k)
-            divided += states < hilbert._search_bound(k, basis.elements)[0]
-            reached += iterations == steps
+            if any(v) and dot(k, v) >= 0:
+                cases.append((v, k, hilbert_basis_oracle(v)))
+        for v, k, basis in cases:  # the engines run before the caps are cut
+            elements = basis.elements
+            states, steps = search_bound(k, elements, basis._orders)
+            outcomes = []
+            for cut in (steps, steps - 1):
+                _cut_caps(monkeypatch, cut, states)
+                basis = HilbertBasis(elements, "oracle", orders=v)
+                outcomes.append(_outcome_or_error(k, basis, 10**6))
+            assert isinstance(outcomes[0], FactorizationCount), (v, k)
+            divided += states < search_bound(k, elements)[0]
+            reached += outcomes[1][0] is CapExceededError
         assert divided and reached
+
+    def test_every_search_the_reference_admits_answers_as_without_the_caps(self, monkeypatch):
+        # With the caps cut to 3,000 steps and 300 states, every search of
+        # seeded orders of rank 2 to 4 whose reference bound is within
+        # them, as the search bound of the package once required, returns
+        # what it returns with caps 100 times larger, or raises the same
+        # NotInHolError; so does every search over the bound that is not
+        # refused now, and a refusal names a cap.
+        rng, cases = random.Random(42), []
+        while len(cases) < 1200:
+            v = [rng.randint(-6, 6) for _ in range(rng.randint(2, 4))]
+            if any(v):
+                k = tuple(rng.randint(0, rng.choice((4, 12, 40))) for _ in v)
+                cases.append((v, k, rng.choice((2, 3, 10**6)), hilbert_basis_oracle(v).elements))
+        admitted = over = answered = 0
+        for v, k, cap, elements in cases:  # the engines run before the caps are cut
+            outcomes = []
+            for steps, states in ((300_000, 30_000), (3_000, 300)):
+                _cut_caps(monkeypatch, steps, states)
+                basis = HilbertBasis(elements, "oracle", orders=v)
+                outcomes.append(_outcome_or_error(k, basis, cap))
+            free, capped = outcomes
+            if free[0] is CapExceededError:
+                continue  # too large to know the answer here
+            states, steps = search_bound(k, elements, basis._orders)
+            if states <= 300 and steps <= 3_000:
+                admitted += 1
+                assert capped == free, (v, k, cap)
+            else:
+                over += 1
+                if capped[0] is CapExceededError:
+                    assert re.fullmatch(
+                        r"factorization search of \(.*\) (took more than 3000 steps, the "
+                        r"enumeration cap|kept more than 300 states, the state cap)",
+                        capped[1],
+                    ), capped
+                else:
+                    answered += 1
+                    assert capped == free, (v, k, cap)
+        # of 1,200 searches 4 are too large: 882 are admitted, and of the
+        # 314 over the bound 260 answer
+        assert (admitted, over, answered) == (882, 314, 260)
 
     def test_result_is_a_plain_record(self):
         # (4, 2) over (1, 0), (2, 1), (3, 2): (1, 0) + (3, 2) and 2 * (2, 1)
@@ -666,7 +722,7 @@ class TestFactorizationMemo:
         # 10-bit third field, with guards 1 << 8 | 1 << 17 | 1 << 27, no
         # element after the first divides (1, 0), (2, 0) or (3, 0).  A visit leaves
         # an entry also where it only steps over a position, so no state is
-        # walked twice, as _search_bound's proof requires.  At position 2
+        # walked twice, as search_bound's proof requires.  At position 2
         # the same remainders, of orders 2, 4 and 6, are dead, since (3, 2)
         # has order 0, and leave none.
         basis = hilbert_basis_oracle((2, -3))
@@ -860,23 +916,17 @@ class TestFactorizationMemo:
         assert sum(map(len, shared_memo(basis))) <= bound <= len(elems) * (t + 1) ** r <= 2_000
 
     def test_searches_off_the_shared_path_leave_its_memo_alone(self, monkeypatch):
-        # A default-cap search at or under the threshold, 169, asks no bound
-        # and packs no elements: it searches the shared memo with the
-        # tables' packing.  Searches above the threshold ask the bound and
-        # pack at 15 bits, for their entries and for their orders, and they
-        # and a cap other than 2 search private memos: none of them stays
-        # on the basis once it returns.
+        # A default-cap search at or under the threshold, 169, packs no
+        # elements: it searches the shared memo with the tables' packing.
+        # Searches above the threshold pack at 15 bits, for their entries
+        # and for their orders, and they and a cap other than 2 search
+        # private memos: none of them stays on the basis once it returns.
         basis = hilbert_basis_oracle((1, -1))
         assert count_factorizations((100, 100), basis).count == 1
         tables = basis._factor_tables
         memo = shared_memo(basis)
-        calls, bounds, widths = spy_searches(monkeypatch), [], []
-        bound, pack = hilbert._search_bound, hilbert._pack_tables
-        monkeypatch.setattr(
-            hilbert,
-            "_search_bound",
-            lambda k, elems, orders: bounds.append(k) or bound(k, elems, orders),
-        )
+        calls, widths = spy_searches(monkeypatch), []
+        pack = hilbert._pack_tables
         monkeypatch.setattr(
             hilbert,
             "_pack_tables",
@@ -884,13 +934,13 @@ class TestFactorizationMemo:
         )
         assert count_factorizations((169, 20), basis).count == 1
         [(_, _, packed, dead, guards, searched, cap)] = calls
-        assert searched is memo and cap == 2 and (bounds, widths) == ([], [])
+        assert searched is memo and cap == 2 and widths == []
         assert (guards, packed, tuple(dead)) == tables.packing and packed is tables.packing[1]
         before = [dict(seen) for seen in memo]
         for y in range(6):
             assert count_factorizations((10000, y), basis).count == 1
         assert count_factorizations((100, 100), basis, cap=3).count == 1
-        assert bounds == [(10000, y) for y in range(6)] and widths == [(15, 15)] * 6
+        assert widths == [(15, 15)] * 6
         private = [call[5] for call in calls[1:]]
         assert len(private) == 7 and len(set(map(id, private))) == 7
         assert all(seen is not memo for seen in private)
@@ -923,6 +973,41 @@ class TestFactorizationMemo:
             assert fc.count == brute_count_factorizations(k, basis.elements), k
 
 
+def _cut_caps(monkeypatch, steps, states):
+    """Set ENUMERATION_CAP and _STATE_CAP for the rest of the test; a basis
+    sizes its threshold by them when its first search builds its tables."""
+    monkeypatch.setattr(hilbert, "ENUMERATION_CAP", steps)
+    monkeypatch.setattr(hilbert, "_STATE_CAP", states)
+
+
+class _Memo(list):
+    """A memo a weak reference can watch."""
+
+
+def _refused(k, basis, monkeypatch):
+    """(message, memo): the message of the CapExceededError that
+    count_factorizations(k, basis) raises, and a weak reference to the memo
+    its search ran on."""
+    search, refs = hilbert._count_from, []
+
+    def watched(i, rem, packed, dead, guards, memo, cap):
+        memo = _Memo(memo)
+        refs.append(weakref.ref(memo))
+        return search(i, rem, packed, dead, guards, memo, cap)
+
+    monkeypatch.setattr(hilbert, "_count_from", watched)
+    try:
+        count_factorizations(k, basis)
+    except CapExceededError as exc:
+        message = str(exc)
+    else:
+        raise AssertionError(f"the search of {k} was not refused")
+    finally:
+        monkeypatch.setattr(hilbert, "_count_from", search)
+    [memo] = refs
+    return message, memo
+
+
 def _outcome_or_error(k, basis, cap):
     try:
         return count_factorizations(k, basis, cap=cap)
@@ -946,8 +1031,9 @@ class TestOrderPruning:
         # Any elements of order >= 0 under v, not only a Hilbert basis, give
         # the same count and witnesses, or the same error, with the orders
         # as without them, under the threshold, at it and over it, for caps
-        # 2, 3 and 10, on two warm bases; except that the search bound with
-        # the orders, never the higher, may admit what it refuses without.
+        # 2, 3 and 10, on two warm bases; except that a search refused at a
+        # cap without the orders may answer with them, as the pruned search
+        # is charged no more.
         r = len(v)
         members = [h for h in itertools.product(range(4), repeat=r) if any(h) and dot(h, v) >= 0]
         chosen = data.draw(st.sets(st.sampled_from(members), max_size=12)) if members else set()
@@ -974,21 +1060,23 @@ class TestOrderPruning:
                 if isinstance(got, FactorizationCount):
                     assert dot(k, v) >= 0
 
-    def test_the_bound_is_asked_before_the_order(self):
-        # Over the threshold, 12, an element of negative order whose search
-        # bound is over the cap is refused for its bound, as without orders.
-        # The bound with the orders is the lower: the basis ends in elements
-        # of order 0.
-        v, k = (-27, -39, 12, -16), (35, 17, 31, 16)
-        basis = hilbert_basis_frontier(v)
-        assert dot(k, v) < 0 and hilbert._factor_tables(basis).threshold == 12
-        plain = HilbertBasis(basis.elements, "frontier")
-        for searched, steps in ((basis, 16871552), (plain, 16956672)):
-            assert _outcome_or_error(k, searched, 3) == (
-                CapExceededError,
-                f"factorization search of {k} may take {steps} steps, over the enumeration "
-                f"cap {hilbert.ENUMERATION_CAP}",
-            )
+    def test_the_order_is_asked_before_the_caps(self, monkeypatch):
+        # With the caps cut to 20,000 steps and 2,000 states the threshold
+        # of (2, -3) is 17.  Over it, an element of negative order is
+        # refused as outside Hol before any search, though its reference
+        # bound is over the caps; the same elements without orders search,
+        # and are refused at a cap.
+        _cut_caps(monkeypatch, 20_000, 2_000)
+        k = (300, 250)
+        basis = hilbert_basis_oracle((2, -3))
+        plain = HilbertBasis(basis.elements, "oracle")
+        assert dot(k, (2, -3)) < 0 and search_bound(k, basis.elements, (2, -3))[1] > 20_000
+        calls = spy_searches(monkeypatch)
+        assert _outcome_or_error(k, basis, 3) == (
+            NotInHolError, "(300, 250) is not generated by the basis (not in Hol)"
+        )
+        assert hilbert._factor_tables(basis).threshold == 17 and calls == []
+        assert _outcome_or_error(k, plain, 3)[0] is CapExceededError and len(calls) == 1
 
     def test_an_element_outside_hol_is_refused_before_any_search(self, monkeypatch):
         # Under the threshold, 148, and over it, an element of negative

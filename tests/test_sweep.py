@@ -6,6 +6,7 @@ import ast
 import collections
 import gc
 import itertools
+import math
 import multiprocessing.pool
 import os
 import subprocess
@@ -507,13 +508,20 @@ class TestBasisCache:
         )
 
     def test_an_expanded_basis_is_checked_against_the_closed_form(self, monkeypatch):
-        # The closed form is wrong only for the plain tuple (-1, 1): the
-        # table's cross-check of its one support, (-1, 1), passes an
-        # OrderVector and succeeds, and the expansion's check names c.
-        closed_form = conditions.factorial_closed_form
-        monkeypatch.setattr(
-            conditions, "factorial_closed_form", lambda v: closed_form(v) != (v == (-1, 1))
-        )
+        # The expansion reads the closed form off conditions._profile, which
+        # is wrong here only for (-1, 1) once a type table is built: the
+        # table's cross-check of its one support, (-1, 1), runs before and
+        # succeeds, and the expansion's check names c.
+        profile = conditions._profile
+
+        def wrong(ent):
+            pr = profile(ent)
+            if ent == (-1, 1) and conditions._TABLE:
+                return pr._replace(factorial=not pr.factorial)
+            return pr
+
+        conditions._TABLE.clear()
+        monkeypatch.setattr(conditions, "_profile", wrong)
         with pytest.raises(EngineMismatchError) as err:
             run_sweep(SweepPlan(DegreeVector((1, 1)), 1))
         assert str(err.value) == (
@@ -1056,16 +1064,19 @@ class TestRestoredRecords:
         assert summary.total == (2 * bound + 1) ** 5
         assert len((tmp_path / "r").read_text().splitlines()) == summary.total
         # check_flags runs once, for the plan, and Instance.__init__ never.
-        # An OrderVector is built only on sorted orders: where the engines
-        # run on a support of the plan's type table, and where a canonical
-        # vector's basis is expanded and checked against the closed form,
-        # once per process.  No unsorted record is validated again, and
-        # the builds do not follow the records.
+        # An OrderVector is built only where the engines run on a support
+        # of the plan's type table, for the support and for the reduced
+        # orders its bases carry, in the sweep's own process: a canonical
+        # vector's expanded basis is checked against the closed form
+        # without one.  No record is validated again, and the builds do
+        # not follow the records.
         assert [name for _, name, _ in calls if name != "OrderVector"] == ["check_flags"]
         built = collections.Counter((pid, e) for pid, name, e in calls if name == "OrderVector")
-        assert all(list(entries) == sorted(entries) for _, entries in built)
-        assert sum(built.values()) < summary.total // 8  # 24 of 243, 250 of 3,125
-        assert len({pid for pid, _ in built}) == (1 if workers == 1 else 3)
+        supports = set(conditions._supports(bound, min(5, 2 * bound)))
+        reduced = {tuple(x // math.gcd(*s) for x in s) for s in supports}
+        assert supports <= {e for _, e in built} <= supports | reduced
+        assert sum(built.values()) == (3 if bound == 1 else 42)  # of 243 and 3,125 records
+        assert {pid for pid, _ in built} == {os.getpid()}
         # _chunk_reports' proof: every |v_j| <= B < INSTANCE_CAP fits 32 bits
         assert sweep.INSTANCE_CAP < 2**31
         for orders, error in (
