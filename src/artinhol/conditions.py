@@ -13,11 +13,15 @@ derived here: factoriality by factorial_closed_form, the quantified parts
 by cond_ii_pair and cond_iii_subset.  The bounded brute-force searches
 that validate the quantified closed forms live next to the tests that use
 them, in tests/conftest.py; factoriality is checked against the Hilbert
-basis size on every cross_checked_basis call.  check_instance is the one
-constructor of a ConditionReport, and orbit_basis the one source of its
-basis: cross_checked_basis on the canonical vector, or, in a sweep, the
-unit vectors of its orders >= 0 and the types of the sweep's type table
-(build_type_table), whose supports alone a sweep runs the engines on.
+basis size on every cross_checked_basis call.  report_fields decides a
+report's fields from plain validated values, for check_instance, the one
+constructor of a ConditionReport, and for a sweep, which renders and
+tallies them with no report object; equivalence_verdict is the one rule
+of the equivalence a report asserts.  orbit_basis is the one source of
+the basis: cross_checked_basis on the canonical vector, or, in a sweep,
+the unit vectors of its orders >= 0 and the types of the sweep's type
+table (build_type_table), whose supports alone a sweep runs the engines
+on.
 
 The orbit map: scaling v leaves Hol(v) unchanged and permuting v permutes
 it, so canonical_order reduces v to its sorted, gcd-free canonical vector,
@@ -27,7 +31,7 @@ maps that vector's basis back to v.
 Each public function validates its input once and calls the private
 helpers, which take an already validated order vector: _profile reads the
 signs and decides factoriality in one pass, and _cond_ii, _cond_iii_m and
-_cond_ii_prime derive the other verdicts from it, so check_instance and
+_cond_ii_prime derive the other verdicts from it, so report_fields and
 the public functions share every line of verdict logic.  A row of the pair
 table depends only on a small-int key (r, k, the sign of v_k and the first
 two positive indices with their lift multiplicities), so _pair_row builds
@@ -53,12 +57,12 @@ from .core import (
     CACHE_SIZE,
     Instance,
     OrdersLike,
+    _admissible_reasons,
     _int_entries,
     _int_value,
     _setattr,
     _Value,
     as_order_vector,
-    is_admissible,
 )
 from .errors import (
     ArtinHolError,
@@ -177,11 +181,20 @@ class ConditionReport(_Value):
 
     @property
     def equivalence_ok(self) -> bool | None:
-        """i == ii == iii == ii', asserted only when admissible with r >= 2;
-        read from the fields, not through the other properties."""
-        if self.admissible_reasons or len(self.instance.orders.entries) < 2:
-            return None
-        return self.cond_i == self.cond_ii == (self.cond_iii_m is not None) == self.cond_ii_prime
+        """i == ii == iii == ii', asserted only when admissible with r >= 2
+        (equivalence_verdict); read from the fields, not through the other
+        properties."""
+        return equivalence_verdict(len(self.instance.orders.entries), self._values()[1:])
+
+
+def equivalence_verdict(r: int, fields: tuple) -> bool | None:
+    """Whether i == ii == iii == ii' for a report of rank r with these
+    fields after its instance; None, not asserted, when it is inadmissible
+    or r < 2."""
+    reasons, _, _, cond_i, cond_ii, _, m, cond_ii_prime, _ = fields
+    if reasons or r < 2:
+        return None
+    return cond_i == cond_ii == (m is not None) == cond_ii_prime
 
 
 class _Profile(NamedTuple):
@@ -611,27 +624,32 @@ def orbit_basis(
     return _carried(elements, perm)
 
 
-def check_instance(
-    inst: Instance, bound: int | None = None, bases: dict | None = None
-) -> ConditionReport:
-    """Full pipeline: admissibility, Hilbert basis, all conditions.
+def report_fields(
+    degrees: tuple[int, ...],
+    orders: tuple[int, ...],
+    require_dedekind: bool,
+    require_trivial_nonneg: bool,
+    bound: int | None = None,
+    bases: dict | None = None,
+) -> tuple:
+    """The fields of an instance's ConditionReport after the instance, in
+    field order, from its degrees and orders, already validated and of one
+    rank, and its flags: the full pipeline, admissibility, Hilbert basis
+    and all conditions.
 
     The basis comes from orbit_basis: from the type table of `bound`, the
     order bound of the sweep the instance belongs to, or cross-checked
     into `bases` without it.  Every verdict is decided from the orders
-    alone, all of them from one pass over the entries the OrderVector has
-    already validated.  The pair table comes first, so a rank whose table
-    is over the cap is refused before the basis is built.
+    alone, all of them from one pass over the entries.  The pair table
+    comes first, so a rank whose table is over the cap is refused before
+    the basis is built.
     """
-    pr = _profile(inst.orders.entries)
+    pr = _profile(orders)
     cii, rows = _cond_ii(pr)
-    elements = orbit_basis(inst.orders.entries, bases, bound)
-    cii_prime, failing = _cond_ii_prime(pr) if len(pr.ent) >= 2 else (None, None)
-    # by position, in ConditionReport's field order: keywords cost about
-    # 1 µs more per record
-    return ConditionReport(
-        inst,
-        is_admissible(inst)[1],
+    elements = orbit_basis(orders, bases, bound)
+    cii_prime, failing = _cond_ii_prime(pr) if len(orders) >= 2 else (None, None)
+    return (
+        _admissible_reasons(degrees, orders, require_dedekind, require_trivial_nonneg),
         elements,
         pr.factorial,
         not pr.negative,
@@ -640,4 +658,22 @@ def check_instance(
         _cond_iii_m(pr),
         cii_prime,
         failing,
+    )
+
+
+def check_instance(
+    inst: Instance, bound: int | None = None, bases: dict | None = None
+) -> ConditionReport:
+    """The instance's report: report_fields of its validated values, with
+    `bound` or `bases` as there."""
+    return ConditionReport(
+        inst,
+        *report_fields(
+            inst.degrees.entries,
+            inst.orders.entries,
+            inst.require_dedekind,
+            inst.require_trivial_nonneg,
+            bound,
+            bases,
+        ),
     )

@@ -51,7 +51,7 @@ class _Value:
     and deletion, and builds _replace's value through __init__, so that it
     validates again.  Unpickling sets the fields a value was pickled with,
     validated when it was built, without validating them again, and every
-    private slot to None (_restore), as a sweep does for each record.
+    private slot to None (_restore).
     """
 
     __slots__ = ("__weakref__",)
@@ -96,9 +96,8 @@ class _Value:
 def _restore(cls: type, values: tuple) -> _Value:
     """The value of cls with the given field values, in field order, set
     without validating them, and every private slot None: the value that
-    _Value.__reduce__ pickled, or one a sweep builds from values its plan
-    has validated (sweep._chunk_reports).  Any other input goes through
-    cls's constructor."""
+    _Value.__reduce__ pickled, which its constructor validated.  Unpickling
+    is its one use; any other input goes through cls's constructor."""
     value = cls.__new__(cls)
     for name, x in zip(cls._fields, values):
         _setattr(value, name, x)
@@ -294,17 +293,31 @@ def is_admissible(inst: Instance) -> tuple[bool, tuple[str, ...]]:
     """Evaluate the enabled admissibility constraints; returns (ok, reasons).
 
     With require_dedekind on, the zeta-function exponent vector d must have
-    nonnegative order, i.e. <d, v> >= 0, taken without validating again
-    the degrees and orders the Instance holds; with require_trivial_nonneg
-    on, the trivial character's order v1 must be >= 0.
+    nonnegative order, i.e. <d, v> >= 0; with require_trivial_nonneg on,
+    the trivial character's order v1 must be >= 0 (_admissible_reasons).
     """
+    degrees, orders = inst.degrees.entries, inst.orders.entries
+    reasons = _admissible_reasons(
+        degrees, orders, inst.require_dedekind, inst.require_trivial_nonneg
+    )
+    return (not reasons, reasons)
+
+
+def _admissible_reasons(
+    degrees: tuple[int, ...],
+    orders: tuple[int, ...],
+    require_dedekind: bool,
+    require_trivial_nonneg: bool,
+) -> tuple[str, ...]:
+    """The reasons is_admissible gives, from degrees and orders already
+    validated, of one rank, which are not validated again."""
     reasons = []
-    if inst.require_dedekind:
-        s = _dot(inst.degrees.entries, inst.orders.entries)
+    if require_dedekind:
+        s = _dot(degrees, orders)
         if s < 0:
             reasons.append(f"dedekind:<d,v>={s}<0")
-    if inst.require_trivial_nonneg:
-        v1 = inst.orders.entries[0]
+    if require_trivial_nonneg:
+        v1 = orders[0]
         if v1 < 0:
             reasons.append(f"trivial_nonneg:v1={v1}<0")
-    return (not reasons, tuple(reasons))
+    return tuple(reasons)

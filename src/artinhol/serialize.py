@@ -3,10 +3,12 @@
 Every number is emitted as a JSON integer, vectors as arrays, and keys in
 a fixed insertion order with compact separators, so the same report always
 produces the same bytes on every platform.  Schema version "2".
-render_report_json writes the fixed-key record straight to a string,
-taking from per-process caches of core.CACHE_SIZE entries the record's
-text around its orders, up to its admissibility verdict, which depends
-only on the degrees, flags and labels, the text of each basis element
+record_text writes the fixed-key record straight to a string from a
+report's values, which a sweep passes without building a report, and
+render_report_json calls it with a report's fields.  It takes from
+per-process caches of core.CACHE_SIZE entries the record's text around
+its orders, up to its admissibility verdict, which depends only on the
+degrees, flags and labels (_instance_texts), the text of each basis element
 and of the reasons list, keyed by value, and of each pair-table row,
 keyed by the row object, as the report keeps its rows; the test suite
 checks it byte for byte against canonical_json of the report as a dict
@@ -23,7 +25,7 @@ import itertools
 import json
 from typing import TYPE_CHECKING, Any
 
-from .conditions import ConditionReport, PairWitness, check_instance
+from .conditions import ConditionReport, PairWitness, check_instance, equivalence_verdict
 from .core import CACHE_SIZE, DegreeVector, Instance, _int_value, validate_exponent_vector
 from .errors import LengthMismatchError
 
@@ -112,7 +114,24 @@ def _reasons_text(reasons: tuple[str, ...]) -> str:
 
 
 def render_report_json(rep: ConditionReport) -> str:
-    """The report's canonical JSON text, written straight from its fields.
+    """The report's canonical JSON text: record_text of its instance's
+    texts, its orders and its fields after the instance."""
+    inst = rep.instance
+    texts = _instance_texts(
+        inst.degrees.entries,
+        inst.require_dedekind,
+        inst.require_trivial_nonneg,
+        inst.group,
+        inst.s0_label,
+    )
+    return record_text(texts, inst.orders.entries, rep._values()[1:])
+
+
+def record_text(texts: tuple[str, str], orders: tuple[int, ...], fields: tuple) -> str:
+    """The canonical JSON text of a report, written straight from its values:
+    `texts`, the _instance_texts of its instance, its orders, and `fields`,
+    its fields after the instance in ConditionReport's order, as
+    conditions.report_fields returns them.
 
     Keys come in one fixed order, with compact separators and every number
     an integer.  Labels and reasons go through canonical_json, so strings
@@ -120,26 +139,18 @@ def render_report_json(rep: ConditionReport) -> str:
     across records and costs something to build is rendered once per
     process: the instance's text but its orders, each distinct basis
     element, reasons list and pair-table row, the table taken row by row
-    as the report keeps it.  The verdicts the report derives are read
-    from its fields (admissible from the reasons, the size from the
-    elements, iii from m), not through its properties.  The test suite
-    checks the bytes against canonical_json of the report as a dict.
+    as the report keeps it.  The verdicts a report derives are read from
+    the fields (admissible from the reasons, the size from the elements,
+    iii from m, the equivalence through conditions.equivalence_verdict).
+    The test suite checks the bytes against canonical_json of the report
+    as a dict.
     """
-    inst = rep.instance
-    reasons, elements = rep.admissible_reasons, rep.hilbert_elements
-    m = rep.cond_iii_m
-    failing = rep.cond_ii_prime_failing
-    head, flags = _instance_texts(
-        inst.degrees.entries,
-        inst.require_dedekind,
-        inst.require_trivial_nonneg,
-        inst.group,
-        inst.s0_label,
-    )
+    reasons, elements, factorial, cond_i, cond_ii, rows, m, cond_ii_prime, failing = fields
+    head, flags = texts
     return "".join(
         (
             head,
-            _ints(inst.orders.entries),
+            _ints(orders),
             flags,
             _SCALAR[not reasons],
             ',"reasons":',
@@ -149,23 +160,23 @@ def render_report_json(rep: ConditionReport) -> str:
             ',"elements":[',
             ",".join(map(_vector_text, elements)),
             ']},"conditions":{"i":',
-            _SCALAR[rep.cond_i],
+            _SCALAR[cond_i],
             ',"ii":{"ok":',
-            _SCALAR[rep.cond_ii],
+            _SCALAR[cond_ii],
             ',"pairs":[',
-            ",".join(map(_pairs_text, rep.cond_ii_rows)),
+            ",".join(map(_pairs_text, rows)),
             ']},"iii":{"ok":',
             _SCALAR[m is not None],
             ',"m":',
             "null" if m is None else str(m),
             '},"ii_prime":{"ok":',
-            _SCALAR[rep.cond_ii_prime],
+            _SCALAR[cond_ii_prime],
             ',"failing_subset":',
             "null" if failing is None else _ints(failing),
             '}},"factorial":',
-            _SCALAR[rep.factorial],
+            _SCALAR[factorial],
             ',"equivalence_ok":',
-            _SCALAR[rep.equivalence_ok],
+            _SCALAR[equivalence_verdict(len(orders), fields)],
             "}",
         )
     )

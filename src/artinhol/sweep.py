@@ -5,9 +5,11 @@ A sweep fixes a degree vector and enumerates every order vector in the box
 streams one JSON line per instance to the output file, and aggregates a
 summary.  Inadmissible instances are recorded with their reasons but never
 asserted against.  A SweepPlan makes every check a sweep needs, the box's
-size against INSTANCE_CAP included, when it is built, so each record's
-OrderVector and Instance are restored from values it validated, not
-validated again by their constructors (_chunk_reports).
+size against INSTANCE_CAP included, when it is built, so a record is
+built from plain values it validated, its vector and the report fields
+conditions.report_fields decides, with no OrderVector, Instance or
+ConditionReport of its own (_run_chunk).  sweep_reports is the reference
+slow path: check_instance of a validated Instance for each vector.
 
 Every basis of a sweep comes from one type table (conditions.build_type_table),
 which the sweep's own process builds before any chunk runs: the engines
@@ -18,20 +20,20 @@ sweep walks its box once, through
 enumerate_order_vectors: _chunk_tasks cuts that walk into contiguous
 chunks of CHUNK_SIZE vectors, and a task is the plan and one chunk's
 vectors.  The process that checks a chunk canonicalizes each vector
-through check_instance, expands each canonical vector's basis from the
-table once into a bounded cache, renders its records and runs summarize
-on the reports; the parent only enumerates, writes each chunk's records
-and adds its summary, in chunk order, so the output bytes do not depend
-on the worker count.  The worker count only chooses the mapper: with one
-worker, a box of one chunk or a platform without os.fork, the builtin map
-runs the chunks in this process, and sweep_reports walks the same
-stream.  Otherwise the chunks go through Pool, whose n workers are
-forked from this process with one raw pipe each, for their results:
-worker i walks its own copy of the task stream and checks chunks i,
-i + n, i + 2n, ..., and this process, walking the stream too, reads
-chunk j's result from worker j % n, so no task crosses a pipe; a worker
-that dies fails the sweep with WorkerDiedError.  No run imports
-multiprocessing.
+through report_fields, expands each canonical vector's basis from the
+table once into a bounded cache, renders its records with
+serialize.record_text and tallies their fields by _tally, the rule
+summarize applies to reports; the parent only enumerates, writes each
+chunk's records and adds its summary, in chunk order, so the output
+bytes do not depend on the worker count.  The worker count only chooses
+the mapper: with one worker, a box of one chunk or a platform without
+os.fork, the builtin map runs the chunks in this process.  Otherwise
+the chunks go through Pool, whose n workers are forked from this process
+with one raw pipe each, for their results: worker i walks its own copy
+of the task stream and checks chunks i, i + n, i + 2n, ..., and this
+process, walking the stream too, reads chunk j's result from worker
+j % n, so no task crosses a pipe; a worker that dies fails the sweep
+with WorkerDiedError.  No run imports multiprocessing.
 """
 
 from __future__ import annotations
@@ -44,17 +46,14 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import serialize
-from .conditions import ConditionReport, build_type_table, check_instance
-from .core import (
-    DegreeVector,
-    Instance,
-    OrderVector,
-    _int_value,
-    _restore,
-    _setattr,
-    _Value,
-    check_flags,
+from .conditions import (
+    ConditionReport,
+    build_type_table,
+    check_instance,
+    equivalence_verdict,
+    report_fields,
 )
+from .core import DegreeVector, Instance, _int_value, _setattr, _Value, check_flags
 from .errors import CapExceededError, MixedPlansError, WorkerDiedError
 
 INSTANCE_CAP = 10_000_000
@@ -407,61 +406,60 @@ def _serve(func, tasks: Iterator, results: int) -> None:
         pass  # the pool has closed its end
 
 
-def _chunk_reports(plan: SweepPlan, vectors: list[tuple[int, ...]]) -> Iterator[ConditionReport]:
-    """Reports of one chunk's vectors, in order, their bases expanded from
-    the type table of the plan's order bound.
-
-    `vectors` is a chunk of _chunk_tasks(plan), and each record's
-    OrderVector and Instance are restored from their values
-    (core._restore), as unpickling restores them, because every check
-    their constructors would make already holds:
-    - itertools.product over range(-B, B + 1) yields tuples of ints;
-    - _box_size, which building the plan ran, keeps 2B + 1 <= INSTANCE_CAP
-      < 2^31, so each |v_j| <= B is within OrderVector's 32-bit range;
-    - each tuple's length is degrees.rank, that of the plan's DegreeVector,
-      which is at least 1: the orders are nonempty, of the degrees' rank;
-    - SweepPlan ran check_flags on the flags and the group, and s0_label
-      is None.
-    Instance(...) makes every check for any input from outside a sweep.
-    """
-    degrees, bound = plan.degrees, plan.order_bound
-    flags = (plan.require_dedekind, plan.require_trivial_nonneg, plan.group, None)
-    for v in vectors:
-        orders = _restore(OrderVector, (v,))
-        yield check_instance(_restore(Instance, (degrees, orders, *flags)), bound)
-
-
 def _run_chunk(task) -> tuple[list[str] | None, SweepSummary]:
     """One task of _chunk_tasks: the chunk's record lines (None
-    without an output file) and its summary."""
-    plan = task[0]
-    reports = list(_chunk_reports(*task))
+    without an output file) and its summary.
+
+    Each record is its vector and the report fields conditions.report_fields
+    decides from it, with the plan's degrees and flags: no OrderVector,
+    Instance or ConditionReport is built for it, as the plan validated
+    every value a record holds (its tuples of ints of the degrees' rank,
+    each |v_j| <= B and 2B + 1 <= INSTANCE_CAP < 2^31, and its flags and
+    group).  Its line is serialize.record_text of the plan's instance
+    texts and the record, and the summary is _tally of the records.
+    """
+    plan, vectors = task
+    degrees, bound = plan.degrees.entries, plan.order_bound
+    dedekind, trivial = plan.require_dedekind, plan.require_trivial_nonneg
+    records = [(v, report_fields(degrees, v, dedekind, trivial, bound)) for v in vectors]
     lines = None
     if plan.out_path is not None:
-        lines = [serialize.sweep_record_line(rep) for rep in reports]
-    return lines, summarize(reports)
+        texts = serialize._instance_texts(degrees, dedekind, trivial, plan.group, None)
+        text = serialize.record_text
+        lines = [text(texts, v, fields) + "\n" for v, fields in records]
+    return lines, _tally(records)
 
 
 def sweep_reports(plan: SweepPlan) -> list[ConditionReport]:
-    """Run the plan's instances in this process and return reports in
-    enumeration order, through the same type table and tasks as a sweep."""
+    """The reports of the plan's instances in enumeration order, by the
+    reference slow path: check_instance of each vector's Instance, built
+    and validated by its constructor, with the bases expanded from the
+    plan's type table, which this builds.  A sweep's records and summary
+    are those of these reports."""
     build_type_table(plan.order_bound, plan.degrees.rank)
-    return [rep for task in _chunk_tasks(plan) for rep in _chunk_reports(*task)]
+    flags = (plan.require_dedekind, plan.require_trivial_nonneg, plan.group)
+    return [
+        check_instance(Instance(plan.degrees, v, *flags), plan.order_bound)
+        for v in enumerate_order_vectors(plan.degrees.rank, plan.order_bound)
+    ]
 
 
 def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
-    """Aggregate a record stream from a single plan into a SweepSummary.
+    """Aggregate a record stream from a single plan into a SweepSummary:
+    _tally of each report's orders and fields after the instance.
 
     Raises MixedPlansError if records disagree on rank, degrees, or flags.
     A record's plan key is built and compared only when its degrees object
     (an `is` test) or its flags differ from the record before it's, as
-    records of one sweep share their plan's DegreeVector; verdicts are
-    read from the fields, as render_report_json reads them.
+    records of one sweep share their plan's DegreeVector.
     """
+    return _tally(_plan_records(records))
+
+
+def _plan_records(records: Iterable[ConditionReport]) -> Iterator[tuple]:
+    """Each report's orders and fields after the instance, once its plan
+    key is checked against the first report's (summarize)."""
     plan = degrees = dedekind = trivial = None
-    total = cond_i_true = factorial_not_i = 0
-    histogram: Counter[int] = Counter()
-    counterexamples: list[tuple[int, ...]] = []
     for rep in records:
         inst = rep.instance
         if (
@@ -477,15 +475,27 @@ def summarize(records: Iterable[ConditionReport]) -> SweepSummary:
                 plan = key
             elif plan != key:
                 raise MixedPlansError(f"record {key} does not match plan {plan}")
+        yield inst.orders.entries, rep._values()[1:]
+
+
+def _tally(records: Iterable[tuple]) -> SweepSummary:
+    """The summary of records given as (orders, report fields after the
+    instance) pairs, records of one plan: the one tally rule, which a
+    sweep's chunks and summarize share."""
+    total = cond_i_true = factorial_not_i = 0
+    histogram: Counter[int] = Counter()
+    counterexamples: list[tuple[int, ...]] = []
+    for orders, fields in records:
+        reasons, elements, factorial, cond_i = fields[:4]
         total += 1
-        if not rep.admissible_reasons:
-            if rep.cond_i:
+        if not reasons:
+            if cond_i:
                 cond_i_true += 1
-            elif rep.factorial:
+            elif factorial:
                 factorial_not_i += 1
-            histogram[len(rep.hilbert_elements)] += 1
-        if rep.equivalence_ok is False:
-            counterexamples.append(inst.orders.entries)
+            histogram[len(elements)] += 1
+        if equivalence_verdict(len(orders), fields) is False:
+            counterexamples.append(orders)
     return SweepSummary(
         total,
         cond_i_true,

@@ -327,6 +327,38 @@ def _calls(module: str) -> dict[str, set[str]]:
     }
 
 
+def _callers_of(name: str) -> list[tuple[str, str]]:
+    """(module, function) of each call of `name`, or of an attribute
+    `name`, in the package, by the innermost function around the call
+    ("" at module level), sorted."""
+    found = []
+    for module, tree in MODULES.items():
+        stack = [(tree, "")]
+        while stack:
+            node, fn = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn = node.name
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+                found.append((module, fn))
+            stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_a_sweep_builds_no_object_per_record():
+    # A sweep's chunks work from plain verdict values (sweep._run_chunk):
+    # in sweep.py only sweep_reports, the reference slow path, builds an
+    # Instance, nothing builds an OrderVector or a ConditionReport, and
+    # only unpickling restores a value; check_instance is the package's
+    # one caller of ConditionReport.
+    in_sweep = {
+        name: [fn for module, fn in _callers_of(name) if module == "sweep"]
+        for name in ("OrderVector", "Instance", "ConditionReport")
+    }
+    assert in_sweep == {"OrderVector": [], "Instance": ["sweep_reports"], "ConditionReport": []}
+    assert _callers_of("ConditionReport") == [("conditions", "check_instance")]
+    assert _users({"_restore"}) == {"core"}
+
+
 def test_on_the_sweep_path_only_the_table_build_runs_the_engines():
     # A sweep reaches the engines only through conditions.build_type_table,
     # which run_sweep calls before it starts a pool, and sweep_reports

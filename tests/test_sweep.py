@@ -43,7 +43,7 @@ from artinhol.serialize import (
     render_summary_json,
     sweep_record_line,
 )
-from artinhol.sweep import CHUNK_SIZE, _chunk_reports, _chunk_tasks
+from artinhol.sweep import CHUNK_SIZE, _chunk_tasks
 from conftest import SWEEP_FAMILIES, child_env
 
 
@@ -379,19 +379,19 @@ class TestBasisCache:
                 fh.write(f"{os.getpid()} {caller} {v}\n")
             return canonical_order(v)
 
-        real = sweep.check_instance
+        real = sweep.report_fields
 
-        def check(inst, *args, **kwargs):
+        def check(degrees, orders, *args):
             with open(checked, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {inst.orders.entries}\n")
-            in_check.append(inst)
+                fh.write(f"{os.getpid()} {orders}\n")
+            in_check.append(orders)
             try:
-                return real(inst, *args, **kwargs)
+                return real(degrees, orders, *args)
             finally:
                 in_check.pop()
 
         monkeypatch.setattr(conditions, "canonical_order", logged)
-        monkeypatch.setattr(sweep, "check_instance", check)
+        monkeypatch.setattr(sweep, "report_fields", check)
         started = _logged_pool(monkeypatch)
         # 625 records, three chunks
         run_sweep(SweepPlan(DegreeVector((1, 1, 2, 2)), 2, worker_count=workers))
@@ -532,16 +532,16 @@ class TestBasisCache:
 
 class TestAtomicOutput:
     def _fail_at(self, monkeypatch, k):
-        real = sweep.check_instance
+        real = sweep.report_fields
         calls = []
 
-        def failing(inst, *args):
-            calls.append(inst)
+        def failing(degrees, orders, *args):
+            calls.append(orders)
             if len(calls) == k:
                 raise RuntimeError(f"instance {k} failed")
-            return real(inst, *args)
+            return real(degrees, orders, *args)
 
-        monkeypatch.setattr(sweep, "check_instance", failing)
+        monkeypatch.setattr(sweep, "report_fields", failing)
 
     def test_failed_sweep_keeps_the_existing_file(self, tmp_path, monkeypatch):
         out = tmp_path / "records.jsonl"
@@ -659,16 +659,16 @@ class TestChunkedPhaseTwo:
         out = tmp_path / "records.jsonl"
         if existing:
             out.write_text("previous sweep\n")
-        real = sweep.check_instance
+        real = sweep.report_fields
 
         # Forked workers inherit the patch; (1, 0, -1) is record 444, in
         # the second chunk.
-        def failing(inst, *args):
-            if inst.orders.entries == (1, 0, -1):
+        def failing(degrees, orders, *args):
+            if orders == (1, 0, -1):
                 raise RuntimeError(f"check failed in process {os.getpid()}")
-            return real(inst, *args)
+            return real(degrees, orders, *args)
 
-        monkeypatch.setattr(sweep, "check_instance", failing)
+        monkeypatch.setattr(sweep, "report_fields", failing)
         with pytest.raises(RuntimeError, match="check failed in process") as err:
             run_sweep(SweepPlan(DegreeVector((1, 1, 2)), 4, worker_count=2, out_path=out))
         assert f"process {os.getpid()}" not in str(err.value)
@@ -713,14 +713,15 @@ class TestChunkedPhaseTwo:
                 yield task
 
         monkeypatch.setattr(sweep, "_chunk_tasks", counted)
-        real = sweep.check_instance
+        real = sweep.report_fields
 
-        def failing(inst, *args):  # (-3, -3, 3, -3, 3) is record 300, in the second chunk
-            if inst.orders.entries == (-3, -3, 3, -3, 3):
+        # (-3, -3, 3, -3, 3) is record 300, in the second chunk
+        def failing(degrees, orders, *args):
+            if orders == (-3, -3, 3, -3, 3):
                 raise RuntimeError("check failed")
-            return real(inst, *args)
+            return real(degrees, orders, *args)
 
-        monkeypatch.setattr(sweep, "check_instance", failing)
+        monkeypatch.setattr(sweep, "report_fields", failing)
         plan = SweepPlan(DegreeVector((1,) * 5), 3, worker_count=2)
         with pytest.raises(RuntimeError, match="check failed"):
             run_sweep(plan)
@@ -737,7 +738,7 @@ _POOLED_SWEEP = """\
 import os, sys
 from artinhol import cli, sweep
 sweep._usable_cpus = lambda: 2
-real_check, real_add = sweep.check_instance, sweep.SweepSummary.__add__
+real_check, real_add = sweep.report_fields, sweep.SweepSummary.__add__
 real_run = sweep._run_chunk
 PATCH
 argv = ["sweep", "--degrees", "1,1,2", "--order-bound", "4", "--workers", "2", "--out", sys.argv[1]]
@@ -755,22 +756,22 @@ _POOL_OUTCOMES = {
     "success": ("", "0", ""),
     "exception in a worker": (
         """
-def check(inst, *args):
-    if inst.orders.entries == (1, 0, -1):
+def check(degrees, orders, *args):
+    if orders == (1, 0, -1):
         raise RuntimeError("check failed")
-    return real_check(inst, *args)
-sweep.check_instance = check
+    return real_check(degrees, orders, *args)
+sweep.report_fields = check
 """,
         "RuntimeError: check failed",
         "",
     ),
     "dead worker": (
         """
-def check(inst, *args):
-    if inst.orders.entries == (1, 0, -1):
+def check(degrees, orders, *args):
+    if orders == (1, 0, -1):
         os._exit(3)
-    return real_check(inst, *args)
-sweep.check_instance = check
+    return real_check(degrees, orders, *args)
+sweep.report_fields = check
 """,
         "2",
         "error: worker process exited with code 3 in the chunk that starts at v=(-1, -3, 0)\n",
@@ -929,14 +930,15 @@ class TestPoolOutcomes:
         # every fd it opened is closed and every worker has been waited for.
         pids = _recorded_pids(monkeypatch)
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
-        real = sweep.check_instance
+        real = sweep.report_fields
 
-        def failing(inst, *args):  # (1, 0, -1) is record 444, in the second chunk
-            if fails and inst.orders.entries == (1, 0, -1):
+        # (1, 0, -1) is record 444, in the second chunk
+        def failing(degrees, orders, *args):
+            if fails and orders == (1, 0, -1):
                 raise RuntimeError("check failed")
-            return real(inst, *args)
+            return real(degrees, orders, *args)
 
-        monkeypatch.setattr(sweep, "check_instance", failing)
+        monkeypatch.setattr(sweep, "report_fields", failing)
         # Collected first: a stdlib pool an earlier test left behind closes
         # its pipes when the collector finds it, which may be mid-sweep.
         gc.collect()
@@ -1008,9 +1010,12 @@ class TestCounterexamples:
 
 
 class TestRestoredRecords:
-    """A sweep restores each record's OrderVector and Instance from values
-    its plan has validated (sweep._chunk_reports); Instance(...) still
-    validates every input from outside a sweep."""
+    """A sweep builds each record from values its plan has validated: the
+    fields conditions.report_fields decides and their text, with no
+    OrderVector, Instance or ConditionReport per record (sweep._run_chunk).
+    Its records and summary are those of the reference slow path,
+    sweep_reports, which validates an Instance for every vector, and
+    Instance(...) still validates every input from outside a sweep."""
 
     @pytest.mark.parametrize(
         "degrees, bound, group",
@@ -1020,17 +1025,32 @@ class TestRestoredRecords:
         ],
     )
     @pytest.mark.parametrize("flags", [(True, False), (False, True)])
-    def test_restored_records_equal_validated_ones(self, degrees, bound, group, flags):
+    def test_restored_records_equal_validated_ones(
+        self, tmp_path, monkeypatch, degrees, bound, group, flags
+    ):
+        # The gate: every family, both flags toggled, and an unsorted
+        # degree vector with a group label, swept serially and by a pool of
+        # two wherever the box has more than one chunk, writes the records
+        # and sums the summary of the reference reports.
+        started = _logged_pool(monkeypatch)
         plan = SweepPlan(degrees, bound, *flags, group=group)
-        conditions.build_type_table(bound, len(degrees))
-        for _, vectors in _chunk_tasks(plan):
-            restored = list(_chunk_reports(plan, vectors))
-            validated = [
-                check_instance(Instance(degrees, v, *flags, group=group), bound) for v in vectors
-            ]
-            assert restored == validated
-            lines = [sweep_record_line(rep) for rep in restored]
-            assert lines == [sweep_record_line(rep) for rep in validated]
+        reports = sweep_reports(plan)
+        box = list(enumerate_order_vectors(len(degrees), bound))
+        assert [rep.instance.orders.entries for rep in reports] == box
+        assert [rep.instance.group for rep in reports] == [group] * len(box)
+        fields = [sweep.report_fields(tuple(degrees), v, *flags, bound) for v in box]
+        assert fields == [rep._values()[1:] for rep in reports]
+        lines = [sweep_record_line(rep) for rep in reports]
+        expected = summarize(reports)
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert run_sweep(plan._replace(worker_count=workers, out_path=out)) == expected
+            # the first line that differs: a diff of megabytes of text
+            # would take pytest minutes
+            written = out.read_text().splitlines(keepends=True)
+            differing = [(i, a, b) for i, (a, b) in enumerate(zip(written, lines)) if a != b]
+            assert (len(written), differing[:1]) == (len(lines), [])
+        assert started == ([2] if len(box) > CHUNK_SIZE else [])
 
     @pytest.mark.parametrize("bound, workers", [(1, 1), (2, 2)])
     def test_records_are_restored_and_only_the_plan_validated(
@@ -1051,7 +1071,7 @@ class TestRestoredRecords:
 
             return logged
 
-        for cls in (core.OrderVector, core.Instance):
+        for cls in (core.OrderVector, core.Instance, conditions.ConditionReport):
             monkeypatch.setattr(cls, "__init__", spy(cls.__name__, cls.__init__))
         checked = spy("check_flags", core.check_flags)
         monkeypatch.setattr(core, "check_flags", checked)
@@ -1063,13 +1083,14 @@ class TestRestoredRecords:
         monkeypatch.undo()
         assert summary.total == (2 * bound + 1) ** 5
         assert len((tmp_path / "r").read_text().splitlines()) == summary.total
-        # check_flags runs once, for the plan, and Instance.__init__ never.
-        # An OrderVector is built only where the engines run on a support
-        # of the plan's type table, for the support and for the reduced
-        # orders its bases carry, in the sweep's own process: a canonical
-        # vector's expanded basis is checked against the closed form
-        # without one.  No record is validated again, and the builds do
-        # not follow the records.
+        # check_flags runs once, for the plan, and neither Instance.__init__
+        # nor ConditionReport.__init__ ever: no record builds either.  An
+        # OrderVector is built only where the engines run on a support of
+        # the plan's type table, for the support and for the reduced orders
+        # its bases carry, in the sweep's own process: a canonical vector's
+        # expanded basis is checked against the closed form without one.
+        # No record is validated again, and the builds do not follow the
+        # records.
         assert [name for _, name, _ in calls if name != "OrderVector"] == ["check_flags"]
         built = collections.Counter((pid, e) for pid, name, e in calls if name == "OrderVector")
         supports = set(conditions._supports(bound, min(5, 2 * bound)))
@@ -1077,7 +1098,7 @@ class TestRestoredRecords:
         assert supports <= {e for _, e in built} <= supports | reduced
         assert sum(built.values()) == (3 if bound == 1 else 42)  # of 243 and 3,125 records
         assert {pid for pid, _ in built} == {os.getpid()}
-        # _chunk_reports' proof: every |v_j| <= B < INSTANCE_CAP fits 32 bits
+        # _run_chunk's proof: every |v_j| <= B < INSTANCE_CAP fits 32 bits
         assert sweep.INSTANCE_CAP < 2**31
         for orders, error in (
             ((True, 0), TypeError),

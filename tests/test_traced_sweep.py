@@ -5,11 +5,16 @@ wrappers (sweep.check_instance, serialize.sweep_record_line,
 sweep.enumerate_order_vectors, sweep.Pool called with one positional
 argument, and the engines looked up as globals of artinhol.conditions).
 This guards those names: renaming one breaks the traced run or silently
-drops its spans.  It also shows that the parent walks the box once, under
-one sweep.enumerate span, and that the verdicts of a two-worker sweep of
-three chunks are computed, and its records rendered, in the workers, and
-its type table in the parent, the engines running once per table support;
-with fewer than two usable CPUs the sweep runs serially and this fails.
+drops its spans.  A sweep's records pass through neither check_instance
+nor sweep_record_line, but through sweep.report_fields and
+serialize.record_text, which the traced run here wraps as well, under the
+same span names, until bench/traced_sweep.py wraps them itself (ROADMAP
+item 1), when this test should run that script as it is again.  It also
+shows that the parent walks the box once, under one sweep.enumerate
+span, and that the verdicts of a two-worker sweep of three chunks are
+computed, and its records rendered, in the workers, and its type table
+in the parent, the engines running once per table support; with fewer
+than two usable CPUs the sweep runs serially and this fails.
 A one-worker sweep walks its box and builds its table the same way,
 outside every check.
 
@@ -33,6 +38,24 @@ from conftest import child_env
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: bench/traced_sweep.py's main, run with a sweep's per-record functions
+#: wrapped too: argv[1] is the bench directory, the rest its arguments.
+_PER_RECORD_TRACED = """\
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+import traced_sweep
+from artinhol import serialize, sweep
+install = traced_sweep.install
+def install_per_record(trace_dir):
+    tracer = install(trace_dir)
+    sweep.report_fields = tracer.wrap("conditions.check", sweep.report_fields)
+    serialize.record_text = tracer.wrap("serialize.render", serialize.record_text)
+    return tracer
+traced_sweep.install = install_per_record
+sys.exit(traced_sweep.main(sys.argv[1:]))
+"""
+
+
 def _traced_sweep(tmp_path, workers):
     """Spans of a traced sweep of 729 records in three chunks, one list per
     process, the parent's first, and the canonical vectors of its file."""
@@ -42,7 +65,9 @@ def _traced_sweep(tmp_path, workers):
     res = subprocess.run(
         [
             sys.executable,
-            str(ROOT / "bench" / "traced_sweep.py"),
+            "-c",
+            _PER_RECORD_TRACED,
+            str(ROOT / "bench"),
             str(trace_dir),
             "sweep",
             "--degrees", "1,1,2,2,3,3",
@@ -111,10 +136,10 @@ def test_traced_two_worker_sweep_records_engine_and_check_spans(tmp_path):
     # the parent writes and merges but checks no instance
     assert all(span["name"] != "conditions.check" for span in parent)
     # one verdict span and one render span per record, in the workers: the
-    # sweep must keep calling sweep.check_instance and
-    # serialize.sweep_record_line, and the cached rows and texts must not
-    # hide a layer.  The workers run no engine, so the engine counts
-    # depend on the input alone.
+    # sweep must keep calling sweep.report_fields and serialize.record_text
+    # once per record, and the cached rows and texts must not hide a layer.
+    # The workers run no engine, so the engine counts depend on the input
+    # alone.
     worker_names = [span["name"] for spans in workers for span in spans]
     assert worker_names.count("conditions.check") == 729
     assert worker_names.count("serialize.render") == 729
