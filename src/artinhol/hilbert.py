@@ -48,21 +48,24 @@ order once no later element has a positive order.  Neither remainder has
 a factorization, as a sum of elements of order >= 0 has order >= 0, and
 0 when every element has order 0; so the search keeps its counts and
 witnesses and visits a subset of its states without the order field
-(count_factorizations proves both).  The search's guard
-counts the work it does as it runs: each state it memoizes costs one of
-_STATE_CAP states and the multiplicities it tries there, plus the step
-past them, steps of ENUMERATION_CAP, and the first state either cap
-cannot pay for raises CapExceededError.  A per-basis threshold t keeps
-every search whose largest entry is at most t within both caps.  The
-searches at or under t with the default cap share one memo on the
+(count_factorizations proves both).  The search's guard counts the work
+it does as it runs: each state it memoizes costs one of _STATE_CAP states
+and the multiplicities it tries there, plus the step past them, steps of
+ENUMERATION_CAP, and the first state either cap cannot pay for raises
+CapExceededError.  A position whose element does not divide the
+remainder is stepped over without a frame of its own: it is charged as a
+state with the one step past it, and it stores the entry of the state it
+leads to once that state resolves, _NONE where that state is dead, which
+is the entry a frame of its own would store.  A per-basis threshold t
+keeps every search whose largest entry is at most t within both caps.
+The searches at or under t with the default cap share one memo on the
 basis, and every other search keeps a private one, dropped when it
-returns.  The shared
-memo never exceeds _STATE_CAP entries, however many searches fill it: it
-keeps only states (i, rem) that are not dead, whose rem is at most k <= t
-in each coordinate and 0 in each coordinate no element from position i on
-has, and whose order field is <rem, c>, fixed by those coordinates; the
-threshold's own second condition bounds their number,
-sum_i (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r <= _STATE_CAP.
+returns.  The shared memo never exceeds _STATE_CAP entries, however many
+searches fill it: it keeps only states (i, rem) that are not dead, whose
+rem is at most k <= t in each coordinate and 0 in each coordinate no
+element from position i on has, and whose order field is <rem, c>, fixed
+by those coordinates; the threshold's own second condition bounds their
+number, sum_i (t + 1)^(r - |uncovered_i|) <= m (t + 1)^r <= _STATE_CAP.
 
 The brute-force checks the test suite runs against all of these (the
 irreducibles of the whole box [0, max(1, max |v_j|)]^r, a split search
@@ -154,11 +157,15 @@ class HilbertBasis(_Value):
                 raise LengthMismatchError(
                     f"orders of rank {r} given for a basis of rank {len(elems[0])}"
                 )
-            reduced = _spread(r, at, c)
-            for h in elems:
-                if sum(map(operator.mul, h, reduced)) < 0:
-                    raise ValueError(f"basis element {h} is outside Hol of the orders")
-            _setattr(self, "_orders", reduced)
+            self._carry(_spread(r, at, c))
+
+    def _carry(self, reduced: tuple[int, ...]) -> None:
+        """Carry the reduced orders c, once every element is checked to
+        have <h, c> >= 0."""
+        for h in self.elements:
+            if sum(map(operator.mul, h, reduced)) < 0:
+                raise ValueError(f"basis element {h} is outside Hol of the orders")
+        _setattr(self, "_orders", reduced)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -204,10 +211,13 @@ def _embed(
     """The basis of Hol(v) for (r, at, c) = _nonzero_part(v), from the
     irreducibles `found` of Hol(c): each carried to rank r by _spread, and
     e_j added for each zero order.  The basis carries v's reduced orders,
-    c carried to rank r, for count_factorizations to prune by."""
-    elems = [_unit(r, j) for j in set(range(r)).difference(at)]
+    c carried to rank r, for count_factorizations to prune by: checked on
+    every element as orders= checks them, but not derived from v again."""
+    elems = [_spread(r, (j,), (1,)) for j in set(range(r)).difference(at)]
     elems.extend(_spread(r, at, x) for x in found)
-    return HilbertBasis(tuple(sorted(elems)), engine, orders=_spread(r, at, c))
+    basis = HilbertBasis(tuple(sorted(elems)), engine)
+    basis._carry(_spread(r, at, c))
+    return basis
 
 
 def _spread(r: int, at: Sequence[int], xs: Sequence[int]) -> tuple[int, ...]:
@@ -327,10 +337,6 @@ def _walk_region(ent: Sequence[int], plus: int, minus: int) -> list[tuple[tuple[
     return kept
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return (0,) * i + (1,) + (0,) * (n - i - 1)
-
-
 def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     """Second engine: completion-style search over the slack equation.
 
@@ -354,7 +360,7 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     Two facts follow, and keep each test to a few of those solutions:
 
     - y = x + e_i need only be tested against the minimal m with
-      m_i = y_i, which by_entry[i][y_i] lists.  Proof: no minimal
+      m_i = y_i, which by_entry lists (below).  Proof: no minimal
       solution of lower level than x lies below x, and one of x's own
       level below x would be x, which is unbalanced; so m <= y does not
       put m below x, which forces m_i > x_i, that is m_i = y_i.
@@ -374,47 +380,63 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
     one can only follow them.  Exceeding that level is an internal bug
     and raises AssertionError.  Sums never leave [-b+, b-], so the
     guard caps only the nodes explored, at ENUMERATION_CAP.
+
+    Each candidate is held packed, as one int: coordinate i in the w-bit
+    field at bit w i, its low w - 1 bits holding the value and its top bit
+    a guard that every candidate has set, with w - 1 the bit length of
+    b+ + b- + 2.  The level bound sizes the field: a candidate's
+    coordinates sum to its level, and no candidate is made past level
+    b+ + b- + 2, since the level after b+ + b- + 1 is refused before it is
+    expanded; so no value reaches 2^(w-1).  A step x + e_i is then one add
+    of 2^(w i), which cannot carry out of its field, and the test m <= y,
+    with m packed without guards, is the one subtraction
+    (y - m) & G == G of count_factorizations' remainders (module
+    docstring), G the mask of the guards.  by_entry is one dict keyed by
+    y & field_i, y's field i with its guard, which names both i and y_i.
+    The minimal solutions are unpacked once, when the search ends.
     """
     r, at, ent = _nonzero_part(v)
     region = _region(ent)
     coeffs = ent + (-1,)
     n = len(coeffs)
-    up = [i for i in range(n) if coeffs[i] > 0]  # the steps from a negative defect
-    down = [i for i in range(n) if coeffs[i] < 0]  # and from a positive one
-    minimal: list[tuple[int, ...]] = []
-    # by_entry[i][t]: the minimal solutions m with m_i = t > 0
-    by_entry: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(n)]
-    frontier: dict[tuple[int, ...], int] = {}
-    for i in range(n):
-        frontier[_unit(n, i)] = coeffs[i]
+    max_level = region.plus + region.minus + 1
+    w = (max_level + 1).bit_length() + 1  # the value bits hold max_level + 1
+    guards = _pack([1 << w - 1] * n, w)
+    # per coordinate i: its unit step, the mask of its field with the guard, its coefficient
+    moves = [(1 << w * i, (1 << w) - 1 << w * i, coeffs[i]) for i in range(n)]
+    up = [move for move in moves if move[2] > 0]  # the steps from a negative defect
+    down = [move for move in moves if move[2] < 0]  # and from a positive one
+    minimal = []  # packed without guards
+    # by_entry[y & field_i]: the minimal solutions m with m_i = y_i > 0
+    by_entry = {}
+    frontier = {guards + e: ci for e, _, ci in moves}
 
     level = 1
-    max_level = region.plus + region.minus + 1
     explored = n
     while frontier:
         if level > max_level:
             raise AssertionError(f"frontier search exceeded level bound for v={ent}")
         for x, d in frontier.items():
             if d == 0:
-                minimal.append(x)
-                for i, t in enumerate(x):
-                    if t:
-                        by_entry[i].setdefault(t, []).append(x)
+                m = x - guards
+                minimal.append(m)
+                for _, field, _ in moves:
+                    if m & field:
+                        by_entry.setdefault(x & field, []).append(m)
         room = ENUMERATION_CAP - explored
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt = {}
         for x, d in frontier.items():
             if d == 0:
                 continue
-            for i in up if d < 0 else down:
-                t = x[i] + 1
-                y = x[:i] + (t,) + x[i + 1:]
+            for e, field, ci in up if d < 0 else down:
+                y = x + e
                 if y in nxt:
                     continue
-                for m in by_entry[i].get(t, ()):
-                    if all(map(operator.le, m, y)):
+                for m in by_entry.get(y & field, ()):
+                    if (y - m) & guards == guards:
                         break
                 else:
-                    nxt[y] = d + coeffs[i]
+                    nxt[y] = d + ci
                     if len(nxt) > room:
                         raise CapExceededError(
                             f"frontier search exceeds the enumeration cap of "
@@ -423,7 +445,9 @@ def hilbert_basis_frontier(v: OrdersLike) -> HilbertBasis:
         explored += len(nxt)
         frontier = nxt
         level += 1
-    return _embed(minimal, r, at, ent, "frontier")
+    value = (1 << w - 1) - 1
+    found = (tuple(m >> w * i & value for i in range(n - 1)) for m in minimal)  # less the slack
+    return _embed(found, r, at, ent, "frontier")
 
 
 def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) -> FactorizationCount:
@@ -450,8 +474,8 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     Subtracting H[i] while the guards hold gives the children
     rem - c * h_i, c = 1 .. cmax.  A position whose element does not
     divide rem has only the c = 0 child: it is stepped over, with no
-    multiplicity tried and no witnesses folded, and its memo entry is its
-    successor's own.
+    frame, no multiplicity tried and no witnesses folded, and its memo
+    entry is its successor's own (_count_from).
 
     The order field is exact, and it changes no result.  k is packed as
     sum_j k_j * place_j, place_j = 2^(w j) + c_j 2^(w r): its coordinates
@@ -495,7 +519,9 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     memo.  The tables (_FactorTables) hold that packing, the places and
     that memo; they are a private slot of the basis, outside comparison,
     hashing, repr and pickling, so they are built once per basis and freed
-    with it.  So the common call, at or under t, only validates, reads the
+    with it.  So the common call, at or under t, only validates (one test
+    for a tuple of ints >= 0 of the basis's rank with an int cap >= 2, the
+    full checks, which name what is wrong, for anything else), reads the
     places, the packing and (cap 2) the shared memo from the tables, packs
     k with its order in one sum of products and searches: it works out no
     width and packs no elements.  Only a search above t takes <k, c>, works
@@ -522,9 +548,10 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     visits, which stores one memo entry, one of _STATE_CAP states, and
     cmax + 1 steps of ENUMERATION_CAP, one per child it may descend to:
     the multiplicities cmax .. 1 and the c = 0 step.  The first state either cap cannot pay for
-    raises CapExceededError naming that cap, before its frame is pushed,
-    and the memo is dropped with the search.  A state is visited at most
-    once: its entry is stored when its frame is popped, and until then no
+    raises CapExceededError naming that cap, before it is charged, and
+    the memo is dropped with the search.  A state is visited at most
+    once: its entry is stored when its frame is popped, or for a position
+    stepped over when the state it leads to resolves, and until then no
     descent reaches it, as every state the visit leads to has a larger
     position or a remainder of smaller sum.  Every state visited has
     i < m and rem <= k, and cmax <= max k, as every element is nonzero.
@@ -534,10 +561,20 @@ def count_factorizations(k: Sequence[int], basis: HilbertBasis, cap: int = 2) ->
     m * (t + 1)^r <= _STATE_CAP, leaves every search at or under it within
     both caps: the shared memo never sees a refusal.
     """
-    if _int_value(cap, "cap") < 2:
-        raise ValueError("cap must be >= 2")
     elems = basis.elements
-    kk = validate_exponent_vector(k, rank=len(elems[0]) if elems else None)
+    rank = len(elems[0]) if elems else None
+    kk = k  # the checks below would return k itself for a k that passes this one
+    if not (
+        type(k) is tuple
+        and type(cap) is int
+        and cap >= 2
+        and len(k) == rank
+        and set(map(type, k)) <= {int}
+        and min(k) >= 0
+    ):
+        if _int_value(cap, "cap") < 2:
+            raise ValueError("cap must be >= 2")
+        kk = validate_exponent_vector(k, rank=rank)
     if elems:
         tables = basis._factor_tables or _factor_tables(basis)
         top = max(kk)
@@ -601,14 +638,11 @@ def _factor_tables(basis: HilbertBasis) -> _FactorTables:
         elems = basis.elements
         m, r = len(elems), len(elems[0])
         c = basis._orders or (0,) * r
-
-        def fits(s):  # whether t = s - 1 keeps both bounds within their caps
-            return m * s ** (r + 1) <= ENUMERATION_CAP and m * s**r <= _STATE_CAP
-
-        # an s that fits is at most the root below, which the float misses
-        # by far less than 1: start one above it and count down
+        # t = s - 1 for the largest s that keeps both bounds within their
+        # caps; it is at most the root below, which the float misses by far
+        # less than 1: start one above it and count down
         s = int((ENUMERATION_CAP / m) ** (1 / (r + 1))) + 1
-        while not fits(s):
+        while m * s ** (r + 1) > ENUMERATION_CAP or m * s**r > _STATE_CAP:
             s -= 1
         extended = _with_orders(elems, c)
         w = max(s - 1, *map(max, elems)).bit_length() + 1
@@ -679,35 +713,49 @@ def _count_from(i, rem, packed, dead, guards, memo, cap):
     packed remainder `rem` over the elements from position i on.
 
     One loop over one explicit stack, so no recursion limit bounds the
-    basis or the multiplicities.  A frame (at, top, h, c, child, count,
-    witnesses) is a state (at, top) being visited, h = h_at packed,
+    basis or the multiplicities.  A frame (base, at, top, h, c, child,
+    count, witnesses) is a state (at, top) being visited, h = h_at packed,
     searching its child (at + 1, child = top - c * h), with what the
     children before it gave; the frame being visited is kept in locals and
     the frames below it on the stack.  On the way down a dead, zero or
-    memoized state resolves at once, and any other is pushed with
-    c = cmax (0 where h_at does not divide top).  On the way up a child of
-    count 0 moves its frame on to c - 1 at once; any other resolved state
-    is folded into the frame below, which moves on to c - 1, or, after
-    c = 0, at the cap or at a dead child, stores its own state and is
-    popped; one whose count is still 0 after c = 0, a position stepped
-    over included, stores its c = 0 child's state.  A dead child ends its
-    frame because every later one is dead too: child only grows as c
-    falls, so a field that is nonzero where no element from at + 1 on
+    memoized state resolves at once; one whose element does not divide its
+    remainder is stepped over to (i + 1, rem), with no frame; and any other
+    is pushed with c = cmax >= 1.  On the way up a child of count 0 moves
+    its frame on to c - 1 at once; any other resolved state is folded into
+    the frame below, which moves on to c - 1, or, after c = 0, at the cap
+    or at a dead child, stores its own state and is popped; one whose count
+    is still 0 after c = 0 stores its c = 0 child's state.  A dead child
+    ends its frame because every later one is dead too: child only grows as
+    c falls, so a field that is nonzero where no element from at + 1 on
     has it stays nonzero.
+
+    The step-over rule.  A position stepped over has the one child
+    (i + 1, rem), of the same remainder, so a run of them, positions
+    low .. i - 1, leads to the state (i, rem) the run ends at.  That state
+    either resolves at once or is pushed, its frame recording low as its
+    base; when it resolves, or its frame is popped, every position of the
+    run stores the state reached, _NONE where it is dead, and the frame
+    the run started from folds that entry.  That is the entry and the fold
+    a frame of c = 0 and count 0 makes for each of them, run back from its
+    end: it stores its child's state, _NONE for a dead one, which is not
+    dead and so ends no frame.  A run is charged as its frames were, each
+    position one state and the c = 0 step, at the point its frame was
+    pushed, after the same state and step tests.
 
     cmax is found by doubling, then halving, the multiple d * h tried:
     d never exceeds the multiplicity c already found, or 1, so each field
     of d * h is at most top's, below 2^(w-1), and subtracting d * h tests
-    it as exactly as subtracting h does (the module docstring).  Each push
-    is charged one state of _STATE_CAP and c + 1 steps of ENUMERATION_CAP,
-    both read when the search starts.  The search for cmax stops at the
-    steps left, so even a multiplicity of 10^11 costs no more than the
-    cap, and a push either cap cannot pay for raises CapExceededError
-    naming that cap.
+    it as exactly as subtracting h does (the module docstring).  Each state
+    visited is charged one state of _STATE_CAP and c + 1 steps of
+    ENUMERATION_CAP, both read when the search starts.  The search for cmax
+    stops at the steps left, so even a multiplicity of 10^11 costs no more
+    than the cap, and a state either cap cannot pay for raises
+    CapExceededError naming that cap.
     """
     steps, states = ENUMERATION_CAP, _STATE_CAP  # what is left of each
     stack = []  # the frames below the one being visited, as tuples
     at, c = None, 0  # no frame yet: the one being visited lives in the locals
+    low = i  # the first position stepped over on the way to (i, rem)
     while True:
         if (rem ^ guards) & dead[i]:
             state = _DEAD
@@ -718,9 +766,19 @@ def _count_from(i, rem, packed, dead, guards, memo, cap):
             if state is None:
                 if not states:
                     raise CapExceededError(f"kept more than {_STATE_CAP} states, the state cap")
+                if not steps:  # the c = 0 step is one more than are left
+                    raise CapExceededError(
+                        f"took more than {ENUMERATION_CAP} steps, the enumeration cap"
+                    )
+                e = packed[i]
+                if (rem - e) & guards != guards:  # e does not divide: step over
+                    steps -= 1
+                    states -= 1
+                    i += 1
+                    continue
                 if at is not None:
-                    stack.append((at, top, h, c, child, count, witnesses))
-                at, top, h, c, child, count, witnesses = i, rem, packed[i], 0, rem, 0, ()
+                    stack.append((base, at, top, h, c, child, count, witnesses))
+                base, at, top, h, c, child, count, witnesses = low, i, rem, e, 1, rem - e, 0, ()
                 d, dh = 1, h
                 while c + d <= steps and (child - dh) & guards == guards:
                     child -= dh
@@ -738,11 +796,18 @@ def _count_from(i, rem, packed, dead, guards, memo, cap):
                     )
                 steps -= c + 1
                 states -= 1
-                i, rem = i + 1, child
+                i = low = i + 1
+                rem = child
                 continue
+        if low < i:  # the positions stepped over take the state they lead to
+            if state is _DEAD:  # as a frame of c = 0 and count 0 stores it
+                state = _NONE
+            for p in range(low, i):
+                memo[p][rem] = state
         if c and state is not _DEAD and not state[0]:  # a child of count 0: on to c - 1
             child += h
             c -= 1
+            i = low = at + 1
             rem = child
             continue
         if at is None:  # the first state resolved at once
@@ -757,15 +822,19 @@ def _count_from(i, rem, packed, dead, guards, memo, cap):
                 if c and count < cap and state is not _DEAD:
                     child += h
                     c -= 1
-                    i, rem = at + 1, child
+                    i = low = at + 1
+                    rem = child
                     break
                 state = (count if count < cap else cap, witnesses) if count else _NONE
             elif state is _DEAD:  # stored, it would end the frames of a live state
                 state = _NONE
             memo[at][top] = state
+            if base < at:
+                for p in range(base, at):
+                    memo[p][top] = state
             if not stack:
                 return state
-            at, top, h, c, child, count, witnesses = stack.pop()
+            base, at, top, h, c, child, count, witnesses = stack.pop()
 
 
 _EMPTY = (1, (None,))  # the zero remainder: one factorization, all multiplicities 0

@@ -302,13 +302,14 @@ def search_bound(k, elements, orders=None) -> tuple[int, int]:
     m (max_j k_j + 1)^(r + 1), which size count_factorizations' threshold.
 
     Proof, for the charges of _count_from.  A visit of a state (i, rem)
-    that is neither dead nor in the memo pushes a frame, charged one state
-    and cmax + 1 steps: the multiplicities c = cmax .. 1 and the c = 0
-    step, the step over a position whose element does not divide rem
-    included.  A state is visited at most once: the visit stores its memo
-    entry when its frame is popped, a position stepped over included, and
-    until then no descent reaches it again, because every state the visit
-    leads to has a larger position or a remainder of smaller sum.
+    that is neither dead nor in the memo is charged one state and cmax + 1
+    steps: the multiplicities c = cmax .. 1 and the c = 0 step, which is
+    all a position whose element does not divide rem takes, stepped over
+    without a frame.  A state is visited at most once: the visit stores
+    its memo entry when its frame is popped, or for a position stepped
+    over when the state it leads to resolves, and until then no descent
+    reaches it again, because every state the visit leads to has a larger
+    position or a remainder of smaller sum.
     Remainders start at k and only decrease, never below 0.  At position
     i, rem_j = k_j for every j that no element before i has, and a state
     with rem_j > 0 for some j that no element from i on has is dead: it

@@ -6,6 +6,7 @@ are tested against, and the Hermite reduction behind the lattice check."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -54,6 +55,10 @@ from conftest import (
     shared_memo,
     spy_searches,
 )
+
+
+class _Int(int):
+    """An int that is not of type int."""
 
 
 def _obeys_region(h, v) -> bool:
@@ -203,6 +208,27 @@ class TestFrontierEngine:
                 with pytest.raises(CapExceededError):
                     hilbert_basis_frontier(v)
         assert deeper == 373
+
+    def test_explores_the_nodes_of_the_full_scan_on_wide_fields(self, monkeypatch):
+        # The same at rank 2 with |v_j| up to 40, where a candidate's field
+        # is up to 8 bits wide: every (a, -b) with a, b in 1..40, whose
+        # widths change where a + b + 2 crosses a power of 2, and seeded
+        # vectors of the whole box [-40, 40]^2.
+        rng = random.Random(40)
+        vectors = [(a, -b) for a in range(1, 41) for b in range(1, 41)] + [
+            (rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(200)
+        ]
+        deeper = 0
+        for v in vectors:
+            basis, nodes = full_scan_frontier(v)
+            monkeypatch.setattr(hilbert, "ENUMERATION_CAP", nodes)
+            assert hilbert_basis_frontier(v).elements == basis, v
+            if nodes > sum(1 for x in v if x) + 1:
+                deeper += 1
+                monkeypatch.setattr(hilbert, "ENUMERATION_CAP", nodes - 1)
+                with pytest.raises(CapExceededError):
+                    hilbert_basis_frontier(v)
+        assert deeper == 1749
 
 
 class TestCompletenessRegion:
@@ -444,6 +470,46 @@ class TestCountFactorizations:
                 total[1] += c * h[1]
             assert tuple(total) == (4, 2)
         assert brute_count_factorizations((4, 2), basis.elements) == 2
+
+    @pytest.mark.parametrize(
+        "k, cap",
+        [
+            ((4, 2), 2),  # one check admits it
+            ((4, 2), 3),
+            ([4, 2], 2),
+            ((4, True), 2),
+            ((4, 2.0), 2),
+            ((4, _Int(2)), 2),
+            ((4, -1), 2),
+            ((4, 2, 0), 2),
+            ((), 2),
+            ((4, 2), True),
+            ((4, 2), 2.0),
+            ((4, 2), _Int(2)),
+            ((4, 2), 1),
+            ((4, "2"), 1),  # the cap is checked first
+            ("42", 2),
+        ],
+    )
+    @pytest.mark.parametrize("v", [(2, -3), (-1, -1)])  # the second basis is empty
+    def test_one_check_admits_only_what_the_full_checks_admit(self, k, cap, v):
+        # Whatever passes the one check is a tuple the full checks return
+        # unchanged; anything else meets the full checks, with their
+        # errors and messages.
+        basis = hilbert_basis_oracle(v)
+        try:
+            if hilbert._int_value(cap, "cap") < 2:
+                raise ValueError("cap must be >= 2")
+            kk = hilbert.validate_exponent_vector(k, rank=len(basis.elements[0]) if basis else None)
+        except (TypeError, ValueError, LengthMismatchError) as exc:
+            with pytest.raises(type(exc)) as err:
+                count_factorizations(k, basis, cap=cap)
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        else:
+            got = _outcome_or_error(k, basis, cap)
+            assert got == _outcome_or_error(tuple(map(int, kk)), basis, int(cap))
+            if isinstance(got, FactorizationCount):
+                assert got.element == kk and (got.element is k) == (type(k) is tuple)
 
     def test_identity_counts_once(self):
         for v in [(1, -1), (2, -3), (0, 0)]:
@@ -1293,3 +1359,75 @@ class TestAdjoinedIrreducibles:
                         assert is_irreducible(h, v)
                     if len(basis) == 3:
                         assert sorted(adjoined) == list(basis.elements)
+
+
+def _sparse(witness):
+    """A coefficient vector as its nonzero entries, {position: multiplicity}."""
+    return {i: c for i, c in enumerate(witness) if c}
+
+
+def _memo_digest(memo) -> tuple[int, str]:
+    """(entries, digest) of a memo, one dict per position, whatever order
+    each dict was filled in."""
+    digest = hashlib.sha256()
+    for seen in memo:
+        digest.update(repr(sorted(seen.items())).encode() + b"|")
+    return sum(map(len, memo)), digest.hexdigest()[:16]
+
+
+def _members(v, box):
+    return [k for k in itertools.product(range(box), repeat=len(v)) if any(k) and dot(k, v) >= 0]
+
+
+class TestPinnedSearches:
+    """Searches pinned from the package before positions stepped over lost
+    their frames: the shared memo after a fixed sequence of calls, and for
+    one search per vector its result and the least step and state caps at
+    which it answers, with the refusal one below each.  (1000, -1001) has
+    1,001 elements, and most of its states step over a position."""
+
+    CASES = {
+        # v: (calls, memo entries, memo digest, k, its count and witnesses,
+        #     least steps, least states)
+        (2, -3): (
+            _members((2, -3), 8), 44, "3ad8be70dc8b2df8",
+            (60, 30), 2, ({0: 15, 2: 15}, {0: 14, 1: 2, 2: 14}), 51, 5,
+        ),
+        (1000, -1001): (
+            [(5, 0), (1001, 1000), (2002, 1000), (3003, 2000)], 4996, "585bca0a1c88ad5f",
+            (3003, 2000), 2, ({0: 1001, 1000: 2}, {0: 1000, 1: 1, 999: 1, 1000: 1}), 4010, 3000,
+        ),
+        (3, -2, 1, 3): (
+            _members((3, -2, 1, 3), 4), 1079, "dc6e5b633ecc096b",
+            (6, 9, 2, 3), 2, ({0: 3, 1: 2, 10: 3}, {0: 3, 1: 1, 7: 1, 8: 1, 10: 2}), 32, 20,
+        ),
+        (3, -1, 3, -1): (
+            _members((3, -1, 3, -1), 4), 1370, "9c8892211137d25b",
+            (5, 9, 4, 6), 2, ({0: 4, 13: 2, 19: 3}, {0: 4, 13: 1, 16: 1, 18: 1, 19: 2}), 46, 29,
+        ),
+    }
+
+    @pytest.mark.parametrize("v", list(CASES))
+    def test_shared_memo_after_a_fixed_sequence(self, v):
+        calls, entries, digest = self.CASES[v][:3]
+        basis = hilbert_basis_oracle(v)
+        for k in calls:
+            count_factorizations(k, basis)
+        assert _memo_digest(shared_memo(basis)) == (entries, digest)
+
+    @pytest.mark.parametrize("v", list(CASES))
+    def test_least_caps_and_the_refusals_below_them(self, v, monkeypatch):
+        k, count, witnesses, steps, states = self.CASES[v][3:]
+        elements = hilbert_basis_oracle(v).elements  # before the caps are cut
+        default = (hilbert.ENUMERATION_CAP, hilbert._STATE_CAP)
+        for cut, refusal in (
+            ((steps, default[1]), f"took more than {steps - 1} steps, the enumeration cap"),
+            ((default[0], states), f"kept more than {states - 1} states, the state cap"),
+        ):
+            _cut_caps(monkeypatch, *cut)
+            fc = count_factorizations(k, HilbertBasis(elements, "oracle", orders=v))
+            assert (fc.count, tuple(map(_sparse, fc.witnesses))) == (count, witnesses)
+            below = [x - (x != y) for x, y in zip(cut, default)]
+            _cut_caps(monkeypatch, *below)
+            outcome = _outcome_or_error(k, HilbertBasis(elements, "oracle", orders=v), 2)
+            assert outcome == (CapExceededError, f"factorization search of {k} {refusal}")
